@@ -11,7 +11,7 @@ score of Eq. 1.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.config import IndexerConfig
 from repro.core.connection import Connection, ConnectionType
@@ -20,7 +20,7 @@ from repro.core.message import Message
 from repro.core.scoring import dominant_connection_type, message_similarity
 from repro.obs.audit import AllocationScore, _RawAllocation
 
-__all__ = ["Bundle"]
+__all__ = ["Bundle", "MemoryLedger"]
 
 # Per-object overheads used by the hardware-independent memory model
 # (Fig. 11a), least-squares calibrated against the measured deep-size
@@ -34,6 +34,34 @@ __all__ = ["Bundle"]
 _MESSAGE_OVERHEAD_BYTES = 1844
 _EDGE_OVERHEAD_BYTES = 96
 _COUNTER_ENTRY_BYTES = 114
+
+
+class MemoryLedger:
+    """Running byte and message totals over the bundles bound to it.
+
+    A :class:`~repro.core.pool.BundlePool` owns one; every pooled bundle
+    charges its growth here as it happens, so the pool's Fig. 11
+    accounting is two attribute reads instead of a walk over every
+    pooled message.
+    """
+
+    __slots__ = ("bytes", "messages")
+
+    def __init__(self) -> None:
+        self.bytes = 0
+        self.messages = 0
+
+
+def _tally(counter: "Counter[str]", keys: Iterable[str]) -> int:
+    """Count ``keys`` into ``counter``; return the bytes its new entries cost."""
+    grown = 0
+    for key in keys:
+        if key in counter:
+            counter[key] += 1
+        else:
+            counter[key] = 1
+            grown += _COUNTER_ENTRY_BYTES + len(key)
+    return grown
 
 
 class Bundle:
@@ -52,6 +80,7 @@ class Bundle:
         "_messages", "_order", "_edges", "_keywords_by_msg", "_member_index",
         "hashtag_counts", "url_counts", "keyword_counts", "user_counts",
         "start_time", "end_time", "last_update",
+        "_bytes", "_ledger",
     )
 
     def __init__(self, bundle_id: int, config: IndexerConfig | None = None) -> None:
@@ -73,6 +102,11 @@ class Bundle:
         self.start_time = float("inf")
         self.end_time = float("-inf")
         self.last_update = float("-inf")
+        # Fig. 11 byte model, charged where members, edges and counter
+        # keys are added (nothing is ever removed from a bundle), and
+        # mirrored into the owning pool's ledger while pooled.
+        self._bytes = 0
+        self._ledger: MemoryLedger | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -222,14 +256,19 @@ class Bundle:
                     self.config, self.AUDIT_TOP_K))
             kind = self._edge_kind(message, best, keywords)
             edge = Connection(message.msg_id, best.msg_id, kind, best_key[0])
-            self._edges[message.msg_id] = edge
 
-        self._register_member(message, keywords)
+        self._register_member(message, keywords, edge)
         return edge
 
-    def _register_member(self, message: Message,
-                         keywords: frozenset[str]) -> None:
-        """Shared bookkeeping for insertion and verbatim restore."""
+    def _register_member(self, message: Message, keywords: frozenset[str],
+                         edge: Connection | None = None) -> None:
+        """Shared bookkeeping for insertion and verbatim restore.
+
+        With :meth:`_attach_edge` the only place a bundle grows, and so
+        the only place its memory total is charged.
+        """
+        if edge is not None:
+            self._attach_edge(message.msg_id, edge)
         self._messages[message.msg_id] = message
         self._order.append(message.msg_id)
         self._keywords_by_msg[message.msg_id] = keywords
@@ -238,14 +277,41 @@ class Bundle:
             if members is None:
                 members = self._member_index[key] = []
             members.append(message.msg_id)
-        self.hashtag_counts.update(message.hashtags)
-        self.url_counts.update(message.urls)
-        self.keyword_counts.update(keywords)
-        self.user_counts[message.user] += 1
+        grown = (_MESSAGE_OVERHEAD_BYTES + len(message.text)
+                 + sum(map(len, message.hashtags))
+                 + sum(map(len, message.urls))
+                 + _tally(self.hashtag_counts, message.hashtags)
+                 + _tally(self.url_counts, message.urls)
+                 + _tally(self.keyword_counts, keywords)
+                 + _tally(self.user_counts, (message.user,)))
+        self._bytes += grown
+        ledger = self._ledger
+        if ledger is not None:
+            ledger.bytes += grown
+            ledger.messages += 1
         # Algorithm 2 lines 8-13: widen [start_time, end_time].
         self.start_time = min(self.start_time, message.date)
         self.end_time = max(self.end_time, message.date)
         self.last_update = max(self.last_update, message.date)
+
+    def _attach_edge(self, msg_id: int, edge: Connection) -> None:
+        """Record ``msg_id``'s provenance edge — the one writer of ``_edges``."""
+        if msg_id not in self._edges:
+            self._bytes += _EDGE_OVERHEAD_BYTES
+            if self._ledger is not None:
+                self._ledger.bytes += _EDGE_OVERHEAD_BYTES
+        self._edges[msg_id] = edge
+
+    def _bind_ledger(self, ledger: MemoryLedger | None) -> None:
+        """Move this bundle's totals to ``ledger`` (``None``: to no pool)."""
+        previous = self._ledger
+        if previous is not None:
+            previous.bytes -= self._bytes
+            previous.messages -= len(self._messages)
+        if ledger is not None:
+            ledger.bytes += self._bytes
+            ledger.messages += len(self._messages)
+        self._ledger = ledger
 
     @staticmethod
     def _indicant_keys(message: Message,
@@ -317,15 +383,6 @@ class Bundle:
         overheads.  The paper reports both real megabytes and the
         configuration-independent message count (Fig. 11b); this model
         backs the former while staying deterministic across interpreters.
+        The total is maintained as the bundle grows, so reading it is O(1).
         """
-        total = 0
-        for message in self._messages.values():
-            total += _MESSAGE_OVERHEAD_BYTES + len(message.text)
-            total += sum(len(t) for t in message.hashtags)
-            total += sum(len(u) for u in message.urls)
-        total += len(self._edges) * _EDGE_OVERHEAD_BYTES
-        for counter in (self.hashtag_counts, self.url_counts,
-                        self.keyword_counts, self.user_counts):
-            total += len(counter) * _COUNTER_ENTRY_BYTES
-            total += sum(len(key) for key in counter)
-        return total
+        return self._bytes

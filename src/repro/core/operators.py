@@ -62,12 +62,10 @@ def _copy_members(
     for msg_id in kept:
         message = source.get(msg_id)
         assert message is not None
-        target._register_member(message, source.keywords_of(msg_id))
-        if not keep_edges:
-            continue
-        edge = edge_by_src.get(msg_id)
-        if edge is not None and edge.dst_id in kept_set:
-            target._edges[msg_id] = edge
+        edge = edge_by_src.get(msg_id) if keep_edges else None
+        if edge is not None and edge.dst_id not in kept_set:
+            edge = None
+        target._register_member(message, source.keywords_of(msg_id), edge)
     return kept_set
 
 
@@ -118,9 +116,9 @@ def merge_bundles(bundle_id: int, first: Bundle, second: Bundle,
             from repro.core.scoring import (dominant_connection_type,
                                             message_similarity)
             score = message_similarity(message, best, result.config)
-            result._edges[msg_id] = Connection(
+            result._attach_edge(msg_id, Connection(
                 msg_id, best.msg_id,
-                dominant_connection_type(message, best), score)
+                dominant_connection_type(message, best), score))
     return result
 
 
@@ -207,15 +205,16 @@ def filter_bundle(source: Bundle, predicate: Callable[[Message], bool],
         if msg_id not in kept:
             continue
         message = source.get(msg_id)
-        result._register_member(message, source.keywords_of(msg_id))
         # Walk up through removed ancestors to the nearest kept one.
         ancestor = source.parent_of(msg_id)
         while ancestor is not None and ancestor not in kept:
             ancestor = source.parent_of(ancestor)
+        edge = None
         if ancestor is not None:
             original = edge_by_src[msg_id]
-            result._edges[msg_id] = Connection(
+            edge = Connection(
                 msg_id, ancestor, original.kind, original.score)
+        result._register_member(message, source.keywords_of(msg_id), edge)
     return result
 
 

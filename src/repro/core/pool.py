@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
-from repro.core.bundle import Bundle
+from repro.core.bundle import Bundle, MemoryLedger
 from repro.core.config import IndexerConfig
-from repro.core.errors import BundleNotFoundError
+from repro.core.errors import BundleError, BundleNotFoundError
 from repro.core.scoring import refinement_score
 from repro.core.summary_index import SummaryIndex
 from repro.obs.audit import RefinementEvent
@@ -90,6 +90,10 @@ class BundlePool:
         self.config = config or IndexerConfig()
         self.on_evict = on_evict
         self._bundles: dict[int, Bundle] = {}
+        # Byte and message totals of ``_bundles``: every pooled bundle
+        # is bound to it and charges its own growth, so admission can
+        # read pool memory once per arrival at no per-message cost.
+        self._ledger = MemoryLedger()
         self._next_bundle_id = 0
         self.refinement_count = 0
         # No-op until bind_registry(); the pool owns the eviction
@@ -103,9 +107,9 @@ class BundlePool:
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Export the pool's gauges and eviction counters.
 
-        Size gauges are callback-backed (computed on read from the
-        authoritative dict), so ``repro top``, ``repro health`` and the
-        benchmarks all see one number.
+        Size gauges are callback-backed (read from the authoritative
+        dict and its ledger), so ``repro top``, ``repro health`` and
+        the benchmarks all see one number.
         """
         registry.gauge("repro_pool_bundles",
                        help="Bundles currently pooled in memory",
@@ -173,22 +177,37 @@ class BundlePool:
     def create_bundle(self) -> Bundle:
         """Allocate a fresh, empty bundle with the next id."""
         bundle = Bundle(self._next_bundle_id, self.config)
-        self._bundles[bundle.bundle_id] = bundle
         self._next_bundle_id += 1
+        self.adopt(bundle)
         return bundle
+
+    def adopt(self, bundle: Bundle) -> None:
+        """Pool an already-built bundle (snapshot restore) under its own id.
+
+        With :meth:`_remove` the only writer of the bundle map, so the
+        ledger always covers exactly the pooled bundles.
+        """
+        if bundle.bundle_id in self._bundles:
+            raise BundleError(
+                f"bundle {bundle.bundle_id} is already in the pool")
+        self._bundles[bundle.bundle_id] = bundle
+        bundle._bind_ledger(self._ledger)
 
     # ------------------------------------------------------------------
     # Accounting (Fig. 11)
     # ------------------------------------------------------------------
 
     def message_count(self) -> int:
-        """Total messages held in memory across pooled bundles."""
-        return sum(len(bundle) for bundle in self._bundles.values())
+        """Total messages held in memory across pooled bundles (O(1))."""
+        return self._ledger.messages
 
     def approximate_memory_bytes(self) -> int:
-        """Deterministic pooled-bundle memory estimate."""
-        return sum(bundle.approximate_memory_bytes()
-                   for bundle in self._bundles.values())
+        """Deterministic pooled-bundle memory estimate (O(1)).
+
+        The sum of :meth:`Bundle.approximate_memory_bytes` over the
+        pool, kept current by the bundles themselves.
+        """
+        return self._ledger.bytes
 
     # ------------------------------------------------------------------
     # Algorithm 3
@@ -347,5 +366,6 @@ class BundlePool:
         if summary_index is not None:
             summary_index.remove_bundle(bundle)
         del self._bundles[bundle.bundle_id]
+        bundle._bind_ledger(None)
         if self.on_evict is not None:
             self.on_evict(bundle)

@@ -115,9 +115,13 @@ def bundle_from_dict(record: Mapping[str, Any],
         }
         for message_record in record["messages"]:
             message = message_from_dict(message_record)
-            _restore_member(bundle, message,
-                            keywords.get(message.msg_id, frozenset()),
-                            edges.get(message.msg_id))
+            # Reuse the bundle's own bookkeeping without re-running
+            # Algorithm 2: reconstruction must not re-derive edges
+            # (weights may have changed between runs), so the recorded
+            # edge is attached verbatim.
+            bundle._register_member(
+                message, keywords.get(message.msg_id, frozenset()),
+                edges.get(message.msg_id))
         if "last_update" in record:  # absent in pre-guard records
             bundle.last_update = max(bundle.last_update,
                                      float(record["last_update"]))
@@ -128,18 +132,6 @@ def bundle_from_dict(record: Mapping[str, Any],
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"malformed bundle record: {exc}") from exc
-
-
-def _restore_member(bundle: Bundle, message: Message,
-                    keywords: frozenset[str],
-                    edge: Connection | None) -> None:
-    """Insert a member without re-running Algorithm 2's alignment."""
-    # Reuse the bundle's own bookkeeping: reconstruction must not re-derive
-    # edges (weights may have changed between runs), so the recorded edge
-    # is attached verbatim.
-    bundle._register_member(message, keywords)
-    if edge is not None:
-        bundle._edges[message.msg_id] = edge
 
 
 def bundle_to_json(bundle: Bundle) -> str:

@@ -105,7 +105,7 @@ def load_snapshot_with_meta(
 
     for record in state.get("bundles", ()):
         bundle = bundle_from_dict(record, config)
-        indexer.pool._bundles[bundle.bundle_id] = bundle
+        indexer.pool.adopt(bundle)
         for msg_id in bundle.message_ids():
             message = bundle.get(msg_id)
             assert message is not None

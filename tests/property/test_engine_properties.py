@@ -118,3 +118,85 @@ class TestEngineInvariants:
                 store.append(bundle)
             for bundle in store.iter_bundles():
                 assert check_bundle(bundle) == []
+
+
+#: Operations the ledger property interleaves; see the test for each.
+LEDGER_OPS = ("journaled", "batch", "fold", "refine", "shed", "snapshot",
+              "reopen", "operators")
+
+
+class TestMemoryLedger:
+    """The maintained Fig. 11 totals equal a from-scratch recount."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(streams(max_size=40), configs(),
+           st.lists(st.tuples(st.sampled_from(LEDGER_OPS),
+                              st.integers(min_value=1, max_value=6)),
+                    min_size=1, max_size=14))
+    def test_ledger_equals_recount_after_any_interleaving(
+            self, stream, config, ops):
+        import tempfile
+
+        from repro.core.operators import merge_bundles, rebuild_bundle
+        from repro.reliability.supervisor import ResilientIndexer
+        from tests.memory_oracle import (assert_ledger_exact,
+                                         recompute_bundle_bytes)
+
+        pending = list(stream)
+        with tempfile.TemporaryDirectory() as root:
+            stack = ResilientIndexer.open(root, config=config,
+                                          snapshot_every=7)
+            try:
+                for op, n in ops:
+                    engine = stack.indexer
+                    pool = engine.pool
+                    chunk, pending = pending[:n], pending[n:]
+                    if op == "journaled":
+                        stack.ingest_batch(chunk)
+                    elif op == "batch":
+                        engine.ingest_batch(chunk)
+                    elif op == "fold":
+                        # Fold each message into the n-th pooled bundle,
+                        # as a duplicate of its first member (the engine
+                        # falls back to a full ingest if it is closed).
+                        for message in chunk:
+                            bundles = list(pool)
+                            if not bundles:
+                                engine.ingest(message)
+                                continue
+                            target = bundles[n % len(bundles)]
+                            stack.journaled.ingest_folded(
+                                message, target.bundle_id,
+                                target.message_ids()[0])
+                    elif op == "refine":
+                        pool.refine(engine.current_date,
+                                    engine.summary_index, engine.store)
+                    elif op == "shed":
+                        pool.shed(
+                            engine.current_date,
+                            target_bytes=pool.approximate_memory_bytes() // 2,
+                            summary_index=engine.summary_index,
+                            sink=engine.store)
+                    elif op == "snapshot":
+                        path = f"{root}/roundtrip.json"
+                        save_snapshot(engine, path)
+                        assert_ledger_exact(load_snapshot(path).pool)
+                    elif op == "reopen":
+                        # Snapshot load + WAL-tail replay on the same root.
+                        stack.close()
+                        stack = ResilientIndexer.open(
+                            root, config=config, snapshot_every=7)
+                    elif op == "operators":
+                        bundles = list(pool)
+                        derived = [
+                            rebuild_bundle(10_000, b, b.message_ids()[::2])
+                            for b in bundles]
+                        derived += [
+                            merge_bundles(10_001, a, b)
+                            for a, b in zip(bundles, bundles[1:])]
+                        for bundle in derived:
+                            assert (bundle.approximate_memory_bytes()
+                                    == recompute_bundle_bytes(bundle))
+                    assert_ledger_exact(stack.indexer.pool)
+            finally:
+                stack.close()

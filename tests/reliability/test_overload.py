@@ -455,6 +455,36 @@ class TestOverloadController:
         assert rendered["health state"] == "normal"
         assert rendered["accounting"] == "reconciles"
 
+    def test_offer_does_no_per_bundle_work(self, monkeypatch):
+        """Admission reads pool memory per arrival; that read must not
+        scale with the pool (it was 80% of a hostile stream's wall)."""
+        from repro.core.bundle import Bundle
+        from tests.memory_oracle import assert_ledger_exact
+
+        engine = ProvenanceIndexer(IndexerConfig.full_index())
+        engine.ingest_batch([
+            make_message(i, f"story {i % 200} #tag{i % 200}", user=f"u{i}",
+                         hours=i * 0.001)
+            for i in range(600)])
+        assert len(engine.pool) == 200
+        ctl = OverloadController(
+            OverloadConfig(memory_high_bytes=10**12), clock=FakeClock())
+        ctl.attach(engine)
+
+        walked = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Bundle, "approximate_memory_bytes",
+                lambda bundle: walked.append(bundle.bundle_id) or 0)
+            for i in range(500):
+                ctl.offer(make_message(1000 + i, f"arrival {i}"), float(i))
+        assert walked == []
+
+        # ... and the ladder still saw the real number.
+        assert_ledger_exact(engine.pool)
+        assert ctl._memory_gauge.value == \
+            engine.pool.approximate_memory_bytes() > 0
+
     def test_dead_letter_latency_counts_without_mode_ingest(self):
         ctl = OverloadController(OverloadConfig(), clock=FakeClock())
         ctl.note_ingest(HealthState.NORMAL, 0.5, indexed=False)
