@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from repro.core.config import IndexerConfig
-from repro.core.connection import Connection, ConnectionType
+from repro.core.config import HOUR_SECONDS, IndexerConfig
+from repro.core.connection import Connection
 from repro.core.errors import BundleClosedError, BundleError
 from repro.core.message import Message
 from repro.core.scoring import dominant_connection_type, message_similarity
@@ -80,6 +80,7 @@ class Bundle:
         "_messages", "_order", "_edges", "_keywords_by_msg", "_member_index",
         "hashtag_counts", "url_counts", "keyword_counts", "user_counts",
         "start_time", "end_time", "last_update",
+        "_latest", "_monotone",
         "_bytes", "_ledger",
     )
 
@@ -102,6 +103,12 @@ class Bundle:
         self.start_time = float("inf")
         self.end_time = float("-inf")
         self.last_update = float("-inf")
+        # The member with the greatest ``sort_key()``, and whether every
+        # member so far arrived with both a later-or-equal date and a
+        # larger id than all before it — the precondition of
+        # :meth:`insert`'s early stop.
+        self._latest: Message | None = None
+        self._monotone = True
         # Fig. 11 byte model, charged where members, edges and counter
         # keys are added (nothing is ever removed from a bundle), and
         # mirrored into the owning pool's ledger while pooled.
@@ -237,14 +244,48 @@ class Bundle:
         edge = None
         candidates = self._candidate_members(message, keywords)
         if candidates:
+            config = self.config
             best = candidates[0]
-            best_key = (message_similarity(message, best, self.config),
-                        best.date, -best.msg_id)
-            for prior in candidates[1:]:
-                key = (message_similarity(message, prior, self.config),
+            best_key: "tuple[float, float, int] | None" = None
+            # Only members reached through the RT-author and URL probes
+            # can earn Eq. 5's RT bonus or URL term; score those first
+            # (the window holds the highest candidate ids).
+            strong_ids = self._strong_member_ids(message)
+            oldest_id = candidates[0].msg_id
+            for msg_id in strong_ids:
+                if msg_id >= oldest_id:
+                    prior = self._messages[msg_id]
+                    key = (message_similarity(message, prior, config),
+                           prior.date, -msg_id)
+                    if best_key is None or key > best_key:
+                        best, best_key = prior, key
+            # Every other member scores ``tag term + time term``; the
+            # same float expression over the *bundle's* tags (a superset
+            # of the member's; float ops are monotone) is its ceiling.
+            # In a monotone bundle receiving an arrival no older than
+            # its newest member, the time term — so the ceiling — only
+            # falls from the newest candidate to the oldest: once it is
+            # *strictly* below the incumbent, no older member can win
+            # or tie.  Otherwise every member is scored.
+            date = message.date
+            bounded = self._monotone and date >= self.end_time
+            time_weight = config.time_weight
+            tags = message.hashtags
+            tag_ceiling = (config.hashtag_weight
+                           * len(tags & self.hashtag_counts.keys())
+                           / len(tags)) if tags else 0.0
+            for prior in reversed(candidates):
+                if prior.msg_id in strong_ids:
+                    continue
+                if bounded and best_key is not None:
+                    span = abs(date - prior.date) / HOUR_SECONDS
+                    if tag_ceiling + time_weight / (span + 1.0) < best_key[0]:
+                        break
+                key = (message_similarity(message, prior, config),
                        prior.date, -prior.msg_id)
-                if key > best_key:
+                if best_key is None or key > best_key:
                     best, best_key = prior, key
+            assert best_key is not None
             if collect is not None:
                 # One reference capture, no per-member work: the audit
                 # layer re-derives the Eq. 2–5 breakdown from these
@@ -254,7 +295,7 @@ class Bundle:
                 collect.append(_RawAllocation(
                     message, tuple(candidates), best, best_key[0],
                     self.config, self.AUDIT_TOP_K))
-            kind = self._edge_kind(message, best, keywords)
+            kind = dominant_connection_type(message, best)
             edge = Connection(message.msg_id, best.msg_id, kind, best_key[0])
 
         self._register_member(message, keywords, edge)
@@ -269,6 +310,15 @@ class Bundle:
         """
         if edge is not None:
             self._attach_edge(message.msg_id, edge)
+        latest = self._latest
+        if latest is None:
+            self._latest = message
+        else:
+            if (message.date < latest.date
+                    or message.msg_id < latest.msg_id):
+                self._monotone = False
+            if message.sort_key() > latest.sort_key():
+                self._latest = message
         self._messages[message.msg_id] = message
         self._order.append(message.msg_id)
         self._keywords_by_msg[message.msg_id] = keywords
@@ -345,32 +395,35 @@ class Bundle:
         member is the paper's intuition for alignment.
         """
         window = self.config.alloc_window
-        candidate_ids: set[int] = set()
-        for user in message.rt_users:
-            candidate_ids.update(self._member_index.get("a:" + user, ())[-window:])
+        index = self._member_index
+        candidate_ids = self._strong_member_ids(message)
         for tag in message.hashtags:
-            candidate_ids.update(self._member_index.get("t:" + tag, ())[-window:])
-        for url in message.urls:
-            candidate_ids.update(self._member_index.get("u:" + url, ())[-window:])
+            candidate_ids.update(index.get("t:" + tag, ())[-window:])
         for keyword in keywords:
-            candidate_ids.update(self._member_index.get("k:" + keyword, ())[-window:])
-        if not candidate_ids and self._order:
-            latest_id = max(
-                self._order,
-                key=lambda mid: self._messages[mid].sort_key())
-            candidate_ids.add(latest_id)
+            candidate_ids.update(index.get("k:" + keyword, ())[-window:])
+        if not candidate_ids and self._latest is not None:
+            candidate_ids.add(self._latest.msg_id)
         # Cap the merged set as well: msg ids are arrival-ordered, so the
         # highest ids are the most recent sharers.
         recent = sorted(candidate_ids)[-window:]
         return [self._messages[msg_id] for msg_id in recent]
 
-    def _edge_kind(self, message: Message, prior: Message,
-                   keywords: frozenset[str]) -> ConnectionType:
-        """Dominant Table II type, honouring keyword-only matches as TEXT."""
-        kind = dominant_connection_type(message, prior)
-        if kind is ConnectionType.TEXT:
-            return ConnectionType.TEXT
-        return kind
+    def _strong_member_ids(self, message: Message) -> set[int]:
+        """Ids the RT-author and URL probes of Alg. 2 reach.
+
+        A superset of the :meth:`_candidate_members` that share an RT
+        author or a URL with ``message``: a sharer outside its probe's
+        window has ``alloc_window`` newer sharers ahead of it in the
+        merged cap as well.
+        """
+        window = self.config.alloc_window
+        index = self._member_index
+        strong_ids: set[int] = set()
+        for user in message.rt_users:
+            strong_ids.update(index.get("a:" + user, ())[-window:])
+        for url in message.urls:
+            strong_ids.update(index.get("u:" + url, ())[-window:])
+        return strong_ids
 
     # ------------------------------------------------------------------
     # Memory model (Fig. 11)

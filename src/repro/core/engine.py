@@ -27,18 +27,17 @@ import time
 from dataclasses import dataclass
 from importlib import import_module
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.api import deprecated
 from repro.core.bundle import Bundle
-from repro.core.config import IndexerConfig
+from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
 from repro.core.errors import BundleNotFoundError
 from repro.core.message import Message
 from repro.core.pool import BundlePool, BundleSink, RefinementReport
 from repro.core.postings import CandidateGather
-from repro.core.scoring import (bundle_match_score, bundle_match_scores,
-                                message_similarity)
+from repro.core.scoring import bundle_match_scores, message_similarity
 from repro.core.summary_index import SummaryIndex
 
 try:
@@ -759,10 +758,10 @@ class ProvenanceIndexer:
         per-kind postings-hit counts — which *are* the Eq. 1 shared
         counts, because the index keeps one posting per (term, bundle)
         in lockstep with the pool — so scoring needs no per-candidate
-        ``Bundle.shared_counts`` intersections.  With numpy present the
-        whole candidate set is scored in a few array ops; the pure-
-        Python fallback walks the same gather and produces bit-
-        identical scores, selections and audit rows.
+        ``Bundle.shared_counts`` intersections.  Array gathers (heavy
+        hitters, numpy present) are scored whole in a few array ops;
+        list gathers go through the pruning scalar loop.  Both produce
+        bit-identical scores, selections and audit rows.
 
         ``collect``, when given, receives the Eq. 1 evidence the audit
         layer records: the vectorised path appends six raw scalars per
@@ -786,7 +785,7 @@ class ProvenanceIndexer:
             cap = min(cap, self.candidate_cap)
         # Representation-driven dispatch: the storage hands small
         # candidate sets over as plain lists (vector maths loses to a
-        # dict walk there) and heavy-hitter sets as numpy arrays.  The
+        # pruned walk there) and heavy-hitter sets as numpy arrays.  The
         # two scoring paths are bit-identical, so this is purely a
         # speed decision — asserted by the conformance matrix, where
         # the dict backend always takes the scalar path.
@@ -866,34 +865,71 @@ class ProvenanceIndexer:
                        gather: CandidateGather, cap: int,
                        collect: "list[CandidateScore] | None",
                        ) -> Bundle | None:
-        """Pure-Python fallback of :meth:`_select_bundle` (no numpy)."""
+        """List-gather path of :meth:`_select_bundle`: exact max-score pruning.
+
+        Eq. 1 (:func:`~repro.core.scoring.bundle_match_score`, spelled
+        out inline with the same left-associated float expression, so
+        scores are bit-identical) is a static indicant part read off the
+        gather plus ``time_weight * freshness`` with ``freshness <= 1``.
+        ``static + time_weight (+ rt_weight)`` therefore bounds the
+        score from above — float addition and multiplication are
+        monotone — and a candidate whose bound is *strictly* below
+        ``max(best so far, min_match_score)`` can neither win nor tie,
+        so it is skipped before its bundle is even looked up.  The
+        audit capture (``collect``) records every capped candidate's
+        score, so audited ingests score them all.
+        """
         ids = gather.ids
         hits = gather.hits
         fetched = len(ids)
-        order = sorted(range(fetched),
-                       key=lambda index: (-hits[index], ids[index]))[:cap]
+        audited = collect is not None
+        # With nothing to cut, the cap sort is skipped: the argmax does
+        # not depend on the visiting order (ties go to the smaller
+        # bundle id) — only the audit rows do.
+        order: "Sequence[int]" = range(fetched)
+        if fetched > cap or audited:
+            # The gather's ids ascend, so a stable descending sort on
+            # hit count breaks count ties on the smaller bundle id.
+            order = sorted(order, key=hits.__getitem__, reverse=True)[:cap]
         self.last_candidate_fanin = (fetched, len(order))
         tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
+        config = self.config
+        url_weight = config.url_weight
+        hashtag_weight = config.hashtag_weight
+        keyword_weight = config.keyword_weight
+        keyword_hit_cap = config.keyword_hit_cap
+        time_weight = config.time_weight
+        rt_weight = config.rt_weight
+        date = message.date
         live = self.pool.live()
         best_bundle: "Bundle | None" = None
         best_score = float("-inf")
-        if collect is not None:
-            kept_positions: "list[int]" = []
-            kept_scores: "list[float]" = []
+        floor = config.min_match_score
+        kept_positions: "list[int]" = []
+        kept_scores: "list[float]" = []
         for position in order:
+            shared_keywords = kw_hits[position]
+            if shared_keywords > keyword_hit_cap:
+                shared_keywords = keyword_hit_cap
+            static = (url_weight * url_hits[position]
+                      + hashtag_weight * tag_hits[position]
+                      + keyword_weight * shared_keywords)
+            rt_hit = user_hits[position] > 0
+            if not audited:
+                bound = static + time_weight
+                if rt_hit:
+                    bound += rt_weight
+                if bound < floor:
+                    continue
             bundle = live.get(ids[position])
             if bundle is None or bundle.closed:
                 continue
-            score = bundle_match_score(
-                message,
-                shared_urls=url_hits[position],
-                shared_hashtags=tag_hits[position],
-                shared_keywords=kw_hits[position],
-                rt_hit=user_hits[position] > 0,
-                bundle_last_date=bundle.last_update,
-                config=self.config,
-            )
-            if collect is not None:
+            span_hours = abs(date - bundle.last_update) / HOUR_SECONDS
+            freshness = 1.0 / (span_hours + 1.0)
+            score = static + time_weight * freshness
+            if rt_hit:
+                score += rt_weight
+            if audited:
                 # Deferred capture: the per-kind counts already live in
                 # the gather, so the loop saves only the position and
                 # the compared score; _RawCandidates.rows rebuilds the
@@ -905,10 +941,12 @@ class ProvenanceIndexer:
                     and bundle.bundle_id < best_bundle.bundle_id):
                 best_bundle = bundle
                 best_score = score
+                if score > floor:
+                    floor = score
         if collect is not None and kept_positions:
             collect.append(_RawCandidates(gather, kept_positions,
                                           kept_scores))
-        if best_bundle is None or best_score < self.config.min_match_score:
+        if best_bundle is None or best_score < config.min_match_score:
             return None
         return best_bundle
 

@@ -81,9 +81,16 @@ def word_tokens(text: str) -> Iterator[str]:
     Hashtag bodies are included as words (``#redsox`` contributes
     ``redsox``) because the paper's ``text`` connection treats hashtag terms
     as topical words too; mentions and URLs are excluded.
+
+    Reads the regex matches directly instead of going through
+    :func:`tokenize`: keyword extraction runs per ingested message and
+    has no use for :class:`Token` objects.  The two agree term for term
+    — neither a word nor a hashtag match can end in the punctuation
+    :func:`tokenize` strips.
     """
-    for token in tokenize(text):
-        if token.kind is TokenType.WORD:
-            yield token.text.lower()
-        elif token.kind is TokenType.HASHTAG:
-            yield token.text.lstrip("#").lower()
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        if group == "word":
+            yield match.group().lower()
+        elif group == "hashtag":
+            yield match.group().lstrip("#").lower()

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.message import Message, parse_message
 from repro.stream.generator import StreamConfig, StreamGenerator
 from repro.text.analyzer import Analyzer
+
+# ``--hypothesis-profile=ci``: a larger example budget for properties
+# that leave ``max_examples`` to the profile (the scoring-oracle one).
+settings.register_profile("ci", max_examples=1500)
 
 BASE_DATE = 1249084800.0  # 2009-08-01 00:00 UTC
 HOUR = 3600.0

@@ -165,3 +165,85 @@ class TestStructure:
         bundle.insert(make_message(2, "#tag more text here", user="b",
                                    hours=1))
         assert bundle.approximate_memory_bytes() > small
+
+
+class TestEarlyStopPreconditions:
+    """Hand-built windows where stopping Alg. 2's walk early would be wrong.
+
+    Each case is also replayed on ``tests/scoring_oracle.insert`` — the
+    exhaustive loop the early stop must agree with.
+    """
+
+    @staticmethod
+    def _both(config, members, arrival):
+        from tests.scoring_oracle import insert as exhaustive_insert
+
+        edges = []
+        for place in (Bundle.insert, exhaustive_insert):
+            bundle = Bundle(0, config)
+            for member in members:
+                place(bundle, member, frozenset({"word"}))
+            edges.append(place(bundle, arrival, frozenset({"word"})))
+        shipped, oracle = edges
+        assert shipped == oracle
+        return shipped
+
+    def test_late_arrival_scores_the_whole_window(self):
+        # Monotone bundle, but the arrival is older than its newest
+        # member: time closeness rises, then falls, along the walk, so a
+        # low ceiling at the newest member proves nothing about older
+        # ones.  The URL sharer (weight 0) is merely the first incumbent.
+        config = IndexerConfig(url_weight=0.0, rt_weight=0.0)
+        members = [
+            make_message(1, "word bit.ly/a", user="a", hours=0.0),
+            make_message(2, "word", user="b", hours=2.0),
+            make_message(3, "word", user="c", hours=50.0),
+        ]
+        edge = self._both(config, members,
+                          make_message(4, "word bit.ly/a", user="d",
+                                       hours=2.0))
+        assert edge.dst_id == 2
+
+    def test_equal_dates_tie_break_on_the_smaller_id(self):
+        # Three same-second members score identically; the walk may not
+        # stop at the newest, because the oldest wins the tie.
+        members = [make_message(index, "#t word", user=f"u{index}")
+                   for index in (1, 2, 3)]
+        edge = self._both(IndexerConfig(), members,
+                          make_message(4, "#t word", user="new", hours=1.0))
+        assert edge.dst_id == 1
+
+    def test_shuffled_ids_score_the_whole_window(self):
+        # Ids do not follow arrival, so the id-sorted window is not
+        # date-sorted: the closest member sits in the middle of the walk.
+        members = [
+            make_message(5, "word", user="a", hours=0.0),
+            make_message(9, "word", user="b", hours=1.0),
+            make_message(2, "word", user="c", hours=9.0),
+        ]
+        edge = self._both(IndexerConfig(), members,
+                          make_message(10, "word", user="d", hours=9.5))
+        assert edge.dst_id == 2
+
+    def test_partial_tag_overlap_keeps_walking(self):
+        # The bundle covers both tags but no single member does until
+        # the oldest: the ceiling must use the bundle's coverage.
+        members = [
+            make_message(1, "#x #y word", user="a", hours=0.0),
+            make_message(2, "#x word", user="b", hours=0.1),
+            make_message(3, "#y word", user="c", hours=0.2),
+        ]
+        edge = self._both(IndexerConfig(), members,
+                          make_message(4, "#x #y word", user="d", hours=0.3))
+        assert edge.dst_id == 1
+
+    def test_fallback_tracks_the_latest_member_by_sort_key(self):
+        # No indicant overlaps; the latest member by (date, id) is not
+        # the last one inserted.
+        bundle = Bundle(0, IndexerConfig())
+        bundle.insert(make_message(1, "#one alpha", hours=5.0))
+        bundle.insert(make_message(2, "#one beta", user="b", hours=1.0))
+        edge = bundle.insert(make_message(3, "#zzz unrelated", user="c",
+                                          hours=6.0))
+        assert edge is not None
+        assert edge.dst_id == 1

@@ -180,3 +180,52 @@ class TestAccessors:
         assert timers.bundle_match > 0
         assert timers.message_placement > 0
         assert timers.total >= timers.bundle_match
+
+
+class TestMaxScorePruning:
+    """Alg. 1 skips candidates that cannot win — and only those."""
+
+    @staticmethod
+    def _dense_stream():
+        from repro.stream.generator import StreamConfig, StreamGenerator
+
+        return StreamGenerator(StreamConfig(
+            seed=7, days=0.02, messages_per_day=100_000, user_count=200,
+            events_per_day=240.0)).generate_list()[:2000]
+
+    def test_most_capped_candidates_never_reach_the_pool(self):
+        class CountingMap:
+            """``pool.live()`` stand-in counting per-candidate lookups."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.lookups = 0
+
+            def get(self, bundle_id):
+                self.lookups += 1
+                return self.inner.get(bundle_id)
+
+        indexer = ProvenanceIndexer(IndexerConfig.partial_index(200))
+        live = CountingMap(indexer.pool.live())
+        indexer.pool.live = lambda: live
+        capped = 0
+        for message in self._dense_stream():
+            indexer.ingest(message)
+            capped += indexer.last_candidate_fanin[1]
+        assert capped > 20_000  # the stream really is dense
+        assert live.lookups < 0.25 * capped
+
+    def test_audit_on_and_off_place_identically(self):
+        from repro.obs import Observability
+        from repro.obs.audit import AuditLog
+
+        stream = self._dense_stream()
+        plain = ProvenanceIndexer(IndexerConfig.partial_index(200))
+        audited = ProvenanceIndexer(
+            IndexerConfig.partial_index(200),
+            obs=Observability(audit=AuditLog()))
+        plain.ingest_batch(stream)
+        audited.ingest_batch(stream)
+        assert audited.edge_pairs() == plain.edge_pairs()
+        assert ([b.message_ids() for b in audited.pool]
+                == [b.message_ids() for b in plain.pool])

@@ -200,3 +200,135 @@ class TestMemoryLedger:
                     assert_ledger_exact(stack.indexer.pool)
             finally:
                 stack.close()
+
+
+# ---------------------------------------------------------------------------
+# Max-score pruning is lossless: shipped selection == exhaustive argmax
+# ---------------------------------------------------------------------------
+
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0, 2.0]),
+                    st.floats(min_value=0.0, max_value=4.0,
+                              allow_nan=False))
+VOCAB = ["storm", "flood", "river", "coast", "alert", "rescue", "night"]
+TAGS = ["red", "blue", "green", "gold"]
+USERS = ["ann", "bob", "cyd", "dee"]
+
+
+@st.composite
+def scoring_messages(draw, max_size: int = 40):
+    """Arrivals that stress the pruning preconditions.
+
+    Dates either ascend (with many exact ties and the odd late
+    straggler) or jump around; ids
+    either ascend with arrival or are shuffled; every message carries
+    0-3 hashtags, URLs and RT users from tiny vocabularies, so bundles
+    grow past small ``alloc_window``s and probes overlap heavily.
+    """
+    count = draw(st.integers(min_value=1, max_value=max_size))
+    ids = list(range(count))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(ids))
+    ordered = draw(st.booleans())
+    gaps = st.sampled_from([0.0, 0.0, 1.0, 30.0, 900.0, 7200.0, 90_000.0])
+    lateness = st.sampled_from([0.0] * 6 + [30.0, 7200.0])
+    messages = []
+    clock = BASE_DATE
+    for msg_id in ids:
+        if ordered:
+            # The odd straggler lands in a still-monotone bundle.
+            clock += draw(gaps)
+            date = max(BASE_DATE, clock - draw(lateness))
+        else:
+            date = BASE_DATE + 900.0 * draw(st.integers(0, 12))
+        pieces = ["RT @" + user + ":" for user in draw(st.lists(
+            st.sampled_from(USERS), max_size=3))]
+        pieces += draw(st.lists(st.sampled_from(VOCAB), min_size=1,
+                                max_size=4))
+        pieces += ["#" + tag for tag in draw(st.lists(
+            st.sampled_from(TAGS), max_size=3))]
+        pieces += ["bit.ly/" + key for key in draw(st.lists(
+            st.sampled_from("abcd"), max_size=3))]
+        messages.append(parse_message(
+            msg_id, draw(st.sampled_from(USERS)), date, " ".join(pieces)))
+    return messages
+
+
+@st.composite
+def scoring_configs(draw):
+    pool = draw(st.sampled_from([None, 3, 8]))
+    return IndexerConfig(
+        url_weight=draw(WEIGHTS), hashtag_weight=draw(WEIGHTS),
+        time_weight=draw(WEIGHTS), keyword_weight=draw(WEIGHTS),
+        rt_weight=draw(WEIGHTS),
+        min_match_score=draw(st.sampled_from([0.0, 0.4, 1.0, 1.5])),
+        alloc_window=draw(st.sampled_from([1, 4, 64])),
+        max_pool_size=pool, refine_trigger=pool,
+        max_bundle_size=draw(st.sampled_from([None, 3, 6])),
+        max_candidates=draw(st.sampled_from([1, 2, 64])),
+        postings_backend=draw(st.sampled_from(["slab", "dict"])))
+
+
+def _replay(config, candidate_cap, audited, messages, ops):
+    """Drive one engine through the script; return everything decided."""
+    import tempfile
+
+    from repro.obs import Observability
+    from repro.obs.audit import AuditLog
+
+    def attach_audit(engine):
+        if audited:
+            engine.obs.audit = AuditLog()
+            engine.obs.audit.bind(engine.pool)
+
+    def harvest(engine):
+        if audited:
+            transcript.extend(record.to_dict() for record
+                              in engine.obs.audit.tail(len(messages)))
+
+    transcript: list = []
+    engine = ProvenanceIndexer(config, obs=Observability())
+    engine.candidate_cap = candidate_cap
+    attach_audit(engine)
+    for message, (op, pick) in zip(messages, ops):
+        if op == "snapshot":
+            harvest(engine)
+            with tempfile.TemporaryDirectory() as tmp:
+                save_snapshot(engine, f"{tmp}/snap.json")
+                engine = load_snapshot(f"{tmp}/snap.json")
+            engine.candidate_cap = candidate_cap
+            attach_audit(engine)
+        bundles = list(engine.pool)
+        if op == "fold" and bundles:
+            target = bundles[pick % len(bundles)]
+            result = engine.ingest_folded(message, target.bundle_id,
+                                          target.message_ids()[0])
+        else:
+            result = engine.ingest(message)
+        edge = result.edge
+        transcript.append((
+            result.msg_id, result.bundle_id, result.created_bundle,
+            None if edge is None else
+            (edge.dst_id, edge.kind, edge.score.hex())))
+    harvest(engine)
+    transcript.append(sorted(engine.edge_pairs()))
+    return transcript
+
+
+class TestPruningIsLossless:
+    """Bound-and-skip Alg. 1 / Alg. 2 against ``tests/scoring_oracle``."""
+
+    @settings(deadline=None)
+    @given(scoring_configs(), st.sampled_from([None, 1, 3]), st.booleans(),
+           scoring_messages(), st.data())
+    def test_shipped_selection_equals_exhaustive_argmax(
+            self, config, candidate_cap, audited, messages, data):
+        from tests.scoring_oracle import exhaustive_scoring
+
+        ops = data.draw(st.lists(
+            st.tuples(st.sampled_from(["ingest"] * 6 + ["fold", "snapshot"]),
+                      st.integers(min_value=0, max_value=7)),
+            min_size=len(messages), max_size=len(messages)))
+        shipped = _replay(config, candidate_cap, audited, messages, ops)
+        with exhaustive_scoring():
+            oracle = _replay(config, candidate_cap, audited, messages, ops)
+        assert shipped == oracle

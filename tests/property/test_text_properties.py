@@ -43,6 +43,21 @@ class TestAnalyzerProperties:
         assert keywords <= set(analyzer.analyze(text))
 
 
+class TestWordTokens:
+    """``word_tokens`` reads the regex directly; ``tokenize`` is its spec."""
+
+    @given(st.lists(st.sampled_from(
+        list("abzAZ09_'#@.,;:!?)\"/ \u00e9\u00df\u4e2d") + ["http://", "bit.ly/"]),
+        max_size=60).map("".join))
+    def test_equals_the_word_and_hashtag_tokens_of_tokenize(self, text):
+        from repro.text.tokenizer import TokenType, tokenize, word_tokens
+
+        expected = [
+            token.text.lstrip("#").lower() for token in tokenize(text)
+            if token.kind in (TokenType.WORD, TokenType.HASHTAG)]
+        assert list(word_tokens(text)) == expected
+
+
 class TestIndexProperties:
     @settings(max_examples=40)
     @given(documents)
