@@ -19,7 +19,7 @@ from repro.bench.reporting import ascii_table, format_float, human_count
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.metrics import compare_edge_sets
-from repro.core.sharding import ShardedIndexer
+from repro.core.sharding import make_router
 
 SHARD_COUNTS = (2, 4, 8)
 
@@ -33,14 +33,17 @@ def run_sharding(stream):
     rows = {}
     for router in ("hash", "cooccurrence"):
         for shard_count in SHARD_COUNTS:
-            sharded = ShardedIndexer(shard_count,
-                                     IndexerConfig.full_index(),
-                                     router=router)
+            route = make_router(router, shard_count).route
+            engines = [ProvenanceIndexer(IndexerConfig.full_index())
+                       for _ in range(shard_count)]
             for message in stream:
-                sharded.ingest(message)
-            cmp = compare_edge_sets(sharded.edge_pairs(), reference)
-            rows[(router, shard_count)] = (cmp.coverage,
-                                           sharded.shard_stats().imbalance)
+                engines[route(message)].ingest(message)
+            edges = set().union(*(e.edge_pairs() for e in engines))
+            loads = [e.stats.messages_ingested for e in engines]
+            # max/mean load ratio (1.0 = perfectly balanced)
+            imbalance = max(loads) * shard_count / sum(loads)
+            rows[(router, shard_count)] = (
+                compare_edge_sets(edges, reference).coverage, imbalance)
     return rows
 
 

@@ -1,15 +1,13 @@
-"""The unified ``Indexer`` protocol every serving facade implements.
+"""The unified ``Indexer`` protocol every serving backend implements.
 
-The repo grew four ways to run the paper's engine — in-process
-(:class:`~repro.core.engine.ProvenanceIndexer`), lock-guarded
-(:class:`~repro.core.concurrent.ConcurrentIndexer`), supervised with a
-WAL (:class:`~repro.reliability.supervisor.ResilientIndexer`) and
-sharded in-process (:class:`~repro.core.sharding.ShardedIndexer`) — and
-each grew its own spelling of the same five verbs.  This module pins the
-shared surface down as a :class:`typing.Protocol` so callers can swap
-backends (including the multiprocess
-:class:`~repro.runtime.RuntimeClient`) without code changes, and
-``mypy --strict`` can catch drift.
+There are three ways to run the paper's engine — in-process
+(:class:`~repro.core.engine.ProvenanceIndexer`), supervised with a WAL
+(:class:`~repro.reliability.supervisor.ResilientIndexer`) and as a
+multiprocess shard fleet
+(:class:`~repro.runtime.coordinator.ShardedRuntime`).  This module pins
+their shared surface down as a :class:`typing.Protocol` so callers can
+swap backends without code changes, and ``mypy --strict`` can catch
+drift.
 
 The surface (see ``docs/api.md`` for the backend-selection guide):
 
@@ -34,19 +32,15 @@ The surface (see ``docs/api.md`` for the backend-selection guide):
 
 from __future__ import annotations
 
-import functools
-import warnings
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, Protocol,
-                    TypeVar, runtime_checkable)
+from typing import (TYPE_CHECKING, Any, Iterable, Protocol,
+                    runtime_checkable)
 
 if TYPE_CHECKING:
     from repro.core.engine import IngestResult, MemorySnapshot
     from repro.core.message import Message
     from repro.query.bundle_search import BundleHit
 
-__all__ = ["Indexer", "STATS_KEYS", "deprecated", "open_indexer"]
-
-F = TypeVar("F", bound=Callable[..., Any])
+__all__ = ["Indexer", "STATS_KEYS", "open_indexer"]
 
 #: The exact key set every backend's ``stats()`` mapping carries.
 #: ``shard_count`` is 1 for single-engine backends; the remaining keys
@@ -66,7 +60,7 @@ STATS_KEYS: frozenset[str] = frozenset({
 
 @runtime_checkable
 class Indexer(Protocol):
-    """What every serving facade promises (see module docstring).
+    """What every serving backend promises (see module docstring).
 
     ``runtime_checkable`` so ``isinstance(backend, Indexer)`` verifies
     the method surface at runtime (signatures are enforced statically
@@ -116,64 +110,31 @@ class Indexer(Protocol):
         ...
 
 
-def deprecated(replacement: str) -> Callable[[F], F]:
-    """Mark an old method name as a shim for ``replacement``.
-
-    The wrapped method keeps working but emits a
-    :class:`DeprecationWarning` pointing callers at the unified
-    :class:`Indexer` spelling.  Used by the facades for the pre-protocol
-    names (``ingest_all``, ``memory_snapshot``, ``messages_ingested``).
-    """
-
-    def decorate(func: F) -> F:
-        @functools.wraps(func)
-        def shim(*args: Any, **kwargs: Any) -> Any:
-            warnings.warn(
-                f"{func.__qualname__}() is deprecated; use "
-                f"{replacement} (see docs/api.md)",
-                DeprecationWarning, stacklevel=2)
-            return func(*args, **kwargs)
-
-        return shim  # type: ignore[return-value]
-
-    return decorate
-
-
 def open_indexer(backend: str = "engine", **options: Any) -> Indexer:
     """Build an :class:`Indexer` backend by name.
 
     Parameters
     ----------
     backend:
-        ``"engine"`` | ``"concurrent"`` | ``"resilient"`` |
-        ``"sharded"`` | ``"runtime"``.
+        ``"engine"`` | ``"resilient"`` | ``"runtime"``.
     options:
         Forwarded to the backend constructor.  ``"resilient"`` requires
         ``root=`` (a directory for WAL + spill store) and accepts
-        ``config=``; ``"sharded"`` and ``"runtime"`` accept
-        ``workers=``/``shard_count=``, ``router=`` and ``config=``;
-        ``"runtime"`` requires ``root=``.
+        ``config=``; ``"runtime"`` requires ``root=`` and ``workers=``
+        and accepts ``router=`` and ``config=``.
 
-    The imports are local so this module stays import-cycle-free (the
-    facades import :func:`deprecated` from here).
+    The imports are local so opening one backend never imports the
+    others (the engine needs no ``multiprocessing``).
     """
     if backend == "engine":
         from repro.core.engine import ProvenanceIndexer
         return ProvenanceIndexer(**options)
-    if backend == "concurrent":
-        from repro.core.concurrent import ConcurrentIndexer
-        return ConcurrentIndexer(**options)
     if backend == "resilient":
         from repro.reliability.supervisor import ResilientIndexer
         return ResilientIndexer.open(**options)
-    if backend == "sharded":
-        from repro.core.sharding import ShardedIndexer
-        if "workers" in options:
-            options["shard_count"] = options.pop("workers")
-        return ShardedIndexer(**options)
     if backend == "runtime":
-        from repro.runtime import RuntimeClient
-        return RuntimeClient(**options)
+        from repro.runtime.coordinator import ShardedRuntime
+        return ShardedRuntime(**options)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of engine, "
-        f"concurrent, resilient, sharded, runtime")
+        f"resilient, runtime")

@@ -13,7 +13,6 @@ Public surface:
 
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
-from repro.core.concurrent import ConcurrentIndexer
 from repro.core.connection import Connection, ConnectionType
 from repro.core.engine import (EngineStats, IngestResult, MemorySnapshot,
                                ProvenanceIndexer, StageSnapshot, StageTimers)
@@ -33,18 +32,14 @@ from repro.core.operators import (BundleDiff, bundle_difference,
                                   split_bundle_at)
 from repro.core.metrics import (EdgeComparison, compare_edge_sets,
                                 ground_truth_edges, label_purity)
-from repro.core.pipeline import (DedupStage, IngestPipeline,
-                                 PipelineStats, QualityStage,
-                                 SamplingStage)
 from repro.core.pool import BundlePool, RefinementReport
-from repro.core.sharding import ShardedIndexer, ShardStats, primary_indicant
+from repro.core.sharding import primary_indicant
 from repro.core.summary_index import SummaryIndex
 from repro.core.validation import check_bundle, check_engine
 
 __all__ = [
     "Bundle",
     "IndexerConfig",
-    "ConcurrentIndexer",
     "Connection",
     "ConnectionType",
     "EngineStats",
@@ -85,15 +80,8 @@ __all__ = [
     "compare_edge_sets",
     "ground_truth_edges",
     "label_purity",
-    "DedupStage",
-    "IngestPipeline",
-    "PipelineStats",
-    "QualityStage",
-    "SamplingStage",
     "BundlePool",
     "RefinementReport",
-    "ShardedIndexer",
-    "ShardStats",
     "primary_indicant",
     "SummaryIndex",
     "check_bundle",

@@ -29,7 +29,6 @@ from importlib import import_module
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.api import deprecated
 from repro.core.bundle import Bundle
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
@@ -740,13 +739,6 @@ class ProvenanceIndexer:
                     results.append(result)
         return count if count_only else results
 
-    @deprecated("ingest_batch(messages, count_only=True)")
-    def ingest_all(self, messages: "list[Message]") -> int:
-        """Deprecated spelling of ``ingest_batch(..., count_only=True)``."""
-        count = self.ingest_batch(messages, count_only=True)
-        assert isinstance(count, int)
-        return count
-
     def _select_bundle(self, message: Message,
                        keywords: frozenset[str], *,
                        collect: "list[CandidateScore] | None" = None,
@@ -1055,11 +1047,6 @@ class ProvenanceIndexer:
             message_count=self.pool.message_count(),
             bundle_count=len(self.pool),
         )
-
-    @deprecated("snapshot()")
-    def memory_snapshot(self) -> "MemorySnapshot":
-        """Deprecated spelling of :meth:`snapshot`."""
-        return self.snapshot()
 
     def search(self, raw_query: str, k: int = 10) -> "list[BundleHit]":
         """Ranked Eq. 7 retrieval over this engine's live pool.

@@ -1,9 +1,9 @@
-"""Sharded provenance indexing: scale-out over multiple engines.
+"""Shard routing: scale-out over multiple engines.
 
 The paper motivates its design with Twitter's "230 million tweets a day";
-one in-process engine cannot hold that, so this module provides the
-standard scale-out shape on top of unmodified
-:class:`~repro.core.engine.ProvenanceIndexer` instances:
+one engine cannot hold that, so :mod:`repro.runtime` runs one unmodified
+:class:`~repro.core.engine.ProvenanceIndexer` stack per shard process.
+This module decides the placement:
 
 * **routing** — each message goes to exactly one shard.  Two routers are
   provided, trading isolation against co-location:
@@ -21,9 +21,6 @@ standard scale-out shape on top of unmodified
     of coarser components (recurring broad hashtags glue same-theme
     events together) and hence more load skew.
 
-* **scatter-gather retrieval** — queries fan out to all shards and merge
-  ranked results.
-
 Both routers are deterministic, so re-ingesting a stream reproduces the
 same placement.
 """
@@ -32,20 +29,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.core.config import IndexerConfig
-from repro.core.engine import (EngineStats, IngestResult, MemorySnapshot,
-                               ProvenanceIndexer)
 from repro.core.errors import ConfigurationError
 from repro.core.message import Message
-from repro.query.bundle_search import BundleHit, BundleSearchEngine
 
-__all__ = ["ShardedIndexer", "ShardStats", "ShardRouter", "HashRouter",
-           "CooccurrenceRouter", "RouteDecision", "make_router",
-           "primary_indicant", "ROUTERS"]
+__all__ = ["ShardRouter", "HashRouter", "CooccurrenceRouter",
+           "RouteDecision", "make_router", "primary_indicant", "ROUTERS"]
 
-#: The deterministic router names accepted everywhere (``ShardedIndexer``,
+#: The deterministic router names accepted everywhere (``make_router``,
 #: ``repro.runtime``, the CLI).
 ROUTERS = ("hash", "cooccurrence")
 
@@ -141,10 +132,10 @@ class _UnionFind:
 class ShardRouter:
     """Deterministic message → shard placement (base class).
 
-    Routers are deliberately engine-free so the in-process
-    :class:`ShardedIndexer` and the multiprocess coordinator in
-    :mod:`repro.runtime` share the exact same placement: re-ingesting a
-    stream — in either runtime — reproduces it bit-for-bit.
+    Routers are deliberately engine-free so the multiprocess
+    coordinator in :mod:`repro.runtime` and any in-process experiment
+    (``benchmarks/bench_sharding.py``) share the exact same placement:
+    re-ingesting a stream reproduces it bit-for-bit.
     """
 
     __slots__ = ("shard_count",)
@@ -268,162 +259,3 @@ def make_router(router: str, shard_count: int) -> ShardRouter:
         return CooccurrenceRouter(shard_count)
     raise ConfigurationError(
         f"router must be 'hash' or 'cooccurrence', got {router!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class ShardStats:
-    """Aggregate statistics across shards."""
-
-    shard_count: int
-    messages_per_shard: tuple[int, ...]
-    bundles_per_shard: tuple[int, ...]
-
-    @property
-    def total_messages(self) -> int:
-        """Messages ingested across all shards."""
-        return sum(self.messages_per_shard)
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean load ratio (1.0 = perfectly balanced)."""
-        if not self.messages_per_shard or self.total_messages == 0:
-            return 1.0
-        mean = self.total_messages / self.shard_count
-        return max(self.messages_per_shard) / mean
-
-
-class ShardedIndexer:
-    """N provenance engines behind one ingest/search facade.
-
-    Parameters
-    ----------
-    shard_count:
-        Number of engines; each gets its own copy of ``config``.
-    config:
-        Per-shard configuration.  Note the pool bound applies *per
-        shard*, so total memory scales with ``shard_count``.
-    router:
-        ``"hash"`` (stateless, balanced) or ``"cooccurrence"``
-        (union-find co-location; see module docstring).
-    """
-
-    def __init__(self, shard_count: int,
-                 config: IndexerConfig | None = None, *,
-                 router: str = "hash") -> None:
-        self._router = make_router(router, shard_count)
-        self.shard_count = shard_count
-        self.router = router
-        self.shards = [ProvenanceIndexer(config or IndexerConfig())
-                       for _ in range(shard_count)]
-        self._searchers = [BundleSearchEngine(shard)
-                           for shard in self.shards]
-
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
-
-    def route(self, message: Message) -> int:
-        """The shard index ``message`` will be ingested into.
-
-        NOTE: under the co-occurrence router this call *mutates* the
-        component structure (it unions the message's indicants), so call
-        it once per message — :meth:`ingest` does.
-        """
-        return self._router.route(message)
-
-    def ingest(self, message: Message) -> IngestResult:
-        """Route and ingest one message (:class:`repro.api.Indexer`)."""
-        return self.shards[self.route(message)].ingest(message)
-
-    def ingest_routed(self, message: Message) -> tuple[int, IngestResult]:
-        """Route and ingest one message; returns (shard, result)."""
-        shard = self.route(message)
-        return shard, self.shards[shard].ingest(message)
-
-    def ingest_batch(self, messages: Iterable[Message], *,
-                     count_only: bool = False,
-                     ) -> "list[IngestResult] | int":
-        """Route and ingest a date-ordered batch."""
-        if count_only:
-            count = 0
-            for message in messages:
-                self.ingest(message)
-                count += 1
-            return count
-        return [self.ingest(message) for message in messages]
-
-    # ------------------------------------------------------------------
-    # Retrieval
-    # ------------------------------------------------------------------
-
-    def search(self, raw_query: str, k: int = 10) -> list[BundleHit]:
-        """Scatter-gather Eq. 7 search, merged into one ranked list.
-
-        Scores from different shards are comparable because every shard
-        runs the same scoring function over the same global clock.
-        (Bundle ids are per-shard counters — use :meth:`search_by_shard`
-        when you need to know which shard owns a hit.)
-        """
-        return [hit for _, hit in self.search_by_shard(raw_query, k=k)]
-
-    def search_by_shard(self, raw_query: str, k: int = 10,
-                        ) -> list[tuple[int, BundleHit]]:
-        """Scatter-gather Eq. 7 search; hits tagged with their shard."""
-        merged: list[tuple[int, BundleHit]] = []
-        for shard_index, searcher in enumerate(self._searchers):
-            for hit in searcher.search(raw_query, k=k):
-                merged.append((shard_index, hit))
-        merged.sort(key=lambda pair: (-pair[1].score, pair[0],
-                                      pair[1].bundle_id))
-        return merged[:k]
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> "dict[str, int]":
-        """Unified counters summed across shards (``repro.api``)."""
-        totals = dict.fromkeys(EngineStats.FIELDS, 0)
-        for shard in self.shards:
-            for name in EngineStats.FIELDS:
-                totals[name] += getattr(shard.stats, name)
-        totals["shard_count"] = self.shard_count
-        return totals
-
-    def shard_stats(self) -> ShardStats:
-        """Load distribution across shards."""
-        return ShardStats(
-            shard_count=self.shard_count,
-            messages_per_shard=tuple(
-                shard.stats.messages_ingested for shard in self.shards),
-            bundles_per_shard=tuple(
-                len(shard.pool) for shard in self.shards),
-        )
-
-    def snapshot(self) -> MemorySnapshot:
-        """Memory accounting summed across shards."""
-        snaps = [shard.snapshot() for shard in self.shards]
-        return MemorySnapshot(
-            pool_bytes=sum(s.pool_bytes for s in snaps),
-            index_bytes=sum(s.index_bytes for s in snaps),
-            message_count=sum(s.message_count for s in snaps),
-            bundle_count=sum(s.bundle_count for s in snaps),
-        )
-
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        """Union of all shards' discovered connections."""
-        pairs: set[tuple[int, int]] = set()
-        for shard in self.shards:
-            pairs |= shard.edge_pairs()
-        return pairs
-
-    def close(self) -> None:
-        """Close every shard engine; idempotent."""
-        for shard in self.shards:
-            shard.close()
-
-    def __enter__(self) -> "ShardedIndexer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

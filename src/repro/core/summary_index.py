@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
-from repro.api import deprecated
 from repro.core.bundle import Bundle
 from repro.core.message import Message
 from repro.core.postings import (INDICANT_KINDS, CandidateGather,
@@ -65,16 +64,6 @@ class SummaryIndex:
 
     def iter_terms(self, kind: str) -> "Iterator[str]":
         """Iterate the dictionary of one indicant kind."""
-        return self._storage.terms(kind)
-
-    @deprecated("postings(kind, term)")
-    def bundles_for(self, kind: str, term: str) -> "dict[int, int]":
-        """Deprecated spelling of :meth:`postings` (returns a copy)."""
-        return dict(self._storage.postings(kind, term))
-
-    @deprecated("iter_terms(kind)")
-    def terms(self, kind: str) -> "Iterator[str]":
-        """Deprecated spelling of :meth:`iter_terms`."""
         return self._storage.terms(kind)
 
     def postings_length(self, kind: str, term: str) -> int:

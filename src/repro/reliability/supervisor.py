@@ -429,6 +429,8 @@ class ResilientIndexer:
         return self.journaled.indexer
 
     # -- ingestion ----------------------------------------------------------
+    # ingest → _apply_verdict (guard) → _admit (admission) → _index
+    # (ladder rung + retry/poison) → JournaledIndexer.ingest[_folded].
 
     def ingest(self, message: Message, *,
                now: "float | None" = None) -> "IngestResult | None":
@@ -451,7 +453,7 @@ class ResilientIndexer:
         """
         if self.guard is None:
             self.last_screen_seconds = 0.0
-            return self._ingest_admitted(message, now)
+            return self._admit(message, now)
         result: "IngestResult | None" = None
         screen_started = time.perf_counter()
         entries = self.guard.admit(message)
@@ -459,14 +461,14 @@ class ResilientIndexer:
         self.last_screen_seconds = screened
         self._screen_hist.observe(screened)
         for entry in entries:
-            outcome = self._ingest_screened(entry, now)
+            outcome = self._apply_verdict(entry, now)
             if entry.message is message:
                 result = outcome
         return result
 
-    def _ingest_screened(self, entry: Screened,
-                         now: "float | None") -> "IngestResult | None":
-        """Apply one guard verdict (the guard-enabled hot path)."""
+    def _apply_verdict(self, entry: Screened,
+                       now: "float | None") -> "IngestResult | None":
+        """Guard frame: act on one screened arrival's verdict."""
         message = entry.message
         action = entry.action
         obs = self.indexer.obs
@@ -503,25 +505,17 @@ class ResilientIndexer:
             if obs.audit is not None:
                 obs.audit.record_refusal(
                     message.msg_id, IngestOutcome.LATE, rung)
-            return self._ingest_admitted(message, now)
         fold_hint = ((entry.bundle_id, entry.duplicate_of)
                      if action is GuardAction.FOLD else None)
-        return self._ingest_admitted(message, now, fold_hint=fold_hint)
+        return self._admit(message, now, fold_hint)
 
-    def _ingest_admitted(self, message: Message, now: "float | None", *,
-                         fold_hint: "tuple[int, int] | None" = None,
-                         ) -> "IngestResult | None":
-        if self.overload is not None:
-            return self._ingest_regulated_arrival(message, now, fold_hint)
-        return self._ingest_supervised(message, fold_hint)
-
-    def _ingest_regulated_arrival(
-            self, message: Message,
-            now: "float | None",
-            fold_hint: "tuple[int, int] | None" = None,
-            ) -> "IngestResult | None":
+    def _admit(self, message: Message, now: "float | None",
+               fold_hint: "tuple[int, int] | None" = None,
+               ) -> "IngestResult | None":
+        """Admission frame: token bucket, backlog, refusal accounting."""
         ctl = self.overload
-        assert ctl is not None
+        if ctl is None:
+            return self._index(message, fold_hint)
         arrival = ctl.now(now)
         # Backlog first: deferred messages whose tokens have accrued are
         # ingested before the new arrival, preserving stream order.
@@ -529,10 +523,10 @@ class ResilientIndexer:
         # bundle may be gone by release time, so it degrades to a full
         # ingest rather than a stale fold.)
         for queued in ctl.release(arrival):
-            self._ingest_in_mode(queued)
+            self._index(queued)
         verdict = ctl.offer(message, arrival)
         if verdict is Admission.ADMITTED:
-            return self._ingest_in_mode(message, fold_hint)
+            return self._index(message, fold_hint)
         # A refused arrival never reaches the pipeline, so a sampled
         # trace of it is a span-less outcome record; the audit log keeps
         # the refusal with the rung that refused it.
@@ -550,81 +544,75 @@ class ResilientIndexer:
             obs.quality.note_shed(message)
         return None
 
-    def _ingest_in_mode(self, message: Message,
-                        fold_hint: "tuple[int, int] | None" = None,
-                        ) -> "IngestResult | None":
-        """One regulated ingest: apply the rung's knobs, time it."""
+    def _index(self, message: Message,
+               fold_hint: "tuple[int, int] | None" = None,
+               ) -> "IngestResult | None":
+        """Ingest frame: one journaled ingest in the ladder's current
+        rung, retried on transient faults, dead-lettered on poison."""
         ctl = self.overload
-        assert ctl is not None
-        state = ctl.apply_mode(self.indexer)
-        started = time.perf_counter()
-        result = self._ingest_supervised(message, fold_hint)
-        ctl.note_ingest(state, time.perf_counter() - started,
-                        indexed=result is not None)
-        return result
-
-    def _ingest_supervised(self, message: Message,
-                           fold_hint: "tuple[int, int] | None" = None,
-                           ) -> "IngestResult | None":
-        """The retry/poison loop shared by both ingest paths."""
+        state = ctl.apply_mode(self.indexer) if ctl is not None else None
+        result: "IngestResult | None" = None
         attempt = 0
         started = time.perf_counter()
         try:
-            return self._ingest_with_retries(message, attempt, fold_hint)
+            while True:
+                seq_before = self.journaled.last_applied_seq
+                try:
+                    if fold_hint is not None:
+                        # The fold hint must be on disk before the WAL
+                        # record it explains: a crash between the two
+                        # leaves a hint without a record (harmless) but
+                        # never a record without its hint (replay
+                        # divergence).
+                        assert self.guard is not None
+                        bundle_id, duplicate_of = fold_hint
+                        self.guard.record_fold(message.msg_id, bundle_id,
+                                               duplicate_of)
+                        result = self.journaled.ingest_folded(
+                            message, bundle_id, duplicate_of)
+                    else:
+                        result = self.journaled.ingest(message)
+                    break
+                except _POISON_ERRORS as exc:
+                    self.stats.dead_lettered += 1
+                    self.dead_letters.append("index-rejected", exc, message)
+                    break
+                except _TRANSIENT_ERRORS as exc:
+                    if self.journaled.last_applied_seq > seq_before:
+                        # The message itself was journaled and indexed;
+                        # only the trailing checkpoint failed.  Retrying
+                        # the ingest would double-apply — defer the
+                        # checkpoint instead (the next ingest past the
+                        # threshold re-triggers it).
+                        self.stats.deferred_checkpoints += 1
+                        result = self.journaled.last_result
+                        break
+                    attempt += 1
+                    if attempt > self.max_retries:
+                        raise RetryExhaustedError(
+                            f"ingest of message {message.msg_id} failed "
+                            f"after {self.max_retries} retries: {exc}"
+                        ) from exc
+                    delay = self.backoff_base * (
+                        self.backoff_factor ** (attempt - 1))
+                    self.stats.retries += 1
+                    self.stats.backoff_seconds += delay
+                    self._sleep(delay)
+            if result is not None:
+                self.stats.ingested += 1
+                if self.guard is not None:
+                    # Teach the guard where this message landed so
+                    # future near-duplicates of it fold into the same
+                    # bundle.
+                    self.guard.note_result(message, result.bundle_id)
+                self._maybe_shed()
         finally:
             self._latency_hist.observe(time.perf_counter() - started)
             if self.telemetry is not None:
                 self.telemetry.tick()
-
-    def _ingest_with_retries(self, message: Message, attempt: int,
-                             fold_hint: "tuple[int, int] | None" = None,
-                             ) -> "IngestResult | None":
-        while True:
-            seq_before = self.journaled.last_applied_seq
-            try:
-                if fold_hint is not None:
-                    # The fold hint must be on disk before the WAL
-                    # record it explains: a crash between the two leaves
-                    # a hint without a record (harmless) but never a
-                    # record without its hint (replay divergence).
-                    assert self.guard is not None
-                    bundle_id, duplicate_of = fold_hint
-                    self.guard.record_fold(message.msg_id, bundle_id,
-                                           duplicate_of)
-                    result = self.journaled.ingest_folded(
-                        message, bundle_id, duplicate_of)
-                else:
-                    result = self.journaled.ingest(message)
-                break
-            except _POISON_ERRORS as exc:
-                self.stats.dead_lettered += 1
-                self.dead_letters.append("index-rejected", exc, message)
-                return None
-            except _TRANSIENT_ERRORS as exc:
-                if self.journaled.last_applied_seq > seq_before:
-                    # The message itself was journaled and indexed; only
-                    # the trailing checkpoint failed.  Retrying the ingest
-                    # would double-apply — defer the checkpoint instead
-                    # (the next ingest past the threshold re-triggers it).
-                    self.stats.deferred_checkpoints += 1
-                    result = self.journaled.last_result
-                    break
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise RetryExhaustedError(
-                        f"ingest of message {message.msg_id} failed after "
-                        f"{self.max_retries} retries: {exc}") from exc
-                delay = self.backoff_base * (
-                    self.backoff_factor ** (attempt - 1))
-                self.stats.retries += 1
-                self.stats.backoff_seconds += delay
-                self._sleep(delay)
-        self.stats.ingested += 1
-        if self.guard is not None:
-            # Teach the guard where this message landed so future
-            # near-duplicates of it fold into the same bundle.
-            self.guard.note_result(message, result.bundle_id)
-        self._maybe_shed()
+        if ctl is not None:
+            ctl.note_ingest(state, time.perf_counter() - started,
+                            indexed=result is not None)
         return result
 
     def ingest_raw(self, msg_id: object, user: object, date: object,
@@ -661,6 +649,10 @@ class ResilientIndexer:
                       drain_backlog: bool = True) -> int:
         """Drive a mixed stream of :class:`Message` / raw tuples to the end.
 
+        A raw record is ``(msg_id, user, date, text[, event_id[,
+        parent_id]])``; the optional ground-truth fields reach the
+        :class:`Message` so quality accounting can read them.
+
         Returns the number of messages actually indexed; everything else
         is accounted for in :attr:`stats`, the dead-letter queue and
         (with load regulation) the overload controller's admission
@@ -672,7 +664,8 @@ class ResilientIndexer:
             if isinstance(record, Message):
                 self.ingest(record)
             elif isinstance(record, (tuple, list)) and len(record) >= 4:
-                self.ingest_raw(*record[:4])
+                truth = dict(zip(("event_id", "parent_id"), record[4:6]))
+                self.ingest_raw(*record[:4], **truth)
             else:
                 self.stats.dead_lettered += 1
                 self.dead_letters.append(
@@ -694,7 +687,7 @@ class ResilientIndexer:
             return 0
         indexed = 0
         for entry in self.guard.flush():
-            if self._ingest_screened(entry, None) is not None:
+            if self._apply_verdict(entry, None) is not None:
                 indexed += 1
         return indexed
 
@@ -708,7 +701,7 @@ class ResilientIndexer:
             return 0
         indexed = 0
         for queued in self.overload.drain():
-            if self._ingest_in_mode(queued) is not None:
+            if self._index(queued) is not None:
                 indexed += 1
         return indexed
 
@@ -721,18 +714,15 @@ class ResilientIndexer:
         the returned list may be shorter than the input; with
         ``count_only=True`` only the indexed count comes back.
         """
-        if count_only:
-            count = 0
-            for message in messages:
-                if self.ingest(message) is not None:
-                    count += 1
-            return count
-        results = []
+        results: "list[IngestResult]" = []
+        count = 0
         for message in messages:
             result = self.ingest(message)
             if result is not None:
-                results.append(result)
-        return results
+                count += 1
+                if not count_only:
+                    results.append(result)
+        return count if count_only else results
 
     # -- retrieval ----------------------------------------------------------
 
@@ -784,18 +774,7 @@ class ResilientIndexer:
 
     def close(self) -> None:
         """Close the supervised indexer (final checkpoint included)."""
-        self.flush_guard()
-        if self.guard is not None:
-            self.guard.close()
-        if self.telemetry is not None:
-            self.telemetry.close()
-        self._close_audit()
-        self.journaled.close()
-
-    def _close_audit(self) -> None:
-        audit = self.journaled.indexer.obs.audit
-        if audit is not None:
-            audit.close()
+        self.__exit__(None, None, None)
 
     def __enter__(self) -> "ResilientIndexer":
         return self
@@ -810,5 +789,7 @@ class ResilientIndexer:
             self.guard.close()
         if self.telemetry is not None:
             self.telemetry.close()
-        self._close_audit()
+        audit = self.journaled.indexer.obs.audit
+        if audit is not None:
+            audit.close()
         self.journaled.__exit__(exc_type, *exc_info[1:])

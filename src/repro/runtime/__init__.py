@@ -4,11 +4,10 @@ One coordinator process routes messages onto N worker processes — each
 a full resilient stack (indexer + WAL + snapshots + spill store +
 admission control) in its own directory — and scatter-gathers queries
 with deadline budgets.  See :mod:`repro.runtime.coordinator` for the
-design contract and :class:`~repro.runtime.client.RuntimeClient` for
-the unified :class:`repro.api.Indexer` face.
+design contract; :class:`ShardedRuntime` is itself the fleet's
+:class:`repro.api.Indexer` (``open_indexer("runtime")``).
 """
 
-from repro.runtime.client import RuntimeClient
 from repro.runtime.coordinator import (RuntimeStats, ShardedRuntime,
                                        WorkerCrash)
 from repro.runtime.repair import (BoundaryEntry, BoundaryLog, RepairEntry,
@@ -19,7 +18,6 @@ from repro.runtime.worker import WorkerOptions, build_worker_stack
 
 __all__ = [
     "ShardedRuntime",
-    "RuntimeClient",
     "RuntimeStats",
     "WorkerCrash",
     "WorkerOptions",

@@ -1,11 +1,12 @@
 """The coordinator: shard-per-process serving behind one object.
 
 :class:`ShardedRuntime` spawns one :func:`~repro.runtime.worker.
-worker_main` process per shard, routes messages onto them with the same
-deterministic routers as the in-process
-:class:`~repro.core.sharding.ShardedIndexer` (``"hash"`` /
+worker_main` process per shard, routes messages onto them with the
+deterministic routers of :mod:`repro.core.sharding` (``"hash"`` /
 ``"cooccurrence"``), and scatter-gathers queries with
-``search_within``-style deadline budgets.
+``search_within``-style deadline budgets.  It implements the
+:class:`repro.api.Indexer` protocol directly —
+``open_indexer("runtime", ...)`` returns one of these.
 
 Three mechanisms carry the operational weight:
 
@@ -71,6 +72,12 @@ class RuntimeStats:
     Blocking time in excess of those two is pipelining overlap the
     coordinator spent usefully elsewhere.  The ``repair_*`` counters
     account the asynchronous reconciliation passes.
+
+    Calling the instance returns the fleet's unified counter mapping
+    (``repro.api.STATS_KEYS``), so ``runtime.stats()`` means the same
+    thing on every backend while ``runtime.stats.restarts`` keeps the
+    coordinator's own counters.  The coordinator binds :attr:`unified`
+    to :meth:`ShardedRuntime.stats_totals` at construction.
     """
 
     batches_sent: int = 0
@@ -91,6 +98,8 @@ class RuntimeStats:
     ack_wait_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
     service_seconds: float = 0.0
+    unified: "Callable[[], dict[str, int]] | None" = field(
+        default=None, repr=False, compare=False)
 
     _INT_FIELDS = ("batches_sent", "messages_sent", "messages_indexed",
                    "restarts", "lost_batches", "lost_messages",
@@ -108,6 +117,13 @@ class RuntimeStats:
         for name in self._FLOAT_FIELDS:
             out[name] = round(float(getattr(self, name)), 6)
         return out
+
+    def __call__(self) -> dict[str, int]:
+        if self.unified is None:
+            raise TypeError(
+                "RuntimeStats is only callable once bound to a "
+                "coordinator (repro.api unified stats)")
+        return self.unified()
 
 
 @dataclass(slots=True)
@@ -155,7 +171,8 @@ class ShardedRuntime:
         the count, so reopening with a different count would strand
         data — enforced via a marker file).
     config / router:
-        As :class:`~repro.core.sharding.ShardedIndexer`.
+        Per-shard :class:`IndexerConfig` (the pool bound applies *per
+        shard*) and the :func:`~repro.core.sharding.make_router` name.
     overload:
         Optional per-worker :class:`OverloadConfig`; enables local
         admission control in each worker plus the coordinator's fleet
@@ -243,7 +260,7 @@ class ShardedRuntime:
             anatomy=anatomy)
         self.max_inflight = max_inflight
         self.auto_restart = auto_restart
-        self.stats = RuntimeStats()
+        self.stats = RuntimeStats(unified=self.stats_totals)
         if backpressure is None and overload is not None:
             backpressure = FleetBackpressure(
                 high_watermark=overload.queue_high_fraction,

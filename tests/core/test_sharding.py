@@ -1,4 +1,4 @@
-"""Tests for sharded provenance indexing."""
+"""Tests for shard routing."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import pytest
 from repro.core.config import IndexerConfig
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import compare_edge_sets
-from repro.core.sharding import ShardedIndexer, primary_indicant
+from repro.core.sharding import make_router, primary_indicant
 from tests.conftest import make_message
+from tests.sharding_oracle import RoutedEngines
 
 
 class TestPrimaryIndicant:
@@ -37,25 +38,25 @@ class TestPrimaryIndicant:
 class TestRouting:
     def test_invalid_shard_count(self):
         with pytest.raises(ConfigurationError):
-            ShardedIndexer(0)
+            make_router("hash", 0)
 
     def test_same_topic_same_shard(self):
-        sharded = ShardedIndexer(4)
-        shards = {sharded.route(make_message(i, f"#topic msg {i}",
-                                             user=f"u{i}", hours=i * 0.1))
+        router = make_router("hash", 4)
+        shards = {router.route(make_message(i, f"#topic msg {i}",
+                                            user=f"u{i}", hours=i * 0.1))
                   for i in range(10)}
         assert len(shards) == 1
 
     def test_topics_spread_across_shards(self):
-        sharded = ShardedIndexer(4)
-        shards = {sharded.route(make_message(i, f"#topic{i} msg",
-                                             user=f"u{i}", hours=i * 0.1))
+        router = make_router("hash", 4)
+        shards = {router.route(make_message(i, f"#topic{i} msg",
+                                            user=f"u{i}", hours=i * 0.1))
                   for i in range(40)}
         assert len(shards) >= 3
 
     def test_routing_deterministic_across_instances(self):
-        first = ShardedIndexer(8)
-        second = ShardedIndexer(8)
+        first = make_router("hash", 8)
+        second = make_router("hash", 8)
         for index in range(20):
             message = make_message(index, f"#t{index} x", user=f"u{index}",
                                    hours=index * 0.1)
@@ -65,17 +66,17 @@ class TestRouting:
 class TestCooccurrenceRouter:
     def test_invalid_router_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedIndexer(2, router="random")
+            make_router("random", 2)
 
     def test_varying_tag_subsets_still_colocate(self):
         """The case the hash router gets wrong: one message carries only
         the event tag, another the event tag plus a broad stem."""
-        sharded = ShardedIndexer(8, router="cooccurrence")
+        router = make_router("cooccurrence", 8)
         bridging = make_message(0, "start #samoa0930 #tsunami")
         only_event = make_message(1, "more #samoa0930", user="b", hours=0.1)
         only_stem = make_message(2, "also #tsunami", user="c", hours=0.2)
-        shards = {sharded.route(bridging), sharded.route(only_event),
-                  sharded.route(only_stem)}
+        shards = {router.route(bridging), router.route(only_event),
+                  router.route(only_stem)}
         assert len(shards) == 1
 
     def test_beats_hash_router_on_edge_coverage(self):
@@ -96,94 +97,18 @@ class TestCooccurrenceRouter:
         reference = single.edge_pairs()
 
         def coverage(router: str) -> float:
-            sharded = ShardedIndexer(8, router=router)
-            for message in messages:
-                sharded.ingest(message)
-            return compare_edge_sets(sharded.edge_pairs(),
+            routed = RoutedEngines(8, router).ingest_each(messages)
+            return compare_edge_sets(routed.edge_pairs(),
                                      reference).coverage
 
         assert coverage("cooccurrence") >= coverage("hash")
 
     def test_deterministic(self):
         def placements() -> list[int]:
-            sharded = ShardedIndexer(4, router="cooccurrence")
-            return [sharded.ingest_routed(make_message(
+            router = make_router("cooccurrence", 4)
+            return [router.route(make_message(
                 index, f"#t{index % 3} #x{index % 2} m",
-                user=f"u{index}", hours=index * 0.1))[0]
+                user=f"u{index}", hours=index * 0.1))
                 for index in range(20)]
 
         assert placements() == placements()
-
-
-class TestShardedIngest:
-    def _run(self, shard_count: int):
-        sharded = ShardedIndexer(shard_count)
-        for index in range(60):
-            sharded.ingest(make_message(
-                index, f"#topic{index % 12} words here",
-                user=f"u{index % 7}", hours=index * 0.05))
-        return sharded
-
-    def test_all_messages_land_once(self):
-        sharded = self._run(4)
-        stats = sharded.shard_stats()
-        assert stats.total_messages == 60
-        assert stats.shard_count == 4
-        unified = sharded.stats()
-        assert unified["messages_ingested"] == 60
-        assert unified["shard_count"] == 4
-
-    def test_imbalance_reasonable(self):
-        stats = self._run(4).shard_stats()
-        assert stats.imbalance < 3.0
-
-    def test_intra_topic_edges_preserved(self):
-        """Co-location: sharding must keep (nearly) all of the edges a
-        single engine finds, because topics never split across shards."""
-        from repro.core.engine import ProvenanceIndexer
-
-        messages = [make_message(index, f"#topic{index % 12} words here",
-                                 user=f"u{index % 7}", hours=index * 0.05)
-                    for index in range(60)]
-        single = ProvenanceIndexer(IndexerConfig())
-        for message in messages:
-            single.ingest(message)
-        sharded = ShardedIndexer(4)
-        for message in messages:
-            sharded.ingest(message)
-        cmp = compare_edge_sets(sharded.edge_pairs(), single.edge_pairs())
-        assert cmp.coverage > 0.9
-
-    def test_search_scatter_gather(self):
-        sharded = self._run(4)
-        hits = sharded.search_by_shard("#topic3", k=5)
-        assert hits
-        shard_index, hit = hits[0]
-        assert "topic3" in hit.bundle.hashtag_counts
-        assert 0 <= shard_index < 4
-
-    def test_search_merged_matches_tagged(self):
-        sharded = self._run(4)
-        merged = sharded.search("#topic3", k=5)
-        tagged = sharded.search_by_shard("#topic3", k=5)
-        assert [hit.bundle_id for hit in merged] == \
-            [hit.bundle_id for _, hit in tagged]
-
-    def test_search_scores_descending(self):
-        sharded = self._run(4)
-        hits = sharded.search("words here", k=10)
-        scores = [hit.score for hit in hits]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_single_shard_equals_plain_engine(self):
-        from repro.core.engine import ProvenanceIndexer
-
-        messages = [make_message(index, f"#t{index % 5} text",
-                                 user=f"u{index}", hours=index * 0.1)
-                    for index in range(30)]
-        single = ProvenanceIndexer(IndexerConfig())
-        sharded = ShardedIndexer(1)
-        for message in messages:
-            single.ingest(message)
-            sharded.ingest(message)
-        assert sharded.edge_pairs() == single.edge_pairs()

@@ -198,9 +198,9 @@ class TestIntrospection:
             index.entry_count("bogus")
 
     def test_postings_view_is_immutable(self, index):
-        # Regression for the bundles_for aliasing bug: the old spelling
-        # could return the live inner dict, so a caller's mutation
-        # corrupted the index.  The view now refuses writes outright.
+        # Regression for an aliasing bug: a caller holding the live
+        # inner dict could corrupt the index by mutating it.  The view
+        # refuses writes outright.
         index.add_message(7, make_message(1, "#a"), frozenset())
         view = index.postings("hashtag", "a")
         with pytest.raises(TypeError):
@@ -209,21 +209,6 @@ class TestIntrospection:
             view[7] = -1
         assert index.postings("hashtag", "a") == {7: 1}
         assert index.postings_length("hashtag", "a") == 1
-
-    def test_bundles_for_warns_and_returns_isolated_copy(self, index):
-        index.add_message(7, make_message(1, "#a"), frozenset())
-        with pytest.deprecated_call():
-            view = index.bundles_for("hashtag", "a")
-        view[99] = 123
-        view[7] = -1
-        assert index.postings("hashtag", "a") == {7: 1}
-        assert index.postings_length("hashtag", "a") == 1
-
-    def test_terms_spelling_warns(self, index):
-        index.add_message(1, make_message(1, "#x"), frozenset())
-        with pytest.deprecated_call():
-            terms = index.terms("hashtag")
-        assert sorted(terms) == ["x"]
 
     def test_empty_term_cleanup_after_remove(self, index):
         bundle = Bundle(4)

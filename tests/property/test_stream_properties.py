@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.message import parse_message
-from repro.core.sharding import ShardedIndexer
+from repro.core.sharding import make_router
 from repro.stream.merge import (deduplicate_stream, merge_streams,
                                 renumber_stream)
 from repro.stream.sampling import sample_deterministic, sample_uniform
 from repro.stream.window import SlidingWindowMonitor
+from tests.sharding_oracle import RoutedEngines
 
 BASE_DATE = 1_249_084_800.0
 
@@ -105,20 +106,19 @@ class TestShardingProperties:
            st.integers(min_value=1, max_value=8),
            st.sampled_from(["hash", "cooccurrence"]))
     def test_every_message_placed_once(self, stream, shards, router):
-        sharded = ShardedIndexer(shards, router=router)
+        routed = RoutedEngines(shards, router)
         for message in stream:
-            shard, _ = sharded.ingest_routed(message)
-            assert 0 <= shard < shards
-        assert sharded.shard_stats().total_messages == len(stream)
+            assert 0 <= routed.ingest(message) < shards
+        assert sum(routed.messages_per_shard()) == len(stream)
 
     @settings(max_examples=30)
     @given(ordered_streams(max_size=30),
            st.integers(min_value=2, max_value=8))
     def test_hash_router_pure(self, stream, shards):
         """The hash router must not depend on ingestion history."""
-        fresh = ShardedIndexer(shards, router="hash")
-        warmed = ShardedIndexer(shards, router="hash")
+        fresh = make_router("hash", shards)
+        warmed = make_router("hash", shards)
         for message in stream:
-            warmed.ingest(message)
+            warmed.route(message)
         for message in stream:
             assert fresh.route(message) == warmed.route(message)

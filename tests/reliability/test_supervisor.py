@@ -11,7 +11,7 @@ from repro.reliability.faults import Fault, FaultInjector
 from repro.reliability.supervisor import DeadLetterQueue, ResilientIndexer
 from repro.storage.bundle_store import BundleStore
 from repro.storage.wal import JournaledIndexer, MessageJournal
-from tests.conftest import make_message
+from tests.conftest import BASE_DATE, make_message
 
 
 def stream(count: int = 30):
@@ -87,8 +87,15 @@ class TestDeadLetters:
         records.insert(3, (1000, "", 3600.0, "empty user"))
         records.insert(7, (1001, "bob", "not-a-date", "bad date"))
         records.insert(9, ("huh", {}, None))  # not even a 4-tuple
+        # a 6-tuple carries ground truth (event_id, parent_id)
+        records.append((1002, "carol", BASE_DATE + 7200.0,
+                        "#topic1 labelled", 7, 3))
         indexed = supervisor.ingest_stream(records)
-        assert indexed == 10
+        assert indexed == 11
+        labelled = [bundle.get(1002)
+                    for bundle in supervisor.indexer.bundles()
+                    if 1002 in bundle]
+        assert [(m.event_id, m.parent_id) for m in labelled] == [(7, 3)]
         assert supervisor.stats.dead_lettered == 3
         reasons = [letter.reason for letter in supervisor.dead_letters]
         assert reasons == ["parse-failed", "parse-failed",

@@ -14,9 +14,9 @@ import pytest
 from repro.core.message import parse_message
 from repro.core.metrics import compare_edge_sets
 from repro.core.errors import ConfigurationError
-from repro.core.sharding import ShardedIndexer
-from repro.runtime import (RuntimeClient, ShardedRuntime, WorkerCrash,
-                           fleet_table, merge_worker_dumps)
+from repro.runtime import (ShardedRuntime, WorkerCrash, fleet_table,
+                           merge_worker_dumps)
+from tests.sharding_oracle import RoutedEngines
 
 BASE_DATE = 1_249_084_800.0
 
@@ -45,21 +45,18 @@ def fleet(tmp_path_factory):
 
 
 class TestParity:
-    """The fleet must agree with the in-process sharded indexer."""
+    """The fleet must agree with the in-process routed-engines oracle."""
 
     def test_edges_match_inprocess(self, fleet):
-        local = ShardedIndexer(2, router="hash")
-        local.ingest_batch(stream(240))
+        local = RoutedEngines(2, "hash").ingest_each(stream(240))
         assert fleet.edge_pairs() == local.edge_pairs()
 
     def test_stats_match_inprocess(self, fleet):
-        local = ShardedIndexer(2, router="hash")
-        local.ingest_batch(stream(240))
+        local = RoutedEngines(2, "hash").ingest_each(stream(240))
         assert fleet.stats_totals() == local.stats()
 
     def test_search_matches_inprocess(self, fleet):
-        local = ShardedIndexer(2, router="hash")
-        local.ingest_batch(stream(240))
+        local = RoutedEngines(2, "hash").ingest_each(stream(240))
         fleet_hits = [(shard, hit.bundle_id, hit.score) for shard, hit
                       in fleet.search_by_shard("#tag3 report", k=5)]
         local_hits = [(shard, hit.bundle_id, hit.score) for shard, hit
@@ -279,15 +276,3 @@ class TestGuardedFleet:
     def test_unguarded_fleet_reports_no_guard_block(self, fleet):
         for payload in fleet.shard_stats().values():
             assert "guard" not in payload
-
-
-class TestRuntimeClient:
-    def test_client_is_thin_facade(self, tmp_path):
-        with RuntimeClient(tmp_path / "fleet", workers=2) as client:
-            count = client.ingest_batch(stream(30), count_only=True)
-            assert count == 30
-            assert client.stats()["messages_ingested"] == 30
-            assert client.stats()["shard_count"] == 2
-            assert client.search("#tag1 report", k=3)
-            assert client.snapshot().message_count == 30
-            assert client.edge_pairs()

@@ -1,17 +1,16 @@
 """Behavioural conformance of every backend to the ``Indexer`` protocol.
 
-One retweet chain, five backends — the in-process engine, the
-lock-guarded wrapper, the WAL-supervised stack, the in-process sharded
-indexer and the multiprocess runtime — must agree on every protocol
-verb: same provenance edges, same search ranking, same unified stats
-keys.  The chain shares a single hashtag, so both routers co-locate it
-on one shard and the sharded backends' state is bit-identical to the
+One retweet chain, three backends — the in-process engine, the
+WAL-supervised stack and the multiprocess runtime — must agree on every
+protocol verb: same provenance edges, same search ranking, same unified
+stats keys.  The chain shares a single hashtag, so both routers
+co-locate it on one shard and the fleet's state is bit-identical to the
 single engine's.
-
-The deprecated pre-protocol spellings must keep working but warn.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 
@@ -20,7 +19,7 @@ from repro.core.config import IndexerConfig
 from repro.core.engine import IngestResult, ProvenanceIndexer
 from repro.core.message import parse_message
 
-BACKENDS = ("engine", "concurrent", "resilient", "sharded", "runtime")
+BACKENDS = ("engine", "resilient", "runtime")
 
 BASE_DATE = 1_249_084_800.0
 
@@ -43,8 +42,6 @@ def backend(request, tmp_path):
     name = request.param
     if name == "resilient":
         indexer = open_indexer(name, root=tmp_path / "resilient")
-    elif name == "sharded":
-        indexer = open_indexer(name, workers=2)
     elif name == "runtime":
         indexer = open_indexer(name, root=tmp_path / "fleet", workers=2)
     else:
@@ -115,8 +112,6 @@ class TestConformance:
 def test_context_manager(name, tmp_path):
     if name == "resilient":
         options = {"root": tmp_path / "resilient"}
-    elif name == "sharded":
-        options = {"workers": 2}
     elif name == "runtime":
         options = {"root": tmp_path / "fleet", "workers": 2}
     else:
@@ -128,9 +123,20 @@ def test_context_manager(name, tmp_path):
     indexer.close()
 
 
-def test_open_indexer_rejects_unknown_backend():
+@pytest.mark.parametrize("name", ["mystery", "concurrent", "sharded"])
+def test_open_indexer_rejects_unknown_backend(name):
     with pytest.raises(ValueError, match="unknown backend"):
-        open_indexer("mystery")
+        open_indexer(name)
+
+
+@pytest.mark.parametrize("package", ["repro.api", "repro.core",
+                                     "repro.runtime"])
+def test_every_exported_name_resolves(package):
+    """A stale ``__all__`` entry fails here, not in a user's import."""
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__
+               if not hasattr(module, name)]
+    assert missing == []
 
 
 class TestPostingsBackendMatrix:
@@ -197,36 +203,3 @@ class TestPostingsBackendMatrix:
         assert len(messages) >= 10_000
         results = self._matrix(messages, tmp_path, "#topic news")
         assert results["slab"]["stats"]["messages_ingested"] == len(messages)
-
-
-class TestDeprecatedShims:
-    """Old spellings warn but still work (see docs/api.md migration)."""
-
-    def test_engine_ingest_all(self):
-        engine = ProvenanceIndexer()
-        with pytest.warns(DeprecationWarning, match="ingest_batch"):
-            assert engine.ingest_all(rt_chain()) == 3
-
-    def test_engine_memory_snapshot(self):
-        engine = ProvenanceIndexer()
-        engine.ingest_batch(rt_chain())
-        with pytest.warns(DeprecationWarning, match="snapshot"):
-            snap = engine.memory_snapshot()
-        assert snap == engine.snapshot()
-
-    def test_concurrent_memory_snapshot(self):
-        from repro.core.concurrent import ConcurrentIndexer
-
-        indexer = ConcurrentIndexer()
-        indexer.ingest_batch(rt_chain())
-        with pytest.warns(DeprecationWarning, match="snapshot"):
-            snap = indexer.memory_snapshot()
-        assert snap == indexer.snapshot()
-
-    def test_concurrent_messages_ingested(self):
-        from repro.core.concurrent import ConcurrentIndexer
-
-        indexer = ConcurrentIndexer()
-        indexer.ingest_batch(rt_chain())
-        with pytest.warns(DeprecationWarning, match="stats"):
-            assert indexer.messages_ingested() == 3
