@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import zlib
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterable
 
 __all__ = [
     "FileSystem",
@@ -26,6 +26,7 @@ __all__ = [
     "filesystem",
     "set_filesystem",
     "reset_filesystem",
+    "write_atomic",
     "frame_line",
     "check_frame",
     "escape_field",
@@ -156,3 +157,18 @@ def set_filesystem(fs: FileSystem) -> FileSystem:
 def reset_filesystem() -> None:
     """Restore the default real filesystem."""
     set_filesystem(_DEFAULT)
+
+
+def write_atomic(path: "str | os.PathLike[str]",
+                 chunks: Iterable[str]) -> None:
+    """Replace ``path`` with the joined ``chunks``, all or nothing: temp
+    file + fsync + atomic rename, each chunk written as it is produced."""
+    fs = filesystem()
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_suffix(target.suffix + ".tmp")
+    with fs.open(tmp, "w", encoding="utf-8") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+        fs.fsync(handle)
+    fs.replace(tmp, target)

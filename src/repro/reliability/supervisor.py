@@ -42,7 +42,7 @@ from repro.core.errors import (BundleError, IndexError_, MessageError,
                                RetryExhaustedError, StorageError)
 from repro.core.message import Message, parse_message
 from repro.obs import IngestOutcome, NULL_HISTOGRAM, TelemetryFlusher
-from repro.reliability.fsio import filesystem
+from repro.reliability.fsio import write_atomic
 from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
                                      IngestGuard, Screened)
 from repro.reliability.overload import (Admission, HealthReport,
@@ -135,11 +135,7 @@ class DeadLetterQueue:
         """
         if self.path is not None and self.path.exists():
             # Disk first: if truncation fails, nothing was drained.
-            fs = filesystem()
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with fs.open(tmp, "w", encoding="utf-8") as handle:
-                fs.fsync(handle)
-            fs.replace(tmp, self.path)
+            write_atomic(self.path, ())
         drained, self._entries = self._entries, []
         return drained
 
@@ -792,4 +788,8 @@ class ResilientIndexer:
         audit = self.journaled.indexer.obs.audit
         if audit is not None:
             audit.close()
+        # Behind admission's breaker wrapper, if any; sinks need not close.
+        sink = getattr(self.indexer.store, "sink", self.indexer.store)
+        if hasattr(sink, "close"):
+            sink.close()
         self.journaled.__exit__(exc_type, *exc_info[1:])

@@ -54,7 +54,7 @@ from typing import IO, Any, Iterable
 from repro.core.engine import ProvenanceIndexer
 from repro.core.message import Message
 from repro.reliability.fsio import (check_frame, escape_field, filesystem,
-                                    frame_line, unescape_field)
+                                    frame_line, unescape_field, write_atomic)
 
 __all__ = ["BoundaryEntry", "BoundaryLog", "RepairEntry", "RepairJournal",
            "RepairScan", "scan_fleet_repair", "BOUNDARY_LOG",
@@ -166,16 +166,6 @@ def _read_cursor(path: Path) -> int:
         return 0
 
 
-def _write_durable(path: Path, content: str) -> None:
-    """Temp-file + fsync + atomic rename (the snapshot pattern)."""
-    fs = filesystem()
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with fs.open(temp, "w", encoding="utf-8") as handle:
-        handle.write(content)
-        fs.fsync(handle)
-    fs.replace(temp, path)
-
-
 class _FramedAppender:
     """Shared append-side of both logs: framed lines, explicit sync."""
 
@@ -260,7 +250,7 @@ class BoundaryLog:
         """Durably mark everything up to ``seq`` as reconciled."""
         if seq <= self.cursor:
             return
-        _write_durable(self._cursor_path, f"{seq}\n")
+        write_atomic(self._cursor_path, [f"{seq}\n"])
         self.cursor = seq
         self._pending = [e for e in self._pending if e.seq > seq]
 
@@ -274,7 +264,7 @@ class BoundaryLog:
         self._log.close()
         lines = "".join(frame_line(e.payload()) + "\n"
                         for e in self._pending)
-        _write_durable(self._log.path, lines)
+        write_atomic(self._log.path, [lines])
 
     def close(self) -> None:
         self._log.close()
@@ -321,7 +311,7 @@ class RepairJournal:
     def compact(self) -> None:
         """Truncate after a checkpoint: the snapshot holds the ledger."""
         self._log.close()
-        _write_durable(self._log.path, "")
+        write_atomic(self._log.path, ())
         self.entries = []
 
     def close(self) -> None:

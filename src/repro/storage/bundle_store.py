@@ -2,10 +2,11 @@
 
 Layout: a directory of segment files ``segment-00000.log``, each holding
 newline-delimited records ``<crc32:8 hex> <json>``.  Appends go to the
-active segment, which rotates at ``max_segment_bytes``.  An in-memory
-offset index (``bundle_id → (segment, byte offset)``) enables random
-reads; it is rebuilt by scanning segments on open, so the store needs no
-separate manifest and tolerates being copied around.
+active segment (kept open: one ``write`` + ``flush`` per record), which
+rotates at ``max_segment_bytes``.  An in-memory offset index (``bundle_id
+→ (segment, byte offset)``) enables random reads; it is rebuilt by
+scanning segments on open, so the store needs no separate manifest and
+tolerates being copied around.
 
 A bundle id may be appended more than once (a bundle can be evicted,
 reloaded and evicted again); the offset index keeps the *latest* record,
@@ -14,11 +15,12 @@ which is the only one readers see.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import warnings
 import zlib
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
@@ -82,6 +84,8 @@ class BundleStore:
         self._active = self._segments[-1] if self._segments else 0
         if not self._segments:
             self._segments.append(0)
+        self._handle: "IO[bytes] | None" = None  # active segment, once open
+        self._offset = 0  # where its next record starts
 
     # ------------------------------------------------------------------
     # Recovery
@@ -220,17 +224,41 @@ class BundleStore:
         payload = bundle_to_json(bundle).encode("utf-8")
         crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}".encode("ascii")
         record = crc + b" " + payload + b"\n"
-        path = self._segment_path(self._active)
-        offset = path.stat().st_size if path.exists() else 0
-        if offset > 0 and offset + len(record) > self.max_segment_bytes:
+        if self._handle is None:  # first append, or after close/failure
+            path = self._segment_path(self._active)
+            self._offset = path.stat().st_size if path.exists() else 0
+        if (self._offset > 0
+                and self._offset + len(record) > self.max_segment_bytes):
+            self.close()
             self._active += 1
             self._segments.append(self._active)
-            path = self._segment_path(self._active)
-            offset = 0
-        with filesystem().open(path, "ab") as handle:
-            handle.write(record)
-        self._offsets[bundle.bundle_id] = (self._active, offset)
+            self._offset = 0
+        if self._handle is None:
+            self._handle = filesystem().open(
+                self._segment_path(self._active), "ab")
+        try:
+            self._handle.write(record)
+            self._handle.flush()
+        except BaseException:
+            # The next append reopens and re-stats (the sick-disk probe).
+            with contextlib.suppress(OSError):
+                self.close()
+            raise
+        self._offsets[bundle.bundle_id] = (self._active, self._offset)
+        self._offset += len(record)
         self._appends += 1
+
+    def close(self) -> None:
+        """Release the append handle; the next append reopens it."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def __enter__(self) -> "BundleStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Reads

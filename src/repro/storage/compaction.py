@@ -72,6 +72,8 @@ def compact_store(store: BundleStore) -> tuple[BundleStore, CompactionReport]:
         kept += 1
 
     # Swap directories: original -> .old, compacted -> original.
+    store.close()  # no segment may stay open across the renames
+    fresh.close()
     Path(directory).rename(backup_dir)
     Path(fresh_dir).rename(directory)
     _remove_tree(backup_dir)

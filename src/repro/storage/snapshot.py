@@ -18,12 +18,15 @@ from pathlib import Path
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import StorageError
-from repro.reliability.fsio import filesystem
-from repro.storage.serializer import bundle_from_dict, bundle_to_dict
+from repro.reliability.fsio import write_atomic
+from repro.storage.serializer import (bundle_from_dict, iter_array_json,
+                                      iter_bundle_json, iter_object_json)
 
 __all__ = ["save_snapshot", "load_snapshot", "load_snapshot_with_meta"]
 
 _FORMAT_VERSION = 1
+_STAT_FIELDS = ("messages_ingested", "bundles_created", "bundles_matched",
+                "edges_created", "refinements", "bundles_closed")
 
 
 def save_snapshot(indexer: ProvenanceIndexer,
@@ -37,33 +40,20 @@ def save_snapshot(indexer: ProvenanceIndexer,
     with the state itself — the key to surviving a crash between the
     snapshot rename and the sidecar write.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    bundles = [bundle_to_dict(bundle) for bundle in indexer.pool]
     state = {
         "v": _FORMAT_VERSION,
         "config": _config_to_dict(indexer.config),
         "current_date": indexer.current_date,
         "next_bundle_id": indexer.pool._next_bundle_id,
         "edges": sorted(indexer.edge_pairs()),
-        "stats": {
-            "messages_ingested": indexer.stats.messages_ingested,
-            "bundles_created": indexer.stats.bundles_created,
-            "bundles_matched": indexer.stats.bundles_matched,
-            "edges_created": indexer.stats.edges_created,
-            "refinements": indexer.stats.refinements,
-            "bundles_closed": indexer.stats.bundles_closed,
-        },
-        "bundles": bundles,
+        "stats": {name: getattr(indexer.stats, name)
+                  for name in _STAT_FIELDS},
     }
     if applied_seq is not None:
         state["applied_seq"] = applied_seq
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    with filesystem().open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(state, handle, separators=(",", ":"), sort_keys=True)
-        filesystem().fsync(handle)
-    filesystem().replace(tmp, target)
-    return len(bundles)
+    write_atomic(path, iter_object_json(state, "bundles", iter_array_json(
+        iter_bundle_json(bundle) for bundle in indexer.pool)))
+    return len(indexer.pool)
 
 
 def load_snapshot(path: "str | os.PathLike[str]") -> ProvenanceIndexer:
@@ -99,8 +89,7 @@ def load_snapshot_with_meta(
     for pair in state.get("edges", ()):
         indexer._edge_ledger.add((int(pair[0]), int(pair[1])))
     stats = state.get("stats", {})
-    for name in ("messages_ingested", "bundles_created", "bundles_matched",
-                 "edges_created", "refinements", "bundles_closed"):
+    for name in _STAT_FIELDS:
         setattr(indexer.stats, name, int(stats.get(name, 0)))
 
     for record in state.get("bundles", ()):

@@ -49,7 +49,7 @@ from repro.core.errors import (BundleError, IndexError_, MessageError,
 from repro.core.message import Message, parse_message
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
 from repro.reliability.fsio import (escape_field, filesystem, frame_line,
-                                    unescape_field)
+                                    unescape_field, write_atomic)
 
 __all__ = ["MessageJournal", "JournaledIndexer", "ReplayStats"]
 
@@ -374,12 +374,7 @@ class JournaledIndexer:
         self.journal.sync()
         save_snapshot(self.indexer, self.snapshot_path,
                       applied_seq=self.last_applied_seq)
-        sidecar = self._seq_sidecar()
-        tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
-        with filesystem().open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(str(self.last_applied_seq))
-            filesystem().fsync(handle)
-        filesystem().replace(tmp, sidecar)
+        write_atomic(self._seq_sidecar(), [str(self.last_applied_seq)])
         self.journal.truncate()
         self._since_snapshot = 0
         self._checkpoint_counter.inc()

@@ -31,12 +31,12 @@ def save_search_engine(engine: SearchEngine,
                        path: "str | os.PathLike[str]") -> int:
     """Write the engine's corpus + analyzer config; returns message count.
 
-    Atomic (temp file + rename).
+    Atomic (temp file + fsync + rename), streamed like the snapshot.
     """
-    from repro.storage.serializer import message_to_dict
+    from repro.reliability.fsio import write_atomic
+    from repro.storage.serializer import (iter_array_json,
+                                          iter_object_json, message_to_dict)
 
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     scorer = "bm25" if engine._scorer.__class__.__name__ == "BM25Scorer" \
         else "tfidf"
     messages = sorted(
@@ -51,12 +51,9 @@ def save_search_engine(engine: SearchEngine,
             "extra_stopwords": sorted(
                 engine.analyzer.stopwords - Analyzer().stopwords),
         },
-        "messages": [message_to_dict(m) for m in messages],
     }
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(state, handle, separators=(",", ":"), sort_keys=True)
-    tmp.replace(target)
+    write_atomic(path, iter_object_json(state, "messages", iter_array_json(
+        message_to_dict(m) for m in messages)))
     return len(messages)
 
 

@@ -8,6 +8,7 @@ from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import RetryExhaustedError
 from repro.reliability.faults import Fault, FaultInjector
+from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import DeadLetterQueue, ResilientIndexer
 from repro.storage.bundle_store import BundleStore
 from repro.storage.wal import JournaledIndexer, MessageJournal
@@ -315,3 +316,19 @@ class TestLifecycle:
         supervisor.ingest(stream(1)[0])
         supervisor.close()
         supervisor.close()
+
+    @pytest.mark.parametrize("overload", [None, OverloadConfig()])
+    def test_exit_releases_the_spill_segment(self, tmp_path, overload):
+        # With admission on, the store sits behind the breaker's sink.
+        with ResilientIndexer.open(
+                tmp_path, config=IndexerConfig.partial_index(pool_size=5),
+                overload=overload) as supervisor:
+            for message in stream(60):
+                supervisor.ingest(message)
+            store = supervisor.indexer.store
+            store = getattr(store, "sink", store)
+            assert store.append_count > 0
+            assert store._handle is not None
+        assert store._handle is None
+        assert BundleStore(tmp_path / "bundles").bundle_ids() == \
+            store.bundle_ids()

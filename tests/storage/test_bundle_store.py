@@ -7,6 +7,8 @@ import pytest
 from repro.core.bundle import Bundle
 from repro.core.errors import (BundleNotFoundError, CorruptSegmentError,
                                StorageError)
+from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
+from repro.reliability.fsio import FileSystem, set_filesystem
 from repro.storage.bundle_store import BundleStore
 from tests.conftest import make_message
 
@@ -167,3 +169,157 @@ class TestTolerantMode:
             reopened = BundleStore(directory)
         assert reopened.skipped_files == 1
         assert len(reopened) == 1
+
+
+class _CountingFileSystem(FileSystem):
+    """The real filesystem, counting write-mode opens."""
+
+    def __init__(self) -> None:
+        self.opens = 0
+
+    def open(self, path, mode="r", *, encoding=None):
+        self.opens += "r" not in mode
+        return super().open(path, mode, encoding=encoding)
+
+
+class TestOpenSegment:
+    """The active segment stays open between appends."""
+
+    def test_one_open_per_segment_not_per_append(self, tmp_path):
+        counting = _CountingFileSystem()
+        previous = set_filesystem(counting)
+        try:
+            store = BundleStore(tmp_path / "store", max_segment_bytes=2_000)
+            for bundle_id in range(12):
+                store.append(build_bundle(bundle_id))
+        finally:
+            set_filesystem(previous)
+        assert store.segment_count() > 1
+        assert counting.opens == store.segment_count()
+
+    def test_record_is_readable_as_soon_as_append_returns(self, tmp_path):
+        directory = tmp_path / "store"
+        store = BundleStore(directory)
+        for bundle_id in range(3):
+            store.append(build_bundle(bundle_id))
+            # ... by this store, and by a second opener of the directory
+            assert store.load(bundle_id).bundle_id == bundle_id
+            assert BundleStore(directory).bundle_ids() == list(
+                range(bundle_id + 1))
+        assert store.total_bytes() == sum(
+            p.stat().st_size for p in directory.glob("segment-*.log"))
+
+    def test_live_offsets_equal_recovered_offsets_across_rotation(
+            self, tmp_path):
+        directory = tmp_path / "store"
+        store = BundleStore(directory, max_segment_bytes=1_500)
+        for round_ in range(3):
+            for bundle_id in range(6):
+                store.append(build_bundle(bundle_id, size=1 + round_))
+        assert store.segment_count() > 2
+        reopened = BundleStore(directory, max_segment_bytes=1_500)
+        assert reopened._offsets == store._offsets
+        assert reopened._segments == store._segments
+        assert reopened.append_count == store.append_count == 18
+        # and the reopened store carries on where the first one stopped
+        reopened.append(build_bundle(6))
+        assert BundleStore(directory)._offsets == reopened._offsets
+
+    def test_decoy_id_in_text_does_not_fool_the_id_pull(self, tmp_path):
+        # _validate_record reads the first '"id":<n>' of the payload;
+        # sorted keys put the bundle's own id before any message text.
+        bundle = Bundle(7)
+        bundle.insert(make_message(70, 'he said "id":99 and {"id":98}'))
+        bundle.insert(make_message(71, '"id":97 again #decoy'))
+        store = BundleStore(tmp_path / "store")
+        store.append(bundle)
+        reopened = BundleStore(tmp_path / "store")
+        assert reopened.bundle_ids() == [7]
+        assert reopened.load(7).get(70).text == bundle.get(70).text
+
+
+class TestLifecycle:
+    def test_close_is_idempotent_and_append_reopens(self, tmp_path):
+        directory = tmp_path / "store"
+        store = BundleStore(directory)
+        store.close()  # never opened
+        store.append(build_bundle(1))
+        store.close()
+        store.close()
+        assert store._handle is None
+        assert store.load(1).bundle_id == 1  # reads need no handle
+        store.append(build_bundle(2))  # lazily reopened, offsets right
+        assert BundleStore(directory)._offsets == store._offsets
+
+    def test_context_manager_closes(self, tmp_path):
+        with BundleStore(tmp_path / "store") as store:
+            store.append(build_bundle(1))
+            assert store._handle is not None
+        assert store._handle is None
+        assert BundleStore(tmp_path / "store").bundle_ids() == [1]
+
+    def test_append_after_close_sees_a_foreign_append(self, tmp_path):
+        # close() hands the directory over: the size is re-read on reopen.
+        directory = tmp_path / "store"
+        store = BundleStore(directory)
+        store.append(build_bundle(1))
+        store.close()
+        BundleStore(directory).append(build_bundle(2))
+        store.append(build_bundle(3))
+        assert store.load(3).bundle_id == 3
+        assert BundleStore(directory).bundle_ids() == [1, 2, 3]
+
+
+class TestFailedWrites:
+    """A write that fails or tears never corrupts what comes after."""
+
+    def test_failed_append_leaves_no_trace_and_later_offsets_hold(
+            self, tmp_path):
+        directory = tmp_path / "store"
+        store = BundleStore(directory)
+        store.append(build_bundle(1))
+        # Like the WAL's, a handle is faulted only if it was opened under
+        # the injector: hand the segment over first.
+        store.close()
+        with FaultInjector([Fault(op="write", nth=2, kind="error",
+                                  path_part="segment-")]):
+            store.append(build_bundle(2))
+            with pytest.raises(OSError):
+                store.append(build_bundle(3))
+            assert store._handle is None  # discarded: next append re-probes
+            store.append(build_bundle(4))
+        store.append(build_bundle(5))
+        assert store.bundle_ids() == [1, 2, 4, 5]
+        assert store.append_count == 4
+        for bundle_id in store.bundle_ids():
+            assert store.load(bundle_id).bundle_id == bundle_id
+        reopened = BundleStore(directory)
+        assert reopened._offsets == store._offsets
+
+    def test_torn_write_never_surfaces_as_a_record(self, tmp_path):
+        directory = tmp_path / "store"
+        store = BundleStore(directory)
+        store.append(build_bundle(1))
+        store.close()
+        with pytest.raises(SimulatedCrash):
+            with FaultInjector([Fault(op="write", nth=1, kind="torn",
+                                      keep_bytes=40,
+                                      path_part="segment-")]):
+                store.append(build_bundle(2, size=4))
+        assert 2 not in store
+
+        with pytest.raises(CorruptSegmentError):
+            BundleStore(directory)
+        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
+            survivor = BundleStore(directory, tolerant=True)
+        assert survivor.bundle_ids() == [1]
+        # Appending after the fragment: this process reads the new
+        # record at the size it re-read, and no later open ever takes
+        # fragment + record for a record of bundle 2 (or of anything).
+        survivor.append(build_bundle(3))
+        assert survivor.load(3).bundle_id == 3
+        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
+            later = BundleStore(directory, tolerant=True)
+        assert 2 not in later
+        for bundle_id in later.bundle_ids():
+            assert later.load(bundle_id).bundle_id == bundle_id

@@ -97,3 +97,14 @@ class TestCompaction:
         compacted, report = compact_store(store)
         assert report.bundles_kept == 6
         assert all(len(compacted.load(i)) == 4 for i in range(6))
+
+    def test_no_segment_is_left_open_across_the_swap(self, tmp_path):
+        store = BundleStore(tmp_path / "s")
+        store.append(build_bundle(1, 2))
+        store.append(build_bundle(1, 3))
+        assert store._handle is not None
+        compacted, _ = compact_store(store)
+        assert store._handle is None
+        # The returned store appends into the swapped-in directory.
+        compacted.append(build_bundle(2, 2))
+        assert BundleStore(tmp_path / "s").bundle_ids() == [1, 2]

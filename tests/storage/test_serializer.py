@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.errors import StorageError
 from repro.storage.serializer import (bundle_from_dict, bundle_from_json,
                                       bundle_to_dict, bundle_to_json,
+                                      iter_array_json, iter_bundle_json,
+                                      iter_object_json,
                                       message_from_dict, message_to_dict)
 from tests.conftest import make_message
 
@@ -123,3 +128,54 @@ class TestErrors:
         record["v"] = 99
         with pytest.raises(StorageError):
             bundle_from_dict(record)
+
+
+def encode_record(record) -> str:
+    """The whole-record encoding the chunked encoders must add up to."""
+    return json.dumps(record, separators=(",", ":"), sort_keys=True)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats(allow_nan=False))
+_RECORDS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestStreamedEncoder:
+    """The chunked encoders are ``encode_record`` of the whole, cut up."""
+
+    @given(fields=st.dictionaries(st.text(max_size=2), _RECORDS, max_size=4),
+           key=st.text(max_size=2), items=st.lists(_RECORDS, max_size=40))
+    def test_object_with_one_streamed_array(self, fields, key, items):
+        fields.pop(key, None)
+        chunks = list(iter_object_json(fields, key, iter_array_json(items)))
+        assert "".join(chunks) == encode_record({**fields, key: items})
+        assert all(isinstance(chunk, str) for chunk in chunks)
+
+    @given(rows=st.lists(st.lists(_RECORDS, max_size=3), max_size=3))
+    def test_array_of_streamed_items(self, rows):
+        nested = iter_array_json(iter_array_json(row) for row in rows)
+        assert "".join(nested) == encode_record(rows)
+
+    def test_records_are_encoded_a_few_at_a_time(self):
+        # What keeps a large state from existing as one string, without
+        # paying one encoder call per message of a small bundle.
+        small = list(iter_bundle_json(build_bundle()))
+        assert len(small) == 4  # head, the 3 messages, "]", tail
+        assert "".join(small) == bundle_to_json(build_bundle())
+
+        big = Bundle(8, IndexerConfig())
+        for index in range(40):
+            big.insert(make_message(index, f"#tag message {index}",
+                                    user=f"u{index}", hours=index * 0.01))
+        chunks = list(iter_bundle_json(big))
+        assert len(chunks) == 1 + 3 + 2  # 40 messages in runs of <= 16
+        assert max(map(len, chunks[1:])) < len(bundle_to_json(big)) / 2
+        assert bundle_from_json("".join(chunks)).message_ids() == \
+            big.message_ids()
+
+    def test_dict_form_is_the_json_form(self):
+        bundle = build_bundle()
+        assert encode_record(bundle_to_dict(bundle)) == bundle_to_json(bundle)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import StorageError
-from repro.storage.snapshot import load_snapshot, save_snapshot
+from repro.storage.serializer import bundle_to_json
+from repro.storage.snapshot import (load_snapshot, load_snapshot_with_meta,
+                                    save_snapshot)
+from tests import snapshot_oracle
 from tests.conftest import make_message
 
 
@@ -97,3 +104,69 @@ class TestErrors:
         path.write_text('{"v": 99}')
         with pytest.raises(StorageError):
             load_snapshot(path)
+
+
+# Vocabulary for the differential below: separate hashtags make many
+# bundles (ids >= 10), the rest exercises JSON escaping, non-ASCII text,
+# a decoy ``"id":`` inside a message and keyword-free members.  The
+# second shape piles 17+ messages onto one hashtag: a bundle of more
+# messages than one encoder call takes.
+_EXTRAS = ["http://t.co/a", "RT @amalie:", "stadium ovation", "the a an",
+           'say "id":99', "back\\slash", "tab\there", "line\nbreak",
+           "naïve café", "日本語 テスト", "😀", " ", "\x01"]
+
+
+def _arrivals(tokens, **size):
+    return st.lists(
+        st.tuples(st.lists(tokens, min_size=1, max_size=5).map(" ".join),
+                  st.integers(0, 5), st.floats(0.0, 50.0)), **size)
+
+
+_ARRIVALS = (
+    _arrivals(st.sampled_from([f"#t{n}" for n in range(14)] + _EXTRAS),
+              max_size=40)
+    | _arrivals(st.sampled_from(_EXTRAS), min_size=17,
+                max_size=40).map(lambda rows: [
+                    (f"#t0 {text}", user, hours)
+                    for text, user, hours in rows]))
+
+
+class TestStreamedEqualsWholeState:
+    """``save_snapshot`` streams per record; the file must equal the
+    one-``json.dump`` writer in ``tests/snapshot_oracle.py`` byte for
+    byte, and load back to a state that saves to the same bytes."""
+
+    @settings(deadline=None)
+    @given(arrivals=_ARRIVALS, first_id=st.sampled_from([0, 8, 95]),
+           pool_size=st.sampled_from([3, 12, 100]),
+           applied_seq=st.none() | st.integers(0, 10**12),
+           data=st.data())
+    def test_bytes_and_round_trip(self, arrivals, first_id, pool_size,
+                                  applied_seq, data):
+        indexer = ProvenanceIndexer(
+            IndexerConfig.partial_index(pool_size=pool_size))
+        for offset, (text, user, hours) in enumerate(arrivals):
+            # Hours are not sorted: late arrivals raise last_update
+            # above the member maximum.
+            indexer.ingest(make_message(first_id + offset, text,
+                                        user=f"u{user}", hours=hours))
+        for bundle in indexer.pool:
+            if data.draw(st.booleans(), label=f"close {bundle.bundle_id}"):
+                bundle.close()
+            assert bundle_to_json(bundle) == snapshot_oracle.bundle_json(
+                bundle)
+
+        with tempfile.TemporaryDirectory() as scratch:
+            streamed = Path(scratch) / "streamed.json"
+            whole = Path(scratch) / "whole.json"
+            again = Path(scratch) / "again.json"
+            assert save_snapshot(indexer, streamed,
+                                 applied_seq=applied_seq) == len(indexer.pool)
+            snapshot_oracle.write_snapshot(indexer, whole,
+                                           applied_seq=applied_seq)
+            assert streamed.read_bytes() == whole.read_bytes()
+
+            restored, meta = load_snapshot_with_meta(streamed)
+            assert meta["applied_seq"] == applied_seq
+            save_snapshot(restored, again, applied_seq=applied_seq)
+            assert again.read_bytes() == streamed.read_bytes()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import StorageError
+from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
 from repro.text.analyzer import Analyzer
 from repro.text.persistence import load_search_engine, save_search_engine
 from repro.text.search import SearchEngine
@@ -79,6 +80,44 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         assert save_search_engine(SearchEngine(), path) == 0
         assert len(load_search_engine(path)) == 0
+
+
+class TestAtomicSave:
+    def test_crash_before_rename_keeps_previous_file(self, engine, tmp_path):
+        path = tmp_path / "index.json"
+        save_search_engine(engine, path)
+        before = path.read_bytes()
+        engine.add(make_message(50, "late breaking #news", hours=5))
+        with pytest.raises(SimulatedCrash):
+            with FaultInjector([Fault(op="replace", kind="crash_before",
+                                      path_part="index.json")]):
+                save_search_engine(engine, path)
+        assert path.read_bytes() == before
+        assert 50 not in load_search_engine(path).all_ids()
+
+    def test_save_is_fsynced_before_the_rename(self, engine, tmp_path):
+        path = tmp_path / "index.json"
+        injector = FaultInjector([
+            Fault(op="fsync", kind="crash_after", path_part="index.json")])
+        with pytest.raises(SimulatedCrash):
+            with injector:
+                save_search_engine(engine, path)
+        # Died between fsync and rename: the temp file is complete.
+        assert [fault.op for fault in injector.fired] == ["fsync"]
+        assert not path.exists()
+        tmp = path.with_suffix(".json.tmp")
+        tmp.replace(path)
+        assert load_search_engine(path).all_ids() == engine.all_ids()
+
+    def test_file_is_the_compact_sorted_key_json_it_always_was(
+            self, engine, tmp_path):
+        import json
+
+        path = tmp_path / "index.json"
+        save_search_engine(engine, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":"),
+                                  sort_keys=True)
 
 
 class TestErrors:
