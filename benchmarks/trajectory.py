@@ -78,13 +78,6 @@ _INDICATORS = (
      "organic_guard_overhead"),
     ("guard.organic_rate_on", "adversarial_guard", "organic_rate_on"),
     ("guard.spam_flood_f1_on", "adversarial_guard", "spam_flood_f1_on"),
-    # Ingest hot path (slab postings + batched Eq. 1 scoring).
-    ("hotpath.speedup_vs_single_baseline", "hotpath",
-     "speedup_vs_single_baseline"),
-    ("hotpath.sparse_slab_msg_per_s", "hotpath", "sparse_slab_msg_per_s"),
-    ("hotpath.slab_vs_dict_dense", "hotpath", "slab_vs_dict_dense"),
-    ("hotpath.slab_vs_dict_dense_memory", "hotpath",
-     "slab_vs_dict_dense_memory"),
 )
 
 #: Absolute gates: ``(indicator, op, bound)`` over the newest snapshot.
@@ -103,15 +96,11 @@ ABSOLUTE_GATES = (
     ("fleet.fleet4_edge_coverage", ">=", 0.85),
     ("fleet.fleet4_speedup", ">=", 2.0),
     ("guard.organic_overhead", "<", 0.25),
-    ("hotpath.speedup_vs_single_baseline", ">=", 10.0),
-    ("hotpath.slab_vs_dict_dense", ">=", 0.9),
-    ("hotpath.slab_vs_dict_dense_memory", "<", 1.0),
 )
 
-#: Fleet and hot-path gates are only meaningful on a full-size run;
-#: quick/tiny CI smokes pin numbers where fixed process (or per-probe
-#: numpy) overhead dominates.
-_FULL_ONLY_PREFIXES = ("fleet.", "hotpath.")
+#: Fleet gates are only meaningful on a full-size run; quick/tiny CI
+#: smokes pin numbers where fixed process overhead dominates.
+_FULL_ONLY_PREFIXES = ("fleet.",)
 
 #: Which bench document backs each indicator (for full-scale checks).
 _INDICATOR_BENCH = {indicator: bench
@@ -124,7 +113,6 @@ RELATIVE_GATES = (
     "fleet.single_msg_per_s",
     "fleet.fleet4_msg_per_s",
     "guard.organic_rate_on",
-    "hotpath.sparse_slab_msg_per_s",
 )
 
 DEFAULT_DROP_TOLERANCE = 0.40

@@ -98,15 +98,6 @@ class IndexerConfig:
         ``"size"`` — smallest-first regardless of age.
         The non-default policies exist for the refinement-policy ablation
         benchmark.
-    postings_backend:
-        Storage layout behind the summary index (Fig. 5):
-        ``"slab"`` — contiguous-array slab postings with interned term
-        ids and arena reuse (the default hot path; see
-        :mod:`repro.core.postings`); ``"dict"`` — the legacy per-term
-        nested-dict layout, kept as the conformance reference.  The two
-        are byte-identical in every observable output
-        (``tests/test_api_conformance.py`` asserts it), so this knob
-        only trades memory layout and speed.
     """
 
     url_weight: float = 1.0
@@ -126,7 +117,6 @@ class IndexerConfig:
     max_keywords: int = 6
     keyword_hit_cap: int = 2
     refine_policy: str = "g"
-    postings_backend: str = "slab"
 
     def __post_init__(self) -> None:
         for name in ("url_weight", "hashtag_weight", "time_weight",
@@ -172,10 +162,6 @@ class IndexerConfig:
             raise ConfigurationError(
                 "refine_policy must be one of 'g', 'age', 'size'; got "
                 f"{self.refine_policy!r}")
-        if self.postings_backend not in ("slab", "dict"):
-            raise ConfigurationError(
-                "postings_backend must be 'slab' or 'dict'; got "
-                f"{self.postings_backend!r}")
 
     # ------------------------------------------------------------------
     # The three experiment variants of Section VI-A.

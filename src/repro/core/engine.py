@@ -263,8 +263,7 @@ class ProvenanceIndexer:
         self.analyzer = analyzer or Analyzer()
         self.store = store
         self.obs = obs or Observability()
-        self.summary_index = SummaryIndex(
-            backend=self.config.postings_backend)
+        self.summary_index = SummaryIndex()
         self.pool = BundlePool(self.config)
         self.stats = EngineStats()
         self.current_date = 0.0
@@ -771,7 +770,7 @@ class ProvenanceIndexer:
         # tightens the cap further via ``candidate_cap``.  The gather's
         # ids ascend, so a stable sort on hit count breaks count ties
         # on bundle id — the capped set, and with it the audit log, is
-        # identical across processes and backends.
+        # identical across processes.
         cap = self.config.max_candidates
         if self.candidate_cap is not None:
             cap = min(cap, self.candidate_cap)
@@ -779,8 +778,8 @@ class ProvenanceIndexer:
         # candidate sets over as plain lists (vector maths loses to a
         # pruned walk there) and heavy-hitter sets as numpy arrays.  The
         # two scoring paths are bit-identical, so this is purely a
-        # speed decision — asserted by the conformance matrix, where
-        # the dict backend always takes the scalar path.
+        # speed decision — asserted by the numpy differential in
+        # tests/property/test_engine_properties.py.
         if _np is not None and type(gather.ids) is not list:
             return self._select_vectorised(message, keywords, gather, cap,
                                            collect)

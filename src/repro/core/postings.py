@@ -1,30 +1,24 @@
-"""Postings storage backends behind the summary index (Fig. 5).
+"""Postings storage behind the summary index (Fig. 5).
 
 The summary index logically maps ``kind -> term -> {bundle_id: count}``;
 *how* those postings are laid out in memory is this module's concern.
-Two conforming backends implement the :class:`PostingsStorage` protocol:
+:class:`SlabPostingsStorage` is the only layout: contiguous-array slabs
+following the dynamic memory-allocation policies of Asadi & Lin's
+real-time Twitter search work.  Terms are interned to dense ids, each
+term owns one extent inside a per-kind arena, extents grow by
+power-of-two slices seeded from the measured workload anatomy
+(:data:`SLAB_SLICE_SCHEDULE`, projected in ``BENCH_anatomy.json``), and
+freed extents go to per-capacity free lists so eviction churn reuses
+arena space instead of fragmenting it.
 
-* :class:`DictPostingsStorage` — the legacy nested-dict layout, one
-  Python dict per term.  Simple, O(1) updates, but every posting entry
-  costs a boxed int pair plus dict-slot overhead, and candidate
-  gathering walks Python objects.
-* :class:`SlabPostingsStorage` — contiguous-array slabs following the
-  dynamic memory-allocation policies of Asadi & Lin's real-time Twitter
-  search work: terms are interned to dense ids, each term owns one
-  extent inside a per-kind arena, extents grow by power-of-two slices
-  seeded from the measured workload anatomy
-  (:data:`SLAB_SLICE_SCHEDULE`, projected in ``BENCH_anatomy.json``),
-  and freed extents go to per-capacity free lists so eviction churn
-  reuses arena space instead of fragmenting it.
-
-Both backends produce byte-identical observable output — same candidate
-sets, same counts, same term iteration order (dict insertion order of
-first appearance) — which ``tests/test_api_conformance.py`` asserts on
-full seeded replays.  The slab arenas are ``array('q')`` buffers, so
-when numpy is available (the image ships it; see ``core/dedup.py`` for
-the same pattern) :meth:`SlabPostingsStorage.gather` turns candidate
+The arenas are ``array('q')`` buffers, so when numpy is available (the
+image ships it; see ``core/dedup.py`` for the same pattern)
+:meth:`SlabPostingsStorage.gather` turns heavy-hitter candidate
 fetching into a handful of array ops over zero-copy views; without
 numpy every path falls back to pure Python with identical results.
+Terms iterate in dict insertion order of first appearance.  The
+nested-dict layout this one is checked against lives in
+``tests/postings_oracle.py``.
 """
 
 from __future__ import annotations
@@ -32,10 +26,9 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from importlib import import_module
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import IndexError_
 
@@ -50,10 +43,7 @@ __all__ = [
     "INDICANT_KINDS",
     "SLAB_SLICE_SCHEDULE",
     "CandidateGather",
-    "PostingsStorage",
-    "DictPostingsStorage",
     "SlabPostingsStorage",
-    "open_storage",
 ]
 
 #: The four indicant kinds of Fig. 5, in canonical order.  The gather
@@ -77,25 +67,20 @@ SLAB_SLICE_SCHEDULE: Mapping[str, int] = MappingProxyType({
     "user": 1,
 })
 
-# Byte model behind the legacy dict backend's deterministic memory
-# estimate; least-squares calibrated against the measured deep-size
-# walk in repro.obs.anatomy (see tests/obs/test_anatomy.py).
-_DICT_TERM_BASE_BYTES = 242  # term str header + outer dict slot + dict base
-_DICT_TERM_ENTRY_BYTES = 76  # inner dict slot + boxed bundle id + count
-
-# Slab equivalent: arenas are measured exactly via sys.getsizeof (the
-# buffers dominate), so only the interning side needs a model — term
-# string header + intern-dict slot + name-list slot + boxed tid.
+# Byte model behind the deterministic memory estimate.  Arenas are
+# measured exactly via sys.getsizeof (the buffers dominate), so only
+# the interning side needs a model — term string header + intern-dict
+# slot + name-list slot + boxed tid — calibrated against the measured
+# deep-size walk in repro.obs.anatomy (see tests/obs/test_anatomy.py).
 _SLAB_TERM_BASE_BYTES = 150
 
 
 class CandidateGather:
     """Candidate bundles of one message, with per-kind postings hits.
 
-    The vectorised replacement for ``Counter`` candidate maps: ``ids``
-    holds the candidate bundle ids in ascending order, ``hits`` the
-    total postings hits per candidate (the Algorithm 1 cap weight), and
-    ``kind_hits`` one aligned row per :data:`INDICANT_KINDS` entry.
+    ``ids`` holds the candidate bundle ids in ascending order, ``hits``
+    the total postings hits per candidate (the Algorithm 1 cap weight),
+    and ``kind_hits`` one aligned row per :data:`INDICANT_KINDS` entry.
 
     The per-kind rows are the Eq. 1 inputs directly: a bundle's hit
     count under kind *url* is exactly ``|url(t) ∩ url(B)|`` because the
@@ -104,7 +89,7 @@ class CandidateGather:
     ``Bundle.shared_counts`` set intersections entirely.
 
     Sequences are plain lists for small candidate sets (and always
-    without numpy) and numpy ``int64`` arrays when the slab backend's
+    without numpy) and numpy ``int64`` arrays when the slab's
     vectorised gather produced them; both spell the same values, and
     the engine dispatches its scoring path on the representation.
     """
@@ -120,20 +105,12 @@ class CandidateGather:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def counter(self) -> "Counter[int]":
-        """The legacy ``Counter`` view (ascending bundle-id order)."""
-        hits: "Counter[int]" = Counter()
-        for bundle_id, total in zip(self.ids, self.hits):
-            hits[int(bundle_id)] = int(total)
-        return hits
-
 
 #: Postings-hit count below which the slab gather stays in pure Python.
 #: A handful of tiny numpy kernels (slice, concatenate, unique) costs
 #: more than walking a few hundred entries in a dict; sweeping the
-#: cutoff over dense and sparse workloads (see
-#: ``benchmarks/bench_hotpath.py``) puts the crossover near 512 on
-#: CPython 3.11.  Both sides produce identical values — the cutoff is
+#: cutoff over dense and sparse workloads puts the crossover near 512
+#: on CPython 3.11.  Both sides produce identical values — the cutoff is
 #: a speed knob, never a semantics knob.
 SMALL_GATHER_CUTOFF = 512
 
@@ -143,11 +120,11 @@ def _empty_gather() -> CandidateGather:
 
 
 def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
-    """Shared pure-Python packaging: per-id kind rows -> CandidateGather.
+    """Pure-Python packaging: per-id kind rows -> CandidateGather.
 
     Always returns plain lists: the engine's scalar selection consumes
     them directly, and small candidate sets (the common case) never pay
-    a numpy-array construction.  The slab backend's numpy gather builds
+    a numpy-array construction.  The slab's numpy gather builds
     arrays itself for the large sets where vector maths wins.
     """
     if not acc:
@@ -162,160 +139,6 @@ def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
         [row[3] for row in rows],
     )
     return CandidateGather(ids, totals, columns)
-
-
-class PostingsStorage(Protocol):
-    """What the summary index requires of a postings layout.
-
-    ``bump``/``drop`` are the Algorithm 1 index-update verbs (insertion
-    and eviction); ``gather`` is the candidate-fetch step returning a
-    :class:`CandidateGather`; the remaining methods are the
-    introspection surface the anatomy/metrics layers read.  Unknown
-    kinds raise :class:`~repro.core.errors.IndexError_` everywhere.
-    """
-
-    def bump(self, kind: str, terms: "Iterable[str]",
-             bundle_id: int) -> None:
-        """Count one occurrence of each term under ``bundle_id``."""
-        ...
-
-    def drop(self, kind: str, terms: "Iterable[str]",
-             bundle_id: int) -> None:
-        """Erase ``bundle_id`` from each term's postings entirely."""
-        ...
-
-    def gather(self, groups: "Sequence[tuple[str, Iterable[str]]]",
-               ) -> CandidateGather:
-        """Candidate bundles hit by any (kind, terms) probe group."""
-        ...
-
-    def postings(self, kind: str, term: str) -> "Mapping[int, int]":
-        """Read-only ``{bundle_id: count}`` view of one term."""
-        ...
-
-    def terms(self, kind: str) -> "Iterator[str]":
-        """Iterate one kind's terms (first-appearance order)."""
-        ...
-
-    def term_count(self, kind: "str | None" = None) -> int:
-        ...
-
-    def entry_count(self, kind: "str | None" = None) -> int:
-        ...
-
-    def postings_length(self, kind: str, term: str) -> int:
-        ...
-
-    def postings_lengths(self, kind: str) -> "list[int]":
-        ...
-
-    def approximate_memory_bytes(self) -> int:
-        ...
-
-    def memory_root(self) -> object:
-        """The object the deep-size memory accountant should walk."""
-        ...
-
-
-class DictPostingsStorage:
-    """The legacy layout: ``kind -> term -> {bundle_id: count}`` dicts.
-
-    Kept as the conformance reference and as a debugging fallback —
-    every observable output matches :class:`SlabPostingsStorage`
-    byte-for-byte.
-    """
-
-    __slots__ = ("_maps",)
-
-    def __init__(self) -> None:
-        self._maps: "dict[str, dict[str, dict[int, int]]]" = {
-            kind: {} for kind in INDICANT_KINDS
-        }
-
-    def _map_for(self, kind: str) -> "dict[str, dict[int, int]]":
-        try:
-            return self._maps[kind]
-        except KeyError:
-            raise IndexError_(f"unknown indicant kind {kind!r}") from None
-
-    def bump(self, kind: str, terms: "Iterable[str]",
-             bundle_id: int) -> None:
-        term_map = self._map_for(kind)
-        for term in terms:
-            bundles = term_map.get(term)
-            if bundles is None:
-                bundles = term_map[term] = {}
-            bundles[bundle_id] = bundles.get(bundle_id, 0) + 1
-
-    def drop(self, kind: str, terms: "Iterable[str]",
-             bundle_id: int) -> None:
-        term_map = self._map_for(kind)
-        for term in terms:
-            bundles = term_map.get(term)
-            if bundles is None:
-                continue
-            bundles.pop(bundle_id, None)
-            if not bundles:
-                del term_map[term]
-
-    def gather(self, groups: "Sequence[tuple[str, Iterable[str]]]",
-               ) -> CandidateGather:
-        acc: "dict[int, list[int]]" = {}
-        for kind, terms in groups:
-            term_map = self._map_for(kind)
-            kind_index = _KIND_INDEX[kind]
-            for term in terms:
-                bundles = term_map.get(term)
-                if bundles is None:
-                    continue
-                for bundle_id in bundles:
-                    row = acc.get(bundle_id)
-                    if row is None:
-                        row = acc[bundle_id] = [0] * _KIND_COUNT
-                    row[kind_index] += 1
-        return _package_gather(acc)
-
-    def postings(self, kind: str, term: str) -> "Mapping[int, int]":
-        bundles = self._map_for(kind).get(term)
-        if bundles is None:
-            return MappingProxyType({})
-        return MappingProxyType(bundles)
-
-    def terms(self, kind: str) -> "Iterator[str]":
-        return iter(self._map_for(kind))
-
-    def term_count(self, kind: "str | None" = None) -> int:
-        if kind is not None:
-            return len(self._map_for(kind))
-        return sum(len(terms) for terms in self._maps.values())
-
-    def entry_count(self, kind: "str | None" = None) -> int:
-        if kind is not None:
-            return sum(len(bundles)
-                       for bundles in self._map_for(kind).values())
-        return sum(
-            len(bundles)
-            for terms in self._maps.values()
-            for bundles in terms.values()
-        )
-
-    def postings_length(self, kind: str, term: str) -> int:
-        bundles = self._map_for(kind).get(term)
-        return len(bundles) if bundles is not None else 0
-
-    def postings_lengths(self, kind: str) -> "list[int]":
-        return [len(bundles) for bundles in self._map_for(kind).values()]
-
-    def approximate_memory_bytes(self) -> int:
-        total = 0
-        for terms in self._maps.values():
-            for term, bundles in terms.items():
-                total += (_DICT_TERM_BASE_BYTES + len(term)
-                          + len(bundles) * _DICT_TERM_ENTRY_BYTES)
-        return total
-
-    def memory_root(self) -> object:
-        return self._maps
 
 
 class _KindSlab:
@@ -440,17 +263,21 @@ class SlabPostingsStorage:
     """Slab-allocated postings: interned terms over contiguous arenas.
 
     See the module docstring for the layout; per-kind initial slice
-    capacities come from ``schedule`` (default
-    :data:`SLAB_SLICE_SCHEDULE`, the measured workload projection).
+    capacities come from :data:`SLAB_SLICE_SCHEDULE`, the measured
+    workload projection.
+
+    ``bump``/``drop`` are the Algorithm 1 index-update verbs (insertion
+    and eviction); ``gather`` is the candidate-fetch step returning a
+    :class:`CandidateGather`; the remaining methods are the
+    introspection surface the anatomy/metrics layers read.  Unknown
+    kinds raise :class:`~repro.core.errors.IndexError_` everywhere.
     """
 
     __slots__ = ("_slabs",)
 
-    def __init__(self, schedule: "Mapping[str, int] | None" = None) -> None:
-        if schedule is None:
-            schedule = SLAB_SLICE_SCHEDULE
+    def __init__(self) -> None:
         self._slabs: "dict[str, _KindSlab]" = {
-            kind: _KindSlab(max(1, int(schedule.get(kind, 1))))
+            kind: _KindSlab(SLAB_SLICE_SCHEDULE[kind])
             for kind in INDICANT_KINDS
         }
 
@@ -598,13 +425,3 @@ def _SLAB_TERM_BYTES_FOR(slab: _KindSlab) -> int:
     for term in slab.tids:
         total += len(term)
     return total
-
-
-def open_storage(backend: str) -> "PostingsStorage":
-    """Build a postings backend by name (``"slab"`` or ``"dict"``)."""
-    if backend == "slab":
-        return SlabPostingsStorage()
-    if backend == "dict":
-        return DictPostingsStorage()
-    raise IndexError_(
-        f"unknown postings backend {backend!r}; expected 'slab' or 'dict'")

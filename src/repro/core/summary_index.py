@@ -6,39 +6,42 @@ together with an occurrence count — exactly the ``{id, count}`` items the
 paper draws in Fig. 5.  It supports the three phases of Algorithm 1:
 candidate fetching, and incremental updates on insertion and eviction.
 
-How the postings are laid out in memory is delegated to a
-:class:`~repro.core.postings.PostingsStorage` backend — the
-slab-allocated arena layout by default, the legacy nested-dict layout as
-the conformance reference (``IndexerConfig.postings_backend``).  The
-index's public surface is layout-free: :meth:`postings` and
-:meth:`iter_terms` return read-only views, and the candidate-fetch step
-returns a :class:`~repro.core.postings.CandidateGather` carrying the
-per-kind hit counts Eq. 1 needs, so the engine never reaches into
-postings containers.
+How the postings are laid out in memory is delegated to
+:class:`~repro.core.postings.SlabPostingsStorage`, the slab-allocated
+arena layout.  The index's public surface is layout-free:
+:meth:`postings` and :meth:`iter_terms` return read-only views, and the
+candidate-fetch step returns a
+:class:`~repro.core.postings.CandidateGather` carrying the per-kind hit
+counts Eq. 1 needs, so the engine never reaches into postings
+containers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.core.bundle import Bundle
 from repro.core.message import Message
 from repro.core.postings import (INDICANT_KINDS, CandidateGather,
-                                 PostingsStorage, open_storage)
+                                 SlabPostingsStorage)
 
 __all__ = ["SummaryIndex", "INDICANT_KINDS"]
 
 
 class SummaryIndex:
-    """Inverted index from bundle indicants to bundle ids with counts."""
+    """Inverted index from bundle indicants to bundle ids with counts.
+
+    ``storage`` is the test seam: the conformance suites pass the
+    nested-dict oracle (``tests/postings_oracle.py``) to check the slab
+    against it.
+    """
 
     __slots__ = ("_storage",)
 
-    def __init__(self, backend: str = "slab", *,
-                 storage: "PostingsStorage | None" = None) -> None:
-        self._storage: PostingsStorage = (
-            storage if storage is not None else open_storage(backend))
+    def __init__(self, *,
+                 storage: "SlabPostingsStorage | None" = None) -> None:
+        self._storage = (
+            storage if storage is not None else SlabPostingsStorage())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -56,9 +59,8 @@ class SummaryIndex:
         """Read-only ``{bundle_id: count}`` view of one term.
 
         Empty mapping when the term is unseen.  The view is immutable
-        (mutating it raises ``TypeError``) and may be either live or a
-        snapshot depending on the backend — treat it as ephemeral and
-        copy if you need to keep it across index updates.
+        (mutating it raises ``TypeError``) and a snapshot of the term's
+        extent — treat it as ephemeral and re-read after index updates.
         """
         return self._storage.postings(kind, term)
 
@@ -118,14 +120,6 @@ class SummaryIndex:
     # Algorithm 1, step 1 — candidate fetching
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _probe_groups(message: Message, keywords: "frozenset[str]",
-                      ) -> "tuple[tuple[str, Iterable[str]], ...]":
-        return (("hashtag", message.hashtags),
-                ("url", message.urls),
-                ("keyword", keywords),
-                ("user", message.rt_users))
-
     def gather_candidates(self, message: Message,
                           keywords: "frozenset[str]") -> CandidateGather:
         """Candidate bundles with per-kind postings-hit counts.
@@ -135,33 +129,10 @@ class SummaryIndex:
         the engine scores all candidates in a few array ops instead of
         intersecting per-bundle summaries.
         """
-        return self._storage.gather(self._probe_groups(message, keywords))
-
-    def candidates(self, message: Message,
-                   keywords: "frozenset[str]") -> "Counter[int]":
-        """Candidate bundles for an incoming message.
-
-        Returns a counter of bundle ids weighted by how many indicant
-        postings hit them — the engine uses the weight to cap the number
-        of bundles that get fully scored (``max_candidates``).
-        """
-        return self.gather_candidates(message, keywords).counter()
-
-    def candidates_batch(
-        self, probes: "Iterable[tuple[Message, frozenset[str]]]",
-    ) -> "list[CandidateGather]":
-        """Candidate gathers for a batch of (message, keywords) probes.
-
-        A read-only bulk probe against the *current* index state — the
-        primary spelling for repair probes and offline scoring.  Note
-        that live ingestion cannot reuse one batch of gathers across
-        placements (each placement updates the index the next message's
-        candidates depend on); the engine therefore gathers per message
-        inside :meth:`~repro.core.engine.ProvenanceIndexer.ingest_batch`
-        and amortises the text analysis instead.
-        """
-        return [self._storage.gather(self._probe_groups(message, keywords))
-                for message, keywords in probes]
+        return self._storage.gather((("hashtag", message.hashtags),
+                                     ("url", message.urls),
+                                     ("keyword", keywords),
+                                     ("user", message.rt_users)))
 
     # ------------------------------------------------------------------
     # Algorithm 1, step 3 — index updating

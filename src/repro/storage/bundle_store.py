@@ -36,6 +36,12 @@ _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".log"
 
 
+def _ends_with_newline(path: Path) -> bool:
+    with path.open("rb") as handle:
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) == b"\n"
+
+
 def _segment_name(index: int) -> str:
     return f"{_SEGMENT_PREFIX}{index:05d}{_SEGMENT_SUFFIX}"
 
@@ -227,6 +233,13 @@ class BundleStore:
         if self._handle is None:  # first append, or after close/failure
             path = self._segment_path(self._active)
             self._offset = path.stat().st_size if path.exists() else 0
+            if self._offset > 0 and not _ends_with_newline(path):
+                # A failed write left a fragment at the tail: terminate
+                # it, or a later scan reads fragment + this record as
+                # one corrupt line and the record is lost.
+                with filesystem().open(path, "ab") as handle:
+                    handle.write(b"\n")
+                self._offset += 1
         if (self._offset > 0
                 and self._offset + len(record) > self.max_segment_bytes):
             self.close()

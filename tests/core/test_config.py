@@ -66,6 +66,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             IndexerConfig(alloc_window=0)
 
+    def test_postings_layout_is_not_an_option(self):
+        # One layout ships; the dict one is tests/postings_oracle.py.
+        with pytest.raises(TypeError):
+            IndexerConfig(postings_backend="dict")
+
     def test_unknown_refine_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             IndexerConfig(refine_policy="lru")

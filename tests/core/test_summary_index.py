@@ -1,4 +1,4 @@
-"""Tests for the summary index (Fig. 5), over both postings backends."""
+"""Tests for the summary index (Fig. 5): the slab and the dict oracle."""
 
 from __future__ import annotations
 
@@ -12,13 +12,19 @@ from repro.core.postings import SlabPostingsStorage
 from repro.core.summary_index import INDICANT_KINDS, SummaryIndex
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_message
+from tests.postings_oracle import dict_index
 
-BACKENDS = ("slab", "dict")
+BACKENDS = {"slab": SummaryIndex, "dict": dict_index}
 
 
 @pytest.fixture(params=BACKENDS)
 def index(request) -> SummaryIndex:
-    return SummaryIndex(backend=request.param)
+    return BACKENDS[request.param]()
+
+
+def _hits(index, message, keywords) -> dict:
+    gather = index.gather_candidates(message, keywords)
+    return dict(zip(gather.ids, gather.hits))
 
 
 class TestAddAndLookup:
@@ -65,7 +71,7 @@ class TestCandidates:
         index.add_message(2, make_message(2, "#a", user="b", hours=1),
                           frozenset())
         incoming = make_message(3, "#a check bit.ly/z", user="c", hours=2)
-        hits = index.candidates(incoming, frozenset())
+        hits = _hits(index, incoming, frozenset())
         assert hits[1] == 2  # hashtag + url
         assert hits[2] == 1  # hashtag only
 
@@ -83,7 +89,7 @@ class TestCandidates:
         assert list(user_hits) == [0, 0]
         assert list(gather.hits) == [2, 2]
 
-    def test_candidates_batch_matches_single_probes(self, index):
+    def test_gather_is_a_read_only_probe(self, index):
         index.add_message(1, make_message(1, "#a bit.ly/z"), frozenset())
         index.add_message(2, make_message(2, "#a", user="b", hours=1),
                           frozenset())
@@ -91,8 +97,9 @@ class TestCandidates:
             (make_message(3, "#a", user="c", hours=2), frozenset()),
             (make_message(4, "bit.ly/z", user="d", hours=3), frozenset()),
         ]
-        batched = index.candidates_batch(probes)
-        assert len(batched) == 2
+        # Read-only: probing twice, in either order, sees the same state.
+        batched = [index.gather_candidates(*probe) for probe in probes]
+        assert [list(gather.ids) for gather in batched] == [[1, 2], [1]]
         for gather, (message, keywords) in zip(batched, probes):
             single = index.gather_candidates(message, keywords)
             assert list(gather.ids) == list(single.ids)
@@ -101,17 +108,17 @@ class TestCandidates:
     def test_rt_users_hit_user_map(self, index):
         index.add_message(4, make_message(1, "news", user="mlb"), frozenset())
         incoming = make_message(2, "RT @mlb: news", user="fan", hours=1)
-        assert index.candidates(incoming, frozenset())[4] == 1
+        assert _hits(index, incoming, frozenset())[4] == 1
 
     def test_keywords_hit_keyword_map(self, index):
         index.add_message(5, make_message(1, "x"), frozenset({"game"}))
         incoming = make_message(2, "y", user="b", hours=1)
-        assert index.candidates(incoming, frozenset({"game"}))[5] == 1
+        assert _hits(index, incoming, frozenset({"game"}))[5] == 1
 
     def test_no_candidates_for_unseen_indicants(self, index):
         index.add_message(1, make_message(1, "#a"), frozenset())
         incoming = make_message(2, "#zzz", user="b", hours=1)
-        assert not index.candidates(incoming, frozenset())
+        assert not _hits(index, incoming, frozenset())
 
 
 class TestRemoveBundle:
@@ -250,9 +257,9 @@ _PLANS = st.lists(
 class TestRoundTripProperty:
     @staticmethod
     def _replay(plan):
-        """Drive both backends in lockstep; return them plus the bundles."""
-        slab = SummaryIndex(backend="slab")
-        legacy = SummaryIndex(backend="dict")
+        """Drive both layouts in lockstep; return them plus the bundles."""
+        slab = SummaryIndex()
+        legacy = dict_index()
         bundles: dict[int, Bundle] = {}
         for msg_id, (bundle_id, text, user, keywords) in enumerate(plan):
             bundle = bundles.setdefault(bundle_id, Bundle(bundle_id))

@@ -9,6 +9,7 @@ persistence layers.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -264,71 +265,134 @@ def scoring_configs(draw):
         alloc_window=draw(st.sampled_from([1, 4, 64])),
         max_pool_size=pool, refine_trigger=pool,
         max_bundle_size=draw(st.sampled_from([None, 3, 6])),
-        max_candidates=draw(st.sampled_from([1, 2, 64])),
-        postings_backend=draw(st.sampled_from(["slab", "dict"])))
+        max_candidates=draw(st.sampled_from([1, 2, 64])))
 
 
 def _replay(config, candidate_cap, audited, messages, ops):
     """Drive one engine through the script; return everything decided."""
     import tempfile
+    from itertools import count
 
     from repro.obs import Observability
     from repro.obs.audit import AuditLog
 
     def attach_audit(engine):
         if audited:
-            engine.obs.audit = AuditLog()
+            engine.obs.audit = AuditLog(
+                sink=f"{tmp}/audit-{next(sink_ids)}.jsonl")
             engine.obs.audit.bind(engine.pool)
 
     def harvest(engine):
         if audited:
             transcript.extend(record.to_dict() for record
                               in engine.obs.audit.tail(len(messages)))
+            engine.obs.audit.close()
+            # The JSONL bytes: numpy scalars leaking into a record
+            # would serialise differently (or not at all).
+            sink = engine.obs.audit.sink
+            transcript.append(sink.read_bytes() if sink.exists() else b"")
 
-    transcript: list = []
-    engine = ProvenanceIndexer(config, obs=Observability())
-    engine.candidate_cap = candidate_cap
-    attach_audit(engine)
-    for message, (op, pick) in zip(messages, ops):
-        if op == "snapshot":
-            harvest(engine)
-            with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        sink_ids = count()
+        transcript: list = []
+        engine = ProvenanceIndexer(config, obs=Observability())
+        engine.candidate_cap = candidate_cap
+        attach_audit(engine)
+        for message, (op, pick) in zip(messages, ops):
+            if op == "snapshot":
+                harvest(engine)
                 save_snapshot(engine, f"{tmp}/snap.json")
                 engine = load_snapshot(f"{tmp}/snap.json")
-            engine.candidate_cap = candidate_cap
-            attach_audit(engine)
-        bundles = list(engine.pool)
-        if op == "fold" and bundles:
-            target = bundles[pick % len(bundles)]
-            result = engine.ingest_folded(message, target.bundle_id,
-                                          target.message_ids()[0])
-        else:
-            result = engine.ingest(message)
-        edge = result.edge
-        transcript.append((
-            result.msg_id, result.bundle_id, result.created_bundle,
-            None if edge is None else
-            (edge.dst_id, edge.kind, edge.score.hex())))
-    harvest(engine)
+                engine.candidate_cap = candidate_cap
+                attach_audit(engine)
+            bundles = list(engine.pool)
+            if op == "fold" and bundles:
+                target = bundles[pick % len(bundles)]
+                result = engine.ingest_folded(message, target.bundle_id,
+                                              target.message_ids()[0])
+            else:
+                result = engine.ingest(message)
+            edge = result.edge
+            transcript.append((
+                result.msg_id, result.bundle_id, result.created_bundle,
+                None if edge is None else
+                (edge.dst_id, edge.kind, edge.score.hex())))
+        harvest(engine)
     transcript.append(sorted(engine.edge_pairs()))
+    transcript.append(engine.stats())
+    transcript.append([(hit.bundle_id, hit.size, hit.score.hex())
+                       for hit in engine.search("storm #red", k=10)])
     return transcript
 
 
 class TestPruningIsLossless:
     """Bound-and-skip Alg. 1 / Alg. 2 against ``tests/scoring_oracle``."""
 
+    OPS = st.tuples(st.sampled_from(["ingest"] * 6 + ["fold", "snapshot"]),
+                    st.integers(min_value=0, max_value=7))
+
     @settings(deadline=None)
-    @given(scoring_configs(), st.sampled_from([None, 1, 3]), st.booleans(),
+    @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
+           st.sampled_from([None, 1, 3]), st.booleans(),
            scoring_messages(), st.data())
     def test_shipped_selection_equals_exhaustive_argmax(
-            self, config, candidate_cap, audited, messages, data):
+            self, config, layout, candidate_cap, audited, messages, data):
+        from tests.postings_oracle import postings_layout
         from tests.scoring_oracle import exhaustive_scoring
 
-        ops = data.draw(st.lists(
-            st.tuples(st.sampled_from(["ingest"] * 6 + ["fold", "snapshot"]),
-                      st.integers(min_value=0, max_value=7)),
-            min_size=len(messages), max_size=len(messages)))
-        shipped = _replay(config, candidate_cap, audited, messages, ops)
-        with exhaustive_scoring():
-            oracle = _replay(config, candidate_cap, audited, messages, ops)
+        ops = data.draw(st.lists(self.OPS, min_size=len(messages),
+                                 max_size=len(messages)))
+        with postings_layout(layout):
+            shipped = _replay(config, candidate_cap, audited, messages, ops)
+            with exhaustive_scoring():
+                oracle = _replay(config, candidate_cap, audited, messages,
+                                 ops)
         assert shipped == oracle
+
+    def test_numpy_selection_equals_scalar_oracle(self):
+        """The numpy gather + Eq. 1 kernel against dict layout + argmax.
+
+        With the cutoff at zero every non-empty slab gather comes back
+        as arrays, so ``_select_vectorised`` decides every placement the
+        oracle engine (list gathers only, exhaustive loops) decides by
+        the scalar route.
+        """
+        pytest.importorskip("numpy")
+        from unittest import mock
+
+        from repro.core import postings
+        from tests.postings_oracle import dict_postings
+        from tests.scoring_oracle import exhaustive_scoring
+
+        calls = {"vectorised": 0, "scalar": 0}
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        @settings(deadline=None)
+        @given(scoring_configs(), st.sampled_from([None, 1, 3]),
+               st.booleans(), scoring_messages(), st.data())
+        def differential(config, candidate_cap, audited, messages, data):
+            ops = data.draw(st.lists(self.OPS, min_size=len(messages),
+                                     max_size=len(messages)))
+            with (mock.patch.object(postings, "SMALL_GATHER_CUTOFF", 0),
+                  mock.patch.object(
+                      ProvenanceIndexer, "_select_vectorised",
+                      counted("vectorised",
+                              ProvenanceIndexer._select_vectorised)),
+                  mock.patch.object(
+                      ProvenanceIndexer, "_select_scalar",
+                      counted("scalar", ProvenanceIndexer._select_scalar))):
+                shipped = _replay(config, candidate_cap, audited, messages,
+                                  ops)
+            with dict_postings(), exhaustive_scoring():
+                oracle = _replay(config, candidate_cap, audited, messages,
+                                 ops)
+            assert shipped == oracle
+
+        differential()
+        assert calls["vectorised"] > 0
+        assert calls["scalar"] == 0

@@ -320,6 +320,28 @@ class TestFailedWrites:
         assert survivor.load(3).bundle_id == 3
         with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
             later = BundleStore(directory, tolerant=True)
-        assert 2 not in later
+        assert later.bundle_ids() == [1, 3]
         for bundle_id in later.bundle_ids():
             assert later.load(bundle_id).bundle_id == bundle_id
+
+    def test_torn_tail_does_not_swallow_the_next_record(self, tmp_path):
+        directory = tmp_path / "store"
+        store = BundleStore(directory)
+        store.append(build_bundle(1))
+        store.close()
+        with pytest.raises(SimulatedCrash):
+            with FaultInjector([Fault(op="write", nth=1, kind="torn",
+                                      keep_bytes=40,
+                                      path_part="segment-")]):
+                store.append(build_bundle(2, size=4))
+        # The next append is written and acknowledged behind the fragment.
+        store.append(build_bundle(3))
+        assert store.load(3).bundle_id == 3
+        store.close()
+
+        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
+            reopened = BundleStore(directory, tolerant=True)
+        assert reopened.corrupt_records_skipped == 1
+        assert reopened.bundle_ids() == [1, 3]
+        assert reopened._offsets == store._offsets
+        assert reopened.load(3).message_ids() == build_bundle(3).message_ids()

@@ -88,6 +88,43 @@ class TestSnapshotRoundTrip:
             b.bundle_id for b in indexer.pool}
 
 
+# Written by ``save_snapshot`` at the last commit that still had
+# ``IndexerConfig.postings_backend`` (by a ``"dict"`` engine): the field
+# was never serialised, so removing it changed nothing on disk.
+_PARENT_SNAPSHOT = (
+    '{"bundles":[{"closed":false,"edges":[{"dst":0,"kind":"rt",'
+    '"score":3.1333333333333333,"src":1}],"id":0,"keywords":{"0":["flood",'
+    '"storm","warn"],"1":["flood","storm","warn"]},'
+    '"last_update":1249086600.0,"messages":[{"date":1249084800.0,"id":0,'
+    '"rt":[],"tags":["storm"],"text":"#storm flood warning","urls":[],'
+    '"user":"alice"},{"date":1249086600.0,"id":1,"rt":["alice"],'
+    '"tags":["storm"],"text":"RT @alice: #storm flood warning","urls":[],'
+    '"user":"bob"}],"v":1}],"config":{"alloc_window":64,'
+    '"hashtag_weight":0.8,"keyword_hit_cap":2,"keyword_weight":0.2,'
+    '"max_bundle_size":null,"max_candidates":64,"max_keywords":6,'
+    '"max_pool_size":50,"min_match_score":1.0,"refine_age":172800.0,'
+    '"refine_policy":"g","refine_target_fraction":0.8,"refine_tiny_size":3,'
+    '"refine_trigger":50,"rt_weight":2.0,"time_weight":0.5,'
+    '"url_weight":1.0},"current_date":1249086600.0,"edges":[[1,0]],'
+    '"next_bundle_id":1,"stats":{"bundles_closed":0,"bundles_created":1,'
+    '"bundles_matched":1,"edges_created":1,"messages_ingested":2,'
+    '"refinements":0},"v":1}')
+
+
+class TestParentSnapshot:
+    def test_snapshot_from_before_the_layout_verdict_loads(self, tmp_path):
+        path = tmp_path / "parent.json"
+        path.write_text(_PARENT_SNAPSHOT)
+        restored = load_snapshot(path)
+        assert restored.config == IndexerConfig.partial_index(pool_size=50)
+        assert restored.edge_pairs() == {(1, 0)}
+        assert dict(restored.summary_index.postings("hashtag", "storm")) \
+            == {0: 2}
+        resaved = tmp_path / "resaved.json"
+        save_snapshot(restored, resaved)
+        assert resaved.read_text() == _PARENT_SNAPSHOT
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):

@@ -140,13 +140,13 @@ def test_every_exported_name_resolves(package):
 
 
 class TestPostingsBackendMatrix:
-    """Dict vs slab postings layouts must be observationally identical.
+    """The slab postings layout against the dict oracle layout.
 
-    The slab backend (and the vectorised Eq. 1 scoring it feeds) is a
-    pure layout change: same candidate sets, same scores, same
-    placements, same audit evidence.  Both cells of the matrix replay
-    the same stream and every observable — provenance edges, search
-    ranking, unified stats, the audit JSONL *bytes* — must agree.
+    The slab is a pure layout change over ``tests/postings_oracle``:
+    same candidate sets, same scores, same placements, same audit
+    evidence.  Both cells of the matrix replay the same stream and
+    every observable — provenance edges, search ranking, unified stats,
+    the audit JSONL *bytes* — must agree.
     """
 
     POOL = 140  # ~70:1 message:pool ratio for the 10k seeded replay
@@ -154,17 +154,25 @@ class TestPostingsBackendMatrix:
     @staticmethod
     def _replay(backend, messages, sink):
         from repro.obs import AuditLog, Observability
+        from tests.postings_oracle import DictPostingsOracle, postings_layout
 
         audit = AuditLog(sink=sink)
-        engine = ProvenanceIndexer(
-            IndexerConfig.partial_index(
-                pool_size=TestPostingsBackendMatrix.POOL,
-                postings_backend=backend),
-            obs=Observability(audit=audit))
+        with postings_layout(backend):
+            engine = ProvenanceIndexer(
+                IndexerConfig.partial_index(
+                    pool_size=TestPostingsBackendMatrix.POOL),
+                obs=Observability(audit=audit))
+        assert isinstance(engine.summary_index._storage,
+                          DictPostingsOracle) == (backend == "dict")
         engine.ingest_batch(messages, count_only=True)
         outcome = {
             "edges": engine.edge_pairs(),
             "stats": engine.stats(),
+            # Registry gauges are bound in the engine's constructor, so
+            # they read whichever layout it was built over.
+            "index_gauges": (
+                engine.obs.registry.value("repro_index_terms"),
+                engine.obs.registry.value("repro_index_entries")),
             "index_shape": {
                 kind: (engine.summary_index.term_count(kind),
                        engine.summary_index.entry_count(kind),
@@ -185,7 +193,8 @@ class TestPostingsBackendMatrix:
             outcome["audit_bytes"] = sink.read_bytes()
             results[backend] = outcome
         assert results["slab"]["audit_bytes"]  # non-empty comparison
-        for key in ("edges", "stats", "index_shape", "hits",
+        assert results["dict"]["index_gauges"][0] > 0
+        for key in ("edges", "stats", "index_gauges", "index_shape", "hits",
                     "audit_bytes"):
             assert results["slab"][key] == results["dict"][key], key
         return results
