@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import os
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import IO, Any, Callable, Iterable, Iterator
 
 __all__ = [
     "FileSystem",
@@ -27,6 +28,9 @@ __all__ = [
     "set_filesystem",
     "reset_filesystem",
     "write_atomic",
+    "FramedLog",
+    "commit_scope",
+    "read_framed",
     "frame_line",
     "check_frame",
     "escape_field",
@@ -172,3 +176,116 @@ def write_atomic(path: "str | os.PathLike[str]",
             handle.write(chunk)
         fs.fsync(handle)
     fs.replace(tmp, target)
+
+
+class FramedLog:
+    """Append side of a CRC-framed side log (quarantine, folds, boundary,
+    repairs): one :func:`frame_line` record per line.
+
+    ``path=None`` keeps the log memory-only (tests, ephemeral stacks).
+    Appends go through the pluggable :func:`filesystem` so the fault
+    injector can tear them; a failed append marks the tail dirty and the
+    next append terminates the garbage line first, exactly like the WAL.
+    A log whose class sets :attr:`durable` fsyncs each append before it
+    returns — unless a :func:`commit_scope` holds the log, which moves
+    that fsync to the scope's exit.
+    """
+
+    #: Whether an append outside any commit scope is fsynced at once.
+    durable = False
+
+    def __init__(self, path: "str | os.PathLike[str] | None") -> None:
+        self.path = Path(path) if path is not None else None
+        self._handle: "IO[Any] | None" = None
+        self._tail_dirty = False
+        self._unsynced = False
+        self._held = 0
+        #: fsyncs actually issued (``repro_guard_log_syncs_total``).
+        self.syncs = 0
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = filesystem().open(self.path, "a",
+                                             encoding="utf-8")
+
+    def append_payload(self, payload: str) -> None:
+        if self.path is None:
+            return
+        if self._handle is None:  # closed by a compaction: reopen
+            self._handle = filesystem().open(self.path, "a",
+                                             encoding="utf-8")
+        try:
+            if self._tail_dirty:
+                self._handle.write("\n")
+                self._tail_dirty = False
+            self._handle.write(frame_line(payload) + "\n")
+        except OSError:
+            self._tail_dirty = True
+            raise
+        self._unsynced = True
+        if self.durable and not self._held:
+            self.sync()
+
+    def sync(self) -> None:
+        """Flush and fsync (no-op when memory-only or already clean)."""
+        if self._handle is None or not self._unsynced:
+            return
+        filesystem().fsync(self._handle)
+        self._unsynced = False
+        self.syncs += 1
+
+    def close(self) -> None:
+        if self._handle is None:
+            return
+        self.sync()
+        self._handle.close()
+        self._handle = None
+
+
+def read_framed(path: "str | os.PathLike[str]",
+                parse: "Callable[[str], Any]", *,
+                stop_at_damage: bool = False) -> Iterator[Any]:
+    """Parsed intact records of a framed log, in append order.
+
+    A line is damage when it is unterminated (a torn tail), fails its
+    CRC, or ``parse`` rejects its payload (``None`` / ``ValueError``).
+    Logs of independent records skip damage; a journal replayed in
+    order stops at it (append-then-fsync can only tear the final
+    record, so nothing past damage is to be trusted).
+    """
+    source = Path(path)
+    if not source.exists():
+        return
+    with source.open("r", encoding="utf-8", errors="replace",
+                     newline="") as handle:
+        for line in handle:
+            payload = check_frame(line[:-1]) if line.endswith("\n") else None
+            try:
+                record = parse(payload) if payload is not None else None
+            except (ValueError, IndexError):
+                record = None
+            if record is not None:
+                yield record
+            elif stop_at_damage:
+                return
+
+
+@contextmanager
+def commit_scope(*logs: FramedLog) -> Iterator[None]:
+    """Group-commit ``logs``: the acknowledgement boundary of a call.
+
+    Inside the block an append only writes; leaving it — normally or by
+    exception — fsyncs each log once (a no-op for a log nothing was
+    appended to).  Nothing a caller can observe escapes the block
+    before that barrier, so a verdict is durable when the public call
+    that produced it returns.  Scopes nest: the outermost exit syncs.
+    """
+    for log in logs:
+        log._held += 1
+    try:
+        yield
+    finally:
+        for log in logs:
+            log._held -= 1
+        for log in logs:
+            if not log._held:
+                log.sync()

@@ -16,9 +16,9 @@ resilient indexer and returns one verdict per message:
 ``QUARANTINE``
     Probable spam (per-user duplicate-heavy behaviour with decayed
     priors) or an impossible future timestamp.  Quarantine is *not*
-    drop: the full message is appended — fsynced before the verdict is
-    returned — to a crash-safe, CRC-framed quarantine log next to the
-    DLQ, replayable by ``repro doctor``.
+    drop: the full message is appended — durable before any caller can
+    observe the verdict — to a crash-safe, CRC-framed quarantine log
+    next to the DLQ, replayable by ``repro doctor``.
 ``LATE``
     Dated before the reorder watermark.  Ingested immediately through a
     deterministic late-path (the engine floors the receiving bundle's
@@ -45,14 +45,13 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import IO, Any, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.core.credibility import CredibilityTracker
 from repro.core.dedup import DuplicateDetector
 from repro.core.message import Message, parse_message
-from repro.reliability.fsio import (check_frame, escape_field, filesystem,
-                                    frame_line, unescape_field)
+from repro.reliability.fsio import (FramedLog, escape_field, read_framed,
+                                    unescape_field)
 
 __all__ = [
     "GuardAction",
@@ -204,64 +203,18 @@ def parse_quarantine_payload(payload: str) -> "tuple[Message, str] | None":
     return message, unescape_field(reason)
 
 
-class _FramedLog:
-    """Shared append-only CRC-framed log plumbing (quarantine + folds).
-
-    ``path=None`` keeps the log memory-only (tests, ephemeral stacks).
-    Appends go through the pluggable :func:`filesystem` so the fault
-    injector can tear them; a failed append marks the tail dirty and the
-    next append terminates the garbage line first, exactly like the WAL.
-    """
-
-    def __init__(self, path: "str | os.PathLike[str] | None") -> None:
-        self.path = Path(path) if path is not None else None
-        self._handle: "IO[Any] | None" = None
-        self._tail_dirty = False
-        self._dirty_since_sync = False
-        self.appends = 0
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = filesystem().open(self.path, "a",
-                                             encoding="utf-8")
-
-    def _append_payload(self, payload: str) -> None:
-        self.appends += 1
-        if self._handle is None:
-            return
-        try:
-            if self._tail_dirty:
-                self._handle.write("\n")
-                self._tail_dirty = False
-            self._handle.write(frame_line(payload) + "\n")
-        except OSError:
-            self._tail_dirty = True
-            raise
-        self._dirty_since_sync = True
-
-    def sync(self) -> None:
-        """Flush and fsync (no-op when memory-only or already clean)."""
-        if self._handle is None or not self._dirty_since_sync:
-            return
-        filesystem().fsync(self._handle)
-        self._dirty_since_sync = False
-
-    def close(self) -> None:
-        if self._handle is None:
-            return
-        self.sync()
-        self._handle.close()
-        self._handle = None
-
-
-class QuarantineLog(_FramedLog):
+class QuarantineLog(FramedLog):
     """Crash-safe custody log for quarantined messages.
 
-    Quarantine is not drop: every verdict appends the *full* message —
-    and is fsynced before :meth:`append` returns, because the verdict is
-    the caller's acknowledgement and an acknowledged message must never
-    be lost.  ``repro doctor`` replays the log to restore every
-    quarantined id.
+    Quarantine is not drop: every verdict appends the *full* message,
+    and the record is on disk before any caller can observe the verdict
+    — fsynced before :meth:`append` returns, or at the exit of the
+    :func:`~repro.reliability.fsio.commit_scope` a batch entry point
+    holds — because an acknowledged message must never be lost.
+    ``repro doctor`` replays the log to restore every quarantined id.
     """
+
+    durable = True
 
     def append(self, message: Message, reason: str) -> None:
         event = "" if message.event_id is None else str(message.event_id)
@@ -270,30 +223,16 @@ class QuarantineLog(_FramedLog):
         payload = (f"{message.msg_id}\t{message.user}\t{message.date!r}\t"
                    f"{event}\t{parent}\t{escape_field(message.text)}\t"
                    f"{escape_field(reason)}")
-        self._append_payload(payload)
-        self.sync()
+        self.append_payload(payload)
 
     @staticmethod
     def replay(path: "str | os.PathLike[str]",
                ) -> "Iterator[tuple[Message, str]]":
         """Yield ``(message, reason)`` in append order, skipping damage."""
-        source = Path(path)
-        if not source.exists():
-            return
-        with source.open("r", encoding="utf-8", errors="replace",
-                         newline="") as handle:
-            for line in handle:
-                if not line.endswith("\n"):
-                    continue  # torn tail
-                payload = check_frame(line[:-1])
-                if payload is None:
-                    continue
-                parsed = parse_quarantine_payload(payload)
-                if parsed is not None:
-                    yield parsed
+        return read_framed(path, parse_quarantine_payload)
 
 
-class FoldLog(_FramedLog):
+class FoldLog(FramedLog):
     """Durable ``msg_id → (bundle_id, duplicate_of)`` fold decisions.
 
     A hint is appended (and pushed to the OS) immediately *before* the
@@ -306,7 +245,7 @@ class FoldLog(_FramedLog):
 
     def append(self, msg_id: int, bundle_id: int,
                duplicate_of: int) -> None:
-        self._append_payload(f"{msg_id}\t{bundle_id}\t{duplicate_of}")
+        self.append_payload(f"{msg_id}\t{bundle_id}\t{duplicate_of}")
         if self._handle is not None:
             self._handle.flush()
 
@@ -314,27 +253,12 @@ class FoldLog(_FramedLog):
     def load(path: "str | os.PathLike[str]",
              ) -> "dict[int, tuple[int, int]]":
         """All intact hints (later entries win), skipping damage."""
-        hints: "dict[int, tuple[int, int]]" = {}
-        source = Path(path)
-        if not source.exists():
-            return hints
-        with source.open("r", encoding="utf-8", errors="replace",
-                         newline="") as handle:
-            for line in handle:
-                if not line.endswith("\n"):
-                    continue
-                payload = check_frame(line[:-1])
-                if payload is None:
-                    continue
-                fields = payload.split("\t")
-                if len(fields) != 3:
-                    continue
-                try:
-                    hints[int(fields[0])] = (int(fields[1]),
-                                             int(fields[2]))
-                except ValueError:
-                    continue
-        return hints
+        return dict(read_framed(path, FoldLog._parse))
+
+    @staticmethod
+    def _parse(payload: str) -> "tuple[int, tuple[int, int]]":
+        msg_id, bundle_id, duplicate_of = map(int, payload.split("\t"))
+        return msg_id, (bundle_id, duplicate_of)
 
 
 class IngestGuard:
@@ -362,6 +286,8 @@ class IngestGuard:
         self.tracker = tracker or CredibilityTracker(prior=cfg.spam_prior)
         self.quarantine = QuarantineLog(quarantine_path)
         self.folds = FoldLog(fold_path)
+        #: Both side logs, for a caller's pre-ACK ``commit_scope``.
+        self.logs = (self.quarantine, self.folds)
         self.stats = GuardStats()
         self.tightened = False
         self._buffer: "list[tuple[float, int, Message]]" = []
@@ -430,11 +356,6 @@ class IngestGuard:
         if bundle_id is not None:
             self._bundle_of[message.msg_id] = bundle_id
 
-    def record_fold(self, msg_id: int, bundle_id: int,
-                    duplicate_of: int) -> None:
-        """Journal one fold decision (call *before* the WAL append)."""
-        self.folds.append(msg_id, bundle_id, duplicate_of)
-
     def set_tightened(self, tightened: bool) -> None:
         """Swap normal/tightened thresholds (REDUCED-mode wiring)."""
         if tightened == self.tightened:
@@ -444,14 +365,9 @@ class IngestGuard:
         self.detector.threshold = (cfg.tightened_dedup_threshold
                                    if tightened else cfg.dedup_threshold)
 
-    def sync(self) -> None:
-        """Durability barrier: fsync both guard logs."""
-        self.quarantine.sync()
-        self.folds.sync()
-
     def close(self) -> None:
-        self.quarantine.close()
-        self.folds.close()
+        for log in self.logs:
+            log.close()
 
     # -- internals ----------------------------------------------------------
 

@@ -42,7 +42,7 @@ from repro.core.errors import (BundleError, IndexError_, MessageError,
                                RetryExhaustedError, StorageError)
 from repro.core.message import Message, parse_message
 from repro.obs import IngestOutcome, NULL_HISTOGRAM, TelemetryFlusher
-from repro.reliability.fsio import write_atomic
+from repro.reliability.fsio import commit_scope, write_atomic
 from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
                                      IngestGuard, Screened)
 from repro.reliability.overload import (Admission, HealthReport,
@@ -268,6 +268,9 @@ class ResilientIndexer:
                 guard if isinstance(guard, GuardConfig) else None)
         if self.guard is not None and self.overload is not None:
             self.overload.attach_guard(self.guard)
+        #: What the batch entry points group-commit: the custody log.
+        #: (The fold log only needs its write-before-WAL-write flush.)
+        self._custody = (self.guard.quarantine,) if self.guard else ()
         registry = self.journaled.indexer.obs.registry
         stats = self.stats
         for name, field_name, help_text in (
@@ -290,6 +293,7 @@ class ResilientIndexer:
                        callback=lambda: len(self.dead_letters))
         if self.guard is not None:
             gstats = self.guard.stats
+            guard_logs = self.guard.logs
             for name, field_name, help_text in (
                     ("repro_guard_screened_total", "screened",
                      "Arrivals screened by the ingest guard"),
@@ -310,6 +314,10 @@ class ResilientIndexer:
                 registry.counter(
                     name, help=help_text,
                     callback=(lambda f=field_name: getattr(gstats, f)))
+            registry.counter(
+                "repro_guard_log_syncs_total",
+                help="fsyncs issued on the guard's quarantine and fold logs",
+                callback=lambda: sum(log.syncs for log in guard_logs))
             registry.gauge(
                 "repro_guard_buffer_depth",
                 help="Messages held in the guard's reordering buffer",
@@ -456,11 +464,31 @@ class ResilientIndexer:
         screened = time.perf_counter() - screen_started
         self.last_screen_seconds = screened
         self._screen_hist.observe(screened)
-        for entry in entries:
-            outcome = self._apply_verdict(entry, now)
+        for entry, outcome in zip(entries, self._apply_all(entries, now)):
             if entry.message is message:
                 result = outcome
         return result
+
+    def _apply_all(self, entries: "list[Screened]", now: "float | None",
+                   ) -> "list[IngestResult | None]":
+        """Apply, in order, the entries the guard just popped from its
+        reorder buffer.  If one raises (retries exhausted) those behind
+        it would be in no ledger at all, so they are dead-lettered
+        first — bar the quarantined and buffered, already in custody.
+        """
+        outcomes: "list[IngestResult | None]" = []
+        try:
+            for entry in entries:
+                outcomes.append(self._apply_verdict(entry, now))
+        except Exception as exc:
+            for lost in entries[len(outcomes) + 1:]:
+                if lost.action not in (GuardAction.QUARANTINE,
+                                       GuardAction.BUFFERED):
+                    self.stats.dead_lettered += 1
+                    self.dead_letters.append("release-aborted", exc,
+                                             lost.message)
+            raise
+        return outcomes
 
     def _apply_verdict(self, entry: Screened,
                        now: "float | None") -> "IngestResult | None":
@@ -471,9 +499,9 @@ class ResilientIndexer:
         rung = (int(self.overload.state) if self.overload is not None
                 else self.indexer.current_rung)
         if action is GuardAction.QUARANTINE:
-            # Custody is already durable (the guard fsynced the
-            # quarantine log before returning the verdict); account the
-            # refusal exactly like a shed for quality purposes.
+            # Custody is already written (durable at once, or at the
+            # exit of the caller's commit scope); account the refusal
+            # exactly like a shed for quality purposes.
             if obs.tracer is not None:
                 obs.tracer.event(message.msg_id,
                                  IngestOutcome.QUARANTINED.value,
@@ -562,8 +590,8 @@ class ResilientIndexer:
                         # divergence).
                         assert self.guard is not None
                         bundle_id, duplicate_of = fold_hint
-                        self.guard.record_fold(message.msg_id, bundle_id,
-                                               duplicate_of)
+                        self.guard.folds.append(message.msg_id, bundle_id,
+                                                duplicate_of)
                         result = self.journaled.ingest_folded(
                             message, bundle_id, duplicate_of)
                     else:
@@ -656,21 +684,23 @@ class ResilientIndexer:
         at end of stream unless ``drain_backlog=False``.
         """
         before = self.stats.ingested
-        for record in records:
-            if isinstance(record, Message):
-                self.ingest(record)
-            elif isinstance(record, (tuple, list)) and len(record) >= 4:
-                truth = dict(zip(("event_id", "parent_id"), record[4:6]))
-                self.ingest_raw(*record[:4], **truth)
-            else:
-                self.stats.dead_lettered += 1
-                self.dead_letters.append(
-                    "unrecognized-record",
-                    f"expected Message or >=4-tuple, got {type(record).__name__}",
-                    record)
-        if drain_backlog:
-            self.flush_guard()
-            self.drain_backlog()
+        with commit_scope(*self._custody):
+            for record in records:
+                if isinstance(record, Message):
+                    self.ingest(record)
+                elif isinstance(record, (tuple, list)) and len(record) >= 4:
+                    truth = dict(zip(("event_id", "parent_id"),
+                                     record[4:6]))
+                    self.ingest_raw(*record[:4], **truth)
+                else:
+                    self.stats.dead_lettered += 1
+                    self.dead_letters.append(
+                        "unrecognized-record",
+                        f"expected Message or >=4-tuple, got {type(record).__name__}",
+                        record)
+            if drain_backlog:
+                self.flush_guard()
+                self.drain_backlog()
         return self.stats.ingested - before
 
     def flush_guard(self) -> int:
@@ -681,11 +711,9 @@ class ResilientIndexer:
         """
         if self.guard is None:
             return 0
-        indexed = 0
-        for entry in self.guard.flush():
-            if self._apply_verdict(entry, None) is not None:
-                indexed += 1
-        return indexed
+        with commit_scope(*self._custody):
+            outcomes = self._apply_all(self.guard.flush(), None)
+        return sum(outcome is not None for outcome in outcomes)
 
     def drain_backlog(self) -> int:
         """Ingest everything still deferred in the admission backlog.
@@ -695,11 +723,9 @@ class ResilientIndexer:
         """
         if self.overload is None:
             return 0
-        indexed = 0
-        for queued in self.overload.drain():
-            if self._index(queued) is not None:
-                indexed += 1
-        return indexed
+        with commit_scope(*self._custody):
+            return sum(self._index(queued) is not None
+                       for queued in self.overload.drain())
 
     def ingest_batch(self, messages: Iterable[Message], *,
                      count_only: bool = False,
@@ -708,16 +734,18 @@ class ResilientIndexer:
 
         Shed, deferred and dead-lettered messages yield no result, so
         the returned list may be shorter than the input; with
-        ``count_only=True`` only the indexed count comes back.
+        ``count_only=True`` only the indexed count comes back.  Its
+        quarantine verdicts share one fsync, issued before it returns.
         """
         results: "list[IngestResult]" = []
         count = 0
-        for message in messages:
-            result = self.ingest(message)
-            if result is not None:
-                count += 1
-                if not count_only:
-                    results.append(result)
+        with commit_scope(*self._custody):
+            for message in messages:
+                result = self.ingest(message)
+                if result is not None:
+                    count += 1
+                    if not count_only:
+                        results.append(result)
         return count if count_only else results
 
     # -- retrieval ----------------------------------------------------------

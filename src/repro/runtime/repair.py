@@ -49,12 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import Iterable
 
 from repro.core.engine import ProvenanceIndexer
 from repro.core.message import Message
-from repro.reliability.fsio import (check_frame, escape_field, filesystem,
-                                    frame_line, unescape_field, write_atomic)
+from repro.reliability.fsio import (FramedLog, escape_field, frame_line,
+                                    read_framed, unescape_field, write_atomic)
 
 __all__ = ["BoundaryEntry", "BoundaryLog", "RepairEntry", "RepairJournal",
            "RepairScan", "scan_fleet_repair", "BOUNDARY_LOG",
@@ -134,29 +134,6 @@ class RepairEntry:
                    new_dst=int(new), score=float(score))
 
 
-def _read_framed(path: Path, parse: Any) -> list[Any]:
-    """All intact records of a framed log; a torn tail ends the read.
-
-    Mirrors the WAL's recovery contract: the only corruption an
-    append-then-fsync log can exhibit is a torn final record, so the
-    first unverifiable line ends the scan instead of masking real
-    corruption mid-file.
-    """
-    if not path.exists():
-        return []
-    entries: list[Any] = []
-    with filesystem().open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            payload = check_frame(line.rstrip("\n"))
-            if payload is None:
-                break
-            try:
-                entries.append(parse(payload))
-            except (ValueError, IndexError):
-                break
-    return entries
-
-
 def _read_cursor(path: Path) -> int:
     if not path.exists():
         return 0
@@ -166,40 +143,7 @@ def _read_cursor(path: Path) -> int:
         return 0
 
 
-class _FramedAppender:
-    """Shared append-side of both logs: framed lines, explicit sync."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._handle: "IO[Any] | None" = None
-        self._dirty = False
-
-    def append(self, payload: str) -> None:
-        if self._handle is None:
-            self._handle = filesystem().open(self.path, "a",
-                                             encoding="utf-8")
-        self._handle.write(frame_line(payload) + "\n")
-        self._dirty = True
-
-    def sync(self) -> None:
-        if self._handle is not None and self._dirty:
-            filesystem().fsync(self._handle)
-            self._dirty = False
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self.sync()
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
-
-    def reopen(self) -> None:
-        self.close()
-
-
-class BoundaryLog:
+class BoundaryLog(FramedLog):
     """Durable per-shard journal of boundary (cross-cut) messages.
 
     Entries carry monotonically increasing sequence numbers; the
@@ -211,9 +155,11 @@ class BoundaryLog:
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
-        self._log = _FramedAppender(self.directory / BOUNDARY_LOG)
+        super().__init__(self.directory / BOUNDARY_LOG)
         self._cursor_path = self.directory / BOUNDARY_CURSOR
-        entries = _read_framed(self._log.path, BoundaryEntry.parse)
+        entries = list(read_framed(self.directory / BOUNDARY_LOG,
+                                   BoundaryEntry.parse,
+                                   stop_at_damage=True))
         self.cursor = _read_cursor(self._cursor_path)
         self._next_seq = (entries[-1].seq + 1) if entries else 1
         self._pending: list[BoundaryEntry] = [
@@ -229,14 +175,10 @@ class BoundaryLog:
             date=message.date, text=message.text,
             peers=tuple(sorted(set(peers))), dst=dst, score=score)
         self._next_seq += 1
-        self._log.append(entry.payload())
+        self.append_payload(entry.payload())
         self._pending.append(entry)
         self.appended += 1
         return entry
-
-    def sync(self) -> None:
-        """Fsync appended entries — the worker's pre-ACK barrier."""
-        self._log.sync()
 
     def pending(self) -> list[BoundaryEntry]:
         """Entries past the cursor, oldest first (a copy)."""
@@ -261,16 +203,13 @@ class BoundaryLog:
         so a long-lived shard's boundary log stays proportional to its
         *un-reconciled* backlog, not its history.
         """
-        self._log.close()
+        self.close()
         lines = "".join(frame_line(e.payload()) + "\n"
                         for e in self._pending)
-        write_atomic(self._log.path, [lines])
-
-    def close(self) -> None:
-        self._log.close()
+        write_atomic(self.directory / BOUNDARY_LOG, [lines])
 
 
-class RepairJournal:
+class RepairJournal(FramedLog):
     """Durable journal of applied edge repairs, replayed on open.
 
     The write path is WAL discipline: :meth:`record` appends and fsyncs
@@ -282,10 +221,14 @@ class RepairJournal:
     repaired ledger.
     """
 
+    durable = True
+
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
-        self._log = _FramedAppender(self.directory / REPAIR_JOURNAL)
-        self.entries = _read_framed(self._log.path, RepairEntry.parse)
+        super().__init__(self.directory / REPAIR_JOURNAL)
+        self.entries = list(read_framed(self.directory / REPAIR_JOURNAL,
+                                        RepairEntry.parse,
+                                        stop_at_damage=True))
         self._next_seq = (self.entries[-1].seq + 1) if self.entries else 1
 
     def record(self, src: int, old_dst: "int | None", new_dst: int,
@@ -294,8 +237,7 @@ class RepairJournal:
         entry = RepairEntry(seq=self._next_seq, src=src, old_dst=old_dst,
                             new_dst=new_dst, score=score)
         self._next_seq += 1
-        self._log.append(entry.payload())
-        self._log.sync()
+        self.append_payload(entry.payload())
         self.entries.append(entry)
         return entry
 
@@ -310,12 +252,9 @@ class RepairJournal:
 
     def compact(self) -> None:
         """Truncate after a checkpoint: the snapshot holds the ledger."""
-        self._log.close()
-        write_atomic(self._log.path, ())
+        self.close()
+        write_atomic(self.directory / REPAIR_JOURNAL, ())
         self.entries = []
-
-    def close(self) -> None:
-        self._log.close()
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,11 +289,11 @@ def scan_fleet_repair(root: "str | Path") -> dict[int, RepairScan]:
             shard = int(shard_dir.name.split("-")[1])
         except (IndexError, ValueError):
             continue
-        entries = _read_framed(shard_dir / BOUNDARY_LOG,
-                               BoundaryEntry.parse)
+        entries = list(read_framed(shard_dir / BOUNDARY_LOG,
+                                   BoundaryEntry.parse, stop_at_damage=True))
         cursor = _read_cursor(shard_dir / BOUNDARY_CURSOR)
-        repairs = _read_framed(shard_dir / REPAIR_JOURNAL,
-                               RepairEntry.parse)
+        repairs = list(read_framed(shard_dir / REPAIR_JOURNAL,
+                                   RepairEntry.parse, stop_at_damage=True))
         orphans = tuple(e.msg_id for e in entries if e.seq > cursor)
         scans[shard] = RepairScan(
             shard=shard, journaled=len(entries), cursor=cursor,

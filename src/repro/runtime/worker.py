@@ -33,6 +33,7 @@ from repro.obs.anatomy import WorkloadAnatomy
 from repro.obs.perf import StackSampler, StageCell
 from repro.obs.tracing import TraceContext, Tracer
 from repro.query.bundle_search import BundleSearchEngine
+from repro.reliability.fsio import commit_scope
 from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import ResilientIndexer
 from repro.runtime.repair import BoundaryLog, RepairJournal
@@ -195,56 +196,55 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
     hops: "list[dict[str, Any]] | None" = [] if traced else None
     results: list[Any] | None = None if count_only else []
     indexed = 0
-    for position, message in enumerate(messages):
-        context = traced.get(position)
-        if context is not None and fleet is not None:
-            trace_id, parent = context
-            fleet.tracer.force(TraceContext(
-                trace_id=trace_id, parent_span=parent, sampled=True))
-            started = time.monotonic()
-            result = supervisor.ingest(message)
-            ended = time.monotonic()
-            fleet.tracer.unforce(trace_id)
-            hop: dict[str, Any] = {
-                "trace_id": trace_id,
-                "span_id": fleet.next_span_id(),
-                "start": started,
-                "end": ended,
-                "screen": supervisor.last_screen_seconds,
-            }
-            finished = fleet.tracer.finished
-            if finished and finished[-1].trace_id == trace_id:
-                engine_trace = finished.pop()
-                hop["spans"] = [span.to_dict()
-                                for span in engine_trace.spans]
-                hop["outcome"] = engine_trace.outcome
-                if "bundle_id" in engine_trace.tags:
-                    hop["bundle_id"] = engine_trace.tags["bundle_id"]
-            elif result is None:
-                # Shed/deferred before the engine's tracer saw it.
-                hop["outcome"] = "deferred"
-            assert hops is not None
-            hops.append(hop)
-        else:
-            result = supervisor.ingest(message)
-        if results is not None:
-            results.append(result)
-        if result is None:
-            continue
-        indexed += 1
-        peers = hinted.get(position)
-        if peers:
-            edge = result.edge
-            boundary.append(message, peers,
-                            edge.dst_id if edge is not None else None,
-                            edge.score if edge is not None else 0.0)
-    # The durability barrier: fsync the WAL (and any fresh boundary or
-    # guard-log entries) before acknowledging, so everything the
-    # coordinator sees is already on disk.
+    # The durability barrier: leaving the commit scope fsyncs whichever
+    # of the boundary and guard logs this batch appended to, then the WAL
+    # syncs — before the ACK, so all the coordinator sees is on disk.
+    guard = supervisor.guard
+    with commit_scope(boundary, *(guard.logs if guard is not None else ())):
+        for position, message in enumerate(messages):
+            context = traced.get(position)
+            if context is not None and fleet is not None:
+                trace_id, parent = context
+                fleet.tracer.force(TraceContext(
+                    trace_id=trace_id, parent_span=parent, sampled=True))
+                started = time.monotonic()
+                result = supervisor.ingest(message)
+                ended = time.monotonic()
+                fleet.tracer.unforce(trace_id)
+                hop: dict[str, Any] = {
+                    "trace_id": trace_id,
+                    "span_id": fleet.next_span_id(),
+                    "start": started,
+                    "end": ended,
+                    "screen": supervisor.last_screen_seconds,
+                }
+                finished = fleet.tracer.finished
+                if finished and finished[-1].trace_id == trace_id:
+                    engine_trace = finished.pop()
+                    hop["spans"] = [span.to_dict()
+                                    for span in engine_trace.spans]
+                    hop["outcome"] = engine_trace.outcome
+                    if "bundle_id" in engine_trace.tags:
+                        hop["bundle_id"] = engine_trace.tags["bundle_id"]
+                elif result is None:
+                    # Shed/deferred before the engine's tracer saw it.
+                    hop["outcome"] = "deferred"
+                assert hops is not None
+                hops.append(hop)
+            else:
+                result = supervisor.ingest(message)
+            if results is not None:
+                results.append(result)
+            if result is None:
+                continue
+            indexed += 1
+            peers = hinted.get(position)
+            if peers:
+                edge = result.edge
+                boundary.append(message, peers,
+                                edge.dst_id if edge is not None else None,
+                                edge.score if edge is not None else 0.0)
     supervisor.journaled.journal.sync()
-    if supervisor.guard is not None:
-        supervisor.guard.sync()
-    boundary.sync()
     done = time.monotonic()
     reply: dict[str, Any] = {"indexed": indexed, "results": results,
                              "recv": recv, "done": done}

@@ -15,6 +15,11 @@ recovers from disk alone, and asserts the custody contract:
   ``--repair`` clears any torn tail with exit code 0;
 * recovery is deterministic — recovering the same disk state twice
   yields byte-identical snapshots.
+
+The second matrix drives the same stream through ``ingest_batch``, whose
+quarantine appends share one fsync at the batch's commit-scope exit: the
+acknowledgement is the batch's *return*, so every id of a returned batch
+must survive, while ids of the batch in flight at the crash may be lost.
 """
 
 from __future__ import annotations
@@ -143,6 +148,20 @@ def test_guarded_crash_recovery_honors_every_ack(fault, tmp_path):
     recovered.close()
 
 
+def assert_recovery_deterministic(root, tmp_path):
+    """Recovering two copies of one disk state yields equal snapshots."""
+    snapshots = []
+    for attempt in range(2):
+        copy = tmp_path / f"copy{attempt}"
+        shutil.copytree(root, copy)
+        recovered = open_guarded(copy)
+        out = tmp_path / f"state{attempt}.json"
+        save_snapshot(recovered.indexer, out)
+        snapshots.append(out.read_bytes())
+        recovered.close()
+    assert snapshots[0] == snapshots[1]
+
+
 @pytest.mark.parametrize("fault", FAULT_POINTS[:1] + FAULT_POINTS[3:4])
 def test_recovery_is_deterministic(fault, tmp_path):
     root = tmp_path / "stack"
@@ -154,17 +173,7 @@ def test_recovery_is_deterministic(fault, tmp_path):
             supervisor.close()
     except (SimulatedCrash, OSError):
         pass
-
-    snapshots = []
-    for attempt in range(2):
-        copy = tmp_path / f"copy{attempt}"
-        shutil.copytree(root, copy)
-        recovered = open_guarded(copy)
-        out = tmp_path / f"state{attempt}.json"
-        save_snapshot(recovered.indexer, out)
-        snapshots.append(out.read_bytes())
-        recovered.close()
-    assert snapshots[0] == snapshots[1]
+    assert_recovery_deterministic(root, tmp_path)
 
 
 def test_doctor_repairs_torn_guard_artifacts(tmp_path, capsys):
@@ -201,4 +210,82 @@ def test_doctor_repairs_torn_guard_artifacts(tmp_path, capsys):
     # And a guarded stack reopens cleanly on the repaired artifacts.
     recovered = open_guarded(root)
     assert check_engine(recovered.indexer) == []
+    recovered.close()
+
+
+# -- ingest_batch: the acknowledgement is the batch's return ---------------
+# Batches of 8 over the 40-message stream quarantine ids (17, 21), (25, 29)
+# and (33, 37) in batches 3, 4 and 5: quarantine writes 1-6, scope fsyncs
+# 1-3.  Every fault below lands inside batch 3 or 4.
+
+BATCH = 8
+
+BATCH_FAULT_POINTS = [
+    pytest.param(Fault(op="write", nth=3, kind="crash_after",
+                       path_part="quarantine.log"),
+                 id="crash-after-append-inside-scope"),
+    pytest.param(Fault(op="write", nth=4, kind="torn", keep_bytes=5,
+                       path_part="quarantine.log"),
+                 id="torn-second-append-inside-scope"),
+    pytest.param(Fault(op="write", nth=18, kind="crash_after",
+                       path_part=".wal"),
+                 id="crash-on-wal-with-custody-unsynced"),
+    pytest.param(Fault(op="fsync", nth=2, kind="crash_before",
+                       path_part="quarantine.log"),
+                 id="crash-before-scope-fsync"),
+    pytest.param(Fault(op="fsync", nth=2, kind="crash_after",
+                       path_part="quarantine.log"),
+                 id="crash-after-scope-fsync"),
+    pytest.param(Fault(op="write", nth=3, kind="error",
+                       path_part="quarantine.log"),
+                 id="enospc-append-inside-scope"),
+]
+
+
+@pytest.mark.parametrize("fault", BATCH_FAULT_POINTS)
+def test_batch_crash_honors_every_returned_batch(fault, tmp_path, capsys):
+    root = tmp_path / "stack"
+    messages = hostile_stream()
+    returned: "list[int]" = []
+    placed: "dict[int, int]" = {}
+    crashed = False
+    try:
+        with FaultInjector([fault]):
+            supervisor = open_guarded(root)
+            for start in range(0, len(messages), BATCH):
+                batch = messages[start:start + BATCH]
+                results = supervisor.ingest_batch(batch)
+                # The call returned: the whole batch is acknowledged.
+                returned.extend(m.msg_id for m in batch)
+                placed.update((r.msg_id, r.bundle_id) for r in results)
+            supervisor.close()
+    except (SimulatedCrash, OSError):
+        crashed = True
+    assert crashed, f"fault {fault} never fired — dead test"
+    assert returned and len(returned) < len(messages)
+
+    # -- the artifacts repair cleanly, whatever the in-flight batch left.
+    quarantine = root / "quarantine.log"
+    assert cli.main(["doctor", "--quarantine", str(quarantine),
+                     "--repair"]) == 0
+    assert cli.main(["doctor", "--quarantine", str(quarantine)]) == 0
+    capsys.readouterr()
+
+    # -- recovery from disk alone is byte-deterministic ...
+    assert_recovery_deterministic(root, tmp_path)
+
+    # -- ... and honors every returned batch: each id is in custody or
+    # in the bundle it was acknowledged into.
+    recovered = open_guarded(root)
+    engine = recovered.indexer
+    assert check_engine(engine) == []
+    in_custody = {m.msg_id for m, _ in QuarantineLog.replay(quarantine)}
+    assert in_custody.isdisjoint(placed)
+    for msg_id in returned:
+        if msg_id in placed:
+            assert msg_id in engine.pool.get(placed[msg_id]).message_ids(), \
+                f"message {msg_id} left bundle {placed[msg_id]} on replay"
+        else:
+            assert msg_id in in_custody, \
+                f"returned batch lost quarantined message {msg_id}"
     recovered.close()

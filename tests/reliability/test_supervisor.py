@@ -8,6 +8,7 @@ from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import RetryExhaustedError
 from repro.reliability.faults import Fault, FaultInjector
+from repro.reliability.guard import GuardConfig, IngestGuard
 from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import DeadLetterQueue, ResilientIndexer
 from repro.storage.bundle_store import BundleStore
@@ -79,6 +80,58 @@ class TestRetry:
         assert supervisor.indexer.stats.messages_ingested == 12
         # the next threshold crossing retried the checkpoint successfully
         assert (tmp_path / "state.json").exists()
+
+
+class TestReleaseAborted:
+    """A failure part-way through a reorder release loses no arrival.
+
+    ``guard.admit`` / ``guard.flush`` pop released messages from the
+    reorder buffer before the supervisor applies them, so when one of
+    them exhausts its retries the ones behind it are in no ledger —
+    they must be dead-lettered before the error propagates.
+    """
+
+    @pytest.mark.parametrize("via", ["arrival", "flush_guard"])
+    def test_wal_enospc_mid_release_conserves_arrivals(self, tmp_path, via):
+        def story(i, hours):
+            return make_message(i, f"unique story number {i} entirely",
+                                hours=hours)
+
+        # One WAL write per indexed message: 1 and 2 land, then ENOSPC
+        # outlasts the retry budget of the first released message.
+        faults = [Fault(op="write", nth=n, kind="error", path_part=".wal")
+                  for n in range(3, 12)]
+        with FaultInjector(faults):
+            supervisor = build(
+                tmp_path, max_retries=2,
+                guard=IngestGuard(GuardConfig(reorder_window=7200.0)))
+            assert supervisor.ingest(story(1, 0.0)) is not None
+            assert supervisor.ingest(story(2, 3.0)) is not None
+            assert supervisor.ingest(story(3, 2.0)) is None   # buffered
+            assert supervisor.ingest(story(4, 1.5)) is None   # buffered
+            offered = {1, 2, 3, 4}
+            with pytest.raises(RetryExhaustedError, match="message 4"):
+                if via == "arrival":
+                    offered.add(5)   # releases 4, 3, then itself
+                    supervisor.ingest(story(5, 6.0))
+                else:
+                    supervisor.flush_guard()
+        guard = supervisor.guard
+        assert guard.buffer_depth == 0
+        assert guard.stats.reconciles(0)
+        indexed = {m for bundle in supervisor.indexer.pool
+                   for m in bundle.message_ids()}
+        aborted = [letter for letter in supervisor.dead_letters
+                   if letter.reason == "release-aborted"]
+        dead = {int(letter.payload.split("msg_id=")[1].split(",")[0])
+                for letter in aborted}
+        assert indexed == {1, 2}
+        assert dead == offered - {1, 2, 4}
+        assert supervisor.stats.dead_lettered == len(dead)
+        # Every offered id is in exactly one place: the index, the DLQ,
+        # or the exception the caller caught (message 4).
+        assert indexed | dead | {4} == offered
+        assert all("message 4" in letter.error for letter in aborted)
 
 
 class TestDeadLetters:
