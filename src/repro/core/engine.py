@@ -79,14 +79,9 @@ class StageSnapshot:
 
     def delta(self, earlier: "StageSnapshot") -> "StageSnapshot":
         """Per-stage seconds accumulated since ``earlier``."""
-        return StageSnapshot(
-            bundle_match=self.bundle_match - earlier.bundle_match,
-            message_placement=(self.message_placement
-                               - earlier.message_placement),
-            index_update=self.index_update - earlier.index_update,
-            memory_refinement=(self.memory_refinement
-                               - earlier.memory_refinement),
-        )
+        return StageSnapshot(*(
+            getattr(self, stage) - getattr(earlier, stage)
+            for stage in StageTimers.STAGES))
 
 
 class StageTimers:
@@ -151,19 +146,13 @@ class StageTimers:
     @property
     def total(self) -> float:
         """Total maintenance time (Fig. 12's series)."""
-        return (self.bundle_match + self.message_placement
-                + self.index_update + self.memory_refinement)
+        return self.snapshot().total
 
     # -- interval accounting ------------------------------------------------
 
     def snapshot(self) -> StageSnapshot:
         """Immutable copy of the current (since-reset) accumulations."""
-        return StageSnapshot(
-            bundle_match=self.bundle_match,
-            message_placement=self.message_placement,
-            index_update=self.index_update,
-            memory_refinement=self.memory_refinement,
-        )
+        return StageSnapshot(*map(self._value, self.STAGES))
 
     def interval(self, since: StageSnapshot) -> StageSnapshot:
         """Per-stage seconds accumulated after ``since`` was taken."""
@@ -389,13 +378,19 @@ class ProvenanceIndexer:
 
     def _ingest_one(self, message: Message,
                     keywords: "frozenset[str] | None" = None,
-                    ) -> IngestResult:
-        """The per-message pipeline behind :meth:`ingest_batch`.
+                    bundle: "Bundle | None" = None) -> IngestResult:
+        """The per-message pipeline — the only copy of it.
 
         ``keywords`` carries the batch-hoisted analyzer output; ``None``
         (the batch-of-one path, or SKELETON mode where extraction is
         skipped) analyses inline.  Either way the downstream stages see
         exactly the same frozenset.
+
+        ``bundle`` is a destination chosen before the engine saw the
+        message (:meth:`ingest_folded`): Algorithm 1 is skipped — no
+        ``bundle_match`` stage, timer or fan-in observation (zeros would
+        pollute that distribution); outcome ``folded``; audit
+        ``candidate_cap=0`` and no candidate rows.  Nothing else differs.
         """
         tracer = self.obs.tracer
         trace = (tracer.begin(message.msg_id)
@@ -418,25 +413,32 @@ class ProvenanceIndexer:
                 self.analyzer.keywords(message.text,
                                        self.config.max_keywords))
 
-        # -- Step 1+2a: fetch candidates and pick the max-scored bundle.
-        if cell is not None:
-            cell.stage = "bundle_match"
-        t0 = time.perf_counter()
-        bundle = self._select_bundle(message, keywords,
-                                     collect=candidate_scores)
-        created = bundle is None
-        if bundle is None:
-            bundle = self.pool.create_bundle()
-            self.stats.bundles_created += 1
-        else:
+        folded = bundle is not None
+        created = False
+        if bundle is not None:
+            self.last_candidate_fanin = (0, 0)
             self.stats.bundles_matched += 1
-        t1 = time.perf_counter()
-        self.timers.observe("bundle_match", t1 - t0)
-        fetched, scored = self.last_candidate_fanin
-        self._fanin_fetched_hist.observe(fetched)
-        self._fanin_scored_hist.observe(scored)
-        if scored < fetched:
-            self._fanin_capped.inc()
+            t0 = t1 = time.perf_counter()
+        else:
+            # -- Step 1+2a: fetch candidates, pick the max-scored bundle.
+            if cell is not None:
+                cell.stage = "bundle_match"
+            t0 = time.perf_counter()
+            bundle = self._select_bundle(message, keywords,
+                                         collect=candidate_scores)
+            if bundle is None:
+                created = True
+                bundle = self.pool.create_bundle()
+                self.stats.bundles_created += 1
+            else:
+                self.stats.bundles_matched += 1
+            t1 = time.perf_counter()
+            self.timers.observe("bundle_match", t1 - t0)
+            fetched, scored = self.last_candidate_fanin
+            self._fanin_fetched_hist.observe(fetched)
+            self._fanin_scored_hist.observe(scored)
+            if scored < fetched:
+                self._fanin_capped.inc()
 
         # -- Step 2b: allocation inside the bundle (Algorithm 2).
         if cell is not None:
@@ -494,17 +496,20 @@ class ProvenanceIndexer:
         if cell is not None:
             cell.stage = ""
 
-        outcome = (IngestOutcome.NEW_BUNDLE if created
+        outcome = (IngestOutcome.FOLDED if folded
+                   else IngestOutcome.NEW_BUNDLE if created
                    else IngestOutcome.MATCHED)
         if trace is not None:
-            hit, scored = self.last_candidate_fanin
-            trace.span("candidate_selection", 0.0, t1 - t0,
-                       candidates=hit, scored=scored,
-                       skeleton=self.skeleton_matching)
-            trace.span("placement", t1 - t0, t2 - t1,
-                       edge=edge is not None,
-                       parent=(edge.as_pair()[1]
-                               if edge is not None else None))
+            if not folded:
+                trace.span("candidate_selection", 0.0, t1 - t0,
+                           candidates=fetched, scored=scored,
+                           skeleton=self.skeleton_matching)
+            placement = trace.span("placement", t1 - t0, t2 - t1,
+                                   edge=edge is not None,
+                                   parent=(edge.as_pair()[1]
+                                           if edge is not None else None))
+            if folded:
+                placement.tags["folded"] = True
             trace.span("index_update", t2 - t0, t3 - t2,
                        closed=bundle.closed)
             if report is not None:
@@ -530,7 +535,7 @@ class ProvenanceIndexer:
                 parent_id=(edge.as_pair()[1] if edge is not None else None),
                 edge_kind=(edge.kind.value if edge is not None else None),
                 skeleton=self.skeleton_matching,
-                candidate_cap=cap,
+                candidate_cap=0 if folded else cap,
                 threshold=self.config.min_match_score,
                 candidates=candidate_scores,
                 allocation=allocation_scores,
@@ -550,143 +555,31 @@ class ProvenanceIndexer:
 
     def ingest_folded(self, message: Message, bundle_id: int,
                       duplicate_of: "int | None" = None) -> IngestResult:
-        """Place a guard-folded near-duplicate straight into its bundle.
+        """Ingest a message whose bundle was chosen before it arrived.
 
-        The ingest guard's LSH screen already decided the destination
+        The ingest guard's LSH screen already picked the destination
         (the bundle holding the message this one near-duplicates), so
-        Algorithm 1's candidate scoring is skipped entirely; Algorithm 2
-        still aligns the message *inside* the bundle, so a duplicate
-        that declares an RT keeps its provenance edge.  When
-        ``duplicate_of`` names a member still in the bundle, its
-        registered keywords stand in for the copy's — the content is
-        the same by construction, and skipping the re-analysis is most
-        of the fold path's speedup.  When the target bundle has been
-        evicted or closed in the meantime the call falls back to the
-        full :meth:`ingest` — deterministically, so a WAL replay of a
-        journaled fold reproduces the same placement (the pool state at
-        the same sequence number is identical, and the origin's
-        keywords are journaled state too: snapshots persist per-member
-        keywords verbatim).
+        Algorithm 1 is skipped; everything after it is the normal
+        pipeline (:meth:`_ingest_one`) — Algorithm 2 still aligns the
+        message *inside* the bundle, so a duplicate that declares an RT
+        keeps its edge.  While ``duplicate_of`` is a member, its
+        registered keywords stand in for the copy's (same content by
+        construction; skipping the re-analysis is most of the fold's
+        speedup).  A target evicted or closed in the meantime degrades
+        to the full :meth:`ingest` — deterministically, so WAL replay
+        of a journaled fold reproduces the placement: pool state at the
+        same sequence number is identical, and snapshots persist
+        per-member keywords verbatim.
         """
         bundle = self.pool.try_get(bundle_id)
         if bundle is None or bundle.closed:
             return self.ingest(message)
-        tracer = self.obs.tracer
-        trace = (tracer.begin(message.msg_id)
-                 if tracer is not None else None)
-        cell = self.obs.profile
-        audit = self.obs.audit
-        allocation_scores: "list | None" = [] if audit is not None else None
-        refinement_events: "list[RefinementEvent] | None" = None
-        if self.skeleton_matching:
-            keywords: frozenset[str] = frozenset()
-            self.stats.skeleton_ingests += 1
-        else:
-            origin_keywords = (bundle.keywords_of(duplicate_of)
-                               if duplicate_of is not None else None)
-            if origin_keywords:
-                keywords = origin_keywords
-            else:
-                keywords = frozenset(
-                    self.analyzer.keywords(message.text,
-                                           self.config.max_keywords))
-        self.last_candidate_fanin = (0, 0)
-        self.stats.bundles_matched += 1
-
-        if cell is not None:
-            cell.stage = "message_placement"
-        t0 = time.perf_counter()
-        edge = bundle.insert(message, keywords, collect=allocation_scores)
-        if edge is not None:
-            self.stats.edges_created += 1
-            if self.track_edges:
-                self._edge_ledger.add(edge.as_pair())
-        t1 = time.perf_counter()
-        self.timers.observe("message_placement", t1 - t0)
-
-        if cell is not None:
-            cell.stage = "index_update"
-        self.summary_index.add_message(bundle.bundle_id, message, keywords)
-        if (self.config.max_bundle_size is not None
-                and len(bundle) >= self.config.max_bundle_size
-                and not bundle.closed):
-            bundle.close()
-            self.stats.bundles_closed += 1
-        t2 = time.perf_counter()
-        self.timers.observe("index_update", t2 - t1)
-        anatomy = self.obs.anatomy
-        if anatomy is not None:
-            # Folded ingests skip Algorithm 1, so no fan-in observation
-            # (zeros would pollute that distribution) — but their terms
-            # still land in the index, so the postings shape counts them.
-            anatomy.observe_ingest(message, keywords, self.summary_index)
-
-        self.current_date = max(self.current_date, message.date)
-        if bundle.last_update < self.current_date:
-            bundle.last_update = self.current_date
-        self.stats.messages_ingested += 1
-
-        report = None
-        t3 = t2
-        if self.pool.needs_refinement():
-            if cell is not None:
-                cell.stage = "memory_refinement"
-            if audit is not None:
-                refinement_events = []
-            report = self.pool.refine(
-                self.current_date, self.summary_index, self.store,
-                collect=refinement_events)
-            self.stats.refinements += 1
-            t3 = time.perf_counter()
-            self.timers.observe("memory_refinement", t3 - t2)
-        if cell is not None:
-            cell.stage = ""
-
-        outcome = IngestOutcome.FOLDED
-        if trace is not None:
-            trace.span("placement", 0.0, t1 - t0,
-                       edge=edge is not None,
-                       parent=(edge.as_pair()[1]
-                               if edge is not None else None),
-                       folded=True)
-            trace.span("index_update", t1 - t0, t2 - t1,
-                       closed=bundle.closed)
-            if report is not None:
-                trace.span("refinement", t2 - t0, t3 - t2,
-                           removed=report.removed,
-                           pool_after=report.pool_size_after)
-            assert tracer is not None
-            tracer.finish(
-                trace, duration=t3 - t0,
-                msg_id=message.msg_id,
-                outcome=outcome.value,
-                bundle_id=bundle.bundle_id)
-
-        if audit is not None:
-            audit.record_decision(
-                msg_id=message.msg_id,
-                outcome=outcome,
-                rung=self.current_rung,
-                bundle_id=bundle.bundle_id,
-                parent_id=(edge.as_pair()[1] if edge is not None else None),
-                edge_kind=(edge.kind.value if edge is not None else None),
-                skeleton=self.skeleton_matching,
-                candidate_cap=0,
-                threshold=self.config.min_match_score,
-                allocation=allocation_scores,
-                refinement=refinement_events)
-
-        result = IngestResult(
-            msg_id=message.msg_id,
-            bundle_id=bundle.bundle_id,
-            created_bundle=False,
-            edge=edge,
-            refinement=report,
-        )
-        quality = self.obs.quality
-        if quality is not None:
-            quality.observe(message, result)
-        return result
+        keywords = None
+        if duplicate_of is not None and not self.skeleton_matching:
+            # An origin without registered keywords (or no longer a
+            # member) leaves None: _ingest_one analyses the text.
+            keywords = bundle.keywords_of(duplicate_of) or None
+        return self._ingest_one(message, keywords, bundle)
 
     #: Messages analysed per hoisted keyword-extraction chunk in
     #: :meth:`ingest_batch` — bounds the buffered slice of a streaming

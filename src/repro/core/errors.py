@@ -20,6 +20,7 @@ __all__ = [
     "RetryExhaustedError",
     "QueryError",
     "StreamError",
+    "POISON_ERRORS",
 ]
 
 
@@ -69,3 +70,9 @@ class QueryError(ReproError):
 
 class StreamError(ReproError):
     """The synthetic stream generator or dataset reader failed."""
+
+
+#: Per-message errors that mean the *message* is bad, not the system:
+#: the live supervisor dead-letters on them, WAL replay skips on them.
+POISON_ERRORS = (MessageError, BundleError, IndexError_, ValueError,
+                 TypeError, KeyError)

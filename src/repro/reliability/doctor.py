@@ -17,9 +17,10 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.core.errors import StorageError
-from repro.reliability.fsio import filesystem
+from repro.reliability.fsio import check_frame, filesystem
 from repro.storage.wal import _parse_line
 
 __all__ = [
@@ -185,31 +186,37 @@ class RepairResult:
 # ---------------------------------------------------------------------------
 
 
+#: Validator of one newline-stripped line: ``(valid, legacy)``.
+_LineCheck = Callable[[str], "tuple[bool, bool]"]
+
+
 def _wal_line_ok(line: str) -> "tuple[bool, bool]":
     """``(valid, legacy)`` for one newline-stripped journal line."""
     parsed = _parse_line(line)
-    if parsed is None:
-        return False, False
-    return True, parsed[2]
+    return (False, False) if parsed is None else (True, parsed[2])
 
 
-def scan_wal(path: "str | os.PathLike[str]") -> WalScan:
-    """Inventory a journal file without mutating it."""
-    source = Path(path)
-    report = WalScan(path=source)
-    if not source.exists():
+def _quarantine_line_ok(line: str) -> "tuple[bool, bool]":
+    """Validate one newline-stripped quarantine-log line end to end."""
+    from repro.reliability.guard import parse_quarantine_payload
+
+    payload = check_frame(line)
+    return (payload is not None
+            and parse_quarantine_payload(payload) is not None), False
+
+
+def _scan_lines(report: "WalScan | QuarantineScan", line_ok: _LineCheck):
+    """Fill ``report`` from its file's lines; nothing is mutated."""
+    if not report.path.exists():
         report.exists = False
         return report
     last_bad_run = 0
-    with source.open("r", encoding="utf-8", errors="replace",
-                     newline="") as handle:
+    with report.path.open("r", encoding="utf-8", errors="replace",
+                          newline="") as handle:
         for number, line in enumerate(handle, start=1):
             report.total_lines += 1
-            if not line.endswith("\n"):
-                report.corrupt_lines.append(number)
-                last_bad_run += 1
-                continue
-            valid, legacy = _wal_line_ok(line[:-1])
+            valid, legacy = (line_ok(line[:-1]) if line.endswith("\n")
+                             else (False, False))
             if not valid:
                 report.corrupt_lines.append(number)
                 last_bad_run += 1
@@ -220,6 +227,16 @@ def scan_wal(path: "str | os.PathLike[str]") -> WalScan:
                 report.legacy_records += 1
     report.torn_tail = last_bad_run > 0
     return report
+
+
+def scan_wal(path: "str | os.PathLike[str]") -> WalScan:
+    """Inventory a journal file without mutating it."""
+    return _scan_lines(WalScan(path=Path(path)), _wal_line_ok)
+
+
+def scan_quarantine(path: "str | os.PathLike[str]") -> QuarantineScan:
+    """Inventory an ingest-guard quarantine log without mutating it."""
+    return _scan_lines(QuarantineScan(path=Path(path)), _quarantine_line_ok)
 
 
 def scan_snapshot(path: "str | os.PathLike[str]") -> SnapshotScan:
@@ -277,39 +294,6 @@ def scan_store(directory: "str | os.PathLike[str]") -> StoreScan:
     return report
 
 
-def _quarantine_line_ok(line: str) -> bool:
-    """Validate one newline-stripped quarantine-log line end to end."""
-    from repro.reliability.guard import parse_quarantine_payload
-    from repro.reliability.fsio import check_frame
-
-    payload = check_frame(line)
-    if payload is None:
-        return False
-    return parse_quarantine_payload(payload) is not None
-
-
-def scan_quarantine(path: "str | os.PathLike[str]") -> QuarantineScan:
-    """Inventory an ingest-guard quarantine log without mutating it."""
-    source = Path(path)
-    report = QuarantineScan(path=source)
-    if not source.exists():
-        report.exists = False
-        return report
-    last_bad_run = 0
-    with source.open("r", encoding="utf-8", errors="replace",
-                     newline="") as handle:
-        for number, line in enumerate(handle, start=1):
-            report.total_lines += 1
-            if not line.endswith("\n") or not _quarantine_line_ok(line[:-1]):
-                report.corrupt_lines.append(number)
-                last_bad_run += 1
-                continue
-            last_bad_run = 0
-            report.valid_records += 1
-    report.torn_tail = last_bad_run > 0
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Repair
 # ---------------------------------------------------------------------------
@@ -330,6 +314,26 @@ def _rewrite_keeping(path: Path, keep: "list[bytes]",
                         bytes_after=path.stat().st_size)
 
 
+def _repair_lines(path: "str | os.PathLike[str]",
+                  line_ok: _LineCheck) -> RepairResult:
+    """Rewrite a framed text log down to the lines ``line_ok`` proves."""
+    source = Path(path)
+    keep: list[bytes] = []
+    dropped = 0
+    with source.open("rb") as handle:
+        for line in handle:
+            try:
+                valid = (line.endswith(b"\n")
+                         and line_ok(line[:-1].decode("utf-8"))[0])
+            except UnicodeDecodeError:
+                valid = False
+            if valid:
+                keep.append(line)
+            else:
+                dropped += 1
+    return _rewrite_keeping(source, keep, len(keep), dropped)
+
+
 def repair_wal(path: "str | os.PathLike[str]") -> RepairResult:
     """Drop every unprovable journal line, keeping all valid records.
 
@@ -338,26 +342,7 @@ def repair_wal(path: "str | os.PathLike[str]") -> RepairResult:
     records keep their original bytes, so legacy (v0) lines survive
     untouched.
     """
-    source = Path(path)
-    keep: list[bytes] = []
-    kept = dropped = 0
-    with source.open("rb") as handle:
-        for line in handle:
-            if not line.endswith(b"\n"):
-                dropped += 1
-                continue
-            try:
-                text = line[:-1].decode("utf-8")
-            except UnicodeDecodeError:
-                dropped += 1
-                continue
-            valid, _ = _wal_line_ok(text)
-            if valid:
-                keep.append(line)
-                kept += 1
-            else:
-                dropped += 1
-    return _rewrite_keeping(source, keep, kept, dropped)
+    return _repair_lines(path, _wal_line_ok)
 
 
 def repair_quarantine(path: "str | os.PathLike[str]") -> RepairResult:
@@ -367,25 +352,7 @@ def repair_quarantine(path: "str | os.PathLike[str]") -> RepairResult:
     log replays byte-identically; only unprovable lines (torn tail,
     bit-flips) are dropped.
     """
-    source = Path(path)
-    keep: list[bytes] = []
-    kept = dropped = 0
-    with source.open("rb") as handle:
-        for line in handle:
-            if not line.endswith(b"\n"):
-                dropped += 1
-                continue
-            try:
-                text = line[:-1].decode("utf-8")
-            except UnicodeDecodeError:
-                dropped += 1
-                continue
-            if _quarantine_line_ok(text):
-                keep.append(line)
-                kept += 1
-            else:
-                dropped += 1
-    return _rewrite_keeping(source, keep, kept, dropped)
+    return _repair_lines(path, _quarantine_line_ok)
 
 
 def repair_store(directory: "str | os.PathLike[str]") -> list[RepairResult]:

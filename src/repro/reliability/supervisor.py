@@ -38,8 +38,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.core.engine import IngestResult
-from repro.core.errors import (BundleError, IndexError_, MessageError,
-                               RetryExhaustedError, StorageError)
+from repro.core.errors import (POISON_ERRORS, RetryExhaustedError,
+                               StorageError)
 from repro.core.message import Message, parse_message
 from repro.obs import IngestOutcome, NULL_HISTOGRAM, TelemetryFlusher
 from repro.reliability.fsio import commit_scope, write_atomic
@@ -52,9 +52,6 @@ from repro.storage.wal import JournaledIndexer
 __all__ = ["DeadLetter", "DeadLetterQueue", "ResilientIndexer",
            "ResilientStats"]
 
-#: Per-message errors that mean the *message* is bad, not the system.
-_POISON_ERRORS = (MessageError, BundleError, IndexError_, ValueError,
-                  TypeError, KeyError)
 #: Failures worth retrying: the storage layer or the OS said "not now".
 _TRANSIENT_ERRORS = (StorageError, OSError)
 
@@ -250,7 +247,6 @@ class ResilientIndexer:
         self.low_watermark_bytes = low_watermark_bytes
         self.stats = ResilientStats()
         self.stats.unified = lambda: self.journaled.indexer.stats()
-        self._searcher = None
         if overload is None:
             self.overload: "OverloadController | None" = None
         elif isinstance(overload, OverloadController):
@@ -434,7 +430,7 @@ class ResilientIndexer:
 
     # -- ingestion ----------------------------------------------------------
     # ingest → _apply_verdict (guard) → _admit (admission) → _index
-    # (ladder rung + retry/poison) → JournaledIndexer.ingest[_folded].
+    # (ladder rung + retry/poison) → JournaledIndexer.ingest(fold=hint).
 
     def ingest(self, message: Message, *,
                now: "float | None" = None) -> "IngestResult | None":
@@ -495,40 +491,29 @@ class ResilientIndexer:
         """Guard frame: act on one screened arrival's verdict."""
         message = entry.message
         action = entry.action
-        obs = self.indexer.obs
         rung = (int(self.overload.state) if self.overload is not None
                 else self.indexer.current_rung)
         if action is GuardAction.QUARANTINE:
             # Custody is already written (durable at once, or at the
             # exit of the caller's commit scope); account the refusal
             # exactly like a shed for quality purposes.
-            if obs.tracer is not None:
-                obs.tracer.event(message.msg_id,
-                                 IngestOutcome.QUARANTINED.value,
-                                 rung=rung, reason=entry.reason)
-            if obs.audit is not None:
-                obs.audit.record_refusal(
-                    message.msg_id, IngestOutcome.QUARANTINED, rung)
-            if obs.quality is not None:
-                obs.quality.note_shed(message)
+            self._note_refusal(message, IngestOutcome.QUARANTINED, rung,
+                               lost=True, reason=entry.reason)
             return None
         if action is GuardAction.BUFFERED:
             # Held for reordering — not refused, so no audit record;
             # the eventual release produces the real decision.
-            if obs.tracer is not None:
-                obs.tracer.event(message.msg_id, "buffered", rung=rung)
+            tracer = self.indexer.obs.tracer
+            if tracer is not None:
+                tracer.event(message.msg_id, "buffered", rung=rung)
             return None
         if action is GuardAction.LATE:
             # The deterministic late-path: record the verdict (the
             # placement record supersedes it with late_arrival=True),
             # then ingest immediately — the engine's arrival floor
             # keeps pool eviction ordering intact.
-            if obs.tracer is not None:
-                obs.tracer.event(message.msg_id,
-                                 IngestOutcome.LATE.value, rung=rung)
-            if obs.audit is not None:
-                obs.audit.record_refusal(
-                    message.msg_id, IngestOutcome.LATE, rung)
+            self._note_refusal(message, IngestOutcome.LATE, rung,
+                               lost=False)
         fold_hint = ((entry.bundle_id, entry.duplicate_of)
                      if action is GuardAction.FOLD else None)
         return self._admit(message, now, fold_hint)
@@ -551,22 +536,28 @@ class ResilientIndexer:
         verdict = ctl.offer(message, arrival)
         if verdict is Admission.ADMITTED:
             return self._index(message, fold_hint)
-        # A refused arrival never reaches the pipeline, so a sampled
-        # trace of it is a span-less outcome record; the audit log keeps
-        # the refusal with the rung that refused it.
+        dropped = verdict is Admission.DROPPED
+        self._note_refusal(
+            message,
+            IngestOutcome.SHED if dropped else IngestOutcome.DEFERRED,
+            int(ctl.state), lost=dropped)
+        return None
+
+    def _note_refusal(self, message: Message, outcome: IngestOutcome,
+                      rung: int, *, lost: bool, **tags: object) -> None:
+        """Account an arrival the pipeline will not (yet) place: a
+        span-less outcome record if its trace is sampled, an audit
+        refusal with the rung that refused it, and — ``lost`` (shed,
+        quarantined) arrivals can never yield an edge — its ground
+        truth counted against ret."""
         obs = self.indexer.obs
-        outcome = (IngestOutcome.SHED if verdict is Admission.DROPPED
-                   else IngestOutcome.DEFERRED)
-        rung = int(ctl.state)
         if obs.tracer is not None:
-            obs.tracer.event(message.msg_id, outcome.value, rung=rung)
+            obs.tracer.event(message.msg_id, outcome.value, rung=rung,
+                             **tags)
         if obs.audit is not None:
             obs.audit.record_refusal(message.msg_id, outcome, rung)
-        if obs.quality is not None and verdict is Admission.DROPPED:
-            # A dropped arrival can never yield an edge; its ground
-            # truth still counts against ret.
+        if lost and obs.quality is not None:
             obs.quality.note_shed(message)
-        return None
 
     def _index(self, message: Message,
                fold_hint: "tuple[int, int] | None" = None,
@@ -589,15 +580,10 @@ class ResilientIndexer:
                         # never a record without its hint (replay
                         # divergence).
                         assert self.guard is not None
-                        bundle_id, duplicate_of = fold_hint
-                        self.guard.folds.append(message.msg_id, bundle_id,
-                                                duplicate_of)
-                        result = self.journaled.ingest_folded(
-                            message, bundle_id, duplicate_of)
-                    else:
-                        result = self.journaled.ingest(message)
+                        self.guard.folds.append(message.msg_id, *fold_hint)
+                    result = self.journaled.ingest(message, fold=fold_hint)
                     break
-                except _POISON_ERRORS as exc:
+                except POISON_ERRORS as exc:
                     self.stats.dead_lettered += 1
                     self.dead_letters.append("index-rejected", exc, message)
                     break
@@ -661,7 +647,7 @@ class ResilientIndexer:
                 event_id=int(event_id) if event_id not in (None, "") else None,
                 parent_id=(int(parent_id)
                            if parent_id not in (None, "") else None))
-        except _POISON_ERRORS as exc:
+        except POISON_ERRORS as exc:
             self.stats.dead_lettered += 1
             self.dead_letters.append(
                 "parse-failed", exc,
@@ -752,10 +738,7 @@ class ResilientIndexer:
 
     def search(self, raw_query: str, k: int = 10):
         """Ranked Eq. 7 retrieval over the supervised engine's pool."""
-        if self._searcher is None:
-            from repro.query.bundle_search import BundleSearchEngine
-            self._searcher = BundleSearchEngine(self.indexer)
-        return self._searcher.search(raw_query, k=k)
+        return self.indexer.search(raw_query, k=k)
 
     def snapshot(self):
         """The supervised engine's memory accounting."""

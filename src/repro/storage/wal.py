@@ -37,42 +37,31 @@ injector can exercise every failure path deterministically.
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import IngestResult, ProvenanceIndexer
-from repro.core.errors import (BundleError, IndexError_, MessageError,
-                               StorageError)
+from repro.core.errors import POISON_ERRORS, StorageError
 from repro.core.message import Message, parse_message
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
-from repro.reliability.fsio import (escape_field, filesystem, frame_line,
-                                    unescape_field, write_atomic)
+from repro.reliability.fsio import (check_frame, escape_field, filesystem,
+                                    frame_line, unescape_field, write_atomic)
 
 __all__ = ["MessageJournal", "JournaledIndexer", "ReplayStats"]
 
-_CRC_WIDTH = 8
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-# The framing and field escaping are the shared implementations in
-# :mod:`repro.reliability.fsio` — the runtime's boundary/repair journals
-# use the very same ones, so every durable log in the repo parses alike.
-_escape = escape_field
-_unescape = unescape_field
-_frame = frame_line
-
 
 def _parse_payload(payload: str) -> "tuple[int, Message] | None":
-    """Decode one tab-separated record payload; ``None`` if malformed."""
+    """Decode one tab-separated record payload; ``None`` if malformed
+    (the sequence number is plain decimal, as every writer wrote it)."""
     fields = payload.split("\t", 6)
-    if len(fields) != 7:
+    if len(fields) != 7 or not fields[0].isdigit():
         return None
     seq, msg_id, user, date, event, parent, text = fields
     try:
         return int(seq), parse_message(
-            int(msg_id), user, float(date), _unescape(text),
+            int(msg_id), user, float(date), unescape_field(text),
             event_id=int(event) if event else None,
             parent_id=int(parent) if parent else None)
     except ValueError:
@@ -83,22 +72,15 @@ def _parse_line(line: str) -> "tuple[int, Message, bool] | None":
     """Decode one journal line (without its newline).
 
     Returns ``(seq, message, legacy)`` or ``None`` for a corrupt line.
-    Lines carrying the ``<crc32:8 hex> `` prefix are verified against
-    their checksum; anything else is tried as the v0 (pre-CRC) format.
-    A v0 line can never be mistaken for a framed one: its first field is
-    a decimal sequence number followed by a tab, so position 8 is never
-    a space preceded by eight hex digits.
+    A line :func:`~repro.reliability.fsio.check_frame` verifies is a
+    framed record; anything else is tried as the v0 (pre-CRC) format.
+    A framed line whose checksum failed cannot pass as v0: a v0 line's
+    first field is a decimal sequence number, and the ``<crc32:8 hex> ``
+    prefix puts a space inside that field.
     """
-    if (len(line) > _CRC_WIDTH and line[_CRC_WIDTH] == " "
-            and all(c in _HEX_DIGITS for c in line[:_CRC_WIDTH])):
-        payload = line[_CRC_WIDTH + 1:]
-        crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-        if f"{crc:08x}" != line[:_CRC_WIDTH]:
-            return None
-        parsed = _parse_payload(payload)
-        return None if parsed is None else (*parsed, False)
-    parsed = _parse_payload(line)
-    return None if parsed is None else (*parsed, True)
+    payload = check_frame(line)
+    parsed = _parse_payload(line if payload is None else payload)
+    return None if parsed is None else (*parsed, payload is None)
 
 
 @dataclass(slots=True)
@@ -164,12 +146,12 @@ class MessageJournal:
         parent = "" if message.parent_id is None else str(message.parent_id)
         payload = (f"{seq}\t{message.msg_id}\t{message.user}\t"
                    f"{message.date!r}\t{event}\t{parent}\t"
-                   f"{_escape(message.text)}")
+                   f"{escape_field(message.text)}")
         try:
             if self._tail_dirty:
                 self._handle.write("\n")
                 self._tail_dirty = False
-            line = _frame(payload) + "\n"
+            line = frame_line(payload) + "\n"
             self._handle.write(line)
         except OSError:
             self._tail_dirty = True
@@ -182,18 +164,23 @@ class MessageJournal:
         return seq
 
     def sync(self) -> None:
-        """Flush and fsync the journal."""
+        """Flush and fsync the journal (nothing to do once closed)."""
+        if self._closed:
+            return
         filesystem().fsync(self._handle)
         self._since_sync = 0
         self._sync_counter.inc()
 
     def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
+        """Flush and close the underlying file (idempotent); the handle
+        is released even when the final fsync fails."""
         if self._closed:
             return
-        self._closed = True
-        self.sync()
-        self._handle.close()
+        try:
+            self.sync()
+        finally:
+            self._handle.close()
+            self._closed = True
 
     def __enter__(self) -> "MessageJournal":
         return self
@@ -253,6 +240,14 @@ class MessageJournal:
             tally.torn_tail = True
 
 
+def _index(indexer: ProvenanceIndexer, message: Message,
+           fold: "tuple[int, int | None] | None") -> IngestResult:
+    """Index one journaled message — live and on replay alike."""
+    if fold is None:
+        return indexer.ingest(message)
+    return indexer.ingest_folded(message, *fold)
+
+
 class JournaledIndexer:
     """An indexer with WAL + periodic snapshots for exact crash recovery.
 
@@ -303,10 +298,17 @@ class JournaledIndexer:
                     int(sidecar.read_text().strip()) + 1)
         self.last_applied_seq = journal.next_seq - 1
 
-    def ingest(self, message: Message) -> IngestResult:
-        """Journal first, then index (write-ahead ordering)."""
+    def ingest(self, message: Message, *,
+               fold: "tuple[int, int | None] | None" = None) -> IngestResult:
+        """Journal first, then index (write-ahead ordering).
+
+        ``fold`` is the guard's ``(bundle_id, duplicate_of)`` hint.  The
+        WAL record is the standard one either way — the hint lives in
+        the guard's fold log, written before this append, so replay can
+        reproduce the same placement (:meth:`recover`'s ``fold_hints``).
+        """
         seq = self.journal.append(message)
-        result = self.indexer.ingest(message)
+        result = _index(self.indexer, message, fold)
         self.last_applied_seq = seq
         self.last_result = result
         self._since_snapshot += 1
@@ -317,34 +319,26 @@ class JournaledIndexer:
 
     def ingest_folded(self, message: Message, bundle_id: int,
                       duplicate_of: "int | None" = None) -> IngestResult:
-        """Journal first, then fold-place into an already-known bundle.
-
-        The WAL record is the standard one — the fold *hint* lives in
-        the guard's fold log, written before this append, so replay can
-        reproduce the same placement (see
-        :meth:`recover`'s ``fold_hints``).
-        """
-        seq = self.journal.append(message)
-        result = self.indexer.ingest_folded(message, bundle_id,
-                                            duplicate_of)
-        self.last_applied_seq = seq
-        self.last_result = result
-        self._since_snapshot += 1
-        if (self.snapshot_path is not None
-                and self._since_snapshot >= self.snapshot_every):
-            self.checkpoint()
-        return result
+        """:meth:`ingest` with the fold hint spelled out."""
+        return self.ingest(message, fold=(bundle_id, duplicate_of))
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Checkpoint (if configured) and close the journal (idempotent)."""
+        """Checkpoint (if configured) and close the journal.
+
+        A *successful* close is not re-run.  A failed final checkpoint
+        propagates with the journal handle released and the indexer
+        still open: :meth:`close` again retries it (truncate reopens).
+        """
         if self._closed:
             return
+        try:
+            if self.snapshot_path is not None:
+                self.checkpoint()
+        finally:
+            self.journal.close()
         self._closed = True
-        if self.snapshot_path is not None:
-            self.checkpoint()
-        self.journal.close()
 
     def __enter__(self) -> "JournaledIndexer":
         return self
@@ -422,14 +416,9 @@ class JournaledIndexer:
             if seq <= applied_seq:
                 continue  # already reflected in the snapshot
             try:
-                target = (fold_hints.get(message.msg_id)
-                          if fold_hints else None)
-                if target is not None:
-                    indexer.ingest_folded(message, *target)
-                else:
-                    indexer.ingest(message)
-            except (MessageError, BundleError, IndexError_, ValueError,
-                    TypeError, KeyError):
+                _index(indexer, message,
+                       fold_hints.get(message.msg_id) if fold_hints else None)
+            except POISON_ERRORS:
                 # A journaled record the engine rejects (e.g. a duplicate
                 # msg_id that slipped past a crashed supervisor before it
                 # could dead-letter) must not make recovery itself

@@ -229,3 +229,19 @@ class TestMaxScorePruning:
         assert audited.edge_pairs() == plain.edge_pairs()
         assert ([b.message_ids() for b in audited.pool]
                 == [b.message_ids() for b in plain.pool])
+
+
+class TestFoldGolden:
+    """The fold path against the commit before it merged into
+    ``_ingest_one`` (see ``tests/core/fold_golden.py``)."""
+
+    def test_instrumented_fold_stream_matches_the_parent(self):
+        import json
+
+        from tests.core.fold_golden import GOLDEN, build
+
+        golden = json.loads(GOLDEN.read_text())
+        current = json.loads(json.dumps(build()))
+        for section in golden:
+            assert current[section] == golden[section], section
+        assert current.keys() == golden.keys()

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.message import parse_message
-from repro.storage.wal import (MessageJournal, ReplayStats, _escape,
-                               _frame, _parse_line, _unescape)
+from repro.reliability.fsio import escape_field as _escape
+from repro.reliability.fsio import frame_line as _frame
+from repro.reliability.fsio import unescape_field as _unescape
+from repro.storage.wal import MessageJournal, ReplayStats, _parse_line
 
 texts = st.text(min_size=0, max_size=80)
 #: Text biased toward the characters escaping actually touches,

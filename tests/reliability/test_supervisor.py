@@ -370,6 +370,31 @@ class TestLifecycle:
         supervisor.close()
         supervisor.close()
 
+    def test_close_after_a_failed_final_checkpoint_can_be_retried(
+            self, tmp_path):
+        """ENOSPC on the last snapshot must not make close() a no-op:
+        the first call raises with the journal handle released, the
+        second (fault gone) writes the checkpoint."""
+        supervisor = ResilientIndexer.open(tmp_path, guard=GuardConfig())
+        supervisor.ingest_batch(stream(12))
+        edges = supervisor.edge_pairs()
+        journal = supervisor.journaled.journal
+        with FaultInjector([Fault("write", path_part="state.snapshot")]):
+            with pytest.raises(OSError):
+                supervisor.close()
+        assert journal._handle.closed
+        assert not (tmp_path / "state.snapshot").exists()
+        supervisor.close()
+        assert (tmp_path / "state.snapshot").exists()
+        assert journal._closed and journal._handle.closed
+        assert (tmp_path / "ingest.wal").read_bytes() == b""
+        checkpoint = (tmp_path / "state.snapshot").read_bytes()
+        supervisor.close()  # a successful close is not re-run
+        assert (tmp_path / "state.snapshot").read_bytes() == checkpoint
+        with ResilientIndexer.open(tmp_path, guard=GuardConfig()) as reopened:
+            assert reopened.edge_pairs() == edges
+            assert reopened.indexer.stats.messages_ingested == 12
+
     @pytest.mark.parametrize("overload", [None, OverloadConfig()])
     def test_exit_releases_the_spill_segment(self, tmp_path, overload):
         # With admission on, the store sits behind the breaker's sink.

@@ -241,6 +241,18 @@ class TestLifecycle:
         journaled.close()  # second close must not re-checkpoint
         assert (tmp_path / "state.json").read_bytes() == before
 
+    def test_journal_close_releases_the_handle_when_the_fsync_fails(
+            self, tmp_path):
+        from repro.reliability.faults import Fault, FaultInjector
+
+        journal = MessageJournal(tmp_path / "m.wal")
+        journal.append(stream(1)[0])
+        with FaultInjector([Fault("fsync", path_part="m.wal")]):
+            with pytest.raises(OSError):
+                journal.close()
+        assert journal._handle.closed and journal._closed
+        journal.close()
+
 
 class TestCrcFraming:
     def test_records_are_crc_framed(self, tmp_path):
@@ -269,7 +281,8 @@ class TestCrcFraming:
 
     def test_legacy_v0_journal_replays(self, tmp_path):
         """Journals written before CRC framing must still replay."""
-        from repro.storage.wal import ReplayStats, _escape
+        from repro.reliability.fsio import escape_field as _escape
+        from repro.storage.wal import ReplayStats
 
         path = tmp_path / "legacy.wal"
         messages = stream(3)
@@ -283,10 +296,29 @@ class TestCrcFraming:
         assert replayed == messages
         assert stats.legacy_records == 3
 
+    def test_crc_prefixed_line_with_failing_checksum_is_rejected(self):
+        """The framing check is ``fsio.check_frame``; a line that carries
+        the prefix but fails it must not slip through as a v0 record —
+        not even when the prefix reads as a decimal sequence number."""
+        from repro.reliability.fsio import check_frame, frame_line
+        from repro.storage.wal import _parse_line
+
+        payload = "4\t9\tann\t3.0\t\t\tstorm #red"
+        framed = frame_line(payload)
+        assert check_frame(framed) == payload
+        seq, message, legacy = _parse_line(framed)
+        assert (seq, message.msg_id, legacy) == (4, 9, False)
+        assert _parse_line("00000000" + framed[8:]) is None
+        # All-digit prefix, payload opening with a tab: int() alone would
+        # accept "12345678 " as a v0 sequence number.
+        assert _parse_line("12345678 \t9\tann\t3.0\t\t\tstorm") is None
+        seq, message, legacy = _parse_line(payload)  # the v0 spelling
+        assert (seq, message.msg_id, legacy) == (4, 9, True)
+
     def test_legacy_journal_continues_with_framed_appends(self, tmp_path):
         """A reopened v0 journal appends CRC-framed records after the
         legacy ones, and replay handles the mixed file."""
-        from repro.storage.wal import _escape
+        from repro.reliability.fsio import escape_field as _escape
 
         path = tmp_path / "mixed.wal"
         old = stream(2)
