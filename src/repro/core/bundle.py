@@ -242,15 +242,15 @@ class Bundle:
                 f"message {message.msg_id} already in bundle {self.bundle_id}")
 
         edge = None
-        candidates = self._candidate_members(message, keywords)
+        # Only members reached through the RT-author and URL probes can
+        # earn Eq. 5's RT bonus or URL term; they are scored first.
+        strong_ids = self._strong_member_ids(message)
+        candidates = self._candidate_members(message, keywords, strong_ids)
         if candidates:
             config = self.config
             best = candidates[0]
             best_key: "tuple[float, float, int] | None" = None
-            # Only members reached through the RT-author and URL probes
-            # can earn Eq. 5's RT bonus or URL term; score those first
-            # (the window holds the highest candidate ids).
-            strong_ids = self._strong_member_ids(message)
+            # The window holds the highest candidate ids.
             oldest_id = candidates[0].msg_id
             for msg_id in strong_ids:
                 if msg_id >= oldest_id:
@@ -381,6 +381,7 @@ class Bundle:
 
     def _candidate_members(
         self, message: Message, keywords: frozenset[str],
+        strong_ids: "set[int] | None" = None,
     ) -> list[Message]:
         """Members sharing any indicant with ``message`` (Alg. 2 lines 1-5).
 
@@ -392,11 +393,13 @@ class Bundle:
         Falls back to the most recent member when nothing overlaps: the
         message was routed here by the bundle-level summary (e.g. via a
         keyword that has since left a member's top-k), and the freshest
-        member is the paper's intuition for alignment.
+        member is the paper's intuition for alignment.  ``strong_ids``:
+        the caller's :meth:`_strong_member_ids` (not modified).
         """
         window = self.config.alloc_window
         index = self._member_index
-        candidate_ids = self._strong_member_ids(message)
+        candidate_ids = (self._strong_member_ids(message)
+                         if strong_ids is None else set(strong_ids))
         for tag in message.hashtags:
             candidate_ids.update(index.get("t:" + tag, ())[-window:])
         for keyword in keywords:

@@ -46,7 +46,8 @@ class IndexerConfig:
         A candidate bundle must reach this aggregated Eq. 1 score to absorb
         the new message; otherwise a fresh bundle is created.  The default
         (1.0) is calibrated against the default weights so that freshness
-        alone — or a single shared background keyword — can never merge a
+        plus any number of shared keywords — at most ``keyword_weight *
+        keyword_hit_cap + time_weight`` = 0.9 — can never merge a
         message, while one shared hashtag or URL on a live bundle can.
     alloc_window:
         Algorithm 2 compares the new message against at most this many of
@@ -90,7 +91,10 @@ class IndexerConfig:
         their aggregate contribution below ``min_match_score`` keeps them
         assistive-only and prevents the mega-bundle attractor (a huge
         bundle eventually contains every common keyword, so an uncapped
-        count would merge arbitrary messages into it).
+        count would merge arbitrary messages into it).  Algorithm 1
+        relies on it: while ``keyword_weight * keyword_hit_cap +
+        time_weight < min_match_score``, candidates only keyword postings
+        reach are counted for the cap but never scored (unless audited).
     refine_policy:
         Which aging score ranks bundles for stage-two eviction:
         ``"g"`` — the paper's Eq. 6 ``G(B) = age + 1/|B|`` (default);

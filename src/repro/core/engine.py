@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from importlib import import_module
-from itertools import islice
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.core.bundle import Bundle
@@ -597,9 +597,8 @@ class ProvenanceIndexer:
 
         The batch is processed in :data:`BATCH_CHUNK` slices: keyword
         extraction (the stateless analyzer stage) is hoisted and run
-        for the whole slice up front, then each message runs the
-        candidate gather + vectorised Eq. 1 scoring of
-        :meth:`_select_bundle`.  Placement itself stays sequential by
+        for the whole slice up front, then each message runs
+        :meth:`_ingest_one`.  Placement itself stays sequential by
         construction — message *i+1*'s candidate set depends on the
         index and pool updates of message *i* — so results are
         identical to one-at-a-time ingestion, which the conformance
@@ -644,8 +643,9 @@ class ProvenanceIndexer:
         in lockstep with the pool — so scoring needs no per-candidate
         ``Bundle.shared_counts`` intersections.  Array gathers (heavy
         hitters, numpy present) are scored whole in a few array ops;
-        list gathers go through the pruning scalar loop.  Both produce
-        bit-identical scores, selections and audit rows.
+        list gathers, which leave keyword-only candidates as tallies, go
+        through the pruning scalar loop.  Both produce bit-identical
+        scores, selections and audit rows.
 
         ``collect``, when given, receives the Eq. 1 evidence the audit
         layer records: the vectorised path appends six raw scalars per
@@ -759,24 +759,15 @@ class ProvenanceIndexer:
         score from above — float addition and multiplication are
         monotone — and a candidate whose bound is *strictly* below
         ``max(best so far, min_match_score)`` can neither win nor tie,
-        so it is skipped before its bundle is even looked up.  The
-        audit capture (``collect``) records every capped candidate's
-        score, so audited ingests score them all.
+        so it is skipped before its bundle is even looked up.  Per kind,
+        the bound settles keyword-only tallies wholesale: below
+        ``min_match_score`` at ``keyword_weight * keyword_hit_cap +
+        time_weight``, they only compete for the cap.  The audit capture
+        (``collect``) records every capped candidate's score, so audited
+        ingests package and score them all.
         """
-        ids = gather.ids
-        hits = gather.hits
-        fetched = len(ids)
+        fetched = len(gather)
         audited = collect is not None
-        # With nothing to cut, the cap sort is skipped: the argmax does
-        # not depend on the visiting order (ties go to the smaller
-        # bundle id) — only the audit rows do.
-        order: "Sequence[int]" = range(fetched)
-        if fetched > cap or audited:
-            # The gather's ids ascend, so a stable descending sort on
-            # hit count breaks count ties on the smaller bundle id.
-            order = sorted(order, key=hits.__getitem__, reverse=True)[:cap]
-        self.last_candidate_fanin = (fetched, len(order))
-        tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
         config = self.config
         url_weight = config.url_weight
         hashtag_weight = config.hashtag_weight
@@ -784,11 +775,40 @@ class ProvenanceIndexer:
         keyword_hit_cap = config.keyword_hit_cap
         time_weight = config.time_weight
         rt_weight = config.rt_weight
+        floor = config.min_match_score
+        if gather.keyword_only and (
+                audited
+                or keyword_weight * keyword_hit_cap + time_weight >= floor):
+            gather = gather.packaged()
+        ids = gather.ids
+        hits = gather.hits
+        weak = gather.keyword_only
+        # With nothing to cut, the cap sort is skipped: the argmax does
+        # not depend on the visiting order (ties go to the smaller
+        # bundle id) — only the audit rows do.
+        order: "Sequence[int]" = range(len(ids))
+        if weak and fetched > cap and ids:
+            # Keep the packaged rows ranking in the top ``cap`` by (hits
+            # descending, id ascending) over every candidate: the cut is
+            # the cap-th key, ``(edge, last)``.
+            ranked = sorted(chain(hits, weak.values()), reverse=True)
+            edge = ranked[cap - 1]
+            last = sorted(chain(
+                compress(ids, map(edge.__eq__, hits)),
+                compress(weak, map(edge.__eq__, weak.values())),
+            ))[cap - 1 - ranked.index(edge)]
+            order = [p for p in order if hits[p] > edge
+                     or (hits[p] == edge and ids[p] <= last)]
+        elif fetched > cap or audited:
+            # The gather's ids ascend, so a stable descending sort on
+            # hit count breaks count ties on the smaller bundle id.
+            order = sorted(order, key=hits.__getitem__, reverse=True)[:cap]
+        self.last_candidate_fanin = (fetched, min(fetched, cap))
+        tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
         date = message.date
         live = self.pool.live()
         best_bundle: "Bundle | None" = None
         best_score = float("-inf")
-        floor = config.min_match_score
         kept_positions: "list[int]" = []
         kept_scores: "list[float]" = []
         for position in order:

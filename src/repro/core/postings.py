@@ -26,7 +26,9 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from importlib import import_module
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -53,6 +55,7 @@ INDICANT_KINDS = ("hashtag", "url", "keyword", "user")
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(INDICANT_KINDS)}
 _KIND_COUNT = len(INDICANT_KINDS)
+_KEYWORD = _KIND_INDEX["keyword"]
 
 #: Initial slice capacity (postings slots) per indicant kind.  Seeded
 #: from the capacity report of ``BENCH_anatomy.json``: URL and hashtag
@@ -78,9 +81,11 @@ _SLAB_TERM_BASE_BYTES = 150
 class CandidateGather:
     """Candidate bundles of one message, with per-kind postings hits.
 
-    ``ids`` holds the candidate bundle ids in ascending order, ``hits``
-    the total postings hits per candidate (the Algorithm 1 cap weight),
-    and ``kind_hits`` one aligned row per :data:`INDICANT_KINDS` entry.
+    ``ids`` holds the packaged candidate bundle ids in ascending order,
+    ``hits`` the total postings hits per candidate (the Algorithm 1 cap
+    weight), and ``kind_hits`` one aligned row per :data:`INDICANT_KINDS`
+    entry.  ``keyword_only`` maps the candidates only keyword postings
+    reach to their hits; ``len()`` counts both.
 
     The per-kind rows are the Eq. 1 inputs directly: a bundle's hit
     count under kind *url* is exactly ``|url(t) ∩ url(B)|`` because the
@@ -91,19 +96,38 @@ class CandidateGather:
     Sequences are plain lists for small candidate sets (and always
     without numpy) and numpy ``int64`` arrays when the slab's
     vectorised gather produced them; both spell the same values, and
-    the engine dispatches its scoring path on the representation.
+    the engine dispatches its scoring path on the representation.  Only
+    the list form leaves keyword-only candidates as tallies.
     """
 
-    __slots__ = ("ids", "hits", "kind_hits")
+    __slots__ = ("ids", "hits", "kind_hits", "keyword_only")
 
     def __init__(self, ids: Any, hits: Any,
-                 kind_hits: "tuple[Any, Any, Any, Any]") -> None:
+                 kind_hits: "tuple[Any, Any, Any, Any]",
+                 keyword_only: "Mapping[int, int]" = MappingProxyType({}),
+                 ) -> None:
         self.ids = ids
         self.hits = hits
         self.kind_hits = kind_hits
+        self.keyword_only = keyword_only
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.ids) + len(self.keyword_only)
+
+    def packaged(self) -> "CandidateGather":
+        """This gather with the keyword-only tallies packaged as rows.
+
+        Ids still ascend, so every positional order (the cap's
+        tie-break, the audit rows) is what packaging every candidate up
+        front would have produced.
+        """
+        if not self.keyword_only:
+            return self
+        rows = sorted([*zip(self.ids, self.hits, *self.kind_hits),
+                       *((bundle_id, hits, 0, 0, hits, 0)
+                         for bundle_id, hits in self.keyword_only.items())])
+        ids, totals, tags, urls, keywords, users = map(list, zip(*rows))
+        return CandidateGather(ids, totals, (tags, urls, keywords, users))
 
 
 #: Postings-hit count below which the slab gather stays in pure Python.
@@ -113,32 +137,6 @@ class CandidateGather:
 #: on CPython 3.11.  Both sides produce identical values — the cutoff is
 #: a speed knob, never a semantics knob.
 SMALL_GATHER_CUTOFF = 512
-
-
-def _empty_gather() -> CandidateGather:
-    return CandidateGather([], [], ([], [], [], []))
-
-
-def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
-    """Pure-Python packaging: per-id kind rows -> CandidateGather.
-
-    Always returns plain lists: the engine's scalar selection consumes
-    them directly, and small candidate sets (the common case) never pay
-    a numpy-array construction.  The slab's numpy gather builds
-    arrays itself for the large sets where vector maths wins.
-    """
-    if not acc:
-        return _empty_gather()
-    ids = sorted(acc)
-    rows = [acc[bundle_id] for bundle_id in ids]
-    totals = [row[0] + row[1] + row[2] + row[3] for row in rows]
-    columns: "tuple[Any, Any, Any, Any]" = (
-        [row[0] for row in rows],
-        [row[1] for row in rows],
-        [row[2] for row in rows],
-        [row[3] for row in rows],
-    )
-    return CandidateGather(ids, totals, columns)
 
 
 class _KindSlab:
@@ -323,9 +321,31 @@ class SlabPostingsStorage:
                     extents.append((slab, kind_index, off[tid], used))
                     total += used
         if not extents:
-            return _empty_gather()
+            return CandidateGather([], [], ([], [], [], []))
         if _np is None or total <= SMALL_GATHER_CUTOFF:
-            return self._gather_small(extents)
+            # Keyword postings are only counted (at C speed); the bundles
+            # a hashtag, URL or RT-user posting reaches get kind rows.
+            tally = Counter(chain.from_iterable(
+                slab.ids[offset:offset + used]
+                for slab, kind_index, offset, used in extents
+                if kind_index == _KEYWORD))
+            acc: "dict[int, list[int]]" = {}
+            for slab, kind_index, offset, used in extents:
+                if kind_index == _KEYWORD:
+                    continue
+                for bundle_id in slab.ids[offset:offset + used]:
+                    row = acc.get(bundle_id)
+                    if row is None:
+                        row = acc[bundle_id] = [0] * _KIND_COUNT
+                        row[_KEYWORD] = tally.pop(bundle_id, 0)
+                    row[kind_index] += 1
+            ids = sorted(acc)
+            rows = [acc[bundle_id] for bundle_id in ids]
+            return CandidateGather(
+                ids, [sum(row) for row in rows],
+                ([row[0] for row in rows], [row[1] for row in rows],
+                 [row[2] for row in rows], [row[3] for row in rows]),
+                tally)
         parts = []
         views: "dict[int, Any]" = {}  # one zero-copy view per kind
         for slab, kind_index, offset, used in extents:
@@ -352,19 +372,6 @@ class SlabPostingsStorage:
         return CandidateGather(
             ids, totals,
             (matrix[:, 0], matrix[:, 1], matrix[:, 2], matrix[:, 3]))
-
-    @staticmethod
-    def _gather_small(extents: "list[tuple[_KindSlab, int, int, int]]",
-                      ) -> CandidateGather:
-        """Identical-output accumulation for small (or numpy-less) probes."""
-        acc: "dict[int, list[int]]" = {}
-        for slab, kind_index, offset, used in extents:
-            for bundle_id in slab.ids[offset:offset + used].tolist():
-                row = acc.get(bundle_id)
-                if row is None:
-                    row = acc[bundle_id] = [0] * _KIND_COUNT
-                row[kind_index] += 1
-        return _package_gather(acc)
 
     def postings(self, kind: str, term: str) -> "Mapping[int, int]":
         slab = self._slab(kind)

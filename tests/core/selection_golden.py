@@ -1,0 +1,125 @@
+"""Algorithm 1's observable output, pinned against the commit *before*
+keyword-only candidates stopped being packaged.
+
+``build()`` replays three seeded 2 000-message streams through the bare
+engine, once plain and once audited, and returns everything an observer
+can see of Algorithm 1: per-ingest ``(bundle_id, created, edge,
+last_candidate_fanin)``, the ``repro_candidate_fanin`` histograms, the
+capped counter, the edge set, the stats, the audit JSONL bytes and the
+``DecisionRecord.to_dict()`` rows — the bulky sections as SHA-256
+digests — plus ``gathered``, the sum of ``len(gather)`` over the plain
+replay.  ``selection_golden.json`` is that value as produced by the
+parent of the change; ``tests/core/test_engine.py::TestSelectionGolden``
+demands the current code still produces it.  Regenerate (only ever at a
+parent checkout, see ``.claude/skills/verify/SKILL.md``) with::
+
+    PYTHONPATH=src python -m tests.core.selection_golden > tests/core/selection_golden.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from repro.core.config import IndexerConfig
+from repro.core.engine import ProvenanceIndexer
+from repro.core.summary_index import SummaryIndex
+from repro.obs import Observability
+from repro.obs.audit import AuditLog
+from repro.stream.generator import StreamConfig, StreamGenerator
+
+GOLDEN = Path(__file__).with_name("selection_golden.json")
+
+#: The REDUCED stretch of the ``reduced`` scenario: ``candidate_cap=1``
+#: (rung 1) for these steps, as the overload ladder would push it.
+REDUCED_STEPS = range(500, 1500)
+
+
+def dense_stream() -> list:
+    """The seeded dense stream of ``TestMaxScorePruning``."""
+    return StreamGenerator(StreamConfig(
+        seed=7, days=0.02, messages_per_day=100_000, user_count=200,
+        events_per_day=240.0)).generate_list()[:2000]
+
+
+#: name -> (config, whether the REDUCED stretch applies).
+SCENARIOS = {
+    "dense": (IndexerConfig.partial_index(200), False),
+    "closed": (IndexerConfig.bundle_limit(200, 100), False),
+    "reduced": (IndexerConfig.partial_index(200), True),
+}
+
+
+def _digest(value: object) -> str:
+    payload = (value if isinstance(value, bytes) else json.dumps(
+        value, sort_keys=True, separators=(",", ":")).encode())
+    return hashlib.sha256(payload).hexdigest()
+
+
+def replay(config: IndexerConfig, reduced: bool, audited: bool,
+           stream: list) -> dict:
+    """One replay's Algorithm 1 observables (see the module docstring)."""
+    gathered = [0]
+    shipped = SummaryIndex.gather_candidates
+
+    def counted(self, message, keywords):
+        gather = shipped(self, message, keywords)
+        gathered[0] += len(gather)
+        return gather
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sink = Path(tmp) / "audit.jsonl"
+        audit = (AuditLog(capacity=10_000, sink=sink)
+                 if audited else None)
+        engine = ProvenanceIndexer(config, obs=Observability(audit=audit))
+        steps = []
+        with mock.patch.object(SummaryIndex, "gather_candidates", counted):
+            for step, message in enumerate(stream):
+                in_stretch = reduced and step in REDUCED_STEPS
+                engine.candidate_cap = 1 if in_stretch else None
+                engine.current_rung = 1 if in_stretch else 0
+                result = engine.ingest(message)
+                edge = result.edge
+                steps.append([
+                    result.bundle_id, result.created_bundle,
+                    None if edge is None else
+                    [edge.dst_id, edge.kind.value, edge.score.hex()],
+                    list(engine.last_candidate_fanin)])
+        out = {
+            "steps": _digest(steps),
+            "fanin": {
+                "fetched": [engine._fanin_fetched_hist.count,
+                            engine._fanin_fetched_hist.sum],
+                "scored": [engine._fanin_scored_hist.count,
+                           engine._fanin_scored_hist.sum],
+                "capped": engine._fanin_capped.value,
+            },
+            "edges": _digest(sorted(map(list, engine.edge_pairs()))),
+            "edge_count": len(engine.edge_pairs()),
+            "stats": engine.stats(),
+            "gathered": gathered[0],
+        }
+        if audit is not None:
+            out["decisions"] = _digest(
+                [record.to_dict() for record in audit.tail(10_000)])
+            audit.close()
+            jsonl = sink.read_bytes()
+            out["audit_jsonl"] = [_digest(jsonl), len(jsonl)]
+    return out
+
+
+def build() -> dict:
+    stream = dense_stream()
+    return {
+        f"{name}/{'audited' if audited else 'plain'}":
+            replay(config, reduced, audited, stream)
+        for name, (config, reduced) in SCENARIOS.items()
+        for audited in (False, True)
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(build(), sort_keys=True, indent=1))

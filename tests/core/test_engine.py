@@ -230,6 +230,73 @@ class TestMaxScorePruning:
         assert ([b.message_ids() for b in audited.pool]
                 == [b.message_ids() for b in plain.pool])
 
+    def test_keyword_only_candidates_are_never_packaged(self):
+        """Keyword postings alone cannot lift a bundle to the shipped
+        floor (0.2·2 + 0.5 < 1.0), so their candidates stay tallies."""
+        import json
+        from unittest import mock
+
+        from repro.core.summary_index import SummaryIndex
+        from tests.core.selection_golden import GOLDEN
+
+        fetched = packaged = 0
+        shipped = SummaryIndex.gather_candidates
+
+        def counted(self, message, keywords):
+            nonlocal fetched, packaged
+            gather = shipped(self, message, keywords)
+            fetched += len(gather)
+            packaged += len(gather.ids)
+            return gather
+
+        indexer = ProvenanceIndexer(IndexerConfig.partial_index(200))
+        with mock.patch.object(SummaryIndex, "gather_candidates", counted):
+            indexer.ingest_batch(self._dense_stream())
+        golden = json.loads(GOLDEN.read_text())
+        assert fetched == golden["dense/plain"]["gathered"]
+        assert packaged <= 0.2 * fetched
+
+    @pytest.mark.parametrize("strong_id, keyword_only, kept", [
+        (1, {0: 1, 2: 1}, True),   # ties at the cut, smaller id: kept
+        (3, {0: 1, 2: 1}, False),  # ties at the cut, larger id: cut
+        (1, {0: 3, 2: 3}, False),  # outranked on hits: cut
+        (1, {0: 1}, True),         # nothing to cut
+    ])
+    def test_keyword_only_tallies_compete_for_the_cap(
+            self, strong_id, keyword_only, kept):
+        from repro.core.postings import CandidateGather
+        from tests.scoring_oracle import select_scalar
+
+        indexer = ProvenanceIndexer(IndexerConfig(max_candidates=2))
+        for msg_id in range(4):
+            assert indexer.ingest(make_message(
+                msg_id, f"#t{msg_id}", user=f"u{msg_id}")).created_bundle
+        message = make_message(9, "#t1 #t3", user="z", hours=0.1)
+        gather = CandidateGather([strong_id], [1], ([1], [0], [0], [0]),
+                                 keyword_only)
+        chosen = indexer._select_scalar(message, frozenset(), gather, 2,
+                                        None)
+        assert indexer.last_candidate_fanin == (len(gather), 2)
+        assert (chosen is not None) == kept
+        assert chosen is select_scalar(indexer, message, frozenset(),
+                                       gather, 2, None)
+
+
+class TestSelectionGolden:
+    """Algorithm 1 against the commit before keyword-only candidates
+    became tallies (see ``tests/core/selection_golden.py``)."""
+
+    def test_dense_closed_and_reduced_streams_match_the_parent(self):
+        import json
+
+        from tests.core.selection_golden import GOLDEN, build
+
+        golden = json.loads(GOLDEN.read_text())
+        current = json.loads(json.dumps(build()))
+        for section in golden:
+            assert current[section] == golden[section], section
+        assert current.keys() == golden.keys()
+
 
 class TestFoldGolden:
     """The fold path against the commit before it merged into

@@ -24,7 +24,7 @@ def index(request) -> SummaryIndex:
 
 def _hits(index, message, keywords) -> dict:
     gather = index.gather_candidates(message, keywords)
-    return dict(zip(gather.ids, gather.hits))
+    return {**dict(zip(gather.ids, gather.hits)), **gather.keyword_only}
 
 
 class TestAddAndLookup:
@@ -88,6 +88,26 @@ class TestCandidates:
         assert list(kw_hits) == [0, 1]
         assert list(user_hits) == [0, 0]
         assert list(gather.hits) == [2, 2]
+
+    def test_keyword_only_candidates_package_in_id_order(self, index):
+        index.add_message(1, make_message(1, "x"), frozenset({"game"}))
+        index.add_message(2, make_message(2, "#a", user="b", hours=1),
+                          frozenset({"game"}))
+        index.add_message(3, make_message(3, "y", user="c", hours=2),
+                          frozenset({"game", "night"}))
+        incoming = make_message(4, "#a late", user="d", hours=3)
+        gather = index.gather_candidates(incoming,
+                                         frozenset({"game", "night"}))
+        # The slab tallies bundles 1 and 3 (keyword postings only); the
+        # dict oracle packages them.  Both count and package the same.
+        assert len(gather) == 3
+        assert dict(gather.keyword_only) in ({1: 1, 3: 2}, {})
+        full = gather.packaged()
+        assert list(full.ids) == [1, 2, 3]
+        assert list(full.hits) == [1, 2, 2]
+        assert [list(row) for row in full.kind_hits] == [
+            [0, 1, 0], [0, 0, 0], [1, 1, 2], [0, 0, 0]]
+        assert not full.keyword_only
 
     def test_gather_is_a_read_only_probe(self, index):
         index.add_message(1, make_message(1, "#a bit.ly/z"), frozenset())

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from repro.core import engine as engine_module
 from repro.core.errors import IndexError_
 from repro.core.postings import (_KIND_COUNT, _KIND_INDEX, INDICANT_KINDS,
-                                 CandidateGather, _package_gather)
+                                 CandidateGather)
 from repro.core.summary_index import SummaryIndex
 
 # Byte model behind the dict layout's deterministic memory estimate.
@@ -27,12 +27,44 @@ _DICT_TERM_BASE_BYTES = 242  # term str header + outer dict slot + dict base
 _DICT_TERM_ENTRY_BYTES = 76  # inner dict slot + boxed bundle id + count
 
 
+def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
+    """Naive packaging: per-id kind rows -> one row per candidate.
+
+    Every candidate gets a row, keyword-only ones included — the full
+    shape the slab's list gather packages only for audited or
+    keyword-decisive selections (``CandidateGather.packaged``).
+    """
+    ids = sorted(acc)
+    rows = [acc[bundle_id] for bundle_id in ids]
+    totals = [row[0] + row[1] + row[2] + row[3] for row in rows]
+    columns = (
+        [row[0] for row in rows],
+        [row[1] for row in rows],
+        [row[2] for row in rows],
+        [row[3] for row in rows],
+    )
+    return CandidateGather(ids, totals, columns)
+
+
+def full_gather(gather: CandidateGather) -> CandidateGather:
+    """A list gather re-packaged naively with every candidate as a row."""
+    acc = {bundle_id: [column[position] for column in gather.kind_hits]
+           for position, bundle_id in enumerate(gather.ids)}
+    keyword = _KIND_INDEX["keyword"]
+    for bundle_id, hits in gather.keyword_only.items():
+        acc[bundle_id] = [0] * _KIND_COUNT
+        acc[bundle_id][keyword] = hits
+    return _package_gather(acc)
+
+
 class DictPostingsOracle:
     """The nested layout: ``kind -> term -> {bundle_id: count}`` dicts.
 
     Every observable output matches
     :class:`~repro.core.postings.SlabPostingsStorage` byte-for-byte;
-    only the memory estimate (its own byte model) differs.
+    only the memory estimate (its own byte model) differs, and its
+    gathers package keyword-only candidates as rows up front (what
+    ``CandidateGather.packaged`` makes of a slab gather).
     """
 
     __slots__ = ("_maps",)

