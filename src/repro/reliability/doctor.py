@@ -14,13 +14,12 @@ runbook.
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.core.errors import StorageError
-from repro.reliability.fsio import check_frame, filesystem
+from repro.reliability.fsio import check_frame, filesystem, framed_lines
 from repro.storage.wal import _parse_line
 
 __all__ = [
@@ -211,20 +210,17 @@ def _scan_lines(report: "WalScan | QuarantineScan", line_ok: _LineCheck):
         report.exists = False
         return report
     last_bad_run = 0
-    with report.path.open("r", encoding="utf-8", errors="replace",
-                          newline="") as handle:
-        for number, line in enumerate(handle, start=1):
-            report.total_lines += 1
-            valid, legacy = (line_ok(line[:-1]) if line.endswith("\n")
-                             else (False, False))
-            if not valid:
-                report.corrupt_lines.append(number)
-                last_bad_run += 1
-                continue
-            last_bad_run = 0
-            report.valid_records += 1
-            if legacy:
-                report.legacy_records += 1
+    for number, line in enumerate(framed_lines(report.path), start=1):
+        report.total_lines += 1
+        valid, legacy = (False, False) if line is None else line_ok(line)
+        if not valid:
+            report.corrupt_lines.append(number)
+            last_bad_run += 1
+            continue
+        last_bad_run = 0
+        report.valid_records += 1
+        if legacy:
+            report.legacy_records += 1
     report.torn_tail = last_bad_run > 0
     return report
 
@@ -260,15 +256,6 @@ def scan_snapshot(path: "str | os.PathLike[str]") -> SnapshotScan:
     return report
 
 
-def _store_record_ok(record: bytes) -> bool:
-    """CRC check for one bundle-store record (``<crc:8 hex> <json>``)."""
-    if len(record) < 10 or record[8:9] != b" ":
-        return False
-    stated = record[:8].decode("ascii", errors="replace")
-    actual = f"{zlib.crc32(record[9:]) & 0xFFFFFFFF:08x}"
-    return stated == actual
-
-
 def scan_store(directory: "str | os.PathLike[str]") -> StoreScan:
     """Inventory every segment of a bundle-store directory."""
     root = Path(directory)
@@ -280,13 +267,10 @@ def scan_store(directory: "str | os.PathLike[str]") -> StoreScan:
         segment = SegmentScan(path=segment_path)
         with segment_path.open("rb") as handle:
             for number, line in enumerate(handle, start=1):
-                if not line.endswith(b"\n"):
-                    segment.corrupt_lines.append(number)
-                    continue
-                record = line[:-1]
-                if not record:
+                if line == b"\n":
                     continue  # blank line: harmless padding
-                if _store_record_ok(record):
+                text = line.decode("utf-8", errors="replace")
+                if text.endswith("\n") and check_frame(text[:-1]) is not None:
                     segment.valid_records += 1
                 else:
                     segment.corrupt_lines.append(number)
@@ -358,22 +342,15 @@ def repair_quarantine(path: "str | os.PathLike[str]") -> RepairResult:
 def repair_store(directory: "str | os.PathLike[str]") -> list[RepairResult]:
     """Compact every damaged segment down to its CRC-valid records."""
     results: list[RepairResult] = []
-    for segment_path in sorted(Path(directory).glob(_SEGMENT_GLOB)):
-        keep: list[bytes] = []
-        kept = dropped = 0
-        with segment_path.open("rb") as handle:
-            for line in handle:
-                record = line.rstrip(b"\n")
-                if line.endswith(b"\n") and (not record
-                                             or _store_record_ok(record)):
-                    keep.append(line)
-                    if record:
-                        kept += 1
-                else:
-                    dropped += 1
-        if dropped:
-            results.append(
-                _rewrite_keeping(segment_path, keep, kept, dropped))
+    for segment in scan_store(directory).segments:
+        if segment.healthy:
+            continue
+        bad = set(segment.corrupt_lines)
+        with segment.path.open("rb") as handle:
+            keep = [line for number, line in enumerate(handle, start=1)
+                    if number not in bad]
+        results.append(_rewrite_keeping(segment.path, keep,
+                                        segment.valid_records, len(bad)))
     return results
 
 

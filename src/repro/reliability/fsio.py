@@ -19,7 +19,7 @@ import os
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "FileSystem",
@@ -31,6 +31,8 @@ __all__ = [
     "FramedLog",
     "commit_scope",
     "read_framed",
+    "framed_lines",
+    "torn_tail",
     "frame_line",
     "check_frame",
     "escape_field",
@@ -40,13 +42,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shared CRC32 record framing
 #
-# Every append-only log in the repo (the message WAL, the bundle store's
-# segments, the runtime's boundary and repair journals) frames records the
-# same way: ``<crc32:8 hex> <payload>`` per line, free-text fields escaped
-# so payloads stay single-line.  Keeping the framing here — next to the
-# filesystem indirection all of those logs write through — lets each log
-# share one implementation without the storage and runtime layers importing
-# each other.
+# Every append-only file in the repo frames records the same way:
+# ``<crc32:8 hex> <payload>`` per line, free-text fields escaped so payloads
+# stay single-line.  Each rule lives here once — the CRC (:func:`frame_line`
+# / :func:`check_frame`), the text line reader (:func:`framed_lines`), the
+# torn-tail test (:func:`torn_tail`) and the append class
+# (:class:`FramedLog`) — next to the filesystem indirection all of those
+# files write through, so the storage and runtime layers share them
+# without importing each other.
 # ---------------------------------------------------------------------------
 
 CRC_WIDTH = 8
@@ -178,14 +181,44 @@ def write_atomic(path: "str | os.PathLike[str]",
     fs.replace(tmp, target)
 
 
+def torn_tail(path: "str | os.PathLike[str]") -> bool:
+    """Whether ``path`` ends in an unterminated fragment, as a crash or a
+    failed write mid-append leaves it (a missing or empty file does not)."""
+    source = Path(path)
+    if not source.exists() or source.stat().st_size == 0:
+        return False
+    with source.open("rb") as handle:
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) != b"\n"
+
+
+def framed_lines(path: "str | os.PathLike[str]") -> Iterator["str | None"]:
+    """A framed text log's lines in file order, newline stripped; a torn
+    (unterminated) final line reads as ``None``, a missing file as none.
+    ``errors="replace"``: a bit-flip that breaks UTF-8 must fail a CRC,
+    not raise a ``UnicodeDecodeError`` that aborts the whole read."""
+    source = Path(path)
+    if not source.exists():
+        return
+    with source.open("r", encoding="utf-8", errors="replace",
+                     newline="") as handle:
+        for line in handle:
+            yield line[:-1] if line.endswith("\n") else None
+
+
+_Log = TypeVar("_Log", bound="FramedLog")
+
+
 class FramedLog:
-    """Append side of a CRC-framed side log (quarantine, folds, boundary,
+    """Append side of a CRC-framed log (WAL, quarantine, folds, boundary,
     repairs): one :func:`frame_line` record per line.
 
     ``path=None`` keeps the log memory-only (tests, ephemeral stacks).
     Appends go through the pluggable :func:`filesystem` so the fault
-    injector can tear them; a failed append marks the tail dirty and the
-    next append terminates the garbage line first, exactly like the WAL.
+    injector can tear them.  A failed append marks the tail dirty, and
+    so does (re)opening a file a crash left ending in a fragment: the
+    next append terminates it first, so the fragment stays one damaged
+    line readers skip instead of swallowing the next record's frame.
     A log whose class sets :attr:`durable` fsyncs each append before it
     returns — unless a :func:`commit_scope` holds the log, which moves
     that fsync to the scope's exit.
@@ -204,26 +237,33 @@ class FramedLog:
         self.syncs = 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = filesystem().open(self.path, "a",
-                                             encoding="utf-8")
+            self._open()
 
-    def append_payload(self, payload: str) -> None:
+    def _open(self) -> IO[Any]:
+        assert self.path is not None
+        self._tail_dirty = torn_tail(self.path)
+        self._handle = filesystem().open(self.path, "a", encoding="utf-8")
+        return self._handle
+
+    def append_payload(self, payload: str) -> int:
+        """Frame and write one record; returns the bytes written for it
+        (0 when memory-only)."""
         if self.path is None:
-            return
-        if self._handle is None:  # closed by a compaction: reopen
-            self._handle = filesystem().open(self.path, "a",
-                                             encoding="utf-8")
+            return 0
+        handle = self._handle or self._open()  # reopen after close()
+        line = frame_line(payload) + "\n"
         try:
             if self._tail_dirty:
-                self._handle.write("\n")
+                handle.write("\n")
                 self._tail_dirty = False
-            self._handle.write(frame_line(payload) + "\n")
+            handle.write(line)
         except OSError:
             self._tail_dirty = True
             raise
         self._unsynced = True
         if self.durable and not self._held:
             self.sync()
+        return len(line)
 
     def sync(self) -> None:
         """Flush and fsync (no-op when memory-only or already clean)."""
@@ -234,39 +274,41 @@ class FramedLog:
         self.syncs += 1
 
     def close(self) -> None:
-        if self._handle is None:
+        """Sync and release the handle (idempotent; the next append
+        reopens).  The handle is released even when the fsync fails."""
+        handle = self._handle
+        if handle is None:
             return
-        self.sync()
-        self._handle.close()
-        self._handle = None
+        try:
+            self.sync()
+        finally:
+            self._handle = None
+            handle.close()
+
+    def __enter__(self: _Log) -> _Log:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def read_framed(path: "str | os.PathLike[str]",
-                parse: "Callable[[str], Any]", *,
-                stop_at_damage: bool = False) -> Iterator[Any]:
+                parse: "Callable[[str], Any]") -> Iterator[Any]:
     """Parsed intact records of a framed log, in append order.
 
     A line is damage when it is unterminated (a torn tail), fails its
     CRC, or ``parse`` rejects its payload (``None`` / ``ValueError``).
-    Logs of independent records skip damage; a journal replayed in
-    order stops at it (append-then-fsync can only tear the final
-    record, so nothing past damage is to be trusted).
+    Damage is skipped wherever it sits — every record carries its own
+    CRC, and a reopened log leaves a torn fragment *inside* the file.
     """
-    source = Path(path)
-    if not source.exists():
-        return
-    with source.open("r", encoding="utf-8", errors="replace",
-                     newline="") as handle:
-        for line in handle:
-            payload = check_frame(line[:-1]) if line.endswith("\n") else None
-            try:
-                record = parse(payload) if payload is not None else None
-            except (ValueError, IndexError):
-                record = None
-            if record is not None:
-                yield record
-            elif stop_at_damage:
-                return
+    for line in framed_lines(path):
+        payload = None if line is None else check_frame(line)
+        try:
+            record = parse(payload) if payload is not None else None
+        except (ValueError, IndexError):
+            record = None
+        if record is not None:
+            yield record
 
 
 @contextmanager

@@ -158,8 +158,7 @@ class BoundaryLog(FramedLog):
         super().__init__(self.directory / BOUNDARY_LOG)
         self._cursor_path = self.directory / BOUNDARY_CURSOR
         entries = list(read_framed(self.directory / BOUNDARY_LOG,
-                                   BoundaryEntry.parse,
-                                   stop_at_damage=True))
+                                   BoundaryEntry.parse))
         self.cursor = _read_cursor(self._cursor_path)
         self._next_seq = (entries[-1].seq + 1) if entries else 1
         self._pending: list[BoundaryEntry] = [
@@ -227,8 +226,7 @@ class RepairJournal(FramedLog):
         self.directory = Path(directory)
         super().__init__(self.directory / REPAIR_JOURNAL)
         self.entries = list(read_framed(self.directory / REPAIR_JOURNAL,
-                                        RepairEntry.parse,
-                                        stop_at_damage=True))
+                                        RepairEntry.parse))
         self._next_seq = (self.entries[-1].seq + 1) if self.entries else 1
 
     def record(self, src: int, old_dst: "int | None", new_dst: int,
@@ -290,10 +288,10 @@ def scan_fleet_repair(root: "str | Path") -> dict[int, RepairScan]:
         except (IndexError, ValueError):
             continue
         entries = list(read_framed(shard_dir / BOUNDARY_LOG,
-                                   BoundaryEntry.parse, stop_at_damage=True))
+                                   BoundaryEntry.parse))
         cursor = _read_cursor(shard_dir / BOUNDARY_CURSOR)
         repairs = list(read_framed(shard_dir / REPAIR_JOURNAL,
-                                   RepairEntry.parse, stop_at_damage=True))
+                                   RepairEntry.parse))
         orphans = tuple(e.msg_id for e in entries if e.seq > cursor)
         scans[shard] = RepairScan(
             shard=shard, journaled=len(entries), cursor=cursor,

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import warnings
-import zlib
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -27,19 +27,15 @@ from repro.core.config import IndexerConfig
 from repro.core.errors import (BundleNotFoundError, CorruptSegmentError,
                                StorageError)
 from repro.obs.registry import MetricsRegistry
-from repro.reliability.fsio import filesystem
+from repro.reliability.fsio import (check_frame, filesystem, frame_line,
+                                    torn_tail)
 from repro.storage.serializer import bundle_from_json, bundle_to_json
 
 __all__ = ["BundleStore"]
 
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".log"
-
-
-def _ends_with_newline(path: Path) -> bool:
-    with path.open("rb") as handle:
-        handle.seek(-1, os.SEEK_END)
-        return handle.read(1) == b"\n"
+_ID_FIELD = re.compile(r'"id":([0-9]+)')
 
 
 def _segment_name(index: int) -> str:
@@ -147,28 +143,23 @@ class BundleStore:
     def _validate_record(self, record: bytes, path: Path,
                          offset: int) -> int:
         """Check the CRC and pull the bundle id without full parsing."""
-        if len(record) < 10 or record[8:9] != b" ":
-            raise CorruptSegmentError(
-                f"{path} @{offset}: record too short or missing separator")
-        stated = record[:8].decode("ascii", errors="replace")
-        payload = record[9:]
-        actual = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
-        if stated != actual:
-            raise CorruptSegmentError(
-                f"{path} @{offset}: CRC mismatch ({stated} != {actual})")
+        payload = self._payload(record, path, offset)
         # Cheap id pull: records are compact JSON with sorted keys, so the
         # id appears as "id":<n>.  Fall back to full parse if not found.
-        marker = payload.find(b'"id":')
-        if marker >= 0:
-            end = marker + 5
-            digits = []
-            while end < len(payload) and payload[end:end + 1].isdigit():
-                digits.append(payload[end:end + 1])
-                end += 1
-            if digits:
-                return int(b"".join(digits))
-        bundle = bundle_from_json(payload.decode("utf-8"), self.config)
-        return bundle.bundle_id
+        marker = payload.find('"id":')
+        match = _ID_FIELD.match(payload, marker) if marker >= 0 else None
+        if match is not None:
+            return int(match.group(1))
+        return bundle_from_json(payload, self.config).bundle_id
+
+    @staticmethod
+    def _payload(record: bytes, path: Path, offset: int) -> str:
+        """The JSON of one newline-stripped record that passes its CRC."""
+        payload = check_frame(record.decode("utf-8", errors="replace"))
+        if payload is None:
+            raise CorruptSegmentError(
+                f"{path} @{offset}: bad CRC frame {record[:8]!r}")
+        return payload
 
     # ------------------------------------------------------------------
     # Introspection
@@ -227,13 +218,11 @@ class BundleStore:
 
     def append(self, bundle: Bundle) -> None:
         """Persist one bundle (BundleSink protocol)."""
-        payload = bundle_to_json(bundle).encode("utf-8")
-        crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}".encode("ascii")
-        record = crc + b" " + payload + b"\n"
+        record = (frame_line(bundle_to_json(bundle)) + "\n").encode("utf-8")
         if self._handle is None:  # first append, or after close/failure
             path = self._segment_path(self._active)
             self._offset = path.stat().st_size if path.exists() else 0
-            if self._offset > 0 and not _ends_with_newline(path):
+            if torn_tail(path):
                 # A failed write left a fragment at the tail: terminate
                 # it, or a later scan reads fragment + this record as
                 # one corrupt line and the record is lost.
@@ -288,8 +277,8 @@ class BundleStore:
         with path.open("rb") as handle:
             handle.seek(offset)
             line = handle.readline().rstrip(b"\n")
-        self._validate_record(line, path, offset)
-        return bundle_from_json(line[9:].decode("utf-8"), self.config)
+        return bundle_from_json(self._payload(line, path, offset),
+                                self.config)
 
     def iter_bundles(self) -> Iterator[Bundle]:
         """Iterate all stored bundles (latest records), id-ascending."""

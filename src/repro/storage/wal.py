@@ -21,17 +21,17 @@ Recovery replays only records with ``seq > applied seq``, so a crash
 sidecar, between sidecar and truncate (duplicate records skipped by
 seq), after truncate — recovers the exact pre-crash engine.
 
-Record framing: each line is ``<crc32:8 hex> <payload>`` (mirroring the
-bundle store's segments), where the payload is the tab-separated record.
+The journal is a :class:`~repro.reliability.fsio.FramedLog`: framing
+(``<crc32:8 hex> <tab-separated record>`` per line), open, reopen,
+torn-tail termination and close are every framed log's.  Its own are
+the sequence numbers, the ``sync_every`` cadence, an unconditional
+``sync()`` barrier, ``truncate()`` and the ``repro_wal_*`` counters.
 Reads are version-tolerant: lines without the CRC prefix are parsed as
 the original v0 format, so pre-CRC journals still replay.  A record that
 fails its CRC or cannot be parsed is skipped; a run of bad lines at the
-tail is the classic torn tail.  ``tests/storage/test_wal.py`` and
-``tests/reliability/test_crash_matrix.py`` pin this with simulated
-crashes at every durability boundary.
-
-All durable I/O goes through :mod:`repro.reliability.fsio`, so the fault
-injector can exercise every failure path deterministically.
+tail is the classic torn tail.  ``tests/storage/test_wal.py``,
+``tests/reliability/test_crash_matrix.py`` and ``test_framed_log_matrix.py``
+pin this with simulated crashes at every durability boundary.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ from repro.core.engine import IngestResult, ProvenanceIndexer
 from repro.core.errors import POISON_ERRORS, StorageError
 from repro.core.message import Message, parse_message
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
-from repro.reliability.fsio import (check_frame, escape_field, filesystem,
-                                    frame_line, unescape_field, write_atomic)
+from repro.reliability.fsio import (FramedLog, check_frame, escape_field,
+                                    filesystem, framed_lines, unescape_field,
+                                    write_atomic)
 
 __all__ = ["MessageJournal", "JournaledIndexer", "ReplayStats"]
 
@@ -93,22 +94,20 @@ class ReplayStats:
     torn_tail: bool = False
 
 
-class MessageJournal:
-    """Append-only sequenced message log with CRC framing and replay."""
+class MessageJournal(FramedLog):
+    """A :class:`FramedLog` of sequenced messages with WAL replay."""
 
     def __init__(self, path: "str | os.PathLike[str]", *,
                  sync_every: int = 64) -> None:
         if sync_every <= 0:
             raise StorageError(
                 f"sync_every must be positive, got {sync_every}")
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        super().__init__(path)
         self.sync_every = sync_every
-        self.next_seq = self._scan_next_seq()
-        self._handle = filesystem().open(self.path, "a", encoding="utf-8")
+        self.next_seq = 0
+        for seq, _ in self.replay_entries(self.path):
+            self.next_seq = seq + 1
         self._since_sync = 0
-        self._closed = False
-        self._tail_dirty = False
         # No-op until bind_registry() wires the journal into a registry.
         self._append_counter = NULL_COUNTER
         self._sync_counter = NULL_COUNTER
@@ -126,75 +125,37 @@ class MessageJournal:
             "repro_wal_bytes_total", unit="bytes",
             help="Payload bytes written to the journal")
 
-    def _scan_next_seq(self) -> int:
-        last = -1
-        for seq, _ in self.replay_entries(self.path):
-            last = seq
-        return last + 1
-
     def append(self, message: Message) -> int:
-        """Log one message; returns its sequence number.
-
-        If a previous append failed mid-write (``ENOSPC`` leaving a
-        partial line), the next append first terminates the garbage line
-        so the journal stays parseable — replay skips the remnant by its
-        failed CRC.
-        """
+        """Log one message; returns its sequence number (consumed even
+        when the write fails)."""
         seq = self.next_seq
         self.next_seq += 1
         event = "" if message.event_id is None else str(message.event_id)
         parent = "" if message.parent_id is None else str(message.parent_id)
-        payload = (f"{seq}\t{message.msg_id}\t{message.user}\t"
-                   f"{message.date!r}\t{event}\t{parent}\t"
-                   f"{escape_field(message.text)}")
-        try:
-            if self._tail_dirty:
-                self._handle.write("\n")
-                self._tail_dirty = False
-            line = frame_line(payload) + "\n"
-            self._handle.write(line)
-        except OSError:
-            self._tail_dirty = True
-            raise
+        self._bytes_counter.inc(self.append_payload(
+            f"{seq}\t{message.msg_id}\t{message.user}\t"
+            f"{message.date!r}\t{event}\t{parent}\t"
+            f"{escape_field(message.text)}"))
         self._append_counter.inc()
-        self._bytes_counter.inc(len(line))
         self._since_sync += 1
         if self._since_sync >= self.sync_every:
             self.sync()
         return seq
 
     def sync(self) -> None:
-        """Flush and fsync the journal (nothing to do once closed)."""
-        if self._closed:
+        """Flush and fsync the journal, appended-to or not — checkpoints
+        and callers' barriers count on it (nothing to do once closed)."""
+        if self._handle is None:
             return
         filesystem().fsync(self._handle)
         self._since_sync = 0
         self._sync_counter.inc()
 
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent); the handle
-        is released even when the final fsync fails."""
-        if self._closed:
-            return
-        try:
-            self.sync()
-        finally:
-            self._handle.close()
-            self._closed = True
-
-    def __enter__(self) -> "MessageJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def truncate(self) -> None:
         """Drop all journal content (sequence numbering continues)."""
         self.close()
         filesystem().unlink(self.path, missing_ok=True)
-        self._handle = filesystem().open(self.path, "a", encoding="utf-8")
-        self._closed = False
-        self._tail_dirty = False
+        self._open()
 
     @staticmethod
     def replay_entries(
@@ -210,31 +171,20 @@ class MessageJournal:
         (crash mid-append) — everything before it was fsync-bounded.
         Pass ``stats`` to learn what the replay skipped.
         """
-        source = Path(path)
         tally = stats if stats is not None else ReplayStats()
-        if not source.exists():
-            return
         pending_bad = 0
-        # errors="replace": a bit-flip that breaks UTF-8 must degrade to
-        # a CRC-failing line (skipped), not a UnicodeDecodeError that
-        # aborts the whole replay.
-        with source.open("r", encoding="utf-8", errors="replace",
-                         newline="") as handle:
-            for line in handle:
-                if not line.endswith("\n"):
-                    pending_bad += 1
-                    continue
-                parsed = _parse_line(line[:-1])
-                if parsed is None:
-                    pending_bad += 1
-                    continue
-                tally.skipped_corrupt += pending_bad
-                pending_bad = 0
-                seq, message, legacy = parsed
-                tally.records += 1
-                if legacy:
-                    tally.legacy_records += 1
-                yield seq, message
+        for line in framed_lines(path):
+            parsed = None if line is None else _parse_line(line)
+            if parsed is None:
+                pending_bad += 1
+                continue
+            tally.skipped_corrupt += pending_bad
+            pending_bad = 0
+            seq, message, legacy = parsed
+            tally.records += 1
+            if legacy:
+                tally.legacy_records += 1
+            yield seq, message
         if pending_bad:
             tally.skipped_corrupt += pending_bad
             tally.torn_tail = True

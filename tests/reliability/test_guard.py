@@ -16,6 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.message import parse_message
+from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
+from repro.reliability.fsio import commit_scope
 from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
                                      IngestGuard, QuarantineLog, Screened)
 from repro.reliability.supervisor import ResilientIndexer
@@ -221,6 +223,30 @@ class TestQuarantineCustody:
             handle.write(b"deadbeef torn")
         assert [m.msg_id for m, _ in QuarantineLog.replay(path)] == [2]
 
+    def test_reopen_behind_a_torn_tail_keeps_the_next_record(self, tmp_path):
+        path = tmp_path / "quarantine.log"
+        with FaultInjector([Fault("write", nth=2, kind="torn", keep_bytes=9,
+                                  path_part="quarantine.log")]):
+            log = QuarantineLog(path)
+            log.append(msg(1, "first verdict"), "spam")
+            with pytest.raises(SimulatedCrash):
+                log.append(msg(2, "torn by the crash"), "spam")
+        reopened = QuarantineLog(path)
+        reopened.append(msg(3, "first verdict after the restart"), "spam")
+        reopened.close()
+        assert [m.msg_id for m, _ in QuarantineLog.replay(path)] == [1, 3]
+
+    def test_close_releases_the_handle_when_the_fsync_fails(self, tmp_path):
+        with FaultInjector([Fault("fsync")]):
+            log = QuarantineLog(tmp_path / "quarantine.log")
+            with commit_scope(log):  # the append only writes; close syncs
+                log.append(msg(1, "held verdict"), "spam")
+                handle = log._handle
+                with pytest.raises(OSError):
+                    log.close()
+        assert log._handle is None and handle._raw.closed
+        log.close()  # idempotent
+
 
 class TestFoldLog:
     def test_later_entries_win(self, tmp_path):
@@ -241,6 +267,19 @@ class TestFoldLog:
             handle.write(b"garbage line\n")
             handle.write(b"00000000 7\t9\t8\n")  # bad CRC
         assert FoldLog.load(path) == {5: (1, 50)}
+
+    def test_reopen_behind_a_torn_tail_keeps_the_next_record(self, tmp_path):
+        path = tmp_path / "folds.log"
+        with FaultInjector([Fault("write", nth=2, kind="torn", keep_bytes=9,
+                                  path_part="folds.log")]):
+            log = FoldLog(path)
+            log.append(10, 1, 100)
+            with pytest.raises(SimulatedCrash):
+                log.append(11, 1, 110)
+        reopened = FoldLog(path)
+        reopened.append(12, 2, 120)
+        reopened.close()
+        assert list(FoldLog.load(path)) == [10, 12]
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert FoldLog.load(tmp_path / "absent.log") == {}

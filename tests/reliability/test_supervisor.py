@@ -379,14 +379,15 @@ class TestLifecycle:
         supervisor.ingest_batch(stream(12))
         edges = supervisor.edge_pairs()
         journal = supervisor.journaled.journal
+        handle = journal._handle
         with FaultInjector([Fault("write", path_part="state.snapshot")]):
             with pytest.raises(OSError):
                 supervisor.close()
-        assert journal._handle.closed
+        assert handle.closed and journal._handle is None
         assert not (tmp_path / "state.snapshot").exists()
         supervisor.close()
         assert (tmp_path / "state.snapshot").exists()
-        assert journal._closed and journal._handle.closed
+        assert journal._handle is None
         assert (tmp_path / "ingest.wal").read_bytes() == b""
         checkpoint = (tmp_path / "state.snapshot").read_bytes()
         supervisor.close()  # a successful close is not re-run

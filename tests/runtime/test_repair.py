@@ -175,6 +175,28 @@ class TestRepairJournal:
         assert engine.edge_pairs() == {(5, 7)}
         replayer.close()
 
+    def test_reopen_behind_a_torn_tail_keeps_every_later_repair(
+            self, tmp_path):
+        """The reopened journal terminates the crash's fragment, and the
+        fragment, now interior damage, hides none of the records after
+        it: each carries its own CRC."""
+        from repro.reliability.faults import (Fault, FaultInjector,
+                                              SimulatedCrash)
+
+        with FaultInjector([Fault("write", nth=2, kind="torn", keep_bytes=9,
+                                  path_part="repairs.log")]):
+            journal = RepairJournal(tmp_path)
+            journal.record(5, None, 1, 2.0)
+            with pytest.raises(SimulatedCrash):
+                journal.record(7, None, 1, 2.0)
+        reopened = RepairJournal(tmp_path)
+        reopened.record(6, None, 1, 2.0)
+        reopened.record(9, None, 1, 2.0)
+        reopened.close()
+        replayer = RepairJournal(tmp_path)
+        assert [e.src for e in replayer.entries] == [5, 6, 9]
+        replayer.close()
+
 
 class TestRouterHints:
     def test_same_component_sticks_without_boundary(self):

@@ -66,6 +66,27 @@ class TestMessageJournal:
         replayed = list(MessageJournal.replay_entries(path))
         assert len(replayed) == 2
 
+    def test_reopen_behind_a_torn_tail_keeps_the_next_record(self, tmp_path):
+        """A crash mid-append leaves a fragment; the reopened journal
+        terminates it, so the first record acknowledged after the
+        restart is not glued onto the fragment and lost with it."""
+        from repro.reliability.faults import (Fault, FaultInjector,
+                                              SimulatedCrash)
+
+        path = tmp_path / "m.wal"
+        messages = stream(4)
+        with FaultInjector([Fault("write", nth=3, kind="torn", keep_bytes=9,
+                                  path_part="m.wal")]):
+            journal = MessageJournal(path, sync_every=1)
+            journal.append(messages[1])
+            journal.append(messages[2])
+            with pytest.raises(SimulatedCrash):
+                journal.append(messages[0])
+        with MessageJournal(path, sync_every=1) as reopened:
+            reopened.append(messages[3])
+        assert [m.msg_id for _, m in MessageJournal.replay_entries(path)] \
+            == [1, 2, 3]
+
     def test_escaped_text_round_trips(self, tmp_path):
         journal = MessageJournal(tmp_path / "m.wal")
         message = make_message(0, "line\none\ttab \\ slash")
@@ -247,10 +268,11 @@ class TestLifecycle:
 
         journal = MessageJournal(tmp_path / "m.wal")
         journal.append(stream(1)[0])
+        handle = journal._handle
         with FaultInjector([Fault("fsync", path_part="m.wal")]):
             with pytest.raises(OSError):
                 journal.close()
-        assert journal._handle.closed and journal._closed
+        assert handle.closed and journal._handle is None
         journal.close()
 
 
