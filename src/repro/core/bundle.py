@@ -10,7 +10,9 @@ score of Eq. 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.config import HOUR_SECONDS, IndexerConfig
@@ -64,6 +66,17 @@ def _tally(counter: "Counter[str]", keys: Iterable[str]) -> int:
     return grown
 
 
+def _post(index: "dict[str, list[int]]", keys: Iterable[str],
+          msg_id: int) -> None:
+    """Append ``msg_id`` to the member list of each of ``keys``."""
+    for key in keys:
+        members = index.get(key)
+        if members is None:
+            index[key] = [msg_id]
+        else:
+            members.append(msg_id)
+
+
 class Bundle:
     """A group of connected messages with summary indicants.
 
@@ -77,7 +90,8 @@ class Bundle:
 
     __slots__ = (
         "bundle_id", "config", "closed",
-        "_messages", "_order", "_edges", "_keywords_by_msg", "_member_index",
+        "_messages", "_order", "_edges", "_keywords_by_msg",
+        "_tag_members", "_url_members", "_keyword_members", "_author_members",
         "hashtag_counts", "url_counts", "keyword_counts", "user_counts",
         "start_time", "end_time", "last_update",
         "_latest", "_monotone",
@@ -92,10 +106,13 @@ class Bundle:
         self._order: list[int] = []  # insertion (arrival) order of msg ids
         self._edges: dict[int, Connection] = {}  # src msg id -> edge
         self._keywords_by_msg: dict[int, frozenset[str]] = {}
-        # Member-level inverted maps: indicant term -> member msg ids in
-        # arrival order.  Keeps Algorithm 2's candidate gathering O(hits)
-        # rather than O(bundle size).
-        self._member_index: dict[str, list[int]] = {}
+        # Member-level inverted maps, one per indicant kind: term -> member
+        # msg ids in arrival order.  Keeps Algorithm 2's candidate
+        # gathering O(hits) rather than O(bundle size).
+        self._tag_members: dict[str, list[int]] = {}
+        self._url_members: dict[str, list[int]] = {}
+        self._keyword_members: dict[str, list[int]] = {}
+        self._author_members: dict[str, list[int]] = {}
         self.hashtag_counts: Counter[str] = Counter()
         self.url_counts: Counter[str] = Counter()
         self.keyword_counts: Counter[str] = Counter()
@@ -245,16 +262,17 @@ class Bundle:
         # Only members reached through the RT-author and URL probes can
         # earn Eq. 5's RT bonus or URL term; they are scored first.
         strong_ids = self._strong_member_ids(message)
-        candidates = self._candidate_members(message, keywords, strong_ids)
-        if candidates:
+        window = self._window_ids(message, keywords, strong_ids)
+        if window:
             config = self.config
-            best = candidates[0]
+            members = self._messages
+            best: "Message | None" = None
             best_key: "tuple[float, float, int] | None" = None
             # The window holds the highest candidate ids.
-            oldest_id = candidates[0].msg_id
+            oldest_id = window[0]
             for msg_id in strong_ids:
                 if msg_id >= oldest_id:
-                    prior = self._messages[msg_id]
+                    prior = members[msg_id]
                     key = (message_similarity(message, prior, config),
                            prior.date, -msg_id)
                     if best_key is None or key > best_key:
@@ -266,7 +284,10 @@ class Bundle:
             # its newest member, the time term — so the ceiling — only
             # falls from the newest candidate to the oldest: once it is
             # *strictly* below the incumbent, no older member can win
-            # or tie.  Otherwise every member is scored.
+            # or tie.  Once it *equals* the incumbent on the incumbent's
+            # date, only an equal score on that date can still win, and
+            # then the oldest such member does.  Otherwise every member
+            # is scored.
             date = message.date
             bounded = self._monotone and date >= self.end_time
             time_weight = config.time_weight
@@ -274,18 +295,39 @@ class Bundle:
             tag_ceiling = (config.hashtag_weight
                            * len(tags & self.hashtag_counts.keys())
                            / len(tags)) if tags else 0.0
-            for prior in reversed(candidates):
-                if prior.msg_id in strong_ids:
+            for position in range(len(window) - 1, -1, -1):
+                msg_id = window[position]
+                if msg_id in strong_ids:
                     continue
+                prior = members[msg_id]
                 if bounded and best_key is not None:
                     span = abs(date - prior.date) / HOUR_SECONDS
-                    if tag_ceiling + time_weight / (span + 1.0) < best_key[0]:
+                    ceiling = tag_ceiling + time_weight / (span + 1.0)
+                    if ceiling < best_key[0]:
+                        break
+                    if ceiling == best_key[0] and prior.date == best_key[1]:
+                        # The first member of this date group that beats
+                        # the incumbent, oldest first, is the winner.  (An
+                        # incumbent on an earlier date loses to an equal
+                        # score on any date in between: walk on.)
+                        start = bisect_left(
+                            window, best_key[1], 0, position,
+                            key=lambda member_id: members[member_id].date)
+                        for msg_id in window[start:position + 1]:
+                            if msg_id in strong_ids:
+                                continue
+                            prior = members[msg_id]
+                            key = (message_similarity(message, prior, config),
+                                   prior.date, -msg_id)
+                            if key > best_key:
+                                best, best_key = prior, key
+                                break
                         break
                 key = (message_similarity(message, prior, config),
-                       prior.date, -prior.msg_id)
+                       prior.date, -msg_id)
                 if best_key is None or key > best_key:
                     best, best_key = prior, key
-            assert best_key is not None
+            assert best is not None and best_key is not None
             if collect is not None:
                 # One reference capture, no per-member work: the audit
                 # layer re-derives the Eq. 2–5 breakdown from these
@@ -293,8 +335,8 @@ class Bundle:
                 # winner's score is the captured one, so the recorded
                 # chosen parent is bit-identical to the created edge.
                 collect.append(_RawAllocation(
-                    message, tuple(candidates), best, best_key[0],
-                    self.config, self.AUDIT_TOP_K))
+                    message, tuple(map(members.__getitem__, window)), best,
+                    best_key[0], self.config, self.AUDIT_TOP_K))
             kind = dominant_connection_type(message, best)
             edge = Connection(message.msg_id, best.msg_id, kind, best_key[0])
 
@@ -322,11 +364,10 @@ class Bundle:
         self._messages[message.msg_id] = message
         self._order.append(message.msg_id)
         self._keywords_by_msg[message.msg_id] = keywords
-        for key in self._indicant_keys(message, keywords):
-            members = self._member_index.get(key)
-            if members is None:
-                members = self._member_index[key] = []
-            members.append(message.msg_id)
+        _post(self._tag_members, message.hashtags, message.msg_id)
+        _post(self._url_members, message.urls, message.msg_id)
+        _post(self._keyword_members, keywords, message.msg_id)
+        _post(self._author_members, (message.user,), message.msg_id)
         grown = (_MESSAGE_OVERHEAD_BYTES + len(message.text)
                  + sum(map(len, message.hashtags))
                  + sum(map(len, message.urls))
@@ -363,27 +404,15 @@ class Bundle:
             ledger.messages += len(self._messages)
         self._ledger = ledger
 
-    @staticmethod
-    def _indicant_keys(message: Message,
-                       keywords: frozenset[str]) -> Iterator[str]:
-        """Namespaced member-index keys for one message's indicants."""
-        for tag in message.hashtags:
-            yield "t:" + tag
-        for url in message.urls:
-            yield "u:" + url
-        for keyword in keywords:
-            yield "k:" + keyword
-        yield "a:" + message.user
-
     def close(self) -> None:
         """Mark the bundle closed (bundle-size constraint, Section V-B)."""
         self.closed = True
 
-    def _candidate_members(
+    def _window_ids(
         self, message: Message, keywords: frozenset[str],
         strong_ids: "set[int] | None" = None,
-    ) -> list[Message]:
-        """Members sharing any indicant with ``message`` (Alg. 2 lines 1-5).
+    ) -> list[int]:
+        """Ascending ids of members sharing an indicant (Alg. 2 lines 1-5).
 
         Gathered through the member-level inverted maps, keeping only the
         ``alloc_window`` most recent sharers per indicant — old members no
@@ -397,35 +426,43 @@ class Bundle:
         the caller's :meth:`_strong_member_ids` (not modified).
         """
         window = self.config.alloc_window
-        index = self._member_index
+        probes = [members for members in chain(
+            map(self._tag_members.get, message.hashtags),
+            map(self._keyword_members.get, keywords)) if members]
         candidate_ids = (self._strong_member_ids(message)
                          if strong_ids is None else set(strong_ids))
-        for tag in message.hashtags:
-            candidate_ids.update(index.get("t:" + tag, ())[-window:])
-        for keyword in keywords:
-            candidate_ids.update(index.get("k:" + keyword, ())[-window:])
+        # In a monotone bundle every probe list is id-sorted, so one
+        # holding a full window puts the merged window at or above its
+        # ``alloc_window``-th newest id: the other slices start there.
+        floor = max((members[-window] for members in probes
+                     if len(members) >= window),
+                    default=None) if self._monotone else None
+        for members in probes:
+            if floor is None:
+                candidate_ids.update(members[-window:])
+            else:
+                candidate_ids.update(members[max(
+                    len(members) - window, bisect_left(members, floor)):])
         if not candidate_ids and self._latest is not None:
             candidate_ids.add(self._latest.msg_id)
         # Cap the merged set as well: msg ids are arrival-ordered, so the
         # highest ids are the most recent sharers.
-        recent = sorted(candidate_ids)[-window:]
-        return [self._messages[msg_id] for msg_id in recent]
+        return sorted(candidate_ids)[-window:]
 
     def _strong_member_ids(self, message: Message) -> set[int]:
         """Ids the RT-author and URL probes of Alg. 2 reach.
 
-        A superset of the :meth:`_candidate_members` that share an RT
-        author or a URL with ``message``: a sharer outside its probe's
-        window has ``alloc_window`` newer sharers ahead of it in the
-        merged cap as well.
+        A superset of the :meth:`_window_ids` that share an RT author or
+        a URL with ``message``: a sharer outside its probe's window has
+        ``alloc_window`` newer sharers ahead of it in the merged cap as
+        well.
         """
         window = self.config.alloc_window
-        index = self._member_index
         strong_ids: set[int] = set()
         for user in message.rt_users:
-            strong_ids.update(index.get("a:" + user, ())[-window:])
+            strong_ids.update(self._author_members.get(user, ())[-window:])
         for url in message.urls:
-            strong_ids.update(index.get("u:" + url, ())[-window:])
+            strong_ids.update(self._url_members.get(url, ())[-window:])
         return strong_ids
 
     # ------------------------------------------------------------------

@@ -905,7 +905,8 @@ class ProvenanceIndexer:
             return None
         best_key: "tuple[float, float, int] | None" = None
         probe = (message.date, message.msg_id)
-        for member in bundle._candidate_members(message, keywords):
+        for member in map(bundle._messages.__getitem__,
+                          bundle._window_ids(message, keywords)):
             if (member.date, member.msg_id) >= probe:
                 continue
             key = (message_similarity(message, member, self.config),

@@ -1,17 +1,21 @@
-"""Algorithm 1's observable output, pinned against the commit *before*
-keyword-only candidates stopped being packaged.
+"""Algorithm 1's and Algorithm 2's observable output, pinned against the
+commit *before* keyword-only candidates stopped being packaged (the
+``dense`` / ``closed`` / ``reduced`` sections) and the commit before
+Alg. 2's walk learnt to search ties (the ``ties`` sections).
 
-``build()`` replays three seeded 2 000-message streams through the bare
-engine, once plain and once audited, and returns everything an observer
-can see of Algorithm 1: per-ingest ``(bundle_id, created, edge,
-last_candidate_fanin)``, the ``repro_candidate_fanin`` histograms, the
-capped counter, the edge set, the stats, the audit JSONL bytes and the
-``DecisionRecord.to_dict()`` rows — the bulky sections as SHA-256
-digests — plus ``gathered``, the sum of ``len(gather)`` over the plain
-replay.  ``selection_golden.json`` is that value as produced by the
-parent of the change; ``tests/core/test_engine.py::TestSelectionGolden``
-demands the current code still produces it.  Regenerate (only ever at a
-parent checkout, see ``.claude/skills/verify/SKILL.md``) with::
+``build()`` replays the seeded 2 000-message dense stream under three
+configs, and a one-timestamp stretch of tag sharers (:func:`tie_stream`),
+through the bare engine, once plain and once audited, and returns
+everything an observer can see of the placement: per-ingest
+``(bundle_id, created, edge, last_candidate_fanin)``, the
+``repro_candidate_fanin`` histograms, the capped counter, the edge set,
+the stats, the audit JSONL bytes and the ``DecisionRecord.to_dict()``
+rows — the bulky sections as SHA-256 digests — plus ``gathered``, the
+sum of ``len(gather)`` over the plain replay.  ``selection_golden.json``
+is that value as produced by the parent of the change;
+``tests/core/test_engine.py::TestSelectionGolden`` demands the current
+code still produces it.  Regenerate (only ever at a parent checkout, see
+``.claude/skills/verify/SKILL.md``) with::
 
     PYTHONPATH=src python -m tests.core.selection_golden > tests/core/selection_golden.json
 """
@@ -20,12 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
+from repro.core.message import parse_message
 from repro.core.summary_index import SummaryIndex
 from repro.obs import Observability
 from repro.obs.audit import AuditLog
@@ -37,6 +43,9 @@ GOLDEN = Path(__file__).with_name("selection_golden.json")
 #: (rung 1) for these steps, as the overload ladder would push it.
 REDUCED_STEPS = range(500, 1500)
 
+#: The first date of :func:`tie_stream` (2009-08-01 00:00 UTC).
+TIE_DATE = 1_249_084_800.0
+
 
 def dense_stream() -> list:
     """The seeded dense stream of ``TestMaxScorePruning``."""
@@ -45,11 +54,36 @@ def dense_stream() -> list:
         events_per_day=240.0)).generate_list()[:2000]
 
 
-#: name -> (config, whether the REDUCED stretch applies).
+def tie_stream() -> list:
+    """40 arrivals a minute apart, then 240 on the 40th minute.
+
+    Three hashtags, a few URLs and RTs over twelve users: the windows
+    fill with members whose Eq. 5 scores tie, so the ``(S, date,
+    −msg_id)`` tie-break decides most edges.
+    """
+    rng = random.Random(27)
+    tags = ["#quake", "#relief", "#aid"]
+    words = ["water", "shelter", "road", "power", "help", "news"]
+    users = [f"u{index}" for index in range(12)]
+    stream = []
+    for msg_id in range(280):
+        pieces = rng.sample(tags, rng.randint(1, 2)) + rng.sample(words, 2)
+        if rng.random() < 0.2:
+            pieces.insert(0, f"RT @{rng.choice(users)}:")
+        if rng.random() < 0.15:
+            pieces.append(f"bit.ly/{rng.choice('xyz')}")
+        stream.append(parse_message(
+            msg_id, rng.choice(users), TIE_DATE + 60.0 * min(msg_id, 40),
+            " ".join(pieces)))
+    return stream
+
+
+#: name -> (config, whether the REDUCED stretch applies, stream).
 SCENARIOS = {
-    "dense": (IndexerConfig.partial_index(200), False),
-    "closed": (IndexerConfig.bundle_limit(200, 100), False),
-    "reduced": (IndexerConfig.partial_index(200), True),
+    "dense": (IndexerConfig.partial_index(200), False, dense_stream),
+    "closed": (IndexerConfig.bundle_limit(200, 100), False, dense_stream),
+    "reduced": (IndexerConfig.partial_index(200), True, dense_stream),
+    "ties": (IndexerConfig.partial_index(200), False, tie_stream),
 }
 
 
@@ -112,11 +146,11 @@ def replay(config: IndexerConfig, reduced: bool, audited: bool,
 
 
 def build() -> dict:
-    stream = dense_stream()
+    streams = {make: make() for make in (dense_stream, tie_stream)}
     return {
         f"{name}/{'audited' if audited else 'plain'}":
-            replay(config, reduced, audited, stream)
-        for name, (config, reduced) in SCENARIOS.items()
+            replay(config, reduced, audited, streams[make])
+        for name, (config, reduced, make) in SCENARIOS.items()
         for audited in (False, True)
     }
 

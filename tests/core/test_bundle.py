@@ -176,6 +176,11 @@ class TestEarlyStopPreconditions:
 
     @staticmethod
     def _both(config, members, arrival):
+        """The arrival's shipped edge (checked against the oracle's) and
+        the number of members the shipped insert scored."""
+        from unittest import mock
+
+        from repro.core import bundle as bundle_module
         from tests.scoring_oracle import insert as exhaustive_insert
 
         edges = []
@@ -183,10 +188,15 @@ class TestEarlyStopPreconditions:
             bundle = Bundle(0, config)
             for member in members:
                 place(bundle, member, frozenset({"word"}))
-            edges.append(place(bundle, arrival, frozenset({"word"})))
+            with mock.patch.object(
+                    bundle_module, "message_similarity",
+                    wraps=bundle_module.message_similarity) as similarity:
+                edges.append(place(bundle, arrival, frozenset({"word"})))
+            if place is Bundle.insert:
+                scored = similarity.call_count
         shipped, oracle = edges
         assert shipped == oracle
-        return shipped
+        return shipped, scored
 
     def test_late_arrival_scores_the_whole_window(self):
         # Monotone bundle, but the arrival is older than its newest
@@ -199,7 +209,7 @@ class TestEarlyStopPreconditions:
             make_message(2, "word", user="b", hours=2.0),
             make_message(3, "word", user="c", hours=50.0),
         ]
-        edge = self._both(config, members,
+        edge, _ = self._both(config, members,
                           make_message(4, "word bit.ly/a", user="d",
                                        hours=2.0))
         assert edge.dst_id == 2
@@ -209,9 +219,41 @@ class TestEarlyStopPreconditions:
         # stop at the newest, because the oldest wins the tie.
         members = [make_message(index, "#t word", user=f"u{index}")
                    for index in (1, 2, 3)]
-        edge = self._both(IndexerConfig(), members,
+        edge, _ = self._both(IndexerConfig(), members,
                           make_message(4, "#t word", user="new", hours=1.0))
         assert edge.dst_id == 1
+
+    def test_same_date_tie_jumps_to_the_oldest_windowed_member(self):
+        # A hundred same-second members tie on Eq. 5; the 64-window's
+        # oldest wins.  The walk scores the newest, sees the next one's
+        # ceiling equal the incumbent on its date, and jumps down to the
+        # window's start instead of scoring all 64.
+        members = [make_message(index, "#t word", user=f"u{index}")
+                   for index in range(100)]
+        edge, scored = self._both(
+            IndexerConfig(), members,
+            make_message(100, "#t word", user="new", hours=1.0))
+        assert edge.dst_id == 36
+        assert scored <= 4
+
+    def test_equal_ceiling_on_another_date_keeps_walking(self):
+        # Only the tag term counts.  The URL sharer 2 is scored first and
+        # ties 3 and 4 on score, but they are newer, so 4 displaces it
+        # and 3 then wins the (D + 60 s) tie.  Entering the tie search
+        # on the ceiling alone, at 4, would search 2's date and return 1.
+        config = IndexerConfig(url_weight=0.0, rt_weight=0.0,
+                               time_weight=0.0)
+        minute = 60.0 / 3600.0
+        members = [
+            make_message(1, "#t word", user="a"),
+            make_message(2, "#t word bit.ly/x", user="b"),
+            make_message(3, "#t word", user="c", hours=minute),
+            make_message(4, "#t word", user="d", hours=minute),
+        ]
+        edge, _ = self._both(config, members,
+                             make_message(5, "#t word bit.ly/x", user="e",
+                                          hours=2 * minute))
+        assert edge.dst_id == 3
 
     def test_shuffled_ids_score_the_whole_window(self):
         # Ids do not follow arrival, so the id-sorted window is not
@@ -221,7 +263,7 @@ class TestEarlyStopPreconditions:
             make_message(9, "word", user="b", hours=1.0),
             make_message(2, "word", user="c", hours=9.0),
         ]
-        edge = self._both(IndexerConfig(), members,
+        edge, _ = self._both(IndexerConfig(), members,
                           make_message(10, "word", user="d", hours=9.5))
         assert edge.dst_id == 2
 
@@ -233,7 +275,7 @@ class TestEarlyStopPreconditions:
             make_message(2, "#x word", user="b", hours=0.1),
             make_message(3, "#y word", user="c", hours=0.2),
         ]
-        edge = self._both(IndexerConfig(), members,
+        edge, _ = self._both(IndexerConfig(), members,
                           make_message(4, "#x #y word", user="d", hours=0.3))
         assert edge.dst_id == 1
 

@@ -254,13 +254,19 @@ def scoring_messages(draw, max_size: int = 40):
     return messages
 
 
+#: Tie-heavy weights: members on different dates reach equal Eq. 5
+#: scores, which Alg. 2's tie search must tell apart by date.
+TIE_WEIGHTS = st.sampled_from([0.0, 0.8])
+
+
 @st.composite
 def scoring_configs(draw):
     pool = draw(st.sampled_from([None, 3, 8]))
+    weights = draw(st.sampled_from([WEIGHTS, TIE_WEIGHTS]))
     return IndexerConfig(
-        url_weight=draw(WEIGHTS), hashtag_weight=draw(WEIGHTS),
-        time_weight=draw(WEIGHTS), keyword_weight=draw(WEIGHTS),
-        rt_weight=draw(WEIGHTS),
+        url_weight=draw(weights), hashtag_weight=draw(weights),
+        time_weight=draw(weights), keyword_weight=draw(weights),
+        rt_weight=draw(weights),
         min_match_score=draw(st.sampled_from([0.0, 0.4, 1.0, 1.5])),
         alloc_window=draw(st.sampled_from([1, 4, 64])),
         max_pool_size=pool, refine_trigger=pool,
@@ -367,6 +373,57 @@ class TestPruningIsLossless:
 
         differential()
         assert all(sides.values()), sides
+
+    def test_alg2_walk_equals_exhaustive_argmax(self):
+        """Alg. 2 alone: one bundle, shipped walk against the exhaustive
+        member argmax after every insert.
+
+        Ids ascend and dates never fall, in steps of 0, 1 or 90 minutes,
+        so every walk is bounded and its date groups interleave URL / RT
+        sharers (scored up front) with tag and keyword sharers.  With no
+        time term, members on different dates tie on Eq. 5: the shape
+        under which the tie search needs its date guard.  Routed through
+        the engine the same shape is rare, because Alg. 1 has to keep
+        such arrivals in one bundle first, so the engine-level test
+        alone seldom catches a missing guard.
+        """
+        from repro.core.bundle import Bundle
+        from tests.scoring_oracle import insert as exhaustive_insert
+
+        arrivals = st.lists(st.tuples(
+            st.sampled_from([0.0, 0.0, 60.0, 5400.0]),
+            st.sampled_from(USERS),
+            st.lists(st.sampled_from(USERS), max_size=1),
+            st.lists(st.sampled_from(TAGS[:2]), max_size=2),
+            st.lists(st.sampled_from("ab"), max_size=1),
+            st.frozensets(st.sampled_from(VOCAB[:3]), max_size=2)),
+            min_size=1, max_size=30)
+
+        @settings(deadline=None)
+        @given(st.lists(TIE_WEIGHTS, min_size=3, max_size=3),
+               st.sampled_from([4, 64]), arrivals)
+        def differential(weights, window, rows):
+            url, hashtag, rt = weights
+            config = IndexerConfig(url_weight=url, hashtag_weight=hashtag,
+                                   time_weight=0.0, rt_weight=rt,
+                                   alloc_window=window)
+            shipped, oracle = Bundle(0, config), Bundle(0, config)
+            date = BASE_DATE
+            for msg_id, (step, user, rts, tags, urls, words) in enumerate(
+                    rows):
+                date += step
+                message = parse_message(msg_id, user, date, " ".join(
+                    ["RT @" + name + ":" for name in rts] + ["word"]
+                    + ["#" + tag for tag in tags]
+                    + ["bit.ly/" + key for key in urls]))
+                edges = [None if edge is None else
+                         (edge.dst_id, edge.kind, edge.score.hex())
+                         for edge in (Bundle.insert(shipped, message, words),
+                                      exhaustive_insert(oracle, message,
+                                                        words))]
+                assert edges[0] == edges[1], msg_id
+
+        differential()
 
     def test_numpy_selection_equals_scalar_oracle(self):
         """The numpy gather + Eq. 1 kernel against dict layout + argmax.

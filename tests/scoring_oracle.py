@@ -78,16 +78,13 @@ def candidate_members(bundle: Bundle, message: Message,
                       keywords: "frozenset[str]") -> "list[Message]":
     """Alg. 2 lines 1-5, with the latest member found by a full scan."""
     window = bundle.config.alloc_window
-    index = bundle._member_index
     candidate_ids: "set[int]" = set()
-    for user in message.rt_users:
-        candidate_ids.update(index.get("a:" + user, ())[-window:])
-    for tag in message.hashtags:
-        candidate_ids.update(index.get("t:" + tag, ())[-window:])
-    for url in message.urls:
-        candidate_ids.update(index.get("u:" + url, ())[-window:])
-    for keyword in keywords:
-        candidate_ids.update(index.get("k:" + keyword, ())[-window:])
+    for index, terms in ((bundle._author_members, message.rt_users),
+                         (bundle._tag_members, message.hashtags),
+                         (bundle._url_members, message.urls),
+                         (bundle._keyword_members, keywords)):
+        for term in terms:
+            candidate_ids.update(index.get(term, ())[-window:])
     if not candidate_ids and bundle._order:
         candidate_ids.add(max(
             bundle._order,
