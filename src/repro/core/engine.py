@@ -603,6 +603,14 @@ class ProvenanceIndexer:
         index and pool updates of message *i* — so results are
         identical to one-at-a-time ingestion, which the conformance
         suite asserts.
+
+        Rejection contract: the engine refuses only a message whose
+        ``msg_id`` is already a member of the bundle it lands in
+        (:meth:`Bundle.insert` raises :class:`BundleError`).  The error
+        leaves the batch with the messages before it placed and their
+        results lost, so a batch whose ids rise strictly above every
+        pooled ``msg_id`` cannot be refused — :mod:`repro.storage.wal`
+        batches on that, and ``tests/core/test_engine.py`` pins it.
         """
         results: "list[IngestResult]" = []
         count = 0

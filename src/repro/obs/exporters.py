@@ -132,6 +132,11 @@ class TelemetryFlusher:
             self.flush()
         return due
 
+    @property
+    def ticks_to_flush(self) -> int:
+        """Ticks until the next count-triggered flush."""
+        return self.every_ticks - self._ticks
+
     def flush(self) -> None:
         """Append one snapshot line unconditionally."""
         now = self.clock()

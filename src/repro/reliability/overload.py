@@ -549,6 +549,16 @@ class GuardedSink:
         self.flushed += flushed
         return flushed
 
+    def settle(self) -> None:
+        """Flush the parked backlog ahead of a checkpoint; raises
+        :class:`StorageError` while a bundle is still off disk, since a
+        snapshot holds only the pool and the checkpoint must wait."""
+        self.flush()
+        if self.parked:
+            raise StorageError(
+                f"{len(self.parked)} spilled bundle(s) still parked "
+                "off disk")
+
     @property
     def parked_count(self) -> int:
         """Bundles currently held in memory awaiting a healthy disk."""

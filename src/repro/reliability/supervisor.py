@@ -3,7 +3,7 @@
 Real micro-blog ingest runs unattended against a firehose, so the hot
 path needs three defenses the core algorithms don't provide:
 
-* **bounded retry with exponential backoff** on transient storage
+* **bounded retry with exponential backoff** on transient journal
   failures (``ENOSPC``, flaky fsync) — a blip must not kill the stream,
   but a persistent fault must surface as
   :class:`~repro.core.errors.RetryExhaustedError` rather than spin;
@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.engine import IngestResult
+from repro.core.engine import IngestResult, ProvenanceIndexer
 from repro.core.errors import (POISON_ERRORS, RetryExhaustedError,
                                StorageError)
 from repro.core.message import Message, parse_message
@@ -45,15 +47,27 @@ from repro.obs import IngestOutcome, NULL_HISTOGRAM, TelemetryFlusher
 from repro.reliability.fsio import commit_scope, write_atomic
 from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
                                      IngestGuard, Screened)
-from repro.reliability.overload import (Admission, HealthReport,
+from repro.reliability.overload import (Admission, CircuitBreaker,
+                                        GuardedSink, HealthReport,
                                         OverloadConfig, OverloadController)
-from repro.storage.wal import JournaledIndexer
+from repro.storage.wal import Fold, JournaledIndexer
 
 __all__ = ["DeadLetter", "DeadLetterQueue", "ResilientIndexer",
            "ResilientStats"]
 
 #: Failures worth retrying: the storage layer or the OS said "not now".
 _TRANSIENT_ERRORS = (StorageError, OSError)
+
+
+def _encodable(message: Message) -> bool:
+    """Whether UTF-8 can encode the message's free-text fields (a lone
+    surrogate from a truncated emoji cannot be)."""
+    try:
+        message.user.encode("utf-8")
+        message.text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,9 +208,9 @@ class ResilientIndexer:
         pre-built :class:`~repro.reliability.overload.OverloadController`)
         enabling load regulation: admission control in front of
         :meth:`ingest`, the degradation ladder applied to the engine
-        around every ingest, and the circuit breaker guarding the
-        engine's spill store.  ``None`` (the default) leaves the hot
-        path exactly as before.
+        around every ingest, and the circuit breaker in front of the
+        engine's spill store (without one, a plain breaker still parks
+        bundles a failed spill could not write).
     guard:
         An :class:`~repro.reliability.guard.IngestGuard` (or a
         :class:`~repro.reliability.guard.GuardConfig` / ``True`` to
@@ -253,8 +267,23 @@ class ResilientIndexer:
             self.overload = overload
         else:
             self.overload = OverloadController(overload)
+        engine = self.journaled.indexer
+        registry = engine.obs.registry
         if self.overload is not None:
-            self.overload.attach(self.journaled.indexer)
+            self.overload.attach(engine)
+        elif engine.store is not None and not isinstance(engine.store,
+                                                         GuardedSink):
+            # A failed spill must not raise out of the engine after the
+            # record was journaled (see _retry): park the bundle instead.
+            # A checkpoint waits for parked bundles to reach disk.
+            parked = engine.store = GuardedSink(engine.store,
+                                                CircuitBreaker())
+            registry.gauge("repro_spill_parked",
+                           help="Bundles parked in memory behind a sick disk",
+                           callback=lambda: parked.parked_count)
+            registry.counter("repro_breaker_opens_total",
+                             help="Times the spill circuit breaker tripped",
+                             callback=lambda: parked.breaker.opens)
         if guard is None or guard is False:
             self.guard: "IngestGuard | None" = None
         elif isinstance(guard, IngestGuard):
@@ -267,7 +296,6 @@ class ResilientIndexer:
         #: What the batch entry points group-commit: the custody log.
         #: (The fold log only needs its write-before-WAL-write flush.)
         self._custody = (self.guard.quarantine,) if self.guard else ()
-        registry = self.journaled.indexer.obs.registry
         stats = self.stats
         for name, field_name, help_text in (
                 ("repro_supervisor_ingested_total", "ingested",
@@ -326,8 +354,9 @@ class ResilientIndexer:
                                   if self.guard else 0.0))
         self._latency_hist = (registry.histogram(
             "repro_ingest_latency_seconds", unit="seconds",
-            help="Whole supervised ingest latency, message arrival "
-                 "to indexed (retries and backoff included)")
+            help="Supervised ingest latency per settled arrival: its "
+                 "run's wall (retries and backoff included) over the "
+                 "arrivals the run settled")
             if registry.enabled else NULL_HISTOGRAM)
         # The guard screen is a pipeline stage of its own (LSH probe +
         # reorder bookkeeping before Algorithm 1 runs); give it a child
@@ -344,6 +373,9 @@ class ResilientIndexer:
         #: (0.0 without a guard) — the runtime worker turns this into
         #: the stitched trace's ``guard_screen`` hop.
         self.last_screen_seconds = 0.0
+        #: The latest ingest loop's outcomes, one slot per arrival,
+        #: filled as its runs settle: what a call that raised settled.
+        self.last_outcomes: "list[IngestResult | None]" = []
         if isinstance(telemetry, TelemetryFlusher) or telemetry is None:
             self.telemetry = telemetry
         else:
@@ -429,8 +461,11 @@ class ResilientIndexer:
         return self.journaled.indexer
 
     # -- ingestion ----------------------------------------------------------
-    # ingest → _apply_verdict (guard) → _admit (admission) → _index
-    # (ladder rung + retry/poison) → JournaledIndexer.ingest(fold=hint).
+    # Every entry point is one loop, _ingest_all, over the stages guard →
+    # admit (_admitted) → journal → engine → ack (_run).  Admitted arrivals
+    # collect into runs: one arrival while a guard, a ladder or a watermark
+    # reads the previous arrival's result, else up to the next checkpoint
+    # or telemetry flush.
 
     def ingest(self, message: Message, *,
                now: "float | None" = None) -> "IngestResult | None":
@@ -451,97 +486,138 @@ class ResilientIndexer:
         (``None`` now, ingested when the watermark passes), or release
         older buffered messages ahead of itself.
         """
-        if self.guard is None:
-            self.last_screen_seconds = 0.0
-            return self._admit(message, now)
-        result: "IngestResult | None" = None
-        screen_started = time.perf_counter()
-        entries = self.guard.admit(message)
-        screened = time.perf_counter() - screen_started
-        self.last_screen_seconds = screened
-        self._screen_hist.observe(screened)
-        for entry, outcome in zip(entries, self._apply_all(entries, now)):
-            if entry.message is message:
-                result = outcome
-        return result
+        return self._ingest_all((message,), now)[0]
 
-    def _apply_all(self, entries: "list[Screened]", now: "float | None",
-                   ) -> "list[IngestResult | None]":
-        """Apply, in order, the entries the guard just popped from its
-        reorder buffer.  If one raises (retries exhausted) those behind
-        it would be in no ledger at all, so they are dead-lettered
-        first — bar the quarantined and buffered, already in custody.
-        """
-        outcomes: "list[IngestResult | None]" = []
-        try:
-            for entry in entries:
-                outcomes.append(self._apply_verdict(entry, now))
-        except Exception as exc:
-            for lost in entries[len(outcomes) + 1:]:
-                if lost.action not in (GuardAction.QUARANTINE,
-                                       GuardAction.BUFFERED):
-                    self.stats.dead_lettered += 1
-                    self.dead_letters.append("release-aborted", exc,
-                                             lost.message)
-            raise
+    def ingest_outcomes(self, messages: Iterable[Message],
+                        ) -> "list[IngestResult | None]":
+        """:meth:`ingest_batch` with one outcome per arrival, in input
+        order: ``None`` wherever :meth:`ingest` would return ``None``.
+        If it raises, :attr:`last_outcomes` holds what it settled."""
+        with commit_scope(*self._custody):
+            return self._ingest_all(list(messages), None)
+
+    def _ingest_all(self, messages: "Sequence[Message | None]",
+                    now: "float | None",
+                    release: "Callable[[], list[Screened]] | None" = None,
+                    ) -> "list[IngestResult | None]":
+        """The ingest loop; ``release`` replaces the guard screen (for
+        :meth:`flush_guard`, the reorder buffer's whole contents)."""
+        guard = self.guard
+        one_by_one = (guard is not None or self.overload is not None
+                      or self.high_watermark_bytes is not None)
+        self.last_outcomes = outcomes = [None] * len(messages)
+        # The run being collected (no guard, so no folds): each message
+        # and its outcome slot, -1 for one that answers no arrival here.
+        slots: "list[int]" = []
+        run: "list[Message]" = []
+        limit = 0
+        for slot, message in enumerate(messages):
+            if release is not None:
+                entries = release()
+            elif guard is None:
+                self.last_screen_seconds = 0.0
+                entries = [Screened(message, GuardAction.PASS)]
+            else:
+                started = time.perf_counter()
+                # The screen hashes and logs the text: what UTF-8 cannot
+                # encode skips it, and the journal refuses it in its slot.
+                entries = (guard.admit(message) if _encodable(message)
+                           else [Screened(message, GuardAction.PASS)])
+                self.last_screen_seconds = time.perf_counter() - started
+                self._screen_hist.observe(self.last_screen_seconds)
+            for done, entry in enumerate(entries):
+                try:
+                    for admitted, fold in self._admitted(entry, now):
+                        answer = slot if admitted is message else -1
+                        if one_by_one:
+                            self._run([answer], [admitted], [fold], outcomes)
+                            continue
+                        if not run:
+                            limit = min(self.journaled.checkpoint_room,
+                                        self.telemetry.ticks_to_flush
+                                        if self.telemetry else sys.maxsize)
+                        slots.append(answer)
+                        run.append(admitted)
+                        if len(run) >= limit:
+                            self._run(slots, run, None, outcomes)
+                            slots, run = [], []
+                except Exception as exc:
+                    # The entries behind this one have left the reorder
+                    # buffer and are in no ledger: dead-letter them, bar
+                    # the quarantined and buffered (already in custody).
+                    for lost in entries[done + 1:]:
+                        if lost.action not in (GuardAction.QUARANTINE,
+                                               GuardAction.BUFFERED):
+                            self.stats.dead_lettered += 1
+                            self.dead_letters.append("release-aborted", exc,
+                                                     lost.message)
+                    raise
+        if run:
+            self._run(slots, run, None, outcomes)
         return outcomes
 
-    def _apply_verdict(self, entry: Screened,
-                       now: "float | None") -> "IngestResult | None":
-        """Guard frame: act on one screened arrival's verdict."""
+    def _admitted(self, entry: Screened, now: "float | None",
+                  ) -> "Iterator[tuple[Message, Fold | None]]":
+        """Admit stage: act on the guard's verdict, then on admission
+        control's; yields what to index, in order.  Each is indexed
+        before this resumes, so every admission decision sees the
+        results of those before it."""
         message = entry.message
         action = entry.action
-        rung = (int(self.overload.state) if self.overload is not None
-                else self.indexer.current_rung)
-        if action is GuardAction.QUARANTINE:
-            # Custody is already written (durable at once, or at the
-            # exit of the caller's commit scope); account the refusal
-            # exactly like a shed for quality purposes.
-            self._note_refusal(message, IngestOutcome.QUARANTINED, rung,
-                               lost=True, reason=entry.reason)
-            return None
-        if action is GuardAction.BUFFERED:
-            # Held for reordering — not refused, so no audit record;
-            # the eventual release produces the real decision.
-            tracer = self.indexer.obs.tracer
-            if tracer is not None:
-                tracer.event(message.msg_id, "buffered", rung=rung)
-            return None
-        if action is GuardAction.LATE:
-            # The deterministic late-path: record the verdict (the
-            # placement record supersedes it with late_arrival=True),
-            # then ingest immediately — the engine's arrival floor
-            # keeps pool eviction ordering intact.
-            self._note_refusal(message, IngestOutcome.LATE, rung,
-                               lost=False)
-        fold_hint = ((entry.bundle_id, entry.duplicate_of)
-                     if action is GuardAction.FOLD else None)
-        return self._admit(message, now, fold_hint)
-
-    def _admit(self, message: Message, now: "float | None",
-               fold_hint: "tuple[int, int] | None" = None,
-               ) -> "IngestResult | None":
-        """Admission frame: token bucket, backlog, refusal accounting."""
         ctl = self.overload
-        if ctl is None:
-            return self._index(message, fold_hint)
-        arrival = ctl.now(now)
-        # Backlog first: deferred messages whose tokens have accrued are
-        # ingested before the new arrival, preserving stream order.
-        # (A deferred message loses its fold hint by design: the target
-        # bundle may be gone by release time, so it degrades to a full
-        # ingest rather than a stale fold.)
-        for queued in ctl.release(arrival):
-            self._index(queued)
-        verdict = ctl.offer(message, arrival)
-        if verdict is Admission.ADMITTED:
-            return self._index(message, fold_hint)
-        dropped = verdict is Admission.DROPPED
-        self._note_refusal(
-            message,
-            IngestOutcome.SHED if dropped else IngestOutcome.DEFERRED,
-            int(ctl.state), lost=dropped)
-        return None
+        if action is not GuardAction.PASS:
+            rung = (int(ctl.state) if ctl is not None
+                    else self.indexer.current_rung)
+            if action is GuardAction.QUARANTINE:
+                # Custody is already written (durable at once, or at the
+                # exit of the caller's commit scope); account the refusal
+                # exactly like a shed for quality purposes.
+                self._note_refusal(message, IngestOutcome.QUARANTINED, rung,
+                                   lost=True, reason=entry.reason)
+                return
+            if action is GuardAction.BUFFERED:
+                # Held for reordering — not refused, so no audit record;
+                # the eventual release produces the real decision.
+                tracer = self.indexer.obs.tracer
+                if tracer is not None:
+                    tracer.event(message.msg_id, "buffered", rung=rung)
+                return
+            if action is GuardAction.LATE:
+                # The deterministic late-path: record the verdict (the
+                # placement record supersedes it with late_arrival=True),
+                # then ingest immediately — the engine's arrival floor
+                # keeps pool eviction ordering intact.
+                self._note_refusal(message, IngestOutcome.LATE, rung,
+                                   lost=False)
+        if ctl is not None:
+            arrival = ctl.now(now)
+            # Backlog first: deferred messages whose tokens have accrued
+            # are ingested before the new arrival, preserving stream
+            # order.  (A deferred message loses its fold hint by design:
+            # the target bundle may be gone by release time, so it
+            # degrades to a full ingest rather than a stale fold.)
+            for queued in ctl.release(arrival):
+                yield queued, None
+            verdict = ctl.offer(message, arrival)
+            if verdict is not Admission.ADMITTED:
+                dropped = verdict is Admission.DROPPED
+                self._note_refusal(
+                    message,
+                    IngestOutcome.SHED if dropped else IngestOutcome.DEFERRED,
+                    int(ctl.state), lost=dropped)
+                return
+        if action is GuardAction.FOLD:
+            assert self.guard is not None
+            fold = (entry.bundle_id, entry.duplicate_of)
+            # The fold hint must be on disk before the WAL record it
+            # explains: a crash between the two leaves a hint without a
+            # record (harmless) but never a record without its hint
+            # (replay divergence).  A guard runs one arrival at a time,
+            # so that record is the next one journaled.
+            self.guard.folds.append(message.msg_id, *fold)
+            yield message, fold
+        else:
+            yield message, None
 
     def _note_refusal(self, message: Message, outcome: IngestOutcome,
                       rung: int, *, lost: bool, **tags: object) -> None:
@@ -559,71 +635,69 @@ class ResilientIndexer:
         if lost and obs.quality is not None:
             obs.quality.note_shed(message)
 
-    def _index(self, message: Message,
-               fold_hint: "tuple[int, int] | None" = None,
-               ) -> "IngestResult | None":
-        """Ingest frame: one journaled ingest in the ladder's current
-        rung, retried on transient faults, dead-lettered on poison."""
+    def _run(self, slots: "list[int]", run: "list[Message]",
+             folds: "list[Fold | None] | None",
+             outcomes: "list[IngestResult | None]") -> None:
+        """Journal → engine → ack for one run, in the ladder's current
+        rung; each arrival's result lands in ``outcomes`` at its slot."""
         ctl = self.overload
         state = ctl.apply_mode(self.indexer) if ctl is not None else None
-        result: "IngestResult | None" = None
-        attempt = 0
         started = time.perf_counter()
+        journaled = self.journaled
         try:
-            while True:
-                seq_before = self.journaled.last_applied_seq
-                try:
-                    if fold_hint is not None:
-                        # The fold hint must be on disk before the WAL
-                        # record it explains: a crash between the two
-                        # leaves a hint without a record (harmless) but
-                        # never a record without its hint (replay
-                        # divergence).
-                        assert self.guard is not None
-                        self.guard.folds.append(message.msg_id, *fold_hint)
-                    result = self.journaled.ingest(message, fold=fold_hint)
-                    break
-                except POISON_ERRORS as exc:
-                    self.stats.dead_lettered += 1
-                    self.dead_letters.append("index-rejected", exc, message)
-                    break
-                except _TRANSIENT_ERRORS as exc:
-                    if self.journaled.last_applied_seq > seq_before:
-                        # The message itself was journaled and indexed;
-                        # only the trailing checkpoint failed.  Retrying
-                        # the ingest would double-apply — defer the
-                        # checkpoint instead (the next ingest past the
-                        # threshold re-triggers it).
-                        self.stats.deferred_checkpoints += 1
-                        result = self.journaled.last_result
-                        break
-                    attempt += 1
-                    if attempt > self.max_retries:
-                        raise RetryExhaustedError(
-                            f"ingest of message {message.msg_id} failed "
-                            f"after {self.max_retries} retries: {exc}"
-                        ) from exc
-                    delay = self.backoff_base * (
-                        self.backoff_factor ** (attempt - 1))
-                    self.stats.retries += 1
-                    self.stats.backoff_seconds += delay
-                    self._sleep(delay)
-            if result is not None:
-                self.stats.ingested += 1
-                if self.guard is not None:
-                    # Teach the guard where this message landed so
-                    # future near-duplicates of it fold into the same
-                    # bundle.
-                    self.guard.note_result(message, result.bundle_id)
-                self._maybe_shed()
+            journaled.ingest_run(run, folds, self._retry)
+        except _TRANSIENT_ERRORS:
+            if len(journaled.last_outcomes) < len(run):
+                raise  # retries exhausted, or a failure past the journal
+            # Every record was journaled and indexed; only the trailing
+            # checkpoint failed.  Retrying would double-apply — defer it
+            # instead (the next run past the threshold re-triggers it).
+            self.stats.deferred_checkpoints += 1
         finally:
-            self._latency_hist.observe(time.perf_counter() - started)
-            if self.telemetry is not None:
-                self.telemetry.tick()
-        if ctl is not None:
-            ctl.note_ingest(state, time.perf_counter() - started,
-                            indexed=result is not None)
-        return result
+            # Each settled arrival observes the run's wall ÷ its length.
+            done = journaled.last_outcomes
+            latency = (time.perf_counter() - started) / (len(done) or 1)
+            for slot, message, outcome in zip(slots, run, done):
+                indexed = not isinstance(outcome, Exception)
+                if indexed:
+                    self.stats.ingested += 1
+                    if self.guard is not None:  # future near-dups fold here
+                        self.guard.note_result(message, outcome.bundle_id)
+                    self._maybe_shed()
+                else:
+                    self.stats.dead_lettered += 1
+                    self.dead_letters.append("index-rejected", outcome,
+                                             message)
+                if slot >= 0:
+                    outcomes[slot] = outcome if indexed else None
+                self._latency_hist.observe(latency)
+                if self.telemetry is not None:
+                    self.telemetry.tick()
+                if ctl is not None:
+                    ctl.note_ingest(state, latency, indexed=indexed)
+
+    def _retry(self, append: "Callable[[Message], int]", message: Message,
+               error: Exception) -> int:
+        """The journal stage's bounded backoff after a failed append —
+        the only retry: an error raised after a record is journaled is
+        never answered by journaling it again."""
+        attempt = 0
+        while isinstance(error, _TRANSIENT_ERRORS):
+            if attempt == self.max_retries:
+                raise RetryExhaustedError(
+                    f"ingest of message {message.msg_id} failed "
+                    f"after {self.max_retries} retries: {error}"
+                ) from error
+            delay = self.backoff_base * self.backoff_factor ** attempt
+            attempt += 1
+            self.stats.retries += 1
+            self.stats.backoff_seconds += delay
+            self._sleep(delay)
+            try:
+                return append(message)
+            except Exception as again:
+                error = again
+        raise error
 
     def ingest_raw(self, msg_id: object, user: object, date: object,
                    text: object, *, event_id: object = None,
@@ -697,9 +771,10 @@ class ResilientIndexer:
         """
         if self.guard is None:
             return 0
+        before = self.stats.ingested
         with commit_scope(*self._custody):
-            outcomes = self._apply_all(self.guard.flush(), None)
-        return sum(outcome is not None for outcome in outcomes)
+            self._ingest_all((None,), None, self.guard.flush)
+        return self.stats.ingested - before
 
     def drain_backlog(self) -> int:
         """Ingest everything still deferred in the admission backlog.
@@ -709,9 +784,11 @@ class ResilientIndexer:
         """
         if self.overload is None:
             return 0
+        before = self.stats.ingested
         with commit_scope(*self._custody):
-            return sum(self._index(queued) is not None
-                       for queued in self.overload.drain())
+            for queued in self.overload.drain():
+                self._run([-1], [queued], None, [])
+        return self.stats.ingested - before
 
     def ingest_batch(self, messages: Iterable[Message], *,
                      count_only: bool = False,
@@ -722,16 +799,20 @@ class ResilientIndexer:
         the returned list may be shorter than the input; with
         ``count_only=True`` only the indexed count comes back.  Its
         quarantine verdicts share one fsync, issued before it returns.
+        The input is read in :data:`ProvenanceIndexer.BATCH_CHUNK`
+        slices, so a streaming iterable is never held whole.
         """
         results: "list[IngestResult]" = []
         count = 0
+        iterator = iter(messages)
+        chunk = ProvenanceIndexer.BATCH_CHUNK
         with commit_scope(*self._custody):
-            for message in messages:
-                result = self.ingest(message)
-                if result is not None:
-                    count += 1
-                    if not count_only:
-                        results.append(result)
+            for part in iter(lambda: list(islice(iterator, chunk)), []):
+                for result in self._ingest_all(part, None):
+                    if result is not None:
+                        count += 1
+                        if not count_only:
+                            results.append(result)
         return count if count_only else results
 
     # -- retrieval ----------------------------------------------------------
@@ -799,8 +880,11 @@ class ResilientIndexer:
         audit = self.journaled.indexer.obs.audit
         if audit is not None:
             audit.close()
-        # Behind admission's breaker wrapper, if any; sinks need not close.
-        sink = getattr(self.indexer.store, "sink", self.indexer.store)
-        if hasattr(sink, "close"):
-            sink.close()
-        self.journaled.__exit__(exc_type, *exc_info[1:])
+        try:
+            # The final checkpoint first: it flushes parked bundles.
+            self.journaled.__exit__(exc_type, *exc_info[1:])
+        finally:
+            # Behind the breaker wrapper, if any; sinks need not close.
+            sink = getattr(self.indexer.store, "sink", self.indexer.store)
+            if hasattr(sink, "close"):
+                sink.close()

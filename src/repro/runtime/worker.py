@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import IndexerConfig
+from repro.core.engine import IngestResult
 from repro.core.message import Message, parse_message
 from repro.obs.anatomy import WorkloadAnatomy
 from repro.obs.perf import StackSampler, StageCell
@@ -194,21 +195,25 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
         for position, trace_id, parent in extras.get("traced") or ():
             traced[int(position)] = (int(trace_id), str(parent))
     hops: "list[dict[str, Any]] | None" = [] if traced else None
-    results: list[Any] | None = None if count_only else []
-    indexed = 0
+    outcomes: "list[IngestResult | None]" = []
     # The durability barrier: leaving the commit scope fsyncs whichever
     # of the boundary and guard logs this batch appended to, then the WAL
     # syncs — before the ACK, so all the coordinator sees is on disk.
     guard = supervisor.guard
     with commit_scope(boundary, *(guard.logs if guard is not None else ())):
-        for position, message in enumerate(messages):
-            context = traced.get(position)
-            if context is not None and fleet is not None:
-                trace_id, parent = context
+        try:
+            # Untraced stretches go in as runs; a traced arrival goes
+            # alone, between its own hop stamps.
+            for position in sorted(p for p in traced if p < len(messages)):
+                outcomes += supervisor.ingest_outcomes(
+                    messages[len(outcomes):position])
+                assert fleet is not None and hops is not None
+                trace_id, parent = traced[position]
                 fleet.tracer.force(TraceContext(
                     trace_id=trace_id, parent_span=parent, sampled=True))
                 started = time.monotonic()
-                result = supervisor.ingest(message)
+                outcomes += supervisor.ingest_outcomes(
+                    messages[position:position + 1])
                 ended = time.monotonic()
                 fleet.tracer.unforce(trace_id)
                 hop: dict[str, Any] = {
@@ -226,27 +231,30 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
                     hop["outcome"] = engine_trace.outcome
                     if "bundle_id" in engine_trace.tags:
                         hop["bundle_id"] = engine_trace.tags["bundle_id"]
-                elif result is None:
+                elif outcomes[position] is None:
                     # Shed/deferred before the engine's tracer saw it.
                     hop["outcome"] = "deferred"
-                assert hops is not None
                 hops.append(hop)
-            else:
-                result = supervisor.ingest(message)
-            if results is not None:
-                results.append(result)
-            if result is None:
-                continue
-            indexed += 1
-            peers = hinted.get(position)
-            if peers:
-                edge = result.edge
-                boundary.append(message, peers,
-                                edge.dst_id if edge is not None else None,
-                                edge.score if edge is not None else 0.0)
+            outcomes += supervisor.ingest_outcomes(messages[len(outcomes):])
+        except Exception:
+            # The call that raised still journaled and indexed a prefix.
+            outcomes += supervisor.last_outcomes
+            raise
+        finally:
+            for position, result in enumerate(outcomes):
+                peers = hinted.get(position)
+                if peers and result is not None:
+                    edge = result.edge
+                    boundary.append(messages[position], peers,
+                                    edge.dst_id if edge is not None
+                                    else None,
+                                    edge.score if edge is not None
+                                    else 0.0)
     supervisor.journaled.journal.sync()
     done = time.monotonic()
-    reply: dict[str, Any] = {"indexed": indexed, "results": results,
+    indexed = sum(result is not None for result in outcomes)
+    reply: dict[str, Any] = {"indexed": indexed,
+                             "results": None if count_only else outcomes,
                              "recv": recv, "done": done}
     if extras and "enqueue" in extras:
         queue_wait = max(0.0, recv - float(extras["enqueue"]))

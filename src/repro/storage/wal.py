@@ -37,9 +37,11 @@ pin this with simulated crashes at every durability boundary.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import IngestResult, ProvenanceIndexer
@@ -104,9 +106,7 @@ class MessageJournal(FramedLog):
                 f"sync_every must be positive, got {sync_every}")
         super().__init__(path)
         self.sync_every = sync_every
-        self.next_seq = 0
-        for seq, _ in self.replay_entries(self.path):
-            self.next_seq = seq + 1
+        self._next_seq: "int | None" = None
         self._since_sync = 0
         # No-op until bind_registry() wires the journal into a registry.
         self._append_counter = NULL_COUNTER
@@ -125,11 +125,26 @@ class MessageJournal(FramedLog):
             "repro_wal_bytes_total", unit="bytes",
             help="Payload bytes written to the journal")
 
+    @property
+    def next_seq(self) -> int:
+        """The next append's sequence number: one past the last record,
+        scanned on first use (:meth:`JournaledIndexer.recover` sets it)."""
+        if self._next_seq is None:
+            self._next_seq = max((seq + 1 for seq, _ in
+                                  self.replay_entries(self.path)), default=0)
+        return self._next_seq
+
+    @next_seq.setter
+    def next_seq(self, value: int) -> None:
+        self._next_seq = value
+
     def append(self, message: Message) -> int:
         """Log one message; returns its sequence number (consumed even
         when the write fails)."""
-        seq = self.next_seq
-        self.next_seq += 1
+        seq = self._next_seq
+        if seq is None:
+            seq = self.next_seq
+        self._next_seq = seq + 1
         event = "" if message.event_id is None else str(message.event_id)
         parent = "" if message.parent_id is None else str(message.parent_id)
         self._bytes_counter.inc(self.append_payload(
@@ -190,12 +205,65 @@ class MessageJournal(FramedLog):
             tally.torn_tail = True
 
 
-def _index(indexer: ProvenanceIndexer, message: Message,
-           fold: "tuple[int, int | None] | None") -> IngestResult:
-    """Index one journaled message — live and on replay alike."""
-    if fold is None:
-        return indexer.ingest(message)
-    return indexer.ingest_folded(message, *fold)
+#: A guard fold hint, ``(bundle_id, duplicate_of)``; one record's
+#: outcome, its result or the poison it was refused with; one record's
+#: sequence number, or the poison that kept it out of the journal; the
+#: handler of a failed append, ``retry(append, message, error) -> seq``.
+Fold = tuple[int, "int | None"]
+Outcome = IngestResult | Exception
+Seq = int | Exception
+Retry = Callable[[Callable[[Message], int], Message, Exception], int]
+
+
+def _newest_id(indexer: ProvenanceIndexer) -> int:
+    """The highest msg_id in the pool (-1 for an empty one)."""
+    return max((max(bundle.message_ids(), default=-1)
+                for bundle in indexer.pool), default=-1)
+
+
+def _index(indexer: ProvenanceIndexer, messages: "Sequence[Message]",
+           seqs: "Sequence[Seq]", folds: "Sequence[Fold | None] | None",
+           newest: int, outcomes: "list[Outcome]") -> int:
+    """Index ``messages[:len(seqs)]`` in order, appending to
+    ``outcomes`` — live and on replay alike; returns the new ``newest``.
+    A record whose ``seqs`` entry is an exception never reached the
+    journal: that exception is its outcome.
+
+    A stretch of plain records is one engine ``ingest_batch`` call.  A
+    fold goes alone, and so does a msg_id not above ``newest`` (every
+    id the pool may hold): by the engine's rejection contract
+    (:meth:`ProvenanceIndexer.ingest_batch`) only such a record can be
+    refused, so a rejection costs no neighbour its result.
+    """
+    start, end = 0, len(seqs)
+    while start < end:
+        message = messages[start]
+        fold = folds[start] if folds is not None else None
+        stop = start + 1
+        if isinstance(seqs[start], Exception):
+            outcomes.append(seqs[start])
+            start = stop
+            continue
+        if fold is None and message.msg_id > newest:
+            newest = message.msg_id
+            while (stop < end and messages[stop].msg_id > newest
+                   and (folds is None or folds[stop] is None)
+                   and not isinstance(seqs[stop], Exception)):
+                newest = messages[stop].msg_id
+                stop += 1
+        elif message.msg_id > newest:
+            newest = message.msg_id
+        try:
+            if fold is None:
+                outcomes += indexer.ingest_batch(messages[start:stop])
+            else:
+                outcomes.append(indexer.ingest_folded(message, *fold))
+        except POISON_ERRORS as exc:
+            if stop > start + 1:
+                raise  # breaks the engine's contract: results are lost
+            outcomes.append(exc)
+        start = stop
+    return newest
 
 
 class JournaledIndexer:
@@ -229,7 +297,10 @@ class JournaledIndexer:
         self.snapshot_every = snapshot_every
         self._since_snapshot = 0
         self._closed = False
-        self.last_result: "IngestResult | None" = None
+        #: The latest :meth:`ingest_run`'s outcomes, filled as it goes.
+        self.last_outcomes: "list[Outcome]" = []
+        # _index's newest id: the engine is fed through this journal only.
+        self._newest = _newest_id(indexer)
         # One registry per stack: the engine's registry also carries the
         # durability signals of its journal and checkpoints.
         registry = indexer.obs.registry
@@ -249,23 +320,70 @@ class JournaledIndexer:
         self.last_applied_seq = journal.next_seq - 1
 
     def ingest(self, message: Message, *,
-               fold: "tuple[int, int | None] | None" = None) -> IngestResult:
-        """Journal first, then index (write-ahead ordering).
+               fold: "Fold | None" = None) -> IngestResult:
+        """Journal first, then index (write-ahead ordering): an
+        :meth:`ingest_run` of one that raises the poison it met.
 
         ``fold`` is the guard's ``(bundle_id, duplicate_of)`` hint.  The
         WAL record is the standard one either way — the hint lives in
         the guard's fold log, written before this append, so replay can
         reproduce the same placement (:meth:`recover`'s ``fold_hints``).
         """
-        seq = self.journal.append(message)
-        result = _index(self.indexer, message, fold)
-        self.last_applied_seq = seq
-        self.last_result = result
-        self._since_snapshot += 1
+        outcome = self.ingest_run((message,), (fold,))[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    @property
+    def checkpoint_room(self) -> int:
+        """How many records the next run may hold: the ingests left
+        before the next checkpoint (at least 1)."""
+        if self.snapshot_path is None:
+            return sys.maxsize
+        return max(1, self.snapshot_every - self._since_snapshot)
+
+    def ingest_run(self, run: "Sequence[Message]",
+                   folds: "Sequence[Fold | None] | None" = None,
+                   retry: "Retry | None" = None) -> "list[Outcome]":
+        """Journal a run, then index it (:func:`_index`), then checkpoint
+        when due.  A run fits before the next checkpoint
+        (:attr:`checkpoint_room`), so none journals into a log that a
+        checkpoint then truncates.
+
+        A record the engine rejects stays journaled; one the journal
+        cannot frame (poison, e.g. text UTF-8 cannot encode) is not
+        journaled.  Either way its exception fills its slot and it does
+        not count as applied.  Any other failed append goes to
+        ``retry(append, message, error)``, which returns a later
+        attempt's sequence number or raises; the records settled before
+        it are indexed (:attr:`last_outcomes`) first.
+        """
+        if len(run) > 1 and len(run) > self.checkpoint_room:
+            raise StorageError(
+                f"a run of {len(run)} records crosses the next checkpoint")
+        self.last_outcomes = outcomes = []
+        seqs: "list[Seq]" = []
+        try:
+            for message in run:
+                try:
+                    seqs.append(self.journal.append(message))
+                except POISON_ERRORS as error:
+                    seqs.append(error)
+                except Exception as error:
+                    if retry is None:
+                        raise
+                    seqs.append(retry(self.journal.append, message, error))
+        finally:
+            self._newest = _index(self.indexer, run, seqs, folds,
+                                  self._newest, outcomes)
+            for seq, outcome in zip(seqs, outcomes):
+                if not isinstance(outcome, Exception):
+                    self.last_applied_seq = seq  # type: ignore[assignment]
+                    self._since_snapshot += 1
         if (self.snapshot_path is not None
                 and self._since_snapshot >= self.snapshot_every):
             self.checkpoint()
-        return result
+        return outcomes
 
     def ingest_folded(self, message: Message, bundle_id: int,
                       duplicate_of: "int | None" = None) -> IngestResult:
@@ -316,6 +434,12 @@ class JournaledIndexer:
         from repro.storage.snapshot import save_snapshot
 
         self.journal.sync()
+        # A spill store that parks bundles behind a sick disk (the
+        # supervisor's GuardedSink) must flush them first: they are in no
+        # snapshot, and it raises to defer the checkpoint if it cannot.
+        settle = getattr(self.indexer.store, "settle", None)
+        if settle is not None:
+            settle()
         save_snapshot(self.indexer, self.snapshot_path,
                       applied_seq=self.last_applied_seq)
         write_atomic(self._seq_sidecar(), [str(self.last_applied_seq)])
@@ -361,22 +485,31 @@ class JournaledIndexer:
         else:
             indexer = ProvenanceIndexer(config or IndexerConfig())
 
-        replayed = 0
-        for seq, message in MessageJournal.replay_entries(journal_path):
-            if seq <= applied_seq:
-                continue  # already reflected in the snapshot
-            try:
-                _index(indexer, message,
-                       fold_hints.get(message.msg_id) if fold_hints else None)
-            except POISON_ERRORS:
-                # A journaled record the engine rejects (e.g. a duplicate
-                # msg_id that slipped past a crashed supervisor before it
-                # could dead-letter) must not make recovery itself
-                # unrecoverable; skip it, exactly as the live supervisor
-                # would have quarantined it.
-                continue
-            replayed += 1
+        # One parse per record: the replay scan also yields next_seq.
+        next_seq = 0
+
+        def unapplied() -> Iterator[tuple[int, Message]]:
+            nonlocal next_seq
+            for seq, message in MessageJournal.replay_entries(journal_path):
+                next_seq = seq + 1
+                if seq > applied_seq:  # else already in the snapshot
+                    yield seq, message
+
+        replayed, newest, tail = 0, _newest_id(indexer), unapplied()
+        chunk = ProvenanceIndexer.BATCH_CHUNK
+        for entries in iter(lambda: list(islice(tail, chunk)), []):
+            seqs, run = zip(*entries)
+            # A record the engine rejects (a duplicate msg_id journaled
+            # before a crashed supervisor could dead-letter it) is
+            # skipped, as the live supervisor quarantined it.
+            folds = ([fold_hints.get(message.msg_id) for message in run]
+                     if fold_hints else None)
+            outcomes: "list[Outcome]" = []
+            newest = _index(indexer, run, seqs, folds, newest, outcomes)
+            replayed += sum(not isinstance(outcome, Exception)
+                            for outcome in outcomes)
         journal = MessageJournal(journal_path)
+        journal.next_seq = next_seq
         recovered = cls(indexer, journal, snapshot_path=snapshot_file,
                         snapshot_every=snapshot_every)
         recovered._since_snapshot = replayed

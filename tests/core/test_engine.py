@@ -7,7 +7,7 @@ import pytest
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.core.errors import BundleNotFoundError
+from repro.core.errors import BundleError, BundleNotFoundError
 from tests.conftest import make_message
 
 
@@ -69,6 +69,39 @@ class TestIngestRouting:
         assert count == 1
         assert indexer.stats.messages_ingested == 3
         assert indexer.stats()["messages_ingested"] == 3
+
+
+class TestRejectionContract:
+    """What the WAL's batching relies on (``ingest_batch`` docstring)."""
+
+    def test_member_id_is_refused_after_the_messages_before_it(
+            self, indexer):
+        first = make_message(1, "#tag hello bit.ly/a")
+        indexer.ingest(first)
+        with pytest.raises(BundleError, match="already in bundle"):
+            indexer.ingest_batch([
+                make_message(2, "#other note", user="b", hours=0.1),
+                make_message(1, "#tag hello bit.ly/a", hours=0.2)])
+        assert indexer.stats.messages_ingested == 2
+
+    def test_ids_above_every_pooled_id_are_never_refused(self):
+        from dataclasses import replace
+
+        from repro.stream.generator import StreamConfig, StreamGenerator
+
+        # Eviction and size-closed bundles on the way, in 64-message
+        # batches: nothing the pool holds can collide.
+        config = replace(IndexerConfig.partial_index(pool_size=20),
+                         max_bundle_size=6)
+        engine = ProvenanceIndexer(config)
+        messages = StreamGenerator(StreamConfig(
+            seed=7, days=0.01, messages_per_day=60_000, user_count=50,
+            events_per_day=240.0)).generate_list()
+        for start in range(0, len(messages), 64):
+            engine.ingest_batch(messages[start:start + 64])
+        assert engine.stats.messages_ingested == len(messages) > 300
+        assert engine.stats.bundles_closed > 0
+        assert engine.stats.refinements > 0
 
 
 class TestBundleSizeConstraint:

@@ -1,14 +1,18 @@
-"""Group commit changes *when* the custody log is fsynced, nothing else.
+"""Batching changes *when* work is grouped, nothing else.
 
 ``ResilientIndexer.ingest_batch`` runs its arrivals inside one
-:func:`~repro.reliability.fsio.commit_scope`; a bare ``ingest`` fsyncs
-each quarantine record before returning.  Two claims:
+:func:`~repro.reliability.fsio.commit_scope` and, on a stack with no
+guard, ladder or watermark, hands the journal and the engine long runs;
+a bare ``ingest`` is a run of one that fsyncs each quarantine record
+before returning.  Two claims:
 
-* **batch ≡ sequence** — for any mixed organic / spam-flood / near-dup /
-  clock-skew stream and any batch cuts, ``ingest_batch`` per cut and
-  ``ingest`` per message leave byte-identical ``quarantine.log``,
-  ``folds.log`` and ``ingest.wal``, identical edges and identical
-  guard / supervisor counters;
+* **batch ≡ sequence** — on the guarded stack (arrival at a time) and
+  on a bare one (long runs), for any mixed organic / spam-flood /
+  near-dup / clock-skew / duplicate-``msg_id`` stream and any batch
+  cuts, ``ingest_batch`` per cut and ``ingest`` per message leave
+  byte-identical ``quarantine.log``, ``folds.log``, ``ingest.wal``,
+  ``state.snapshot`` and its ``.seq`` sidecar, identical edges, the
+  same dead letters and identical guard / supervisor counters;
 * **one barrier per acknowledged call** — a public batch entry point
   issues at most one custody-log fsync (exactly one if it quarantined
   anything), the per-message path exactly one per quarantined arrival.
@@ -21,6 +25,7 @@ from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +39,8 @@ from tests.conftest import make_message
 
 SPAM = "win big money now with this one amazing trick friends"
 NEWS = "harbor bridge closed after the morning quake inspection"
-LOGS = ("quarantine.log", "folds.log", "ingest.wal")
+LOGS = ("quarantine.log", "folds.log", "ingest.wal", "state.snapshot",
+        "state.snapshot.seq")
 
 
 def build_stream(plan: "list[tuple[str, int]]"):
@@ -61,6 +67,8 @@ def build_stream(plan: "list[tuple[str, int]]"):
             messages.append(make_message(
                 i, f"message {i} from the impossible future",
                 user=f"u{variant}", hours=hours + 24.0 * (1 + variant)))
+        elif kind == "duplicate" and messages:  # poison: a reused msg_id
+            messages.append(messages[variant % len(messages)])
         else:
             messages.append(make_message(
                 i, f"organic story number {i} about topic{variant}",
@@ -68,56 +76,66 @@ def build_stream(plan: "list[tuple[str, int]]"):
     return messages
 
 
-def open_stack(root: Path) -> ResilientIndexer:
-    # Low gates so short streams reach every verdict; small sync and
-    # snapshot cadences so WAL fsyncs and checkpoints fall inside batches.
+#: Low gates so short streams reach every verdict.  The guarded stack
+#: ingests arrival at a time; the bare one in runs cut at checkpoints.
+STACKS = {
+    "guarded": dict(
+        guard=GuardConfig(spam_min_messages=4.0, reorder_window=1800.0),
+        overload=OverloadConfig(rate_limit=None, latency_target=1.0)),
+    "bare": {},
+}
+
+
+def open_stack(root: Path, stack: str = "guarded") -> ResilientIndexer:
+    # Small sync and snapshot cadences so WAL fsyncs and checkpoints
+    # fall inside batches.
     return ResilientIndexer.open(
         root, config=IndexerConfig.full_index(), sync_every=4,
-        snapshot_every=16,
-        guard=GuardConfig(spam_min_messages=4.0, reorder_window=1800.0),
-        overload=OverloadConfig(rate_limit=None, latency_target=1.0))
+        snapshot_every=16, **STACKS[stack])
 
 
 def outcome(supervisor: ResilientIndexer, root: Path) -> dict:
     supervisor.journaled.journal.sync()
     guard = supervisor.guard
-    assert guard is not None
-    assert guard.stats.reconciles(guard.buffer_depth)
+    assert guard is None or guard.stats.reconciles(guard.buffer_depth)
     stats = {f.name: getattr(supervisor.stats, f.name)
              for f in fields(supervisor.stats) if f.compare}
     # Wall-clock free: the stream never retries, so this stays 0.0.
     assert stats["backoff_seconds"] == 0.0
     return {
-        "logs": {name: (root / name).read_bytes() for name in LOGS},
+        "logs": {name: (root / name).read_bytes()
+                 for name in LOGS if (root / name).exists()},
         "edges": supervisor.edge_pairs(),
-        "guard": asdict(guard.stats),
-        "buffer_depth": guard.buffer_depth,
+        "guard": asdict(guard.stats) if guard else None,
+        "buffer_depth": guard.buffer_depth if guard else 0,
         "supervisor": stats,
+        "dead_letters": supervisor.dead_letters.entries(),
     }
 
 
 plans = st.lists(
     st.tuples(st.sampled_from(["organic", "organic", "spam", "spam",
                                "neardup", "neardup", "reordered", "late",
-                               "clock_bomb"]),
+                               "clock_bomb", "duplicate"]),
               st.integers(0, 5)),
     min_size=1, max_size=48)
 
 
+@pytest.mark.parametrize("stack", STACKS)
 @given(plan=plans, cuts=st.lists(st.integers(1, 12), min_size=1, max_size=8))
 @settings(deadline=None)
-def test_ingest_batch_equals_ingest_sequence(plan, cuts):
+def test_ingest_batch_equals_ingest_sequence(stack, plan, cuts):
     stream = build_stream(plan)
     with tempfile.TemporaryDirectory() as tmp:
         one_by_one = Path(tmp) / "sequence"
-        supervisor = open_stack(one_by_one)
+        supervisor = open_stack(one_by_one, stack)
         results = [supervisor.ingest(message) for message in stream]
         expected = outcome(supervisor, one_by_one)
         indexed = [r.msg_id for r in results if r is not None]
         supervisor.close()
 
         batched = Path(tmp) / "batched"
-        supervisor = open_stack(batched)
+        supervisor = open_stack(batched, stack)
         batch_indexed = []
         start = turn = 0
         while start < len(stream):

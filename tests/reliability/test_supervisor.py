@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.core.errors import RetryExhaustedError
+from repro.core.errors import RetryExhaustedError, StorageError
 from repro.reliability.faults import Fault, FaultInjector
 from repro.reliability.guard import GuardConfig, IngestGuard
 from repro.reliability.overload import OverloadConfig
@@ -80,6 +80,110 @@ class TestRetry:
         assert supervisor.indexer.stats.messages_ingested == 12
         # the next threshold crossing retried the checkpoint successfully
         assert (tmp_path / "state.json").exists()
+
+    def test_failed_checkpoint_inside_a_batch_is_deferred(self, tmp_path):
+        # Runs end at checkpoints, so the failed one ends its run: the
+        # rest of the batch goes on, and the next arrival retries it.
+        journaled = JournaledIndexer(
+            ProvenanceIndexer(IndexerConfig.partial_index(pool_size=15)),
+            MessageJournal(tmp_path / "ingest.wal", sync_every=1),
+            snapshot_path=tmp_path / "state.json", snapshot_every=5)
+        with FaultInjector([Fault(op="replace", nth=1, kind="error",
+                                  path_part="state.json")]):
+            supervisor = ResilientIndexer(journaled, sleep=lambda _: None)
+            assert len(supervisor.ingest_batch(stream(12))) == 12
+        assert supervisor.stats.deferred_checkpoints == 1
+        assert supervisor.stats.retries == 0
+        assert supervisor.indexer.stats.messages_ingested == 12
+        assert int((tmp_path / "state.json.seq").read_text()) == 10
+
+
+def dense(count: int):
+    from repro.stream.generator import StreamConfig, StreamGenerator
+
+    return StreamGenerator(StreamConfig(
+        seed=7, days=(count + 0.5) / 100_000, messages_per_day=100_000,
+        user_count=200, events_per_day=240.0)).generate_list()[:count]
+
+
+def open_small(root, **kwargs) -> ResilientIndexer:
+    return ResilientIndexer.open(
+        root, config=IndexerConfig.partial_index(pool_size=20),
+        sleep=lambda _: None, **kwargs)
+
+
+class TestSpillFault:
+    def test_failed_spill_is_neither_journaled_nor_indexed_twice(
+            self, tmp_path):
+        """A spill-store write fault during Alg. 3 strikes after the
+        message was journaled and placed; only the journal append is
+        ever retried, so the message counts once and replays once."""
+        from collections import Counter
+
+        messages = dense(1500)
+        with FaultInjector([Fault(op="write", nth=5, path_part="bundles")]):
+            supervisor = open_small(tmp_path)
+            assert supervisor.ingest_batch(messages, count_only=True) == 1500
+        assert supervisor.stats.retries == 0
+        assert supervisor.indexer.stats.messages_ingested == 1500
+        live = supervisor.edge_pairs()
+        supervisor.journaled.journal.close()   # crash: no final checkpoint
+        journaled = Counter(m.msg_id for _, m in MessageJournal.replay_entries(
+            tmp_path / "ingest.wal"))
+        assert set(journaled.values()) == {1}
+        reopened = ResilientIndexer.open(
+            tmp_path, config=IndexerConfig.partial_index(pool_size=20))
+        assert reopened.edge_pairs() == live
+        reopened.journaled.journal.close()
+
+    def test_bundle_parked_by_the_last_spill_is_on_disk_after_close(
+            self, tmp_path, monkeypatch):
+        """The final checkpoint flushes a parked bundle before the
+        snapshot that no longer pools it; reopen sees every bundle."""
+        messages = dense(1500)
+        clean = open_small(tmp_path / "clean")
+        clean.ingest_batch(messages, count_only=True)
+        spills = clean.indexer.store.spilled
+        stored = clean.indexer.store.sink.bundle_ids()
+        clean.close()
+
+        calls = [0]
+        append = BundleStore.append
+
+        def last_spill_fails(store, bundle):
+            calls[0] += 1
+            if calls[0] == spills:
+                raise OSError(28, "No space left on device")
+            append(store, bundle)
+
+        monkeypatch.setattr(BundleStore, "append", last_spill_fails)
+        supervisor = open_small(tmp_path / "faulted")
+        supervisor.ingest_batch(messages, count_only=True)
+        registry = supervisor.indexer.obs.registry
+        assert registry.value("repro_spill_parked") == 1
+        live = supervisor.edge_pairs()
+        supervisor.close()
+        assert supervisor.indexer.store.parked_count == 0
+        monkeypatch.undo()
+        reopened = open_small(tmp_path / "faulted")
+        assert reopened.edge_pairs() == live
+        assert reopened.indexer.store.sink.bundle_ids() == stored
+        reopened.close()
+
+    def test_checkpoint_waits_while_a_bundle_is_parked(
+            self, tmp_path, monkeypatch):
+        def sick(store, bundle):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(BundleStore, "append", sick)
+        supervisor = open_small(tmp_path, snapshot_every=200)
+        assert supervisor.ingest_batch(dense(600), count_only=True) == 600
+        sink = supervisor.indexer.store
+        assert sink.parked_count > 0 and sink.breaker.opens == 1
+        assert supervisor.stats.deferred_checkpoints > 0
+        assert not (tmp_path / "state.snapshot").exists()
+        with pytest.raises(StorageError, match="parked off disk"):
+            supervisor.close()
 
 
 class TestReleaseAborted:
@@ -291,6 +395,33 @@ class TestMixedPoisonStream:
         assert report.admission.admitted == 13
         assert sum(report.mode_ingests.values()) == 12
 
+    @pytest.mark.parametrize("guard", [None, GuardConfig()],
+                             ids=["bare", "guarded"])
+    def test_text_the_journal_cannot_frame_is_dead_lettered(
+            self, tmp_path, guard):
+        """A truncated emoji leaves a lone surrogate: it parses, but its
+        WAL record cannot be encoded, so it is dead-lettered and the
+        rest of its run is journaled and indexed."""
+        good = stream(12)
+        supervisor = build(tmp_path, guard=guard)
+        records: list = [*good[:4], (950, "erin", good[4].date,
+                                     "broken \ud83d"), *good[4:8]]
+        assert supervisor.ingest_stream(records) == 8
+        messages = [*good[8:10], make_message(951, "again \ud83d",
+                                              hours=0.95), *good[10:]]
+        indexed = supervisor.ingest_batch(messages)
+        if guard is None:
+            assert [r.msg_id for r in indexed] == [8, 9, 10, 11]
+        supervisor.flush_guard()
+        assert supervisor.stats.ingested == 12
+        assert [letter.reason for letter in supervisor.dead_letters] == [
+            "index-rejected", "index-rejected"]
+        assert "surrogates not allowed" in supervisor.dead_letters.entries(
+            )[0].error
+        journaled = [m.msg_id for _, m in MessageJournal.replay_entries(
+            tmp_path / "ingest.wal")]
+        assert journaled == [m.msg_id for m in good]
+
 
 class TestDrainCrashSafety:
     """DLQ drain is all-or-nothing on disk (write-then-rename)."""
@@ -411,3 +542,18 @@ class TestLifecycle:
         assert store._handle is None
         assert BundleStore(tmp_path / "bundles").bundle_ids() == \
             store.bundle_ids()
+
+
+class TestBatchInput:
+    def test_a_streamed_batch_is_read_one_slice_at_a_time(self, tmp_path):
+        supervisor = build(tmp_path)
+        engine = supervisor.indexer
+        ahead = []
+
+        def feed():
+            for position, message in enumerate(stream(1200)):
+                ahead.append(position - engine.stats.messages_ingested)
+                yield message
+
+        assert supervisor.ingest_batch(feed(), count_only=True) == 1200
+        assert max(ahead) < ProvenanceIndexer.BATCH_CHUNK

@@ -132,6 +132,31 @@ class TestBoundaryLog:
         reopened.close()
 
 
+class TestIngestHandler:
+    def test_failed_batch_keeps_the_hints_of_what_it_indexed(self, tmp_path):
+        """Retries exhausted mid-batch: the arrivals journaled and
+        indexed before the failure still get their boundary records."""
+        from repro.core.errors import RetryExhaustedError
+        from repro.reliability.faults import Fault, FaultInjector
+        from repro.reliability.supervisor import ResilientIndexer
+        from repro.runtime.worker import _handle_ingest
+
+        batch = [_message(msg_id=i, offset=float(i), text=f"#quake note {i}")
+                 for i in range(8)]
+        faults = [Fault(op="write", nth=n, kind="error", path_part=".wal")
+                  for n in range(6, 30)]
+        with FaultInjector(faults):
+            supervisor = ResilientIndexer.open(tmp_path, sleep=lambda _: None)
+            boundary = BoundaryLog(tmp_path)
+            with pytest.raises(RetryExhaustedError):
+                _handle_ingest(supervisor, boundary, batch, True,
+                               [(position, (1,)) for position in range(8)])
+        assert [entry.msg_id for entry in boundary.pending()] == [0, 1, 2, 3, 4]
+        assert supervisor.stats.ingested == 5
+        boundary.close()
+        supervisor.journaled.journal.close()
+
+
 class TestRepairJournal:
     def _engine(self):
         engine = ProvenanceIndexer(IndexerConfig(), track_edges=True)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.core.errors import StorageError
+from repro.core.errors import BundleError, StorageError
 from repro.core.validation import check_engine
 from repro.storage.wal import JournaledIndexer, MessageJournal
 from tests.conftest import make_message
@@ -191,6 +191,49 @@ class TestCrashRecovery:
                                                user="x", hours=5.0))
         assert result is not None
         assert recovered.indexer.stats.messages_ingested == 11
+
+    def test_recovery_parses_each_record_once(self, tmp_path, monkeypatch):
+        journaled = self._journaled(tmp_path)
+        for message in stream(30):
+            journaled.ingest(message)
+        journaled.journal.close()
+        import repro.storage.wal as wal
+
+        calls = []
+        parse = wal.parse_message
+        monkeypatch.setattr(wal, "parse_message",
+                            lambda *a, **kw: calls.append(1) or parse(*a, **kw))
+        recovered = JournaledIndexer.recover(
+            tmp_path / "state.json", tmp_path / "ingest.wal")
+        assert len(calls) == 30
+        assert recovered.journal.next_seq == 30
+        assert recovered.indexer.stats.messages_ingested == 30
+
+    def test_runs_equal_the_sequence(self, tmp_path):
+        """Runs cut at checkpoints leave the sequence's bytes, and a
+        duplicate msg_id inside one is rejected in its own slot with
+        the rest of the run indexed."""
+        messages = stream(25)
+        messages.insert(12, messages[3])
+        sequence = self._journaled(tmp_path / "a", snapshot_every=7)
+        outcomes = []
+        for message in messages:
+            try:
+                outcomes.append(sequence.ingest(message).msg_id)
+            except Exception as exc:
+                outcomes.append(type(exc))
+        runs = self._journaled(tmp_path / "b", snapshot_every=7)
+        with pytest.raises(StorageError, match="crosses the next checkpoint"):
+            runs.ingest_run(messages[:8])
+        got: list = []
+        while len(got) < len(messages):
+            run = messages[len(got):len(got) + runs.checkpoint_room]
+            got += [getattr(o, "msg_id", type(o)) for o in runs.ingest_run(run)]
+        assert got == outcomes
+        assert outcomes[12] is BundleError
+        for name in ("ingest.wal", "state.json", "state.json.seq"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
     def test_checkpoint_without_path_rejected(self, tmp_path):
         indexer = ProvenanceIndexer(IndexerConfig())
