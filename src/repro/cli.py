@@ -101,7 +101,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     saved = save_snapshot(indexer, args.output)
     if store is not None:
-        store.store.close()
+        store.close()
     memory = indexer.snapshot()
     print(f"indexed {human_count(count)} messages in {elapsed:.1f}s "
           f"({count / max(elapsed, 1e-9):,.0f} msg/s)")

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 from repro.core.bundle import Bundle
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
-from repro.core.errors import BundleNotFoundError
+from repro.core.errors import POISON_ERRORS, BundleNotFoundError
 from repro.core.message import Message
 from repro.core.pool import BundlePool, BundleSink, RefinementReport
 from repro.core.postings import CandidateGather
@@ -604,13 +604,14 @@ class ProvenanceIndexer:
         identical to one-at-a-time ingestion, which the conformance
         suite asserts.
 
-        Rejection contract: the engine refuses only a message whose
-        ``msg_id`` is already a member of the bundle it lands in
-        (:meth:`Bundle.insert` raises :class:`BundleError`).  The error
-        leaves the batch with the messages before it placed and their
-        results lost, so a batch whose ids rise strictly above every
-        pooled ``msg_id`` cannot be refused — :mod:`repro.storage.wal`
-        batches on that, and ``tests/core/test_engine.py`` pins it.
+        Rejection: the engine refuses a message whose ``msg_id`` is
+        already a member of the bundle it lands in (:meth:`Bundle.insert`
+        raises :class:`BundleError`, pool and index untouched).  The
+        batch stops at a refused message (or any per-message poison
+        error), with the messages before it placed; the error's
+        ``settled`` is what the call would have returned for them (their
+        results, or their count under ``count_only``), so a caller
+        resumes after it and loses no result.
         """
         results: "list[IngestResult]" = []
         count = 0
@@ -631,7 +632,11 @@ class ProvenanceIndexer:
                     for message in chunk
                 ]
             for message, keywords in zip(chunk, batch_keywords):
-                result = self._ingest_one(message, keywords)
+                try:
+                    result = self._ingest_one(message, keywords)
+                except POISON_ERRORS as refused:
+                    refused.settled = count if count_only else results
+                    raise
                 if count_only:
                     count += 1
                 else:

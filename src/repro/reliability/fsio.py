@@ -211,7 +211,8 @@ _Log = TypeVar("_Log", bound="FramedLog")
 
 class FramedLog:
     """Append side of a CRC-framed log (WAL, quarantine, folds, boundary,
-    repairs): one :func:`frame_line` record per line.
+    repairs, dead letters, archive index): one :func:`frame_line` record
+    per line.
 
     ``path=None`` keeps the log memory-only (tests, ephemeral stacks).
     Appends go through the pluggable :func:`filesystem` so the fault
@@ -221,11 +222,15 @@ class FramedLog:
     line readers skip instead of swallowing the next record's frame.
     A log whose class sets :attr:`durable` fsyncs each append before it
     returns — unless a :func:`commit_scope` holds the log, which moves
-    that fsync to the scope's exit.
+    that fsync to the scope's exit; one that sets :attr:`flush_each`
+    hands each otherwise unsynced append to the OS.
     """
 
     #: Whether an append outside any commit scope is fsynced at once.
     durable = False
+    #: Whether an append that is not fsynced is flushed to the OS at once
+    #: (a reader or a process crash sees it; a power cut need not).
+    flush_each = False
 
     def __init__(self, path: "str | os.PathLike[str] | None") -> None:
         self.path = Path(path) if path is not None else None
@@ -263,6 +268,8 @@ class FramedLog:
         self._unsynced = True
         if self.durable and not self._held:
             self.sync()
+        elif self.flush_each:
+            handle.flush()
         return len(line)
 
     def sync(self) -> None:
@@ -293,19 +300,28 @@ class FramedLog:
 
 
 def read_framed(path: "str | os.PathLike[str]",
-                parse: "Callable[[str], Any]") -> Iterator[Any]:
+                parse: "Callable[[str], Any]", *,
+                unframed: bool = False) -> Iterator[Any]:
     """Parsed intact records of a framed log, in append order.
 
     A line is damage when it is unterminated (a torn tail), fails its
-    CRC, or ``parse`` rejects its payload (``None`` / ``ValueError``).
-    Damage is skipped wherever it sits — every record carries its own
-    CRC, and a reopened log leaves a torn fragment *inside* the file.
+    CRC, or ``parse`` rejects its payload (``None``, or the ``ValueError``
+    / ``LookupError`` / ``TypeError`` / ``AttributeError`` a malformed
+    record raises).  Damage is skipped wherever it sits — every record
+    carries its own CRC, and a reopened log leaves a torn fragment
+    *inside* the file.
+
+    ``unframed`` also parses a line without a valid frame whole: a JSON
+    log's pre-CRC format.  A framed line that failed its CRC is no JSON
+    value (a space and more text follow its prefix), so it stays damage.
     """
     for line in framed_lines(path):
         payload = None if line is None else check_frame(line)
+        if payload is None and unframed:
+            payload = line
         try:
             record = parse(payload) if payload is not None else None
-        except (ValueError, IndexError):
+        except (ValueError, LookupError, TypeError, AttributeError):
             record = None
         if record is not None:
             yield record

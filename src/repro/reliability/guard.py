@@ -50,6 +50,7 @@ from typing import Iterator, NamedTuple
 from repro.core.credibility import CredibilityTracker
 from repro.core.dedup import DuplicateDetector
 from repro.core.message import Message, parse_message
+from repro.obs.registry import MetricsRegistry
 from repro.reliability.fsio import (FramedLog, escape_field, read_framed,
                                     unescape_field)
 
@@ -243,11 +244,11 @@ class FoldLog(FramedLog):
     process-crash ordering only needs the write-before-write.
     """
 
+    flush_each = True
+
     def append(self, msg_id: int, bundle_id: int,
                duplicate_of: int) -> None:
         self.append_payload(f"{msg_id}\t{bundle_id}\t{duplicate_of}")
-        if self._handle is not None:
-            self._handle.flush()
 
     @staticmethod
     def load(path: "str | os.PathLike[str]",
@@ -311,6 +312,41 @@ class IngestGuard:
     @property
     def watermark(self) -> float:
         return self._max_seen - self.config.reorder_window
+
+    def bind_registry(self, registry: MetricsRegistry) -> None:
+        """Export the verdict counters, the side logs' fsyncs, the
+        reorder buffer's depth and the toxicity (``repro_guard_*``)."""
+        stats = self.stats
+        for name, field_name, help_text in (
+                ("repro_guard_screened_total", "screened",
+                 "Arrivals screened by the ingest guard"),
+                ("repro_guard_passed_total", "passed",
+                 "Arrivals passed clean through the guard"),
+                ("repro_guard_folded_total", "folded",
+                 "Near-duplicates folded into their origin bundle"),
+                ("repro_guard_quarantined_total", "quarantined",
+                 "Messages quarantined to the guard log "
+                 "(spam / clock-skew)"),
+                ("repro_guard_late_total", "late",
+                 "Arrivals routed through the deterministic late-path"),
+                ("repro_guard_reordered_total", "released",
+                 "Buffered out-of-order arrivals re-emitted in date order"),
+        ):
+            registry.counter(
+                name, help=help_text,
+                callback=(lambda f=field_name: getattr(stats, f)))
+        registry.counter(
+            "repro_guard_log_syncs_total",
+            help="fsyncs issued on the guard's quarantine and fold logs",
+            callback=lambda: sum(log.syncs for log in self.logs))
+        registry.gauge(
+            "repro_guard_buffer_depth",
+            help="Messages held in the guard's reordering buffer",
+            callback=lambda: self.buffer_depth)
+        registry.gauge(
+            "repro_guard_toxicity",
+            help="Hostile fraction of recently screened arrivals",
+            callback=self.toxicity)
 
     # -- admission ----------------------------------------------------------
 

@@ -633,7 +633,7 @@ class OverloadController:
     """Owns the ladder, admission control and the spill breaker.
 
     The :class:`~repro.reliability.supervisor.ResilientIndexer` drives
-    it: :meth:`attach` wires the breaker into the engine's store,
+    it: :meth:`attach` adopts the breaker-guarded spill store,
     :meth:`offer`/:meth:`release`/:meth:`drain` regulate arrivals, and
     :meth:`apply_mode`/:meth:`note_ingest` bracket each actual ingest.
     """
@@ -659,13 +659,11 @@ class OverloadController:
     # -- wiring -------------------------------------------------------------
 
     def attach(self, engine: "ProvenanceIndexer") -> None:
-        """Bind to ``engine``; guard its spill store with the breaker."""
+        """Bind to ``engine``, adopting the :class:`GuardedSink` the
+        supervisor put in front of its spill store (built on
+        :attr:`breaker`)."""
         self._engine = engine
-        if engine.store is not None and not isinstance(engine.store,
-                                                       GuardedSink):
-            self.guarded = GuardedSink(engine.store, self.breaker)
-            engine.store = self.guarded
-        elif isinstance(engine.store, GuardedSink):
+        if isinstance(engine.store, GuardedSink):
             self.guarded = engine.store
         self._register_metrics(engine)
 
@@ -715,13 +713,6 @@ class OverloadController:
                 help="Admission verdicts issued, by kind",
                 labels={"verdict": verdict},
                 callback=(lambda f=field_name: getattr(stats, f)))
-        registry.counter("repro_breaker_opens_total",
-                         help="Times the spill circuit breaker tripped",
-                         callback=lambda: self.breaker.opens)
-        registry.gauge("repro_spill_parked",
-                       help="Bundles parked in memory behind a sick disk",
-                       callback=lambda: (self.guarded.parked_count
-                                         if self.guarded else 0))
         registry.counter("repro_spill_flushed_total",
                          help="Parked bundles re-spilled after recovery",
                          callback=lambda: (self.guarded.flushed

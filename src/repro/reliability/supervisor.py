@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -44,7 +44,8 @@ from repro.core.errors import (POISON_ERRORS, RetryExhaustedError,
                                StorageError)
 from repro.core.message import Message, parse_message
 from repro.obs import IngestOutcome, NULL_HISTOGRAM, TelemetryFlusher
-from repro.reliability.fsio import commit_scope, write_atomic
+from repro.reliability.fsio import (FramedLog, commit_scope, read_framed,
+                                    write_atomic)
 from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
                                      IngestGuard, Screened)
 from repro.reliability.overload import (Admission, CircuitBreaker,
@@ -78,39 +79,32 @@ class DeadLetter:
     error: str
     payload: str
 
-    def to_dict(self) -> dict[str, str]:
-        return {"reason": self.reason, "error": self.error,
-                "payload": self.payload}
+
+def _parse_letter(payload: str) -> DeadLetter:
+    record = json.loads(payload)
+    return DeadLetter(reason=str(record.get("reason", "?")),
+                      error=str(record.get("error", "")),
+                      payload=str(record.get("payload", "")))
 
 
-class DeadLetterQueue:
-    """Quarantine for poison messages, optionally persisted as JSONL.
+class DeadLetterQueue(FramedLog):
+    """Quarantine for poison messages, optionally persisted.
 
-    With a ``path``, every entry is appended to the file as one JSON
-    line (and existing entries are loaded on open), so an operator can
-    inspect and replay quarantined input after the stream finishes —
-    see ``docs/operations.md``.
+    With a ``path``, every entry is one CRC-framed JSON line (a
+    :class:`~repro.reliability.fsio.FramedLog`, fsynced at once or at
+    the exit of the caller's commit scope), and the intact entries load
+    on open — pre-CRC JSON lines included — so an operator can inspect
+    and replay quarantined input after the stream finishes — see
+    ``docs/operations.md``.
     """
 
+    durable = True
+
     def __init__(self, path: "str | os.PathLike[str] | None" = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._entries: list[DeadLetter] = []
-        if self.path is not None and self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        self._entries.append(DeadLetter(
-                            reason=str(record.get("reason", "?")),
-                            error=str(record.get("error", "")),
-                            payload=str(record.get("payload", ""))))
-                    except (ValueError, AttributeError):
-                        continue  # a torn DLQ line loses one dead letter
-        elif self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        super().__init__(path)
+        self._entries: list[DeadLetter] = (
+            [] if self.path is None
+            else list(read_framed(self.path, _parse_letter, unframed=True)))
 
     def append(self, reason: str, error: BaseException | str,
                payload: object) -> DeadLetter:
@@ -118,10 +112,7 @@ class DeadLetterQueue:
         letter = DeadLetter(reason=reason, error=str(error),
                             payload=repr(payload))
         self._entries.append(letter)
-        if self.path is not None:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(letter.to_dict(),
-                                        sort_keys=True) + "\n")
+        self.append_payload(json.dumps(asdict(letter), sort_keys=True))
         return letter
 
     def __len__(self) -> int:
@@ -145,7 +136,9 @@ class DeadLetterQueue:
         records.
         """
         if self.path is not None and self.path.exists():
-            # Disk first: if truncation fails, nothing was drained.
+            # Disk first: if truncation fails, nothing was drained.  The
+            # next append reopens the replacement.
+            self.close()
             write_atomic(self.path, ())
         drained, self._entries = self._entries, []
         return drained
@@ -269,21 +262,24 @@ class ResilientIndexer:
             self.overload = OverloadController(overload)
         engine = self.journaled.indexer
         registry = engine.obs.registry
-        if self.overload is not None:
-            self.overload.attach(engine)
-        elif engine.store is not None and not isinstance(engine.store,
-                                                         GuardedSink):
+        if engine.store is not None and not isinstance(engine.store,
+                                                       GuardedSink):
             # A failed spill must not raise out of the engine after the
             # record was journaled (see _retry): park the bundle instead.
             # A checkpoint waits for parked bundles to reach disk.
-            parked = engine.store = GuardedSink(engine.store,
-                                                CircuitBreaker())
+            engine.store = GuardedSink(
+                engine.store, self.overload.breaker
+                if self.overload is not None else CircuitBreaker())
+        if isinstance(engine.store, GuardedSink):
+            parked = engine.store
             registry.gauge("repro_spill_parked",
                            help="Bundles parked in memory behind a sick disk",
                            callback=lambda: parked.parked_count)
             registry.counter("repro_breaker_opens_total",
                              help="Times the spill circuit breaker tripped",
                              callback=lambda: parked.breaker.opens)
+        if self.overload is not None:
+            self.overload.attach(engine)  # adopts the GuardedSink
         if guard is None or guard is False:
             self.guard: "IngestGuard | None" = None
         elif isinstance(guard, IngestGuard):
@@ -293,9 +289,11 @@ class ResilientIndexer:
                 guard if isinstance(guard, GuardConfig) else None)
         if self.guard is not None and self.overload is not None:
             self.overload.attach_guard(self.guard)
-        #: What the batch entry points group-commit: the custody log.
-        #: (The fold log only needs its write-before-WAL-write flush.)
-        self._custody = (self.guard.quarantine,) if self.guard else ()
+        #: What the batch entry points group-commit: the custody log and
+        #: the dead letters.  (The fold log only needs its
+        #: write-before-WAL-write flush.)
+        self._custody = ((self.guard.quarantine, self.dead_letters)
+                         if self.guard else (self.dead_letters,))
         stats = self.stats
         for name, field_name, help_text in (
                 ("repro_supervisor_ingested_total", "ingested",
@@ -316,42 +314,7 @@ class ResilientIndexer:
                        help="Messages currently held in the DLQ",
                        callback=lambda: len(self.dead_letters))
         if self.guard is not None:
-            gstats = self.guard.stats
-            guard_logs = self.guard.logs
-            for name, field_name, help_text in (
-                    ("repro_guard_screened_total", "screened",
-                     "Arrivals screened by the ingest guard"),
-                    ("repro_guard_passed_total", "passed",
-                     "Arrivals passed clean through the guard"),
-                    ("repro_guard_folded_total", "folded",
-                     "Near-duplicates folded into their origin bundle"),
-                    ("repro_guard_quarantined_total", "quarantined",
-                     "Messages quarantined to the guard log "
-                     "(spam / clock-skew)"),
-                    ("repro_guard_late_total", "late",
-                     "Arrivals routed through the deterministic "
-                     "late-path"),
-                    ("repro_guard_reordered_total", "released",
-                     "Buffered out-of-order arrivals re-emitted in "
-                     "date order"),
-            ):
-                registry.counter(
-                    name, help=help_text,
-                    callback=(lambda f=field_name: getattr(gstats, f)))
-            registry.counter(
-                "repro_guard_log_syncs_total",
-                help="fsyncs issued on the guard's quarantine and fold logs",
-                callback=lambda: sum(log.syncs for log in guard_logs))
-            registry.gauge(
-                "repro_guard_buffer_depth",
-                help="Messages held in the guard's reordering buffer",
-                callback=lambda: (self.guard.buffer_depth
-                                  if self.guard else 0))
-            registry.gauge(
-                "repro_guard_toxicity",
-                help="Hostile fraction of recently screened arrivals",
-                callback=lambda: (self.guard.toxicity()
-                                  if self.guard else 0.0))
+            self.guard.bind_registry(registry)
         self._latency_hist = (registry.histogram(
             "repro_ingest_latency_seconds", unit="seconds",
             help="Supervised ingest latency per settled arrival: its "
@@ -875,6 +838,7 @@ class ResilientIndexer:
             # Crashing out: keep the reorder buffer for recovery (its
             # members are unacknowledged); just make the logs durable.
             self.guard.close()
+        self.dead_letters.close()
         if self.telemetry is not None:
             self.telemetry.close()
         audit = self.journaled.indexer.obs.audit

@@ -50,6 +50,11 @@ from repro.runtime.worker import WorkerOptions, worker_main
 
 __all__ = ["ShardedRuntime", "RuntimeStats", "WorkerCrash"]
 
+#: One shard's boundary hints, ``(position, peer shards)``, and trace
+#: stamps, ``(position, trace, route start, route end)``.
+Hints = list[tuple[int, tuple[int, ...]]]
+Stamps = list[tuple[int, Trace, float, float]]
+
 
 class WorkerCrash(StorageError):
     """A worker process died while the coordinator was talking to it."""
@@ -137,8 +142,7 @@ class _PendingBatch:
     #: Sampled traces riding this batch:
     #: ``(position, trace, route_started, routed)`` with monotonic
     #: stamps; stitched into fleet traces when the ACK arrives.
-    traces: "list[tuple[int, Trace, float, float]]" = field(
-        default_factory=list)
+    traces: "Stamps" = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -518,9 +522,8 @@ class ShardedRuntime:
 
     def _dispatch(self, worker: _Worker, batch: list[Message],
                   count_only: bool,
-                  hints: "list[tuple[int, tuple[int, ...]]] | None" = None,
-                  traces: "list[tuple[int, Trace, float, float]] | None"
-                  = None) -> None:
+                  hints: "Hints | None" = None,
+                  traces: "Stamps | None" = None) -> None:
         """Pipeline one routed sub-batch, honoring inflight + the gate."""
         while worker.inflight >= self.max_inflight:
             self._collect_one(worker)
@@ -572,6 +575,31 @@ class ShardedRuntime:
                                                     0.0)))
             stuck_rounds = stuck_rounds + 1 if indexed == 0 else 0
 
+    def _shard_buffers(
+            self) -> "tuple[list[list[Message]], list[Hints], list[Stamps]]":
+        """Empty per-shard messages, boundary hints and trace stamps."""
+        return ([[] for _ in range(self.workers)],
+                [[] for _ in range(self.workers)],
+                [[] for _ in range(self.workers)])
+
+    def _route_into(self, message: Message, buffers: "list[list[Message]]",
+                    hints: "list[Hints]", traces: "list[Stamps]",
+                    ) -> "tuple[int, int]":
+        """The routing step: route ``message``, then append it, its
+        boundary hint and its trace stamp to its shard's buffers;
+        returns ``(shard, position in the shard's buffer)``."""
+        t0 = time.monotonic() if self.tracer is not None else 0.0
+        shard, peers = self._route_hinted(message)
+        position = len(buffers[shard])
+        if peers:
+            hints[shard].append((position, peers))
+        buffers[shard].append(message)
+        if self.tracer is not None:
+            trace = self.tracer.begin(message.msg_id)
+            if trace is not None:
+                traces[shard].append((position, trace, t0, time.monotonic()))
+        return shard, position
+
     def ingest(self, message: Message) -> "IngestResult | None":
         """Route and ingest one message, waiting for its durable ACK."""
         results = self.ingest_batch([message])
@@ -588,26 +616,9 @@ class ShardedRuntime:
         input order (shed/deferred messages omitted), or the indexed
         count with ``count_only=True``.
         """
-        batch = list(messages)
-        per_shard: list[list[Message]] = [[] for _ in range(self.workers)]
-        hints: list[list[tuple[int, tuple[int, ...]]]] = [
-            [] for _ in range(self.workers)]
-        traces: list[list[tuple[int, Trace, float, float]]] = [
-            [] for _ in range(self.workers)]
-        order: list[tuple[int, int]] = []
-        for message in batch:
-            t0 = time.monotonic() if self.tracer is not None else 0.0
-            shard, peers = self._route_hinted(message)
-            position = len(per_shard[shard])
-            order.append((shard, position))
-            if peers:
-                hints[shard].append((position, peers))
-            per_shard[shard].append(message)
-            if self.tracer is not None:
-                trace = self.tracer.begin(message.msg_id)
-                if trace is not None:
-                    traces[shard].append(
-                        (position, trace, t0, time.monotonic()))
+        per_shard, hints, traces = self._shard_buffers()
+        order = [self._route_into(message, per_shard, hints, traces)
+                 for message in messages]
         indexed_before = self.stats.messages_indexed
         for shard, sub in enumerate(per_shard):
             if sub:
@@ -644,23 +655,9 @@ class ShardedRuntime:
         measures exactly this entry point).
         """
         indexed_before = self.stats.messages_indexed
-        buffers: list[list[Message]] = [[] for _ in range(self.workers)]
-        hints: list[list[tuple[int, tuple[int, ...]]]] = [
-            [] for _ in range(self.workers)]
-        traces: list[list[tuple[int, Trace, float, float]]] = [
-            [] for _ in range(self.workers)]
+        buffers, hints, traces = self._shard_buffers()
         for message in messages:
-            t0 = time.monotonic() if self.tracer is not None else 0.0
-            shard, peers = self._route_hinted(message)
-            position = len(buffers[shard])
-            if peers:
-                hints[shard].append((position, peers))
-            buffers[shard].append(message)
-            if self.tracer is not None:
-                trace = self.tracer.begin(message.msg_id)
-                if trace is not None:
-                    traces[shard].append(
-                        (position, trace, t0, time.monotonic()))
+            shard, _ = self._route_into(message, buffers, hints, traces)
             if len(buffers[shard]) >= batch_size:
                 self._dispatch(self._workers[shard], buffers[shard], True,
                                hints[shard], traces[shard])

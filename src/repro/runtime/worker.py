@@ -21,7 +21,6 @@ only lose batches that were never acknowledged.
 
 from __future__ import annotations
 
-import os
 import time
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -34,7 +33,7 @@ from repro.obs.anatomy import WorkloadAnatomy
 from repro.obs.perf import StackSampler, StageCell
 from repro.obs.tracing import TraceContext, Tracer
 from repro.query.bundle_search import BundleSearchEngine
-from repro.reliability.fsio import commit_scope
+from repro.reliability.fsio import commit_scope, write_atomic
 from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import ResilientIndexer
 from repro.runtime.repair import BoundaryLog, RepairJournal
@@ -143,18 +142,14 @@ class _FleetTrace:
 
 
 def _bump_boot_counter(root: str) -> int:
-    """Read-increment-fsync the shard's durable boot counter."""
+    """Read-increment the shard's durable boot counter, replacing it
+    atomically: a crash mid-bump leaves the old count, never none."""
     path = Path(root) / "boot.count"
     try:
         boot = int(path.read_text()) + 1
     except (OSError, ValueError):
         boot = 1
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
-    try:
-        os.write(fd, str(boot).encode("ascii"))
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    write_atomic(path, [str(boot)])
     return boot
 
 

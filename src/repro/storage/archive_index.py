@@ -7,8 +7,12 @@ inverted index over archived bundles' summary indicants, updated on every
 append, so retrieval can span the live pool *and* the archive without
 rescanning segments.
 
-Layout: one JSONL journal (``archive-index.log``) of per-bundle summary
-records next to the store's segments.  On open the journal is replayed
+Layout: one journal (``archive-index.log``) of per-bundle summary
+records next to the store's segments, each a CRC-framed line
+``<crc32:8 hex> <json>`` — a :class:`~repro.reliability.fsio.FramedLog`,
+so a torn tail is skipped and terminated like every framed log's, and
+each record is handed to the OS before :meth:`ArchiveIndex.add` returns.
+On open the intact records (pre-CRC plain JSON lines too) are replayed
 into memory (latest record per bundle wins, mirroring the store's
 semantics); lookups then resolve bundle ids through the store.
 """
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.bundle import Bundle
-from repro.core.errors import StorageError
+from repro.reliability.fsio import FramedLog, read_framed
 from repro.storage.bundle_store import BundleStore
 
 __all__ = ["ArchiveIndex", "ArchiveHit", "ArchivedBundleStore"]
@@ -69,45 +73,29 @@ def _digest(bundle: Bundle) -> _SummaryRecord:
     )
 
 
-class ArchiveIndex:
+def _parse_record(payload: str) -> _SummaryRecord:
+    raw = json.loads(payload)
+    return _SummaryRecord(
+        bundle_id=int(raw["id"]),
+        size=int(raw["size"]),
+        last_update=float(raw["last"]),
+        terms={str(k): int(v) for k, v in raw["terms"].items()},
+        summary_words=tuple(raw.get("words", ())),
+    )
+
+
+class ArchiveIndex(FramedLog):
     """On-disk inverted index over archived bundle summaries."""
+
+    flush_each = True
 
     def __init__(self, directory: "str | os.PathLike[str]") -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._journal = self.directory / _JOURNAL_NAME
+        super().__init__(self.directory / _JOURNAL_NAME)
         self._records: dict[int, _SummaryRecord] = {}
         self._postings: dict[str, set[int]] = {}
-        self._replay()
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def _replay(self) -> None:
-        if not self._journal.exists():
-            return
-        with self._journal.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                    record = _SummaryRecord(
-                        bundle_id=int(raw["id"]),
-                        size=int(raw["size"]),
-                        last_update=float(raw["last"]),
-                        terms={str(k): int(v)
-                               for k, v in raw["terms"].items()},
-                        summary_words=tuple(raw.get("words", ())),
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError) as exc:
-                    raise StorageError(
-                        f"{self._journal}:{line_no}: bad record: "
-                        f"{exc}") from exc
-                self._install(record)
+        for record in read_framed(self.path, _parse_record, unframed=True):
+            self._install(record)
 
     def _install(self, record: _SummaryRecord) -> None:
         previous = self._records.get(record.bundle_id)
@@ -125,15 +113,13 @@ class ArchiveIndex:
     def add(self, bundle: Bundle) -> None:
         """Index one archived bundle (append to journal + memory)."""
         record = _digest(bundle)
-        payload = json.dumps({
+        self.append_payload(json.dumps({
             "id": record.bundle_id,
             "size": record.size,
             "last": record.last_update,
             "terms": record.terms,
             "words": list(record.summary_words),
-        }, separators=(",", ":"), sort_keys=True)
-        with self._journal.open("a", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        }, separators=(",", ":"), sort_keys=True))
         self._install(record)
 
     # ------------------------------------------------------------------
@@ -211,6 +197,11 @@ class ArchivedBundleStore:
     def load(self, bundle_id: int) -> Bundle:
         """Read one archived bundle back."""
         return self.store.load(bundle_id)
+
+    def close(self) -> None:
+        """Release the store's segment and the index journal."""
+        self.store.close()
+        self.index.close()
 
     def search(self, raw_query: str, *, k: int = 10) -> list[ArchiveHit]:
         """Free-text archive search (terms + #hashtags + URLs)."""

@@ -215,55 +215,43 @@ Seq = int | Exception
 Retry = Callable[[Callable[[Message], int], Message, Exception], int]
 
 
-def _newest_id(indexer: ProvenanceIndexer) -> int:
-    """The highest msg_id in the pool (-1 for an empty one)."""
-    return max((max(bundle.message_ids(), default=-1)
-                for bundle in indexer.pool), default=-1)
-
-
 def _index(indexer: ProvenanceIndexer, messages: "Sequence[Message]",
            seqs: "Sequence[Seq]", folds: "Sequence[Fold | None] | None",
-           newest: int, outcomes: "list[Outcome]") -> int:
+           outcomes: "list[Outcome]") -> None:
     """Index ``messages[:len(seqs)]`` in order, appending to
-    ``outcomes`` — live and on replay alike; returns the new ``newest``.
-    A record whose ``seqs`` entry is an exception never reached the
-    journal: that exception is its outcome.
+    ``outcomes`` — live and on replay alike.  A record whose ``seqs``
+    entry is an exception never reached the journal: that exception is
+    its outcome.
 
-    A stretch of plain records is one engine ``ingest_batch`` call.  A
-    fold goes alone, and so does a msg_id not above ``newest`` (every
-    id the pool may hold): by the engine's rejection contract
-    (:meth:`ProvenanceIndexer.ingest_batch`) only such a record can be
-    refused, so a rejection costs no neighbour its result.
+    A stretch of plain records is one engine ``ingest_batch`` call, and
+    a fold goes alone.  A record the engine refuses takes the error as
+    its outcome; the error carries the results of the stretch before it
+    (:meth:`ProvenanceIndexer.ingest_batch`), and the stretch resumes
+    after it.
     """
     start, end = 0, len(seqs)
     while start < end:
-        message = messages[start]
-        fold = folds[start] if folds is not None else None
-        stop = start + 1
         if isinstance(seqs[start], Exception):
             outcomes.append(seqs[start])
-            start = stop
+            start += 1
             continue
-        if fold is None and message.msg_id > newest:
-            newest = message.msg_id
-            while (stop < end and messages[stop].msg_id > newest
-                   and (folds is None or folds[stop] is None)
-                   and not isinstance(seqs[stop], Exception)):
-                newest = messages[stop].msg_id
+        fold = folds[start] if folds is not None else None
+        stop = start + 1
+        if fold is None:
+            while (stop < end and not isinstance(seqs[stop], Exception)
+                   and (folds is None or folds[stop] is None)):
                 stop += 1
-        elif message.msg_id > newest:
-            newest = message.msg_id
         try:
             if fold is None:
                 outcomes += indexer.ingest_batch(messages[start:stop])
             else:
-                outcomes.append(indexer.ingest_folded(message, *fold))
+                outcomes.append(indexer.ingest_folded(messages[start], *fold))
         except POISON_ERRORS as exc:
-            if stop > start + 1:
-                raise  # breaks the engine's contract: results are lost
+            settled = getattr(exc, "settled", [])  # a fold settles none
+            outcomes += settled
             outcomes.append(exc)
+            stop = start + len(settled) + 1
         start = stop
-    return newest
 
 
 class JournaledIndexer:
@@ -299,8 +287,6 @@ class JournaledIndexer:
         self._closed = False
         #: The latest :meth:`ingest_run`'s outcomes, filled as it goes.
         self.last_outcomes: "list[Outcome]" = []
-        # _index's newest id: the engine is fed through this journal only.
-        self._newest = _newest_id(indexer)
         # One registry per stack: the engine's registry also carries the
         # durability signals of its journal and checkpoints.
         registry = indexer.obs.registry
@@ -374,8 +360,7 @@ class JournaledIndexer:
                         raise
                     seqs.append(retry(self.journal.append, message, error))
         finally:
-            self._newest = _index(self.indexer, run, seqs, folds,
-                                  self._newest, outcomes)
+            _index(self.indexer, run, seqs, folds, outcomes)
             for seq, outcome in zip(seqs, outcomes):
                 if not isinstance(outcome, Exception):
                     self.last_applied_seq = seq  # type: ignore[assignment]
@@ -384,11 +369,6 @@ class JournaledIndexer:
                 and self._since_snapshot >= self.snapshot_every):
             self.checkpoint()
         return outcomes
-
-    def ingest_folded(self, message: Message, bundle_id: int,
-                      duplicate_of: "int | None" = None) -> IngestResult:
-        """:meth:`ingest` with the fold hint spelled out."""
-        return self.ingest(message, fold=(bundle_id, duplicate_of))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -459,12 +439,11 @@ class JournaledIndexer:
         ``config`` seeds the fresh engine when no snapshot exists yet
         (a snapshot carries its own config); without it the defaults
         apply, as before.  ``fold_hints`` maps msg_id to a
-        ``(bundle_id, duplicate_of)`` pair for
-        messages the ingest guard fold-placed (from its fold log);
-        replay routes those through :meth:`ingest_folded` so recovery
-        reproduces the live placements byte-for-byte.  A hint whose
-        bundle has since left the pool degrades deterministically to a
-        full ingest, exactly as the live path did.
+        ``(bundle_id, duplicate_of)`` pair for messages the ingest guard
+        fold-placed (from its fold log); replay folds those as the live
+        path did, so recovery reproduces its placements byte-for-byte.
+        A hint whose bundle has since left the pool degrades
+        deterministically to a full ingest, exactly as the live path did.
         """
         from repro.storage.snapshot import load_snapshot_with_meta
 
@@ -495,7 +474,7 @@ class JournaledIndexer:
                 if seq > applied_seq:  # else already in the snapshot
                     yield seq, message
 
-        replayed, newest, tail = 0, _newest_id(indexer), unapplied()
+        replayed, tail = 0, unapplied()
         chunk = ProvenanceIndexer.BATCH_CHUNK
         for entries in iter(lambda: list(islice(tail, chunk)), []):
             seqs, run = zip(*entries)
@@ -505,7 +484,7 @@ class JournaledIndexer:
             folds = ([fold_hints.get(message.msg_id) for message in run]
                      if fold_hints else None)
             outcomes: "list[Outcome]" = []
-            newest = _index(indexer, run, seqs, folds, newest, outcomes)
+            _index(indexer, run, seqs, folds, outcomes)
             replayed += sum(not isinstance(outcome, Exception)
                             for outcome in outcomes)
         journal = MessageJournal(journal_path)

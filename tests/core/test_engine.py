@@ -72,17 +72,53 @@ class TestIngestRouting:
 
 
 class TestRejectionContract:
-    """What the WAL's batching relies on (``ingest_batch`` docstring)."""
+    """A refused arrival costs no neighbour its result: the engine alone
+    decides what it refuses, and its error carries what it settled
+    (``ingest_batch`` docstring)."""
 
     def test_member_id_is_refused_after_the_messages_before_it(
             self, indexer):
         first = make_message(1, "#tag hello bit.ly/a")
         indexer.ingest(first)
-        with pytest.raises(BundleError, match="already in bundle"):
+        with pytest.raises(BundleError, match="already in bundle") as refused:
             indexer.ingest_batch([
                 make_message(2, "#other note", user="b", hours=0.1),
-                make_message(1, "#tag hello bit.ly/a", hours=0.2)])
+                make_message(1, "#tag hello bit.ly/a", hours=0.2),
+                make_message(3, "#late note", user="c", hours=0.3)])
         assert indexer.stats.messages_ingested == 2
+        assert [r.msg_id for r in refused.value.settled] == [2]
+        with pytest.raises(BundleError) as counted:
+            indexer.ingest_batch([make_message(4, "#x y", user="d", hours=1),
+                                  first], count_only=True)
+        assert counted.value.settled == 1
+
+    def test_journal_resumes_after_a_refused_record(self, tmp_path,
+                                                    monkeypatch):
+        from repro.storage.wal import JournaledIndexer, MessageJournal
+
+        calls: "list[list[int]]" = []
+        batch = ProvenanceIndexer.ingest_batch
+
+        def counting(engine, messages, **kw):
+            calls.append([m.msg_id for m in messages])
+            return batch(engine, messages, **kw)
+
+        monkeypatch.setattr(ProvenanceIndexer, "ingest_batch", counting)
+        journaled = JournaledIndexer(
+            ProvenanceIndexer(IndexerConfig.partial_index(pool_size=10)),
+            MessageJournal(tmp_path / "ingest.wal"))
+        first = make_message(1, "#tag hello bit.ly/a")
+        journaled.ingest(first)
+        calls.clear()
+        outcomes = journaled.ingest_run([
+            make_message(2, "#other note", user="b", hours=0.1),
+            make_message(1, "#tag hello bit.ly/a", hours=0.2),
+            make_message(3, "#tag more bit.ly/a", user="c", hours=0.3)])
+        assert [getattr(o, "msg_id", None) for o in outcomes] == [2, None, 3]
+        assert isinstance(outcomes[1], BundleError)
+        assert calls == [[2, 1, 3], [3]]
+        assert journaled.indexer.stats.messages_ingested == 3
+        journaled.close()
 
     def test_ids_above_every_pooled_id_are_never_refused(self):
         from dataclasses import replace

@@ -166,9 +166,8 @@ class TestMemoryLedger:
                                 engine.ingest(message)
                                 continue
                             target = bundles[n % len(bundles)]
-                            stack.journaled.ingest_folded(
-                                message, target.bundle_id,
-                                target.message_ids()[0])
+                            stack.journaled.ingest(message, fold=(
+                                target.bundle_id, target.message_ids()[0]))
                     elif op == "refine":
                         pool.refine(engine.current_date,
                                     engine.summary_index, engine.store)

@@ -1,8 +1,9 @@
 """One fault-injection matrix for the append-only log class.
 
 Every CRC-framed log — the WAL (:class:`MessageJournal`), the guard's
-quarantine and fold logs, the runtime's boundary log and repair journal —
-is a :class:`~repro.reliability.fsio.FramedLog`.  Each client is driven
+quarantine and fold logs, the runtime's boundary log and repair journal,
+the supervisor's dead-letter queue and the archive index's journal — is
+a :class:`~repro.reliability.fsio.FramedLog`.  Each client is driven
 through the same three faults:
 
 * a torn write at the nth append (the process dies mid-record);
@@ -23,10 +24,13 @@ from typing import Any, Callable
 
 import pytest
 
+from repro.core.bundle import Bundle
 from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
 from repro.reliability.fsio import FramedLog, commit_scope
 from repro.reliability.guard import FoldLog, QuarantineLog
+from repro.reliability.supervisor import DeadLetterQueue
 from repro.runtime.repair import BoundaryLog, RepairJournal
+from repro.storage.archive_index import ArchiveIndex
 from repro.storage.wal import MessageJournal
 from tests.conftest import make_message
 
@@ -59,6 +63,22 @@ def _repair_replay(root: Path) -> "list[int]":
         return [entry.src for entry in journal.entries]
 
 
+def _dead_letter_replay(root: Path) -> "list[int]":
+    with DeadLetterQueue(root / "dead_letters.jsonl") as queue:
+        return [int(letter.payload) for letter in queue]
+
+
+def _archived(log: ArchiveIndex, key: int) -> None:
+    bundle = Bundle(key)
+    bundle.insert(_message(key), keywords=frozenset({"matrix"}))
+    log.add(bundle)
+
+
+def _archive_replay(root: Path) -> "list[int]":
+    with ArchiveIndex(root) as index:
+        return list(index._records)
+
+
 CLIENTS = [
     Client("wal", "ingest.wal",
            lambda root: MessageJournal(root / "ingest.wal"),
@@ -81,6 +101,12 @@ CLIENTS = [
     Client("repairs", "repairs.log", RepairJournal,
            lambda log, key: log.record(key, None, 1000 + key, 1.0),
            _repair_replay),
+    Client("dead-letters", "dead_letters.jsonl",
+           lambda root: DeadLetterQueue(root / "dead_letters.jsonl"),
+           lambda log, key: log.append("index-rejected", "poison", key),
+           _dead_letter_replay),
+    Client("archive-index", "archive-index.log", ArchiveIndex, _archived,
+           _archive_replay),
 ]
 
 

@@ -410,15 +410,26 @@ class TestOverloadController:
     def engine(self) -> ProvenanceIndexer:
         return ProvenanceIndexer(IndexerConfig.partial_index(pool_size=20))
 
-    def test_attach_wraps_store_once(self):
+    def test_attach_wraps_store_once(self, tmp_path):
+        """The supervisor builds the one GuardedSink, on the
+        controller's breaker; the controller adopts it."""
+        from repro.reliability.supervisor import ResilientIndexer
+        from repro.storage.wal import JournaledIndexer, MessageJournal
+
         engine = ProvenanceIndexer(IndexerConfig.partial_index(pool_size=20),
                                    store=FlakySink())
         ctl = OverloadController(OverloadConfig(), clock=FakeClock())
-        ctl.attach(engine)
+        journaled = JournaledIndexer(engine,
+                                     MessageJournal(tmp_path / "ingest.wal"))
+        ResilientIndexer(journaled, overload=ctl)
         assert isinstance(engine.store, GuardedSink)
+        assert ctl.guarded is engine.store
+        assert engine.store.breaker is ctl.breaker
         guard = engine.store
-        ctl.attach(engine)               # idempotent
-        assert engine.store is guard
+        ResilientIndexer(journaled, overload=ctl)   # idempotent
+        ctl.attach(engine)
+        assert engine.store is guard is ctl.guarded
+        journaled.close()
 
     def test_apply_mode_sets_engine_knobs(self):
         engine = self.engine()

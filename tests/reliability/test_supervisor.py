@@ -279,6 +279,53 @@ class TestDeadLetters:
         assert len(reloaded) == 0
         assert DeadLetterQueue(dlq_path).entries() == []
 
+    def test_pre_crc_lines_load_to_identical_entries(self, tmp_path):
+        """A queue written as plain JSON lines, before its lines were
+        CRC-framed, loads to the same entries."""
+        import json
+        from dataclasses import asdict
+
+        framed = DeadLetterQueue(tmp_path / "framed.jsonl")
+        for i in range(3):
+            framed.append("parse-failed", f"boom {i}", ("caf\xe9 \ud83d", i))
+        framed.close()
+        (tmp_path / "plain.jsonl").write_text("".join(
+            json.dumps(asdict(letter), sort_keys=True) + "\n"
+            for letter in framed))
+        with DeadLetterQueue(tmp_path / "plain.jsonl") as plain:
+            assert plain.entries() == framed.entries()
+        with DeadLetterQueue(tmp_path / "framed.jsonl") as reloaded:
+            assert reloaded.entries() == framed.entries()
+
+    def test_dead_letters_are_fsynced_at_the_calls_barrier(self, tmp_path):
+        """Dead letters join the custody barrier: one fsync per batch
+        call that refused any, issued before the call returns."""
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.reliability.fsio import (FileSystem, reset_filesystem,
+                                            set_filesystem)
+
+        fsyncs: "Counter[str]" = Counter()
+
+        class Counting(FileSystem):
+            def fsync(self, handle) -> None:
+                fsyncs[Path(handle.name).name] += 1
+                super().fsync(handle)
+
+        supervisor = build(tmp_path, dead_letters=tmp_path / "dead.jsonl")
+        good = stream(8)
+        set_filesystem(Counting())
+        try:
+            supervisor.ingest_batch([*good[:4], good[0], good[1], *good[4:]])
+            assert fsyncs["dead.jsonl"] == 1
+            supervisor.ingest(good[2])
+            assert fsyncs["dead.jsonl"] == 2
+        finally:
+            reset_filesystem()
+        assert supervisor.stats.dead_lettered == 3
+        assert len(DeadLetterQueue(tmp_path / "dead.jsonl")) == 3
+
     def test_poison_does_not_stop_the_stream(self, tmp_path):
         supervisor = build(tmp_path)
         records = []

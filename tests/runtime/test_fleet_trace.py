@@ -215,6 +215,22 @@ class TestCrashTracing:
                 if len([b for s, b in boots if s == shard]) > 1}
             assert shards_with_two_boots, boots
 
+    def test_boot_counter_survives_a_crash_mid_bump(self, tmp_path):
+        """A crash while the counter is replaced keeps the old count,
+        so the next incarnation never reissues a dead boot's span ids."""
+        from repro.reliability.faults import (Fault, FaultInjector,
+                                              SimulatedCrash)
+        from repro.runtime.worker import _bump_boot_counter
+
+        assert _bump_boot_counter(str(tmp_path)) == 1
+        assert _bump_boot_counter(str(tmp_path)) == 2
+        with FaultInjector([Fault(op="replace", nth=1, kind="crash_before",
+                                  path_part="boot.count")]):
+            with pytest.raises(SimulatedCrash):
+                _bump_boot_counter(str(tmp_path))
+        assert (tmp_path / "boot.count").read_text() == "2"
+        assert _bump_boot_counter(str(tmp_path)) == 3
+
     def test_wal_replay_emits_no_traces(self, tmp_path):
         root = tmp_path / "fleet"
         with ShardedRuntime(root, 2, trace_sample=1.0,

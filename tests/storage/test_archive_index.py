@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.core.errors import StorageError
 from repro.storage.archive_index import (ArchiveIndex, ArchivedBundleStore)
 from tests.conftest import make_message
 
@@ -72,10 +69,44 @@ class TestArchiveIndex:
         assert index.search(hashtags={"alpha"}) == []
         assert index.search(hashtags={"beta"})[0].bundle_id == 1
 
-    def test_corrupt_journal_rejected(self, tmp_path):
-        (tmp_path / "archive-index.log").write_text("{broken\n")
-        with pytest.raises(StorageError):
-            ArchiveIndex(tmp_path)
+    def test_corrupt_journal_damage_is_skipped(self, tmp_path):
+        """The rule every framed log follows: damage is skipped, intact
+        records load, and the next append survives a reopen."""
+        index = ArchiveIndex(tmp_path)
+        index.add(topic_bundle(1, "tsunami"))
+        index.close()
+        journal = tmp_path / "archive-index.log"
+        with journal.open("a", encoding="utf-8") as handle:
+            handle.write('{broken\n12345678 {"id": 9}\n0badc0de {"id"')
+        reopened = ArchiveIndex(tmp_path)
+        assert list(reopened._records) == [1]
+        reopened.add(topic_bundle(2, "stocks"))
+        reopened.close()
+        again = ArchiveIndex(tmp_path)
+        assert sorted(again._records) == [1, 2]
+        assert again.search(hashtags={"stocks"})[0].bundle_id == 2
+
+    def test_pre_crc_journal_loads_to_identical_hits(self, tmp_path):
+        """Plain JSON lines, as the journal was written before it was
+        framed, load to the same records and search hits."""
+        framed = ArchiveIndex(tmp_path / "framed")
+        bundles = [topic_bundle(1, "tsunami"), topic_bundle(2, "stocks"),
+                   topic_bundle(1, "quake", hours=3.0)]
+        for bundle in bundles:
+            framed.add(bundle)
+        framed.close()
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        lines = (tmp_path / "framed" / "archive-index.log").read_text(
+            ).splitlines()
+        (legacy / "archive-index.log").write_text(
+            "".join(line.split(" ", 1)[1] + "\n" for line in lines))
+        plain = ArchiveIndex(legacy)
+        again = ArchiveIndex(tmp_path / "framed")
+        assert plain._records == again._records
+        for query in ({"terms": {"update"}}, {"hashtags": {"quake"}},
+                      {"hashtags": {"tsunami"}}, {"urls": {"bit.ly/stocksx"}}):
+            assert plain.search(**query) == again.search(**query)
 
     def test_hit_carries_summary(self, tmp_path):
         index = ArchiveIndex(tmp_path)
