@@ -503,6 +503,82 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return 0 if left == 0 else 1
 
 
+class _ScheduleClock:
+    """Monotonic clock following a synthetic arrival schedule."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _surge_stack(root: Path, total: int, surge: float, *, obs=None,
+                 **options):
+    """The resilient stack every surge replay runs through.
+
+    WAL, snapshots, bundle store, admission control, degradation ladder
+    and spill breaker, on a clock that follows a synthetic arrival
+    schedule decoupled from the message dates: a calm warm-up at the
+    sustainable rate, a burst at ``surge`` times it, then a cool-down at
+    half rate so the backlog can drain and the ladder can climb back
+    down.  ``options`` go to :class:`ResilientIndexer`.  Returns
+    ``(supervisor, clock, schedule)`` where ``schedule(index)`` advances
+    the clock to arrival ``index`` of ``total``.
+    """
+    from repro.reliability.overload import OverloadConfig, OverloadController
+    from repro.reliability.supervisor import ResilientIndexer
+    from repro.storage.bundle_store import BundleStore
+    from repro.storage.wal import JournaledIndexer, MessageJournal
+
+    clock = _ScheduleClock()
+    sustainable = 1.0  # messages per scheduled second
+    burst_start, burst_end = total // 4, (total * 7) // 12
+
+    def schedule(index: int) -> float:
+        if burst_start <= index < burst_end:
+            clock.now += 1.0 / (sustainable * surge)
+        else:
+            clock.now += 2.0 / sustainable
+        return clock.now
+
+    overload = OverloadController(OverloadConfig(
+        rate_limit=sustainable, burst=32, max_queue=256,
+        latency_target=10.0,  # wall latency is not the signal here
+        escalate_after=8, recover_after=64,
+        breaker_failures=3, breaker_reset_after=120.0), clock=clock)
+    engine = ProvenanceIndexer(IndexerConfig.partial_index(pool_size=100),
+                               store=BundleStore(root / "bundles"), obs=obs)
+    journaled = JournaledIndexer(
+        engine, MessageJournal(root / "ingest.wal", sync_every=256),
+        snapshot_path=root / "state.json", snapshot_every=10_000)
+    supervisor = ResilientIndexer(journaled, sleep=lambda _: None,
+                                  overload=overload, **options)
+    return supervisor, clock, schedule
+
+
+def _replay(supervisor, schedule, messages, *, start: int = 0,
+            stop: "int | None" = None, each=None) -> None:
+    """Ingest arrivals ``start:stop`` on the surge schedule, calling
+    ``each(index)`` after every one; once the last arrival is in, drain
+    the admission backlog."""
+    stop = len(messages) if stop is None else stop
+    for index in range(start, stop):
+        supervisor.ingest(messages[index], now=schedule(index))
+        if each is not None:
+            each(index)
+    if stop == len(messages):
+        supervisor.drain_backlog()
+
+
+def _generate(seed: int, total: int):
+    """The synthetic stream a surge replay runs over by default."""
+    return StreamGenerator(StreamConfig(
+        seed=seed, days=total / 100_000.0, messages_per_day=100_000,
+        user_count=max(total // 10, 50),
+        events_per_day=240.0)).generate_list()
+
+
 def cmd_health(args: argparse.Namespace) -> int:
     """Self-check the overload machinery on a synthetic surge.
 
@@ -514,43 +590,12 @@ def cmd_health(args: argparse.Namespace) -> int:
     ladder recovered; 1 otherwise.
     """
     import tempfile
-    from pathlib import Path
 
     from repro.reliability.faults import Fault, FaultInjector
-    from repro.reliability.overload import (HealthState, OverloadConfig,
-                                            OverloadController)
-    from repro.reliability.supervisor import ResilientIndexer
-    from repro.storage.bundle_store import BundleStore
-    from repro.storage.wal import JournaledIndexer, MessageJournal
+    from repro.reliability.overload import HealthState
 
     total = args.messages
-    stream_config = StreamConfig(
-        seed=args.seed, days=total / 100_000.0, messages_per_day=100_000,
-        user_count=max(total // 10, 50), events_per_day=240.0)
-    messages = StreamGenerator(stream_config).generate_list()
-
-    # Arrival schedule (decoupled from the simulated message dates): a
-    # calm warm-up at the sustainable rate, a burst at ``--surge`` times
-    # it, then a cool-down at half rate so the backlog can drain and the
-    # ladder can climb back down.
-    sustainable = 1.0  # messages per scheduled second
-    burst_start, burst_end = total // 4, (total * 7) // 12
-
-    class ScheduleClock:
-        """Monotonic clock following the synthetic arrival schedule."""
-
-        def __init__(self) -> None:
-            self.now = 0.0
-
-        def __call__(self) -> float:
-            return self.now
-
-    clock = ScheduleClock()
-    overload = OverloadController(OverloadConfig(
-        rate_limit=sustainable, burst=32, max_queue=256,
-        latency_target=10.0,  # wall latency is not the signal here
-        escalate_after=8, recover_after=64,
-        breaker_failures=3, breaker_reset_after=120.0), clock=clock)
+    messages = _generate(args.seed, total)
     # Descending nth = consecutive failures: when the fault with the
     # smallest remaining nth fires, the later-firing faults (earlier in
     # the list) have already counted the occurrence.
@@ -558,24 +603,9 @@ def cmd_health(args: argparse.Namespace) -> int:
               for n in range(args.chaos_faults, 0, -1)]
 
     with tempfile.TemporaryDirectory(prefix="repro-health-") as scratch:
-        root = Path(scratch)
-        store = BundleStore(root / "bundles")
-        journaled = JournaledIndexer(
-            ProvenanceIndexer(IndexerConfig.partial_index(pool_size=100),
-                              store=store),
-            MessageJournal(root / "ingest.wal", sync_every=256),
-            snapshot_path=root / "state.json", snapshot_every=10_000)
-        supervisor = ResilientIndexer(journaled, sleep=lambda _: None,
-                                      overload=overload)
-
-        def replay(batch, offset: int) -> None:
-            for index, message in enumerate(batch, start=offset):
-                if burst_start <= index < burst_end:
-                    clock.now += 1.0 / (sustainable * args.surge)
-                else:
-                    clock.now += 2.0 / sustainable
-                supervisor.ingest(message, now=clock.now)
-
+        supervisor, _, schedule = _surge_stack(Path(scratch), total,
+                                               args.surge)
+        overload = supervisor.overload
         with supervisor:
             # The sick-disk episode outlasts the burst: the breaker must
             # hold through the ladder's recovery, then resume spilling
@@ -583,9 +613,9 @@ def cmd_health(args: argparse.Namespace) -> int:
             chaos_until = (total * 3) // 4 if args.chaos else 0
             if args.chaos:
                 with FaultInjector(faults):
-                    replay(messages[:chaos_until], 0)
-            replay(messages[chaos_until:], chaos_until)
-            supervisor.drain_backlog()
+                    _replay(supervisor, schedule, messages,
+                            stop=chaos_until)
+            _replay(supervisor, schedule, messages, start=chaos_until)
             if overload.guarded is not None:
                 overload.guarded.flush()
             report = supervisor.health_report()
@@ -617,26 +647,17 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 def _telemetry_stack(args: argparse.Namespace, root, messages,
                      audit=None):
-    """Build the instrumented resilient stack ``top``/``metrics`` replay.
+    """:func:`_surge_stack` with telemetry wired through every layer.
 
-    Same shape as :func:`cmd_health`'s surge harness — WAL, snapshots,
-    bundle store, admission control, ladder — but with an
-    :class:`~repro.obs.Observability` wired through every layer, so the
-    replay lights up the whole metric catalog.  When the stream carries
-    ground-truth ``parent_id`` edges (generated streams and TSV
-    replays), a :class:`~repro.obs.QualityMonitor` watches live
-    accu/ret as well.  Returns ``(supervisor, clock, schedule)`` where
-    ``schedule(index)`` advances the arrival clock for message
-    ``index``.
+    An :class:`~repro.obs.Observability` lights up the whole metric
+    catalog for ``top``/``metrics``/``explain``/``profile``.  When the
+    stream carries ground-truth ``parent_id`` edges (generated streams
+    and TSV replays), a :class:`~repro.obs.QualityMonitor` watches live
+    accu/ret as well.  Returns what :func:`_surge_stack` does.
     """
     from repro.obs import (AuditLog, DEFAULT_QUALITY_RULES, Observability,
                            QualityMonitor, Tracer, WorkloadAnatomy)
     from repro.reliability.guard import GuardConfig
-    from repro.reliability.overload import (OverloadConfig,
-                                            OverloadController)
-    from repro.reliability.supervisor import ResilientIndexer
-    from repro.storage.bundle_store import BundleStore
-    from repro.storage.wal import JournaledIndexer, MessageJournal
 
     tracer = None
     if args.sample > 0:
@@ -651,49 +672,19 @@ def _telemetry_stack(args: argparse.Namespace, root, messages,
     obs.anatomy = WorkloadAnatomy(
         obs.registry,
         sample_every=getattr(args, "sample_every", 8) or 8)
-
-    class ScheduleClock:
-        def __init__(self) -> None:
-            self.now = 0.0
-
-        def __call__(self) -> float:
-            return self.now
-
-    clock = ScheduleClock()
-    sustainable = 1.0
-    total = len(messages)
-    burst_start, burst_end = total // 4, (total * 7) // 12
-
-    def schedule(index: int) -> float:
-        if burst_start <= index < burst_end:
-            clock.now += 1.0 / (sustainable * args.surge)
-        else:
-            clock.now += 2.0 / sustainable
-        return clock.now
-
-    overload = OverloadController(OverloadConfig(
-        rate_limit=sustainable, burst=32, max_queue=256,
-        latency_target=10.0, escalate_after=8, recover_after=64,
-        breaker_failures=3, breaker_reset_after=120.0), clock=clock)
-    store = BundleStore(root / "bundles")
-    engine = ProvenanceIndexer(
-        IndexerConfig.partial_index(pool_size=100), store=store, obs=obs)
-    if any(message.parent_id is not None for message in messages):
-        obs.quality = QualityMonitor(
-            obs.registry, rules=DEFAULT_QUALITY_RULES,
-            rung=lambda: engine.current_rung, audit=obs.audit)
-    journaled = JournaledIndexer(
-        engine, MessageJournal(root / "ingest.wal", sync_every=256),
-        snapshot_path=root / "state.json", snapshot_every=10_000)
     # Memory-only ingest guard (no quarantine/fold files for a scratch
     # replay): lights up the repro_guard_* series and the `repro top`
     # guard panel without changing where messages land — generated
     # streams carry no near-dups past the LSH threshold.
-    supervisor = ResilientIndexer(
-        journaled, sleep=lambda _: None, overload=overload,
-        telemetry=getattr(args, "telemetry_out", None),
-        guard=GuardConfig())
-    return supervisor, clock, schedule
+    stack = _surge_stack(root, len(messages), args.surge, obs=obs,
+                         telemetry=getattr(args, "telemetry_out", None),
+                         guard=GuardConfig())
+    engine = stack[0].indexer
+    if any(message.parent_id is not None for message in messages):
+        obs.quality = QualityMonitor(
+            obs.registry, rules=DEFAULT_QUALITY_RULES,
+            rung=lambda: engine.current_rung, audit=obs.audit)
+    return stack
 
 
 def _load_or_generate(args: argparse.Namespace):
@@ -703,11 +694,8 @@ def _load_or_generate(args: argparse.Namespace):
         if args.messages is not None:
             messages = messages[:args.messages]
         return messages
-    total = args.messages if args.messages is not None else 3000
-    stream_config = StreamConfig(
-        seed=args.seed, days=total / 100_000.0, messages_per_day=100_000,
-        user_count=max(total // 10, 50), events_per_day=240.0)
-    return StreamGenerator(stream_config).generate_list()
+    return _generate(args.seed,
+                     args.messages if args.messages is not None else 3000)
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -720,7 +708,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     ``top`` against a live ingest process.
     """
     import tempfile
-    from pathlib import Path
 
     from repro.obs.dashboard import Dashboard
 
@@ -731,13 +718,14 @@ def cmd_top(args: argparse.Namespace) -> int:
         dashboard = Dashboard(supervisor.indexer.obs.registry,
                               health=supervisor.health_report,
                               clock=clock)
+
+        def live(index: int) -> None:
+            if (index + 1) % args.refresh == 0:
+                print(dashboard.live_frame())
+
         with supervisor:
-            for index, message in enumerate(messages):
-                supervisor.ingest(message, now=schedule(index))
-                if (not args.once and args.refresh > 0
-                        and (index + 1) % args.refresh == 0):
-                    print(dashboard.live_frame())
-            supervisor.drain_backlog()
+            _replay(supervisor, schedule, messages,
+                    each=None if args.once or args.refresh <= 0 else live)
             anatomy = supervisor.indexer.obs.anatomy
             if anatomy is not None:
                 # Final-frame freshness: mirror the sketch tops and run
@@ -759,7 +747,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     json`` prints the registry snapshot document.
     """
     import tempfile
-    from pathlib import Path
 
     from repro.obs import render_json, render_prometheus
 
@@ -768,9 +755,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         supervisor, _, schedule = _telemetry_stack(
             args, Path(scratch), messages)
         with supervisor:
-            for index, message in enumerate(messages):
-                supervisor.ingest(message, now=schedule(index))
-            supervisor.drain_backlog()
+            _replay(supervisor, schedule, messages)
             registry = supervisor.indexer.obs.registry
             if args.format == "json":
                 print(render_json(registry))
@@ -797,13 +782,13 @@ def cmd_anatomy(args: argparse.Namespace) -> int:
       memory deltas).
     """
     from repro.obs import (Observability, WorkloadAnatomy, capacity_report,
-                           read_fingerprints)
+                           read_jsonl)
     from repro.obs.anatomy import (render_capacity_report, render_diff,
                                    render_fingerprint, diff_fingerprints)
 
     def last_fingerprint(path: str):
         record = None
-        for record in read_fingerprints(path):
+        for record in read_jsonl(path):
             pass
         if record is None:
             print(f"error: no fingerprints in {path}", file=sys.stderr)
@@ -859,7 +844,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     later refinement that evicted the bundle.
     """
     import tempfile
-    from pathlib import Path
 
     from repro.obs import AuditLog, explain_from_jsonl
 
@@ -879,9 +863,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         supervisor, _, schedule = _telemetry_stack(
             args, Path(scratch), messages, audit=audit)
         with supervisor:
-            for index, message in enumerate(messages):
-                supervisor.ingest(message, now=schedule(index))
-            supervisor.drain_backlog()
+            _replay(supervisor, schedule, messages)
     explanation = audit.explain(args.message_id)
     if explanation is None:
         print(f"message {args.message_id} was not seen in the replay "
@@ -925,16 +907,22 @@ _AUDIT_HEADERS = ["seq", "msg", "outcome", "rung", "bundle", "parent",
                   "cands", "notes"]
 
 
+def _last(records: list, n: "int | None") -> list:
+    """The last ``n`` records (none for ``n <= 0``, all for ``None``);
+    ``records[-n:]`` would return all of them for ``n == 0``."""
+    return records if n is None else records[max(len(records) - n, 0):]
+
+
 def cmd_audit_tail(args: argparse.Namespace) -> int:
     """Show the most recent decision records of a JSONL audit log."""
-    from repro.obs import AuditLog
+    from repro.obs import read_jsonl
 
-    decisions = [data for data in AuditLog.read_jsonl(args.log)
+    decisions = [data for data in read_jsonl(args.log)
                  if data.get("type") == "decision"]
     if not decisions:
         print(f"no decision records in {args.log}", file=sys.stderr)
         return 1
-    recent = decisions[-args.n:]
+    recent = _last(decisions, args.n)
     print(ascii_table(_AUDIT_HEADERS, _audit_rows(recent),
                       title=f"audit tail — last {len(recent)} of "
                             f"{len(decisions)} decisions"))
@@ -943,10 +931,10 @@ def cmd_audit_tail(args: argparse.Namespace) -> int:
 
 def cmd_audit_filter(args: argparse.Namespace) -> int:
     """Filter a JSONL audit log's decision records."""
-    from repro.obs import AuditLog
+    from repro.obs import read_jsonl
 
     matched = []
-    for data in AuditLog.read_jsonl(args.log):
+    for data in read_jsonl(args.log):
         if data.get("type") != "decision":
             continue
         if args.outcome is not None and data.get("outcome") != args.outcome:
@@ -961,7 +949,7 @@ def cmd_audit_filter(args: argparse.Namespace) -> int:
     if not matched:
         print("no decision records match the filter", file=sys.stderr)
         return 1
-    shown = matched[-args.limit:] if args.limit is not None else matched
+    shown = _last(matched, args.limit)
     print(ascii_table(_AUDIT_HEADERS, _audit_rows(shown),
                       title=f"audit filter — {len(shown)} of "
                             f"{len(matched)} matching decisions"))
@@ -993,10 +981,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     it) → worker drain → ACK transit, with hop durations that sum to
     the measured end-to-end latency.
     """
-    from repro.obs import Tracer, render_trace_timeline
+    from repro.obs import read_jsonl, render_trace_timeline
 
     traces = []
-    for data in Tracer.read_jsonl(args.log):
+    for data in read_jsonl(args.log):
         if args.msg is not None and dict(data.get("tags") or {}).get(
                 "msg_id") != args.msg:
             continue
@@ -1006,7 +994,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 else "traces")
         print(f"no {what} in {args.log}", file=sys.stderr)
         return 1
-    shown = traces[-args.n:] if args.n is not None else traces
+    shown = _last(traces, args.n)
     for index, trace in enumerate(shown):
         if index:
             print()
@@ -1027,7 +1015,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ``--out``.
     """
     import tempfile
-    from pathlib import Path
 
     from repro.obs import StackSampler, StageCell
 
@@ -1042,9 +1029,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         sampler = StackSampler(hz=args.hz, cell=cell, registry=registry)
         started = time.perf_counter()
         with supervisor, sampler:
-            for index, message in enumerate(messages):
-                supervisor.ingest(message, now=schedule(index))
-            supervisor.drain_backlog()
+            _replay(supervisor, schedule, messages)
         elapsed = time.perf_counter() - started
         print(ascii_table(
             ["stage", "samples", "cpu%", "alloc blocks"],

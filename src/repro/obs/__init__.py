@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from repro.obs.anatomy import (MemoryAccountant, SpaceSavingSketch,
                                WorkloadAnatomy, capacity_report,
-                               diff_fingerprints, read_fingerprints)
+                               diff_fingerprints)
 from repro.obs.audit import (AuditLog, AllocationScore, CandidateScore,
                              DecisionRecord, Explanation, IngestOutcome,
                              RefinementEvent, explain_from_jsonl)
 from repro.obs.exporters import (TelemetryFlusher, attach_fingerprints,
-                                 render_json, render_prometheus)
+                                 read_jsonl, render_json, render_prometheus)
 from repro.obs.perf import StackSampler, StageCell, render_trace_timeline
 from repro.obs.quality import (DEFAULT_QUALITY_RULES, QualityMonitor,
                                QualityRule)
@@ -79,7 +79,7 @@ __all__ = [
     "capacity_report",
     "diff_fingerprints",
     "explain_from_jsonl",
-    "read_fingerprints",
+    "read_jsonl",
     "render_json",
     "render_prometheus",
     "render_trace_timeline",

@@ -54,7 +54,7 @@ import sys
 from array import array
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.errors import ConfigurationError
 from repro.obs.registry import (COUNT_BUCKETS, Histogram, MetricsRegistry,
@@ -77,7 +77,6 @@ __all__ = [
     "capacity_report",
     "deep_size_bytes",
     "diff_fingerprints",
-    "read_fingerprints",
     "render_capacity_report",
     "render_diff",
     "render_fingerprint",
@@ -347,6 +346,12 @@ class MemoryAccountant:
 # ----------------------------------------------------------------------
 
 
+#: Tracked terms per indicant kind (bounded memory).
+SKETCH_CAPACITY = 64
+#: Auto-publish cadence of the sketch tops, in *sampled* messages.
+PUBLISH_EVERY = 2048
+
+
 class WorkloadAnatomy:
     """Streaming workload characterization riding the ingest path.
 
@@ -365,35 +370,31 @@ class WorkloadAnatomy:
         The engine's registry; shape histograms and ``repro_hot_terms``
         / memory gauges are registered here.  ``None`` keeps the
         sketches and accountant working standalone (no metric export).
-    sketch_capacity:
-        Tracked terms per indicant kind (bounded memory).
     sample_every:
         Observe every Nth message (systematic stride; deterministic).
     publish_top:
         Terms per kind mirrored into ``repro_hot_terms`` gauges.  Kept
         well under the registry's per-family label cap — hot-term
         churn beyond the cap lands in the overflow child by design.
-    publish_every:
-        Auto-publish cadence in *sampled* messages; :meth:`publish` can
-        also be called explicitly (the fleet worker does, before each
-        telemetry dump).
+
+    Each kind's sketch tracks :data:`SKETCH_CAPACITY` terms, and the
+    tops auto-publish every :data:`PUBLISH_EVERY` sampled messages;
+    :meth:`publish` can also be called explicitly (the fleet worker
+    does, before each telemetry dump).
     """
 
     KINDS = INDICANT_KINDS
 
     def __init__(self, registry: "MetricsRegistry | None" = None, *,
-                 sketch_capacity: int = 64,
                  sample_every: int = 8,
-                 publish_top: int = 8,
-                 publish_every: int = 2048) -> None:
+                 publish_top: int = 8) -> None:
         if sample_every < 1:
             raise ConfigurationError(
                 f"sample_every must be >= 1, got {sample_every}")
         self.registry = registry
         self.sample_every = sample_every
         self.publish_top = publish_top
-        self.publish_every = publish_every
-        self.sketches = {kind: SpaceSavingSketch(sketch_capacity)
+        self.sketches = {kind: SpaceSavingSketch(SKETCH_CAPACITY)
                          for kind in self.KINDS}
         self.accountant = MemoryAccountant()
         self.seen = 0      # messages offered
@@ -444,7 +445,7 @@ class WorkloadAnatomy:
                 length = index.postings_length(kind, term)
                 hist.observe(length)
                 sketch.observe(term, length if length > 0 else 1)
-        if self.publish_every and self.sampled % self.publish_every == 0:
+        if self.sampled % PUBLISH_EVERY == 0:
             self.publish()
 
     # -- registry bridge ----------------------------------------------
@@ -606,23 +607,6 @@ class WorkloadAnatomy:
         with target.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True,
                                     separators=(",", ":")) + "\n")
-
-
-def read_fingerprints(path: "str | os.PathLike[str]",
-                      ) -> "Iterator[dict[str, Any]]":
-    """Yield fingerprint records back out of a JSONL file."""
-    source = Path(path)
-    if not source.exists():
-        return
-    with source.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError:
-                continue
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, NamedTuple
+
+from repro.obs.exporters import read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pool import BundlePool
@@ -665,7 +667,7 @@ class AuditLog:
             and (bundle_id is None or record.bundle_id == bundle_id)
         ]
         if limit is not None and limit >= 0:
-            matched = matched[-limit:]
+            matched = matched[max(len(matched) - limit, 0):]
         return [record.materialize() for record in matched]
 
     def explain(self, msg_id: int) -> "Explanation | None":
@@ -708,22 +710,6 @@ class AuditLog:
             self._handle.close()
             self._handle = None
 
-    @staticmethod
-    def read_jsonl(path: "str | os.PathLike[str]") -> "Iterator[dict]":
-        """Yield audit records back out of a JSONL sink file."""
-        source = Path(path)
-        if not source.exists():
-            return
-        with source.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except ValueError:
-                    continue
-
 
 def explain_from_jsonl(path: "str | os.PathLike[str]",
                        msg_id: int) -> "Explanation | None":
@@ -737,7 +723,7 @@ def explain_from_jsonl(path: "str | os.PathLike[str]",
     """
     record: "DecisionRecord | None" = None
     events: "list[tuple[int, RefinementEvent]]" = []
-    for data in AuditLog.read_jsonl(path):
+    for data in read_jsonl(path):
         kind = data.get("type")
         if kind == "decision":
             if data.get("msg_id") == msg_id:

@@ -90,6 +90,24 @@ def render_json(registry: MetricsRegistry, *, indent: "int | None" = 2) -> str:
     return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
 
 
+def read_jsonl(path: "str | os.PathLike[str]") -> "Iterator[dict]":
+    """Yield the records of a JSONL file: audit and trace sinks, the
+    flight recorder, workload fingerprints.  A missing file yields
+    nothing; blank and unparsable (torn) lines are skipped."""
+    source = Path(path)
+    if not source.exists():
+        return
+    with source.open("r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield json.loads(line)
+            except ValueError:
+                continue
+
+
 class TelemetryFlusher:
     """Appends periodic registry snapshots to a JSONL flight recorder.
 
@@ -167,22 +185,6 @@ class TelemetryFlusher:
     def attach_companion(self, companion: "Callable[[], None]") -> None:
         """Register one zero-arg sink to run on every flush."""
         self.companions.append(companion)
-
-    @staticmethod
-    def read_jsonl(path: "str | os.PathLike[str]") -> "Iterator[dict]":
-        """Yield snapshot records back out of a flight-recorder file."""
-        source = Path(path)
-        if not source.exists():
-            return
-        with source.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except ValueError:
-                    continue
 
 
 def attach_fingerprints(flusher: TelemetryFlusher, anatomy,

@@ -85,6 +85,10 @@ class StageCell:
         self.stage = ""
 
 
+#: Cardinality cap on distinct collapsed stacks a sampler keeps.
+MAX_STACKS = 10_000
+
+
 class StackSampler:
     """Background sampling profiler for one target thread.
 
@@ -101,9 +105,10 @@ class StackSampler:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         given, per-stage sample and allocation counters are registered
         as callback-backed views (zero hot-path cost).
-    max_stacks:
-        Cardinality cap on distinct collapsed stacks; beyond it new
-        shapes collapse into a shared ``(truncated)`` bucket.
+
+    At most :data:`MAX_STACKS` distinct collapsed stacks are kept;
+    beyond that, new shapes collapse into a shared ``(truncated)``
+    bucket.
 
     The sampler profiles the thread that calls :meth:`start` (or an
     explicit ``thread_ident``).  ``with StackSampler(...) as s:`` wraps
@@ -112,16 +117,11 @@ class StackSampler:
 
     def __init__(self, *, hz: int = 97,
                  cell: "StageCell | None" = None,
-                 registry: "object | None" = None,
-                 max_stacks: int = 10_000) -> None:
+                 registry: "object | None" = None) -> None:
         if not 1 <= hz <= 1000:
             raise ConfigurationError(f"hz must be in [1, 1000], got {hz}")
-        if max_stacks < 1:
-            raise ConfigurationError(
-                f"max_stacks must be >= 1, got {max_stacks}")
         self.hz = hz
         self.cell = cell
-        self.max_stacks = max_stacks
         self.stacks: "_TallyCounter[tuple[str, ...]]" = _TallyCounter()
         self.stage_samples: "_TallyCounter[str]" = _TallyCounter()
         self.stage_alloc_blocks: "_TallyCounter[str]" = _TallyCounter()
@@ -196,7 +196,7 @@ class StackSampler:
         self.samples += 1
         self.stage_samples[stage] += 1
         if stack:
-            if (len(self.stacks) >= self.max_stacks
+            if (len(self.stacks) >= MAX_STACKS
                     and stack not in self.stacks):
                 self.dropped_stacks += 1
                 self.stacks[("(truncated)",)] += 1

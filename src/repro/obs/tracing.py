@@ -38,7 +38,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 from repro.core.errors import ConfigurationError
 
@@ -245,19 +245,3 @@ class Tracer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    @staticmethod
-    def read_jsonl(path: "str | os.PathLike[str]") -> "Iterator[dict]":
-        """Yield trace dicts back out of a sink file (skips torn lines)."""
-        source = Path(path)
-        if not source.exists():
-            return
-        with source.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except ValueError:
-                    continue

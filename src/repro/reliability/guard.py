@@ -32,10 +32,13 @@ resilient indexer and returns one verdict per message:
 The guard is O(1)-ish per message — one MinHash signature, a band-dict
 probe and two counter updates — so it survives on the hot path (cf.
 Asadi & Lin's real-time search budgets).  The per-user spam score decays
-periodically so reformed users drift back to neutral, and the whole
-screen exposes a *toxicity* fraction the overload controller feeds into
-its degradation ladder: REDUCED mode tightens the guard thresholds
-before honest traffic is shed.
+every :data:`DECAY_EVERY` screens so reformed users drift back to
+neutral.  While the overload ladder sits at REDUCED or worse the guard
+swaps in its tightened thresholds, so hostile traffic is folded or
+quarantined before honest traffic is shed.  The screen also exposes a
+*toxicity* fraction (hostile share of the last
+:data:`TOXICITY_WINDOW` screens) as a gauge and in the fleet worker's
+stats.
 """
 
 from __future__ import annotations
@@ -104,23 +107,12 @@ class GuardConfig:
 
     #: Exact-Jaccard confirmation threshold for the near-dup screen.
     dedup_threshold: float = 0.8
-    #: 32 hashes in 8 bands of 4 rows: candidate recall at the 0.8
-    #: threshold is still ≈0.985 per registered near-copy (and every
-    #: candidate is confirmed against exact Jaccard anyway), at half
-    #: the per-message signature cost of the classic 64/16 layout —
-    #: the guard screens *every* arrival, so this is the hot path.
-    dedup_num_hashes: int = 32
-    dedup_bands: int = 8
-    shingle_width: int = 3
     #: Quarantine a user's messages once their spam score passes this …
     spam_threshold: float = 0.6
     #: … but only after this much observed message mass (cold users are
     #: at the neutral 0.5 and must not be judged on nothing).
     spam_min_messages: float = 8.0
     spam_prior: float = 4.0
-    #: Decay the per-user counters every N screens by this factor.
-    decay_every: int = 1024
-    decay_factor: float = 0.5
     #: Reordering window in stream seconds: arrivals dated within
     #: ``max_seen - reorder_window`` are buffered and re-emitted in
     #: date order; older ones take the deterministic late-path.
@@ -132,8 +124,6 @@ class GuardConfig:
     max_future_skew: float = 6 * 3600.0
     tightened_dedup_threshold: float = 0.65
     tightened_spam_threshold: float = 0.45
-    #: Sliding window (messages) for the toxicity fraction.
-    toxicity_window: int = 256
 
     def __post_init__(self) -> None:
         for name in ("dedup_threshold", "spam_threshold",
@@ -149,19 +139,14 @@ class GuardConfig:
         if self.tightened_spam_threshold > self.spam_threshold:
             raise ValueError("tightened_spam_threshold must not exceed "
                              "spam_threshold")
-        for name in ("dedup_num_hashes", "dedup_bands", "shingle_width",
-                     "decay_every", "reorder_capacity", "toxicity_window"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.reorder_capacity <= 0:
+            raise ValueError(f"reorder_capacity must be positive, "
+                             f"got {self.reorder_capacity}")
         for name in ("spam_min_messages", "spam_prior", "reorder_window",
                      "max_future_skew"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError(f"decay_factor must be in (0, 1], "
-                             f"got {self.decay_factor}")
 
 
 @dataclass(slots=True)
@@ -262,6 +247,20 @@ class FoldLog(FramedLog):
         return msg_id, (bundle_id, duplicate_of)
 
 
+#: 32 hashes in 8 bands of 4 rows: candidate recall at the 0.8
+#: threshold is still ≈0.985 per registered near-copy (and every
+#: candidate is confirmed against exact Jaccard anyway), at half the
+#: per-message signature cost of the classic 64/16 layout — the guard
+#: screens *every* arrival, so this is the hot path.
+DEDUP_NUM_HASHES = 32
+DEDUP_BANDS = 8
+#: Decay the per-user spam counters every N screens by this factor.
+DECAY_EVERY = 1024
+DECAY_FACTOR = 0.5
+#: Sliding window (screens) of the toxicity fraction.
+TOXICITY_WINDOW = 256
+
+
 class IngestGuard:
     """The adversarial screen in front of :class:`ResilientIndexer`.
 
@@ -281,9 +280,8 @@ class IngestGuard:
         cfg = self.config
         self.detector = DuplicateDetector(
             threshold=cfg.dedup_threshold,
-            num_hashes=cfg.dedup_num_hashes,
-            bands=cfg.dedup_bands,
-            shingle_width=cfg.shingle_width)
+            num_hashes=DEDUP_NUM_HASHES,
+            bands=DEDUP_BANDS)
         self.tracker = tracker or CredibilityTracker(prior=cfg.spam_prior)
         self.quarantine = QuarantineLog(quarantine_path)
         self.folds = FoldLog(fold_path)
@@ -294,7 +292,7 @@ class IngestGuard:
         self._buffer: "list[tuple[float, int, Message]]" = []
         self._max_seen = float("-inf")
         self._bundle_of: "dict[int, int]" = {}
-        self._hostile: "deque[bool]" = deque(maxlen=cfg.toxicity_window)
+        self._hostile: "deque[bool]" = deque(maxlen=TOXICITY_WINDOW)
         self._since_decay = 0
 
     # -- observability ------------------------------------------------------
@@ -304,7 +302,7 @@ class IngestGuard:
         return len(self._buffer)
 
     def toxicity(self) -> float:
-        """Hostile fraction of the last ``toxicity_window`` screens."""
+        """Hostile fraction of the last :data:`TOXICITY_WINDOW` screens."""
         if not self._hostile:
             return 0.0
         return sum(self._hostile) / len(self._hostile)
@@ -421,8 +419,8 @@ class IngestGuard:
     def _screen(self, message: Message, *, late: bool) -> Screened:
         cfg = self.config
         self._since_decay += 1
-        if self._since_decay >= cfg.decay_every:
-            self.tracker.decay(cfg.decay_factor)
+        if self._since_decay >= DECAY_EVERY:
+            self.tracker.decay(DECAY_FACTOR)
             self.stats.decays += 1
             self._since_decay = 0
         duplicate_of = self.detector.check_and_add(message)

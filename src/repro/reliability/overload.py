@@ -13,17 +13,18 @@ that choice explicit with four cooperating pieces:
   ``NORMAL → REDUCED → SKELETON → SHED_ONLY`` driven by observed ingest
   latency (EWMA over :class:`~repro.core.engine.StageTimers` wall time),
   backlog depth and pool memory.  REDUCED tightens the candidate-bundle
-  fan-in of Algorithm 1; SKELETON skips keyword-similarity scoring
-  entirely and matches on the exact indicants only (RT ancestry / URL /
-  hashtag — the cheap Eq. 1 components); SHED_ONLY stops admitting new
-  messages while the backlog drains.  Escalation and recovery both
-  require a *streak* of consistent observations (hysteresis), so the
-  ladder cannot flap on a single noisy sample;
+  fan-in of Algorithm 1 (and an attached ingest guard's thresholds);
+  SKELETON skips keyword-similarity scoring entirely and matches on the
+  exact indicants only (RT ancestry / URL / hashtag — the cheap Eq. 1
+  components); SHED_ONLY stops admitting new messages while the backlog
+  drains.  Escalation and recovery both require a *streak* of
+  consistent observations (hysteresis), so the ladder cannot flap on a
+  single noisy sample;
 * :class:`CircuitBreaker` + :class:`GuardedSink` — spill I/O to the
   on-disk bundle store trips open after consecutive failures, after
   which evicted bundles are *parked in memory* instead of stalling
-  ingest on a sick disk; half-open probes resume spilling (and flush
-  the parked backlog) once the disk recovers;
+  ingest on a sick disk; one half-open probe resumes spilling (and
+  flushes the parked backlog) once the disk recovers;
 * :class:`OverloadController` — the façade the
   :class:`~repro.reliability.supervisor.ResilientIndexer` owns: it wires
   the pieces to an engine, applies the current mode's knobs before each
@@ -106,50 +107,30 @@ class OverloadConfig:
     latency_target:
         Per-message ingest wall-time budget in seconds; the EWMA of
         observed latencies is compared against it.
-    queue_high_fraction:
-        Backlog fill fraction treated as full pressure (1.0 on the
-        pressure scale).
     memory_high_bytes:
         Pool memory treated as full pressure; ``None`` disables the
         memory signal (the supervisor's watermark shedding still
         applies independently).
-    recover_pressure:
-        Hysteresis band: pressure must fall below this (not merely
-        below 1.0) to count as a healthy observation.
     escalate_after / recover_after:
         Consecutive overloaded / healthy observations required to move
         one rung up / down the ladder.
     reduced_candidate_cap:
         Candidate-bundle fan-in cap applied from REDUCED mode onward.
-    ewma_alpha:
-        Smoothing factor of the latency EWMA.
-    breaker_failures / breaker_reset_after / breaker_half_open_probes:
+    breaker_failures / breaker_reset_after:
         Circuit breaker: consecutive spill failures that trip it open,
-        seconds before a half-open probe, and how many probes the
-        half-open state allows.
+        and seconds before its one half-open probe.
     """
 
     rate_limit: "float | None" = None
     burst: int = 64
     max_queue: int = 512
     latency_target: float = 0.005
-    queue_high_fraction: float = 0.5
     memory_high_bytes: "int | None" = None
-    recover_pressure: float = 0.7
     escalate_after: int = 3
     recover_after: int = 8
     reduced_candidate_cap: int = 8
-    ewma_alpha: float = 0.2
     breaker_failures: int = 5
     breaker_reset_after: float = 30.0
-    breaker_half_open_probes: int = 1
-    #: Ingest-guard toxicity (hostile fraction of recent screens)
-    #: treated as full pressure; ``None`` disables the signal.  With an
-    #: attached guard this makes the ladder react to *hostility*, not
-    #: just volume — REDUCED mode then tightens the guard's thresholds
-    #: so attack traffic is folded/quarantined before honest traffic
-    #: is shed.
-    toxicity_high: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.rate_limit is not None and self.rate_limit <= 0:
@@ -163,14 +144,6 @@ class OverloadConfig:
         if self.latency_target <= 0:
             raise ConfigurationError(
                 f"latency_target must be positive, got {self.latency_target}")
-        if not 0.0 < self.queue_high_fraction <= 1.0:
-            raise ConfigurationError(
-                "queue_high_fraction must be in (0, 1], got "
-                f"{self.queue_high_fraction}")
-        if not 0.0 < self.recover_pressure < 1.0:
-            raise ConfigurationError(
-                "recover_pressure must be in (0, 1), got "
-                f"{self.recover_pressure}")
         if self.escalate_after < 1 or self.recover_after < 1:
             raise ConfigurationError(
                 "escalate_after and recover_after must be >= 1")
@@ -178,9 +151,6 @@ class OverloadConfig:
             raise ConfigurationError(
                 "reduced_candidate_cap must be >= 1, got "
                 f"{self.reduced_candidate_cap}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
         if self.breaker_failures < 1:
             raise ConfigurationError(
                 f"breaker_failures must be >= 1, got {self.breaker_failures}")
@@ -188,15 +158,6 @@ class OverloadConfig:
             raise ConfigurationError(
                 "breaker_reset_after must be >= 0, got "
                 f"{self.breaker_reset_after}")
-        if self.breaker_half_open_probes < 1:
-            raise ConfigurationError(
-                "breaker_half_open_probes must be >= 1, got "
-                f"{self.breaker_half_open_probes}")
-        if (self.toxicity_high is not None
-                and not 0.0 < self.toxicity_high <= 1.0):
-            raise ConfigurationError(
-                "toxicity_high must be in (0, 1], got "
-                f"{self.toxicity_high}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +286,15 @@ class AdmissionController:
 # Degradation ladder
 # ---------------------------------------------------------------------------
 
+#: Backlog fill fraction treated as full pressure (1.0 on the pressure
+#: scale); the coordinator's fleet gate engages at the same fill.
+QUEUE_HIGH_FRACTION = 0.5
+#: Hysteresis band: pressure must fall to this (not merely below 1.0)
+#: to count as a healthy observation.
+RECOVER_PRESSURE = 0.7
+#: Smoothing factor of the latency EWMA.
+EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True, slots=True)
 class Transition:
@@ -343,10 +313,10 @@ class DegradationLadder:
     Pressure is the max of the normalised signals (1.0 = at the
     configured limit).  ``escalate_after`` consecutive observations at
     pressure ≥ 1.0 move one rung up; ``recover_after`` consecutive
-    observations below ``recover_pressure`` move one rung down.  The
-    dead band between the two thresholds resets neither streak outright
-    but counts toward neither, which is what keeps the ladder stable
-    around the boundary.
+    observations at or below :data:`RECOVER_PRESSURE` move one rung
+    down.  The dead band between the two thresholds resets neither
+    streak outright but counts toward neither, which is what keeps the
+    ladder stable around the boundary.
     """
 
     def __init__(self, config: OverloadConfig) -> None:
@@ -362,33 +332,27 @@ class DegradationLadder:
 
     def note_latency(self, seconds: float) -> None:
         """Feed one observed per-message ingest latency into the EWMA."""
-        alpha = self.config.ewma_alpha
-        self.latency_ewma += alpha * (seconds - self.latency_ewma)
+        self.latency_ewma += EWMA_ALPHA * (seconds - self.latency_ewma)
 
     def pressure(self, *, queue_fraction: float,
-                 memory_bytes: "int | None" = None,
-                 toxicity: "float | None" = None) -> tuple[float, str]:
+                 memory_bytes: "int | None" = None) -> tuple[float, str]:
         """Normalised pressure and the name of the dominant signal."""
         config = self.config
         signals = {
             "latency": self.latency_ewma / config.latency_target,
-            "queue": queue_fraction / config.queue_high_fraction,
+            "queue": queue_fraction / QUEUE_HIGH_FRACTION,
         }
         if config.memory_high_bytes is not None and memory_bytes is not None:
             signals["memory"] = memory_bytes / config.memory_high_bytes
-        if config.toxicity_high is not None and toxicity is not None:
-            signals["toxicity"] = toxicity / config.toxicity_high
         signal = max(signals, key=lambda name: signals[name])
         return signals[signal], signal
 
     def observe(self, *, queue_fraction: float,
-                memory_bytes: "int | None" = None,
-                toxicity: "float | None" = None) -> HealthState:
+                memory_bytes: "int | None" = None) -> HealthState:
         """Record one observation; maybe move one rung. Returns the state."""
         self.observations += 1
         value, signal = self.pressure(queue_fraction=queue_fraction,
-                                      memory_bytes=memory_bytes,
-                                      toxicity=toxicity)
+                                      memory_bytes=memory_bytes)
         self.last_pressure = value
         self.last_signal = signal
         if value >= 1.0:
@@ -398,7 +362,7 @@ class DegradationLadder:
                     and self.state < HealthState.SHED_ONLY):
                 self._move(HealthState(self.state + 1), value, signal)
                 self._overloaded_streak = 0
-        elif value <= self.config.recover_pressure:
+        elif value <= RECOVER_PRESSURE:
             self._healthy_streak += 1
             self._overloaded_streak = 0
             if (self._healthy_streak >= self.config.recover_after
@@ -420,7 +384,7 @@ class DegradationLadder:
 
 
 class CircuitBreaker:
-    """Closed → open after N consecutive failures; half-open probes.
+    """Closed → open after N consecutive failures; one half-open probe.
 
     The breaker is policy only — it neither performs nor retries the
     guarded operation.  :class:`GuardedSink` consults it around every
@@ -432,18 +396,17 @@ class CircuitBreaker:
     HALF_OPEN = "half_open"
 
     def __init__(self, *, failure_threshold: int = 5,
-                 reset_after: float = 30.0, half_open_probes: int = 1,
+                 reset_after: float = 30.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if failure_threshold < 1:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, got {failure_threshold}")
         self.failure_threshold = failure_threshold
         self.reset_after = reset_after
-        self.half_open_probes = half_open_probes
         self.clock = clock
         self._state = self.CLOSED
         self._opened_at = 0.0
-        self._probes_left = 0
+        self._probe_ready = False
         self.consecutive_failures = 0
         self.failures_total = 0
         self.successes_total = 0
@@ -455,7 +418,7 @@ class CircuitBreaker:
         if (self._state == self.OPEN
                 and self.clock() - self._opened_at >= self.reset_after):
             self._state = self.HALF_OPEN
-            self._probes_left = self.half_open_probes
+            self._probe_ready = True
         return self._state
 
     def allow(self) -> bool:
@@ -463,8 +426,8 @@ class CircuitBreaker:
         state = self.state
         if state == self.CLOSED:
             return True
-        if state == self.HALF_OPEN and self._probes_left > 0:
-            self._probes_left -= 1
+        if state == self.HALF_OPEN and self._probe_ready:
+            self._probe_ready = False
             return True
         return False
 
@@ -647,7 +610,6 @@ class OverloadController:
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failures,
             reset_after=self.config.breaker_reset_after,
-            half_open_probes=self.config.breaker_half_open_probes,
             clock=clock)
         self.guarded: "GuardedSink | None" = None
         self.ingest_guard: "IngestGuard | None" = None
@@ -668,11 +630,8 @@ class OverloadController:
         self._register_metrics(engine)
 
     def attach_guard(self, guard: "IngestGuard") -> None:
-        """Wire the ingest guard's toxicity into the pressure signals.
-
-        From then on :meth:`apply_mode` also pushes the rung into the
-        guard: REDUCED and worse swap in the tightened thresholds.
-        """
+        """From now on :meth:`apply_mode` also pushes the rung into
+        ``guard``: REDUCED and worse swap in its tightened thresholds."""
         self.ingest_guard = guard
 
     def _register_metrics(self, engine: "ProvenanceIndexer") -> None:
@@ -733,12 +692,9 @@ class OverloadController:
         """Observe pressure, maybe move the ladder, and admit or not."""
         memory = (int(self._memory_gauge.value)
                   if self._memory_gauge is not None else None)
-        toxicity = (self.ingest_guard.toxicity()
-                    if self.ingest_guard is not None else None)
         state = self.ladder.observe(
             queue_fraction=self.admission.queue_fraction,
-            memory_bytes=memory,
-            toxicity=toxicity)
+            memory_bytes=memory)
         return self.admission.offer(
             message, now, shed_only=state is HealthState.SHED_ONLY)
 

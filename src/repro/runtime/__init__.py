@@ -14,14 +14,13 @@ from repro.runtime.repair import (BoundaryEntry, BoundaryLog, RepairEntry,
                                   RepairJournal, RepairScan,
                                   scan_fleet_repair)
 from repro.runtime.telemetry import fleet_table, merge_worker_dumps
-from repro.runtime.worker import WorkerOptions, build_worker_stack
+from repro.runtime.worker import WorkerOptions
 
 __all__ = [
     "ShardedRuntime",
     "RuntimeStats",
     "WorkerCrash",
     "WorkerOptions",
-    "build_worker_stack",
     "merge_worker_dumps",
     "fleet_table",
     "BoundaryEntry",

@@ -11,7 +11,7 @@ deterministic routers of :mod:`repro.core.sharding` (``"hash"`` /
 Three mechanisms carry the operational weight:
 
 * **pipelining** — ingest acknowledgments are collected lazily, up to
-  ``max_inflight`` outstanding batches per worker, so all shards chew
+  :data:`MAX_INFLIGHT` outstanding batches per worker, so all shards chew
   their sub-batches concurrently instead of round-tripping one batch at
   a time;
 * **fleet backpressure** — every ingest ACK reports the worker's
@@ -45,10 +45,15 @@ from repro.core.sharding import make_router
 from repro.obs.perf import StackSampler
 from repro.obs.tracing import Trace, Tracer
 from repro.query.bundle_search import BundleHit, SearchOutcome
-from repro.reliability.overload import FleetBackpressure, OverloadConfig
+from repro.reliability.overload import (QUEUE_HIGH_FRACTION,
+                                        FleetBackpressure, OverloadConfig)
 from repro.runtime.worker import WorkerOptions, worker_main
 
 __all__ = ["ShardedRuntime", "RuntimeStats", "WorkerCrash"]
+
+#: Outstanding un-ACKed batches allowed per worker before the
+#: coordinator blocks on that worker's oldest ACK.
+MAX_INFLIGHT = 4
 
 #: One shard's boundary hints, ``(position, peer shards)``, and trace
 #: stamps, ``(position, trace, route start, route end)``.
@@ -187,11 +192,6 @@ class ShardedRuntime:
         defaults); each worker screens its own shard's arrivals and
         keeps ``quarantine.log`` / ``folds.log`` in its shard root,
         fsynced inside the same pre-ACK durability barrier as the WAL.
-    max_inflight:
-        Outstanding un-ACKed batches allowed per worker before the
-        coordinator blocks on that worker's oldest ACK.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default).
     trace_sample / trace_seed / trace_sink:
         Fleet-wide trace propagation.  ``trace_sample > 0`` samples
         that fraction of ingests at *route* time (seeded, like the
@@ -205,7 +205,7 @@ class ShardedRuntime:
         stamps (one clock across processes on this host), so the hop
         durations of a trace sum to its end-to-end latency by
         construction.
-    profile_dir / profile_hz:
+    profile_dir:
         When set, every worker runs a continuous
         :class:`~repro.obs.perf.StackSampler` (and the coordinator
         samples the thread that constructed it), writing
@@ -223,23 +223,15 @@ class ShardedRuntime:
                  sync_every: int = 256,
                  store: bool = True,
                  guard: Any = None,
-                 max_inflight: int = 4,
-                 backpressure: FleetBackpressure | None = None,
-                 start_method: str | None = None,
-                 auto_restart: bool = True,
                  trace_sample: float = 0.0,
                  trace_seed: int = 0,
                  trace_sink: "str | Path | None" = None,
                  trace_keep: int = 256,
                  profile_dir: "str | Path | None" = None,
-                 profile_hz: int = 97,
                  anatomy: bool = False) -> None:
         if workers <= 0:
             raise ConfigurationError(
                 f"workers must be positive, got {workers}")
-        if max_inflight < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.workers = workers
@@ -252,7 +244,7 @@ class ShardedRuntime:
         self._profile_dir = Path(profile_dir) if profile_dir else None
         self._profiler: "StackSampler | None" = None
         if self._profile_dir is not None:
-            self._profiler = StackSampler(hz=profile_hz).start()
+            self._profiler = StackSampler().start()
         self._options = WorkerOptions(
             config=config, overload=overload,
             snapshot_every=snapshot_every, sync_every=sync_every,
@@ -260,17 +252,13 @@ class ShardedRuntime:
             trace=self.tracer is not None,
             profile_dir=(str(self._profile_dir)
                          if self._profile_dir is not None else None),
-            profile_hz=profile_hz,
             anatomy=anatomy)
-        self.max_inflight = max_inflight
-        self.auto_restart = auto_restart
         self.stats = RuntimeStats(unified=self.stats_totals)
-        if backpressure is None and overload is not None:
-            backpressure = FleetBackpressure(
-                high_watermark=overload.queue_high_fraction,
-                low_watermark=overload.queue_high_fraction / 2)
-        self.gate = backpressure
-        self._ctx = multiprocessing.get_context(start_method)
+        self.gate = (FleetBackpressure(
+            high_watermark=QUEUE_HIGH_FRACTION,
+            low_watermark=QUEUE_HIGH_FRACTION / 2)
+            if overload is not None else None)
+        self._ctx = multiprocessing.get_context()
         self._check_marker()
         self._workers: list[_Worker] = [
             self._spawn(shard) for shard in range(workers)]
@@ -395,9 +383,9 @@ class ShardedRuntime:
         return payload
 
     def _crash(self, worker: _Worker, reason: str) -> None:
-        """Handle a dead worker: restart (if configured) and raise."""
+        """Handle a dead worker: restart (unless closing) and raise."""
         shard = worker.shard
-        if self.auto_restart and not self._closed:
+        if not self._closed:
             self._restart(worker)
         raise WorkerCrash(f"shard {shard} worker crashed ({reason})")
 
@@ -525,7 +513,7 @@ class ShardedRuntime:
                   hints: "Hints | None" = None,
                   traces: "Stamps | None" = None) -> None:
         """Pipeline one routed sub-batch, honoring inflight + the gate."""
-        while worker.inflight >= self.max_inflight:
+        while worker.inflight >= MAX_INFLIGHT:
             self._collect_one(worker)
         if self.gate is not None and self.gate.engaged:
             self._relieve_pressure()
@@ -650,7 +638,7 @@ class ShardedRuntime:
         """Pipelined bulk ingest; returns the indexed count.
 
         Routes into per-shard buffers and ships each as it fills, so up
-        to ``max_inflight`` batches per worker are in flight at once —
+        to :data:`MAX_INFLIGHT` batches per worker are in flight at once —
         the fleet's parallel hot path (``benchmarks/bench_parallel.py``
         measures exactly this entry point).
         """

@@ -22,6 +22,7 @@ only lose batches that were never acknowledged.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any
@@ -38,61 +39,31 @@ from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import ResilientIndexer
 from repro.runtime.repair import BoundaryLog, RepairJournal
 
-__all__ = ["worker_main", "build_worker_stack", "WorkerOptions"]
+__all__ = ["worker_main", "WorkerOptions"]
 
 
+@dataclass(frozen=True, slots=True, kw_only=True)
 class WorkerOptions:
     """Picklable construction options shipped to each worker process."""
 
-    __slots__ = ("config", "overload", "snapshot_every", "sync_every",
-                 "store", "telemetry_enabled", "guard", "trace",
-                 "profile_dir", "profile_hz", "anatomy")
-
-    def __init__(self, *, config: IndexerConfig | None = None,
-                 overload: OverloadConfig | None = None,
-                 snapshot_every: int = 50_000,
-                 sync_every: int = 256,
-                 store: bool = True,
-                 telemetry_enabled: bool = True,
-                 guard: "Any" = None,
-                 trace: bool = False,
-                 profile_dir: "str | None" = None,
-                 profile_hz: int = 97,
-                 anatomy: bool = False) -> None:
-        self.config = config
-        self.overload = overload
-        self.snapshot_every = snapshot_every
-        self.sync_every = sync_every
-        self.store = store
-        self.telemetry_enabled = telemetry_enabled
-        # A GuardConfig, True (defaults) or None/False; each worker gets
-        # its own IngestGuard with quarantine/fold logs in its shard root.
-        self.guard = guard
-        # Fleet trace participation: honor coordinator-propagated
-        # sampling decisions and ship hop records back on each ACK.
-        self.trace = trace
-        # Continuous profiling: run a StackSampler for the worker's
-        # lifetime and write profile-shard-NN.folded here on exit.
-        self.profile_dir = profile_dir
-        self.profile_hz = profile_hz
-        # Workload anatomy: attach a per-shard WorkloadAnatomy whose
-        # hot-term/memory gauges ride the telemetry dump; the fleet
-        # merge sums them (distributed SpaceSaving merge).
-        self.anatomy = anatomy
-
-
-def build_worker_stack(root: str, options: WorkerOptions,
-                       ) -> ResilientIndexer:
-    """Open (or recover) one shard's full resilient stack at ``root``."""
-    return ResilientIndexer.open(
-        root,
-        config=options.config,
-        sync_every=options.sync_every,
-        snapshot_every=options.snapshot_every,
-        store=options.store,
-        overload=options.overload,
-        guard=options.guard,
-    )
+    config: IndexerConfig | None = None
+    overload: OverloadConfig | None = None
+    snapshot_every: int = 50_000
+    sync_every: int = 256
+    store: bool = True
+    #: A GuardConfig, True (defaults) or None/False; each worker gets
+    #: its own IngestGuard with quarantine/fold logs in its shard root.
+    guard: Any = None
+    #: Fleet trace participation: honor coordinator-propagated sampling
+    #: decisions and ship hop records back on each ACK.
+    trace: bool = False
+    #: Continuous profiling: run a StackSampler for the worker's
+    #: lifetime and write profile-shard-NN.folded here on exit.
+    profile_dir: "str | None" = None
+    #: Workload anatomy: attach a per-shard WorkloadAnatomy whose
+    #: hot-term/memory gauges ride the telemetry dump; the fleet merge
+    #: sums them (distributed SpaceSaving merge).
+    anatomy: bool = False
 
 
 def _queue_fraction(supervisor: ResilientIndexer) -> float:
@@ -343,11 +314,13 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
     start methods.  The loop exits on ``("close",)`` or when the
     coordinator's end of the pipe disappears.
     """
-    supervisor = build_worker_stack(root, options)
+    supervisor = ResilientIndexer.open(
+        root, config=options.config, sync_every=options.sync_every,
+        snapshot_every=options.snapshot_every, store=options.store,
+        overload=options.overload, guard=options.guard)
     searcher = BundleSearchEngine(supervisor.indexer)
     # Cross-shard repair state: boundary hints + applied-repair journal.
-    # Replay order matters — the WAL replay inside ``build_worker_stack``
-    # re-created ingest-time edges; the repair journal now re-applies
+    # Replay order matters — the WAL replay inside ``open`` re-created ingest-time edges; the repair journal now re-applies
     # any repairs on top of them (idempotent vs snapshots).
     boundary = BoundaryLog(root)
     journal = RepairJournal(root)
@@ -378,10 +351,9 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
     if options.profile_dir:
         cell = StageCell()
         supervisor.indexer.obs.profile = cell
-        profiler = StackSampler(hz=options.profile_hz, cell=cell,
-                                registry=registry).start()
+        profiler = StackSampler(cell=cell, registry=registry).start()
     anatomy: "WorkloadAnatomy | None" = None
-    if getattr(options, "anatomy", False):
+    if options.anatomy:
         # Per-shard workload characterization: the engine feeds every
         # ingest; publish()/account() run lazily on each telemetry pull
         # so the coordinator's merged dump carries this shard's hot

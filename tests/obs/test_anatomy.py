@@ -12,13 +12,13 @@ from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import ConfigurationError
 from repro.core.summary_index import INDICANT_KINDS as CORE_KINDS
-from repro.obs import Observability
+from repro.obs import Observability, read_jsonl
 from repro.obs.anatomy import (FINGERPRINT_VERSION, INDICANT_KINDS,
                                MemoryAccountant, SpaceSavingSketch,
                                WorkloadAnatomy, capacity_report,
                                deep_size_bytes, diff_fingerprints,
-                               read_fingerprints, render_capacity_report,
-                               render_diff, render_fingerprint)
+                               render_capacity_report, render_diff,
+                               render_fingerprint)
 from repro.obs.registry import MetricsRegistry
 from repro.stream.generator import StreamConfig, StreamGenerator
 
@@ -269,9 +269,9 @@ class TestFingerprints:
         record = anatomy.fingerprint(engine)
         anatomy.write_fingerprint(path, record)
         anatomy.write_fingerprint(path, record)
-        loaded = list(read_fingerprints(path))
+        loaded = list(read_jsonl(path))
         assert loaded == [record, record]
-        assert list(read_fingerprints(tmp_path / "missing.jsonl")) == []
+        assert list(read_jsonl(tmp_path / "missing.jsonl")) == []
 
     def test_growth_interval_between_fingerprints(self):
         engine, anatomy = _engine_with_anatomy()

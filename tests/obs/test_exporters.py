@@ -9,8 +9,8 @@ import pytest
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import ConfigurationError
-from repro.obs import (MetricsRegistry, TelemetryFlusher, render_json,
-                       render_prometheus)
+from repro.obs import (MetricsRegistry, TelemetryFlusher, read_jsonl,
+                       render_json, render_prometheus)
 from repro.reliability.supervisor import ResilientIndexer
 from repro.storage.wal import JournaledIndexer, MessageJournal
 from tests.conftest import make_message
@@ -83,8 +83,7 @@ class TestTelemetryFlusher:
         assert [flusher.tick() for _ in range(12)] == (
             [False] * 4 + [True] + [False] * 4 + [True] + [False] * 2)
         flusher.close()
-        records = list(TelemetryFlusher.read_jsonl(
-            tmp_path / "telemetry.jsonl"))
+        records = list(read_jsonl(tmp_path / "telemetry.jsonl"))
         assert [r["seq"] for r in records] == [0, 1, 2]  # close() flushed
         assert records[0]["metrics"]["counters"]["repro_demo_total"] == 3.0
 
@@ -104,7 +103,7 @@ class TestTelemetryFlusher:
             self, tmp_path, registry):
         flusher = TelemetryFlusher(registry, tmp_path / "t.jsonl")
         flusher.close()
-        records = list(TelemetryFlusher.read_jsonl(tmp_path / "t.jsonl"))
+        records = list(read_jsonl(tmp_path / "t.jsonl"))
         assert len(records) == 1
 
     def test_invalid_interval_rejected(self, tmp_path, registry):
@@ -123,7 +122,7 @@ class TestTelemetryFlusher:
             for i in range(25):
                 supervisor.ingest(make_message(
                     i, f"#topic{i % 4} message {i}", hours=i * 0.05))
-        records = list(TelemetryFlusher.read_jsonl(telemetry_path))
+        records = list(read_jsonl(telemetry_path))
         # 25 ticks / 10 per flush = 2 periodic + 1 final on close.
         assert len(records) == 3
         final = records[-1]["metrics"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.obs import Tracer
+from repro.obs import Tracer, read_jsonl
 
 
 def decide(rate: float, seed: int, count: int = 400) -> "list[int]":
@@ -109,7 +109,7 @@ class TestJsonlSink:
                 trace.span("candidate_selection", 0.0, 0.001)
                 tracer.finish(trace, duration=0.002, outcome="new-bundle")
             assert tracer.exported == 3
-        records = list(Tracer.read_jsonl(sink))
+        records = list(read_jsonl(sink))
         assert [r["trace_id"] for r in records] == [0, 1, 2]
         assert all(r["tags"]["outcome"] == "new-bundle" for r in records)
         assert records[0]["spans"][0]["name"] == "candidate_selection"
@@ -120,11 +120,11 @@ class TestJsonlSink:
             tracer.finish(tracer.begin(1), outcome="matched")
         with sink.open("a", encoding="utf-8") as handle:
             handle.write('{"trace_id": 2, "truncat')  # torn tail
-        records = list(Tracer.read_jsonl(sink))
+        records = list(read_jsonl(sink))
         assert [r["trace_id"] for r in records] == [1]
 
     def test_read_missing_file_is_empty(self, tmp_path):
-        assert list(Tracer.read_jsonl(tmp_path / "nope.jsonl")) == []
+        assert list(read_jsonl(tmp_path / "nope.jsonl")) == []
 
     def test_close_is_idempotent(self, tmp_path):
         tracer = Tracer(sample_rate=1.0, sink=tmp_path / "t.jsonl")

@@ -50,18 +50,17 @@ class TestOverloadConfig:
         {"burst": 0},
         {"max_queue": -1},
         {"latency_target": 0.0},
-        {"queue_high_fraction": 0.0},
-        {"queue_high_fraction": 1.5},
-        {"recover_pressure": 0.0},
-        {"recover_pressure": 1.0},
+        {"burst": -1},
+        {"latency_target": -1.0},
+        {"escalate_after": -1},
+        {"recover_after": -1},
         {"escalate_after": 0},
         {"recover_after": 0},
         {"reduced_candidate_cap": 0},
-        {"ewma_alpha": 0.0},
-        {"ewma_alpha": 1.5},
+        {"reduced_candidate_cap": -1},
+        {"breaker_failures": -1},
         {"breaker_failures": 0},
         {"breaker_reset_after": -1.0},
-        {"breaker_half_open_probes": 0},
     ])
     def test_bad_knobs_are_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -207,10 +206,9 @@ class TestDegradationLadder:
         assert states == [HealthState.REDUCED] * 3 + [HealthState.NORMAL]
 
     def test_dead_band_freezes_both_streaks(self):
-        # recover_pressure=0.7: pressure 0.85 is neither overloaded nor
+        # RECOVER_PRESSURE=0.7: pressure 0.85 is neither overloaded nor
         # healthy, so a mid-band observation must not advance recovery.
-        lad = ladder(escalate_after=1, recover_after=2,
-                     recover_pressure=0.7)
+        lad = ladder(escalate_after=1, recover_after=2)
         lad.note_latency(1.0)
         lad.observe(queue_fraction=0.0)
         assert lad.state is HealthState.REDUCED
@@ -222,7 +220,7 @@ class TestDegradationLadder:
         assert lad.observe(queue_fraction=0.0) is HealthState.NORMAL
 
     def test_queue_pressure_signal(self):
-        lad = ladder(queue_high_fraction=0.5)
+        lad = ladder()  # QUEUE_HIGH_FRACTION=0.5
         value, signal = lad.pressure(queue_fraction=0.6)
         assert signal == "queue"
         assert value == pytest.approx(1.2)

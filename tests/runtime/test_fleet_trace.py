@@ -252,13 +252,13 @@ class TestTraceSink:
     """Finished fleet traces export as JSONL for `repro trace`."""
 
     def test_sink_round_trips_through_read_jsonl(self, tmp_path):
-        from repro.obs import Tracer
+        from repro.obs import read_jsonl
 
         sink = tmp_path / "fleet_trace.jsonl"
         with ShardedRuntime(tmp_path / "fleet", 2, trace_sample=1.0,
                             trace_seed=7, trace_sink=sink) as runtime:
             runtime.ingest_batch(stream(30), count_only=True)
-        documents = list(Tracer.read_jsonl(sink))
+        documents = list(read_jsonl(sink))
         assert len(documents) == 30
         for document in documents:
             kinds = [s["tags"].get("kind") for s in document["spans"]]

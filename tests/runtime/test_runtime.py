@@ -159,6 +159,23 @@ class TestRecovery:
             ShardedRuntime(root, 2, router="cooccurrence")
 
 
+class TestWorkerOptions:
+    def test_round_trips_through_pickle(self):
+        # A spawn-started worker receives its options pickled; fork
+        # (the Linux default, which every other test here uses) never
+        # pickles them.
+        import pickle
+
+        from repro.reliability.guard import GuardConfig
+        from repro.reliability.overload import OverloadConfig
+        from repro.runtime import WorkerOptions
+
+        options = WorkerOptions(overload=OverloadConfig(rate_limit=50.0),
+                                guard=GuardConfig(), trace=True,
+                                profile_dir="profiles", anatomy=True)
+        assert pickle.loads(pickle.dumps(options)) == options
+
+
 class TestFleetTelemetry:
     def test_merged_registry_has_shard_labels_and_totals(self, fleet):
         registry = merge_worker_dumps(fleet.telemetry_dumps())

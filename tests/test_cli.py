@@ -211,14 +211,14 @@ class TestTop:
         assert code == 0
         assert "traces:" in capsys.readouterr().out
 
-        from repro.obs import TelemetryFlusher, Tracer
+        from repro.obs import read_jsonl
 
-        traces = list(Tracer.read_jsonl(trace_out))
+        traces = list(read_jsonl(trace_out))
         assert traces, "sampled traces must reach the JSONL sink"
         assert {t["tags"]["outcome"] for t in traces} <= {
             "new-bundle", "matched", "shed", "deferred",
             "quarantined", "folded", "late"}
-        records = list(TelemetryFlusher.read_jsonl(telemetry_out))
+        records = list(read_jsonl(telemetry_out))
         assert records, "the flight recorder must hold snapshots"
         assert records[-1]["metrics"]["counters"][
             "repro_supervisor_ingested_total"] > 0
@@ -417,6 +417,45 @@ class TestTraceCommand:
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
+
+
+class TestZeroMeansNone:
+    """A count of 0 selects no records, as ``AuditLog.tail(0)`` does;
+    a ``seq[-0:]`` slice would select all of them."""
+
+    @pytest.mark.parametrize("spelling", [
+        "audit tail -n 0", "audit filter --limit 0", "trace -n 0",
+        "AuditLog.filter(limit=0)"])
+    def test_zero_selects_nothing(self, spelling, tmp_path, capsys):
+        from repro.core.config import IndexerConfig
+        from repro.core.engine import ProvenanceIndexer
+        from repro.obs import AuditLog, Observability, Tracer
+        from tests.conftest import make_message
+
+        audit_log = tmp_path / "audit.jsonl"
+        trace_log = tmp_path / "trace.jsonl"
+        audit = AuditLog(sink=audit_log)
+        tracer = Tracer(sink=trace_log)
+        engine = ProvenanceIndexer(
+            IndexerConfig.partial_index(pool_size=15),
+            obs=Observability(audit=audit, tracer=tracer))
+        for msg_id in range(3):
+            engine.ingest(make_message(msg_id, f"#quake update {msg_id}",
+                                       hours=msg_id * 0.1))
+        audit.close()
+        tracer.close()
+        if spelling == "AuditLog.filter(limit=0)":
+            assert audit.filter(limit=0) == []
+            return
+        command, *rest = spelling.split()
+        log = trace_log if command == "trace" else audit_log
+        argv = [command, *rest[:-2], str(log), *rest[-2:]]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert {"audit tail -n 0": "last 0 of 3 decisions",
+                "audit filter --limit 0": "0 of 3 matching decisions",
+                "trace -n 0": "3 earlier trace(s) not shown",
+                }[spelling] in out
 
 
 class TestProfileCommand:
