@@ -324,12 +324,12 @@ def cmd_digest(args: argparse.Namespace) -> int:
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
-    """Scan (and optionally repair) WAL / snapshot / bundle store."""
-    from repro.reliability.doctor import (quarantine_snapshot,
-                                          repair_quarantine, repair_store,
-                                          repair_wal, scan_quarantine,
-                                          scan_snapshot, scan_store,
-                                          scan_wal)
+    """Scan (and optionally repair) WAL / snapshot / store / quarantine."""
+    from repro.reliability.doctor import (quarantine_snapshot, repair_log,
+                                          repair_store, scan_log,
+                                          scan_snapshot, scan_store)
+    from repro.reliability.guard import QuarantineLog
+    from repro.storage.wal import MessageJournal
 
     if not (args.wal or args.snapshot or args.store or args.fleet
             or args.quarantine):
@@ -337,63 +337,29 @@ def cmd_doctor(args: argparse.Namespace) -> int:
               "/ --fleet / --quarantine", file=sys.stderr)
         return 2
 
+    def log(owner):
+        return (lambda path: scan_log(path, owner),
+                lambda path: [repair_log(path, owner)])
+
+    targets = (("wal", args.wal, *log(MessageJournal)),
+               ("snapshot", args.snapshot, scan_snapshot,
+                quarantine_snapshot),
+               ("store", args.store, scan_store, repair_store),
+               ("quarantine", args.quarantine, *log(QuarantineLog)))
     rows = []
     issues = 0
     repaired = 0
-
-    if args.wal:
-        scan = scan_wal(args.wal)
-        rows.append(["wal", str(args.wal), scan.describe()])
-        if scan.exists and not scan.healthy:
-            issues += 1
-            if args.repair:
-                result = repair_wal(args.wal)
-                repaired += 1
-                rows.append(["wal", str(args.wal),
-                             f"repaired — kept {result.kept_records} "
-                             f"records, dropped {result.dropped_lines} "
-                             f"line(s), {result.bytes_before} → "
-                             f"{result.bytes_after} bytes"])
-
-    if args.snapshot:
-        scan = scan_snapshot(args.snapshot)
-        rows.append(["snapshot", str(args.snapshot), scan.describe()])
-        if scan.exists and not scan.ok:
-            issues += 1
-            if args.repair:
-                quarantined = quarantine_snapshot(args.snapshot)
-                repaired += 1
-                rows.append(["snapshot", str(args.snapshot),
-                             f"quarantined to {quarantined.name}; recovery "
-                             "will replay the journal from scratch"])
-
-    if args.store:
-        scan = scan_store(args.store)
-        rows.append(["store", str(args.store), scan.describe()])
-        if scan.exists and not scan.healthy:
-            issues += 1
-            if args.repair:
-                results = repair_store(args.store)
-                repaired += 1
-                dropped = sum(r.dropped_lines for r in results)
-                kept = sum(r.kept_records for r in results)
-                rows.append(["store", str(args.store),
-                             f"repaired {len(results)} segment(s) — kept "
-                             f"{kept} records, dropped {dropped} line(s)"])
-
-    if args.quarantine:
-        scan = scan_quarantine(args.quarantine)
-        rows.append(["quarantine", str(args.quarantine), scan.describe()])
-        if scan.exists and not scan.healthy:
-            issues += 1
-            if args.repair:
-                result = repair_quarantine(args.quarantine)
-                repaired += 1
-                rows.append(["quarantine", str(args.quarantine),
-                             f"repaired — kept {result.kept_records} "
-                             f"records, dropped {result.dropped_lines} "
-                             f"line(s), {result.bytes_before} → "
-                             f"{result.bytes_after} bytes"])
+    for name, path, scan, repair in targets:
+        if not path:
+            continue
+        report = scan(path)
+        rows.append([name, str(path), report.describe()])
+        if report.healthy:
+            continue
+        issues += 1
+        if args.repair:
+            rows.append([name, str(path), _repaired(repair(path))])
+            repaired += 1
 
     if args.fleet:
         issues, repaired = _doctor_fleet(args, rows, issues, repaired)
@@ -410,6 +376,48 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     return 1
 
 
+def _repaired(outcome) -> str:
+    """The finding row of one repair: a snapshot set aside (its new
+    path), or files rewritten down to their valid records."""
+    if isinstance(outcome, Path):
+        return (f"quarantined to {outcome.name}; recovery will replay "
+                "the journal from scratch")
+    kept = sum(result.kept_records for result in outcome)
+    dropped = sum(result.dropped_lines for result in outcome)
+    before = sum(result.bytes_before for result in outcome)
+    after = sum(result.bytes_after for result in outcome)
+    return (f"repaired {len(outcome)} file(s) — kept {kept} records, "
+            f"dropped {dropped} line(s), {before} → {after} bytes")
+
+
+def _reconcile_fleet(root: Path, **options) -> "dict | None":
+    """Drain a fleet's boundary backlog, then checkpoint.
+
+    Opens the fleet the root's ``runtime.json`` marker describes (the
+    workers and router it was served with; worker WAL replay restores
+    every shard first) and runs reconciliation passes until the backlog
+    drains (``options`` go to ``repair_until_clean``).  Returns their
+    report, or ``None`` when the root has no marker.
+    """
+    import json
+
+    from repro.runtime import ShardedRuntime
+
+    marker_path = root / "runtime.json"
+    if not marker_path.exists():
+        return None
+    marker = json.loads(marker_path.read_text())
+    with ShardedRuntime(root, int(marker["workers"]),
+                        router=marker.get("router", "hash")) as runtime:
+        report = runtime.repair_until_clean(**options)
+        runtime.checkpoint()
+    return report
+
+
+_NO_MARKER = ("has no runtime.json marker — not a fleet root created by "
+              "`repro serve --root`")
+
+
 def _doctor_fleet(args: argparse.Namespace, rows: list,
                   issues: int, repaired: int) -> "tuple[int, int]":
     """Cross-shard orphan scan (and optional repair replay) of a fleet.
@@ -417,12 +425,9 @@ def _doctor_fleet(args: argparse.Namespace, rows: list,
     An orphan is a durably acknowledged boundary-log entry past the
     shard's reconciliation cursor: the router flagged the message's
     provenance as possibly crossing a shard cut, and no repair pass has
-    examined it yet.  ``--repair`` spins the fleet up (workers and
-    router come from the root's ``runtime.json`` marker) and runs
-    reconciliation passes until the backlog drains.
+    examined it yet.  ``--repair`` reconciles through a live fleet
+    (:func:`_reconcile_fleet`).
     """
-    import json
-
     from repro.runtime.repair import scan_fleet_repair
 
     root = Path(args.fleet)
@@ -447,14 +452,10 @@ def _doctor_fleet(args: argparse.Namespace, rows: list,
     issues += 1
     if not args.repair:
         return issues, repaired
-
-    from repro.runtime import ShardedRuntime
-
-    marker = json.loads((root / "runtime.json").read_text())
-    with ShardedRuntime(root, int(marker["workers"]),
-                        router=marker.get("router", "hash")) as runtime:
-        report = runtime.repair_until_clean()
-        runtime.checkpoint()
+    report = _reconcile_fleet(root)
+    if report is None:
+        rows.append(["fleet", str(root), _NO_MARKER])
+        return issues, repaired
     left = sum(s.pending for s in scan_fleet_repair(root).values())
     rows.append(["fleet", str(root),
                  f"reconciled {report['advanced']} entries in "
@@ -466,28 +467,20 @@ def _doctor_fleet(args: argparse.Namespace, rows: list,
 def cmd_repair(args: argparse.Namespace) -> int:
     """Drain a fleet's boundary backlog with reconciliation passes.
 
-    Opens the fleet described by the root's ``runtime.json`` marker
-    (same workers / router it was served with — worker WAL replay
-    restores every shard first), then runs repair passes until no
-    boundary entry is pending and no shard backed off.  Exit 0 when the
-    fleet converged, 1 when a backlog remains after ``--max-rounds``.
+    Reconciles the fleet described by the root's ``runtime.json``
+    marker (:func:`_reconcile_fleet`) until no boundary entry is pending
+    and no shard backed off.  Exit 0 when the fleet converged, 1 when a
+    backlog remains after ``--max-rounds``, 2 when the root has no
+    marker.
     """
-    import json
-
-    from repro.runtime import ShardedRuntime, scan_fleet_repair
+    from repro.runtime import scan_fleet_repair
 
     root = Path(args.root)
-    marker_path = root / "runtime.json"
-    if not marker_path.exists():
-        print(f"error: {root} has no runtime.json marker — not a fleet "
-              "root created by `repro serve --root`", file=sys.stderr)
-        return 2
-    marker = json.loads(marker_path.read_text())
     before = sum(s.pending for s in scan_fleet_repair(root).values())
-    with ShardedRuntime(root, int(marker["workers"]),
-                        router=marker.get("router", "hash")) as runtime:
-        report = runtime.repair_until_clean(max_rounds=args.max_rounds)
-        runtime.checkpoint()
+    report = _reconcile_fleet(root, max_rounds=args.max_rounds)
+    if report is None:
+        print(f"error: {root} {_NO_MARKER}", file=sys.stderr)
+        return 2
     scans = scan_fleet_repair(root)
     print(ascii_table(
         ["shard", "journaled", "cursor", "pending", "repaired"],

@@ -11,6 +11,8 @@ extraction used to populate the annotated-indicant fields from raw text:
 
 Messages are hashable value objects; the stream layer assigns monotonically
 increasing integer ids so that ``date`` ties break deterministically.
+:func:`encode_row` / :func:`decode_row` are the one on-disk spelling of a
+message, shared by the WAL, the quarantine log and the TSV dataset.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.core.errors import MessageError
+from repro.reliability.fsio import escape_field, unescape_field
 
 __all__ = [
     "Message",
@@ -28,6 +31,8 @@ __all__ = [
     "extract_mentions",
     "strip_entities",
     "parse_message",
+    "encode_row",
+    "decode_row",
 ]
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
@@ -180,3 +185,26 @@ def parse_message(
         event_id=event_id,
         parent_id=parent_id,
     )
+
+
+def encode_row(message: Message) -> str:
+    """The one on-disk spelling of a message: the tab-separated row
+    ``msg_id, user, date, event_id, parent_id, text`` that the WAL, the
+    quarantine log and the TSV dataset store.  Both free-text fields are
+    escaped, so a row holds no raw tab, CR or LF.  Entities are not
+    stored; :func:`decode_row` re-extracts them."""
+    event = "" if message.event_id is None else str(message.event_id)
+    parent = "" if message.parent_id is None else str(message.parent_id)
+    return (f"{message.msg_id}\t{escape_field(message.user)}\t"
+            f"{message.date!r}\t{event}\t{parent}\t"
+            f"{escape_field(message.text)}")
+
+
+def decode_row(row: str) -> Message:
+    """Invert :func:`encode_row`; ``ValueError`` for a malformed row (a
+    wrong field count, a non-numeric id or date)."""
+    msg_id, user, date, event, parent, text = row.split("\t")
+    return parse_message(
+        int(msg_id), unescape_field(user), float(date), unescape_field(text),
+        event_id=int(event) if event else None,
+        parent_id=int(parent) if parent else None)

@@ -1,6 +1,6 @@
 """Reliability engineering for the always-on indexer.
 
-Three cooperating pieces (all new layers over :mod:`repro.storage` and
+Five cooperating pieces (all layers over :mod:`repro.storage` and
 :mod:`repro.core`):
 
 * :mod:`repro.reliability.faults`     — deterministic fault injection
@@ -11,7 +11,12 @@ Three cooperating pieces (all new layers over :mod:`repro.storage` and
   a dead-letter queue for poison messages and watermark-driven load
   shedding;
 * :mod:`repro.reliability.doctor`     — offline integrity scanning and
-  repair of WAL / snapshot / bundle store (the ``repro doctor`` command);
+  repair (the ``repro doctor`` command): :func:`scan_log` /
+  :func:`repair_log` read a WAL or quarantine log by its owner's parser
+  into one :class:`LogScan` report, :func:`scan_store` /
+  :func:`repair_store` read segments by the bundle store's own rule, and
+  :func:`scan_snapshot` / :func:`quarantine_snapshot` check and set
+  aside a snapshot;
 * :mod:`repro.reliability.overload`   — load regulation: token-bucket
   admission control, the NORMAL → REDUCED → SKELETON → SHED_ONLY
   degradation ladder, and the circuit breaker guarding spill I/O (the
@@ -66,14 +71,15 @@ __all__ = [
     "IngestGuard",
     "QuarantineLog",
     "Screened",
-    "WalScan",
+    "LogScan",
     "SnapshotScan",
+    "SegmentScan",
     "StoreScan",
     "RepairResult",
-    "scan_wal",
+    "scan_log",
     "scan_snapshot",
     "scan_store",
-    "repair_wal",
+    "repair_log",
     "repair_store",
     "quarantine_snapshot",
 ]
@@ -101,14 +107,15 @@ _LAZY = {
     "IngestGuard": "repro.reliability.guard",
     "QuarantineLog": "repro.reliability.guard",
     "Screened": "repro.reliability.guard",
-    "WalScan": "repro.reliability.doctor",
+    "LogScan": "repro.reliability.doctor",
     "SnapshotScan": "repro.reliability.doctor",
+    "SegmentScan": "repro.reliability.doctor",
     "StoreScan": "repro.reliability.doctor",
     "RepairResult": "repro.reliability.doctor",
-    "scan_wal": "repro.reliability.doctor",
+    "scan_log": "repro.reliability.doctor",
     "scan_snapshot": "repro.reliability.doctor",
     "scan_store": "repro.reliability.doctor",
-    "repair_wal": "repro.reliability.doctor",
+    "repair_log": "repro.reliability.doctor",
     "repair_store": "repro.reliability.doctor",
     "quarantine_snapshot": "repro.reliability.doctor",
 }

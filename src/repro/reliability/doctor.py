@@ -3,12 +3,17 @@
 The storage layer's readers are deliberately conservative at runtime —
 replay skips what it can prove is damaged, the bundle store refuses to
 open over corruption unless told to tolerate it.  The doctor is the
-operator-facing complement: it *inventories* damage across all three
-durable artifacts (WAL, snapshot, bundle-store segments) without
+operator-facing complement: it *inventories* damage across the durable
+artifacts (WAL, quarantine log, snapshot, bundle-store segments) without
 mutating anything, and with ``repair=True`` rewrites each damaged file
-down to its provably-valid records (atomically, via temp file + rename)
-so the engine can load again.  See ``docs/operations.md`` for the
-runbook.
+down to the records its reader keeps (atomically, via
+:func:`~repro.reliability.fsio.write_atomic`) so the engine can load
+again.  The doctor owns no record rule: a log is read by its owner's
+parser (:meth:`MessageJournal.parse_payload`,
+:meth:`QuarantineLog.parse_payload`) through
+:func:`~repro.reliability.fsio.framed_records`, a segment by
+:meth:`BundleStore.read_segment` — so the doctor, replay and the store
+agree on every line.  See ``docs/operations.md`` for the runbook.
 """
 
 from __future__ import annotations
@@ -16,26 +21,23 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro.core.errors import StorageError
-from repro.reliability.fsio import check_frame, filesystem, framed_lines
-from repro.storage.wal import _parse_line
+from repro.reliability.fsio import (FramedLog, filesystem, framed_records,
+                                    write_atomic)
+from repro.storage.bundle_store import BundleStore
 
 __all__ = [
-    "WalScan",
+    "LogScan",
     "SnapshotScan",
     "SegmentScan",
     "StoreScan",
-    "QuarantineScan",
     "RepairResult",
-    "scan_wal",
+    "scan_log",
     "scan_snapshot",
     "scan_store",
-    "scan_quarantine",
-    "repair_wal",
+    "repair_log",
     "repair_store",
-    "repair_quarantine",
     "quarantine_snapshot",
 ]
 
@@ -48,12 +50,11 @@ _SEGMENT_GLOB = "segment-*.log"
 
 
 @dataclass(slots=True)
-class WalScan:
-    """Findings for one journal file."""
+class LogScan:
+    """Findings for one framed log (a journal or a quarantine log)."""
 
     path: Path
     exists: bool = True
-    total_lines: int = 0
     valid_records: int = 0
     legacy_records: int = 0
     corrupt_lines: list[int] = field(default_factory=list)  # 1-based
@@ -65,7 +66,7 @@ class WalScan:
 
     def describe(self) -> str:
         if not self.exists:
-            return "missing (nothing to recover — fine after a checkpoint)"
+            return "missing (nothing to replay — fine)"
         if self.healthy:
             legacy = (f", {self.legacy_records} legacy(v0)"
                       if self.legacy_records else "")
@@ -106,11 +107,11 @@ class SegmentScan:
 
     path: Path
     valid_records: int = 0
-    corrupt_lines: list[int] = field(default_factory=list)  # 1-based
+    corrupt_offsets: list[int] = field(default_factory=list)  # bytes
 
     @property
     def healthy(self) -> bool:
-        return not self.corrupt_lines
+        return not self.corrupt_offsets
 
 
 @dataclass(slots=True)
@@ -131,7 +132,7 @@ class StoreScan:
 
     @property
     def corrupt_records(self) -> int:
-        return sum(len(segment.corrupt_lines) for segment in self.segments)
+        return sum(len(segment.corrupt_offsets) for segment in self.segments)
 
     def describe(self) -> str:
         if not self.exists:
@@ -140,33 +141,8 @@ class StoreScan:
             return (f"ok — {self.valid_records} records in "
                     f"{len(self.segments)} segment(s)")
         bad = [s.path.name for s in self.segments if not s.healthy]
-        return (f"{self.corrupt_records} corrupt record(s) in "
+        return (f"corrupt records: {self.corrupt_records} bad record(s) in "
                 f"{', '.join(bad)}, {self.valid_records} recoverable")
-
-
-@dataclass(slots=True)
-class QuarantineScan:
-    """Findings for one ingest-guard quarantine log."""
-
-    path: Path
-    exists: bool = True
-    total_lines: int = 0
-    valid_records: int = 0
-    corrupt_lines: list[int] = field(default_factory=list)  # 1-based
-    torn_tail: bool = False
-
-    @property
-    def healthy(self) -> bool:
-        return not self.corrupt_lines
-
-    def describe(self) -> str:
-        if not self.exists:
-            return "missing (nothing quarantined — fine)"
-        if self.healthy:
-            return f"ok — {self.valid_records} quarantined message(s)"
-        kind = "torn tail" if self.torn_tail else "corrupt records"
-        return (f"{kind}: {len(self.corrupt_lines)} bad line(s) at "
-                f"{self.corrupt_lines[:5]}, {self.valid_records} recoverable")
 
 
 @dataclass(slots=True)
@@ -185,54 +161,30 @@ class RepairResult:
 # ---------------------------------------------------------------------------
 
 
-#: Validator of one newline-stripped line: ``(valid, legacy)``.
-_LineCheck = Callable[[str], "tuple[bool, bool]"]
+def scan_log(path: "str | os.PathLike[str]",
+             owner: "type[FramedLog]") -> LogScan:
+    """Inventory a framed log by its owner's rule, without mutating it.
 
-
-def _wal_line_ok(line: str) -> "tuple[bool, bool]":
-    """``(valid, legacy)`` for one newline-stripped journal line."""
-    parsed = _parse_line(line)
-    return (False, False) if parsed is None else (True, parsed[2])
-
-
-def _quarantine_line_ok(line: str) -> "tuple[bool, bool]":
-    """Validate one newline-stripped quarantine-log line end to end."""
-    from repro.reliability.guard import parse_quarantine_payload
-
-    payload = check_frame(line)
-    return (payload is not None
-            and parse_quarantine_payload(payload) is not None), False
-
-
-def _scan_lines(report: "WalScan | QuarantineScan", line_ok: _LineCheck):
-    """Fill ``report`` from its file's lines; nothing is mutated."""
+    ``owner`` is the log's class (:class:`~repro.storage.wal.MessageJournal`,
+    :class:`~repro.reliability.guard.QuarantineLog`): its
+    ``parse_payload`` and ``unframed`` decide each line, exactly as
+    replay does.  A valid line read without a frame is a legacy record.
+    """
+    report = LogScan(path=Path(path))
     if not report.path.exists():
         report.exists = False
         return report
-    last_bad_run = 0
-    for number, line in enumerate(framed_lines(report.path), start=1):
-        report.total_lines += 1
-        valid, legacy = (False, False) if line is None else line_ok(line)
-        if not valid:
+    number = 0
+    for number, (_, record, bare) in enumerate(
+            framed_records(path, owner.parse_payload,
+                           unframed=owner.unframed), start=1):
+        if record is None:
             report.corrupt_lines.append(number)
-            last_bad_run += 1
-            continue
-        last_bad_run = 0
-        report.valid_records += 1
-        if legacy:
-            report.legacy_records += 1
-    report.torn_tail = last_bad_run > 0
+        else:
+            report.valid_records += 1
+            report.legacy_records += bare
+    report.torn_tail = report.corrupt_lines[-1:] == [number]  # bad last line
     return report
-
-
-def scan_wal(path: "str | os.PathLike[str]") -> WalScan:
-    """Inventory a journal file without mutating it."""
-    return _scan_lines(WalScan(path=Path(path)), _wal_line_ok)
-
-
-def scan_quarantine(path: "str | os.PathLike[str]") -> QuarantineScan:
-    """Inventory an ingest-guard quarantine log without mutating it."""
-    return _scan_lines(QuarantineScan(path=Path(path)), _quarantine_line_ok)
 
 
 def scan_snapshot(path: "str | os.PathLike[str]") -> SnapshotScan:
@@ -257,7 +209,8 @@ def scan_snapshot(path: "str | os.PathLike[str]") -> SnapshotScan:
 
 
 def scan_store(directory: "str | os.PathLike[str]") -> StoreScan:
-    """Inventory every segment of a bundle-store directory."""
+    """Inventory every segment of a bundle-store directory by the rule
+    the store applies when it opens (:meth:`BundleStore.read_segment`)."""
     root = Path(directory)
     report = StoreScan(directory=root)
     if not root.is_dir():
@@ -265,15 +218,11 @@ def scan_store(directory: "str | os.PathLike[str]") -> StoreScan:
         return report
     for segment_path in sorted(root.glob(_SEGMENT_GLOB)):
         segment = SegmentScan(path=segment_path)
-        with segment_path.open("rb") as handle:
-            for number, line in enumerate(handle, start=1):
-                if line == b"\n":
-                    continue  # blank line: harmless padding
-                text = line.decode("utf-8", errors="replace")
-                if text.endswith("\n") and check_frame(text[:-1]) is not None:
-                    segment.valid_records += 1
-                else:
-                    segment.corrupt_lines.append(number)
+        for offset, _, payload in BundleStore.read_segment(segment_path):
+            if payload is None:
+                segment.corrupt_offsets.append(offset)
+            else:
+                segment.valid_records += 1
         report.segments.append(segment)
     return report
 
@@ -283,74 +232,43 @@ def scan_store(directory: "str | os.PathLike[str]") -> StoreScan:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_keeping(path: Path, keep: "list[bytes]",
-                     kept_records: int, dropped: int) -> RepairResult:
+def _rewrite_keeping(path: Path, keep: "list[str]",
+                     dropped: int) -> RepairResult:
     """Atomically rewrite ``path`` with only the lines in ``keep``."""
     before = path.stat().st_size
-    tmp = path.with_suffix(path.suffix + ".repair")
-    with filesystem().open(tmp, "wb") as handle:
-        for line in keep:
-            handle.write(line)
-        filesystem().fsync(handle)
-    filesystem().replace(tmp, path)
-    return RepairResult(path=path, kept_records=kept_records,
+    write_atomic(path, keep)
+    return RepairResult(path=path, kept_records=len(keep),
                         dropped_lines=dropped, bytes_before=before,
                         bytes_after=path.stat().st_size)
 
 
-def _repair_lines(path: "str | os.PathLike[str]",
-                  line_ok: _LineCheck) -> RepairResult:
-    """Rewrite a framed text log down to the lines ``line_ok`` proves."""
-    source = Path(path)
-    keep: list[bytes] = []
-    dropped = 0
-    with source.open("rb") as handle:
-        for line in handle:
-            try:
-                valid = (line.endswith(b"\n")
-                         and line_ok(line[:-1].decode("utf-8"))[0])
-            except UnicodeDecodeError:
-                valid = False
-            if valid:
-                keep.append(line)
-            else:
-                dropped += 1
-    return _rewrite_keeping(source, keep, len(keep), dropped)
-
-
-def repair_wal(path: "str | os.PathLike[str]") -> RepairResult:
-    """Drop every unprovable journal line, keeping all valid records.
+def repair_log(path: "str | os.PathLike[str]",
+               owner: "type[FramedLog]") -> RepairResult:
+    """Rewrite a framed log down to the records its owner reads back.
 
     A pure torn tail is thereby truncated to the last valid record;
-    interior damage (a bit-flipped archive) is compacted out.  Valid
-    records keep their original bytes, so legacy (v0) lines survive
-    untouched.
+    interior damage (a bit-flipped archive) is compacted out.  Each
+    kept line is the text replay reads, newline restored, so legacy
+    (v0) lines survive and the repaired log replays identically.
     """
-    return _repair_lines(path, _wal_line_ok)
-
-
-def repair_quarantine(path: "str | os.PathLike[str]") -> RepairResult:
-    """Truncate a torn quarantine-log tail down to its valid records.
-
-    Every surviving record keeps its original bytes, so the restored
-    log replays byte-identically; only unprovable lines (torn tail,
-    bit-flips) are dropped.
-    """
-    return _repair_lines(path, _quarantine_line_ok)
+    lines = list(framed_records(path, owner.parse_payload,
+                                unframed=owner.unframed))
+    keep = [line + "\n" for line, record, _ in lines if record is not None]
+    return _rewrite_keeping(Path(path), keep, len(lines) - len(keep))
 
 
 def repair_store(directory: "str | os.PathLike[str]") -> list[RepairResult]:
-    """Compact every damaged segment down to its CRC-valid records."""
+    """Compact every damaged segment down to the records the store
+    reads (blank padding lines go too)."""
     results: list[RepairResult] = []
     for segment in scan_store(directory).segments:
         if segment.healthy:
             continue
-        bad = set(segment.corrupt_lines)
-        with segment.path.open("rb") as handle:
-            keep = [line for number, line in enumerate(handle, start=1)
-                    if number not in bad]
+        keep = [line.decode("utf-8", errors="replace")
+                for _, line, payload in BundleStore.read_segment(segment.path)
+                if payload is not None]
         results.append(_rewrite_keeping(segment.path, keep,
-                                        segment.valid_records, len(bad)))
+                                        len(segment.corrupt_offsets)))
     return results
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "FramedLog",
     "commit_scope",
     "read_framed",
+    "framed_records",
+    "parse_framed",
     "framed_lines",
     "torn_tail",
     "frame_line",
@@ -46,10 +48,11 @@ __all__ = [
 # ``<crc32:8 hex> <payload>`` per line, free-text fields escaped so payloads
 # stay single-line.  Each rule lives here once — the CRC (:func:`frame_line`
 # / :func:`check_frame`), the text line reader (:func:`framed_lines`), the
-# torn-tail test (:func:`torn_tail`) and the append class
-# (:class:`FramedLog`) — next to the filesystem indirection all of those
-# files write through, so the storage and runtime layers share them
-# without importing each other.
+# reading rule replay and ``repro doctor`` share (:func:`parse_framed` /
+# :func:`framed_records`), the torn-tail test (:func:`torn_tail`) and the
+# append class (:class:`FramedLog`) — next to the filesystem indirection
+# all of those files write through, so the storage and runtime layers
+# share them without importing each other.
 # ---------------------------------------------------------------------------
 
 CRC_WIDTH = 8
@@ -231,6 +234,9 @@ class FramedLog:
     #: Whether an append that is not fsynced is flushed to the OS at once
     #: (a reader or a process crash sees it; a power cut need not).
     flush_each = False
+    #: Whether a line without a valid frame is a record in the log's
+    #: pre-CRC format (:func:`framed_records`' ``unframed``).
+    unframed = False
 
     def __init__(self, path: "str | os.PathLike[str] | None") -> None:
         self.path = Path(path) if path is not None else None
@@ -299,30 +305,51 @@ class FramedLog:
         self.close()
 
 
+def parse_framed(line: "str | None", parse: "Callable[[str], Any]", *,
+                 unframed: bool = False) -> "tuple[Any, bool]":
+    """One line of a framed log judged by its owner's parser:
+    ``(record, bare)``.  The one reading rule, shared by replay and
+    ``repro doctor``.
+
+    ``record`` is ``None`` for damage: an unterminated line (a torn
+    tail, ``line`` ``None``), a CRC failure, or a payload ``parse``
+    rejects (``None``, or the ``ValueError`` / ``LookupError`` /
+    ``TypeError`` / ``AttributeError`` a malformed record raises).
+
+    ``unframed`` also parses a line without a valid frame whole (a log's
+    pre-CRC format); ``bare`` marks a record read that way.  A framed
+    line that failed its CRC cannot pass: its prefix puts a space and
+    more text in front of the payload, which no owner's parser accepts.
+    """
+    payload = None if line is None else check_frame(line)
+    bare = payload is None and unframed
+    if bare:
+        payload = line
+    try:
+        record = parse(payload) if payload is not None else None
+    except (ValueError, LookupError, TypeError, AttributeError):
+        record = None
+    return record, bare and record is not None
+
+
+def framed_records(path: "str | os.PathLike[str]",
+                   parse: "Callable[[str], Any]", *,
+                   unframed: bool = False,
+                   ) -> Iterator["tuple[str | None, Any, bool]"]:
+    """Every line of a framed log with its verdict, in file order:
+    ``(line, record, bare)`` (:func:`parse_framed`).  Damage is reported
+    wherever it sits — every record carries its own CRC, and a reopened
+    log leaves a torn fragment *inside* the file."""
+    for line in framed_lines(path):
+        yield (line, *parse_framed(line, parse, unframed=unframed))
+
+
 def read_framed(path: "str | os.PathLike[str]",
                 parse: "Callable[[str], Any]", *,
                 unframed: bool = False) -> Iterator[Any]:
-    """Parsed intact records of a framed log, in append order.
-
-    A line is damage when it is unterminated (a torn tail), fails its
-    CRC, or ``parse`` rejects its payload (``None``, or the ``ValueError``
-    / ``LookupError`` / ``TypeError`` / ``AttributeError`` a malformed
-    record raises).  Damage is skipped wherever it sits — every record
-    carries its own CRC, and a reopened log leaves a torn fragment
-    *inside* the file.
-
-    ``unframed`` also parses a line without a valid frame whole: a JSON
-    log's pre-CRC format.  A framed line that failed its CRC is no JSON
-    value (a space and more text follow its prefix), so it stays damage.
-    """
-    for line in framed_lines(path):
-        payload = None if line is None else check_frame(line)
-        if payload is None and unframed:
-            payload = line
-        try:
-            record = parse(payload) if payload is not None else None
-        except (ValueError, LookupError, TypeError, AttributeError):
-            record = None
+    """The intact records of a framed log, in append order
+    (:func:`framed_records` without the damage)."""
+    for _, record, _ in framed_records(path, parse, unframed=unframed):
         if record is not None:
             yield record
 

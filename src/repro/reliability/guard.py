@@ -52,7 +52,7 @@ from typing import Iterator, NamedTuple
 
 from repro.core.credibility import CredibilityTracker
 from repro.core.dedup import DuplicateDetector
-from repro.core.message import Message, parse_message
+from repro.core.message import Message, decode_row, encode_row
 from repro.obs.registry import MetricsRegistry
 from repro.reliability.fsio import (FramedLog, escape_field, read_framed,
                                     unescape_field)
@@ -65,7 +65,6 @@ __all__ = [
     "QuarantineLog",
     "FoldLog",
     "IngestGuard",
-    "parse_quarantine_payload",
 ]
 
 
@@ -169,26 +168,6 @@ class GuardStats:
                                  + buffer_depth)
 
 
-def parse_quarantine_payload(payload: str) -> "tuple[Message, str] | None":
-    """Decode one quarantine-log payload; ``None`` if malformed.
-
-    Shared with ``repro doctor``'s quarantine scan so the CLI and the
-    guard can never disagree about what a valid record is.
-    """
-    fields = payload.split("\t", 6)
-    if len(fields) != 7:
-        return None
-    msg_id, user, date, event, parent, text, reason = fields
-    try:
-        message = parse_message(
-            int(msg_id), user, float(date), unescape_field(text),
-            event_id=int(event) if event else None,
-            parent_id=int(parent) if parent else None)
-    except ValueError:
-        return None
-    return message, unescape_field(reason)
-
-
 class QuarantineLog(FramedLog):
     """Crash-safe custody log for quarantined messages.
 
@@ -203,19 +182,20 @@ class QuarantineLog(FramedLog):
     durable = True
 
     def append(self, message: Message, reason: str) -> None:
-        event = "" if message.event_id is None else str(message.event_id)
-        parent = ("" if message.parent_id is None
-                  else str(message.parent_id))
-        payload = (f"{message.msg_id}\t{message.user}\t{message.date!r}\t"
-                   f"{event}\t{parent}\t{escape_field(message.text)}\t"
-                   f"{escape_field(reason)}")
-        self.append_payload(payload)
+        self.append_payload(f"{encode_row(message)}\t{escape_field(reason)}")
+
+    @staticmethod
+    def parse_payload(payload: str) -> "tuple[Message, str]":
+        """Decode one record, the message row and then the reason;
+        ``ValueError`` if malformed (the rule ``repro doctor`` checks)."""
+        row, _, reason = payload.rpartition("\t")
+        return decode_row(row), unescape_field(reason)
 
     @staticmethod
     def replay(path: "str | os.PathLike[str]",
                ) -> "Iterator[tuple[Message, str]]":
         """Yield ``(message, reason)`` in append order, skipping damage."""
-        return read_framed(path, parse_quarantine_payload)
+        return read_framed(path, QuarantineLog.parse_payload)
 
 
 class FoldLog(FramedLog):

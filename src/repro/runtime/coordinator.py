@@ -45,6 +45,7 @@ from repro.core.sharding import make_router
 from repro.obs.perf import StackSampler
 from repro.obs.tracing import Trace, Tracer
 from repro.query.bundle_search import BundleHit, SearchOutcome
+from repro.reliability.fsio import write_atomic
 from repro.reliability.overload import (QUEUE_HIGH_FRACTION,
                                         FleetBackpressure, OverloadConfig)
 from repro.runtime.worker import WorkerOptions, worker_main
@@ -286,8 +287,8 @@ class ShardedRuntime:
                     f"{recorded.get('router')!r} router, not "
                     f"{self.router!r}")
         else:
-            marker.write_text(json.dumps(
-                {"workers": self.workers, "router": self.router}))
+            write_atomic(marker, [json.dumps(
+                {"workers": self.workers, "router": self.router})])
 
     def _shard_dir(self, shard: int) -> Path:
         return self.root / f"shard-{shard:02d}"

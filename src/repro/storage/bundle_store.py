@@ -42,6 +42,15 @@ def _segment_name(index: int) -> str:
     return f"{_SEGMENT_PREFIX}{index:05d}{_SEGMENT_SUFFIX}"
 
 
+def _payload(line: bytes) -> "str | None":
+    """The JSON of one segment line that passes its CRC, else ``None``."""
+    return check_frame(line.rstrip(b"\n").decode("utf-8", errors="replace"))
+
+
+def _corrupt(path: Path, offset: int, line: bytes) -> CorruptSegmentError:
+    return CorruptSegmentError(f"{path} @{offset}: bad CRC frame {line[:8]!r}")
+
+
 class BundleStore:
     """Durable sink for evicted/closed bundles with random read-back.
 
@@ -118,48 +127,43 @@ class BundleStore:
 
     def _scan_segment(self, index: int) -> None:
         path = self._segment_path(index)
-        offset = 0
-        with path.open("rb") as handle:
-            for line in handle:
-                record = line.rstrip(b"\n")
-                if record:
-                    try:
-                        bundle_id = self._validate_record(
-                            record, path, offset)
-                    except CorruptSegmentError:
-                        if not self.tolerant:
-                            raise
-                        self._corrupt_skipped += 1
-                        warnings.warn(
-                            f"bundle store {self.directory}: skipping "
-                            f"corrupt record in {path.name} @{offset} "
-                            f"(total skipped: {self._corrupt_skipped})",
-                            RuntimeWarning, stacklevel=3)
-                    else:
-                        self._offsets[bundle_id] = (index, offset)
-                        self._appends += 1
-                offset += len(line)
-
-    def _validate_record(self, record: bytes, path: Path,
-                         offset: int) -> int:
-        """Check the CRC and pull the bundle id without full parsing."""
-        payload = self._payload(record, path, offset)
-        # Cheap id pull: records are compact JSON with sorted keys, so the
-        # id appears as "id":<n>.  Fall back to full parse if not found.
-        marker = payload.find('"id":')
-        match = _ID_FIELD.match(payload, marker) if marker >= 0 else None
-        if match is not None:
-            return int(match.group(1))
-        return bundle_from_json(payload, self.config).bundle_id
+        for offset, line, payload in self.read_segment(path):
+            if payload is None:
+                if not self.tolerant:
+                    raise _corrupt(path, offset, line)
+                self._corrupt_skipped += 1
+                warnings.warn(
+                    f"bundle store {self.directory}: skipping "
+                    f"corrupt record in {path.name} @{offset} "
+                    f"(total skipped: {self._corrupt_skipped})",
+                    RuntimeWarning, stacklevel=3)
+                continue
+            # Cheap id pull: records are compact JSON with sorted keys,
+            # so the id appears as "id":<n>.  Fall back to a full parse.
+            marker = payload.find('"id":')
+            match = _ID_FIELD.match(payload, marker) if marker >= 0 else None
+            bundle_id = (int(match.group(1)) if match is not None else
+                         bundle_from_json(payload, self.config).bundle_id)
+            self._offsets[bundle_id] = (index, offset)
+            self._appends += 1
 
     @staticmethod
-    def _payload(record: bytes, path: Path, offset: int) -> str:
-        """The JSON of one newline-stripped record that passes its CRC."""
-        payload = check_frame(record.decode("utf-8", errors="replace"))
-        if payload is None:
-            raise CorruptSegmentError(
-                f"{path} @{offset}: bad CRC frame {record[:8]!r}")
-        return payload
+    def read_segment(path: "str | os.PathLike[str]",
+                     ) -> Iterator[tuple[int, bytes, "str | None"]]:
+        """A segment's records in file order, ``(offset, line, payload)``:
+        ``payload`` is the JSON of a line that passes its CRC, ``None``
+        for a corrupt one; blank lines are padding and yield nothing.
+
+        The store's one record rule: its open and ``repro doctor`` both
+        read segments through it.  A final record that lost only its
+        newline is intact (the next append terminates it).
+        """
+        offset = 0
+        with Path(path).open("rb") as handle:
+            for line in handle:
+                if line != b"\n":
+                    yield offset, line, _payload(line)
+                offset += len(line)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -276,9 +280,11 @@ class BundleStore:
         path = self._segment_path(segment)
         with path.open("rb") as handle:
             handle.seek(offset)
-            line = handle.readline().rstrip(b"\n")
-        return bundle_from_json(self._payload(line, path, offset),
-                                self.config)
+            line = handle.readline()
+        payload = _payload(line)
+        if payload is None:
+            raise _corrupt(path, offset, line)
+        return bundle_from_json(payload, self.config)
 
     def iter_bundles(self) -> Iterator[Bundle]:
         """Iterate all stored bundles (latest records), id-ascending."""

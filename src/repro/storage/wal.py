@@ -23,13 +23,15 @@ seq), after truncate — recovers the exact pre-crash engine.
 
 The journal is a :class:`~repro.reliability.fsio.FramedLog`: framing
 (``<crc32:8 hex> <tab-separated record>`` per line), open, reopen,
-torn-tail termination and close are every framed log's.  Its own are
-the sequence numbers, the ``sync_every`` cadence, an unconditional
+torn-tail termination and close are every framed log's; the message
+row is :func:`~repro.core.message.encode_row`'s.  Its own are the
+sequence numbers, the ``sync_every`` cadence, an unconditional
 ``sync()`` barrier, ``truncate()`` and the ``repro_wal_*`` counters.
 Reads are version-tolerant: lines without the CRC prefix are parsed as
 the original v0 format, so pre-CRC journals still replay.  A record that
-fails its CRC or cannot be parsed is skipped; a run of bad lines at the
-tail is the classic torn tail.  ``tests/storage/test_wal.py``,
+fails its CRC or cannot be parsed is skipped (:meth:`parse_payload` is
+the rule, shared with ``repro doctor``); a run of bad lines at the tail
+is the classic torn tail.  ``tests/storage/test_wal.py``,
 ``tests/reliability/test_crash_matrix.py`` and ``test_framed_log_matrix.py``
 pin this with simulated crashes at every durability boundary.
 """
@@ -46,44 +48,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 from repro.core.config import IndexerConfig
 from repro.core.engine import IngestResult, ProvenanceIndexer
 from repro.core.errors import POISON_ERRORS, StorageError
-from repro.core.message import Message, parse_message
+from repro.core.message import Message, decode_row, encode_row
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
-from repro.reliability.fsio import (FramedLog, check_frame, escape_field,
-                                    filesystem, framed_lines, unescape_field,
+from repro.reliability.fsio import (FramedLog, filesystem, framed_records,
                                     write_atomic)
 
 __all__ = ["MessageJournal", "JournaledIndexer", "ReplayStats"]
-
-
-def _parse_payload(payload: str) -> "tuple[int, Message] | None":
-    """Decode one tab-separated record payload; ``None`` if malformed
-    (the sequence number is plain decimal, as every writer wrote it)."""
-    fields = payload.split("\t", 6)
-    if len(fields) != 7 or not fields[0].isdigit():
-        return None
-    seq, msg_id, user, date, event, parent, text = fields
-    try:
-        return int(seq), parse_message(
-            int(msg_id), user, float(date), unescape_field(text),
-            event_id=int(event) if event else None,
-            parent_id=int(parent) if parent else None)
-    except ValueError:
-        return None
-
-
-def _parse_line(line: str) -> "tuple[int, Message, bool] | None":
-    """Decode one journal line (without its newline).
-
-    Returns ``(seq, message, legacy)`` or ``None`` for a corrupt line.
-    A line :func:`~repro.reliability.fsio.check_frame` verifies is a
-    framed record; anything else is tried as the v0 (pre-CRC) format.
-    A framed line whose checksum failed cannot pass as v0: a v0 line's
-    first field is a decimal sequence number, and the ``<crc32:8 hex> ``
-    prefix puts a space inside that field.
-    """
-    payload = check_frame(line)
-    parsed = _parse_payload(line if payload is None else payload)
-    return None if parsed is None else (*parsed, payload is None)
 
 
 @dataclass(slots=True)
@@ -97,7 +67,14 @@ class ReplayStats:
 
 
 class MessageJournal(FramedLog):
-    """A :class:`FramedLog` of sequenced messages with WAL replay."""
+    """A :class:`FramedLog` of sequenced messages with WAL replay.
+
+    A record is the sequence number, a tab and the message row
+    (:func:`~repro.core.message.encode_row`); a line without a CRC frame
+    is the v0 (pre-CRC) spelling of the same record.
+    """
+
+    unframed = True
 
     def __init__(self, path: "str | os.PathLike[str]", *,
                  sync_every: int = 64) -> None:
@@ -145,12 +122,8 @@ class MessageJournal(FramedLog):
         if seq is None:
             seq = self.next_seq
         self._next_seq = seq + 1
-        event = "" if message.event_id is None else str(message.event_id)
-        parent = "" if message.parent_id is None else str(message.parent_id)
         self._bytes_counter.inc(self.append_payload(
-            f"{seq}\t{message.msg_id}\t{message.user}\t"
-            f"{message.date!r}\t{event}\t{parent}\t"
-            f"{escape_field(message.text)}"))
+            f"{seq}\t{encode_row(message)}"))
         self._append_counter.inc()
         self._since_sync += 1
         if self._since_sync >= self.sync_every:
@@ -173,6 +146,17 @@ class MessageJournal(FramedLog):
         self._open()
 
     @staticmethod
+    def parse_payload(payload: str) -> "tuple[int, Message] | None":
+        """Decode one record; ``None`` or ``ValueError`` if malformed.
+
+        The sequence number is plain decimal, as every writer wrote it,
+        so a framed line that failed its CRC cannot pass as v0: the
+        ``<crc32:8 hex> `` prefix puts a space inside that field.
+        """
+        seq, _, row = payload.partition("\t")
+        return (int(seq), decode_row(row)) if seq.isdigit() else None
+
+    @staticmethod
     def replay_entries(
         path: "str | os.PathLike[str]", *,
         stats: "ReplayStats | None" = None,
@@ -188,18 +172,17 @@ class MessageJournal(FramedLog):
         """
         tally = stats if stats is not None else ReplayStats()
         pending_bad = 0
-        for line in framed_lines(path):
-            parsed = None if line is None else _parse_line(line)
+        for _, parsed, legacy in framed_records(
+                path, MessageJournal.parse_payload,
+                unframed=MessageJournal.unframed):
             if parsed is None:
                 pending_bad += 1
                 continue
             tally.skipped_corrupt += pending_bad
             pending_bad = 0
-            seq, message, legacy = parsed
             tally.records += 1
-            if legacy:
-                tally.legacy_records += 1
-            yield seq, message
+            tally.legacy_records += legacy
+            yield parsed
         if pending_bad:
             tally.skipped_corrupt += pending_bad
             tally.torn_tail = True

@@ -1,11 +1,13 @@
 """Dataset persistence: save/load message streams as TSV.
 
-The on-disk format is one message per line with tab-separated fields
-``msg_id, user, date, event_id, parent_id, text`` (tabs/newlines inside the
-text are escaped).  Entities (hashtags, URLs, RT markers) are *not* stored;
-they are re-extracted on load via
-:func:`~repro.core.message.parse_message`, so a dataset file is exactly the
-raw stream the paper's crawler would have produced.
+The on-disk format is a header line, then one message row per line
+(:func:`~repro.core.message.encode_row`, the record the WAL and the
+quarantine log store too): tab-separated ``msg_id, user, date, event_id,
+parent_id, text`` with tabs/newlines inside the user and the text
+escaped.  Entities (hashtags, URLs, RT markers) are *not* stored; they
+are re-extracted on load via :func:`~repro.core.message.parse_message`,
+so a dataset file is exactly the raw stream the paper's crawler would
+have produced.
 """
 
 from __future__ import annotations
@@ -15,56 +17,30 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.core.errors import StreamError
-from repro.core.message import Message, parse_message
+from repro.core.message import Message, decode_row, encode_row
+from repro.reliability.fsio import write_atomic
 
 __all__ = ["save_tsv", "load_tsv", "iter_tsv"]
 
 _HEADER = "msg_id\tuser\tdate\tevent_id\tparent_id\ttext"
 
 
-def _escape(text: str) -> str:
-    return (text.replace("\\", "\\\\")
-                .replace("\t", "\\t")
-                .replace("\n", "\\n")
-                .replace("\r", "\\r"))
-
-
-def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-                       .get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def save_tsv(messages: Iterable[Message], path: "str | os.PathLike[str]") -> int:
     """Write a stream to ``path``; return the number of messages written.
 
-    The write goes through a temp file and an atomic rename so a crashed
-    run never leaves a half-written dataset behind.
+    The write is atomic (:func:`~repro.reliability.fsio.write_atomic`),
+    so a crashed run never leaves a half-written dataset behind.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(target.suffix + ".tmp")
     count = 0
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(_HEADER + "\n")
+
+    def lines() -> Iterator[str]:
+        nonlocal count
+        yield _HEADER + "\n"
         for message in messages:
-            event = "" if message.event_id is None else str(message.event_id)
-            parent = "" if message.parent_id is None else str(message.parent_id)
-            handle.write(
-                f"{message.msg_id}\t{message.user}\t{message.date!r}\t"
-                f"{event}\t{parent}\t{_escape(message.text)}\n")
+            yield encode_row(message) + "\n"
             count += 1
-    tmp.replace(target)
+
+    write_atomic(path, lines())
     return count
 
 
@@ -80,21 +56,12 @@ def iter_tsv(path: "str | os.PathLike[str]") -> Iterator[Message]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t", 5)
-            if len(fields) != 6:
-                raise StreamError(
-                    f"{source}:{line_no}: expected 6 fields, got "
-                    f"{len(fields)}")
-            msg_id, user, date, event, parent, text = fields
             try:
-                yield parse_message(
-                    int(msg_id), user, float(date), _unescape(text),
-                    event_id=int(event) if event else None,
-                    parent_id=int(parent) if parent else None,
-                )
+                message = decode_row(line)
             except ValueError as exc:
                 raise StreamError(
                     f"{source}:{line_no}: malformed record: {exc}") from exc
+            yield message
 
 
 def load_tsv(path: "str | os.PathLike[str]") -> list[Message]:

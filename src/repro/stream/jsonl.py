@@ -26,6 +26,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.core.errors import StreamError
 from repro.core.message import Message, parse_message
+from repro.reliability.fsio import write_atomic
 
 __all__ = ["save_jsonl", "iter_jsonl", "load_jsonl", "record_to_message"]
 
@@ -68,13 +69,13 @@ def save_jsonl(messages: Iterable[Message],
                path: "str | os.PathLike[str]") -> int:
     """Write messages as crawler-shaped JSONL; returns the count.
 
-    Atomic (temp file + rename), like the TSV writer.
+    Atomic (:func:`~repro.reliability.fsio.write_atomic`), like the TSV
+    writer.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(target.suffix + ".tmp")
     count = 0
-    with tmp.open("w", encoding="utf-8") as handle:
+
+    def lines() -> Iterator[str]:
+        nonlocal count
         for message in messages:
             record: dict[str, Any] = {
                 "id": message.msg_id,
@@ -86,10 +87,11 @@ def save_jsonl(messages: Iterable[Message],
                 record["event_id"] = message.event_id
             if message.parent_id is not None:
                 record["parent_id"] = message.parent_id
-            handle.write(json.dumps(record, separators=(",", ":"),
-                                    sort_keys=True) + "\n")
+            yield json.dumps(record, separators=(",", ":"),
+                             sort_keys=True) + "\n"
             count += 1
-    tmp.replace(target)
+
+    write_atomic(path, lines())
     return count
 
 

@@ -9,8 +9,10 @@ needs from a lexical search engine:
 * :mod:`repro.text.postings` — postings lists with positions,
 * :mod:`repro.text.inverted_index` — the document-level inverted index,
 * :mod:`repro.text.scoring` — TF-IDF and BM25 ranking functions,
-* :mod:`repro.text.search` — the keyword-search engine used both as the
-  Fig. 1 baseline and as the ``s(q, B)`` component of Eq. 7.
+* :mod:`repro.text.search` — the keyword-search engine of the Fig. 1
+  baseline.  Eq. 7's ``s(q, B)`` is not computed in this package:
+  ``BundleSearchEngine._text_similarity`` in :mod:`repro.query.bundle_search`
+  (which imports nothing from here) scores it from the summary index.
 """
 
 from repro.text.analyzer import Analyzer, STOPWORDS

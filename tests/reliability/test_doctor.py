@@ -7,9 +7,10 @@ import pytest
 from repro import cli
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.reliability.doctor import (quarantine_snapshot, repair_store,
-                                      repair_wal, scan_snapshot, scan_store,
-                                      scan_wal)
+from repro.reliability.doctor import (quarantine_snapshot, repair_log,
+                                      repair_store, scan_log, scan_snapshot,
+                                      scan_store)
+from repro.reliability.guard import QuarantineLog
 from repro.storage.bundle_store import BundleStore
 from repro.storage.snapshot import save_snapshot
 from repro.storage.wal import JournaledIndexer, MessageJournal
@@ -39,7 +40,7 @@ class TestWalScan:
     def test_clean_journal_is_healthy(self, tmp_path):
         wal = tmp_path / "ingest.wal"
         write_wal(wal)
-        report = scan_wal(wal)
+        report = scan_log(wal, MessageJournal)
         assert report.healthy
         assert report.valid_records == 20
         assert report.corrupt_lines == []
@@ -47,7 +48,7 @@ class TestWalScan:
         assert "ok" in report.describe()
 
     def test_missing_journal_reported(self, tmp_path):
-        report = scan_wal(tmp_path / "absent.wal")
+        report = scan_log(tmp_path / "absent.wal", MessageJournal)
         assert not report.exists
         assert report.healthy
         assert "missing" in report.describe()
@@ -56,7 +57,7 @@ class TestWalScan:
         wal = tmp_path / "ingest.wal"
         write_wal(wal)
         corrupt_line(wal, 7, replacement=b"deadbeef garbage payload")
-        report = scan_wal(wal)
+        report = scan_log(wal, MessageJournal)
         assert not report.healthy
         assert report.corrupt_lines == [7]
         assert report.valid_records == 19
@@ -67,7 +68,7 @@ class TestWalScan:
         write_wal(wal)
         with wal.open("ab") as handle:
             handle.write(b"0123abcd 5\t99\tu")  # no newline: torn append
-        report = scan_wal(wal)
+        report = scan_log(wal, MessageJournal)
         assert report.torn_tail
         assert report.corrupt_lines == [21]
         assert "torn tail" in report.describe()
@@ -80,7 +81,7 @@ class TestWalScan:
             lines.append(f"{index}\t{message.msg_id}\t{message.user}\t"
                          f"{message.date!r}\t\t\t{message.text}")
         wal.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        report = scan_wal(wal)
+        report = scan_log(wal, MessageJournal)
         assert report.healthy
         assert report.valid_records == 5
         assert report.legacy_records == 5
@@ -94,11 +95,11 @@ class TestWalRepair:
         wal = tmp_path / "ingest.wal"
         write_wal(wal)
         corrupt_line(wal, 5, replacement=b"not a record at all")
-        result = repair_wal(wal)
+        result = repair_log(wal, MessageJournal)
         assert result.kept_records == 19
         assert result.dropped_lines == 1
         assert result.bytes_after < result.bytes_before
-        assert scan_wal(wal).healthy
+        assert scan_log(wal, MessageJournal).healthy
         # the repaired journal replays without skips
         assert len(list(MessageJournal.replay_entries(wal))) == 19
 
@@ -117,9 +118,9 @@ class TestWalRepair:
         corrupt_line(wal, 2, replacement=b"ffffffff 9\tjunk")
         snapshot.write_text("{ not json", encoding="utf-8")
 
-        assert not scan_wal(wal).healthy
+        assert not scan_log(wal, MessageJournal).healthy
         assert not scan_snapshot(snapshot).healthy
-        repair_wal(wal)
+        repair_log(wal, MessageJournal)
         quarantine_snapshot(snapshot)
 
         recovered = JournaledIndexer.recover(
@@ -185,6 +186,24 @@ class TestStoreScanAndRepair:
         assert reopened.append_count == store.append_count - 1
 
 
+    def test_final_record_without_its_newline_is_intact(self, tmp_path,
+                                                          capsys):
+        """The doctor reads a segment by the store's own rule: a last
+        record that passes its CRC but lost its newline loads, so it is
+        healthy and a repair keeps it."""
+        store = self.build_store(tmp_path)
+        store.close()
+        segment = sorted(store.directory.glob("segment-*.log"))[-1]
+        segment.write_bytes(segment.read_bytes()[:-1])
+        loaded = len(BundleStore(store.directory))
+        report = scan_store(store.directory)
+        assert report.healthy
+        assert report.valid_records == store.append_count
+        assert cli.main(["doctor", "--store", str(store.directory),
+                         "--repair"]) == 0
+        assert len(BundleStore(store.directory)) == loaded
+
+
 class TestDoctorCli:
     def test_no_targets_is_usage_error(self, capsys):
         assert cli.main(["doctor"]) == 2
@@ -212,7 +231,7 @@ class TestDoctorCli:
         snapshot.write_text("garbage", encoding="utf-8")
         assert cli.main(["doctor", "--wal", str(wal),
                          "--snapshot", str(snapshot), "--repair"]) == 0
-        assert scan_wal(wal).healthy
+        assert scan_log(wal, MessageJournal).healthy
         assert not snapshot.exists()  # quarantined aside
         assert snapshot.with_suffix(".json.corrupt").exists()
 
@@ -365,48 +384,38 @@ class TestQuarantineScanAndRepair:
         guard.close()
 
     def test_clean_log_is_healthy(self, tmp_path):
-        from repro.reliability.doctor import scan_quarantine
-
         path = tmp_path / "quarantine.log"
         self._write_quarantine(path)
-        report = scan_quarantine(path)
+        report = scan_log(path, QuarantineLog)
         assert report.healthy
         assert report.valid_records > 0
         assert "ok" in report.describe()
 
     def test_missing_log_reported(self, tmp_path):
-        from repro.reliability.doctor import scan_quarantine
-
-        report = scan_quarantine(tmp_path / "absent.log")
+        report = scan_log(tmp_path / "absent.log", QuarantineLog)
         assert not report.exists
         assert report.healthy
         assert "missing" in report.describe()
 
     def test_torn_tail_detected_and_repaired(self, tmp_path):
-        from repro.reliability.doctor import (repair_quarantine,
-                                              scan_quarantine)
-        from repro.reliability.guard import QuarantineLog
-
         path = tmp_path / "quarantine.log"
         self._write_quarantine(path)
         before = [m.msg_id for m, _ in QuarantineLog.replay(path)]
         with path.open("ab") as handle:
             handle.write(b"0123abcd 42\tspammer\t1.0")  # torn append
-        report = scan_quarantine(path)
+        report = scan_log(path, QuarantineLog)
         assert report.torn_tail
         assert not report.healthy
-        result = repair_quarantine(path)
+        result = repair_log(path, QuarantineLog)
         assert result.dropped_lines == 1
-        assert scan_quarantine(path).healthy
+        assert scan_log(path, QuarantineLog).healthy
         assert [m.msg_id for m, _ in QuarantineLog.replay(path)] == before
 
     def test_interior_corruption_detected(self, tmp_path):
-        from repro.reliability.doctor import scan_quarantine
-
         path = tmp_path / "quarantine.log"
         self._write_quarantine(path)
         corrupt_line(path, 2, replacement=b"deadbeef not a record")
-        report = scan_quarantine(path)
+        report = scan_log(path, QuarantineLog)
         assert not report.healthy
         assert report.corrupt_lines == [2]
         assert not report.torn_tail

@@ -226,7 +226,7 @@ class TestOpenSegment:
         assert BundleStore(directory)._offsets == reopened._offsets
 
     def test_decoy_id_in_text_does_not_fool_the_id_pull(self, tmp_path):
-        # _validate_record reads the first '"id":<n>' of the payload;
+        # The open's id pull reads the first '"id":<n>' of the payload;
         # sorted keys put the bundle's own id before any message text.
         bundle = Bundle(7)
         bundle.insert(make_message(70, 'he said "id":99 and {"id":98}'))

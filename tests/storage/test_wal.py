@@ -200,8 +200,8 @@ class TestCrashRecovery:
         import repro.storage.wal as wal
 
         calls = []
-        parse = wal.parse_message
-        monkeypatch.setattr(wal, "parse_message",
+        parse = wal.decode_row
+        monkeypatch.setattr(wal, "decode_row",
                             lambda *a, **kw: calls.append(1) or parse(*a, **kw))
         recovered = JournaledIndexer.recover(
             tmp_path / "state.json", tmp_path / "ingest.wal")
@@ -365,19 +365,24 @@ class TestCrcFraming:
         """The framing check is ``fsio.check_frame``; a line that carries
         the prefix but fails it must not slip through as a v0 record —
         not even when the prefix reads as a decimal sequence number."""
-        from repro.reliability.fsio import check_frame, frame_line
-        from repro.storage.wal import _parse_line
+        from repro.reliability.fsio import (check_frame, frame_line,
+                                            parse_framed)
+
+        def parse_line(line):
+            return parse_framed(line, MessageJournal.parse_payload,
+                                unframed=MessageJournal.unframed)
 
         payload = "4\t9\tann\t3.0\t\t\tstorm #red"
         framed = frame_line(payload)
         assert check_frame(framed) == payload
-        seq, message, legacy = _parse_line(framed)
+        (seq, message), legacy = parse_line(framed)
         assert (seq, message.msg_id, legacy) == (4, 9, False)
-        assert _parse_line("00000000" + framed[8:]) is None
+        assert parse_line("00000000" + framed[8:]) == (None, False)
         # All-digit prefix, payload opening with a tab: int() alone would
         # accept "12345678 " as a v0 sequence number.
-        assert _parse_line("12345678 \t9\tann\t3.0\t\t\tstorm") is None
-        seq, message, legacy = _parse_line(payload)  # the v0 spelling
+        assert parse_line("12345678 \t9\tann\t3.0\t\t\tstorm") == (None,
+                                                                     False)
+        (seq, message), legacy = parse_line(payload)  # the v0 spelling
         assert (seq, message.msg_id, legacy) == (4, 9, True)
 
     def test_legacy_journal_continues_with_framed_appends(self, tmp_path):
