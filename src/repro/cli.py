@@ -185,8 +185,6 @@ def _search_fleet(args: argparse.Namespace) -> int:
                         router=router) as runtime:
         outcome = runtime.search_within(args.query, args.k,
                                         budget_seconds=budget)
-        tagged = runtime.search_by_shard(args.query, args.k,
-                                         budget_seconds=budget)
     if not outcome.hits:
         print("no matching bundles across the fleet"
               + (" (partial: budget expired)" if outcome.partial else ""))
@@ -199,7 +197,7 @@ def _search_fleet(args: argparse.Namespace) -> int:
         ["shard", "bundle", "size", "score", "last post", "summary"],
         [[shard, hit.bundle_id, hit.size, f"{hit.score:.3f}",
           _stamp(hit.last_post), ", ".join(hit.summary_words[:6])]
-         for shard, hit in tagged],
+         for shard, hit in zip(outcome.shards, outcome.hits)],
         title=f"fleet bundles for {args.query!r} "
               f"({args.workers} shards, "
               f"coverage {outcome.coverage:.0%})"))

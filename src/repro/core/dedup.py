@@ -249,16 +249,3 @@ class DuplicateDetector:
                         break
         self._shingles[message.msg_id] = grams
         return best
-
-    def duplicates_of(self, message: Message) -> list[int]:
-        """All registered near-duplicates of ``message`` (read-only)."""
-        grams = shingles(message.text, self.shingle_width)
-        signature = self.hasher.signature_bytes(grams)
-        candidates: set[int] = set()
-        for band, key in self._bands_of(signature):
-            candidates.update(self._band_index[band].get(key, ()))
-        return sorted(
-            candidate for candidate in candidates
-            if candidate != message.msg_id
-            and jaccard(grams, self._shingles[candidate]) >= self.threshold
-        )

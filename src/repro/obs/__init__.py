@@ -35,8 +35,8 @@ from repro.obs.anatomy import (MemoryAccountant, SpaceSavingSketch,
 from repro.obs.audit import (AuditLog, AllocationScore, CandidateScore,
                              DecisionRecord, Explanation, IngestOutcome,
                              RefinementEvent, explain_from_jsonl)
-from repro.obs.exporters import (TelemetryFlusher, attach_fingerprints,
-                                 read_jsonl, render_json, render_prometheus)
+from repro.obs.exporters import (TelemetryFlusher, read_jsonl, render_json,
+                                 render_prometheus)
 from repro.obs.perf import StackSampler, StageCell, render_trace_timeline
 from repro.obs.quality import (DEFAULT_QUALITY_RULES, QualityMonitor,
                                QualityRule)
@@ -75,7 +75,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "WorkloadAnatomy",
-    "attach_fingerprints",
     "capacity_report",
     "diff_fingerprints",
     "explain_from_jsonl",

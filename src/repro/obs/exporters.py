@@ -25,8 +25,7 @@ from typing import IO, Callable, Iterator
 from repro.core.errors import ConfigurationError
 from repro.obs.registry import Histogram, MetricsRegistry
 
-__all__ = ["render_prometheus", "render_json", "TelemetryFlusher",
-           "attach_fingerprints"]
+__all__ = ["render_prometheus", "render_json", "TelemetryFlusher"]
 
 
 def _escape_label(value: str) -> str:
@@ -181,29 +180,3 @@ class TelemetryFlusher:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def attach_companion(self, companion: "Callable[[], None]") -> None:
-        """Register one zero-arg sink to run on every flush."""
-        self.companions.append(companion)
-
-
-def attach_fingerprints(flusher: TelemetryFlusher, anatomy,
-                        engine, path: "str | os.PathLike[str]", *,
-                        guard=None) -> "Callable[[], None]":
-    """Ride the flusher's cadence with periodic workload fingerprints.
-
-    Each telemetry flush appends one byte-deterministic fingerprint
-    record (see :meth:`~repro.obs.anatomy.WorkloadAnatomy.fingerprint`)
-    to ``path`` — the flight recorder gets a workload-shape companion
-    stream at zero extra scheduling machinery.  Returns the companion
-    so callers can also invoke it directly (e.g. one final fingerprint
-    on shutdown).
-    """
-    target = Path(path)
-
-    def write_one() -> None:
-        anatomy.write_fingerprint(target, anatomy.fingerprint(
-            engine, guard))
-
-    flusher.attach_companion(write_one)
-    return write_one

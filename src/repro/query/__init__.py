@@ -12,7 +12,6 @@ from repro.query.digest import Digest, StoryEntry, build_digest
 from repro.query.export import (search_results_to_json, to_dot,
                                 to_json_graph)
 from repro.query.feeds import Feed, FeedRegistry, FeedUpdate
-from repro.query.related import RelatedBundle, find_related, weighted_overlap
 from repro.query.ranking import (depth_score, diversity_score, feedback_score,
                                  quality_score, rank_messages)
 from repro.query.trending import TrendingBundle, growth_velocity, trending_bundles
@@ -41,9 +40,6 @@ __all__ = [
     "BundleQuery",
     "BundleSearchEngine",
     "SearchOutcome",
-    "RelatedBundle",
-    "find_related",
-    "weighted_overlap",
     "depth_score",
     "diversity_score",
     "feedback_score",

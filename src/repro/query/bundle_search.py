@@ -93,6 +93,9 @@ class SearchOutcome:
     candidates_total: int
     candidates_scored: int
     elapsed_seconds: float
+    #: The owning shard of each hit, aligned with :attr:`hits`, when a
+    #: fleet answered (empty for a single engine).
+    shards: "tuple[int, ...]" = ()
 
     @property
     def coverage(self) -> float:

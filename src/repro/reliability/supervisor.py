@@ -58,6 +58,14 @@ __all__ = ["DeadLetter", "DeadLetterQueue", "ResilientIndexer",
 
 #: Failures worth retrying: the storage layer or the OS said "not now".
 _TRANSIENT_ERRORS = (StorageError, OSError)
+#: Transient-failure retries per journal append before giving up.
+MAX_RETRIES = 4
+#: Exponential backoff: retry *n* sleeps
+#: ``BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1)`` seconds.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+#: Ingests per telemetry line when the supervisor builds the flusher.
+TELEMETRY_EVERY = 512
 
 
 def _encodable(message: Message) -> bool:
@@ -181,14 +189,9 @@ class ResilientIndexer:
     ----------
     journaled:
         The WAL-protected engine to supervise.
-    max_retries:
-        Transient-failure retries per message before giving up.
-    backoff_base / backoff_factor:
-        Exponential backoff: attempt *n* sleeps
-        ``backoff_base * backoff_factor ** (n - 1)`` seconds.
     sleep:
-        Injectable sleeper (tests pass a recorder; default
-        :func:`time.sleep`).
+        Injectable sleeper for the retry backoff (tests pass a
+        recorder; default :func:`time.sleep`).
     dead_letters:
         A :class:`DeadLetterQueue`, a path for a persistent one, or
         ``None`` for an in-memory queue.
@@ -214,35 +217,25 @@ class ResilientIndexer:
         default) leaves the hot path exactly as before.
     telemetry:
         A :class:`~repro.obs.TelemetryFlusher`, or a JSONL path to build
-        one on (flushing every ``telemetry_every`` ingests): the
+        one on (flushing every :data:`TELEMETRY_EVERY` ingests): the
         long-run flight recorder described in ``docs/observability.md``.
         ``None`` (the default) records nothing.
     """
 
     def __init__(self, journaled: JournaledIndexer, *,
-                 max_retries: int = 4,
-                 backoff_base: float = 0.05,
-                 backoff_factor: float = 2.0,
                  sleep: "Callable[[float], None] | None" = None,
                  dead_letters: "DeadLetterQueue | str | os.PathLike[str] | None" = None,
                  high_watermark_bytes: "int | None" = None,
                  low_watermark_bytes: "int | None" = None,
                  overload: "OverloadConfig | OverloadController | None" = None,
                  guard: "IngestGuard | GuardConfig | bool | None" = None,
-                 telemetry: "TelemetryFlusher | str | os.PathLike[str] | None" = None,
-                 telemetry_every: int = 512) -> None:
-        if max_retries < 0:
-            raise StorageError(
-                f"max_retries must be non-negative, got {max_retries}")
+                 telemetry: "TelemetryFlusher | str | os.PathLike[str] | None" = None) -> None:
         if (high_watermark_bytes is not None
                 and low_watermark_bytes is not None
                 and low_watermark_bytes > high_watermark_bytes):
             raise StorageError(
                 "low watermark must not exceed the high watermark")
         self.journaled = journaled
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self._sleep = sleep if sleep is not None else time.sleep
         if isinstance(dead_letters, DeadLetterQueue):
             self.dead_letters = dead_letters
@@ -343,7 +336,7 @@ class ResilientIndexer:
             self.telemetry = telemetry
         else:
             self.telemetry = TelemetryFlusher(
-                registry, telemetry, every_ticks=telemetry_every)
+                registry, telemetry, every_ticks=TELEMETRY_EVERY)
         audit = self.journaled.indexer.obs.audit
         if self.telemetry is not None and audit is not None:
             # The audit JSONL sink rides the flight recorder's cadence.
@@ -646,12 +639,12 @@ class ResilientIndexer:
         never answered by journaling it again."""
         attempt = 0
         while isinstance(error, _TRANSIENT_ERRORS):
-            if attempt == self.max_retries:
+            if attempt == MAX_RETRIES:
                 raise RetryExhaustedError(
                     f"ingest of message {message.msg_id} failed "
-                    f"after {self.max_retries} retries: {error}"
+                    f"after {MAX_RETRIES} retries: {error}"
                 ) from error
-            delay = self.backoff_base * self.backoff_factor ** attempt
+            delay = BACKOFF_BASE * BACKOFF_FACTOR ** attempt
             attempt += 1
             self.stats.retries += 1
             self.stats.backoff_seconds += delay

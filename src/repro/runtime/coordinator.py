@@ -264,7 +264,6 @@ class ShardedRuntime:
         self._workers: list[_Worker] = [
             self._spawn(shard) for shard in range(workers)]
         self._closed = False
-        self._last_tagged: list[tuple[int, BundleHit]] = []
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -660,17 +659,6 @@ class ShardedRuntime:
         self.flush()
         return self.stats.messages_indexed - indexed_before
 
-    def drain_backlogs(self) -> int:
-        """Drain every worker's admission backlog; returns indexed count."""
-        indexed = 0
-        for worker in self._workers:
-            try:
-                payload = self._request(worker, ("drain",))
-            except WorkerCrash:
-                continue
-            indexed += self._note_ack(worker, payload)
-        return indexed
-
     # ------------------------------------------------------------------
     # Asynchronous cross-shard edge repair (:mod:`repro.runtime.repair`)
     # ------------------------------------------------------------------
@@ -827,7 +815,7 @@ class ShardedRuntime:
         tightens later ones instead of blowing the whole budget.  A
         shard reached after the budget expired is skipped and the merged
         outcome is marked partial; coverage aggregates the per-shard
-        candidate accounting.
+        candidate accounting.  ``shards`` names each hit's owning shard.
         """
         started = clock()
         self.stats.search_scatters += 1
@@ -861,13 +849,13 @@ class ShardedRuntime:
                 tagged.append((worker.shard, hit))
         tagged.sort(key=lambda pair: (-pair[1].score, pair[0],
                                       pair[1].bundle_id))
-        self._last_tagged = tagged[:k]
         return SearchOutcome(
             hits=[hit for _, hit in tagged[:k]],
             partial=partial,
             candidates_total=candidates_total,
             candidates_scored=candidates_scored,
             elapsed_seconds=clock() - started,
+            shards=tuple(shard for shard, _ in tagged[:k]),
         )
 
     def search(self, raw_query: str, k: int = 10) -> list[BundleHit]:
@@ -878,8 +866,9 @@ class ShardedRuntime:
                         budget_seconds: "float | None" = None,
                         ) -> list[tuple[int, BundleHit]]:
         """Scatter-gather search with hits tagged by owning shard."""
-        self.search_within(raw_query, k, budget_seconds=budget_seconds)
-        return list(self._last_tagged)
+        outcome = self.search_within(raw_query, k,
+                                     budget_seconds=budget_seconds)
+        return list(zip(outcome.shards, outcome.hits))
 
     # ------------------------------------------------------------------
     # Fleet introspection

@@ -9,8 +9,6 @@
 from repro.storage.archive_index import (ArchiveHit, ArchiveIndex,
                                          ArchivedBundleStore)
 from repro.storage.bundle_store import BundleStore
-from repro.storage.compaction import (CompactionReport, compact_store,
-                                      dead_bytes_fraction)
 from repro.storage.serializer import (bundle_from_dict, bundle_from_json,
                                       bundle_to_dict, bundle_to_json,
                                       message_from_dict, message_to_dict)
@@ -23,9 +21,6 @@ __all__ = [
     "ArchiveIndex",
     "ArchivedBundleStore",
     "BundleStore",
-    "CompactionReport",
-    "compact_store",
-    "dead_bytes_fraction",
     "bundle_from_dict",
     "bundle_from_json",
     "bundle_to_dict",

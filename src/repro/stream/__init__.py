@@ -12,10 +12,7 @@
 from repro.stream.dataset import iter_tsv, load_tsv, save_tsv
 from repro.stream.events import ActiveEvent, EventSpec
 from repro.stream.generator import StreamConfig, StreamGenerator, make_event_spec
-from repro.stream.jsonl import iter_jsonl, load_jsonl, save_jsonl
-from repro.stream.merge import (deduplicate_stream, merge_streams,
-                                renumber_stream)
-from repro.stream.replay import Checkpoint, replay, replay_many
+from repro.stream.replay import Checkpoint, replay
 from repro.stream.stats import StreamStats, describe_stream, histogram
 from repro.stream.sampling import (sample_by_hashtag, sample_by_user,
                                    sample_deterministic, sample_uniform)
@@ -32,15 +29,8 @@ __all__ = [
     "StreamConfig",
     "StreamGenerator",
     "make_event_spec",
-    "iter_jsonl",
-    "deduplicate_stream",
-    "merge_streams",
-    "renumber_stream",
-    "load_jsonl",
-    "save_jsonl",
     "Checkpoint",
     "replay",
-    "replay_many",
     "StreamStats",
     "describe_stream",
     "histogram",

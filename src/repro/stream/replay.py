@@ -3,7 +3,7 @@
 The paper's experiments "import the micro-blog messages into the system in
 a temporally ordered sequence; the latest message's date is simulated as
 the system's current date" and sample series "at each date check point".
-:func:`replay` drives one or more indexers through a stream and invokes a
+:func:`replay` drives an indexer through a stream and invokes a
 callback every ``checkpoint_every`` messages — the sampling spine of
 Figs. 7, 8, 11, 12 and 13.
 """
@@ -11,12 +11,12 @@ Figs. 7, 8, 11, 12 and 13.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable
 
 from repro.core.engine import ProvenanceIndexer
 from repro.core.message import Message
 
-__all__ = ["Checkpoint", "replay", "replay_many"]
+__all__ = ["Checkpoint", "replay"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,32 +82,3 @@ def replay(
         if on_checkpoint is not None:
             on_checkpoint(point)
     return checkpoints
-
-
-def replay_many(
-    messages: Sequence[Message] | Iterable[Message],
-    indexers: Mapping[str, ProvenanceIndexer],
-    *,
-    checkpoint_every: int = 10_000,
-) -> dict[str, list[Checkpoint]]:
-    """Feed the same stream into several indexers in lockstep.
-
-    Lockstep matters for the comparative figures: every indexer sees the
-    identical message sequence and is checkpointed at identical positions,
-    so the series are directly comparable (and the stream is only
-    materialised once even when it is a generator).
-    """
-    results: dict[str, list[Checkpoint]] = {name: [] for name in indexers}
-    seen = 0
-    for message in messages:
-        seen += 1
-        for name, indexer in indexers.items():
-            indexer.ingest(message)
-        if checkpoint_every > 0 and seen % checkpoint_every == 0:
-            for name, indexer in indexers.items():
-                results[name].append(_snapshot(indexer, seen))
-    for name, indexer in indexers.items():
-        series = results[name]
-        if not series or series[-1].messages_seen != seen:
-            series.append(_snapshot(indexer, seen))
-    return results

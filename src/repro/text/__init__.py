@@ -6,7 +6,7 @@ needs from a lexical search engine:
 
 * :mod:`repro.text.tokenizer` — micro-blog aware tokenization,
 * :mod:`repro.text.analyzer` — normalization, stopwords, keyword extraction,
-* :mod:`repro.text.postings` — postings lists with positions,
+* :mod:`repro.text.postings` — postings lists with term frequencies,
 * :mod:`repro.text.inverted_index` — the document-level inverted index,
 * :mod:`repro.text.scoring` — TF-IDF and BM25 ranking functions,
 * :mod:`repro.text.search` — the keyword-search engine of the Fig. 1
@@ -16,31 +16,16 @@ needs from a lexical search engine:
 """
 
 from repro.text.analyzer import Analyzer, STOPWORDS
-from repro.text.highlight import HighlightSpan, find_spans, highlight
 from repro.text.inverted_index import InvertedIndex
-from repro.text.persistence import load_search_engine, save_search_engine
-from repro.text.query_parser import evaluate, parse_query
 from repro.text.scoring import BM25Scorer, TfIdfScorer
-from repro.text.tiered_index import (QualityClassifier, QualityVerdict,
-                                     TieredSearchEngine)
 from repro.text.search import SearchEngine, SearchHit
 from repro.text.tokenizer import Token, tokenize
 
 __all__ = [
     "Analyzer",
     "STOPWORDS",
-    "HighlightSpan",
-    "find_spans",
-    "highlight",
     "InvertedIndex",
-    "load_search_engine",
-    "save_search_engine",
-    "evaluate",
-    "parse_query",
     "BM25Scorer",
-    "QualityClassifier",
-    "QualityVerdict",
-    "TieredSearchEngine",
     "TfIdfScorer",
     "SearchEngine",
     "SearchHit",

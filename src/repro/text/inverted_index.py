@@ -9,7 +9,7 @@ mapped to dense internal ids so postings stay merge-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.text.analyzer import Analyzer
 from repro.text.postings import PostingsList
@@ -26,22 +26,17 @@ class DocumentStats:
 
 
 class InvertedIndex:
-    """An in-memory inverted index with add/remove and TF/DF statistics.
+    """An in-memory, append-only inverted index with TF/DF statistics.
 
     Parameters
     ----------
     analyzer:
         The text-to-terms pipeline; defaults to the standard
         :class:`~repro.text.analyzer.Analyzer`.
-    store_positions:
-        Whether postings keep token positions (needed for phrase queries;
-        costs memory).
     """
 
-    def __init__(self, analyzer: Analyzer | None = None, *,
-                 store_positions: bool = True) -> None:
+    def __init__(self, analyzer: Analyzer | None = None) -> None:
         self.analyzer = analyzer or Analyzer()
-        self.store_positions = store_positions
         self._postings: dict[str, PostingsList] = {}
         self._docs: dict[int, DocumentStats] = {}   # internal id -> stats
         self._internal_by_external: dict[int, int] = {}
@@ -88,13 +83,6 @@ class InvertedIndex:
         """Iterate over the dictionary."""
         return iter(self._postings)
 
-    def doc_length(self, external_id: int) -> int:
-        """Indexed term count of a document (0 if absent)."""
-        internal = self._internal_by_external.get(external_id)
-        if internal is None:
-            return 0
-        return self._docs[internal].length
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -110,48 +98,15 @@ class InvertedIndex:
         internal = self._next_internal_id
         self._next_internal_id += 1
         terms = self.analyzer.analyze(text)
-        for position, term in enumerate(terms):
+        for term in terms:
             plist = self._postings.get(term)
             if plist is None:
                 plist = self._postings[term] = PostingsList()
-            plist.add(internal, position if self.store_positions else None)
+            plist.add(internal)
         self._docs[internal] = DocumentStats(external_id, len(terms))
         self._internal_by_external[external_id] = internal
         self._total_length += len(terms)
         return len(terms)
-
-    def add_terms(self, external_id: int, terms: Iterable[str]) -> int:
-        """Index pre-analyzed ``terms`` (used by the bundle-level index)."""
-        if external_id in self._internal_by_external:
-            raise ValueError(f"document {external_id} already indexed")
-        internal = self._next_internal_id
-        self._next_internal_id += 1
-        count = 0
-        for position, term in enumerate(terms):
-            plist = self._postings.get(term)
-            if plist is None:
-                plist = self._postings[term] = PostingsList()
-            plist.add(internal, position if self.store_positions else None)
-            count += 1
-        self._docs[internal] = DocumentStats(external_id, count)
-        self._internal_by_external[external_id] = internal
-        self._total_length += count
-        return count
-
-    def remove_document(self, external_id: int) -> bool:
-        """Drop a document from the index; return whether it existed."""
-        internal = self._internal_by_external.pop(external_id, None)
-        if internal is None:
-            return False
-        stats = self._docs.pop(internal)
-        self._total_length -= stats.length
-        emptied = []
-        for term, plist in self._postings.items():
-            if plist.remove(internal) and not len(plist):
-                emptied.append(term)
-        for term in emptied:
-            del self._postings[term]
-        return True
 
     # ------------------------------------------------------------------
     # Lookup helpers used by the search layer

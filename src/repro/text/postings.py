@@ -1,17 +1,16 @@
 """Postings lists for the inverted index.
 
-A :class:`PostingsList` maps document ids to term frequency and (optionally)
-token positions, kept in insertion order (document ids are assigned
-monotonically by the index, so insertion order is id order and merge-style
-intersection stays linear).
+A :class:`PostingsList` maps document ids to term frequencies, kept in
+insertion order (document ids are assigned monotonically by the index, so
+insertion order is id order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["Posting", "PostingsList", "intersect_postings", "union_postings"]
+__all__ = ["Posting", "PostingsList"]
 
 
 @dataclass(slots=True)
@@ -20,13 +19,10 @@ class Posting:
 
     doc_id: int
     term_freq: int = 0
-    positions: list[int] = field(default_factory=list)
 
-    def add_occurrence(self, position: int | None = None) -> None:
-        """Record one more occurrence, optionally with its token position."""
+    def add_occurrence(self) -> None:
+        """Record one more occurrence."""
         self.term_freq += 1
-        if position is not None:
-            self.positions.append(position)
 
 
 class PostingsList:
@@ -52,7 +48,7 @@ class PostingsList:
         """Number of distinct documents containing the term."""
         return len(self._postings)
 
-    def add(self, doc_id: int, position: int | None = None) -> Posting:
+    def add(self, doc_id: int) -> Posting:
         """Record an occurrence of the term in ``doc_id``.
 
         Documents must be added in non-decreasing id order (the index
@@ -68,50 +64,9 @@ class PostingsList:
             posting = Posting(doc_id)
             self._postings.append(posting)
             self._by_doc[doc_id] = posting
-        posting.add_occurrence(position)
+        posting.add_occurrence()
         return posting
 
     def get(self, doc_id: int) -> Posting | None:
         """The posting for ``doc_id`` or ``None``."""
         return self._by_doc.get(doc_id)
-
-    def remove(self, doc_id: int) -> bool:
-        """Delete the posting for ``doc_id``; return whether it existed.
-
-        Removal is O(n) and rare (only bundle eviction uses it), so a
-        simple rebuild keeps the id-ordered invariant.
-        """
-        if doc_id not in self._by_doc:
-            return False
-        del self._by_doc[doc_id]
-        self._postings = [p for p in self._postings if p.doc_id != doc_id]
-        return True
-
-    def doc_ids(self) -> list[int]:
-        """Ascending list of document ids containing the term."""
-        return [p.doc_id for p in self._postings]
-
-
-def intersect_postings(lists: list[PostingsList]) -> list[int]:
-    """Document ids present in *every* postings list (boolean AND).
-
-    Uses the classic smallest-first merge: start from the rarest term and
-    probe the hash maps of the others, which is the fast path for the
-    short conjunctive queries micro-blog search sees.
-    """
-    if not lists:
-        return []
-    ordered = sorted(lists, key=len)
-    result = []
-    for posting in ordered[0]:
-        if all(posting.doc_id in other for other in ordered[1:]):
-            result.append(posting.doc_id)
-    return result
-
-
-def union_postings(lists: list[PostingsList]) -> list[int]:
-    """Document ids present in *any* postings list (boolean OR), ascending."""
-    seen: set[int] = set()
-    for plist in lists:
-        seen.update(p.doc_id for p in plist)
-    return sorted(seen)

@@ -15,7 +15,6 @@ from typing import Iterable, Literal
 from repro.core.message import Message
 from repro.text.analyzer import Analyzer
 from repro.text.inverted_index import InvertedIndex
-from repro.text.postings import intersect_postings, union_postings
 from repro.text.scoring import BM25Scorer, TfIdfScorer
 
 __all__ = ["SearchHit", "SearchEngine"]
@@ -30,7 +29,7 @@ class SearchHit:
 
 
 class SearchEngine:
-    """Ranked and boolean keyword search over messages.
+    """Ranked keyword search over messages.
 
     Parameters
     ----------
@@ -45,10 +44,6 @@ class SearchEngine:
         self.analyzer = analyzer or Analyzer()
         self.index = InvertedIndex(self.analyzer)
         self._messages: dict[int, Message] = {}
-        # Field maps for the boolean query language (user:/tag:/url:).
-        self._by_user: dict[str, set[int]] = {}
-        self._by_tag: dict[str, set[int]] = {}
-        self._by_url: dict[str, set[int]] = {}
         if scorer == "bm25":
             self._scorer: BM25Scorer | TfIdfScorer = BM25Scorer(self.index)
         elif scorer == "tfidf":
@@ -63,11 +58,6 @@ class SearchEngine:
         """Index one message (id must be new)."""
         self.index.add_document(message.msg_id, message.text)
         self._messages[message.msg_id] = message
-        self._by_user.setdefault(message.user, set()).add(message.msg_id)
-        for tag in message.hashtags:
-            self._by_tag.setdefault(tag, set()).add(message.msg_id)
-        for url in message.urls:
-            self._by_url.setdefault(url, set()).add(message.msg_id)
 
     def add_all(self, messages: Iterable[Message]) -> int:
         """Index many messages; return how many were added."""
@@ -104,112 +94,7 @@ class SearchEngine:
             for doc, score in ranked
         ]
 
-    def search_boolean(self, query: str, *, mode: Literal["and", "or"] = "and",
-                       k: int = 50) -> list[Message]:
-        """Boolean retrieval ordered newest-first (Fig. 1's presentation)."""
-        terms = self.analyzer.analyze(query)
-        if not terms:
-            return []
-        lists = [self.index.postings(t) for t in terms]
-        if mode == "and":
-            if any(plist is None for plist in lists):
-                return []
-            internal_ids = intersect_postings([p for p in lists if p])
-        elif mode == "or":
-            internal_ids = union_postings([p for p in lists if p])
-        else:
-            raise ValueError(f"unknown boolean mode {mode!r}")
-        messages = [
-            self._messages[self.index.external_id(internal)]
-            for internal in internal_ids
-        ]
-        messages.sort(key=lambda m: m.sort_key(), reverse=True)
-        return messages[:k]
-
-    def search_phrase(self, phrase: str, k: int = 50) -> list[Message]:
-        """Messages containing the analyzed terms of ``phrase`` adjacently."""
-        terms = self.analyzer.analyze(phrase)
-        if not terms:
-            return []
-        lists = [self.index.postings(t) for t in terms]
-        if any(plist is None for plist in lists):
-            return []
-        candidates = intersect_postings([p for p in lists if p])
-        hits = []
-        for internal in candidates:
-            positions = [set((plist.get(internal) or _EMPTY).positions)
-                         for plist in lists if plist]
-            if _has_adjacent_run(positions):
-                hits.append(self._messages[self.index.external_id(internal)])
-        hits.sort(key=lambda m: m.sort_key(), reverse=True)
-        return hits[:k]
-
-    def search_query(self, raw_query: str, k: int = 50) -> list[Message]:
-        """Boolean query-language search (see :mod:`repro.text.query_parser`).
-
-        Supports AND/OR/NOT, parentheses, quoted phrases and the field
-        filters ``user:``, ``tag:``/``#tag`` and ``url:``.  Results are
-        ordered newest-first.
-        """
-        from repro.text.query_parser import evaluate, parse_query
-
-        node = parse_query(raw_query)
-        matched = evaluate(node, self)
-        messages = [self._messages[msg_id] for msg_id in matched]
-        messages.sort(key=lambda m: m.sort_key(), reverse=True)
-        return messages[:k]
-
-    # -- QueryTarget protocol (repro.text.query_parser) -------------------
-
-    def all_ids(self) -> set[int]:
-        """Every indexed message id (used by NOT)."""
-        return set(self._messages)
-
-    def ids_for_term(self, term: str) -> set[int]:
-        """Messages containing the analyzed form of ``term``."""
-        analyzed = self.analyzer.analyze(term)
-        if not analyzed:
-            return set()
-        result: set[int] | None = None
-        for sub_term in analyzed:
-            plist = self.index.postings(sub_term)
-            ids = ({self.index.external_id(p.doc_id) for p in plist}
-                   if plist else set())
-            result = ids if result is None else result & ids
-        return result or set()
-
-    def ids_for_phrase(self, phrase: str) -> set[int]:
-        """Messages containing ``phrase`` adjacently."""
-        return {m.msg_id for m in self.search_phrase(phrase, k=len(self))}
-
-    def ids_for_field(self, name: str, value: str) -> set[int]:
-        """Messages matching ``user:``/``tag:``/``url:`` filters."""
-        if name == "user":
-            return set(self._by_user.get(value, ()))
-        if name == "tag":
-            return set(self._by_tag.get(value, ()))
-        if name == "url":
-            return set(self._by_url.get(value, ()))
-        return set()
-
     def _date_of_internal(self, internal_id: int) -> float:
         message = self._messages[self.index.external_id(internal_id)]
         return message.date
 
-
-class _EmptyPosting:
-    positions: list[int] = []
-
-
-_EMPTY = _EmptyPosting()
-
-
-def _has_adjacent_run(position_sets: list[set[int]]) -> bool:
-    """True if positions p, p+1, ..., p+n-1 exist across the n sets."""
-    if not position_sets:
-        return False
-    for start in position_sets[0]:
-        if all(start + offset in later
-               for offset, later in enumerate(position_sets[1:], start=1)):
-            return True
-    return False

@@ -3,8 +3,7 @@
 Splits raw message text into typed tokens while keeping Twitter-specific
 surface forms intact: hashtags (``#redsox``), mentions (``@mlb``) and URLs
 stay single tokens so the indexing layers can treat them as indicants rather
-than as word soup.  Positions are recorded to support phrase queries in
-:mod:`repro.text.search`.
+than as word soup.
 """
 
 from __future__ import annotations

@@ -127,15 +127,6 @@ class TestDuplicateDetector:
             make_message(9, text, user="late", hours=1))
         assert result == 0
 
-    def test_duplicates_of_readonly(self):
-        detector = DuplicateDetector()
-        text = "copy pasted template message for spam detection tests"
-        detector.check_and_add(make_message(0, text))
-        detector.check_and_add(make_message(1, text, user="b", hours=0.1))
-        probe = make_message(1, text, user="b", hours=0.1)
-        assert detector.duplicates_of(probe) == [0]
-        assert len(detector) == 2
-
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             DuplicateDetector(threshold=0.0)

@@ -116,9 +116,10 @@ class TestTelemetryFlusher:
             ProvenanceIndexer(IndexerConfig.partial_index(pool_size=15)),
             MessageJournal(tmp_path / "ingest.wal", sync_every=8),
             snapshot_path=tmp_path / "state.json", snapshot_every=10_000)
+        flusher = TelemetryFlusher(journaled.indexer.obs.registry,
+                                   telemetry_path, every_ticks=10)
         with ResilientIndexer(journaled, sleep=lambda _: None,
-                              telemetry=telemetry_path,
-                              telemetry_every=10) as supervisor:
+                              telemetry=flusher) as supervisor:
             for i in range(25):
                 supervisor.ingest(make_message(
                     i, f"#topic{i % 4} message {i}", hours=i * 0.05))

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.message import parse_message
 from repro.core.sharding import make_router
-from repro.stream.merge import (deduplicate_stream, merge_streams,
-                                renumber_stream)
 from repro.stream.sampling import sample_deterministic, sample_uniform
 from repro.stream.window import SlidingWindowMonitor
 from tests.sharding_oracle import RoutedEngines
@@ -29,35 +27,6 @@ def ordered_streams(draw, max_size: int = 25, id_start: int = 0):
             id_start + index, draw(st.sampled_from(["x", "y"])),
             date, f"#{tag} text {index}"))
     return stream
-
-
-class TestMergeProperties:
-    @settings(max_examples=40)
-    @given(ordered_streams(), ordered_streams(id_start=10_000))
-    def test_merge_is_ordered_and_complete(self, left, right):
-        merged = list(merge_streams(left, right))
-        assert len(merged) == len(left) + len(right)
-        keys = [m.sort_key() for m in merged]
-        assert keys == sorted(keys)
-
-    @settings(max_examples=40)
-    @given(ordered_streams())
-    def test_merge_with_empty_is_identity(self, stream):
-        assert list(merge_streams(stream, [])) == stream
-
-    @settings(max_examples=40)
-    @given(ordered_streams())
-    def test_renumber_preserves_order_and_density(self, stream):
-        renumbered = list(renumber_stream(stream))
-        assert [m.msg_id for m in renumbered] == list(range(len(stream)))
-        assert [m.date for m in renumbered] == [m.date for m in stream]
-
-    @settings(max_examples=40)
-    @given(ordered_streams())
-    def test_dedup_idempotent(self, stream):
-        once = list(deduplicate_stream(stream))
-        twice = list(deduplicate_stream(once))
-        assert once == twice
 
 
 class TestSamplingProperties:

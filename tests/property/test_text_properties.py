@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.analyzer import Analyzer, light_stem
-from repro.text.highlight import find_spans, highlight
 from repro.text.inverted_index import InvertedIndex
 from repro.text.scoring import BM25Scorer, TfIdfScorer
 
@@ -71,22 +70,10 @@ class TestIndexProperties:
     @given(documents)
     def test_total_length_equals_sum(self, texts):
         index = build_index(texts)
-        total = sum(index.doc_length(doc_id)
+        total = sum(index.internal_doc_length(index.internal_id(doc_id))
                     for doc_id in range(len(texts)))
         assert index.average_doc_length * index.doc_count == \
             pytest.approx(total)
-
-    @settings(max_examples=30)
-    @given(documents, st.integers(min_value=0, max_value=11))
-    def test_remove_then_stats_consistent(self, texts, victim):
-        index = build_index(texts)
-        victim = victim % len(texts)
-        index.remove_document(victim)
-        assert victim not in index
-        assert index.doc_count == len(texts) - 1
-        for term in index.terms():
-            assert index.doc_frequency(term) >= 1
-
 
 class TestScorerProperties:
     @settings(max_examples=40)
@@ -121,23 +108,3 @@ class TestScorerProperties:
         for rare, common in zip(terms, terms[1:]):
             if index.doc_frequency(rare) < index.doc_frequency(common):
                 assert scorer.idf(rare) >= scorer.idf(common)
-
-
-class TestHighlightProperties:
-    @settings(max_examples=40)
-    @given(st.lists(words, min_size=1, max_size=10).map(" ".join),
-           st.lists(words, max_size=3))
-    def test_highlight_preserves_text_content(self, text, query):
-        marked = highlight(text, query, prefix="<", suffix=">")
-        assert marked.replace("<", "").replace(">", "") == text
-
-    @settings(max_examples=40)
-    @given(st.lists(words, min_size=1, max_size=10).map(" ".join),
-           st.lists(words, max_size=3))
-    def test_spans_within_bounds_and_ordered(self, text, query):
-        spans = find_spans(text, query)
-        previous_end = 0
-        for span in spans:
-            assert 0 <= span.start < span.end <= len(text)
-            assert span.start >= previous_end
-            previous_end = span.end

@@ -18,7 +18,6 @@ from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
 from repro.reliability.guard import QuarantineLog
 from repro.reliability.supervisor import ResilientIndexer
 from repro.stream.dataset import load_tsv, save_tsv
-from repro.stream.jsonl import load_jsonl, save_jsonl
 from tests.conftest import make_message
 
 #: Users and texts holding every character the row escapes, and the
@@ -83,17 +82,6 @@ class TestWholeFileWrites:
             with pytest.raises(SimulatedCrash):
                 save_tsv(thread("bob", "new"), path)
         assert path.read_bytes() == before
-
-    def test_save_jsonl(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        save_jsonl(thread("ann", "old"), path)
-        before = path.read_bytes()
-        with FaultInjector([Fault("replace", kind="crash_before",
-                                  path_part="stream.jsonl")]):
-            with pytest.raises(SimulatedCrash):
-                save_jsonl(thread("bob", "new"), path)
-        assert path.read_bytes() == before
-        assert len(load_jsonl(path)) == 3
 
     def test_runtime_marker(self, tmp_path):
         from repro.runtime import ShardedRuntime

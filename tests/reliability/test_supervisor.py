@@ -10,7 +10,8 @@ from repro.core.errors import RetryExhaustedError, StorageError
 from repro.reliability.faults import Fault, FaultInjector
 from repro.reliability.guard import GuardConfig, IngestGuard
 from repro.reliability.overload import OverloadConfig
-from repro.reliability.supervisor import DeadLetterQueue, ResilientIndexer
+from repro.reliability.supervisor import (BACKOFF_BASE, MAX_RETRIES,
+                                          DeadLetterQueue, ResilientIndexer)
 from repro.storage.bundle_store import BundleStore
 from repro.storage.wal import JournaledIndexer, MessageJournal
 from tests.conftest import BASE_DATE, make_message
@@ -42,28 +43,27 @@ class TestRetry:
         assert supervisor.stats.retries == 1
         assert supervisor.stats.ingested == 10
         assert supervisor.indexer.stats.messages_ingested == 10
-        assert slept == [supervisor.backoff_base]
+        assert slept == [BACKOFF_BASE]
 
     def test_backoff_grows_exponentially(self, tmp_path):
         slept = []
         faults = [Fault(op="write", nth=n, kind="error", path_part=".wal")
                   for n in (3, 4, 5)]  # three consecutive failures
         with FaultInjector(faults):
-            supervisor = build(tmp_path, sleep=slept.append,
-                               backoff_base=0.1, backoff_factor=2.0)
+            supervisor = build(tmp_path, sleep=slept.append)
             for message in stream(5):
                 supervisor.ingest(message)
-        assert slept == [0.1, 0.2, 0.4]
-        assert supervisor.stats.backoff_seconds == pytest.approx(0.7)
+        assert slept == [0.05, 0.1, 0.2]
+        assert supervisor.stats.backoff_seconds == pytest.approx(0.35)
 
     def test_retry_budget_exhausts(self, tmp_path):
         faults = [Fault(op="write", nth=n, kind="error", path_part=".wal")
                   for n in range(1, 10)]
         with FaultInjector(faults):
-            supervisor = build(tmp_path, max_retries=2)
+            supervisor = build(tmp_path)
             with pytest.raises(RetryExhaustedError):
                 supervisor.ingest(stream(1)[0])
-        assert supervisor.stats.retries == 2
+        assert supervisor.stats.retries == MAX_RETRIES == 4
 
     def test_failed_checkpoint_is_deferred_not_doubled(self, tmp_path):
         journaled = JournaledIndexer(
@@ -207,7 +207,7 @@ class TestReleaseAborted:
                   for n in range(3, 12)]
         with FaultInjector(faults):
             supervisor = build(
-                tmp_path, max_retries=2,
+                tmp_path,
                 guard=IngestGuard(GuardConfig(reorder_window=7200.0)))
             assert supervisor.ingest(story(1, 0.0)) is not None
             assert supervisor.ingest(story(2, 3.0)) is not None

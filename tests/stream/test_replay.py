@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.stream.replay import replay, replay_many
+from repro.stream.replay import replay
 from tests.conftest import make_message
 
 
@@ -50,33 +50,28 @@ class TestReplay:
 
 
 class TestReplayMany:
+    """One stream replayed into several engines, one replay call each."""
+
     def test_lockstep_positions_identical(self):
+        stream = make_stream(30)
         engines = {
             "a": ProvenanceIndexer(IndexerConfig.full_index()),
             "b": ProvenanceIndexer(IndexerConfig.partial_index(pool_size=5)),
         }
-        results = replay_many(make_stream(30), engines, checkpoint_every=10)
+        results = {name: replay(stream, engine, checkpoint_every=10)
+                   for name, engine in engines.items()}
         positions_a = [p.messages_seen for p in results["a"]]
         positions_b = [p.messages_seen for p in results["b"]]
         assert positions_a == positions_b == [10, 20, 30]
 
-    def test_generator_input_materialised_once(self):
-        engines = {
-            "a": ProvenanceIndexer(IndexerConfig()),
-            "b": ProvenanceIndexer(IndexerConfig()),
-        }
-        results = replay_many(iter(make_stream(10)), engines,
-                              checkpoint_every=4)
-        assert results["a"][-1].messages_seen == 10
-        assert engines["a"].stats.messages_ingested == 10
-        assert engines["b"].stats.messages_ingested == 10
-
     def test_bounded_engine_smaller_pool(self):
+        stream = make_stream(60)
         engines = {
             "full": ProvenanceIndexer(IndexerConfig.full_index()),
             "partial": ProvenanceIndexer(
                 IndexerConfig.partial_index(pool_size=3)),
         }
-        results = replay_many(make_stream(60), engines, checkpoint_every=30)
+        results = {name: replay(stream, engine, checkpoint_every=30)
+                   for name, engine in engines.items()}
         assert (results["partial"][-1].bundle_count
                 <= results["full"][-1].bundle_count)

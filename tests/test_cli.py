@@ -188,6 +188,41 @@ class TestSearchBudget:
         assert budgeted == plain
 
 
+class TestFleetSearch:
+    """``repro search ROOT Q --workers N`` answers from one scatter."""
+
+    def test_one_scatter_feeds_table_and_coverage(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from repro.core.message import parse_message
+        from repro.runtime import ShardedRuntime
+
+        root = tmp_path / "fleet"
+        with ShardedRuntime(root, 2) as runtime:
+            runtime.ingest_stream(
+                [parse_message(i, f"u{i % 5}", 1_249_084_800.0 + i,
+                               f"#tag{i % 3} report {i}")
+                 for i in range(60)], batch_size=20)
+        outcomes = []
+        search_within = ShardedRuntime.search_within
+
+        def counting(self, *args, **kwargs):
+            outcomes.append(search_within(self, *args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ShardedRuntime, "search_within", counting)
+        code = main(["search", str(root), "#tag1 report", "-k", "3",
+                     "--workers", "2", "--budget-ms", "60000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(outcomes) == 1
+        outcome = outcomes[0]
+        assert outcome.hits and len(outcome.shards) == len(outcome.hits)
+        assert f"coverage {outcome.coverage:.0%}" in out
+        rows = [line.split()[:2] for line in out.splitlines()[3:]]
+        assert rows == [[str(shard), str(hit.bundle_id)] for shard, hit
+                        in zip(outcome.shards, outcome.hits)]
+
+
 class TestTop:
     def test_top_once_renders_nonzero_dashboard(self, capsys):
         code = main(["top", "--once", "--messages", "1200"])

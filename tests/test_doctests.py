@@ -11,12 +11,10 @@ import importlib
 
 import pytest
 
-# Resolved via importlib: attribute access like ``repro.text.highlight``
-# would return the *function* re-exported by the package __init__, which
-# shadows the submodule of the same name.
+# Resolved via importlib, so a name the package __init__ re-exports can
+# never shadow the submodule it comes from.
 _MODULE_NAMES = [
     "repro.text.analyzer",
-    "repro.text.highlight",
     "repro.text.tokenizer",
 ]
 _MODULES = [importlib.import_module(name) for name in _MODULE_NAMES]

@@ -40,49 +40,6 @@ class TestAddDocument:
     def test_empty_index_average_is_zero(self, index):
         assert index.average_doc_length == 0.0
 
-    def test_positions_stored(self, index):
-        # Positions index into the *analyzed* term sequence.
-        index.add_document(1, "game tonight game")
-        plist = index.postings("game")
-        internal = index.internal_id(1)
-        assert plist.get(internal).positions == [0, 2]
-
-    def test_positions_can_be_disabled(self):
-        index = InvertedIndex(Analyzer(), store_positions=False)
-        index.add_document(1, "game tonight game")
-        internal = index.internal_id(1)
-        assert index.postings("game").get(internal).positions == []
-
-    def test_add_terms_pre_analyzed(self, index):
-        index.add_terms(5, ["alpha", "beta", "alpha"])
-        assert index.doc_frequency("alpha") == 1
-        assert index.doc_length(5) == 3
-
-
-class TestRemoveDocument:
-    def test_remove_clears_postings(self, index):
-        index.add_document(1, "solo term")
-        assert index.remove_document(1)
-        assert index.doc_count == 0
-        assert index.doc_frequency("solo") == 0
-        assert index.term_count == 0
-
-    def test_remove_missing_returns_false(self, index):
-        assert not index.remove_document(9)
-
-    def test_remove_keeps_other_docs(self, index):
-        index.add_document(1, "shared term")
-        index.add_document(2, "shared words")
-        index.remove_document(1)
-        assert index.doc_frequency("shared") == 1
-        assert 2 in index
-
-    def test_total_length_updated(self, index):
-        index.add_document(1, "alpha beta")
-        index.add_document(2, "gamma")
-        index.remove_document(1)
-        assert index.average_doc_length == pytest.approx(1.0)
-
 
 class TestIdMapping:
     def test_round_trip(self, index):
@@ -95,8 +52,8 @@ class TestIdMapping:
 
     def test_doc_length_by_external(self, index):
         index.add_document(4, "stadium crowd ovation")
-        assert index.doc_length(4) == 3
-        assert index.doc_length(999) == 0
+        assert index.internal_doc_length(index.internal_id(4)) == 3
+        assert index.internal_id(999) is None
 
     def test_terms_iterable(self, index):
         index.add_document(1, "alpha beta")

@@ -1,11 +1,10 @@
-"""Tests for postings lists and boolean merge operations."""
+"""Tests for postings lists."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.text.postings import (Posting, PostingsList, intersect_postings,
-                                 union_postings)
+from repro.text.postings import Posting, PostingsList
 
 
 def build(doc_ids: list[int]) -> PostingsList:
@@ -18,28 +17,26 @@ def build(doc_ids: list[int]) -> PostingsList:
 class TestPosting:
     def test_add_occurrence_counts(self):
         posting = Posting(1)
-        posting.add_occurrence(0)
-        posting.add_occurrence(5)
+        posting.add_occurrence()
+        posting.add_occurrence()
         assert posting.term_freq == 2
-        assert posting.positions == [0, 5]
 
     def test_occurrence_without_position(self):
         posting = Posting(1)
         posting.add_occurrence()
         assert posting.term_freq == 1
-        assert posting.positions == []
 
 
 class TestPostingsList:
     def test_add_in_order(self):
         plist = build([1, 3, 7])
-        assert plist.doc_ids() == [1, 3, 7]
+        assert [p.doc_id for p in plist] == [1, 3, 7]
         assert plist.doc_freq == 3
 
     def test_readd_same_doc_bumps_freq(self):
         plist = PostingsList()
-        plist.add(1, 0)
-        plist.add(1, 4)
+        plist.add(1)
+        plist.add(1)
         assert plist.doc_freq == 1
         assert plist.get(1).term_freq == 2
 
@@ -52,38 +49,6 @@ class TestPostingsList:
         plist = build([1, 2])
         assert 1 in plist and 9 not in plist
 
-    def test_remove_existing(self):
-        plist = build([1, 2, 3])
-        assert plist.remove(2)
-        assert plist.doc_ids() == [1, 3]
-        assert 2 not in plist
-
-    def test_remove_missing_returns_false(self):
-        assert not build([1]).remove(9)
-
     def test_iteration_yields_postings(self):
         plist = build([1, 2])
         assert [p.doc_id for p in plist] == [1, 2]
-
-
-class TestIntersect:
-    def test_common_docs(self):
-        lists = [build([1, 2, 3]), build([2, 3, 4]), build([2, 3, 9])]
-        assert intersect_postings(lists) == [2, 3]
-
-    def test_disjoint(self):
-        assert intersect_postings([build([1]), build([2])]) == []
-
-    def test_empty_input(self):
-        assert intersect_postings([]) == []
-
-    def test_single_list(self):
-        assert intersect_postings([build([4, 5])]) == [4, 5]
-
-
-class TestUnion:
-    def test_union_sorted_unique(self):
-        assert union_postings([build([3, 5]), build([1, 3])]) == [1, 3, 5]
-
-    def test_union_empty(self):
-        assert union_postings([]) == []

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.text.search import SearchEngine
-from tests.conftest import make_message
 
 
 @pytest.fixture
@@ -56,52 +55,3 @@ class TestRankedSearch:
         engine = SearchEngine(scorer="tfidf")
         engine.add_all(sample_messages)
         assert engine.search("redsox")
-
-
-class TestBooleanSearch:
-    def test_and_requires_all_terms(self, engine):
-        hits = engine.search_boolean("yankee stadium", mode="and")
-        assert hits
-        for message in hits:
-            text = message.text.lower()
-            assert "yankee" in text and "stadium" in text
-
-    def test_and_with_missing_term_is_empty(self, engine):
-        assert engine.search_boolean("redsox xylophone", mode="and") == []
-
-    def test_or_unions_matches(self, engine):
-        both = engine.search_boolean("redsox finance", mode="or")
-        assert len(both) >= 4  # redsox messages + the finance one
-
-    def test_results_newest_first(self, engine):
-        hits = engine.search_boolean("redsox", mode="or")
-        dates = [m.date for m in hits]
-        assert dates == sorted(dates, reverse=True)
-
-    def test_unknown_mode_rejected(self, engine):
-        with pytest.raises(ValueError):
-            engine.search_boolean("redsox", mode="xor")
-
-    def test_empty_query(self, engine):
-        assert engine.search_boolean("") == []
-
-
-class TestPhraseSearch:
-    def test_adjacent_phrase_found(self, engine):
-        hits = engine.search_phrase("yankee stadium")
-        assert hits
-        assert all("yankee stadium" in m.text.lower() for m in hits)
-
-    def test_non_adjacent_not_matched(self):
-        engine = SearchEngine()
-        engine.add(make_message(0, "yankee fans love the stadium"))
-        assert engine.search_phrase("yankee stadium") == []
-
-    def test_missing_term_empty(self, engine):
-        assert engine.search_phrase("purple stadium") == []
-
-    def test_single_term_phrase(self, engine):
-        assert engine.search_phrase("redsox")
-
-    def test_empty_phrase(self, engine):
-        assert engine.search_phrase("") == []
