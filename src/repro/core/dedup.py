@@ -22,12 +22,8 @@ import hashlib
 import struct
 from collections import defaultdict
 
+from repro.core.lazy_numpy import numpy
 from repro.core.message import Message, strip_entities
-
-try:  # Optional: vectorizes the signature hot path ~20x.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
 
 __all__ = ["shingles", "jaccard", "MinHasher", "DuplicateDetector"]
 
@@ -99,7 +95,8 @@ class MinHasher:
     both numpy uint64 and masked Python ints, so the vectorized and
     fallback paths produce identical signatures.  Parameters are derived
     deterministically from the index, so signatures are reproducible
-    across processes and sessions.
+    across processes and sessions.  numpy (optional: it vectorizes the
+    signature hot path ~20x) is imported by the first construction.
     """
 
     def __init__(self, num_hashes: int = 64) -> None:
@@ -116,19 +113,21 @@ class MinHasher:
         # _cached_shingles returns the *same* frozenset instance for
         # them, so the lookup is near-free.
         self._packed: "dict[frozenset[str], bytes]" = {}
-        if _np is not None:
-            self._a = _np.array([a for a, _ in self._params],
-                                dtype=_np.uint64)[:, None]
-            self._b = _np.array([b for _, b in self._params],
-                                dtype=_np.uint64)[:, None]
+        np = numpy()
+        if np is not None:
+            self._a = np.array([a for a, _ in self._params],
+                               dtype=np.uint64)[:, None]
+            self._b = np.array([b for _, b in self._params],
+                               dtype=np.uint64)[:, None]
 
     def signature(self, items: frozenset[str]) -> tuple[int, ...]:
         """The MinHash signature of a shingle set (empty set → all-max)."""
         if not items:
             return tuple([_MASK64] * self.num_hashes)
         hashed = [_stable_hash(item) for item in items]
-        if _np is not None:
-            mins = (self._a * _np.array(hashed, dtype=_np.uint64)
+        np = numpy()
+        if np is not None:
+            mins = (self._a * np.array(hashed, dtype=np.uint64)
                     + self._b).min(axis=1)
             return tuple(map(int, mins))
         return tuple(
@@ -149,9 +148,10 @@ class MinHasher:
         if packed is not None:
             return packed
         hashed = [_stable_hash(item) for item in items]
-        if _np is not None:
-            scaled = self._a * _np.fromiter(hashed, dtype=_np.uint64,
-                                            count=len(hashed))
+        np = numpy()
+        if np is not None:
+            scaled = self._a * np.fromiter(hashed, dtype=np.uint64,
+                                           count=len(hashed))
             scaled += self._b
             packed = scaled.min(axis=1).astype("<u8",
                                                copy=False).tobytes()

@@ -25,24 +25,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from importlib import import_module
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.bundle import Bundle
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
 from repro.core.errors import POISON_ERRORS, BundleNotFoundError
+from repro.core.lazy_numpy import numpy
 from repro.core.message import Message
 from repro.core.pool import BundlePool, BundleSink, RefinementReport
 from repro.core.postings import CandidateGather
 from repro.core.scoring import bundle_match_scores, message_similarity
 from repro.core.summary_index import SummaryIndex
-
-try:
-    _np: Any = import_module("numpy")
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
 from repro.obs import (COUNT_BUCKETS, DEFAULT_LATENCY_BUCKETS, Histogram,
                        Observability)
 from repro.obs.audit import (IngestOutcome, RefinementEvent,
@@ -682,11 +677,12 @@ class ProvenanceIndexer:
             cap = min(cap, self.candidate_cap)
         # Representation-driven dispatch: the storage hands small
         # candidate sets over as plain lists (vector maths loses to a
-        # pruned walk there) and heavy-hitter sets as numpy arrays.  The
-        # two scoring paths are bit-identical, so this is purely a
-        # speed decision — asserted by the numpy differential in
+        # pruned walk there) and heavy-hitter sets as numpy arrays —
+        # only a gather that loaded numpy returns arrays.  The two
+        # scoring paths are bit-identical, so this is purely a speed
+        # decision — asserted by the numpy differential in
         # tests/property/test_engine_properties.py.
-        if _np is not None and type(gather.ids) is not list:
+        if type(gather.ids) is not list:
             return self._select_vectorised(message, keywords, gather, cap,
                                            collect)
         return self._select_scalar(message, keywords, gather, cap, collect)
@@ -697,9 +693,10 @@ class ProvenanceIndexer:
                            collect: "list[CandidateScore] | None",
                            ) -> Bundle | None:
         """Numpy path of :meth:`_select_bundle` (see its docstring)."""
+        np = numpy()  # already imported by the gather that made arrays
         ids = gather.ids
         fetched = len(ids)
-        order = _np.argsort(-gather.hits, kind="stable")
+        order = np.argsort(-gather.hits, kind="stable")
         if fetched > cap:
             order = order[:cap]
         self.last_candidate_fanin = (fetched, len(order))
@@ -718,15 +715,15 @@ class ProvenanceIndexer:
             bundles.append(bundle)
         if not bundles:
             return None
-        rows = _np.array(keep, dtype=_np.intp)
+        rows = np.array(keep, dtype=np.intp)
         tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
         shared_urls = url_hits[rows]
         shared_tags = tag_hits[rows]
         shared_kws = kw_hits[rows]
         rt_hits = user_hits[rows] > 0
-        last_dates = _np.fromiter(
+        last_dates = np.fromiter(
             (bundle.last_update for bundle in bundles),
-            dtype=_np.float64, count=len(bundles))
+            dtype=np.float64, count=len(bundles))
         scores = bundle_match_scores(
             message.date,
             shared_urls=shared_urls,

@@ -11,10 +11,10 @@ power-of-two slices seeded from the measured workload anatomy
 freed extents go to per-capacity free lists so eviction churn reuses
 arena space instead of fragmenting it.
 
-The arenas are ``array('q')`` buffers, so when numpy is available (the
-image ships it; see ``core/dedup.py`` for the same pattern)
+The arenas are ``array('q')`` buffers, so when numpy is available
 :meth:`SlabPostingsStorage.gather` turns heavy-hitter candidate
-fetching into a handful of array ops over zero-copy views; without
+fetching into a handful of array ops over zero-copy views; the first
+such gather imports numpy (:mod:`repro.core.lazy_numpy`), and without
 numpy every path falls back to pure Python with identical results.
 Terms iterate in dict insertion order of first appearance.  The
 nested-dict layout this one is checked against lives in
@@ -27,19 +27,12 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from importlib import import_module
 from itertools import chain
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import IndexError_
-
-# Optional acceleration; the importlib spelling keeps mypy --strict
-# happy on machines without numpy installed (the CI typing job).
-try:
-    _np: Any = import_module("numpy")
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
+from repro.core.lazy_numpy import numpy
 
 __all__ = [
     "INDICANT_KINDS",
@@ -322,7 +315,10 @@ class SlabPostingsStorage:
                     total += used
         if not extents:
             return CandidateGather([], [], ([], [], [], []))
-        if _np is None or total <= SMALL_GATHER_CUTOFF:
+        # The cutoff is tested first: numpy is imported only by a
+        # gather that would use it.
+        np: Any = None if total <= SMALL_GATHER_CUTOFF else numpy()
+        if np is None:
             # Keyword postings are only counted (at C speed); the bundles
             # a hashtag, URL or RT-user posting reaches get kind rows.
             tally = Counter(chain.from_iterable(
@@ -351,22 +347,22 @@ class SlabPostingsStorage:
         for slab, kind_index, offset, used in extents:
             arena = views.get(kind_index)
             if arena is None:
-                arena = views[kind_index] = _np.frombuffer(
-                    slab.ids, dtype=_np.int64)
+                arena = views[kind_index] = np.frombuffer(
+                    slab.ids, dtype=np.int64)
             # Pack the kind index into the low two bits so one
             # unique() pass yields per-(bundle, kind) hit counts.
             parts.append(arena[offset:offset + used]
                          * _KIND_COUNT + kind_index)
-        encoded = _np.concatenate(parts)
-        unique, counts = _np.unique(encoded, return_counts=True)
+        encoded = np.concatenate(parts)
+        unique, counts = np.unique(encoded, return_counts=True)
         decoded_ids = unique >> 2
-        kind_column = (unique & (_KIND_COUNT - 1)).astype(_np.intp)
-        boundary = _np.empty(len(decoded_ids), dtype=bool)
+        kind_column = (unique & (_KIND_COUNT - 1)).astype(np.intp)
+        boundary = np.empty(len(decoded_ids), dtype=bool)
         boundary[0] = True
-        _np.not_equal(decoded_ids[1:], decoded_ids[:-1], out=boundary[1:])
+        np.not_equal(decoded_ids[1:], decoded_ids[:-1], out=boundary[1:])
         ids = decoded_ids[boundary]
-        rows = _np.cumsum(boundary) - 1
-        matrix = _np.zeros((len(ids), _KIND_COUNT), dtype=_np.int64)
+        rows = np.cumsum(boundary) - 1
+        matrix = np.zeros((len(ids), _KIND_COUNT), dtype=np.int64)
         matrix[rows, kind_column] = counts
         totals = matrix.sum(axis=1)
         return CandidateGather(

@@ -17,17 +17,12 @@ All functions are pure; weights come from
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import Any
 
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import ConnectionType
+from repro.core.lazy_numpy import numpy
 from repro.core.message import Message
-
-try:
-    _np: Any = import_module("numpy")
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
 
 __all__ = [
     "url_overlap",
@@ -187,19 +182,20 @@ def bundle_match_scores(
     stay byte-deterministic across the scalar and batched paths —
     asserted by the dict-vs-slab conformance matrix.
 
-    Requires numpy; the engine falls back to the scalar
-    :func:`bundle_match_score` loop when it is unavailable.
+    Requires numpy, imported by the first call (the engine makes it
+    only for array gathers, which exist only where numpy does).
     """
-    if _np is None:  # pragma: no cover - exercised only without numpy
+    np = numpy()
+    if np is None:  # pragma: no cover - exercised only without numpy
         raise RuntimeError("bundle_match_scores requires numpy")
-    span_hours = _np.abs(message_date - bundle_last_dates) / HOUR_SECONDS
+    span_hours = np.abs(message_date - bundle_last_dates) / HOUR_SECONDS
     freshness = 1.0 / (span_hours + 1.0)
     scores = (config.url_weight * shared_urls
               + config.hashtag_weight * shared_hashtags
-              + config.keyword_weight * _np.minimum(shared_keywords,
-                                                    config.keyword_hit_cap)
+              + config.keyword_weight * np.minimum(shared_keywords,
+                                                   config.keyword_hit_cap)
               + config.time_weight * freshness)
-    return _np.where(rt_hits, scores + config.rt_weight, scores)
+    return np.where(rt_hits, scores + config.rt_weight, scores)
 
 
 def refinement_score(bundle_last_date: float, bundle_size: int,
