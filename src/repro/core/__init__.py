@@ -24,7 +24,7 @@ from repro.core.clustering_metrics import (ClusteringScores, bcubed_scores,
                                            event_fragmentation,
                                            pairwise_scores)
 from repro.core.credibility import CredibilityTracker, UserRecord
-from repro.core.dedup import DuplicateDetector, MinHasher, jaccard, shingles
+from repro.core.dedup import DuplicateDetector, jaccard, shingles
 from repro.core.message import Message, parse_message
 from repro.core.operators import (BundleDiff, bundle_difference,
                                   extract_cascade, filter_bundle,
@@ -66,7 +66,6 @@ __all__ = [
     "CredibilityTracker",
     "UserRecord",
     "DuplicateDetector",
-    "MinHasher",
     "jaccard",
     "shingles",
     "BundleDiff",

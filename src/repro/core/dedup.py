@@ -1,4 +1,4 @@
-"""Near-duplicate message detection (shingle Jaccard + MinHash).
+"""Near-duplicate message detection (exact shingle Jaccard).
 
 Micro-blog streams are full of near-copies: bare retweets, copy-pasted
 breaking news, spam templates.  The paper's quality discussion ("noise
@@ -6,28 +6,24 @@ exists in micro-blog services") motivates separating genuine development
 from verbatim repetition.  This module provides:
 
 * :func:`shingles` / :func:`jaccard` — exact word-shingle similarity,
-* :class:`MinHasher` — fixed-permutation MinHash signatures for cheap
-  approximate Jaccard,
-* :class:`DuplicateDetector` — streaming near-duplicate lookup using an
-  LSH band index over signatures.
+* :class:`DuplicateDetector` — an exact streaming Jaccard self-join
+  (prefix filter under a global token order, size filter, exact
+  verification; De Francisci Morales & Gionis, *Streaming Similarity
+  Self-Join*).
 
-Used by the quality layer to discount repetition, and usable upstream to
-collapse duplicates before indexing.
+Used by the ingest guard to fold undeclared copies, and usable upstream
+to collapse duplicates before indexing.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import struct
-from collections import defaultdict
+import math
+import zlib
 
-from repro.core.lazy_numpy import numpy
 from repro.core.message import Message, strip_entities
 
-__all__ = ["shingles", "jaccard", "MinHasher", "DuplicateDetector"]
-
-_MASK64 = (1 << 64) - 1
+__all__ = ["shingles", "jaccard", "DuplicateDetector"]
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -80,172 +76,131 @@ def jaccard(first: frozenset[str], second: frozenset[str]) -> float:
     return len(first & second) / len(first | second)
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _stable_hash(value: str) -> int:
-    """64-bit stable hash (process-independent, unlike ``hash``)."""
-    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-    return struct.unpack(">Q", digest)[0]
+def _token_rank(token: str) -> "tuple[int, str]":
+    """A shingle's place in the global token order.
 
-
-class MinHasher:
-    """MinHash signatures with ``num_hashes`` fixed affine permutations.
-
-    Each permutation is ``h -> (a*h + b) mod 2**64`` with an odd ``a`` —
-    a bijection on the 64-bit hash space whose wraparound is native in
-    both numpy uint64 and masked Python ints, so the vectorized and
-    fallback paths produce identical signatures.  Parameters are derived
-    deterministically from the index, so signatures are reproducible
-    across processes and sessions.  numpy (optional: it vectorizes the
-    signature hot path ~20x) is imported by the first construction.
+    CRC-32 is process-independent (unlike ``hash``), so the prefixes a
+    restarted detector builds are the ones it built before; ties break
+    on the shingle itself, so the order is total.
     """
+    return zlib.crc32(token.encode("utf-8")), token
 
-    def __init__(self, num_hashes: int = 64) -> None:
-        if num_hashes <= 0:
-            raise ValueError(
-                f"num_hashes must be positive, got {num_hashes}")
-        self.num_hashes = num_hashes
-        self._params = [
-            (_stable_hash(f"a{i}") | 1, _stable_hash(f"b{i}"))
-            for i in range(num_hashes)
-        ]
-        # Packed-signature memo: verbatim copies (the streaming-dedup
-        # common case) normalize to the identical shingle set — and
-        # _cached_shingles returns the *same* frozenset instance for
-        # them, so the lookup is near-free.
-        self._packed: "dict[frozenset[str], bytes]" = {}
-        np = numpy()
-        if np is not None:
-            self._a = np.array([a for a, _ in self._params],
-                               dtype=np.uint64)[:, None]
-            self._b = np.array([b for _, b in self._params],
-                               dtype=np.uint64)[:, None]
 
-    def signature(self, items: frozenset[str]) -> tuple[int, ...]:
-        """The MinHash signature of a shingle set (empty set → all-max)."""
-        if not items:
-            return tuple([_MASK64] * self.num_hashes)
-        hashed = [_stable_hash(item) for item in items]
-        np = numpy()
-        if np is not None:
-            mins = (self._a * np.array(hashed, dtype=np.uint64)
-                    + self._b).min(axis=1)
-            return tuple(map(int, mins))
-        return tuple(
-            min((a * h + b) & _MASK64 for h in hashed)
-            for a, b in self._params
-        )
+@functools.lru_cache(maxsize=1 << 12)
+def _size_bounds(size: int, threshold: float) -> "tuple[int, int]":
+    """``(least, most)`` for a nonempty shingle set of ``size`` items.
 
-    def signature_bytes(self, items: frozenset[str]) -> bytes:
-        """The signature packed as little-endian u64 — cheap band keys.
-
-        Avoids materializing ``num_hashes`` Python ints per message on
-        the streaming dedup hot path; slices of the packed form serve as
-        LSH band keys directly.
-        """
-        if not items:
-            return b"\xff" * (8 * self.num_hashes)
-        packed = self._packed.get(items)
-        if packed is not None:
-            return packed
-        hashed = [_stable_hash(item) for item in items]
-        np = numpy()
-        if np is not None:
-            scaled = self._a * np.fromiter(hashed, dtype=np.uint64,
-                                           count=len(hashed))
-            scaled += self._b
-            packed = scaled.min(axis=1).astype("<u8",
-                                               copy=False).tobytes()
-        else:
-            packed = struct.pack(
-                f"<{self.num_hashes}Q",
-                *(min((a * h + b) & _MASK64 for h in hashed)
-                  for a, b in self._params))
-        if len(self._packed) >= 1 << 14:
-            self._packed.clear()
-        self._packed[items] = packed
-        return packed
-
-    @staticmethod
-    def estimate(first: tuple[int, ...], second: tuple[int, ...]) -> float:
-        """Estimated Jaccard from two signatures (agreement fraction)."""
-        if len(first) != len(second):
-            raise ValueError("signatures must have equal length")
-        if not first:
-            return 0.0
-        agree = sum(1 for a, b in zip(first, second) if a == b)
-        return agree / len(first)
+    ``least`` is the smallest overlap ``o`` with ``o / size >= threshold``
+    and ``most`` the largest partner size ``m`` with
+    ``size / m >= threshold``.  Both are solved in the float division
+    :func:`jaccard` compares with, not in exact arithmetic: at
+    ``threshold=0.55`` and ``size=100``, ``ceil(0.55 * 100)`` is 56
+    while ``55 / 100 >= 0.55`` holds, and a prefix one token short
+    would miss a pair the verification accepts.
+    """
+    least = math.ceil(threshold * size)
+    while least > 1 and (least - 1) / size >= threshold:
+        least -= 1
+    while least / size < threshold:
+        least += 1
+    most = math.floor(size / threshold)
+    while size / (most + 1) >= threshold:
+        most += 1
+    while size / most < threshold:
+        most -= 1
+    return least, most
 
 
 class DuplicateDetector:
-    """Streaming near-duplicate detection with banded LSH.
+    """Streaming near-duplicate detection: an exact Jaccard self-join.
 
-    ``bands × rows`` must equal the hasher's signature length.  A message
-    is a *candidate* duplicate of a prior one when any band of its
-    signature collides; candidates are confirmed against the exact
-    shingle Jaccard threshold.
+    Each arrival's shingle set is ordered by :func:`_token_rank`.  Two
+    sets with ``jaccard >= t`` share at least ``least`` shingles (see
+    :func:`_size_bounds`), so their first ``size - least + 1`` shingles
+    in that order intersect: an arrival probes the postings of its
+    prefix at the live :attr:`threshold`, keeps the candidates whose
+    size can reach ``t`` at all, and confirms each with :func:`jaccard`.
+    The verdict is the smallest confirmed ``msg_id`` — the same one a
+    scan of every earlier set would return.
+
+    Prefixes are indexed at ``index_threshold`` (default: the
+    threshold), the lowest :attr:`threshold` the detector may later be
+    set to: a lower threshold needs a longer prefix, so indexing at the
+    floor keeps every later probe exact.  All empty shingle sets match
+    each other (``jaccard`` of two empty sets is 1).  ``msg_id`` values
+    must be unique; they need not ascend.
     """
 
-    def __init__(self, *, threshold: float = 0.7, num_hashes: int = 64,
-                 bands: int = 16, shingle_width: int = 3) -> None:
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        if num_hashes % bands != 0:
+    def __init__(self, *, threshold: float = 0.7,
+                 index_threshold: "float | None" = None,
+                 shingle_width: int = 3) -> None:
+        if index_threshold is None:
+            index_threshold = threshold
+        if not 0.0 < index_threshold <= 1.0:
             raise ValueError(
-                f"bands ({bands}) must divide num_hashes ({num_hashes})")
+                f"index_threshold must be in (0, 1], got {index_threshold}")
+        self.index_threshold = index_threshold
         self.threshold = threshold
         self.shingle_width = shingle_width
-        self.hasher = MinHasher(num_hashes)
-        self.rows = num_hashes // bands
-        self.bands = bands
-        self._band_bytes = 8 * self.rows
-        self._band_index: list[dict[bytes, list[int]]] = [
-            defaultdict(list) for _ in range(bands)
-        ]
-        self._shingles: dict[int, frozenset[str]] = {}
+        self._postings: "dict[str, list[int]]" = {}
+        self._shingles: "dict[int, frozenset[str]]" = {}
+        self._first_empty: "int | None" = None
+
+    @property
+    def threshold(self) -> float:
+        """The live Jaccard threshold (never below ``index_threshold``)."""
+        return self._threshold
+
+    @threshold.setter
+    def threshold(self, value: float) -> None:
+        if not self.index_threshold <= value <= 1.0:
+            raise ValueError(
+                f"threshold must be in [index_threshold="
+                f"{self.index_threshold}, 1], got {value}")
+        self._threshold = value
 
     def __len__(self) -> int:
         return len(self._shingles)
 
-    def _bands_of(self, signature: bytes):
-        width = self._band_bytes
-        for band in range(self.bands):
-            start = band * width
-            yield band, signature[start:start + width]
-
     def check_and_add(self, message: Message) -> int | None:
         """Register ``message``; return a prior near-duplicate id or None.
 
-        The earliest confirmed duplicate is returned — pointing to the
-        probable origin of the copied content.
+        The smallest confirmed duplicate id is returned — pointing to
+        the probable origin of the copied content.
         """
         grams = shingles(message.text, self.shingle_width)
-        signature = self.hasher.signature_bytes(grams)
-        candidates: set[int] = set()
-        width = self._band_bytes
-        index = self._band_index
         msg_id = message.msg_id
-        start = 0
-        for band in range(self.bands):
-            bucket = index[band][signature[start:start + width]]
-            start += width
-            if bucket:
-                candidates.update(bucket)
-            bucket.append(msg_id)
+        if not grams:
+            first = self._first_empty
+            if first is None or msg_id < first:
+                self._first_empty = msg_id
+            self._shingles[msg_id] = grams
+            return first
+        size = len(grams)
+        ordered = sorted(grams, key=_token_rank)
+        threshold = self._threshold
+        least, most = _size_bounds(size, threshold)
+        postings = self._postings
+        candidates: "set[int]" = set()
+        for token in ordered[:size - least + 1]:
+            posted = postings.get(token)
+            if posted:
+                candidates.update(posted)
         best: int | None = None
         if candidates:
-            threshold = self.threshold
-            # The earliest candidate is usually the origin of the copied
-            # content; confirming it first skips the sort on the common
-            # path.
-            earliest = min(candidates)
-            if jaccard(grams, self._shingles[earliest]) >= threshold:
-                best = earliest
+            known = self._shingles
+            for candidate in sorted(candidates):
+                other = known[candidate]
+                if (least <= len(other) <= most
+                        and jaccard(grams, other) >= threshold):
+                    best = candidate
+                    break
+        indexed = size - _size_bounds(size, self.index_threshold)[0] + 1
+        for token in ordered[:indexed]:
+            posted = postings.get(token)
+            if posted is None:
+                postings[token] = [msg_id]
             else:
-                candidates.discard(earliest)
-                for candidate in sorted(candidates):
-                    if jaccard(grams,
-                               self._shingles[candidate]) >= threshold:
-                        best = candidate
-                        break
-        self._shingles[message.msg_id] = grams
+                posted.append(msg_id)
+        self._shingles[msg_id] = grams
         return best

@@ -552,7 +552,7 @@ class ProvenanceIndexer:
                       duplicate_of: "int | None" = None) -> IngestResult:
         """Ingest a message whose bundle was chosen before it arrived.
 
-        The ingest guard's LSH screen already picked the destination
+        The ingest guard's near-duplicate join already picked the destination
         (the bundle holding the message this one near-duplicates), so
         Algorithm 1 is skipped; everything after it is the normal
         pipeline (:meth:`_ingest_one`) — Algorithm 2 still aligns the

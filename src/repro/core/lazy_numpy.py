@@ -1,9 +1,9 @@
 """numpy on demand: the one place ``src/repro`` imports numpy.
 
-numpy accelerates three calls — the slab gather above
-:data:`~repro.core.postings.SMALL_GATHER_CUTOFF`, the vectorised Eq. 1
-kernel that gather feeds, and :class:`~repro.core.dedup.MinHasher`
-signatures — and each has a pure-Python twin with identical results.
+numpy accelerates two calls — the slab gather above
+:data:`~repro.core.postings.SMALL_GATHER_CUTOFF` and the vectorised
+Eq. 1 kernel that gather feeds — and each has a pure-Python twin with
+identical results.
 No other code path touches it, so importing it when a module loads
 would charge every process its resident memory (about 12 MB on
 CPython 3.11) for calls most stacks never make.  :func:`numpy` imports

@@ -302,8 +302,8 @@ class MemoryAccountant:
     """Attributes measured bytes to the engine's resident structures.
 
     Replaces guessed byte-model estimates with a real walk: the summary
-    index's postings maps, the pool's bundles, the dedup caches (LSH
-    band index, shingle map, MinHash signature cache) and the guard's
+    index's postings maps, the pool's bundles, the dedup caches (the
+    join's prefix postings and shingle map) and the guard's
     buffers.  One shared ``seen`` set per measurement attributes every
     shared object to the first component in :data:`MEMORY_COMPONENTS`
     walk order.

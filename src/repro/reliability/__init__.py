@@ -22,7 +22,7 @@ Five cooperating pieces (all layers over :mod:`repro.storage` and
   degradation ladder, and the circuit breaker guarding spill I/O (the
   ``repro health`` command);
 * :mod:`repro.reliability.guard`      — adversarial ingest hardening:
-  LSH near-dup folding, spam quarantine to a crash-safe custody log,
+  exact near-dup folding, spam quarantine to a crash-safe custody log,
   and a bounded reordering buffer for out-of-order arrivals.
 
 The submodules that depend on :mod:`repro.storage` are loaded lazily so

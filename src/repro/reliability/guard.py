@@ -9,8 +9,8 @@ resilient indexer and returns one verdict per message:
 ``PASS``
     Clean, in-order traffic — full Algorithm 1 ingest.
 ``FOLD``
-    An undeclared near-duplicate (MinHash/LSH screen, confirmed by
-    exact Jaccard).  Folded straight into the bundle holding its
+    An undeclared near-duplicate (an exact shingle-Jaccard join over
+    every earlier arrival).  Folded straight into the bundle holding its
     original — no candidate scoring, and the decision is journaled in a
     CRC-framed *fold log* so WAL replay reproduces the placement.
 ``QUARANTINE``
@@ -29,8 +29,9 @@ resilient indexer and returns one verdict per message:
     min-heap and released in ``(date, msg_id)`` order once the
     watermark passes (or the buffer overflows / flushes).
 
-The guard is O(1)-ish per message — one MinHash signature, a band-dict
-probe and two counter updates — so it survives on the hot path (cf.
+The guard is cheap per message — one sorted shingle prefix, a few
+postings probes, exact verification of the candidates that survive the
+size filter and two counter updates — so it survives on the hot path (cf.
 Asadi & Lin's real-time search budgets).  The per-user spam score decays
 every :data:`DECAY_EVERY` screens so reformed users drift back to
 neutral.  While the overload ladder sits at REDUCED or worse the guard
@@ -227,13 +228,6 @@ class FoldLog(FramedLog):
         return msg_id, (bundle_id, duplicate_of)
 
 
-#: 32 hashes in 8 bands of 4 rows: candidate recall at the 0.8
-#: threshold is still ≈0.985 per registered near-copy (and every
-#: candidate is confirmed against exact Jaccard anyway), at half the
-#: per-message signature cost of the classic 64/16 layout — the guard
-#: screens *every* arrival, so this is the hot path.
-DEDUP_NUM_HASHES = 32
-DEDUP_BANDS = 8
 #: Decay the per-user spam counters every N screens by this factor.
 DECAY_EVERY = 1024
 DECAY_FACTOR = 0.5
@@ -258,10 +252,11 @@ class IngestGuard:
                  tracker: "CredibilityTracker | None" = None) -> None:
         self.config = config or GuardConfig()
         cfg = self.config
+        # Prefixes are indexed at the tightened threshold, the lowest the
+        # guard switches to, so set_tightened keeps the join exact.
         self.detector = DuplicateDetector(
             threshold=cfg.dedup_threshold,
-            num_hashes=DEDUP_NUM_HASHES,
-            bands=DEDUP_BANDS)
+            index_threshold=cfg.tightened_dedup_threshold)
         self.tracker = tracker or CredibilityTracker(prior=cfg.spam_prior)
         self.quarantine = QuarantineLog(quarantine_path)
         self.folds = FoldLog(fold_path)

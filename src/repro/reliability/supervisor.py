@@ -211,7 +211,7 @@ class ResilientIndexer:
         An :class:`~repro.reliability.guard.IngestGuard` (or a
         :class:`~repro.reliability.guard.GuardConfig` / ``True`` to
         build one) enabling the adversarial screen in front of
-        :meth:`ingest`: LSH near-duplicate folding, per-user spam
+        :meth:`ingest`: exact near-duplicate folding, per-user spam
         quarantine (crash-safe quarantine log), and the bounded
         reordering buffer for out-of-order arrivals.  ``None`` (the
         default) leaves the hot path exactly as before.
@@ -314,7 +314,7 @@ class ResilientIndexer:
                  "run's wall (retries and backoff included) over the "
                  "arrivals the run settled")
             if registry.enabled else NULL_HISTOGRAM)
-        # The guard screen is a pipeline stage of its own (LSH probe +
+        # The guard screen is a pipeline stage of its own (near-dup join +
         # reorder bookkeeping before Algorithm 1 runs); give it a child
         # in the same repro_stage_seconds family the engine's stages
         # live in so trace hops, flamegraph stages and stage histograms

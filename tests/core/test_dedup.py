@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dedup import DuplicateDetector, MinHasher, jaccard, shingles
+from repro.core.dedup import DuplicateDetector, jaccard, shingles
 from tests.conftest import make_message
 
 
@@ -53,40 +53,6 @@ class TestJaccard:
                        frozenset({"b", "c"})) == pytest.approx(1 / 3)
 
 
-class TestMinHasher:
-    def test_signature_length(self):
-        hasher = MinHasher(num_hashes=32)
-        assert len(hasher.signature(frozenset({"a", "b"}))) == 32
-
-    def test_deterministic_across_instances(self):
-        grams = shingles("breaking news from the stadium tonight")
-        assert MinHasher(16).signature(grams) == MinHasher(16).signature(
-            grams)
-
-    def test_estimate_tracks_jaccard(self):
-        hasher = MinHasher(num_hashes=256)
-        a = shingles("the quick brown fox jumps over the lazy dog today")
-        b = shingles("the quick brown fox jumps over the lazy cat today")
-        exact = jaccard(a, b)
-        estimated = MinHasher.estimate(hasher.signature(a),
-                                       hasher.signature(b))
-        assert abs(estimated - exact) < 0.2
-
-    def test_identical_sets_estimate_one(self):
-        hasher = MinHasher(32)
-        grams = shingles("some repeated message text here")
-        sig = hasher.signature(grams)
-        assert MinHasher.estimate(sig, sig) == 1.0
-
-    def test_mismatched_signatures_rejected(self):
-        with pytest.raises(ValueError):
-            MinHasher.estimate((1, 2), (1, 2, 3))
-
-    def test_invalid_num_hashes(self):
-        with pytest.raises(ValueError):
-            MinHasher(0)
-
-
 class TestDuplicateDetector:
     def test_exact_copy_detected(self):
         detector = DuplicateDetector()
@@ -131,9 +97,35 @@ class TestDuplicateDetector:
         with pytest.raises(ValueError):
             DuplicateDetector(threshold=0.0)
 
-    def test_bands_must_divide_hashes(self):
+    def test_threshold_never_below_the_index_threshold(self):
         with pytest.raises(ValueError):
-            DuplicateDetector(num_hashes=64, bands=7)
+            DuplicateDetector(threshold=0.6, index_threshold=0.65)
+        detector = DuplicateDetector(threshold=0.8, index_threshold=0.65)
+        detector.threshold = 0.65
+        with pytest.raises(ValueError):
+            detector.threshold = 0.6
+        assert detector.threshold == 0.65
+
+    def test_lowered_threshold_reaches_pairs_indexed_before(self):
+        # 10 shingles against 7 of them: jaccard 0.7.  The arrival's
+        # 3-shingle prefix misses the first set's 3-shingle prefix (its
+        # length at 0.8) and meets only the 4th shingle, which indexing
+        # at 0.65 posts.
+        words = [f"r95x{i}" for i in range(12)]
+        detector = DuplicateDetector(threshold=0.8, index_threshold=0.65)
+        assert detector.check_and_add(
+            make_message(5, " ".join(words))) is None
+        detector.threshold = 0.65
+        assert detector.check_and_add(
+            make_message(3, " ".join(words[:9]), hours=1)) == 5
+
+    def test_empty_texts_match_each_other_only(self):
+        detector = DuplicateDetector(threshold=0.8)
+        assert detector.check_and_add(make_message(4, "http://a.b")) is None
+        assert detector.check_and_add(make_message(2, "")) == 4
+        assert detector.check_and_add(make_message(9, "a b c d")) is None
+        assert detector.check_and_add(make_message(7, "http://x.y")) == 2
+        assert len(detector) == 4
 
     def test_rt_variants_collapse(self):
         """The real use case: RT copies of one message are duplicates."""

@@ -1,12 +1,11 @@
-"""Property-based tests for the guard's statistical machinery.
+"""Property-based tests for the guard's duplicate join and spam score.
 
-Two subsystems whose correctness is probabilistic rather than
-structural, so they get property coverage:
-
-* ``MinHasher`` — the signature-agreement estimate must track exact
-  shingle Jaccard within the binomial error of ``num_hashes`` draws,
-  and signatures/bands must be deterministic across instances (the
-  LSH index is rebuilt from scratch on every restart);
+* ``DuplicateDetector`` — the prefix-filtered join must return, verdict
+  for verdict, what a brute-force scan of every earlier shingle set
+  returns (``tests/dedup_oracle.py``), also while the threshold switches
+  between the guard's normal and tightened values, and two detectors fed
+  the same stream must agree (the join is rebuilt from scratch on every
+  restart);
 * ``CredibilityTracker`` — the spam score must be monotone in observed
   duplicates, stay inside ``[0, 1]``, and decay toward the neutral 0.5
   prior rather than past it.
@@ -18,40 +17,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.credibility import CredibilityTracker
-from repro.core.dedup import (DuplicateDetector, MinHasher, jaccard,
-                              shingles)
+from repro.core.dedup import DuplicateDetector, _size_bounds
 from tests.conftest import make_message
+from tests.dedup_oracle import BruteForceDetector
 
 words = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 texts = st.lists(words, min_size=1, max_size=30).map(" ".join)
 
 
-class TestMinHashEstimate:
-    @given(first=texts, second=texts)
-    @settings(max_examples=150, deadline=None)
-    def test_estimate_tracks_exact_jaccard(self, first, second):
-        hasher = MinHasher(num_hashes=128)
-        a, b = shingles(first), shingles(second)
-        exact = jaccard(a, b)
-        estimate = MinHasher.estimate(hasher.signature(a),
-                                      hasher.signature(b))
-        # 128 draws of a Bernoulli(exact): beyond ~5 sigma is a bug,
-        # not bad luck (sigma ≈ 0.044 at p=0.5).
-        assert abs(estimate - exact) <= 0.25
+#: One long word run: windows of it are subsets of each other's
+#: shingles, so exact-boundary pairs (jaccard == t, t·|x| an integer:
+#: 4 of 5 or 16 of 20 shingles at 0.8, 13 of 20 at 0.65) come up often.
+RUN = [f"w{i}" for i in range(26)]
 
-    @given(text=texts)
-    @settings(max_examples=100, deadline=None)
-    def test_identical_sets_estimate_one(self, text):
-        hasher = MinHasher(num_hashes=64)
-        signature = hasher.signature(shingles(text))
-        assert MinHasher.estimate(signature, signature) == 1.0
 
-    @given(text=texts)
-    @settings(max_examples=100, deadline=None)
-    def test_signatures_deterministic_across_instances(self, text):
-        grams = shingles(text)
-        assert MinHasher(32).signature(grams) == \
-            MinHasher(32).signature(grams)
+@st.composite
+def arrivals(draw):
+    """``(msg_id, text, tightened)`` triples: unique ids in any order."""
+    texts = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ("window", "window", "window", "edited", "short", "empty")))
+        if kind == "empty":
+            texts.append(draw(st.sampled_from(("", "  ", "http://t.co/x"))))
+            continue
+        if kind == "short":
+            words = draw(st.lists(st.sampled_from(RUN[:4]), min_size=1,
+                                  max_size=2))
+        else:
+            start = draw(st.integers(0, len(RUN) - 1))
+            length = draw(st.integers(1, len(RUN) - start))
+            words = RUN[start:start + length]
+            if kind == "edited":
+                at = draw(st.integers(0, len(words) - 1))
+                words = words[:at] + [f"x{at}"] + words[at + 1:]
+        texts.append(" ".join(words))
+    ids = draw(st.permutations(range(len(texts))))
+    tightened = draw(st.lists(st.booleans(), min_size=len(texts),
+                              max_size=len(texts)))
+    return list(zip(ids, texts, tightened))
+
+
+class TestJoinEqualsOracle:
+    @given(stream=arrivals())
+    @settings(deadline=None)
+    def test_join_equals_brute_force(self, stream):
+        join = DuplicateDetector(threshold=0.8, index_threshold=0.65)
+        naive = BruteForceDetector(threshold=0.8)
+        for msg_id, text, tightened in stream:
+            join.threshold = naive.threshold = 0.65 if tightened else 0.8
+            message = make_message(msg_id, text)
+            assert join.check_and_add(message) == \
+                naive.check_and_add(message), (msg_id, text)
+        assert len(join) == len(naive)
+
+    def test_size_bounds_solve_the_float_comparison(self):
+        # ceil(t * n) and floor(n / t) are one off wherever t * n or n / t
+        # rounds across an integer (0.55 * 100 == 55.000000000000007);
+        # the bounds must be the ones jaccard's float division implies.
+        for threshold in (0.8, 0.65, 0.55, 0.7, 0.3, 0.1, 1.0):
+            for size in range(1, 401):
+                least, most = _size_bounds(size, threshold)
+                assert least == min(o for o in range(1, size + 1)
+                                    if o / size >= threshold)
+                assert most == max(m for m in range(size, 12 * size)
+                                   if size / m >= threshold)
 
 
 class TestBandDeterminism:
@@ -60,7 +90,7 @@ class TestBandDeterminism:
     @settings(max_examples=60, deadline=None)
     def test_detector_verdicts_reproducible(self, body, ids):
         # Two detectors fed the same stream must agree on every verdict
-        # — restart-rebuilt LSH state may never change what folds.
+        # — a join rebuilt on restart may never change what folds.
         stream = [make_message(msg_id, body + f" tail{i % 3}",
                               hours=i * 0.1)
                   for i, msg_id in enumerate(sorted(ids))]

@@ -289,6 +289,17 @@ class TestMetrics:
         assert snapshot["counters"]["repro_messages_ingested_total"] > 0
         assert "repro_ingest_latency_seconds" in snapshot["histograms"]
 
+    def test_replay_guard_folds_generated_copies(self, capsys):
+        # The telemetry replay's default guard is not a bystander: a
+        # generated stream's verbatim re-shares fold into their origins.
+        import json
+
+        code = main(["metrics", "--messages", "1200", "--format", "json",
+                     "--sample", "0"])
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert code == 0
+        assert counters["repro_guard_folded_total"] > 0
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["metrics"])
         assert args.format == "prometheus"

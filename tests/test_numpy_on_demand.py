@@ -2,8 +2,9 @@
 
 :mod:`repro.core.lazy_numpy` is the one place ``src/repro`` imports
 numpy, and only when called: by a slab gather above
-``SMALL_GATHER_CUTOFF`` (and the vectorised Eq. 1 it feeds) and by the
-construction of a :class:`~repro.core.dedup.MinHasher`.
+``SMALL_GATHER_CUTOFF`` (and the vectorised Eq. 1 it feeds).  The
+ingest guard's near-duplicate join is pure Python, so no shipped stack
+loads it.
 
 The process checks run in a fresh interpreter whose ``sitecustomize``
 puts a recording finder at the head of ``sys.meta_path`` before
@@ -28,6 +29,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+WORKLOADS = ROOT / "benchmarks" / "layers"
 LOADER = "repro.core.lazy_numpy"
 
 RECORDER = textwrap.dedent('''
@@ -133,13 +135,15 @@ def _default_edges() -> "list[list[int]]":
 class TestNoShippedStackImportsNumpy:
 
     def test_engine_durable_stack_fleet_and_entry_points(self, tmp_path):
-        script = STREAM + textwrap.dedent('''
+        script = STREAM + f"sys.path.insert(0, {str(WORKLOADS)!r})\n" + \
+            textwrap.dedent('''
             import os
             import repro.api
             import repro.cli
             from repro.core.engine import ProvenanceIndexer
             from repro.reliability.supervisor import ResilientIndexer
             from repro.runtime import ShardedRuntime
+            from workloads import hostile_stream
 
             hits = {}
             engine = ProvenanceIndexer(config)
@@ -151,6 +155,12 @@ class TestNoShippedStackImportsNumpy:
             stack.ingest_batch(stream)
             hits["stack"] = len(stack.search(tag))
             stack.close()
+
+            guarded = ResilientIndexer.open("guarded", config=config,
+                                            guard=True)
+            guarded.ingest_batch(hostile_stream(7, N // 4))
+            hits["folded"] = guarded.guard.stats.folded
+            guarded.close()
 
             with ShardedRuntime("fleet", 2, config=config) as fleet:
                 fleet.ingest_stream(stream, batch_size=128)
@@ -164,22 +174,28 @@ class TestNoShippedStackImportsNumpy:
         assert all(result["hits"].values()), result["hits"]
         assert attempts == []
 
-    def test_a_guard_loads_numpy_for_its_minhash(self, tmp_path):
-        pytest.importorskip("numpy")
+    def test_a_guard_never_imports_numpy(self, tmp_path):
         script = textwrap.dedent('''
             import json
-            import os
             import sys
+            from repro.core.message import parse_message
             from repro.reliability.guard import IngestGuard
 
-            loaded = ["numpy" in sys.modules]
-            IngestGuard()
-            loaded.append("numpy" in sys.modules)
-            print(json.dumps({"loaded": loaded, "pid": os.getpid()}))
+            guard = IngestGuard()
+            text = "breaking: tsunami warning for the entire coast now"
+            verdicts = []
+            for i in range(3):
+                for entry in guard.admit(parse_message(
+                        i, f"u{i}", 1.0e9 + i, text)):
+                    verdicts.append(entry.action.name)
+                    guard.note_result(entry.message, 1)
+            print(json.dumps({"verdicts": verdicts,
+                              "loaded": "numpy" in sys.modules}))
         ''')
         result, attempts = _run(tmp_path, script)
-        assert result["loaded"] == [False, True]
-        assert attempts == [result["pid"]]
+        assert result["verdicts"] == ["PASS", "FOLD", "FOLD"]
+        assert not result["loaded"]
+        assert attempts == []
 
     def test_a_gather_above_the_cutoff_loads_numpy(self, tmp_path):
         pytest.importorskip("numpy")
