@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
@@ -25,17 +25,22 @@ from repro.obs.audit import AllocationScore, _RawAllocation
 __all__ = ["Bundle", "MemoryLedger"]
 
 # Per-object overheads used by the hardware-independent memory model
-# (Fig. 11a), least-squares calibrated against the measured deep-size
-# walk of repro.obs.anatomy (MemoryAccountant) over three seeded
-# workload scales on CPython 3.11 — residuals within 2.2% — and kept
-# fixed for reproducibility.  The per-message constant covers the whole
-# resident Message object graph (text/user str headers, the keywords
-# frozenset and its strings, hashtag/url tuples, dict slots), which is
-# why it dwarfs the old guess of 320; live drift is exported as
+# (Fig. 11a), least-squares fitted against the measured deep-size walk
+# of repro.obs.anatomy (MemoryAccountant) on the dense and sparse
+# layered-benchmark streams at seeds 7 and 8, 2 048 and 10 240 messages,
+# CPython 3.11 — residuals within 1.2% (DESIGN.md §7.4) — and kept fixed
+# for reproducibility.  The per-message constant covers a member's
+# resident object graph: the Message and its text/user str headers,
+# its keyword tuple, its hashtag/url sets (the empty one is shared),
+# and its slots in the bundle's dicts and member lists.  Interned names
+# and keywords are the summary index's terms, which the walk charges
+# there.  The per-bundle constant is a bundle's empty dicts, counters
+# and lists.  Live drift is exported as
 # ``repro_memory_drift_ratio{component="pool"}``.
-_MESSAGE_OVERHEAD_BYTES = 1844
+_MESSAGE_OVERHEAD_BYTES = 723
 _EDGE_OVERHEAD_BYTES = 96
-_COUNTER_ENTRY_BYTES = 114
+_BUNDLE_OVERHEAD_BYTES = 998
+_COUNTER_ENTRY_BYTES = 169
 
 
 class MemoryLedger:
@@ -105,7 +110,10 @@ class Bundle:
         self._messages: dict[int, Message] = {}
         self._order: list[int] = []  # insertion (arrival) order of msg ids
         self._edges: dict[int, Connection] = {}  # src msg id -> edge
-        self._keywords_by_msg: dict[int, frozenset[str]] = {}
+        # The arrival keyword set as a tuple in that set's own iteration
+        # order: it is only ever iterated, and six keywords cost 88 B as
+        # a tuple against 728 B as a frozenset.
+        self._keywords_by_msg: dict[int, tuple[str, ...]] = {}
         # Member-level inverted maps, one per indicant kind: term -> member
         # msg ids in arrival order.  Keeps Algorithm 2's candidate
         # gathering O(hits) rather than O(bundle size).
@@ -129,7 +137,7 @@ class Bundle:
         # Fig. 11 byte model, charged where members, edges and counter
         # keys are added (nothing is ever removed from a bundle), and
         # mirrored into the owning pool's ledger while pooled.
-        self._bytes = 0
+        self._bytes = _BUNDLE_OVERHEAD_BYTES
         self._ledger: MemoryLedger | None = None
 
     # ------------------------------------------------------------------
@@ -187,9 +195,10 @@ class Bundle:
         edge = self._edges.get(msg_id)
         return edge.dst_id if edge else None
 
-    def keywords_of(self, msg_id: int) -> frozenset[str]:
-        """The keyword indicants recorded for a member message."""
-        return self._keywords_by_msg.get(msg_id, frozenset())
+    def keywords_of(self, msg_id: int) -> tuple[str, ...]:
+        """The keyword indicants recorded for a member message, in the
+        iteration order of the set they arrived as."""
+        return self._keywords_by_msg.get(msg_id, ())
 
     def summary_words(self, limit: int = 10) -> list[str]:
         """Top frequent indicant words — the bundle summary of Fig. 2a."""
@@ -225,7 +234,7 @@ class Bundle:
     AUDIT_TOP_K = 8
 
     def insert(self, message: Message,
-               keywords: frozenset[str] = frozenset(), *,
+               keywords: Collection[str] = (), *,
                collect: "list[AllocationScore] | None" = None,
                ) -> Connection | None:
         """Insert ``message``, aligning it with the best prior member.
@@ -343,7 +352,7 @@ class Bundle:
         self._register_member(message, keywords, edge)
         return edge
 
-    def _register_member(self, message: Message, keywords: frozenset[str],
+    def _register_member(self, message: Message, keywords: Collection[str],
                          edge: Connection | None = None) -> None:
         """Shared bookkeeping for insertion and verbatim restore.
 
@@ -363,7 +372,7 @@ class Bundle:
                 self._latest = message
         self._messages[message.msg_id] = message
         self._order.append(message.msg_id)
-        self._keywords_by_msg[message.msg_id] = keywords
+        keywords = self._keywords_by_msg[message.msg_id] = tuple(keywords)
         _post(self._tag_members, message.hashtags, message.msg_id)
         _post(self._url_members, message.urls, message.msg_id)
         _post(self._keyword_members, keywords, message.msg_id)
@@ -409,7 +418,7 @@ class Bundle:
         self.closed = True
 
     def _window_ids(
-        self, message: Message, keywords: frozenset[str],
+        self, message: Message, keywords: Iterable[str],
         strong_ids: "set[int] | None" = None,
     ) -> list[int]:
         """Ascending ids of members sharing an indicant (Alg. 2 lines 1-5).

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from repro.core.bundle import Bundle
 from repro.core.config import HOUR_SECONDS, IndexerConfig
@@ -372,14 +372,16 @@ class ProvenanceIndexer:
         return results[0]
 
     def _ingest_one(self, message: Message,
-                    keywords: "frozenset[str] | None" = None,
+                    keywords: "Collection[str] | None" = None,
                     bundle: "Bundle | None" = None) -> IngestResult:
         """The per-message pipeline — the only copy of it.
 
         ``keywords`` carries the batch-hoisted analyzer output; ``None``
         (the batch-of-one path, or SKELETON mode where extraction is
         skipped) analyses inline.  Either way the downstream stages see
-        exactly the same frozenset.
+        exactly the same keywords in the same order (a folded copy
+        receives its origin's stored tuple, which iterates in the order
+        of the set the origin arrived with).
 
         ``bundle`` is a destination chosen before the engine saw the
         message (:meth:`ingest_folded`): Algorithm 1 is skipped — no
@@ -401,7 +403,7 @@ class ProvenanceIndexer:
             # engine falls back to the cheap exact indicants.  Messages
             # ingested this way register no keyword postings — the
             # measurable accuracy cost of the mode.
-            keywords = frozenset()
+            keywords = ()
             self.stats.skeleton_ingests += 1
         elif keywords is None:
             keywords = frozenset(
@@ -639,7 +641,7 @@ class ProvenanceIndexer:
         return count if count_only else results
 
     def _select_bundle(self, message: Message,
-                       keywords: frozenset[str], *,
+                       keywords: Collection[str], *,
                        collect: "list[CandidateScore] | None" = None,
                        ) -> Bundle | None:
         """Algorithm 1 steps 1-2: best candidate bundle above threshold.
@@ -688,7 +690,7 @@ class ProvenanceIndexer:
         return self._select_scalar(message, keywords, gather, cap, collect)
 
     def _select_vectorised(self, message: Message,
-                           keywords: frozenset[str],
+                           keywords: Collection[str],
                            gather: CandidateGather, cap: int,
                            collect: "list[CandidateScore] | None",
                            ) -> Bundle | None:
@@ -755,7 +757,7 @@ class ProvenanceIndexer:
         return live[best_id]
 
     def _select_scalar(self, message: Message,
-                       keywords: frozenset[str],
+                       keywords: Collection[str],
                        gather: CandidateGather, cap: int,
                        collect: "list[CandidateScore] | None",
                        ) -> Bundle | None:

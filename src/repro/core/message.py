@@ -11,6 +11,9 @@ extraction used to populate the annotated-indicant fields from raw text:
 
 Messages are hashable value objects; the stream layer assigns monotonically
 increasing integer ids so that ``date`` ties break deterministically.
+Every message without a hashtag, URL or mention holds the one shared
+:data:`NO_INDICANTS` set, and user, hashtag and RT names are interned, so
+a parsed message keeps no private copy of a name or an empty set.
 :func:`encode_row` / :func:`decode_row` are the one on-disk spelling of a
 message, shared by the WAL, the quarantine log and the TSV dataset.
 """
@@ -18,13 +21,15 @@ message, shared by the WAL, the quarantine log and the TSV dataset.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from sys import intern
 
 from repro.core.errors import MessageError
 from repro.reliability.fsio import escape_field, unescape_field
 
 __all__ = [
     "Message",
+    "NO_INDICANTS",
     "extract_hashtags",
     "extract_urls",
     "extract_rt_users",
@@ -45,10 +50,20 @@ _URL_RE = re.compile(
 # ``RT @user:`` or ``RT @user`` — re-share marker, possibly chained.
 _RT_RE = re.compile(r"\bRT\s+@(\w+)\b:?", re.IGNORECASE)
 
+#: The empty indicant set every extractor returns when it finds nothing
+#: and every :class:`Message` defaults to.  CPython 3.11 keeps no shared
+#: empty ``frozenset``: each ``frozenset()`` is its own 216-byte object,
+#: and more than half of all hashtag and URL sets are empty.
+NO_INDICANTS: frozenset[str] = frozenset()
+
 
 def extract_hashtags(text: str) -> frozenset[str]:
-    """Return the lower-cased hashtag set of ``text`` (without the ``#``)."""
-    return frozenset(tag.lower() for tag in _HASHTAG_RE.findall(text))
+    """Return the lower-cased, interned hashtag set of ``text`` (without
+    the ``#``)."""
+    tags = _HASHTAG_RE.findall(text)
+    if not tags:
+        return NO_INDICANTS
+    return frozenset([intern(tag.lower()) for tag in tags])
 
 
 def extract_urls(text: str) -> frozenset[str]:
@@ -60,8 +75,11 @@ def extract_urls(text: str) -> frozenset[str]:
     and ``bit.ly/x`` compare equal — shorteners are the paper's canonical
     URL indicant (Fig. 3).
     """
+    matches = _URL_RE.findall(text)
+    if not matches:
+        return NO_INDICANTS
     found = set()
-    for raw in _URL_RE.findall(text):
+    for raw in matches:
         url = raw.rstrip(".,;:!?)'\"")
         url = re.sub(r"^https?://", "", url, flags=re.IGNORECASE)
         host, _, rest = url.partition("/")
@@ -74,14 +92,17 @@ def extract_rt_users(text: str) -> tuple[str, ...]:
 
     ``"WHEW!! RT @MLB: RT @IanMBrowne X-rays negative"`` yields
     ``("mlb", "ianmbrowne")`` — the message re-shares @MLB's re-share of
-    @IanMBrowne's original post.
+    @IanMBrowne's original post.  The names are interned.
     """
-    return tuple(user.lower() for user in _RT_RE.findall(text))
+    return tuple([intern(user.lower()) for user in _RT_RE.findall(text)])
 
 
 def extract_mentions(text: str) -> frozenset[str]:
     """Return all ``@user`` mentions (lower-cased), including RT targets."""
-    return frozenset(user.lower() for user in _MENTION_RE.findall(text))
+    users = _MENTION_RE.findall(text)
+    if not users:
+        return NO_INDICANTS
+    return frozenset(user.lower() for user in users)
 
 
 def strip_entities(text: str) -> str:
@@ -106,7 +127,8 @@ class Message:
         Stream-unique integer id; assigned in arrival order so it also
         serves as a deterministic tie-break for equal dates.
     user:
-        Author screen name (lower-cased by :func:`parse_message`).
+        Author screen name (lower-cased and interned by
+        :func:`parse_message`).
     date:
         Publication time as POSIX seconds (float).
     text:
@@ -127,8 +149,8 @@ class Message:
     user: str
     date: float
     text: str
-    hashtags: frozenset[str] = field(default_factory=frozenset)
-    urls: frozenset[str] = field(default_factory=frozenset)
+    hashtags: frozenset[str] = NO_INDICANTS
+    urls: frozenset[str] = NO_INDICANTS
     rt_users: tuple[str, ...] = ()
     event_id: int | None = None
     parent_id: int | None = None
@@ -176,7 +198,7 @@ def parse_message(
     """
     return Message(
         msg_id=msg_id,
-        user=user.lower(),
+        user=intern(user.lower()),
         date=float(date),
         text=text,
         hashtags=extract_hashtags(text),

@@ -108,7 +108,7 @@ def merge_bundles(bundle_id: int, first: Bundle, second: Bundle,
             continue
         message = second.get(msg_id)
         assert message is not None
-        keywords = second.keywords_of(msg_id)
+        keywords = frozenset(second.keywords_of(msg_id))
         candidates = [result.get(other) for other in first_ids
                       if _shares_indicant(message, keywords, result, other)]
         best = _best_prior(message, [c for c in candidates if c], result)
@@ -130,7 +130,7 @@ def _shares_indicant(message: Message, keywords: frozenset[str],
     return bool(message.urls & other.urls
                 or message.hashtags & other.hashtags
                 or other.user in message.rt_users
-                or keywords & bundle.keywords_of(other_id))
+                or not keywords.isdisjoint(bundle.keywords_of(other_id)))
 
 
 def _best_prior(message: Message, candidates: "list[Message]",

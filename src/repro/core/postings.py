@@ -63,12 +63,13 @@ SLAB_SLICE_SCHEDULE: Mapping[str, int] = MappingProxyType({
     "user": 1,
 })
 
-# Byte model behind the deterministic memory estimate.  Arenas are
-# measured exactly via sys.getsizeof (the buffers dominate), so only
-# the interning side needs a model — term string header + intern-dict
-# slot + name-list slot + boxed tid — calibrated against the measured
-# deep-size walk in repro.obs.anatomy (see tests/obs/test_anatomy.py).
-_SLAB_TERM_BASE_BYTES = 150
+# Byte model behind the deterministic memory estimate.  Arenas, the
+# intern dict and the name list are measured exactly via sys.getsizeof
+# (O(1) each), so only what hangs off them needs a model — term string
+# header + boxed tid — least-squares fitted against the measured
+# deep-size walk in repro.obs.anatomy on the streams the pool model is
+# fitted on (DESIGN.md §7.4; tests/obs/test_anatomy.py holds it to 3%).
+_SLAB_TERM_BASE_BYTES = 74
 
 
 class CandidateGather:
@@ -405,17 +406,18 @@ class SlabPostingsStorage:
     def approximate_memory_bytes(self) -> int:
         """Deterministic footprint estimate (feeds Fig. 11a).
 
-        The arenas and metadata arrays are measured exactly (their
-        buffers dominate and ``sys.getsizeof`` is O(1) per array); the
-        interning side uses a per-term byte model calibrated against
-        the anatomy accountant's deep-size walk.
+        The arenas, metadata arrays and interning containers are
+        measured exactly (``sys.getsizeof`` is O(1) per container); the
+        term strings and boxed ids use a per-term byte model calibrated
+        against the anatomy accountant's deep-size walk.
         """
         getsizeof = sys.getsizeof
         total = 0
         for slab in self._slabs.values():
             total += (getsizeof(slab.ids) + getsizeof(slab.cnt)
                       + getsizeof(slab.off) + getsizeof(slab.cap)
-                      + getsizeof(slab.length))
+                      + getsizeof(slab.length) + getsizeof(slab.tids)
+                      + getsizeof(slab.names))
             total += _SLAB_TERM_BYTES_FOR(slab)
         return total
 

@@ -18,7 +18,7 @@ containers.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Collection, Iterator, Mapping
 
 from repro.core.bundle import Bundle
 from repro.core.message import Message
@@ -121,7 +121,7 @@ class SummaryIndex:
     # ------------------------------------------------------------------
 
     def gather_candidates(self, message: Message,
-                          keywords: "frozenset[str]") -> CandidateGather:
+                          keywords: "Collection[str]") -> CandidateGather:
         """Candidate bundles with per-kind postings-hit counts.
 
         The batch-first fetch: one call returns everything Eq. 1 needs
@@ -141,7 +141,7 @@ class SummaryIndex:
     # ------------------------------------------------------------------
 
     def add_message(self, bundle_id: int, message: Message,
-                    keywords: "frozenset[str]") -> None:
+                    keywords: "Collection[str]") -> None:
         """Register one inserted message's indicants under its bundle."""
         storage = self._storage
         storage.bump("hashtag", message.hashtags, bundle_id)

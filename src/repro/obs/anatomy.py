@@ -418,7 +418,7 @@ class WorkloadAnatomy:
     # -- hot path ------------------------------------------------------
 
     def observe_ingest(self, message: "Message",
-                       keywords: "frozenset[str]",
+                       keywords: "Iterable[str]",
                        index: "Any") -> None:
         """Record one ingested message (post-index-update).
 
@@ -431,7 +431,7 @@ class WorkloadAnatomy:
         if self.seen % self.sample_every:
             return
         self.sampled += 1
-        # Sorted: frozenset iteration order varies with the per-process
+        # Sorted: set iteration order varies with the per-process
         # string-hash seed, and both the sketch's evictions and the
         # histogram reservoirs are order-sensitive — fingerprints must
         # be byte-identical across processes.

@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
+from sys import intern
 from typing import Any
 
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.connection import Connection, ConnectionType
 from repro.core.errors import StorageError
-from repro.core.message import Message
+from repro.core.message import NO_INDICANTS, Message
 
 __all__ = [
     "message_to_dict",
@@ -86,16 +87,22 @@ def message_to_dict(message: Message) -> dict[str, Any]:
 
 
 def message_from_dict(record: Mapping[str, Any]) -> Message:
-    """Rebuild a message from :func:`message_to_dict` output."""
+    """Rebuild a message from :func:`message_to_dict` output.
+
+    Like :func:`~repro.core.message.parse_message`, it shares the one
+    empty indicant set and interns the user, hashtag and RT names.
+    """
     try:
+        tags = record.get("tags")
+        urls = record.get("urls")
         return Message(
             msg_id=int(record["id"]),
-            user=str(record["user"]),
+            user=intern(str(record["user"])),
             date=float(record["date"]),
             text=str(record["text"]),
-            hashtags=frozenset(record.get("tags", ())),
-            urls=frozenset(record.get("urls", ())),
-            rt_users=tuple(record.get("rt", ())),
+            hashtags=frozenset(map(intern, tags)) if tags else NO_INDICANTS,
+            urls=frozenset(urls) if urls else NO_INDICANTS,
+            rt_users=tuple(map(intern, record.get("rt", ()))),
             event_id=record.get("event"),
             parent_id=record.get("parent"),
         )
@@ -162,7 +169,7 @@ def bundle_from_dict(record: Mapping[str, Any],
             # (weights may have changed between runs), so the recorded
             # edge is attached verbatim.
             bundle._register_member(
-                message, keywords.get(message.msg_id, frozenset()),
+                message, keywords.get(message.msg_id, ()),
                 edges.get(message.msg_id))
         if "last_update" in record:  # absent in pre-guard records
             bundle.last_update = max(bundle.last_update,

@@ -122,8 +122,18 @@ class TestSummaries:
 
     def test_keywords_of_members(self, bundle):
         bundle.insert(make_message(1, "x"), keywords=frozenset({"alpha"}))
-        assert bundle.keywords_of(1) == frozenset({"alpha"})
-        assert bundle.keywords_of(999) == frozenset()
+        assert set(bundle.keywords_of(1)) == {"alpha"}
+        assert not bundle.keywords_of(999)
+
+    def test_keywords_kept_as_tuple_in_arrival_order(self, bundle):
+        # The stored tuple iterates as the arrival set did, so the
+        # keyword counter and postings see today's insertion order.
+        arrival = frozenset(f"word{index}" for index in range(12))
+        bundle.insert(make_message(1, "x"), keywords=arrival)
+        stored = bundle.keywords_of(1)
+        assert type(stored) is tuple
+        assert stored == tuple(arrival)
+        assert list(bundle.keyword_counts) == list(arrival)
 
 
 class TestStructure:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.errors import MessageError
-from repro.core.message import (Message, extract_hashtags, extract_mentions,
-                                extract_rt_users, extract_urls, parse_message,
-                                strip_entities)
+from repro.core.message import (NO_INDICANTS, Message, extract_hashtags,
+                                extract_mentions, extract_rt_users,
+                                extract_urls, parse_message, strip_entities)
 from tests.conftest import BASE_DATE, make_message
 
 
@@ -176,3 +178,37 @@ class TestMessage:
         message = make_message(1, "x", event_id=9, parent_id=0)
         assert message.event_id == 9
         assert message.parent_id == 0
+
+
+class TestResidentBytes:
+    """A parsed message keeps no private empty set and no private copy of
+    a user, hashtag or RT name."""
+
+    def test_one_empty_indicant_set(self):
+        bare = Message(msg_id=0, user="u", date=0.0, text="x")
+        parsed = make_message(1, "plain words only")
+        empties = [extract_hashtags("plain"), extract_urls("plain"),
+                   extract_mentions("plain"), bare.hashtags, bare.urls,
+                   parsed.hashtags, parsed.urls]
+        assert all(empty is NO_INDICANTS for empty in empties)
+        assert NO_INDICANTS == frozenset()
+
+    def test_names_are_interned(self):
+        text = "RT @SomeSource: big #RedSox win"
+        first = make_message(1, text, user="SomeFan")
+        second = make_message(2, text, user="SomeFan")
+        assert first.user is second.user
+        assert next(iter(first.hashtags)) is next(iter(second.hashtags))
+        assert first.rt_users[0] is second.rt_users[0]
+        assert (first.user, first.rt_users) == ("somefan", ("somesource",))
+
+    def test_pickled_batch_shares_one_empty_set(self):
+        # The fleet ships arrivals to its workers as pickled batches.
+        batch = [make_message(index, f"plain words {index}",
+                              user=f"user{index % 7}")
+                 for index in range(128)]
+        shipped = pickle.loads(pickle.dumps(batch))
+        assert shipped == batch
+        empties = {id(message.hashtags) for message in shipped}
+        empties |= {id(message.urls) for message in shipped}
+        assert len(empties) == 1

@@ -82,6 +82,17 @@ class TestMerge:
         # message 10 (second's root) shares #alpha with first's members.
         assert merged.parent_of(10) in {0, 1}
 
+    def test_merge_realigns_on_a_shared_keyword_alone(self):
+        first = Bundle(0)
+        first.insert(make_message(0, "lester ovation", user="src"),
+                     keywords=frozenset({"lester", "ovation"}))
+        second = Bundle(1)
+        second.insert(make_message(10, "standing ovation", user="x",
+                                   hours=1.0),
+                      keywords=frozenset({"standing", "ovation"}))
+        merged = merge_bundles(5, first, second)
+        assert merged.parent_of(10) == 0
+
     def test_merge_overlapping_rejected(self):
         first, _ = self._two_bundles()
         with pytest.raises(BundleError):

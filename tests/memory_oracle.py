@@ -8,14 +8,15 @@ it to the byte after any sequence of operations.
 
 from __future__ import annotations
 
-from repro.core.bundle import (_COUNTER_ENTRY_BYTES, _EDGE_OVERHEAD_BYTES,
-                               _MESSAGE_OVERHEAD_BYTES, Bundle)
+from repro.core.bundle import (_BUNDLE_OVERHEAD_BYTES, _COUNTER_ENTRY_BYTES,
+                               _EDGE_OVERHEAD_BYTES, _MESSAGE_OVERHEAD_BYTES,
+                               Bundle)
 from repro.core.pool import BundlePool
 
 
 def recompute_bundle_bytes(bundle: Bundle) -> int:
     """The bundle's byte-model total, recounted by walking its contents."""
-    total = 0
+    total = _BUNDLE_OVERHEAD_BYTES
     for message in bundle._messages.values():
         total += _MESSAGE_OVERHEAD_BYTES + len(message.text)
         total += sum(len(t) for t in message.hashtags)

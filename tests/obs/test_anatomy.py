@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -160,6 +161,40 @@ class TestMemoryAccountant:
         # headers, so the test bar is looser than the 10% dev target.
         assert abs(account["drift"]["index"]) < 0.25
         assert abs(account["drift"]["pool"]) < 0.25
+
+
+def _dense_stream(seed: int, messages: int):
+    """The layered benchmark's heavy-hitter stream shape."""
+    config = StreamConfig(
+        seed=seed, days=(messages + 0.5) / 100_000.0,
+        messages_per_day=100_000, user_count=max(messages // 25, 200),
+        events_per_day=240.0)
+    return StreamGenerator(config).generate_list()[:messages]
+
+
+def _sparse_stream(seed: int, messages: int):
+    """The layered benchmark's long-tail stream shape."""
+    config = StreamConfig(
+        seed=seed, days=(messages + 0.5) / 1750.0, messages_per_day=1750,
+        user_count=400, events_per_day=15.0, event_volume_max=400)
+    return StreamGenerator(config).generate_list()[:messages]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the byte model is fitted to CPython 3.11 objects")
+class TestModelDrift:
+    """The Fig. 11 model against the measured walk, at the bar of its fit
+    (DESIGN.md §7.4): both streams the constants were fitted on."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("shape,pool_size", [
+        (_dense_stream, 200), (_sparse_stream, 150)])
+    def test_pool_and_index_drift(self, shape, pool_size, seed):
+        engine = ProvenanceIndexer(IndexerConfig.partial_index(pool_size))
+        engine.ingest_batch(shape(seed, 2048), count_only=True)
+        drift = MemoryAccountant().measure(engine)["drift"]
+        assert abs(drift["pool"]) <= 0.05, drift
+        assert abs(drift["index"]) <= 0.03, drift
 
 
 class TestWorkloadAnatomy:

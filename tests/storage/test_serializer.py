@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.errors import StorageError
+from repro.core.message import NO_INDICANTS
 from repro.storage.serializer import (bundle_from_dict, bundle_from_json,
                                       bundle_to_dict, bundle_to_json,
                                       iter_array_json, iter_bundle_json,
@@ -41,6 +42,16 @@ class TestMessageRoundTrip:
         restored = message_from_dict(message_to_dict(message))
         assert restored == message
         assert restored.event_id is None
+
+    def test_restore_shares_empty_set_and_interns_names(self):
+        message = make_message(3, "RT @SomeSource: go #RedSox", user="SomeFan")
+        restored = message_from_dict(
+            json.loads(json.dumps(message_to_dict(message))))
+        assert restored == message
+        assert restored.urls is NO_INDICANTS
+        assert restored.user is message.user
+        assert restored.rt_users[0] is message.rt_users[0]
+        assert next(iter(restored.hashtags)) is next(iter(message.hashtags))
 
     def test_malformed_record_raises(self):
         with pytest.raises(StorageError):
