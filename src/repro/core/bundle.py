@@ -28,19 +28,19 @@ __all__ = ["Bundle", "MemoryLedger"]
 # (Fig. 11a), least-squares fitted against the measured deep-size walk
 # of repro.obs.anatomy (MemoryAccountant) on the dense and sparse
 # layered-benchmark streams at seeds 7 and 8, 2 048 and 10 240 messages,
-# CPython 3.11 — residuals within 1.2% (DESIGN.md §7.4) — and kept fixed
+# CPython 3.11 — residuals within 1.6% (DESIGN.md §7.4) — and kept fixed
 # for reproducibility.  The per-message constant covers a member's
-# resident object graph: the Message and its text/user str headers,
-# its keyword tuple, its hashtag/url sets (the empty one is shared),
-# and its slots in the bundle's dicts and member lists.  Interned names
-# and keywords are the summary index's terms, which the walk charges
-# there.  The per-bundle constant is a bundle's empty dicts, counters
-# and lists.  Live drift is exported as
-# ``repro_memory_drift_ratio{component="pool"}``.
-_MESSAGE_OVERHEAD_BYTES = 723
+# resident object graph: the Message, its text header, its own copies
+# of the user, hashtag, RT-name and keyword strings, its keyword tuple,
+# its hashtag/url sets (the empty one is shared), and its slots in the
+# bundle's dicts and member lists.  A string object the summary index
+# holds as a term is charged there, once.  The per-bundle constant is
+# a bundle's empty dicts, counters and lists.  Live drift is exported
+# as ``repro_memory_drift_ratio{component="pool"}``.
+_MESSAGE_OVERHEAD_BYTES = 879
 _EDGE_OVERHEAD_BYTES = 96
-_BUNDLE_OVERHEAD_BYTES = 998
-_COUNTER_ENTRY_BYTES = 169
+_BUNDLE_OVERHEAD_BYTES = 862
+_COUNTER_ENTRY_BYTES = 167
 
 
 class MemoryLedger:

@@ -11,9 +11,8 @@ extraction used to populate the annotated-indicant fields from raw text:
 
 Messages are hashable value objects; the stream layer assigns monotonically
 increasing integer ids so that ``date`` ties break deterministically.
-Every message without a hashtag, URL or mention holds the one shared
-:data:`NO_INDICANTS` set, and user, hashtag and RT names are interned, so
-a parsed message keeps no private copy of a name or an empty set.
+Every message without a hashtag or URL holds the one shared
+:data:`NO_INDICANTS` set rather than a private empty set.
 :func:`encode_row` / :func:`decode_row` are the one on-disk spelling of a
 message, shared by the WAL, the quarantine log and the TSV dataset.
 """
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from sys import intern
 
 from repro.core.errors import MessageError
 from repro.reliability.fsio import escape_field, unescape_field
@@ -58,12 +56,11 @@ NO_INDICANTS: frozenset[str] = frozenset()
 
 
 def extract_hashtags(text: str) -> frozenset[str]:
-    """Return the lower-cased, interned hashtag set of ``text`` (without
-    the ``#``)."""
+    """Return the lower-cased hashtag set of ``text`` (without the ``#``)."""
     tags = _HASHTAG_RE.findall(text)
     if not tags:
         return NO_INDICANTS
-    return frozenset([intern(tag.lower()) for tag in tags])
+    return frozenset(tag.lower() for tag in tags)
 
 
 def extract_urls(text: str) -> frozenset[str]:
@@ -92,17 +89,14 @@ def extract_rt_users(text: str) -> tuple[str, ...]:
 
     ``"WHEW!! RT @MLB: RT @IanMBrowne X-rays negative"`` yields
     ``("mlb", "ianmbrowne")`` — the message re-shares @MLB's re-share of
-    @IanMBrowne's original post.  The names are interned.
+    @IanMBrowne's original post.
     """
-    return tuple([intern(user.lower()) for user in _RT_RE.findall(text)])
+    return tuple(user.lower() for user in _RT_RE.findall(text))
 
 
 def extract_mentions(text: str) -> frozenset[str]:
     """Return all ``@user`` mentions (lower-cased), including RT targets."""
-    users = _MENTION_RE.findall(text)
-    if not users:
-        return NO_INDICANTS
-    return frozenset(user.lower() for user in users)
+    return frozenset(user.lower() for user in _MENTION_RE.findall(text))
 
 
 def strip_entities(text: str) -> str:
@@ -127,8 +121,7 @@ class Message:
         Stream-unique integer id; assigned in arrival order so it also
         serves as a deterministic tie-break for equal dates.
     user:
-        Author screen name (lower-cased and interned by
-        :func:`parse_message`).
+        Author screen name (lower-cased by :func:`parse_message`).
     date:
         Publication time as POSIX seconds (float).
     text:
@@ -198,7 +191,7 @@ def parse_message(
     """
     return Message(
         msg_id=msg_id,
-        user=intern(user.lower()),
+        user=user.lower(),
         date=float(date),
         text=text,
         hashtags=extract_hashtags(text),

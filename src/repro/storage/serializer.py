@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
-from sys import intern
 from typing import Any
 
 from repro.core.bundle import Bundle
@@ -90,19 +89,19 @@ def message_from_dict(record: Mapping[str, Any]) -> Message:
     """Rebuild a message from :func:`message_to_dict` output.
 
     Like :func:`~repro.core.message.parse_message`, it shares the one
-    empty indicant set and interns the user, hashtag and RT names.
+    empty indicant set.
     """
     try:
         tags = record.get("tags")
         urls = record.get("urls")
         return Message(
             msg_id=int(record["id"]),
-            user=intern(str(record["user"])),
+            user=str(record["user"]),
             date=float(record["date"]),
             text=str(record["text"]),
-            hashtags=frozenset(map(intern, tags)) if tags else NO_INDICANTS,
+            hashtags=frozenset(tags) if tags else NO_INDICANTS,
             urls=frozenset(urls) if urls else NO_INDICANTS,
-            rt_users=tuple(map(intern, record.get("rt", ()))),
+            rt_users=tuple(record.get("rt", ())),
             event_id=record.get("event"),
             parent_id=record.get("parent"),
         )
