@@ -208,24 +208,6 @@ class Bundle:
         ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
         return [word for word, _ in ranked[:limit]]
 
-    def shared_counts(
-        self, message: Message, keywords: frozenset[str],
-    ) -> tuple[int, int, int, bool]:
-        """Overlap counts between a message and this bundle's summary.
-
-        Returns ``(shared_urls, shared_hashtags, shared_keywords, rt_hit)``
-        — the inputs of Eq. 1.  ``rt_hit`` is true when the message
-        re-shares an author already present in the bundle.
-        """
-        shared_urls = (len(message.urls & self.url_counts.keys())
-                       if message.urls else 0)
-        shared_tags = (len(message.hashtags & self.hashtag_counts.keys())
-                       if message.hashtags else 0)
-        shared_kws = (len(keywords & self.keyword_counts.keys())
-                      if keywords else 0)
-        rt_hit = any(user in self.user_counts for user in message.rt_users)
-        return shared_urls, shared_tags, shared_kws, rt_hit
-
     # ------------------------------------------------------------------
     # Mutation — Algorithm 2
     # ------------------------------------------------------------------

@@ -25,23 +25,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from repro.core.bundle import Bundle
-from repro.core.config import HOUR_SECONDS, IndexerConfig
+from repro.core.config import IndexerConfig
 from repro.core.connection import Connection
 from repro.core.errors import POISON_ERRORS, BundleNotFoundError
-from repro.core.lazy_numpy import numpy
 from repro.core.message import Message
 from repro.core.pool import BundlePool, BundleSink, RefinementReport
-from repro.core.postings import CandidateGather
 from repro.core.scoring import bundle_match_scores, message_similarity
 from repro.core.summary_index import SummaryIndex
 from repro.obs import (COUNT_BUCKETS, DEFAULT_LATENCY_BUCKETS, Histogram,
                        Observability)
-from repro.obs.audit import (IngestOutcome, RefinementEvent,
-                             _RawCandidates)
+from repro.obs.audit import IngestOutcome, RefinementEvent
 from repro.text.analyzer import Analyzer
 
 if TYPE_CHECKING:
@@ -642,7 +639,7 @@ class ProvenanceIndexer:
 
     def _select_bundle(self, message: Message,
                        keywords: Collection[str], *,
-                       collect: "list[CandidateScore] | None" = None,
+                       collect: "list[object] | None" = None,
                        ) -> Bundle | None:
         """Algorithm 1 steps 1-2: best candidate bundle above threshold.
 
@@ -650,18 +647,14 @@ class ProvenanceIndexer:
         gather_candidates` call returns every candidate with its
         per-kind postings-hit counts — which *are* the Eq. 1 shared
         counts, because the index keeps one posting per (term, bundle)
-        in lockstep with the pool — so scoring needs no per-candidate
-        ``Bundle.shared_counts`` intersections.  Array gathers (heavy
-        hitters, numpy present) are scored whole in a few array ops;
-        list gathers, which leave keyword-only candidates as tallies, go
-        through the pruning scalar loop.  Both produce bit-identical
-        scores, selections and audit rows.
+        in lockstep with the pool — and one
+        :func:`~repro.core.scoring.bundle_match_scores` call picks the
+        best of the capped candidates.
 
         ``collect``, when given, receives the Eq. 1 evidence the audit
-        layer records: the vectorised path appends six raw scalars per
-        fully-scored candidate (flat, stride 6), the scalar path one
-        deferred :class:`~repro.obs.audit._RawCandidates` capture.
-        ``DecisionRecord.materialize`` turns either form into
+        layer records: one deferred
+        :class:`~repro.obs.audit._RawCandidates` capture, which
+        ``DecisionRecord.materialize`` turns into
         :class:`~repro.obs.audit.CandidateScore` rows on first read.
         """
         gather = self.summary_index.gather_candidates(message, keywords)
@@ -670,201 +663,13 @@ class ProvenanceIndexer:
             self.last_candidate_fanin = (0, 0)
             return None
         # Cap full scoring at the strongest posting hits; REDUCED mode
-        # tightens the cap further via ``candidate_cap``.  The gather's
-        # ids ascend, so a stable sort on hit count breaks count ties
-        # on bundle id — the capped set, and with it the audit log, is
-        # identical across processes.
+        # tightens the cap further via ``candidate_cap``.
         cap = self.config.max_candidates
         if self.candidate_cap is not None:
             cap = min(cap, self.candidate_cap)
-        # Representation-driven dispatch: the storage hands small
-        # candidate sets over as plain lists (vector maths loses to a
-        # pruned walk there) and heavy-hitter sets as numpy arrays —
-        # only a gather that loaded numpy returns arrays.  The two
-        # scoring paths are bit-identical, so this is purely a speed
-        # decision — asserted by the numpy differential in
-        # tests/property/test_engine_properties.py.
-        if type(gather.ids) is not list:
-            return self._select_vectorised(message, keywords, gather, cap,
-                                           collect)
-        return self._select_scalar(message, keywords, gather, cap, collect)
-
-    def _select_vectorised(self, message: Message,
-                           keywords: Collection[str],
-                           gather: CandidateGather, cap: int,
-                           collect: "list[CandidateScore] | None",
-                           ) -> Bundle | None:
-        """Numpy path of :meth:`_select_bundle` (see its docstring)."""
-        np = numpy()  # already imported by the gather that made arrays
-        ids = gather.ids
-        fetched = len(ids)
-        order = np.argsort(-gather.hits, kind="stable")
-        if fetched > cap:
-            order = order[:cap]
-        self.last_candidate_fanin = (fetched, len(order))
-        # Only liveness needs the bundle objects: candidates whose
-        # bundle was evicted mid-flight (defensive; eviction purges
-        # postings) or closed are skipped before scoring, exactly as
-        # the per-candidate loop did.
-        live = self.pool.live()
-        keep: "list[int]" = []
-        bundles: "list[Bundle]" = []
-        for position in order.tolist():
-            bundle = live.get(int(ids[position]))
-            if bundle is None or bundle.closed:
-                continue
-            keep.append(position)
-            bundles.append(bundle)
-        if not bundles:
-            return None
-        rows = np.array(keep, dtype=np.intp)
-        tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
-        shared_urls = url_hits[rows]
-        shared_tags = tag_hits[rows]
-        shared_kws = kw_hits[rows]
-        rt_hits = user_hits[rows] > 0
-        last_dates = np.fromiter(
-            (bundle.last_update for bundle in bundles),
-            dtype=np.float64, count=len(bundles))
-        scores = bundle_match_scores(
-            message.date,
-            shared_urls=shared_urls,
-            shared_hashtags=shared_tags,
-            shared_keywords=shared_kws,
-            rt_hits=rt_hits,
-            bundle_last_dates=last_dates,
-            config=self.config,
-        )
-        selected_ids = ids[rows]
-        if collect is not None:
-            # Raw capture: six *Python* scalars per candidate appended
-            # to one flat list (stride 6), in capped scoring order —
-            # numpy scalars would poison the byte-deterministic audit
-            # JSONL, so each column is bulk-converted via tolist()
-            # (far cheaper than per-element extraction).
-            # DecisionRecord.materialize rebuilds CandidateScore rows
-            # on first read.
-            columns = zip(selected_ids.tolist(), shared_urls.tolist(),
-                          shared_tags.tolist(), shared_kws.tolist(),
-                          rt_hits.tolist(), scores.tolist())
-            for row in columns:
-                collect += row
-        best_score = float(scores.max())
-        if best_score < self.config.min_match_score:
-            return None
-        # Max score wins; ties go to the smallest bundle id.
-        best_id = int(selected_ids[scores == best_score].min())
-        return live[best_id]
-
-    def _select_scalar(self, message: Message,
-                       keywords: Collection[str],
-                       gather: CandidateGather, cap: int,
-                       collect: "list[CandidateScore] | None",
-                       ) -> Bundle | None:
-        """List-gather path of :meth:`_select_bundle`: exact max-score pruning.
-
-        Eq. 1 (:func:`~repro.core.scoring.bundle_match_score`, spelled
-        out inline with the same left-associated float expression, so
-        scores are bit-identical) is a static indicant part read off the
-        gather plus ``time_weight * freshness`` with ``freshness <= 1``.
-        ``static + time_weight (+ rt_weight)`` therefore bounds the
-        score from above — float addition and multiplication are
-        monotone — and a candidate whose bound is *strictly* below
-        ``max(best so far, min_match_score)`` can neither win nor tie,
-        so it is skipped before its bundle is even looked up.  Per kind,
-        the bound settles keyword-only tallies wholesale: below
-        ``min_match_score`` at ``keyword_weight * keyword_hit_cap +
-        time_weight``, they only compete for the cap.  The audit capture
-        (``collect``) records every capped candidate's score, so audited
-        ingests package and score them all.
-        """
-        fetched = len(gather)
-        audited = collect is not None
-        config = self.config
-        url_weight = config.url_weight
-        hashtag_weight = config.hashtag_weight
-        keyword_weight = config.keyword_weight
-        keyword_hit_cap = config.keyword_hit_cap
-        time_weight = config.time_weight
-        rt_weight = config.rt_weight
-        floor = config.min_match_score
-        if gather.keyword_only and (
-                audited
-                or keyword_weight * keyword_hit_cap + time_weight >= floor):
-            gather = gather.packaged()
-        ids = gather.ids
-        hits = gather.hits
-        weak = gather.keyword_only
-        # With nothing to cut, the cap sort is skipped: the argmax does
-        # not depend on the visiting order (ties go to the smaller
-        # bundle id) — only the audit rows do.
-        order: "Sequence[int]" = range(len(ids))
-        if weak and fetched > cap and ids:
-            # Keep the packaged rows ranking in the top ``cap`` by (hits
-            # descending, id ascending) over every candidate: the cut is
-            # the cap-th key, ``(edge, last)``.
-            ranked = sorted(chain(hits, weak.values()), reverse=True)
-            edge = ranked[cap - 1]
-            last = sorted(chain(
-                compress(ids, map(edge.__eq__, hits)),
-                compress(weak, map(edge.__eq__, weak.values())),
-            ))[cap - 1 - ranked.index(edge)]
-            order = [p for p in order if hits[p] > edge
-                     or (hits[p] == edge and ids[p] <= last)]
-        elif fetched > cap or audited:
-            # The gather's ids ascend, so a stable descending sort on
-            # hit count breaks count ties on the smaller bundle id.
-            order = sorted(order, key=hits.__getitem__, reverse=True)[:cap]
         self.last_candidate_fanin = (fetched, min(fetched, cap))
-        tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
-        date = message.date
-        live = self.pool.live()
-        best_bundle: "Bundle | None" = None
-        best_score = float("-inf")
-        kept_positions: "list[int]" = []
-        kept_scores: "list[float]" = []
-        for position in order:
-            shared_keywords = kw_hits[position]
-            if shared_keywords > keyword_hit_cap:
-                shared_keywords = keyword_hit_cap
-            static = (url_weight * url_hits[position]
-                      + hashtag_weight * tag_hits[position]
-                      + keyword_weight * shared_keywords)
-            rt_hit = user_hits[position] > 0
-            if not audited:
-                bound = static + time_weight
-                if rt_hit:
-                    bound += rt_weight
-                if bound < floor:
-                    continue
-            bundle = live.get(ids[position])
-            if bundle is None or bundle.closed:
-                continue
-            span_hours = abs(date - bundle.last_update) / HOUR_SECONDS
-            freshness = 1.0 / (span_hours + 1.0)
-            score = static + time_weight * freshness
-            if rt_hit:
-                score += rt_weight
-            if audited:
-                # Deferred capture: the per-kind counts already live in
-                # the gather, so the loop saves only the position and
-                # the compared score; _RawCandidates.rows rebuilds the
-                # stride-6 evidence when the record is read.
-                kept_positions.append(position)
-                kept_scores.append(score)
-            if score > best_score or (
-                    score == best_score and best_bundle is not None
-                    and bundle.bundle_id < best_bundle.bundle_id):
-                best_bundle = bundle
-                best_score = score
-                if score > floor:
-                    floor = score
-        if collect is not None and kept_positions:
-            collect.append(_RawCandidates(gather, kept_positions,
-                                          kept_scores))
-        if best_bundle is None or best_score < config.min_match_score:
-            return None
-        return best_bundle
+        return bundle_match_scores(message, gather, cap, self.pool.live(),
+                                   self.config, collect)
 
     # ------------------------------------------------------------------
     # Inspection used by retrieval, metrics and benchmarks

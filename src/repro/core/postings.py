@@ -11,11 +11,6 @@ power-of-two slices seeded from the measured workload anatomy
 freed extents go to per-capacity free lists so eviction churn reuses
 arena space instead of fragmenting it.
 
-The arenas are ``array('q')`` buffers, so when numpy is available
-:meth:`SlabPostingsStorage.gather` turns heavy-hitter candidate
-fetching into a handful of array ops over zero-copy views; the first
-such gather imports numpy (:mod:`repro.core.lazy_numpy`), and without
-numpy every path falls back to pure Python with identical results.
 Terms iterate in dict insertion order of first appearance.  The
 nested-dict layout this one is checked against lives in
 ``tests/postings_oracle.py``.
@@ -29,10 +24,9 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import IndexError_
-from repro.core.lazy_numpy import numpy
 
 __all__ = [
     "INDICANT_KINDS",
@@ -41,9 +35,8 @@ __all__ = [
     "SlabPostingsStorage",
 ]
 
-#: The four indicant kinds of Fig. 5, in canonical order.  The gather
-#: encoding below packs the kind index into the low bits of candidate
-#: ids, so the tuple must stay at four entries (two bits).
+#: The four indicant kinds of Fig. 5, in canonical order (the order of
+#: :attr:`CandidateGather.kind_hits`).
 INDICANT_KINDS = ("hashtag", "url", "keyword", "user")
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(INDICANT_KINDS)}
@@ -84,20 +77,14 @@ class CandidateGather:
     The per-kind rows are the Eq. 1 inputs directly: a bundle's hit
     count under kind *url* is exactly ``|url(t) ∩ url(B)|`` because the
     summary index keeps one posting per (term, bundle) in lockstep with
-    the pool — which is what lets the engine skip per-candidate
-    ``Bundle.shared_counts`` set intersections entirely.
-
-    Sequences are plain lists for small candidate sets (and always
-    without numpy) and numpy ``int64`` arrays when the slab's
-    vectorised gather produced them; both spell the same values, and
-    the engine dispatches its scoring path on the representation.  Only
-    the list form leaves keyword-only candidates as tallies.
+    the pool, so Eq. 1 scoring needs no per-candidate set
+    intersections.
     """
 
     __slots__ = ("ids", "hits", "kind_hits", "keyword_only")
 
-    def __init__(self, ids: Any, hits: Any,
-                 kind_hits: "tuple[Any, Any, Any, Any]",
+    def __init__(self, ids: list[int], hits: list[int],
+                 kind_hits: tuple[list[int], list[int], list[int], list[int]],
                  keyword_only: "Mapping[int, int]" = MappingProxyType({}),
                  ) -> None:
         self.ids = ids
@@ -122,15 +109,6 @@ class CandidateGather:
                          for bundle_id, hits in self.keyword_only.items())])
         ids, totals, tags, urls, keywords, users = map(list, zip(*rows))
         return CandidateGather(ids, totals, (tags, urls, keywords, users))
-
-
-#: Postings-hit count below which the slab gather stays in pure Python.
-#: A handful of tiny numpy kernels (slice, concatenate, unique) costs
-#: more than walking a few hundred entries in a dict; sweeping the
-#: cutoff over dense and sparse workloads puts the crossover near 512
-#: on CPython 3.11.  Both sides produce identical values — the cutoff is
-#: a speed knob, never a semantics knob.
-SMALL_GATHER_CUTOFF = 512
 
 
 class _KindSlab:
@@ -293,13 +271,8 @@ class SlabPostingsStorage:
 
     def gather(self, groups: "Sequence[tuple[str, Iterable[str]]]",
                ) -> CandidateGather:
-        # Probe once, collecting each hit term's extent; dispatch on the
-        # total postings volume.  Small probes (the vast majority — see
-        # the anatomy postings-length fingerprints) stay in pure Python;
-        # heavy-hitter probes, where the same work would mean thousands
-        # of dict operations, take the vectorised path.
+        # Probe once, collecting each hit term's extent.
         extents: "list[tuple[_KindSlab, int, int, int]]" = []
-        total = 0
         for kind, terms in groups:
             slab = self._slab(kind)
             kind_index = _KIND_INDEX[kind]
@@ -313,62 +286,31 @@ class SlabPostingsStorage:
                 used = length[tid]
                 if used:
                     extents.append((slab, kind_index, off[tid], used))
-                    total += used
         if not extents:
             return CandidateGather([], [], ([], [], [], []))
-        # The cutoff is tested first: numpy is imported only by a
-        # gather that would use it.
-        np: Any = None if total <= SMALL_GATHER_CUTOFF else numpy()
-        if np is None:
-            # Keyword postings are only counted (at C speed); the bundles
-            # a hashtag, URL or RT-user posting reaches get kind rows.
-            tally = Counter(chain.from_iterable(
-                slab.ids[offset:offset + used]
-                for slab, kind_index, offset, used in extents
-                if kind_index == _KEYWORD))
-            acc: "dict[int, list[int]]" = {}
-            for slab, kind_index, offset, used in extents:
-                if kind_index == _KEYWORD:
-                    continue
-                for bundle_id in slab.ids[offset:offset + used]:
-                    row = acc.get(bundle_id)
-                    if row is None:
-                        row = acc[bundle_id] = [0] * _KIND_COUNT
-                        row[_KEYWORD] = tally.pop(bundle_id, 0)
-                    row[kind_index] += 1
-            ids = sorted(acc)
-            rows = [acc[bundle_id] for bundle_id in ids]
-            return CandidateGather(
-                ids, [sum(row) for row in rows],
-                ([row[0] for row in rows], [row[1] for row in rows],
-                 [row[2] for row in rows], [row[3] for row in rows]),
-                tally)
-        parts = []
-        views: "dict[int, Any]" = {}  # one zero-copy view per kind
+        # Keyword postings are only counted (at C speed); the bundles a
+        # hashtag, URL or RT-user posting reaches get kind rows.
+        tally = Counter(chain.from_iterable(
+            slab.ids[offset:offset + used]
+            for slab, kind_index, offset, used in extents
+            if kind_index == _KEYWORD))
+        acc: "dict[int, list[int]]" = {}
         for slab, kind_index, offset, used in extents:
-            arena = views.get(kind_index)
-            if arena is None:
-                arena = views[kind_index] = np.frombuffer(
-                    slab.ids, dtype=np.int64)
-            # Pack the kind index into the low two bits so one
-            # unique() pass yields per-(bundle, kind) hit counts.
-            parts.append(arena[offset:offset + used]
-                         * _KIND_COUNT + kind_index)
-        encoded = np.concatenate(parts)
-        unique, counts = np.unique(encoded, return_counts=True)
-        decoded_ids = unique >> 2
-        kind_column = (unique & (_KIND_COUNT - 1)).astype(np.intp)
-        boundary = np.empty(len(decoded_ids), dtype=bool)
-        boundary[0] = True
-        np.not_equal(decoded_ids[1:], decoded_ids[:-1], out=boundary[1:])
-        ids = decoded_ids[boundary]
-        rows = np.cumsum(boundary) - 1
-        matrix = np.zeros((len(ids), _KIND_COUNT), dtype=np.int64)
-        matrix[rows, kind_column] = counts
-        totals = matrix.sum(axis=1)
+            if kind_index == _KEYWORD:
+                continue
+            for bundle_id in slab.ids[offset:offset + used]:
+                row = acc.get(bundle_id)
+                if row is None:
+                    row = acc[bundle_id] = [0] * _KIND_COUNT
+                    row[_KEYWORD] = tally.pop(bundle_id, 0)
+                row[kind_index] += 1
+        ids = sorted(acc)
+        rows = [acc[bundle_id] for bundle_id in ids]
         return CandidateGather(
-            ids, totals,
-            (matrix[:, 0], matrix[:, 1], matrix[:, 2], matrix[:, 3]))
+            ids, [sum(row) for row in rows],
+            ([row[0] for row in rows], [row[1] for row in rows],
+             [row[2] for row in rows], [row[3] for row in rows]),
+            tally)
 
     def postings(self, kind: str, term: str) -> "Mapping[int, int]":
         slab = self._slab(kind)

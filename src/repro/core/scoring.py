@@ -11,18 +11,24 @@ Three scoring layers live here:
   as the paper's trailing "…" invites;
 * **bundle aging** score ``G(B)`` of Eq. 6 that drives pool refinement.
 
-All functions are pure; weights come from
+All functions are pure, save that the Eq. 1 argmax appends its audit
+capture to the list it is handed; weights come from
 :class:`~repro.core.config.IndexerConfig`.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import chain, compress
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import ConnectionType
-from repro.core.lazy_numpy import numpy
 from repro.core.message import Message
+from repro.core.postings import CandidateGather
+from repro.obs.audit import _RawCandidates
+
+if TYPE_CHECKING:
+    from repro.core.bundle import Bundle
 
 __all__ = [
     "url_overlap",
@@ -31,7 +37,6 @@ __all__ = [
     "message_similarity",
     "similarity_components",
     "dominant_connection_type",
-    "bundle_match_score",
     "bundle_match_scores",
     "refinement_score",
 ]
@@ -127,75 +132,130 @@ def dominant_connection_type(later: Message, earlier: Message) -> ConnectionType
     return ConnectionType.TEXT
 
 
-def bundle_match_score(
+def bundle_match_scores(
     message: Message,
-    *,
-    shared_urls: int,
-    shared_hashtags: int,
-    shared_keywords: int,
-    rt_hit: bool,
-    bundle_last_date: float,
+    gather: CandidateGather,
+    cap: int,
+    live: "Mapping[int, Bundle]",
     config: IndexerConfig,
-) -> float:
-    """Eq. 1 — relevance of an incoming message to a candidate bundle.
+    collect: "list[object] | None",
+) -> "Bundle | None":
+    """Eq. 1 argmax — Algorithm 1's best candidate bundle, or ``None``.
 
     ``S(t, B) = α·|url(t)∩url(B)| + β·|tag(t)∩tag(B)| + γ·T(date) + …``
     where the trailing terms are the keyword overlap and the RT hit the
     paper's summary index also stores (Fig. 5).  The raw counts (not
-    fractions) follow the equation as printed; the time term reuses Eq. 4's
-    inverse-span shape so fresher bundles win ties, which is the stated
-    intuition ("under similar overlapping conditions … a fresh bundle is
-    more suitable").  The keyword count is capped at ``keyword_hit_cap``
-    so the weakest indicant stays assistive-only (see
+    fractions) follow the equation as printed and are read off the
+    gather's per-kind rows; the time term reuses Eq. 4's inverse-span
+    shape so fresher bundles win ties, which is the stated intuition
+    ("under similar overlapping conditions … a fresh bundle is more
+    suitable").  The keyword count is capped at ``keyword_hit_cap`` so
+    the weakest indicant stays assistive-only (see
     :class:`~repro.core.config.IndexerConfig`).
+
+    Only the ``cap`` candidates with the most postings hits compete
+    (ties to the smaller bundle id); the best score wins, ties again to
+    the smaller bundle id, and a winner below ``min_match_score`` is
+    ``None``.  A candidate missing from ``live`` or closed is skipped.
+
+    The search is exact max-score pruning.  A score is a static
+    indicant part plus the time term ``γ·T`` with ``T <= 1``, so
+    ``static + time_weight (+ rt_weight)`` bounds it from above — float
+    addition and multiplication are monotone — and a candidate whose
+    bound is *strictly* below ``max(best so far, min_match_score)`` can
+    neither win nor tie: it is skipped before its bundle is even looked
+    up.  Per kind, the bound settles keyword-only tallies wholesale:
+    below ``min_match_score`` at ``keyword_weight * keyword_hit_cap +
+    time_weight``, they only compete for the cap.
+
+    ``collect``, when given, receives one deferred
+    :class:`~repro.obs.audit._RawCandidates` capture holding every
+    capped candidate's score in capped order, so audited calls package
+    and score them all.
     """
-    span_hours = abs(message.date - bundle_last_date) / HOUR_SECONDS
-    freshness = 1.0 / (span_hours + 1.0)
-    score = (config.url_weight * shared_urls
-             + config.hashtag_weight * shared_hashtags
-             + config.keyword_weight * min(shared_keywords,
-                                           config.keyword_hit_cap)
-             + config.time_weight * freshness)
-    if rt_hit:
-        score += config.rt_weight
-    return score
-
-
-def bundle_match_scores(
-    message_date: float,
-    *,
-    shared_urls: Any,
-    shared_hashtags: Any,
-    shared_keywords: Any,
-    rt_hits: Any,
-    bundle_last_dates: Any,
-    config: IndexerConfig,
-) -> Any:
-    """Vectorised Eq. 1 over aligned per-candidate arrays (numpy).
-
-    Element ``i`` equals ``bundle_match_score(...)`` for candidate ``i``
-    *bit-for-bit*: the float64 expression tree mirrors the scalar
-    function term by term (same left-associated additions, same
-    ``min``-then-multiply shape, RT bonus added only where it applies
-    via ``where`` so untouched lanes keep their exact bits).  That
-    identity is what lets the audit log and the candidate tie-breaks
-    stay byte-deterministic across the scalar and batched paths —
-    asserted by the dict-vs-slab conformance matrix.
-
-    Requires numpy, imported by the first call (the engine makes it
-    only for array gathers, which exist only where numpy does).
-    """
-    np = numpy()
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise RuntimeError("bundle_match_scores requires numpy")
-    span_hours = np.abs(message_date - bundle_last_dates) / HOUR_SECONDS
-    freshness = 1.0 / (span_hours + 1.0)
-    scores = (config.url_weight * shared_urls
-              + config.hashtag_weight * shared_hashtags
-              + config.keyword_weight * np.minimum(shared_keywords,
-                                                   config.keyword_hit_cap)
-              + config.time_weight * freshness)
-    return np.where(rt_hits, scores + config.rt_weight, scores)
+    fetched = len(gather)
+    audited = collect is not None
+    url_weight = config.url_weight
+    hashtag_weight = config.hashtag_weight
+    keyword_weight = config.keyword_weight
+    keyword_hit_cap = config.keyword_hit_cap
+    time_weight = config.time_weight
+    rt_weight = config.rt_weight
+    floor = config.min_match_score
+    if gather.keyword_only and (
+            audited
+            or keyword_weight * keyword_hit_cap + time_weight >= floor):
+        gather = gather.packaged()
+    ids = gather.ids
+    hits = gather.hits
+    weak = gather.keyword_only
+    # With nothing to cut, the cap sort is skipped: the argmax does
+    # not depend on the visiting order (ties go to the smaller
+    # bundle id) — only the audit rows do.
+    order: "Sequence[int]" = range(len(ids))
+    if weak and fetched > cap and ids:
+        # Keep the packaged rows ranking in the top ``cap`` by (hits
+        # descending, id ascending) over every candidate: the cut is
+        # the cap-th key, ``(edge, last)``.
+        ranked = sorted(chain(hits, weak.values()), reverse=True)
+        edge = ranked[cap - 1]
+        last = sorted(chain(
+            compress(ids, map(edge.__eq__, hits)),
+            compress(weak, map(edge.__eq__, weak.values())),
+        ))[cap - 1 - ranked.index(edge)]
+        order = [p for p in order if hits[p] > edge
+                 or (hits[p] == edge and ids[p] <= last)]
+    elif fetched > cap or audited:
+        # The gather's ids ascend, so a stable descending sort on
+        # hit count breaks count ties on the smaller bundle id.
+        order = sorted(order, key=hits.__getitem__, reverse=True)[:cap]
+    tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
+    date = message.date
+    best_bundle: "Bundle | None" = None
+    best_score = float("-inf")
+    kept_positions: "list[int]" = []
+    kept_scores: "list[float]" = []
+    for position in order:
+        shared_keywords = kw_hits[position]
+        if shared_keywords > keyword_hit_cap:
+            shared_keywords = keyword_hit_cap
+        static = (url_weight * url_hits[position]
+                  + hashtag_weight * tag_hits[position]
+                  + keyword_weight * shared_keywords)
+        rt_hit = user_hits[position] > 0
+        if not audited:
+            bound = static + time_weight
+            if rt_hit:
+                bound += rt_weight
+            if bound < floor:
+                continue
+        bundle = live.get(ids[position])
+        if bundle is None or bundle.closed:
+            continue
+        span_hours = abs(date - bundle.last_update) / HOUR_SECONDS
+        freshness = 1.0 / (span_hours + 1.0)
+        score = static + time_weight * freshness
+        if rt_hit:
+            score += rt_weight
+        if audited:
+            # Deferred capture: the per-kind counts already live in the
+            # gather, so the loop saves only the position and the
+            # compared score; _RawCandidates.rows rebuilds the evidence
+            # when the record is read.
+            kept_positions.append(position)
+            kept_scores.append(score)
+        if score > best_score or (
+                score == best_score and best_bundle is not None
+                and bundle.bundle_id < best_bundle.bundle_id):
+            best_bundle = bundle
+            best_score = score
+            if score > floor:
+                floor = score
+    if collect is not None and kept_positions:
+        collect.append(_RawCandidates(gather, kept_positions, kept_scores))
+    if best_bundle is None or best_score < config.min_match_score:
+        return None
+    return best_bundle
 
 
 def refinement_score(bundle_last_date: float, bundle_size: int,

@@ -126,10 +126,9 @@ class SummaryIndex:
 
         The batch-first fetch: one call returns everything Eq. 1 needs
         (``kind_hits`` rows are exactly the shared-indicant counts), so
-        the engine scores all candidates in a few array ops instead of
-        intersecting per-bundle summaries.  On list-sized probes the
-        candidates that only keyword postings reach come back as
-        ``keyword_only`` hit tallies instead of rows.
+        the engine scores candidates without intersecting per-bundle
+        summaries.  The candidates that only keyword postings reach
+        come back as ``keyword_only`` hit tallies instead of rows.
         """
         return self._storage.gather((("hashtag", message.hashtags),
                                      ("url", message.urls),

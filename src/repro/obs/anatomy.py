@@ -244,10 +244,9 @@ def deep_size_bytes(root: Any, seen: "set[int] | None" = None) -> int:
     ``__slots__``.  ``seen`` dedups shared objects by id — pass one set
     across several calls to attribute each shared object to exactly one
     component.  Types, modules and callables are never entered (sizing
-    a class through an attribute would drag in the whole module graph),
-    and numpy arrays are sized by ``getsizeof`` alone (which includes
-    their buffer for owning arrays).  Deterministic for identical
-    object state, which is all the fingerprint needs.
+    a class through an attribute would drag in the whole module graph).
+    Deterministic for identical object state, which is all the
+    fingerprint needs.
     """
     if seen is None:
         seen = set()
@@ -273,8 +272,6 @@ def deep_size_bytes(root: Any, seen: "set[int] | None" = None) -> int:
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
-        elif type(obj).__module__ == "numpy":
-            continue
         else:
             attrs = getattr(obj, "__dict__", None)
             if attrs is not None:

@@ -210,12 +210,11 @@ class _RawAllocation(NamedTuple):
 class _RawCandidates(NamedTuple):
     """Deferred Algorithm 1 capture: the gather, not the rows.
 
-    The scalar selection loop appends exactly one of these per audited
-    ingest — the per-kind hit matrix already sits in the message's
+    The Eq. 1 argmax appends exactly one of these per audited ingest —
+    the per-kind hit matrix already sits in the message's
     ``CandidateGather``, so all the loop saves per candidate is its
     gather position and the Eq. 1 score it compared.  :meth:`rows`
-    rebuilds the flat stride-6 scalar sequence
-    :meth:`DecisionRecord.materialize` expects; the scores are the
+    builds the :class:`CandidateScore` rows; the scores are the
     captured ones, never recomputed, so the rows are bit-identical to
     what the loop ranked.
     """
@@ -224,15 +223,15 @@ class _RawCandidates(NamedTuple):
     positions: list          # kept gather positions, capped scoring order
     scores: list             # Eq. 1 score per kept position
 
-    def rows(self) -> list:
+    def rows(self, winner: "int | None") -> "list[CandidateScore]":
+        """One row per kept candidate; ``winner``'s is selected."""
         ids = self.gather.ids
         tag_hits, url_hits, kw_hits, user_hits = self.gather.kind_hits
-        flat: list = []
-        for position, score in zip(self.positions, self.scores):
-            flat += (ids[position], url_hits[position],
-                     tag_hits[position], kw_hits[position],
-                     user_hits[position] > 0, score)
-        return flat
+        return [CandidateScore(ids[position], url_hits[position],
+                               tag_hits[position], kw_hits[position],
+                               user_hits[position] > 0, score,
+                               ids[position] == winner)
+                for position, score in zip(self.positions, self.scores)]
 
 
 @dataclass(slots=True)
@@ -301,27 +300,18 @@ class DecisionRecord:
     def materialize(self) -> "DecisionRecord":
         """Turn lazily-captured score rows into their final form.
 
-        The ingest hot path stores one :class:`_RawCandidates` (scalar
-        Alg. 1) or a flat scalar sequence (vectorised Alg. 1) plus one
-        :class:`_RawAllocation` (Alg. 2); every read path goes through
-        here first.  Idempotent — already-materialized records pass
-        through untouched.
+        The ingest hot path stores one :class:`_RawCandidates` (Alg. 1)
+        plus one :class:`_RawAllocation` (Alg. 2); every read path goes
+        through here first.  Idempotent — already-materialized records
+        pass through untouched.
         """
         candidates = self.candidates
         if candidates and isinstance(candidates[0], _RawCandidates):
-            candidates = candidates[0].rows()
-        if candidates and not isinstance(candidates[0], CandidateScore):
-            # Raw capture is a flat scalar sequence, six values per
-            # candidate; the selected row is the one the ingest landed
-            # in (a refused or fresh-bundle record selects none).
-            winner = (self.bundle_id
-                      if self.outcome is IngestOutcome.MATCHED else None)
-            self.candidates = [
-                CandidateScore(candidates[i], candidates[i + 1],
-                               candidates[i + 2], candidates[i + 3],
-                               candidates[i + 4], candidates[i + 5],
-                               candidates[i] == winner)
-                for i in range(0, len(candidates), 6)]
+            # The selected row is the one the ingest landed in (a
+            # refused or fresh-bundle record selects none).
+            self.candidates = candidates[0].rows(
+                self.bundle_id
+                if self.outcome is IngestOutcome.MATCHED else None)
         allocation = self.allocation
         if allocation and isinstance(allocation[0], _RawAllocation):
             self.allocation = allocation[0].materialize()

@@ -1,12 +1,17 @@
 """Algorithm 1's and Algorithm 2's observable output, pinned against the
 commit *before* keyword-only candidates stopped being packaged (the
-``dense`` / ``closed`` / ``reduced`` sections) and the commit before
-Alg. 2's walk learnt to search ties (the ``ties`` sections).
+``dense`` / ``closed`` / ``reduced`` sections), the commit before
+Alg. 2's walk learnt to search ties (the ``ties`` sections) and the
+commit before the numpy Eq. 1 kernel was deleted (the ``full``
+sections: Full Index over :func:`heavy_stream`, generated with numpy
+installed, so that commit scored 425 of each replay's selects by the
+numpy path).
 
 ``build()`` replays the seeded 2 000-message dense stream under three
-configs, and a one-timestamp stretch of tag sharers (:func:`tie_stream`),
-through the bare engine, once plain and once audited, and returns
-everything an observer can see of the placement: per-ingest
+configs, a one-timestamp stretch of tag sharers (:func:`tie_stream`)
+and the 10 240-message heavy-hitter stream under Full Index, through
+the bare engine, once plain and once audited, and returns everything
+an observer can see of the placement: per-ingest
 ``(bundle_id, created, edge, last_candidate_fanin)``, the
 ``repro_candidate_fanin`` histograms, the capped counter, the edge set,
 the stats, the audit JSONL bytes and the ``DecisionRecord.to_dict()``
@@ -27,6 +32,7 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from typing import Iterable
 from unittest import mock
 
 from repro.core.config import IndexerConfig
@@ -52,6 +58,13 @@ def dense_stream() -> list:
     return StreamGenerator(StreamConfig(
         seed=7, days=0.02, messages_per_day=100_000, user_count=200,
         events_per_day=240.0)).generate_list()[:2000]
+
+
+def heavy_stream() -> list:
+    """The layered benchmark's dense stream at seed 7, 10 240 messages."""
+    return StreamGenerator(StreamConfig(
+        seed=7, days=10_240.5 / 100_000.0, messages_per_day=100_000,
+        user_count=409, events_per_day=240.0)).generate_list()[:10_240]
 
 
 def tie_stream() -> list:
@@ -84,13 +97,25 @@ SCENARIOS = {
     "closed": (IndexerConfig.bundle_limit(200, 100), False, dense_stream),
     "reduced": (IndexerConfig.partial_index(200), True, dense_stream),
     "ties": (IndexerConfig.partial_index(200), False, tie_stream),
+    "full": (IndexerConfig.full_index(), False, heavy_stream),
 }
 
 
 def _digest(value: object) -> str:
-    payload = (value if isinstance(value, bytes) else json.dumps(
-        value, sort_keys=True, separators=(",", ":")).encode())
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(json.dumps(
+        value, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _digest_rows(rows: "Iterable[object]") -> str:
+    """``_digest(list(rows))``, without holding the list or its JSON."""
+    digest = hashlib.sha256(b"[")
+    for index, row in enumerate(rows):
+        if index:
+            digest.update(b",")
+        digest.update(json.dumps(
+            row, sort_keys=True, separators=(",", ":")).encode())
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def replay(config: IndexerConfig, reduced: bool, audited: bool,
@@ -137,16 +162,20 @@ def replay(config: IndexerConfig, reduced: bool, audited: bool,
             "gathered": gathered[0],
         }
         if audit is not None:
-            out["decisions"] = _digest(
-                [record.to_dict() for record in audit.tail(10_000)])
+            out["decisions"] = _digest_rows(
+                record.to_dict() for record in audit.tail(10_000))
             audit.close()
-            jsonl = sink.read_bytes()
-            out["audit_jsonl"] = [_digest(jsonl), len(jsonl)]
+            digest = hashlib.sha256()
+            with sink.open("rb") as jsonl:
+                for chunk in iter(lambda: jsonl.read(1 << 20), b""):
+                    digest.update(chunk)
+            out["audit_jsonl"] = [digest.hexdigest(), sink.stat().st_size]
     return out
 
 
 def build() -> dict:
-    streams = {make: make() for make in (dense_stream, tie_stream)}
+    streams = {make: make()
+               for make in (dense_stream, tie_stream, heavy_stream)}
     return {
         f"{name}/{'audited' if audited else 'plain'}":
             replay(config, reduced, audited, streams[make])

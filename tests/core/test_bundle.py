@@ -106,20 +106,6 @@ class TestSummaries:
         words = bundle.summary_words(2)
         assert set(words) == {"redsox", "game"}
 
-    def test_shared_counts(self, bundle):
-        bundle.insert(make_message(1, "#tag bit.ly/a", user="mlb"),
-                      keywords=frozenset({"game"}))
-        incoming = make_message(2, "RT @mlb: #tag bit.ly/a", user="f",
-                                hours=1)
-        urls, tags, kws, rt = bundle.shared_counts(
-            incoming, frozenset({"game", "other"}))
-        assert (urls, tags, kws, rt) == (1, 1, 1, True)
-
-    def test_shared_counts_empty(self, bundle):
-        bundle.insert(make_message(1, "#tag"))
-        incoming = make_message(2, "nothing", user="b", hours=1)
-        assert bundle.shared_counts(incoming, frozenset()) == (0, 0, 0, False)
-
     def test_keywords_of_members(self, bundle):
         bundle.insert(make_message(1, "x"), keywords=frozenset({"alpha"}))
         assert set(bundle.keywords_of(1)) == {"alpha"}

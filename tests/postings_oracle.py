@@ -2,9 +2,8 @@
 
 This is the layout ``repro.core.postings`` shipped next to the slab
 until the slab became the summary index's only one: one Python dict per
-term, O(1) updates, candidate gathering by walking Python objects —
-always the list (scalar-scoring) form, never numpy arrays.  The slab
-must equal it in every observable: candidate sets, counts, term
+term, O(1) updates, candidate gathering by walking Python objects.
+The slab must equal it in every observable: candidate sets, counts, term
 iteration order, and everything an engine built over it emits.
 :func:`dict_postings` builds engines over it so one script can be
 replayed against both (:func:`postings_layout` picks a side by name).
@@ -31,7 +30,7 @@ def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
     """Naive packaging: per-id kind rows -> one row per candidate.
 
     Every candidate gets a row, keyword-only ones included — the full
-    shape the slab's list gather packages only for audited or
+    shape the slab's gather packages only for audited or
     keyword-decisive selections (``CandidateGather.packaged``).
     """
     ids = sorted(acc)
@@ -47,7 +46,7 @@ def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
 
 
 def full_gather(gather: CandidateGather) -> CandidateGather:
-    """A list gather re-packaged naively with every candidate as a row."""
+    """A gather re-packaged naively with every candidate as a row."""
     acc = {bundle_id: [column[position] for column in gather.kind_hits]
            for position, bundle_id in enumerate(gather.ids)}
     keyword = _KIND_INDEX["keyword"]

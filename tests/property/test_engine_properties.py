@@ -9,7 +9,6 @@ persistence layers.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -292,8 +291,7 @@ def _replay(config, candidate_cap, audited, messages, ops):
             transcript.extend(record.to_dict() for record
                               in engine.obs.audit.tail(len(messages)))
             engine.obs.audit.close()
-            # The JSONL bytes: numpy scalars leaking into a record
-            # would serialise differently (or not at all).
+            # The JSONL bytes, as the sink serialised every record.
             sink = engine.obs.audit.sink
             transcript.append(sink.read_bytes() if sink.exists() else b"")
 
@@ -343,12 +341,23 @@ class TestPruningIsLossless:
         slab's keyword-only tallies as full rows.  The run must land on
         both sides of the kind-level bound: configs where keyword-only
         candidates cannot reach ``min_match_score`` (never scored
-        unaudited) and configs where they can.
+        unaudited) and configs where they can.  The oracle reaches the
+        engine through its ``bundle_match_scores`` seam, so it must be
+        called.
         """
+        from unittest import mock
+
+        from tests import scoring_oracle
         from tests.postings_oracle import postings_layout
         from tests.scoring_oracle import exhaustive_scoring
 
-        sides = {"keyword_only_pruned": 0, "keyword_only_scored": 0}
+        sides = {"keyword_only_pruned": 0, "keyword_only_scored": 0,
+                 "oracle_selects": 0}
+        oracle_select = scoring_oracle.select
+
+        def counted_select(*args):
+            sides["oracle_selects"] += 1
+            return oracle_select(*args)
 
         @settings(deadline=None)
         @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
@@ -370,7 +379,8 @@ class TestPruningIsLossless:
                                      messages, ops)
             assert shipped == oracle
 
-        differential()
+        with mock.patch.object(scoring_oracle, "select", counted_select):
+            differential()
         assert all(sides.values()), sides
 
     def test_alg2_walk_equals_exhaustive_argmax(self):
@@ -423,51 +433,3 @@ class TestPruningIsLossless:
                 assert edges[0] == edges[1], msg_id
 
         differential()
-
-    def test_numpy_selection_equals_scalar_oracle(self):
-        """The numpy gather + Eq. 1 kernel against dict layout + argmax.
-
-        With the cutoff at zero every non-empty slab gather comes back
-        as arrays, so ``_select_vectorised`` decides every placement the
-        oracle engine (list gathers only, exhaustive loops) decides by
-        the scalar route.
-        """
-        pytest.importorskip("numpy")
-        from unittest import mock
-
-        from repro.core import postings
-        from tests.postings_oracle import dict_postings
-        from tests.scoring_oracle import exhaustive_scoring
-
-        calls = {"vectorised": 0, "scalar": 0}
-
-        def counted(name, method):
-            def wrapper(self, *args):
-                calls[name] += 1
-                return method(self, *args)
-            return wrapper
-
-        @settings(deadline=None)
-        @given(scoring_configs(), st.sampled_from([None, 1, 3]),
-               st.booleans(), scoring_messages(), st.data())
-        def differential(config, candidate_cap, audited, messages, data):
-            ops = data.draw(st.lists(self.OPS, min_size=len(messages),
-                                     max_size=len(messages)))
-            with (mock.patch.object(postings, "SMALL_GATHER_CUTOFF", 0),
-                  mock.patch.object(
-                      ProvenanceIndexer, "_select_vectorised",
-                      counted("vectorised",
-                              ProvenanceIndexer._select_vectorised)),
-                  mock.patch.object(
-                      ProvenanceIndexer, "_select_scalar",
-                      counted("scalar", ProvenanceIndexer._select_scalar))):
-                shipped = _replay(config, candidate_cap, audited, messages,
-                                  ops)
-            with dict_postings(), exhaustive_scoring():
-                oracle = _replay(config, candidate_cap, audited, messages,
-                                 ops)
-            assert shipped == oracle
-
-        differential()
-        assert calls["vectorised"] > 0
-        assert calls["scalar"] == 0

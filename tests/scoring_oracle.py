@@ -2,9 +2,10 @@
 
 These are the loops the engine ran before selection learnt to skip
 candidates that cannot win: every capped candidate bundle gets a full
-Eq. 1 score, every windowed member a full Eq. 5 score, and the best is
-the plain maximum.  The shipped bound-and-skip code must agree with them
-on every placement, edge, tie-break and float bit;
+Eq. 1 score (:func:`bundle_match_score`, the per-candidate naive twin
+of the shipped kernel), every windowed member a full Eq. 5 score, and
+the best is the plain maximum.  The shipped bound-and-skip code must
+agree with them on every placement, edge, tie-break and float bit;
 :func:`exhaustive_scoring` swaps them in so one script can be replayed
 against both.
 """
@@ -12,23 +13,52 @@ against both.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Mapping
+from unittest import mock
 
+from repro.core import engine
 from repro.core.bundle import Bundle
+from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
-from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import BundleClosedError, BundleError
 from repro.core.message import Message
 from repro.core.postings import CandidateGather
-from repro.core.scoring import (bundle_match_score, dominant_connection_type,
-                                message_similarity)
+from repro.core.scoring import dominant_connection_type, message_similarity
 from repro.obs.audit import _RawAllocation, _RawCandidates
 from tests.postings_oracle import full_gather
 
 
-def select_scalar(self: ProvenanceIndexer, message: Message,
-                  keywords: "frozenset[str]", gather: CandidateGather,
-                  cap: int, collect: "list | None") -> "Bundle | None":
+def bundle_match_score(
+    message: Message,
+    *,
+    shared_urls: int,
+    shared_hashtags: int,
+    shared_keywords: int,
+    rt_hit: bool,
+    bundle_last_date: float,
+    config: IndexerConfig,
+) -> float:
+    """Eq. 1 — relevance of an incoming message to one candidate bundle.
+
+    ``S(t, B) = α·|url(t)∩url(B)| + β·|tag(t)∩tag(B)| + γ·T(date) + …``
+    with the keyword count capped at ``keyword_hit_cap`` and the RT bonus
+    on top, as :func:`repro.core.scoring.bundle_match_scores` scores it.
+    """
+    span_hours = abs(message.date - bundle_last_date) / HOUR_SECONDS
+    freshness = 1.0 / (span_hours + 1.0)
+    score = (config.url_weight * shared_urls
+             + config.hashtag_weight * shared_hashtags
+             + config.keyword_weight * min(shared_keywords,
+                                           config.keyword_hit_cap)
+             + config.time_weight * freshness)
+    if rt_hit:
+        score += config.rt_weight
+    return score
+
+
+def select(message: Message, gather: CandidateGather, cap: int,
+           live: "Mapping[int, Bundle]", config: IndexerConfig,
+           collect: "list | None") -> "Bundle | None":
     """Alg. 1: score every capped candidate, keep the maximum.
 
     Keyword-only candidates get rows and scores like every other one:
@@ -37,12 +67,9 @@ def select_scalar(self: ProvenanceIndexer, message: Message,
     gather = full_gather(gather)
     ids = gather.ids
     hits = gather.hits
-    fetched = len(ids)
-    order = sorted(range(fetched),
+    order = sorted(range(len(ids)),
                    key=lambda index: (-hits[index], ids[index]))[:cap]
-    self.last_candidate_fanin = (fetched, len(order))
     tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
-    live = self.pool.live()
     best_bundle: "Bundle | None" = None
     best_score = float("-inf")
     kept_positions: "list[int]" = []
@@ -58,7 +85,7 @@ def select_scalar(self: ProvenanceIndexer, message: Message,
             shared_keywords=kw_hits[position],
             rt_hit=user_hits[position] > 0,
             bundle_last_date=bundle.last_update,
-            config=self.config,
+            config=config,
         )
         kept_positions.append(position)
         kept_scores.append(score)
@@ -69,7 +96,7 @@ def select_scalar(self: ProvenanceIndexer, message: Message,
             best_score = score
     if collect is not None and kept_positions:
         collect.append(_RawCandidates(gather, kept_positions, kept_scores))
-    if best_bundle is None or best_score < self.config.min_match_score:
+    if best_bundle is None or best_score < config.min_match_score:
         return None
     return best_bundle
 
@@ -127,10 +154,6 @@ def insert(self: Bundle, message: Message,
 @contextmanager
 def exhaustive_scoring() -> Iterator[None]:
     """Run every engine and bundle on the exhaustive loops meanwhile."""
-    shipped = (ProvenanceIndexer._select_scalar, Bundle.insert)
-    ProvenanceIndexer._select_scalar = select_scalar  # type: ignore[method-assign]
-    Bundle.insert = insert  # type: ignore[method-assign]
-    try:
+    with (mock.patch.object(engine, "bundle_match_scores", select),
+          mock.patch.object(Bundle, "insert", insert)):
         yield
-    finally:
-        ProvenanceIndexer._select_scalar, Bundle.insert = shipped  # type: ignore[method-assign]
