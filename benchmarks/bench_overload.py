@@ -4,7 +4,7 @@ Three forced-mode variants ingest the same stream in lockstep:
 
 * NORMAL — full Eq. 1 matching, no caps;
 * REDUCED — candidate-bundle fan-in capped (Algorithm 1 sees at most
-  ``reduced_candidate_cap`` bundles per message);
+  ``REDUCED_CANDIDATE_CAP`` bundles per message);
 * SKELETON — keyword similarity skipped entirely; matching falls back
   to the exact indicants (RT ancestry / URL / hashtag).
 
@@ -27,20 +27,18 @@ from repro.bench.reporting import ascii_table, human_count
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.metrics import compare_edge_sets
-from repro.reliability.overload import (HealthState, OverloadConfig,
-                                        OverloadController)
+from repro.reliability.overload import (REDUCED_CANDIDATE_CAP, HealthState,
+                                        OverloadConfig, OverloadController)
 from repro.reliability.supervisor import ResilientIndexer
 from repro.storage.wal import JournaledIndexer, MessageJournal
-
-CANDIDATE_CAP = 8
 
 
 def forced_engine(mode: str) -> ProvenanceIndexer:
     engine = ProvenanceIndexer(IndexerConfig.partial_index(pool_size=200))
     if mode == "reduced":
-        engine.candidate_cap = CANDIDATE_CAP
+        engine.candidate_cap = REDUCED_CANDIDATE_CAP
     elif mode == "skeleton":
-        engine.candidate_cap = CANDIDATE_CAP
+        engine.candidate_cap = REDUCED_CANDIDATE_CAP
         engine.skeleton_matching = True
     return engine
 

@@ -518,9 +518,6 @@ class ProvenanceIndexer:
                 bundle_id=bundle.bundle_id)
 
         if audit is not None:
-            cap = self.config.max_candidates
-            if self.candidate_cap is not None:
-                cap = min(cap, self.candidate_cap)
             audit.record_decision(
                 msg_id=message.msg_id,
                 outcome=outcome,
@@ -529,7 +526,7 @@ class ProvenanceIndexer:
                 parent_id=(edge.as_pair()[1] if edge is not None else None),
                 edge_kind=(edge.kind.value if edge is not None else None),
                 skeleton=self.skeleton_matching,
-                candidate_cap=0 if folded else cap,
+                candidate_cap=0 if folded else self._scoring_cap(),
                 threshold=self.config.min_match_score,
                 candidates=candidate_scores,
                 allocation=allocation_scores,
@@ -662,14 +659,17 @@ class ProvenanceIndexer:
         if not fetched:
             self.last_candidate_fanin = (0, 0)
             return None
-        # Cap full scoring at the strongest posting hits; REDUCED mode
-        # tightens the cap further via ``candidate_cap``.
-        cap = self.config.max_candidates
-        if self.candidate_cap is not None:
-            cap = min(cap, self.candidate_cap)
+        cap = self._scoring_cap()
         self.last_candidate_fanin = (fetched, min(fetched, cap))
         return bundle_match_scores(message, gather, cap, self.pool.live(),
                                    self.config, collect)
+
+    def _scoring_cap(self) -> int:
+        """Candidates fully scored per message: ``config.max_candidates``,
+        tightened by the REDUCED rung's ``candidate_cap``."""
+        cap = self.config.max_candidates
+        return cap if self.candidate_cap is None else min(
+            cap, self.candidate_cap)
 
     # ------------------------------------------------------------------
     # Inspection used by retrieval, metrics and benchmarks

@@ -16,7 +16,7 @@ deterministic instruments:
   streams reproduce identical state byte for byte.
 * shape histograms — postings-list length per kind
   (``repro_postings_length``), riding the registry's existing
-  bucket/reservoir machinery so the fleet merge and the Prometheus
+  bucket machinery so the fleet merge and the Prometheus
   export get them for free (the engine and pool own the companion
   ``repro_candidate_fanin`` and ``repro_evicted_bundle_*`` series).
 * :class:`MemoryAccountant` — a deep ``sys.getsizeof`` walk attributing
@@ -429,9 +429,9 @@ class WorkloadAnatomy:
             return
         self.sampled += 1
         # Sorted: set iteration order varies with the per-process
-        # string-hash seed, and both the sketch's evictions and the
-        # histogram reservoirs are order-sensitive — fingerprints must
-        # be byte-identical across processes.
+        # string-hash seed, and the sketch's evictions are
+        # order-sensitive — fingerprints must be byte-identical across
+        # processes.
         for kind, terms in (("hashtag", sorted(message.hashtags)),
                             ("url", sorted(message.urls)),
                             ("keyword", sorted(keywords)),
@@ -503,8 +503,8 @@ class WorkloadAnatomy:
                     guard: "Any | None" = None) -> "dict[str, Any]":
         """One byte-deterministic workload-fingerprint record.
 
-        Everything is derived from replay-deterministic state (seeded
-        reservoirs, integer counters, ``getsizeof`` of identical
+        Everything is derived from replay-deterministic state (bucket
+        counts, integer counters, ``getsizeof`` of identical
         structures); there is deliberately **no wall-clock field**, so
         two seeded runs emit byte-identical JSONL.
         """

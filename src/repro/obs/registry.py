@@ -17,10 +17,12 @@ named, labelled metric with exactly one producer:
   (e.g. ``pool.approximate_memory_bytes``).  Callback gauges are *views*:
   reading one re-computes the truth, so the dashboard, ``repro health``
   and the benchmarks all see the identical number.
-* :class:`Histogram` — fixed cumulative buckets (Prometheus-style) plus
-  a bounded reservoir (Vitter's Algorithm R, seeded RNG) for streaming
-  p50/p95/p99 estimates.  The ``sum`` doubles as the stage-time
-  accumulator that used to live in ``StageTimers``.
+* :class:`Histogram` — fixed cumulative buckets (Prometheus-style) that
+  also answer p50/p95/p99, interpolated inside the bucket holding the
+  rank and clamped to the exact min/max.  Bucket counts add, so a
+  merged fleet histogram equals one fed every shard's observations.
+  The ``sum`` doubles as the stage-time accumulator that used to live
+  in ``StageTimers``.
 
 Labels are supported with a per-family cardinality cap: once a family
 holds ``max_label_sets`` children, further label sets collapse into one
@@ -37,7 +39,6 @@ working with telemetry off.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from typing import Callable, Iterator, Mapping
 
@@ -59,9 +60,7 @@ __all__ = [
 #: sub-10 µs decade exists for the vectorized hot path the roadmap
 #: targets: a post-10x per-message ingest lands well under a
 #: millisecond, and a histogram that bottoms out at 10 µs would lump
-#: the entire distribution into its first two buckets.  Dumps recorded
-#: under the old (10 µs-bottom) bucket layout still merge — see
-#: :meth:`Histogram.merge_state`.
+#: the entire distribution into its first two buckets.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6,
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
@@ -160,29 +159,21 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed cumulative buckets plus a bounded quantile reservoir.
+    """Fixed cumulative buckets; quantiles are read from them.
 
     ``observe`` is the only hot-path operation: one bisect over the
-    bucket bounds, two float adds, and (once the reservoir is full) one
-    RNG draw for Vitter's Algorithm R.  Percentile reads sort the
-    reservoir and are meant for export/dashboard time.
-
-    The reservoir RNG is seeded, so a replayed stream produces the exact
-    same quantile estimates run after run.
+    bucket bounds, two float adds and two compares.  Every other
+    statistic is derived from the bucket counts and the exact
+    ``count``/``sum``/``min``/``max``, so merging two histograms is
+    plain addition and loses nothing.
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count",
-                 "sum", "min", "max", "_reservoir", "_reservoir_size",
-                 "_rng")
+                 "sum", "min", "max")
 
     def __init__(self, name: str, *,
                  labels: "Mapping[str, str] | None" = None,
-                 buckets: "tuple[float, ...] | None" = None,
-                 reservoir_size: int = 512,
-                 seed: int = 0) -> None:
-        if reservoir_size < 1:
-            raise ConfigurationError(
-                f"reservoir_size must be >= 1, got {reservoir_size}")
+                 buckets: "tuple[float, ...] | None" = None) -> None:
         bounds = tuple(buckets) if buckets else DEFAULT_LATENCY_BUCKETS
         if list(bounds) != sorted(bounds):
             raise ConfigurationError(
@@ -195,9 +186,6 @@ class Histogram:
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._reservoir: list[float] = []
-        self._reservoir_size = reservoir_size
-        self._rng = random.Random(seed)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -208,34 +196,36 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.bucket_counts[bisect_right(self.bounds, value)] += 1
-        reservoir = self._reservoir
-        if len(reservoir) < self._reservoir_size:
-            reservoir.append(value)
-        else:
-            # int(random() * count) over randrange(count): same uniform
-            # slot choice (float bias is ~2^-53), a fraction of the
-            # cost — this runs once per observation on the ingest hot
-            # path, and randrange's rejection sampling dominated the
-            # whole metrics overhead budget.
-            slot = int(self._rng.random() * self.count)
-            if slot < self._reservoir_size:
-                reservoir[slot] = value
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile estimate from the reservoir.
+        """Percentile by Prometheus' ``histogram_quantile`` rule.
 
-        ``q`` in [0, 100].  Returns 0.0 before the first observation.
-        Exact while the observation count fits the reservoir; an
-        unbiased uniform-sample estimate afterwards.
+        ``q`` in [0, 100].  The first non-empty bucket whose cumulative
+        count reaches ``q/100 · count`` holds the answer, linearly
+        interpolated between its edges; the edges are clamped to the
+        exact ``min``/``max``, so ``q=0`` is the minimum, ``q=100`` the
+        maximum and a single observation every percentile.  Returns 0.0
+        before the first observation.
         """
         if not 0.0 <= q <= 100.0:
             raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
-        if not self._reservoir:
+        if not self.count:
             return 0.0
-        ordered = sorted(self._reservoir)
-        rank = max(0, min(len(ordered) - 1,
-                          int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+        rank = q / 100.0 * self.count
+        edges = (float("-inf"), *self.bounds, float("inf"))
+        running = 0
+        for index, bucket in enumerate(self.bucket_counts):
+            if not bucket:
+                continue
+            if running + bucket >= rank:
+                low = max(edges[index], self.min)
+                high = min(edges[index + 1], self.max)
+                fraction = (rank - running) / bucket
+                if fraction >= 1.0:
+                    return high
+                return min(high, low + (high - low) * fraction)
+            running += bucket
+        return self.max
 
     @property
     def mean(self) -> float:
@@ -280,40 +270,23 @@ class Histogram:
             "sum": self.sum,
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
-            "reservoir": list(self._reservoir),
         }
 
     def merge_state(self, state: "Mapping[str, object]") -> None:
         """Fold a :meth:`dump_state` payload into this histogram.
 
-        Bucket bounds must match — or be a *subset* of this histogram's
-        bounds, the shape produced when the default bucket layout gains
-        finer buckets between releases.  A subset dump is migrated by
-        crediting each incoming bucket to the local bucket sharing its
-        upper bound, which preserves every cumulative count at the
-        bounds both layouts share (the finer intermediate buckets
-        simply see none of the old observations).  Anything else raises.
-
-        The reservoir is merged by filling remaining capacity in
-        arrival order — deterministic, and exact until the combined
-        sample count exceeds the reservoir size (after which merged
-        percentiles are an approximation, which is all a fleet-wide
-        view needs).
+        Bucket-wise addition of the counts plus count, sum, min and
+        max, so the result equals one histogram fed both streams.  The
+        bucket bounds must match exactly (every dump comes from the same
+        code); anything else raises.
         """
         bounds = tuple(state["bounds"])  # type: ignore[arg-type]
-        counts = [int(b) for b in state["bucket_counts"]]  # type: ignore[call-overload]
         if bounds != self.bounds:
-            if not set(bounds) <= set(self.bounds):
-                raise ConfigurationError(
-                    f"histogram {self.name}: cannot merge mismatched "
-                    f"buckets {bounds} into {self.bounds}")
-            remapped = [0] * (len(self.bounds) + 1)
-            for index, bound in enumerate(bounds):
-                remapped[self.bounds.index(bound)] += counts[index]
-            remapped[-1] += counts[-1]
-            counts = remapped
-        for index, bucket in enumerate(counts):
-            self.bucket_counts[index] += bucket
+            raise ConfigurationError(
+                f"histogram {self.name}: cannot merge mismatched "
+                f"buckets {bounds} into {self.bounds}")
+        for index, bucket in enumerate(state["bucket_counts"]):  # type: ignore[arg-type]
+            self.bucket_counts[index] += int(bucket)
         self.count += int(state["count"])  # type: ignore[call-overload]
         self.sum += float(state["sum"])  # type: ignore[arg-type]
         low, high = state.get("min"), state.get("max")
@@ -321,11 +294,6 @@ class Histogram:
             self.min = min(self.min, float(low))  # type: ignore[arg-type]
         if high is not None:
             self.max = max(self.max, float(high))  # type: ignore[arg-type]
-        reservoir = state.get("reservoir") or ()
-        room = self._reservoir_size - len(self._reservoir)
-        if room > 0:
-            self._reservoir.extend(
-                float(v) for v in tuple(reservoir)[:room])  # type: ignore[arg-type]
 
 
 class _NullCounter(Counter):
@@ -347,7 +315,7 @@ class _NullHistogram(Histogram):
 
 
 NULL_COUNTER = _NullCounter("null")
-NULL_HISTOGRAM = _NullHistogram("null", buckets=(1.0,), reservoir_size=1)
+NULL_HISTOGRAM = _NullHistogram("null", buckets=(1.0,))
 
 
 class MetricFamily:
@@ -385,21 +353,16 @@ class MetricsRegistry:
         Per-family cardinality cap; label sets beyond it collapse into
         one shared ``overflow="true"`` child and bump
         :attr:`dropped_label_sets`.
-    seed:
-        Seed for histogram reservoirs (per-child sub-seeded by creation
-        order so siblings do not mirror each other's samples).
     """
 
-    def __init__(self, *, enabled: bool = True, max_label_sets: int = 64,
-                 seed: int = 0) -> None:
+    def __init__(self, *, enabled: bool = True,
+                 max_label_sets: int = 64) -> None:
         if max_label_sets < 1:
             raise ConfigurationError(
                 f"max_label_sets must be >= 1, got {max_label_sets}")
         self.enabled = enabled
         self.max_label_sets = max_label_sets
-        self.seed = seed
         self._families: "dict[str, MetricFamily]" = {}
-        self._created = 0
         self.dropped_label_sets = 0
 
     # ------------------------------------------------------------------
@@ -429,19 +392,14 @@ class MetricsRegistry:
     def histogram(self, name: str, *, help: str = "", unit: str = "",
                   labels: "Mapping[str, str] | None" = None,
                   buckets: "tuple[float, ...] | None" = None,
-                  reservoir_size: int = 512) -> Histogram:
+                  ) -> Histogram:
         """Get or create a streaming histogram."""
         if not self.enabled:
             return NULL_HISTOGRAM
-
-        def factory(lbl: "Mapping[str, str] | None") -> Histogram:
-            self._created += 1
-            return Histogram(name, labels=lbl, buckets=buckets,
-                             reservoir_size=reservoir_size,
-                             seed=self.seed * 1_000_003 + self._created)
-
-        return self._child("histogram", name, help, unit, labels,
-                           factory, None)
+        return self._child(
+            "histogram", name, help, unit, labels,
+            lambda lbl: Histogram(name, labels=lbl, buckets=buckets),
+            None)
 
     def _child(self, kind, name, help_text, unit, labels, factory,
                callback):

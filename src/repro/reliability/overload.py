@@ -11,9 +11,10 @@ that choice explicit with four cooperating pieces:
   everything admitted, deferred or dropped (no silent loss);
 * :class:`DegradationLadder` — a health state machine
   ``NORMAL → REDUCED → SKELETON → SHED_ONLY`` driven by observed ingest
-  latency (EWMA over :class:`~repro.core.engine.StageTimers` wall time),
-  backlog depth and pool memory.  REDUCED tightens the candidate-bundle
-  fan-in of Algorithm 1 (and an attached ingest guard's thresholds);
+  latency (EWMA over :class:`~repro.core.engine.StageTimers` wall time)
+  and backlog depth.  REDUCED caps the candidate-bundle fan-in of
+  Algorithm 1 at :data:`REDUCED_CANDIDATE_CAP` (and tightens an
+  attached ingest guard's thresholds);
   SKELETON skips keyword-similarity scoring entirely and matches on the
   exact indicants only (RT ancestry / URL / hashtag — the cheap Eq. 1
   components); SHED_ONLY stops admitting new messages while the backlog
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bundle import Bundle
     from repro.core.engine import ProvenanceIndexer
     from repro.core.message import Message
-    from repro.obs.registry import Gauge
     from repro.reliability.guard import IngestGuard
 
 __all__ = [
@@ -107,15 +107,9 @@ class OverloadConfig:
     latency_target:
         Per-message ingest wall-time budget in seconds; the EWMA of
         observed latencies is compared against it.
-    memory_high_bytes:
-        Pool memory treated as full pressure; ``None`` disables the
-        memory signal (the supervisor's watermark shedding still
-        applies independently).
     escalate_after / recover_after:
         Consecutive overloaded / healthy observations required to move
         one rung up / down the ladder.
-    reduced_candidate_cap:
-        Candidate-bundle fan-in cap applied from REDUCED mode onward.
     breaker_failures / breaker_reset_after:
         Circuit breaker: consecutive spill failures that trip it open,
         and seconds before its one half-open probe.
@@ -125,10 +119,8 @@ class OverloadConfig:
     burst: int = 64
     max_queue: int = 512
     latency_target: float = 0.005
-    memory_high_bytes: "int | None" = None
     escalate_after: int = 3
     recover_after: int = 8
-    reduced_candidate_cap: int = 8
     breaker_failures: int = 5
     breaker_reset_after: float = 30.0
 
@@ -147,10 +139,6 @@ class OverloadConfig:
         if self.escalate_after < 1 or self.recover_after < 1:
             raise ConfigurationError(
                 "escalate_after and recover_after must be >= 1")
-        if self.reduced_candidate_cap < 1:
-            raise ConfigurationError(
-                "reduced_candidate_cap must be >= 1, got "
-                f"{self.reduced_candidate_cap}")
         if self.breaker_failures < 1:
             raise ConfigurationError(
                 f"breaker_failures must be >= 1, got {self.breaker_failures}")
@@ -294,6 +282,8 @@ QUEUE_HIGH_FRACTION = 0.5
 RECOVER_PRESSURE = 0.7
 #: Smoothing factor of the latency EWMA.
 EWMA_ALPHA = 0.2
+#: Candidate-bundle fan-in cap applied from REDUCED mode onward.
+REDUCED_CANDIDATE_CAP = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,7 +298,7 @@ class Transition:
 
 
 class DegradationLadder:
-    """Hysteresis state machine over latency / backlog / memory pressure.
+    """Hysteresis state machine over latency and backlog pressure.
 
     Pressure is the max of the normalised signals (1.0 = at the
     configured limit).  ``escalate_after`` consecutive observations at
@@ -334,25 +324,19 @@ class DegradationLadder:
         """Feed one observed per-message ingest latency into the EWMA."""
         self.latency_ewma += EWMA_ALPHA * (seconds - self.latency_ewma)
 
-    def pressure(self, *, queue_fraction: float,
-                 memory_bytes: "int | None" = None) -> tuple[float, str]:
+    def pressure(self, *, queue_fraction: float) -> tuple[float, str]:
         """Normalised pressure and the name of the dominant signal."""
-        config = self.config
         signals = {
-            "latency": self.latency_ewma / config.latency_target,
+            "latency": self.latency_ewma / self.config.latency_target,
             "queue": queue_fraction / QUEUE_HIGH_FRACTION,
         }
-        if config.memory_high_bytes is not None and memory_bytes is not None:
-            signals["memory"] = memory_bytes / config.memory_high_bytes
         signal = max(signals, key=lambda name: signals[name])
         return signals[signal], signal
 
-    def observe(self, *, queue_fraction: float,
-                memory_bytes: "int | None" = None) -> HealthState:
+    def observe(self, *, queue_fraction: float) -> HealthState:
         """Record one observation; maybe move one rung. Returns the state."""
         self.observations += 1
-        value, signal = self.pressure(queue_fraction=queue_fraction,
-                                      memory_bytes=memory_bytes)
+        value, signal = self.pressure(queue_fraction=queue_fraction)
         self.last_pressure = value
         self.last_signal = signal
         if value >= 1.0:
@@ -614,7 +598,6 @@ class OverloadController:
         self.guarded: "GuardedSink | None" = None
         self.ingest_guard: "IngestGuard | None" = None
         self._engine: "ProvenanceIndexer | None" = None
-        self._memory_gauge: "Gauge | None" = None
         self.mode_ingests: "dict[HealthState, int]" = {
             state: 0 for state in HealthState}
 
@@ -638,16 +621,9 @@ class OverloadController:
         """Export the regulation signals through the engine's registry.
 
         All gauges are callback-backed views over the authoritative
-        state, and gauges stay live even on a disabled registry — the
-        ladder's pressure inputs must work with telemetry off.  The
-        pool-memory signal is *read back* through the same
-        ``repro_pool_memory_bytes`` gauge the engine registered, so the
-        ladder, the dashboard and ``repro health`` share one number.
+        state, and gauges stay live even on a disabled registry.
         """
         registry = engine.obs.registry
-        self._memory_gauge = registry.gauge(
-            "repro_pool_memory_bytes",
-            callback=engine.pool.approximate_memory_bytes)
         ladder = self.ladder
         registry.gauge("repro_overload_rung",
                        help="Degradation ladder rung "
@@ -690,11 +666,8 @@ class OverloadController:
 
     def offer(self, message: "Message", now: float) -> Admission:
         """Observe pressure, maybe move the ladder, and admit or not."""
-        memory = (int(self._memory_gauge.value)
-                  if self._memory_gauge is not None else None)
         state = self.ladder.observe(
-            queue_fraction=self.admission.queue_fraction,
-            memory_bytes=memory)
+            queue_fraction=self.admission.queue_fraction)
         return self.admission.offer(
             message, now, shed_only=state is HealthState.SHED_ONLY)
 
@@ -718,10 +691,10 @@ class OverloadController:
             engine.candidate_cap = None
             engine.skeleton_matching = False
         elif state is HealthState.REDUCED:
-            engine.candidate_cap = self.config.reduced_candidate_cap
+            engine.candidate_cap = REDUCED_CANDIDATE_CAP
             engine.skeleton_matching = False
         else:  # SKELETON, and SHED_ONLY's backlog drain
-            engine.candidate_cap = self.config.reduced_candidate_cap
+            engine.candidate_cap = REDUCED_CANDIDATE_CAP
             engine.skeleton_matching = True
         if self.ingest_guard is not None:
             self.ingest_guard.set_tightened(state >= HealthState.REDUCED)

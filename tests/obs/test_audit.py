@@ -11,7 +11,8 @@ from repro.core.engine import ProvenanceIndexer
 from repro.obs import AuditLog, IngestOutcome, Observability, Tracer
 from repro.obs.audit import (CandidateScore, DecisionRecord, RefinementEvent,
                              explain_from_jsonl, rung_label)
-from repro.reliability.overload import HealthState, OverloadController
+from repro.reliability.overload import (REDUCED_CANDIDATE_CAP, HealthState,
+                                        OverloadController)
 from tests.conftest import make_message
 
 
@@ -136,8 +137,7 @@ class TestDegradedRungRecording:
         records = audit.tail(3)
         assert all(r.rung == int(HealthState.REDUCED) for r in records)
         assert all(not r.skeleton for r in records)
-        cap = min(engine.config.max_candidates,
-                  OverloadController().config.reduced_candidate_cap)
+        cap = min(engine.config.max_candidates, REDUCED_CANDIDATE_CAP)
         assert all(r.candidate_cap == cap for r in records)
         assert rung_label(records[0].rung) == "reduced"
 

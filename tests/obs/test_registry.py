@@ -8,6 +8,7 @@ from repro.core.errors import ConfigurationError
 from repro.obs import (DEFAULT_LATENCY_BUCKETS, NULL_COUNTER,
                        NULL_HISTOGRAM, Histogram, MetricsRegistry)
 from repro.obs.registry import series_name
+from repro.runtime import merge_worker_dumps
 
 
 class TestCounter:
@@ -66,20 +67,18 @@ class TestGauge:
 
 
 class TestHistogramPercentiles:
-    def test_deterministic_sequence_exact_while_reservoir_fits(self):
-        hist = Histogram("h", buckets=(1.0, 10.0), reservoir_size=1000)
-        for value in range(1, 101):  # 1..100, fits the reservoir
-            hist.observe(float(value))
-        assert hist.percentile(0) == 1.0
-        assert hist.percentile(50) == pytest.approx(51.0)
-        assert hist.percentile(95) == pytest.approx(95.0, abs=1.0)
-        assert hist.percentile(99) == pytest.approx(99.0, abs=1.0)
-        assert hist.percentile(100) == 100.0
-        assert hist.count == 100
-        assert hist.sum == pytest.approx(5050.0)
-        assert hist.mean == pytest.approx(50.5)
-        assert hist.min == 1.0
-        assert hist.max == 100.0
+    def test_interpolates_inside_the_rank_bucket(self):
+        hist = Histogram("h", buckets=(10.0, 20.0, 30.0))
+        for value in (12.0, 14.0, 16.0, 18.0, 19.0,
+                      21.0, 22.0, 23.0, 24.0, 25.0):
+            hist.observe(value)
+        # Bucket [10, 20) clamps to [min=12, 20); [20, 30) to [20, max=25].
+        assert hist.percentile(0) == 12.0
+        assert hist.percentile(25) == 16.0
+        assert hist.percentile(50) == 20.0
+        assert hist.percentile(75) == 22.5
+        assert hist.percentile(100) == 25.0
+        assert hist.mean == pytest.approx(19.4)
 
     def test_single_observation_is_every_percentile(self):
         hist = Histogram("h", buckets=(1.0,))
@@ -97,19 +96,6 @@ class TestHistogramPercentiles:
         hist = Histogram("h", buckets=(1.0,))
         with pytest.raises(ConfigurationError):
             hist.percentile(101)
-
-    def test_seeded_reservoir_is_reproducible(self):
-        def fill(seed: int) -> "list[float]":
-            hist = Histogram("h", buckets=(1.0,), reservoir_size=32,
-                             seed=seed)
-            for value in range(500):
-                hist.observe(float(value))
-            return [hist.percentile(q) for q in (50, 95, 99)]
-
-        assert fill(7) == fill(7)
-        # Not a hard guarantee, but with 500 draws into 32 slots two
-        # different seeds virtually never agree on all three quantiles.
-        assert fill(7) != fill(8)
 
     def test_bucket_counts_are_cumulative_in_export_order(self):
         hist = Histogram("h", buckets=(0.1, 1.0, 10.0))
@@ -209,13 +195,11 @@ class TestRegistryCatalog:
 
 
 class TestBucketMigration:
-    """Dumps under the old 10 µs-bottom layout merge into the new one.
+    """Merging is bucket-wise addition, so bucket layouts must match.
 
-    The default latency buckets gained a sub-10 µs decade; workers (or
-    archived dumps) recorded under the coarser layout must still fold
-    into a fleet registry built with the new defaults — satisfied by
-    crediting each old bucket to the new bucket sharing its upper
-    bound, which preserves every cumulative count both layouts share.
+    Every dump comes from a worker running the same code as the
+    coordinator; a dump under any other layout (the older 10 µs-bottom
+    one included) is rejected rather than migrated.
     """
 
     OLD_BUCKETS = DEFAULT_LATENCY_BUCKETS[3:]  # the pre-sub-µs layout
@@ -224,41 +208,35 @@ class TestBucketMigration:
         assert DEFAULT_LATENCY_BUCKETS[0] <= 1e-6
         assert self.OLD_BUCKETS[0] == 1e-5
 
-    def test_subset_dump_merges_preserving_cumulative_counts(self):
-        old = Histogram("repro_ingest_latency_seconds",
-                        buckets=self.OLD_BUCKETS)
-        for value in (3e-6, 4e-5, 3e-4, 2e-3, 0.7, 42.0):
-            old.observe(value)
-        new = Histogram("repro_ingest_latency_seconds")
-        new.observe(5e-7)
-        new.merge_state(old.dump_state())
-        assert new.count == 7
-        assert new.sum == pytest.approx(old.sum + 5e-7)
-        merged = dict(new.cumulative_buckets())
-        reference = dict(old.cumulative_buckets())
-        # Every bound the layouts share reports the same cumulative
-        # count (plus the one new-native sub-µs observation).
-        for bound in self.OLD_BUCKETS:
-            assert merged[bound] == reference[bound] + 1
-
-    def test_merge_dump_migrates_into_existing_new_layout_series(self):
-        source = MetricsRegistry()
-        coarse = source.histogram("repro_stage_seconds",
-                                  labels={"stage": "bundle_match"},
-                                  buckets=self.OLD_BUCKETS)
-        for value in (2e-5, 8e-4, 0.03):
-            coarse.observe(value)
-        fleet = MetricsRegistry()
-        fine = fleet.histogram("repro_stage_seconds",
-                               labels={"stage": "bundle_match"})
-        assert fine.bounds == DEFAULT_LATENCY_BUCKETS
-        fleet.merge_dump(source.dump(), labels={"shard": "0"},
-                         aggregate=True)
-        assert fine.count == 3
-        assert fine.sum == pytest.approx(coarse.sum)
-
     def test_non_subset_bounds_still_rejected(self):
         old = Histogram("h_seconds", buckets=(0.015, 1.5))
         new = Histogram("h_seconds")
         with pytest.raises(ConfigurationError):
             new.merge_state(old.dump_state())
+
+    def test_subset_bounds_rejected_too(self):
+        old = Histogram("h_seconds", buckets=self.OLD_BUCKETS)
+        old.observe(3e-4)
+        new = Histogram("h_seconds")
+        with pytest.raises(ConfigurationError):
+            new.merge_state(old.dump_state())
+
+
+class TestFleetMerge:
+    def test_two_shard_p99_is_the_fleet_tail(self):
+        """Shard 0 at 1 ms and shard 1 at 100 ms: the fleet p99 is the
+        slow shard's, not the first-merged shard's."""
+        dumps = {}
+        for shard, seconds in ((0, 0.001), (1, 0.1)):
+            registry = MetricsRegistry()
+            hist = registry.histogram("repro_stage_seconds",
+                                      labels={"stage": "bundle_match"})
+            for _ in range(1000):
+                hist.observe(seconds)
+            dumps[shard] = registry.dump()
+        fleet = merge_worker_dumps(dumps).find(
+            "repro_stage_seconds", {"stage": "bundle_match"})
+        assert fleet.count == 2000
+        assert fleet.mean == pytest.approx(0.0505)
+        assert fleet.percentile(99) >= 0.05
+        assert fleet.percentile(100) == 0.1

@@ -2,23 +2,35 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Histogram, MetricsRegistry, Tracer
+from repro.runtime import merge_worker_dumps
 
 observations = st.lists(
     st.floats(min_value=1e-9, max_value=1e6,
               allow_nan=False, allow_infinity=False),
     min_size=1, max_size=300)
 
+#: Decade buckets; values are drawn both on and between the bounds.
+BOUNDS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+QUANTILES = (0, 50, 95, 99, 100)
+values_near_bounds = st.one_of(
+    st.sampled_from(BOUNDS),
+    st.floats(min_value=0.0, max_value=1e4,
+              allow_nan=False, allow_infinity=False))
 
-@given(values=observations, seed=st.integers(0, 2**16))
+
+@given(values=observations)
 @settings(max_examples=60)
-def test_percentiles_are_ordered_and_bounded(values, seed):
+def test_percentiles_are_ordered_and_bounded(values):
     """p50 ≤ p95 ≤ p99, and every quantile sits inside [min, max]."""
-    hist = Histogram("h", buckets=(0.001, 1.0, 100.0),
-                     reservoir_size=64, seed=seed)
+    hist = Histogram("h", buckets=(0.001, 1.0, 100.0))
     for value in values:
         hist.observe(value)
     p50, p95, p99 = (hist.percentile(q) for q in (50, 95, 99))
@@ -27,6 +39,61 @@ def test_percentiles_are_ordered_and_bounded(values, seed):
     assert p99 <= max(values)
     assert hist.min == min(values)
     assert hist.max == max(values)
+
+
+@given(runs=st.lists(st.tuples(values_near_bounds, st.integers(1, 64),
+                                st.integers(0, 3)),
+                      min_size=1, max_size=40),
+       shards=st.integers(1, 4))
+@settings(deadline=None)
+def test_fleet_merge_equals_one_histogram(runs, shards):
+    """A sequence split across 1-4 worker registries and folded by
+    ``merge_worker_dumps`` reads exactly like one histogram fed the
+    whole sequence: buckets, count, min, max and every percentile."""
+    registries = [MetricsRegistry() for _ in range(shards)]
+    parts = [registry.histogram("repro_stage_seconds", buckets=BOUNDS,
+                                labels={"stage": "bundle_match"})
+             for registry in registries]
+    whole = Histogram("repro_stage_seconds", buckets=BOUNDS)
+    for value, repeats, shard in runs:
+        for _ in range(repeats):
+            parts[shard % shards].observe(value)
+            whole.observe(value)
+    fleet = merge_worker_dumps(
+        {index: registry.dump() for index, registry in enumerate(registries)})
+    merged = fleet.find("repro_stage_seconds", {"stage": "bundle_match"})
+    assert merged.bucket_counts == whole.bucket_counts
+    assert merged.count == whole.count
+    assert (merged.min, merged.max) == (whole.min, whole.max)
+    assert merged.sum == pytest.approx(whole.sum, rel=1e-9)
+    assert ([merged.percentile(q) for q in QUANTILES]
+            == [whole.percentile(q) for q in QUANTILES])
+
+
+@given(values=st.lists(values_near_bounds, min_size=1, max_size=300),
+       extra=st.lists(st.floats(min_value=0.0, max_value=100.0),
+                      max_size=8))
+@settings(deadline=None)
+def test_percentile_is_monotone_inside_the_true_quantile_bucket(values,
+                                                                extra):
+    """``percentile`` never decreases in q, and it lies inside the
+    edges — clamped to [min, max] — of the bucket that holds the
+    nearest-rank true quantile."""
+    hist = Histogram("h", buckets=BOUNDS)
+    for value in values:
+        hist.observe(value)
+    ordered = sorted(values)
+    edges = (float("-inf"), *BOUNDS, float("inf"))
+    qs = sorted({*QUANTILES, *extra})
+    readings = [hist.percentile(q) for q in qs]
+    assert readings == sorted(readings)
+    assert readings[0] == ordered[0] and readings[-1] == ordered[-1]
+    for q, reading in zip(qs, readings):
+        rank = max(1, math.ceil(q / 100.0 * len(values)))
+        bucket = bisect_right(BOUNDS, ordered[rank - 1])
+        low = max(edges[bucket], hist.min)
+        high = min(edges[bucket + 1], hist.max)
+        assert low <= reading <= high
 
 
 @given(values=observations)
