@@ -1018,8 +1018,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             args, Path(scratch), messages)
         cell = StageCell()
         supervisor.indexer.obs.profile = cell
-        registry = supervisor.indexer.obs.registry
-        sampler = StackSampler(hz=args.hz, cell=cell, registry=registry)
+        sampler = StackSampler(hz=args.hz, cell=cell)
         started = time.perf_counter()
         with supervisor, sampler:
             _replay(supervisor, schedule, messages)

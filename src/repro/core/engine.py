@@ -288,12 +288,6 @@ class ProvenanceIndexer:
                  "Messages placed into an existing bundle"),
                 ("repro_edges_created_total", "edges_created",
                  "Provenance connections discovered (Algorithm 2)"),
-                ("repro_refinements_total", "refinements",
-                 "Memory refinement scans (Algorithm 3)"),
-                ("repro_bundles_closed_total", "bundles_closed",
-                 "Bundles closed by the bundle-size constraint"),
-                ("repro_skeleton_ingests_total", "skeleton_ingests",
-                 "Messages ingested in SKELETON (exact-indicant) mode"),
         ):
             registry.counter(
                 name, help=help_text,
@@ -323,7 +317,6 @@ class ProvenanceIndexer:
             "repro_candidate_capped_total",
             help="Ingests whose candidate set was cut by the cap")
         self.pool.bind_registry(registry)
-        self.summary_index.bind_registry(registry)
         self._pool_memory_gauge = registry.gauge(
             "repro_pool_memory_bytes",
             callback=self.pool.approximate_memory_bytes)
@@ -342,10 +335,6 @@ class ProvenanceIndexer:
                              callback=lambda: tracer.sampled)
         audit = self.obs.audit
         if audit is not None:
-            registry.counter("repro_audit_records_total",
-                             help="Decision records written to the audit "
-                                  "ring",
-                             callback=lambda: audit.recorded)
             registry.counter("repro_audit_dropped_total",
                              help="Audit records evicted from the ring "
                                   "(non-resident only)",

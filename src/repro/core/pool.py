@@ -25,14 +25,15 @@ from repro.core.errors import BundleError, BundleNotFoundError
 from repro.core.scoring import refinement_score
 from repro.core.summary_index import SummaryIndex
 from repro.obs.audit import RefinementEvent
-from repro.obs.registry import (COUNT_BUCKETS, NULL_COUNTER, NULL_HISTOGRAM,
-                                MetricsRegistry)
+from repro.obs.registry import COUNT_BUCKETS, NULL_HISTOGRAM, MetricsRegistry
 
 __all__ = ["BundlePool", "RefinementReport", "BundleSink"]
 
-#: Bundle-age-at-eviction buckets (seconds): one minute .. one week,
-#: bracketing the default ``refine_age`` of two days.
+#: Bundle-age-at-eviction buckets (seconds): zero (an eviction in the
+#: same second as the bundle's last update) .. one week, bracketing the
+#: default ``refine_age`` of two days.
 _EVICTION_AGE_BUCKETS: tuple[float, ...] = (
+    0.0, 1.0, 5.0, 15.0, 30.0,
     60.0, 300.0, 900.0, 3600.0, 4 * 3600.0, 12 * 3600.0,
     86400.0, 2 * 86400.0, 4 * 86400.0, 7 * 86400.0,
 )
@@ -97,15 +98,12 @@ class BundlePool:
         self._next_bundle_id = 0
         self.refinement_count = 0
         # No-op until bind_registry(); the pool owns the eviction
-        # counters so supervisor-driven sheds are not double-counted.
-        self._evictions = dict.fromkeys(
-            ("tiny", "closed", "ranked", "shed"), NULL_COUNTER)
-        self._shed_bytes = NULL_COUNTER
+        # histograms so supervisor-driven sheds are not double-counted.
         self._evicted_size_hist = NULL_HISTOGRAM
         self._evicted_age_hist = NULL_HISTOGRAM
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Export the pool's gauges and eviction counters.
+        """Export the pool's gauges and eviction-shape histograms.
 
         Size gauges are callback-backed (read from the authoritative
         dict and its ledger), so ``repro top``, ``repro health`` and
@@ -117,16 +115,6 @@ class BundlePool:
         registry.gauge("repro_pool_messages",
                        help="Messages held across pooled bundles",
                        callback=self.message_count)
-        help_text = "Bundles removed from the pool, by cause"
-        self._evictions = {
-            reason: registry.counter("repro_pool_evictions_total",
-                                     help=help_text,
-                                     labels={"reason": reason})
-            for reason in ("tiny", "closed", "ranked", "shed")
-        }
-        self._shed_bytes = registry.counter(
-            "repro_pool_shed_bytes_total", unit="bytes",
-            help="Memory released by forced shedding")
         # Eviction *shape*: how big and how old bundles are when they
         # leave the pool — the slab arena-reuse policy of ROADMAP
         # item 1 is sized from these (see docs/observability.md).
@@ -249,7 +237,6 @@ class BundlePool:
                 self._observe_eviction(bundle, current_date)
                 self._remove(bundle, summary_index)
                 report.deleted_tiny += 1
-                self._evictions["tiny"].inc()
             elif bundle.closed:
                 # Closed bundles are flushed at the next scan (Section V-B).
                 self._collect(collect, "closed", bundle, current_date)
@@ -257,7 +244,6 @@ class BundlePool:
                 effective_sink.append(bundle)
                 self._remove(bundle, summary_index)
                 report.dumped_closed += 1
-                self._evictions["closed"].inc()
             else:
                 score = self._policy_score(bundle, current_date)
                 waiting.append((score, bundle.bundle_id))
@@ -279,7 +265,6 @@ class BundlePool:
                 effective_sink.append(bundle)
                 self._remove(bundle, summary_index)
                 report.evicted_ranked += 1
-                self._evictions["ranked"].inc()
 
         report.pool_size_after = len(self._bundles)
         self.refinement_count += 1
@@ -330,8 +315,6 @@ class BundlePool:
             total -= size
             bytes_shed += size
             shed += 1
-            self._evictions["shed"].inc()
-        self._shed_bytes.inc(bytes_shed)
         return (shed, bytes_shed)
 
     def _policy_score(self, bundle: Bundle, current_date: float) -> float:

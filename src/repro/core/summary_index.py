@@ -98,24 +98,6 @@ class SummaryIndex:
         """The storage object the memory accountant's deep walk sizes."""
         return self._storage.memory_root()
 
-    def bind_registry(self, registry) -> None:
-        """Export the index's size gauges (callback-backed, no state)."""
-        registry.gauge("repro_index_terms",
-                       help="Distinct indexed indicant terms",
-                       callback=self.term_count)
-        registry.gauge("repro_index_entries",
-                       help="Total (term, bundle) postings",
-                       callback=self.entry_count)
-        for kind in INDICANT_KINDS:
-            registry.gauge("repro_index_terms",
-                           help="Distinct indexed indicant terms",
-                           labels={"kind": kind},
-                           callback=lambda k=kind: self.term_count(k))
-            registry.gauge("repro_index_entries",
-                           help="Total (term, bundle) postings",
-                           labels={"kind": kind},
-                           callback=lambda k=kind: self.entry_count(k))
-
     # ------------------------------------------------------------------
     # Algorithm 1, step 1 — candidate fetching
     # ------------------------------------------------------------------

@@ -14,11 +14,10 @@ deterministic instruments:
   frequent.  The sketch is the classic Metwally et al. stream-summary
   with deterministic ``(count, term)`` tie-breaking, so replayed
   streams reproduce identical state byte for byte.
-* shape histograms — postings-list length per kind
-  (``repro_postings_length``), riding the registry's existing
-  bucket machinery so the fleet merge and the Prometheus
-  export get them for free (the engine and pool own the companion
-  ``repro_candidate_fanin`` and ``repro_evicted_bundle_*`` series).
+* exact postings-length distributions per kind, read from the live
+  index at fingerprint time (the engine and pool own the companion
+  shape histograms, ``repro_candidate_fanin`` and
+  ``repro_evicted_bundle_*``, which the fingerprint folds in).
 * :class:`MemoryAccountant` — a deep ``sys.getsizeof`` walk attributing
   *actual* bytes to index / pool / dedup-cache / guard structures, and
   the drift of the cheap ``approximate_memory_bytes()`` estimates
@@ -57,8 +56,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.obs.registry import (COUNT_BUCKETS, Histogram, MetricsRegistry,
-                                NULL_HISTOGRAM)
+from repro.obs.registry import Histogram, MetricsRegistry
 
 #: Mirrors ``repro.core.summary_index.INDICANT_KINDS`` (which cannot be
 #: imported here: ``core.bundle`` imports ``repro.obs`` and would close
@@ -84,7 +82,7 @@ __all__ = [
 ]
 
 #: Schema version stamped into every fingerprint record.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Components the accountant attributes bytes to, in walk order.
 #: Order matters: objects shared between components (interned term
@@ -398,19 +396,6 @@ class WorkloadAnatomy:
         self.sampled = 0   # messages actually observed
         self.last_account: "dict[str, Any] | None" = None
         self._last_fingerprint: "dict[str, Any] | None" = None
-        if registry is not None:
-            self._postings_hist = {
-                kind: registry.histogram(
-                    "repro_postings_length",
-                    help="Postings-list length of indicant terms touched "
-                         "by sampled ingests (size-biased: the hot-path "
-                         "view; exact per-kind quantiles live in the "
-                         "workload fingerprint)",
-                    labels={"kind": kind}, buckets=COUNT_BUCKETS)
-                for kind in self.KINDS
-            }
-        else:
-            self._postings_hist = dict.fromkeys(self.KINDS, NULL_HISTOGRAM)
 
     # -- hot path ------------------------------------------------------
 
@@ -437,10 +422,8 @@ class WorkloadAnatomy:
                             ("keyword", sorted(keywords)),
                             ("user", (message.user,))):
             sketch = self.sketches[kind]
-            hist = self._postings_hist[kind]
             for term in terms:
                 length = index.postings_length(kind, term)
-                hist.observe(length)
                 sketch.observe(term, length if length > 0 else 1)
         if self.sampled % PUBLISH_EVERY == 0:
             self.publish()
@@ -526,9 +509,6 @@ class WorkloadAnatomy:
             "sketches": {kind: self.sketches[kind].dump_state()
                          for kind in self.KINDS},
             "postings": postings,
-            "touched_postings": {
-                kind: _hist_stats(self._postings_hist[kind])
-                for kind in self.KINDS},
             "fanin": self._fanin_section(),
             "eviction": self._eviction_section(),
             "index": index_shape,
@@ -613,7 +593,7 @@ class WorkloadAnatomy:
 
 def _hist_stats(hist: "Histogram") -> "dict[str, float]":
     """Rounded registry-histogram stats (p95 swapped for p90-free set)."""
-    if hist is NULL_HISTOGRAM or not hist.count:
+    if not hist.count:
         return {"count": 0}
     return {
         "count": int(hist.count),

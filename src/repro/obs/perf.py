@@ -17,9 +17,8 @@ being measured.  This module provides that substrate:
   - collapsed call stacks (``outer;inner;leaf count`` — the flamegraph
     interchange format of Brendan Gregg's ``flamegraph.pl`` and every
     viewer since), and
-  - per-stage CPU sample and allocated-block-delta counters, published
-    into the metrics registry as ``repro_profile_samples_total`` and
-    ``repro_profile_alloc_blocks_total``.
+  - per-stage CPU sample and allocated-block-delta tallies, which
+    :meth:`StackSampler.stage_table` ranks for ``repro profile``.
 
   Allocation attribution uses :func:`sys.getallocatedblocks` deltas
   between consecutive samples billed to the stage active at the later
@@ -101,10 +100,6 @@ class StackSampler:
     cell:
         Optional :class:`StageCell` for stage attribution; samples fall
         into ``"idle"`` when the cell is empty or absent.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        given, per-stage sample and allocation counters are registered
-        as callback-backed views (zero hot-path cost).
 
     At most :data:`MAX_STACKS` distinct collapsed stacks are kept;
     beyond that, new shapes collapse into a shared ``(truncated)``
@@ -116,8 +111,7 @@ class StackSampler:
     """
 
     def __init__(self, *, hz: int = 97,
-                 cell: "StageCell | None" = None,
-                 registry: "object | None" = None) -> None:
+                 cell: "StageCell | None" = None) -> None:
         if not 1 <= hz <= 1000:
             raise ConfigurationError(f"hz must be in [1, 1000], got {hz}")
         self.hz = hz
@@ -131,9 +125,6 @@ class StackSampler:
         self._thread: "threading.Thread | None" = None
         self._stop = threading.Event()
         self._last_blocks: "int | None" = None
-        self._registry = registry
-        if registry is not None:
-            self._register(registry)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -257,24 +248,6 @@ class StackSampler:
         ]
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows
-
-    def _register(self, registry: object) -> None:
-        """Register per-stage counters as callback-backed views."""
-        from repro.core.engine import StageTimers
-
-        stages = (*StageTimers.STAGES, "guard_screen", IDLE_STAGE)
-        for stage in stages:
-            registry.counter(  # type: ignore[attr-defined]
-                "repro_profile_samples_total",
-                help="Profiler stack samples attributed to a stage.",
-                labels={"stage": stage},
-                callback=(lambda s=stage: float(self.stage_samples.get(s, 0))))
-            registry.counter(  # type: ignore[attr-defined]
-                "repro_profile_alloc_blocks_total",
-                help="Allocated-block growth attributed to a stage.",
-                labels={"stage": stage},
-                callback=(lambda s=stage:
-                          float(self.stage_alloc_blocks.get(s, 0))))
 
 
 # ----------------------------------------------------------------------

@@ -135,9 +135,6 @@ class QualityMonitor:
         registry.gauge("repro_quality_reference",
                        help="Ground-truth edges observed so far",
                        callback=lambda: len(self._reference))
-        registry.gauge("repro_quality_found",
-                       help="Edges the engine discovered so far",
-                       callback=lambda: len(self._found))
         registry.gauge("repro_quality_window_accuracy",
                        help="Windowed accu over recent observations",
                        callback=lambda: self.windowed().accuracy)

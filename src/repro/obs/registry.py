@@ -39,7 +39,7 @@ working with telemetry off.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Callable, Iterator, Mapping
 
 from repro.core.errors import ConfigurationError
@@ -162,7 +162,10 @@ class Histogram:
     """Fixed cumulative buckets; quantiles are read from them.
 
     ``observe`` is the only hot-path operation: one bisect over the
-    bucket bounds, two float adds and two compares.  Every other
+    bucket bounds, two float adds and two compares.  A bucket holds the
+    observations at most its bound and above the previous one, the
+    Prometheus ``le`` rule, so a value equal to a bound counts at that
+    bound.  Every other
     statistic is derived from the bucket counts and the exact
     ``count``/``sum``/``min``/``max``, so merging two histograms is
     plain addition and loses nothing.
@@ -195,7 +198,7 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.bucket_counts[bisect_right(self.bounds, value)] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     def percentile(self, q: float) -> float:
         """Percentile by Prometheus' ``histogram_quantile`` rule.

@@ -126,8 +126,6 @@ class BundleSearchEngine:
         self.alpha = alpha
         self.beta = beta
         registry = indexer.obs.registry
-        self._searches = registry.counter(
-            "repro_searches_total", help="Eq. 7 queries executed")
         self._partials = registry.counter(
             "repro_search_partials_total",
             help="Queries whose deadline expired before full scoring")
@@ -174,7 +172,6 @@ class BundleSearchEngine:
             raise QueryError(
                 f"budget_seconds must be positive, got {budget_seconds}")
         started = clock()
-        self._searches.inc()
         query = self.parse(raw_query)
         if query.is_empty:
             elapsed = clock() - started

@@ -648,10 +648,6 @@ class OverloadController:
                 help="Admission verdicts issued, by kind",
                 labels={"verdict": verdict},
                 callback=(lambda f=field_name: getattr(stats, f)))
-        registry.counter("repro_spill_flushed_total",
-                         help="Parked bundles re-spilled after recovery",
-                         callback=lambda: (self.guarded.flushed
-                                           if self.guarded else 0))
 
     @property
     def state(self) -> HealthState:

@@ -268,9 +268,6 @@ class ResilientIndexer:
             registry.gauge("repro_spill_parked",
                            help="Bundles parked in memory behind a sick disk",
                            callback=lambda: parked.parked_count)
-            registry.counter("repro_breaker_opens_total",
-                             help="Times the spill circuit breaker tripped",
-                             callback=lambda: parked.breaker.opens)
         if self.overload is not None:
             self.overload.attach(engine)  # adopts the GuardedSink
         if guard is None or guard is False:
@@ -289,16 +286,10 @@ class ResilientIndexer:
                          if self.guard else (self.dead_letters,))
         stats = self.stats
         for name, field_name, help_text in (
-                ("repro_supervisor_ingested_total", "ingested",
-                 "Messages successfully indexed under supervision"),
                 ("repro_retries_total", "retries",
                  "Transient-failure retries performed"),
-                ("repro_dead_letters_total", "dead_lettered",
-                 "Messages quarantined to the dead-letter queue"),
                 ("repro_deferred_checkpoints_total", "deferred_checkpoints",
                  "Checkpoints deferred after a post-ingest failure"),
-                ("repro_degraded_entries_total", "degraded_entries",
-                 "Entries into watermark-driven degraded mode"),
         ):
             registry.counter(
                 name, help=help_text,

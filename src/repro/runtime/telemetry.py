@@ -29,7 +29,6 @@ __all__ = ["merge_worker_dumps", "fleet_table"]
 _MODE_GAUGES = frozenset({
     "repro_shard_id",
     "repro_overload_rung",
-    "repro_health_state",
     # A drift *ratio* per shard; summing ratios across shards would
     # read as fleet-wide drift and lie.  Per-shard series remain.
     "repro_memory_drift_ratio",
@@ -118,18 +117,15 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
     counters, memory snapshot, load signals).
     """
     headers = ("shard", "messages", "bundles", "edges", "dead",
-               "queue%", "rung", "mem KiB", "qwait s", "svc s",
-               "pending", "cov")
+               "queue%", "rung", "mem KiB", "pending", "cov")
     rows: list[tuple[str, ...]] = []
     totals = {"messages": 0, "bundles": 0, "edges": 0, "dead": 0,
               "mem": 0, "pending": 0}
-    perf_totals = {"queue_wait_seconds": 0.0, "service_seconds": 0.0}
     for shard in sorted(shard_stats):
         payload = shard_stats[shard]
         unified = payload.get("unified", {})
         sup = payload.get("supervisor", {})
         repair = payload.get("repair", {})
-        perf = payload.get("perf", {})
         snapshot = payload.get("snapshot")
         mem = 0
         if snapshot is not None:
@@ -145,8 +141,6 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
         }
         for key in totals:
             totals[key] += row[key]
-        for key in perf_totals:
-            perf_totals[key] += float(perf.get(key, 0.0))
         rows.append((
             str(shard),
             f"{row['messages']:,}",
@@ -156,8 +150,6 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
             f"{payload.get('queue_fraction', 0.0) * 100:.0f}",
             str(payload.get("rung", 0)),
             f"{row['mem'] // 1024:,}",
-            f"{float(perf.get('queue_wait_seconds', 0.0)):.2f}",
-            f"{float(perf.get('service_seconds', 0.0)):.2f}",
             f"{row['pending']:,}",
             _coverage_cell(row["messages"], row["pending"]),
         ))
@@ -169,8 +161,6 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
         f"{totals['dead']:,}",
         "-", "-",
         f"{totals['mem'] // 1024:,}",
-        f"{perf_totals['queue_wait_seconds']:.2f}",
-        f"{perf_totals['service_seconds']:.2f}",
         f"{totals['pending']:,}",
         _coverage_cell(totals["messages"], totals["pending"]),
     ))

@@ -129,7 +129,6 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
                    hints: "list[tuple[int, tuple[int, ...]]] | None",
                    extras: "dict[str, Any] | None" = None,
                    fleet: "_FleetTrace | None" = None,
-                   perf: "dict[str, float] | None" = None,
                    ) -> dict[str, Any]:
     """Ingest one routed sub-batch, then make it durable before ACK.
 
@@ -223,13 +222,8 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
                              "results": None if count_only else outcomes,
                              "recv": recv, "done": done}
     if extras and "enqueue" in extras:
-        queue_wait = max(0.0, recv - float(extras["enqueue"]))
-        service = max(0.0, done - recv)
-        reply["queue_wait"] = queue_wait
-        reply["service"] = service
-        if perf is not None:
-            perf["queue_wait_seconds"] += queue_wait
-            perf["service_seconds"] += service
+        reply["queue_wait"] = max(0.0, recv - float(extras["enqueue"]))
+        reply["service"] = max(0.0, done - recv)
     if hops is not None:
         reply["hops"] = hops
     reply.update(_load_signals(supervisor))
@@ -252,12 +246,9 @@ def _handle_search(supervisor: ResilientIndexer,
 
 
 def _handle_stats(supervisor: ResilientIndexer, boundary: BoundaryLog,
-                  journal: RepairJournal,
-                  perf: "dict[str, float] | None" = None,
-                  ) -> dict[str, Any]:
+                  journal: RepairJournal) -> dict[str, Any]:
     stats = supervisor.stats
     return {
-        **({"perf": dict(perf)} if perf is not None else {}),
         "unified": supervisor.indexer.stats(),
         "supervisor": {
             "ingested": stats.ingested,
@@ -324,19 +315,8 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
     # any repairs on top of them (idempotent vs snapshots).
     boundary = BoundaryLog(root)
     journal = RepairJournal(root)
-    replayed = journal.replay(supervisor.indexer)
+    journal.replay(supervisor.indexer)
     registry = supervisor.indexer.obs.registry
-    perf_totals = {"queue_wait_seconds": 0.0, "service_seconds": 0.0}
-    registry.counter(
-        "repro_queue_wait_seconds_total", unit="seconds",
-        help="Seconds ingest batches spent between coordinator dispatch "
-             "and worker pickup",
-        callback=lambda: perf_totals["queue_wait_seconds"])
-    registry.counter(
-        "repro_service_seconds_total", unit="seconds",
-        help="Seconds spent servicing ingest batches (pickup to "
-             "durable, fsync included)",
-        callback=lambda: perf_totals["service_seconds"])
     fleet: "_FleetTrace | None" = None
     if options.trace:
         # Fleet tracing: decisions come forced from the coordinator —
@@ -351,7 +331,7 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
     if options.profile_dir:
         cell = StageCell()
         supervisor.indexer.obs.profile = cell
-        profiler = StackSampler(cell=cell, registry=registry).start()
+        profiler = StackSampler(cell=cell).start()
     anatomy: "WorkloadAnatomy | None" = None
     if options.anatomy:
         # Per-shard workload characterization: the engine feeds every
@@ -362,24 +342,9 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
         supervisor.indexer.obs.anatomy = anatomy
     registry.gauge("repro_shard_id",
                    help="This worker's shard index").set(shard_id)
-    uptime_start = time.monotonic()
-    registry.gauge("repro_worker_uptime_seconds", unit="seconds",
-                   help="Seconds since this worker (re)started",
-                   callback=lambda: time.monotonic() - uptime_start)
-    registry.counter("repro_repair_boundary_total",
-                     help="Boundary messages journaled for cross-shard "
-                          "repair",
-                     callback=lambda: boundary.appended)
     registry.gauge("repro_repair_pending_boundary",
                    help="Boundary entries awaiting reconciliation",
                    callback=lambda: boundary.pending_count)
-    registry.counter("repro_repair_edges_total",
-                     help="Cross-shard edge repairs journaled on this "
-                          "shard",
-                     callback=lambda: len(journal.entries))
-    registry.counter("repro_repair_replayed_total",
-                     help="Journaled repairs re-applied during recovery",
-                     ).inc(replayed)
     closing = False
     try:
         while True:
@@ -395,7 +360,7 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
                         supervisor, boundary, request[1], request[2],
                         request[3] if len(request) > 3 else None,
                         request[4] if len(request) > 4 else None,
-                        fleet, perf_totals)
+                        fleet)
                 elif op == "search":
                     payload = _handle_search(supervisor, searcher,
                                              request[1], request[2],
@@ -406,8 +371,7 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
                     payload = {"indexed": drained,
                                **_load_signals(supervisor)}
                 elif op == "stats":
-                    payload = _handle_stats(supervisor, boundary, journal,
-                                            perf_totals)
+                    payload = _handle_stats(supervisor, boundary, journal)
                 elif op == "snapshot":
                     payload = {"snapshot": supervisor.snapshot()}
                 elif op == "edges":

@@ -191,16 +191,10 @@ class BundleStore:
         return self._skipped_files
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Export the store's spill counters (callback-backed views)."""
+        """Export the store's spill counter (a callback-backed view)."""
         registry.counter("repro_store_appends_total",
                          help="Bundles spilled to the on-disk store",
                          callback=lambda: self._appends)
-        registry.gauge("repro_store_segments",
-                       help="Segment files in the bundle store",
-                       callback=self.segment_count)
-        registry.gauge("repro_store_bytes", unit="bytes",
-                       help="On-disk footprint of the bundle store",
-                       callback=self.total_bytes)
 
     def bundle_ids(self) -> list[int]:
         """All stored bundle ids (latest-record view), ascending."""

@@ -251,19 +251,6 @@ class TestIntrospection:
         assert index.term_count("hashtag") == 1
         assert index.postings_length("hashtag", "solo") == 0
 
-    def test_per_kind_gauges(self, index):
-        registry = MetricsRegistry()
-        index.bind_registry(registry)
-        index.add_message(1, make_message(1, "#a #b"), frozenset({"kw"}))
-        assert registry.value("repro_index_terms",
-                              {"kind": "hashtag"}) == 2
-        assert registry.value("repro_index_entries",
-                              {"kind": "keyword"}) == 1
-        assert registry.value("repro_index_terms",
-                              {"kind": "url"}) == 0
-        # The unlabeled totals stay alongside the per-kind views.
-        assert registry.value("repro_index_terms") == 4
-
 
 _PLANS = st.lists(
     st.tuples(st.integers(0, 3),                    # bundle id

@@ -269,8 +269,8 @@ class TestFingerprints:
         record = anatomy.fingerprint(engine)
         assert record["version"] == FINGERPRINT_VERSION
         assert record["messages"] == 300
-        for section in ("sketches", "postings", "touched_postings",
-                        "fanin", "eviction", "index", "memory", "growth"):
+        for section in ("sketches", "postings", "fanin", "eviction",
+                        "index", "memory", "growth"):
             assert section in record
         for kind in INDICANT_KINDS:
             assert kind in record["sketches"]

@@ -128,6 +128,5 @@ class TestTelemetryFlusher:
         assert len(records) == 3
         final = records[-1]["metrics"]
         assert final["counters"]["repro_messages_ingested_total"] == 25.0
-        assert final["counters"]["repro_supervisor_ingested_total"] == 25.0
         assert final["histograms"][
             "repro_ingest_latency_seconds"]["count"] == 25.0

@@ -28,7 +28,6 @@ class TestEngineCounters:
         assert value("repro_bundles_created_total") == stats.bundles_created
         assert value("repro_bundles_matched_total") == stats.bundles_matched
         assert value("repro_edges_created_total") == stats.edges_created
-        assert value("repro_refinements_total") == stats.refinements
         assert (stats.bundles_created + stats.bundles_matched == 40)
 
     def test_stage_histograms_observe_once_per_ingest(self):

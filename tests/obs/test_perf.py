@@ -11,8 +11,8 @@ from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import ConfigurationError
 from repro.core.message import parse_message
-from repro.obs import (MetricsRegistry, Observability, StackSampler,
-                       StageCell, render_trace_timeline)
+from repro.obs import (Observability, StackSampler, StageCell,
+                       render_trace_timeline)
 
 BASE_DATE = 1_249_084_800.0
 
@@ -104,14 +104,6 @@ class TestStackSampler:
         assert [row[0] for row in rows] == ["b", "a"]
         assert rows[0][2] == pytest.approx(0.7)
         assert rows[1][3] == 10
-
-    def test_registry_counters_track_stage_samples(self):
-        registry = MetricsRegistry()
-        sampler = StackSampler(hz=50, registry=registry)
-        sampler.stage_samples["bundle_match"] = 5
-        assert registry.value(
-            "repro_profile_samples_total",
-            labels={"stage": "bundle_match"}) == 5.0
 
     def test_profiles_another_thread(self):
         stop = threading.Event()

@@ -72,7 +72,6 @@ class TestOfflineAgreement:
         assert value("repro_quality_matched") == cumulative.matched
         assert (value("repro_quality_reference")
                 == cumulative.reference_size)
-        assert value("repro_quality_found") == cumulative.candidate_size
         windowed = monitor.windowed()
         assert (value("repro_quality_window_accuracy")
                 == windowed.accuracy)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.obs import (DEFAULT_LATENCY_BUCKETS, NULL_COUNTER,
@@ -72,7 +74,7 @@ class TestHistogramPercentiles:
         for value in (12.0, 14.0, 16.0, 18.0, 19.0,
                       21.0, 22.0, 23.0, 24.0, 25.0):
             hist.observe(value)
-        # Bucket [10, 20) clamps to [min=12, 20); [20, 30) to [20, max=25].
+        # Bucket (10, 20] clamps to [min=12, 20]; (20, 30] to (20, max=25].
         assert hist.percentile(0) == 12.0
         assert hist.percentile(25) == 16.0
         assert hist.percentile(50) == 20.0
@@ -103,6 +105,22 @@ class TestHistogramPercentiles:
             hist.observe(value)
         assert hist.cumulative_buckets() == [
             (0.1, 1), (1.0, 3), (10.0, 4), (float("inf"), 5)]
+
+    @given(bounds=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12,
+                           unique=True).map(sorted).map(tuple),
+           pick=st.integers(0, 11),
+           earlier=st.lists(st.floats(-2e6, 2e6), max_size=20))
+    def test_a_value_equal_to_a_bound_counts_at_that_le(self, bounds, pick,
+                                                         earlier):
+        hist = Histogram("h", buckets=bounds)
+        for value in earlier:
+            hist.observe(value)
+        bound = bounds[pick % len(bounds)]
+        before = dict(hist.cumulative_buckets())
+        hist.observe(bound)
+        after = dict(hist.cumulative_buckets())
+        assert after[bound] == before[bound] + 1
+        assert all(after[le] == before[le] for le in bounds if le < bound)
 
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -240,3 +258,5 @@ class TestFleetMerge:
         assert fleet.mean == pytest.approx(0.0505)
         assert fleet.percentile(99) >= 0.05
         assert fleet.percentile(100) == 0.1
+        # 1 ms sits on a bucket bound, so the fast half reads exactly it.
+        assert fleet.percentile(50) == 0.001

@@ -168,8 +168,8 @@ def dict_index() -> SummaryIndex:
 def dict_postings() -> Iterator[None]:
     """Build every engine over the dict oracle meanwhile.
 
-    The engine's constructor binds the index's registry gauges, so the
-    oracle has to be in place *before* construction: the
+    The engine's constructor builds its summary index, so the oracle
+    has to be in place *before* construction: the
     ``SummaryIndex`` name the engine module calls is swapped for its
     duration.
     """

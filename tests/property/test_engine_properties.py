@@ -9,7 +9,7 @@ persistence layers.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import IndexerConfig
@@ -341,9 +341,10 @@ class TestPruningIsLossless:
         slab's keyword-only tallies as full rows.  The run must land on
         both sides of the kind-level bound: configs where keyword-only
         candidates cannot reach ``min_match_score`` (never scored
-        unaudited) and configs where they can.  The oracle reaches the
-        engine through its ``bundle_match_scores`` seam, so it must be
-        called.
+        unaudited) and configs where they can.  One pinned example on
+        each side guarantees both, whatever the random draws.  The
+        oracle reaches the engine through its ``bundle_match_scores``
+        seam, so it must be called.
         """
         from unittest import mock
 
@@ -359,18 +360,32 @@ class TestPruningIsLossless:
             sides["oracle_selects"] += 1
             return oracle_select(*args)
 
+        scripts = scoring_messages().flatmap(lambda messages: st.tuples(
+            st.just(messages), st.lists(self.OPS, min_size=len(messages),
+                                        max_size=len(messages))))
+        # Arrivals that share keywords only: keyword-only candidates.
+        shared_words = [parse_message(msg_id, user, BASE_DATE + 60.0 * msg_id,
+                                      "storm flood river")
+                        for msg_id, user in enumerate(USERS)]
+        pinned = (shared_words, [("ingest", 0)] * len(shared_words))
+
         @settings(deadline=None)
         @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
-               st.sampled_from([None, 1, 3]), st.booleans(),
-               scoring_messages(), st.data())
-        def differential(config, layout, candidate_cap, audited, messages,
-                         data):
+               st.sampled_from([None, 1, 3]), st.booleans(), scripts)
+        # 0.2 * 2 + 0.0 < 1.0: keyword-only candidates are never scored.
+        @example(IndexerConfig(keyword_weight=0.2, time_weight=0.0,
+                               min_match_score=1.0),
+                 "slab", None, False, pinned)
+        # 0.5 * 2 + 0.2 >= 0.4: keyword-only candidates compete.
+        @example(IndexerConfig(keyword_weight=0.5, time_weight=0.2,
+                               min_match_score=0.4),
+                 "dict", None, True, pinned)
+        def differential(config, layout, candidate_cap, audited, script):
+            messages, ops = script
             pruned = (config.keyword_weight * config.keyword_hit_cap
                       + config.time_weight < config.min_match_score)
             sides["keyword_only_pruned" if pruned
                   else "keyword_only_scored"] += 1
-            ops = data.draw(st.lists(self.OPS, min_size=len(messages),
-                                     max_size=len(messages)))
             with postings_layout(layout):
                 shipped = _replay(config, candidate_cap, audited, messages,
                                   ops)

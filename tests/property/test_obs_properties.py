@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -90,7 +90,8 @@ def test_percentile_is_monotone_inside_the_true_quantile_bucket(values,
     assert readings[0] == ordered[0] and readings[-1] == ordered[-1]
     for q, reading in zip(qs, readings):
         rank = max(1, math.ceil(q / 100.0 * len(values)))
-        bucket = bisect_right(BOUNDS, ordered[rank - 1])
+        # Buckets are Prometheus ``le`` intervals (lower, bound].
+        bucket = bisect_left(BOUNDS, ordered[rank - 1])
         low = max(edges[bucket], hist.min)
         high = min(edges[bucket + 1], hist.max)
         assert low <= reading <= high

@@ -256,7 +256,7 @@ class TestTop:
         records = list(read_jsonl(telemetry_out))
         assert records, "the flight recorder must hold snapshots"
         assert records[-1]["metrics"]["counters"][
-            "repro_supervisor_ingested_total"] > 0
+            "repro_messages_ingested_total"] > 0
 
     def test_top_live_frames_clear_screen(self, capsys):
         code = main(["top", "--messages", "900", "--refresh", "400",
