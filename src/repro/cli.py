@@ -137,12 +137,14 @@ def cmd_archive(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    """Eq. 7 bundle search over a snapshot (or a runtime fleet root)."""
-    if args.workers is not None:
-        return _search_fleet(args)
-    indexer = load_snapshot(args.snapshot)
-    engine = BundleSearchEngine(indexer, alpha=args.alpha, beta=args.beta)
+    """Eq. 7 bundle search over a snapshot, or over a fleet root (a
+    directory holding a ``runtime.json`` marker)."""
     budget = args.budget_ms / 1000.0 if args.budget_ms is not None else None
+    runtime = _open_fleet(Path(args.path))
+    if runtime is not None:
+        return _search_fleet(args, runtime, budget)
+    indexer = load_snapshot(args.path)
+    engine = BundleSearchEngine(indexer, alpha=args.alpha, beta=args.beta)
     outcome = engine.search_within(args.query, args.k,
                                    budget_seconds=budget)
     hits = outcome.hits
@@ -168,21 +170,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _search_fleet(args: argparse.Namespace) -> int:
-    """Scatter-gather search over a multiprocess runtime fleet root."""
-    import json
-
-    from repro.runtime import ShardedRuntime
-
-    # Reopen with whatever router the fleet was served with — search
-    # never routes new messages, but the marker check is strict.
-    router = "hash"
-    marker_path = Path(args.snapshot) / "runtime.json"
-    if marker_path.exists():
-        router = json.loads(marker_path.read_text()).get("router", "hash")
-    budget = args.budget_ms / 1000.0 if args.budget_ms is not None else None
-    with ShardedRuntime(args.snapshot, args.workers,
-                        router=router) as runtime:
+def _search_fleet(args: argparse.Namespace, runtime,
+                  budget: "float | None") -> int:
+    """Scatter-gather search over a reopened fleet."""
+    with runtime:
         outcome = runtime.search_within(args.query, args.k,
                                         budget_seconds=budget)
     if not outcome.hits:
@@ -199,7 +190,7 @@ def _search_fleet(args: argparse.Namespace) -> int:
           _stamp(hit.last_post), ", ".join(hit.summary_words[:6])]
          for shard, hit in zip(outcome.shards, outcome.hits)],
         title=f"fleet bundles for {args.query!r} "
-              f"({args.workers} shards, "
+              f"({runtime.workers} shards, "
               f"coverage {outcome.coverage:.0%})"))
     return 0
 
@@ -284,41 +275,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"(collapsed-stack flamegraph input)")
         if args.root is not None:
             print(f"fleet root: {root} (search it with "
-                  f"`repro search {root} QUERY --workers "
-                  f"{args.workers}`)")
+                  f"`repro search {root} QUERY`)")
     return 0
-
-
-def cmd_trending(args: argparse.Namespace) -> int:
-    """Rank a snapshot's bundles by recent growth velocity."""
-    from repro.query.trending import trending_bundles
-
-    indexer = load_snapshot(args.snapshot)
-    entries = trending_bundles(indexer, k=args.k,
-                               window=args.window_hours * 3600.0,
-                               min_recent=args.min_recent)
-    if not entries:
-        print("nothing trending in the window")
-        return 1
-    print(ascii_table(
-        ["bundle", "msgs/h", "recent", "size", "summary"],
-        [[entry.bundle_id, f"{entry.velocity:.1f}",
-          entry.recent_messages, len(entry.bundle),
-          ", ".join(entry.summary_words)]
-         for entry in entries],
-        title=f"trending (last {args.window_hours:g}h of stream time)"))
-    return 0
-
-
-def cmd_digest(args: argparse.Namespace) -> int:
-    """Render a period digest of a snapshot's top stories."""
-    from repro.query.digest import build_digest
-
-    indexer = load_snapshot(args.snapshot)
-    digest = build_digest(indexer, window=args.window_hours * 3600.0,
-                          k=args.k, min_messages=args.min_messages)
-    print(digest.render())
-    return 0 if digest.stories else 1
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
@@ -369,7 +327,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         return 0
     if args.repair:
         print(f"{issues} issue(s) found, {repaired} artifact(s) repaired")
-        return 0
+        return 0 if repaired == issues else 1
     print(f"{issues} issue(s) found — run again with --repair to fix")
     return 1
 
@@ -388,32 +346,20 @@ def _repaired(outcome) -> str:
             f"dropped {dropped} line(s), {before} → {after} bytes")
 
 
-def _reconcile_fleet(root: Path, **options) -> "dict | None":
-    """Drain a fleet's boundary backlog, then checkpoint.
-
-    Opens the fleet the root's ``runtime.json`` marker describes (the
-    workers and router it was served with; worker WAL replay restores
-    every shard first) and runs reconciliation passes until the backlog
-    drains (``options`` go to ``repair_until_clean``).  Returns their
-    report, or ``None`` when the root has no marker.
-    """
+def _open_fleet(root: Path):
+    """The fleet ``root``'s ``runtime.json`` marker describes, reopened
+    with the workers and router it was served with (worker WAL replay
+    restores every shard), or ``None`` when ``root`` has no marker."""
     import json
 
     from repro.runtime import ShardedRuntime
 
     marker_path = root / "runtime.json"
-    if not marker_path.exists():
+    if not marker_path.is_file():
         return None
     marker = json.loads(marker_path.read_text())
-    with ShardedRuntime(root, int(marker["workers"]),
-                        router=marker.get("router", "hash")) as runtime:
-        report = runtime.repair_until_clean(**options)
-        runtime.checkpoint()
-    return report
-
-
-_NO_MARKER = ("has no runtime.json marker — not a fleet root created by "
-              "`repro serve --root`")
+    return ShardedRuntime(root, int(marker["workers"]),
+                          router=marker["router"])
 
 
 def _doctor_fleet(args: argparse.Namespace, rows: list,
@@ -423,8 +369,10 @@ def _doctor_fleet(args: argparse.Namespace, rows: list,
     An orphan is a durably acknowledged boundary-log entry past the
     shard's reconciliation cursor: the router flagged the message's
     provenance as possibly crossing a shard cut, and no repair pass has
-    examined it yet.  ``--repair`` reconciles through a live fleet
-    (:func:`_reconcile_fleet`).
+    examined it yet.  ``--repair`` reopens the fleet
+    (:func:`_open_fleet`) and runs reconciliation passes until the
+    backlog drains; it counts as a repair only when a re-scan finds no
+    orphan left.
     """
     from repro.runtime.repair import scan_fleet_repair
 
@@ -450,48 +398,21 @@ def _doctor_fleet(args: argparse.Namespace, rows: list,
     issues += 1
     if not args.repair:
         return issues, repaired
-    report = _reconcile_fleet(root)
-    if report is None:
-        rows.append(["fleet", str(root), _NO_MARKER])
+    runtime = _open_fleet(root)
+    if runtime is None:
+        rows.append(["fleet", str(root),
+                     "has no runtime.json marker — not a fleet root "
+                     "created by `repro serve --root`"])
         return issues, repaired
+    with runtime:
+        report = runtime.repair_until_clean()
+        runtime.checkpoint()
     left = sum(s.pending for s in scan_fleet_repair(root).values())
     rows.append(["fleet", str(root),
                  f"reconciled {report['advanced']} entries in "
                  f"{report['rounds']} pass(es), repaired "
                  f"{report['repaired']} edges, {left} orphan(s) left"])
     return issues, repaired + (1 if left == 0 else 0)
-
-
-def cmd_repair(args: argparse.Namespace) -> int:
-    """Drain a fleet's boundary backlog with reconciliation passes.
-
-    Reconciles the fleet described by the root's ``runtime.json``
-    marker (:func:`_reconcile_fleet`) until no boundary entry is pending
-    and no shard backed off.  Exit 0 when the fleet converged, 1 when a
-    backlog remains after ``--max-rounds``, 2 when the root has no
-    marker.
-    """
-    from repro.runtime import scan_fleet_repair
-
-    root = Path(args.root)
-    before = sum(s.pending for s in scan_fleet_repair(root).values())
-    report = _reconcile_fleet(root, max_rounds=args.max_rounds)
-    if report is None:
-        print(f"error: {root} {_NO_MARKER}", file=sys.stderr)
-        return 2
-    scans = scan_fleet_repair(root)
-    print(ascii_table(
-        ["shard", "journaled", "cursor", "pending", "repaired"],
-        [[f"{shard:02d}", scan.journaled, scan.cursor, scan.pending,
-          scan.repaired]
-         for shard, scan in sorted(scans.items())],
-        title=f"repro repair — {root}"))
-    left = sum(scan.pending for scan in scans.values())
-    print(f"{before} orphan(s) before, {report['rounds']} pass(es): "
-          f"probed {report['probed']}, repaired {report['repaired']} "
-          f"edges, advanced {report['advanced']}, "
-          f"{report['backoffs']} backoff(s); {left} orphan(s) left")
-    return 0 if left == 0 else 1
 
 
 class _ScheduleClock:
@@ -637,14 +558,16 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def _telemetry_stack(args: argparse.Namespace, root, messages,
-                     audit=None):
+                     audit=None, trace_out=None, telemetry_out=None):
     """:func:`_surge_stack` with telemetry wired through every layer.
 
     An :class:`~repro.obs.Observability` lights up the whole metric
     catalog for ``top``/``metrics``/``explain``/``profile``.  When the
     stream carries ground-truth ``parent_id`` edges (generated streams
     and TSV replays), a :class:`~repro.obs.QualityMonitor` watches live
-    accu/ret as well.  Returns what :func:`_surge_stack` does.
+    accu/ret as well.  ``trace_out`` and ``telemetry_out`` are the
+    tracer's and the flight recorder's JSONL sinks.  Returns what
+    :func:`_surge_stack` does.
     """
     from repro.obs import (AuditLog, DEFAULT_QUALITY_RULES, Observability,
                            QualityMonitor, Tracer, WorkloadAnatomy)
@@ -653,16 +576,14 @@ def _telemetry_stack(args: argparse.Namespace, root, messages,
     tracer = None
     if args.sample > 0:
         tracer = Tracer(sample_rate=args.sample, seed=args.seed,
-                        sink=getattr(args, "trace_out", None))
-    if audit is None and getattr(args, "audit_out", None) is not None:
+                        sink=trace_out)
+    if audit is None and args.audit_out is not None:
         audit = AuditLog(sink=args.audit_out)
     obs = Observability(tracer=tracer, audit=audit)
     # Workload anatomy rides every instrumented replay: the sketches
     # and shape histograms feed the `repro top` anatomy panel and the
     # fingerprint/capacity machinery of `repro anatomy`.
-    obs.anatomy = WorkloadAnatomy(
-        obs.registry,
-        sample_every=getattr(args, "sample_every", 8) or 8)
+    obs.anatomy = WorkloadAnatomy(obs.registry)
     # Memory-only ingest guard (no quarantine/fold files for a scratch
     # replay): lights up the repro_guard_* series and the `repro top`
     # guard panel.  It does change where messages land: generated
@@ -670,7 +591,7 @@ def _telemetry_stack(args: argparse.Namespace, root, messages,
     # into its origin's bundle (the benchmark's dense stream, seed 7,
     # 4 096 arrivals: 1 331 folds, 982 edges unlike an unguarded run's).
     stack = _surge_stack(root, len(messages), args.surge, obs=obs,
-                         telemetry=getattr(args, "telemetry_out", None),
+                         telemetry=telemetry_out,
                          guard=GuardConfig())
     engine = stack[0].indexer
     if any(message.parent_id is not None for message in messages):
@@ -707,7 +628,8 @@ def cmd_top(args: argparse.Namespace) -> int:
     messages = _load_or_generate(args)
     with tempfile.TemporaryDirectory(prefix="repro-top-") as scratch:
         supervisor, clock, schedule = _telemetry_stack(
-            args, Path(scratch), messages)
+            args, Path(scratch), messages, trace_out=args.trace_out,
+            telemetry_out=args.telemetry_out)
         dashboard = Dashboard(supervisor.indexer.obs.registry,
                               health=supervisor.health_report,
                               clock=clock)
@@ -851,7 +773,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     messages = _load_or_generate(args)
     audit = AuditLog(capacity=len(messages) + 1024,
-                     sink=getattr(args, "audit_out", None))
+                     sink=args.audit_out)
     with tempfile.TemporaryDirectory(prefix="repro-explain-") as scratch:
         supervisor, _, schedule = _telemetry_stack(
             args, Path(scratch), messages, audit=audit)
@@ -900,30 +822,15 @@ _AUDIT_HEADERS = ["seq", "msg", "outcome", "rung", "bundle", "parent",
                   "cands", "notes"]
 
 
-def _last(records: list, n: "int | None") -> list:
-    """The last ``n`` records (none for ``n <= 0``, all for ``None``);
-    ``records[-n:]`` would return all of them for ``n == 0``."""
-    return records if n is None else records[max(len(records) - n, 0):]
+def _last(records: list, n: int) -> list:
+    """The last ``n`` records, none for ``n <= 0`` (``records[-0:]``
+    would return all of them)."""
+    return records[max(len(records) - n, 0):]
 
 
-def cmd_audit_tail(args: argparse.Namespace) -> int:
-    """Show the most recent decision records of a JSONL audit log."""
-    from repro.obs import read_jsonl
-
-    decisions = [data for data in read_jsonl(args.log)
-                 if data.get("type") == "decision"]
-    if not decisions:
-        print(f"no decision records in {args.log}", file=sys.stderr)
-        return 1
-    recent = _last(decisions, args.n)
-    print(ascii_table(_AUDIT_HEADERS, _audit_rows(recent),
-                      title=f"audit tail — last {len(recent)} of "
-                            f"{len(decisions)} decisions"))
-    return 0
-
-
-def cmd_audit_filter(args: argparse.Namespace) -> int:
-    """Filter a JSONL audit log's decision records."""
+def cmd_audit(args: argparse.Namespace) -> int:
+    """The latest decision records of a JSONL audit log that match
+    every given filter."""
     from repro.obs import read_jsonl
 
     matched = []
@@ -940,12 +847,12 @@ def cmd_audit_filter(args: argparse.Namespace) -> int:
             continue
         matched.append(data)
     if not matched:
-        print("no decision records match the filter", file=sys.stderr)
+        print(f"no decision records match in {args.log}", file=sys.stderr)
         return 1
-    shown = _last(matched, args.limit)
+    shown = _last(matched, args.n)
     print(ascii_table(_AUDIT_HEADERS, _audit_rows(shown),
-                      title=f"audit filter — {len(shown)} of "
-                            f"{len(matched)} matching decisions"))
+                      title=f"audit — {len(shown)} of {len(matched)} "
+                            "matching decisions"))
     return 0
 
 
@@ -1079,8 +986,9 @@ def build_parser() -> argparse.ArgumentParser:
     index.set_defaults(func=cmd_index)
 
     search = commands.add_parser(
-        "search", help="bundle search over a snapshot (Eq. 7)")
-    search.add_argument("snapshot")
+        "search", help="bundle search over a snapshot or a fleet (Eq. 7)")
+    search.add_argument("path", help="snapshot file, or fleet root from "
+                                     "`repro serve --root`")
     search.add_argument("query")
     search.add_argument("-k", type=int, default=10)
     search.add_argument("--alpha", type=float, default=0.6)
@@ -1088,11 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget-ms", type=float, default=None,
                         help="time budget; expiry returns flagged "
                              "partial results instead of blocking")
-    search.add_argument("--workers", type=int, default=None,
-                        help="treat SNAPSHOT as a runtime fleet root "
-                             "(from `repro serve --root`) and "
-                             "scatter-gather across this many shard "
-                             "processes")
     search.set_defaults(func=cmd_search)
 
     serve = commands.add_parser(
@@ -1144,22 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "panel with shard-merged hot terms")
     serve.set_defaults(func=cmd_serve)
 
-    trending = commands.add_parser(
-        "trending", help="fastest-growing bundles in a snapshot")
-    trending.add_argument("snapshot")
-    trending.add_argument("-k", type=int, default=10)
-    trending.add_argument("--window-hours", type=float, default=6.0)
-    trending.add_argument("--min-recent", type=int, default=3)
-    trending.set_defaults(func=cmd_trending)
-
-    digest = commands.add_parser(
-        "digest", help="period digest of a snapshot's top stories")
-    digest.add_argument("snapshot")
-    digest.add_argument("-k", type=int, default=5)
-    digest.add_argument("--window-hours", type=float, default=24.0)
-    digest.add_argument("--min-messages", type=int, default=3)
-    digest.set_defaults(func=cmd_digest)
-
     archive = commands.add_parser(
         "archive", help="search the on-disk bundle archive")
     archive.add_argument("store", help="archive directory (from --store)")
@@ -1191,17 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "fleet: replay reconciliation)")
     doctor.set_defaults(func=cmd_doctor)
 
-    repair = commands.add_parser(
-        "repair",
-        help="drain a fleet's cross-shard boundary backlog "
-             "(asynchronous edge reconciliation)")
-    repair.add_argument("root", help="fleet directory from "
-                                     "`repro serve --root`")
-    repair.add_argument("--max-rounds", type=int, default=8,
-                        help="reconciliation passes before giving up "
-                             "on a backlogged fleet")
-    repair.set_defaults(func=cmd_repair)
-
     health = commands.add_parser(
         "health",
         help="run an overload self-check: surge a synthetic stream "
@@ -1220,17 +1096,20 @@ def build_parser() -> argparse.ArgumentParser:
                              "failures under --chaos")
     health.set_defaults(func=cmd_health)
 
-    def telemetry_args(sub: argparse.ArgumentParser) -> None:
+    def replay_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("dataset", nargs="?", default=None,
                          help="TSV dataset to replay (default: generate "
                               "a synthetic surge stream)")
         sub.add_argument("--messages", type=int, default=None,
                          help="messages to replay (default 3000 when "
                               "generating; all of a dataset)")
+        sub.add_argument("--seed", type=int, default=7)
+
+    def telemetry_args(sub: argparse.ArgumentParser) -> None:
+        replay_args(sub)
         sub.add_argument("--surge", type=float, default=6.0,
                          help="burst arrival rate as a multiple of the "
                               "sustainable rate")
-        sub.add_argument("--seed", type=int, default=7)
         sub.add_argument("--sample", type=float, default=0.01,
                          help="trace sampling rate in [0, 1] "
                               "(0 disables tracing)")
@@ -1263,10 +1142,10 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=cmd_metrics)
 
     anatomy = commands.add_parser(
-        "anatomy",
+        "anatomy", allow_abbrev=False,  # `--sample` is not --sample-every
         help="characterize the workload: heavy hitters, postings/fan-in "
              "shape, measured memory, slab capacity projections")
-    telemetry_args(anatomy)
+    replay_args(anatomy)
     anatomy.add_argument("--fingerprint-out", default=None,
                          help="JSONL file for byte-deterministic workload "
                               "fingerprints (appended every --interval "
@@ -1325,30 +1204,22 @@ def build_parser() -> argparse.ArgumentParser:
     explain.set_defaults(func=cmd_explain)
 
     audit = commands.add_parser(
-        "audit", help="inspect a JSONL decision-audit log")
-    audit_sub = audit.add_subparsers(dest="audit_command", required=True)
-    tail = audit_sub.add_parser(
-        "tail", help="most recent decision records")
-    tail.add_argument("log", help="JSONL audit log (from --audit-out)")
-    tail.add_argument("-n", type=int, default=20,
-                      help="records to show")
-    tail.set_defaults(func=cmd_audit_tail)
-    filt = audit_sub.add_parser(
-        "filter", help="decision records matching criteria")
-    filt.add_argument("log", help="JSONL audit log (from --audit-out)")
-    filt.add_argument("--outcome", default=None,
-                      choices=("new-bundle", "matched", "shed", "deferred",
-                               "quarantined", "folded", "late"))
-    filt.add_argument("--rung", type=int, default=None,
-                      help="ladder rung (0=normal 1=reduced 2=skeleton "
-                           "3=shed_only)")
-    filt.add_argument("--bundle", type=int, default=None,
-                      help="bundle id the message landed in")
-    filt.add_argument("--msg", type=int, default=None,
-                      help="message id")
-    filt.add_argument("--limit", type=int, default=None,
-                      help="show at most this many matches (latest)")
-    filt.set_defaults(func=cmd_audit_filter)
+        "audit", help="the latest decision records of a JSONL audit log "
+                      "that match every given filter")
+    audit.add_argument("log", help="JSONL audit log (from --audit-out)")
+    audit.add_argument("-n", type=int, default=20,
+                       help="show at most the latest N matches")
+    audit.add_argument("--outcome", default=None,
+                       choices=("new-bundle", "matched", "shed", "deferred",
+                                "quarantined", "folded", "late"))
+    audit.add_argument("--rung", type=int, default=None,
+                       help="ladder rung (0=normal 1=reduced 2=skeleton "
+                            "3=shed_only)")
+    audit.add_argument("--bundle", type=int, default=None,
+                       help="bundle id the message landed in")
+    audit.add_argument("--msg", type=int, default=None,
+                       help="message id")
+    audit.set_defaults(func=cmd_audit)
 
     show = commands.add_parser(
         "show", help="render one bundle's provenance tree")

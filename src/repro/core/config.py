@@ -14,7 +14,7 @@ and :meth:`IndexerConfig.bundle_limit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError
 
@@ -201,7 +201,3 @@ class IndexerConfig:
             max_bundle_size=bundle_size,
             **overrides,  # type: ignore[arg-type]
         )
-
-    def with_overrides(self, **overrides: object) -> "IndexerConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)  # type: ignore[arg-type]

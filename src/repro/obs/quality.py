@@ -88,7 +88,7 @@ class QualityMonitor:
         (``0`` = NORMAL); ``None`` reads as permanently NORMAL.
     audit:
         Optional :class:`~repro.obs.audit.AuditLog` receiving fired
-        alerts, so ``repro audit tail`` interleaves quality regressions
+        alerts, so ``repro audit`` interleaves quality regressions
         with the placement decisions that caused them.
     """
 

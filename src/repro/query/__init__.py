@@ -8,7 +8,6 @@
 
 from repro.query.bundle_search import (BundleHit, BundleQuery,
                                        BundleSearchEngine, SearchOutcome)
-from repro.query.digest import Digest, StoryEntry, build_digest
 from repro.query.export import (search_results_to_json, to_dot,
                                 to_json_graph)
 from repro.query.feeds import Feed, FeedRegistry, FeedUpdate
@@ -20,9 +19,6 @@ from repro.query.timeline import (Phase, Storyline, activity_series,
 
 __all__ = [
     "BundleHit",
-    "Digest",
-    "StoryEntry",
-    "build_digest",
     "search_results_to_json",
     "to_dot",
     "to_json_graph",

@@ -277,8 +277,8 @@ def scan_fleet_repair(root: "str | Path") -> dict[int, RepairScan]:
     An *orphan* is a boundary entry past the reconciliation cursor —
     durably acknowledged evidence that a message's provenance may cross
     a shard cut, with no recorded repair outcome.  A healthy fleet
-    drains to zero orphans after ``repro repair`` (or the serve loop's
-    ``--repair-interval`` passes).
+    drains to zero orphans after ``repro doctor --fleet ROOT --repair``
+    (or the serve loop's ``--repair-interval`` passes).
     """
     root = Path(root)
     scans: dict[int, RepairScan] = {}

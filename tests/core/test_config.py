@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import DAY_SECONDS, IndexerConfig
@@ -101,12 +103,14 @@ class TestFactories:
         config = IndexerConfig.partial_index(pool_size=10, rt_weight=5.0)
         assert config.rt_weight == 5.0
 
-    def test_with_overrides_returns_new_instance(self):
+    def test_replace_returns_a_validated_copy(self):
         base = IndexerConfig()
-        changed = base.with_overrides(url_weight=3.0)
+        changed = replace(base, url_weight=3.0)
         assert changed.url_weight == 3.0
         assert base.url_weight == 1.0
         assert changed is not base
+        with pytest.raises(ConfigurationError):
+            replace(base, url_weight=-1.0)
 
     def test_config_is_frozen(self):
         config = IndexerConfig()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import IndexerConfig
@@ -109,8 +111,8 @@ class TestClockBehaviour:
         assert indexer.current_date == make_message(9, "x", hours=10).date
 
     def test_refinement_uses_stream_clock_not_wallclock(self):
-        config = IndexerConfig.partial_index(pool_size=3)
-        config = config.with_overrides(refine_tiny_size=2)
+        config = replace(IndexerConfig.partial_index(pool_size=3),
+                         refine_tiny_size=2)
         indexer = ProvenanceIndexer(config)
         # all messages at nearly the same stream time: nothing is "aging",
         # so refinement must evict by rank, not by age deletion

@@ -1,9 +1,8 @@
 """Integration: the full CLI workflow, command by command.
 
 Drives the documented shell workflow end to end through ``main()``:
-generate → stats → index (with archive store) → search → trending →
-digest → show → archive, asserting each stage consumes the previous
-stage's artifacts.
+generate → stats → index (with archive store) → search → show →
+archive, asserting each stage consumes the previous stage's artifacts.
 """
 
 from __future__ import annotations
@@ -45,19 +44,6 @@ class TestCliWorkflow:
         query = " ".join(busiest.summary_words(2))
         assert main(["search", str(snapshot), query, "-k", "3"]) == 0
         assert "bundle" in capsys.readouterr().out
-
-    def test_trending_over_snapshot(self, workspace, capsys):
-        _, _, snapshot, _ = workspace
-        code = main(["trending", str(snapshot), "--window-hours", "24",
-                     "--min-recent", "2"])
-        assert code in (0, 1)
-
-    def test_digest_over_snapshot(self, workspace, capsys):
-        _, _, snapshot, _ = workspace
-        code = main(["digest", str(snapshot), "--window-hours", "24",
-                     "--min-messages", "2"])
-        assert "digest" in capsys.readouterr().out
-        assert code in (0, 1)
 
     def test_show_renders_a_bundle(self, workspace, capsys):
         _, _, snapshot, _ = workspace

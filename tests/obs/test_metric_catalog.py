@@ -48,8 +48,7 @@ def _lit_stack_names(root: Path) -> "set[str]":
     from repro.query.bundle_search import BundleSearchEngine
 
     args = argparse.Namespace(sample=0.5, seed=11, surge=4.0,
-                              sample_every=8, trace_out=None,
-                              audit_out=None, telemetry_out=None)
+                              audit_out=None)
     messages = _generate(args.seed, 400)
     supervisor, _, schedule = _telemetry_stack(args, root, messages,
                                                audit=AuditLog())

@@ -36,6 +36,26 @@ def corrupt_line(path, line_number: int, *, replacement: bytes) -> None:
     path.write_bytes(b"\n".join(lines))
 
 
+def orphaned_fleet(tmp_path, *, pending: int = 3):
+    """Two shard directories without a marker: shard 1 fully
+    reconciled, shard 0 with ``pending`` orphaned boundary entries."""
+    from repro.runtime import BoundaryLog
+
+    root = tmp_path / "fleet"
+    for shard in range(2):
+        directory = root / f"shard-{shard:02d}"
+        directory.mkdir(parents=True)
+        log = BoundaryLog(directory)
+        entries = [log.append(message, peers=(1 - shard,),
+                              dst=None, score=0.0)
+                   for message in stream(pending)]
+        log.sync()
+        if shard == 1:
+            log.advance(entries[-1].seq)
+        log.close()
+    return root
+
+
 class TestWalScan:
     def test_clean_journal_is_healthy(self, tmp_path):
         wal = tmp_path / "ingest.wal"
@@ -240,7 +260,9 @@ class TestDoctorExitCodeMatrix:
     """The documented exit-code contract (docs/operations.md).
 
     0 — every scanned artifact healthy (or absent), or repair fixed all
-    1 — damage found and ``--repair`` not given
+    1 — damage found and ``--repair`` not given, or damage ``--repair``
+        could not fix (a fleet's orphans remain, its marker is missing,
+        or no shard directory is found)
     2 — usage error: no artifact to scan
     """
 
@@ -292,6 +314,38 @@ class TestDoctorExitCodeMatrix:
         assert cli.main(["doctor", "--wal", str(wal),
                          "--store", str(store_dir)]) == 0
 
+    def test_exit_1_fleet_repair_without_a_shard_directory(self, tmp_path,
+                                                           capsys):
+        assert cli.main(["doctor", "--fleet", str(tmp_path),
+                         "--repair"]) == 1
+        assert "no shard directories" in capsys.readouterr().out
+
+    def test_exit_1_fleet_repair_without_a_marker(self, tmp_path, capsys):
+        from repro.runtime import scan_fleet_repair
+
+        root = orphaned_fleet(tmp_path)
+        assert cli.main(["doctor", "--fleet", str(root), "--repair"]) == 1
+        assert "runtime.json" in capsys.readouterr().out
+        assert [s.pending for _, s in sorted(
+            scan_fleet_repair(root).items())] == [3, 0]
+
+    def test_exit_1_fleet_repair_leaves_orphans(self, tmp_path, capsys,
+                                                monkeypatch):
+        # A fleet whose passes all back off keeps its backlog; here no
+        # pass runs at all.
+        import json
+
+        from repro.runtime import ShardedRuntime
+
+        root = orphaned_fleet(tmp_path)
+        (root / "runtime.json").write_text(
+            json.dumps({"workers": 2, "router": "cooccurrence"}))
+        drain = ShardedRuntime.repair_until_clean
+        monkeypatch.setattr(ShardedRuntime, "repair_until_clean",
+                            lambda self: drain(self, max_rounds=0))
+        assert cli.main(["doctor", "--fleet", str(root), "--repair"]) == 1
+        assert "3 orphan(s) left" in capsys.readouterr().out
+
     def test_exit_2_usage_error(self, capsys):
         assert cli.main(["doctor"]) == 2
         assert "at least one" in capsys.readouterr().err
@@ -307,25 +361,8 @@ class TestFleetOrphanScan:
     reconciliation through a live fleet.
     """
 
-    def _orphaned_root(self, tmp_path, *, pending: int = 3):
-        from repro.runtime import BoundaryLog
-
-        root = tmp_path / "fleet"
-        for shard in range(2):
-            directory = root / f"shard-{shard:02d}"
-            directory.mkdir(parents=True)
-            log = BoundaryLog(directory)
-            entries = [log.append(message, peers=(1 - shard,),
-                                  dst=None, score=0.0)
-                       for message in stream(pending)]
-            log.sync()
-            if shard == 1:  # shard 1 fully reconciled, shard 0 orphaned
-                log.advance(entries[-1].seq)
-            log.close()
-        return root
-
     def test_exit_0_reconciled_fleet(self, tmp_path, capsys):
-        root = self._orphaned_root(tmp_path, pending=2)
+        root = orphaned_fleet(tmp_path, pending=2)
         from repro.runtime import BoundaryLog
 
         log = BoundaryLog(root / "shard-00")
@@ -335,7 +372,7 @@ class TestFleetOrphanScan:
         assert "all artifacts healthy" in capsys.readouterr().out
 
     def test_exit_1_orphans_without_repair(self, tmp_path, capsys):
-        root = self._orphaned_root(tmp_path)
+        root = orphaned_fleet(tmp_path)
         assert cli.main(["doctor", "--fleet", str(root)]) == 1
         out = capsys.readouterr().out
         assert "3 orphaned boundary entries" in out

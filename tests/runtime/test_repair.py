@@ -293,11 +293,23 @@ class TestRepairPipeline:
 
 
 class TestRepairCli:
-    def test_rejects_non_fleet_root(self, tmp_path, capsys):
+    """``repro doctor --fleet ROOT --repair`` drains a fleet's backlog."""
+
+    def test_rejects_non_fleet_root(self, tmp_path, messages, capsys):
+        # Without its marker the fleet cannot be reopened: the backlog
+        # stays, and the exit code says so.
         from repro import cli
 
-        assert cli.main(["repair", str(tmp_path)]) == 2
-        assert "runtime.json" in capsys.readouterr().err
+        root = tmp_path / "fleet"
+        with ShardedRuntime(root, 2, router="cooccurrence") as runtime:
+            runtime.ingest_stream(messages[:300], batch_size=64)
+        (root / "runtime.json").unlink()
+        pending = sum(s.pending for s in scan_fleet_repair(root).values())
+        assert pending > 0
+        assert cli.main(["doctor", "--fleet", str(root), "--repair"]) == 1
+        assert "runtime.json" in capsys.readouterr().out
+        assert sum(s.pending
+                   for s in scan_fleet_repair(root).values()) == pending
 
     def test_drains_backlog_and_reports(self, tmp_path, messages, capsys):
         from repro import cli
@@ -307,9 +319,9 @@ class TestRepairCli:
             runtime.ingest_stream(messages[:300], batch_size=64)
             hints = runtime.stats.boundary_hints
         assert hints > 0
-        assert cli.main(["repair", str(root)]) == 0
+        assert cli.main(["doctor", "--fleet", str(root), "--repair"]) == 0
         out = capsys.readouterr().out
-        assert "orphan(s) before" in out
+        assert "orphaned boundary entries" in out
         assert "0 orphan(s) left" in out
         scans = scan_fleet_repair(root)
         assert all(scan.pending == 0 for scan in scans.values())
@@ -323,8 +335,7 @@ class TestRepairCli:
         root = tmp_path / "fleet"
         with ShardedRuntime(root, 2, router="cooccurrence") as runtime:
             runtime.ingest_stream(messages[:200], batch_size=64)
-        code = cli.main(["search", str(root), "breaking report",
-                         "--workers", "2"])
+        code = cli.main(["search", str(root), "breaking report"])
         captured = capsys.readouterr()
         assert code in (0, 1)  # hits or no hits — never a router error
         assert "router" not in captured.err

@@ -94,34 +94,6 @@ class TestSearch:
         assert "no matching bundles" in capsys.readouterr().out
 
 
-class TestTrending:
-    def test_trending_runs(self, snapshot, capsys):
-        code = main(["trending", str(snapshot), "--window-hours", "48"])
-        out = capsys.readouterr().out
-        if code == 0:
-            assert "msgs/h" in out
-        else:
-            assert "nothing trending" in out
-
-    def test_trending_empty_window(self, snapshot, capsys):
-        code = main(["trending", str(snapshot), "--min-recent", "99999"])
-        assert code == 1
-
-
-class TestDigest:
-    def test_digest_runs(self, snapshot, capsys):
-        code = main(["digest", str(snapshot), "--window-hours", "48",
-                     "--min-messages", "2"])
-        out = capsys.readouterr().out
-        assert "digest" in out
-        assert code in (0, 1)
-
-    def test_digest_empty_window(self, snapshot, capsys):
-        code = main(["digest", str(snapshot), "--min-messages", "99999"])
-        assert code == 1
-        assert "0 stories" in capsys.readouterr().out
-
-
 class TestArchive:
     def test_archive_search_after_index(self, dataset, tmp_path, capsys):
         snapshot_path = tmp_path / "state.json"
@@ -189,7 +161,7 @@ class TestSearchBudget:
 
 
 class TestFleetSearch:
-    """``repro search ROOT Q --workers N`` answers from one scatter."""
+    """``repro search ROOT Q`` answers a fleet root from one scatter."""
 
     def test_one_scatter_feeds_table_and_coverage(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -211,16 +183,33 @@ class TestFleetSearch:
 
         monkeypatch.setattr(ShardedRuntime, "search_within", counting)
         code = main(["search", str(root), "#tag1 report", "-k", "3",
-                     "--workers", "2", "--budget-ms", "60000"])
+                     "--budget-ms", "60000"])
         out = capsys.readouterr().out
         assert code == 0
         assert len(outcomes) == 1
         outcome = outcomes[0]
         assert outcome.hits and len(outcome.shards) == len(outcome.hits)
-        assert f"coverage {outcome.coverage:.0%}" in out
+        assert f"(2 shards, coverage {outcome.coverage:.0%})" in out
         rows = [line.split()[:2] for line in out.splitlines()[3:]]
         assert rows == [[str(shard), str(hit.bundle_id)] for shard, hit
                         in zip(outcome.shards, outcome.hits)]
+
+    @pytest.mark.parametrize("flags", [[], ["--workers", "2"]])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_path_without_marker_creates_nothing(self, exists, flags,
+                                                 tmp_path, capsys):
+        # Only a runtime.json marker makes a path a fleet root: no
+        # spelling of a search may spawn (and so create) a fleet.
+        root = tmp_path / "fleet"
+        if exists:
+            root.mkdir()
+        try:
+            code = main(["search", str(root), "report", *flags])
+        except SystemExit as refused:  # argparse rejects the flags
+            code = refused.code
+        assert code != 0
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == ([root] if exists else [])
 
 
 class TestTop:
@@ -373,28 +362,26 @@ class TestAuditCommands:
         return log
 
     def test_tail_shows_recent_decisions(self, audit_log, capsys):
-        code = main(["audit", "tail", str(audit_log), "-n", "10"])
+        code = main(["audit", str(audit_log), "-n", "10"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "audit tail" in out
+        assert "audit — 10 of " in out
         assert "outcome" in out and "rung" in out
 
     def test_filter_by_outcome(self, audit_log, capsys):
-        code = main(["audit", "filter", str(audit_log),
-                     "--outcome", "matched"])
+        code = main(["audit", str(audit_log), "--outcome", "matched"])
         out = capsys.readouterr().out
         assert code == 0
         assert "matching decisions" in out
         assert "new-bundle" not in out
 
     def test_filter_no_match_fails_cleanly(self, audit_log, capsys):
-        code = main(["audit", "filter", str(audit_log),
-                     "--msg", "987654"])
+        code = main(["audit", str(audit_log), "--msg", "987654"])
         assert code == 1
         assert "no decision records match" in capsys.readouterr().err
 
     def test_missing_log_fails_cleanly(self, tmp_path, capsys):
-        code = main(["audit", "tail", str(tmp_path / "absent.jsonl")])
+        code = main(["audit", str(tmp_path / "absent.jsonl")])
         assert code == 1
         assert "no decision records" in capsys.readouterr().err
 
@@ -470,7 +457,7 @@ class TestZeroMeansNone:
     a ``seq[-0:]`` slice would select all of them."""
 
     @pytest.mark.parametrize("spelling", [
-        "audit tail -n 0", "audit filter --limit 0", "trace -n 0",
+        "audit -n 0", "trace -n 0",
         "AuditLog.filter(limit=0)"])
     def test_zero_selects_nothing(self, spelling, tmp_path, capsys):
         from repro.core.config import IndexerConfig
@@ -495,11 +482,9 @@ class TestZeroMeansNone:
             return
         command, *rest = spelling.split()
         log = trace_log if command == "trace" else audit_log
-        argv = [command, *rest[:-2], str(log), *rest[-2:]]
-        assert main(argv) == 0
+        assert main([command, str(log), *rest]) == 0
         out = capsys.readouterr().out
-        assert {"audit tail -n 0": "last 0 of 3 decisions",
-                "audit filter --limit 0": "0 of 3 matching decisions",
+        assert {"audit -n 0": "0 of 3 matching decisions",
                 "trace -n 0": "3 earlier trace(s) not shown",
                 }[spelling] in out
 
@@ -593,6 +578,17 @@ class TestAnatomy:
         assert args.interval == 0
         assert args.fingerprint_out is None
         assert args.diff is None
+
+    @pytest.mark.parametrize("flag", [["--surge", "3"], ["--sample", "1"],
+                                      ["--audit-out", "a.jsonl"]])
+    def test_rejects_flags_a_bare_engine_replay_ignores(self, flag,
+                                                        capsys):
+        # Anatomy replays a bare engine: no surge schedule, tracer or
+        # audit log to configure.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["anatomy", "--messages", "200",
+                                       *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_top_shows_anatomy_panel(self, capsys):
         code = main(["top", "--once", "--messages", "600", "--seed", "7",
