@@ -29,8 +29,7 @@ from repro.bench.reporting import (ascii_table, format_float, human_count,
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.metrics import compare_edge_sets, ground_truth_edges
-from repro.reliability.guard import (GuardAction, GuardConfig, IngestGuard,
-                                     QuarantineLog)
+from repro.reliability.guard import GuardAction, IngestGuard, QuarantineLog
 from repro.stream.generator import (ADVERSARIAL_SCENARIOS,
                                     AdversarialConfig,
                                     AdversarialGenerator, StreamConfig,
@@ -88,7 +87,7 @@ def run_plain_once(messages):
 
 def run_guarded_once(messages, quarantine_path):
     engine = ProvenanceIndexer(engine_config())
-    guard = IngestGuard(GuardConfig(), quarantine_path=quarantine_path)
+    guard = IngestGuard(quarantine_path=quarantine_path)
     quarantined = []
     stack = contextlib.ExitStack()
     stack.enter_context(gc_quiesced())

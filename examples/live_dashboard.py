@@ -34,8 +34,7 @@ def main() -> None:
 
     indexer = ProvenanceIndexer(IndexerConfig.partial_index(pool_size=400))
     monitor = SlidingWindowMonitor(short_window=0.5 * HOUR,
-                                   long_window=6 * HOUR,
-                                   burst_ratio=3.0, min_count=8)
+                                   long_window=6 * HOUR, min_count=8)
     feeds = FeedRegistry(indexer)
     feeds.subscribe("health", "flu OR vaccine OR outbreak h1n1")
 

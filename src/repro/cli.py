@@ -27,7 +27,7 @@ from repro.bench.reporting import ascii_table, human_bytes, human_count
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.graph import render_tree
-from repro.query.bundle_search import BundleSearchEngine
+from repro.query.bundle_search import ALPHA, BETA, BundleSearchEngine
 from repro.query.ranking import quality_score
 from repro.query.timeline import extract_storyline
 from repro.storage.archive_index import ArchivedBundleStore
@@ -175,6 +175,7 @@ def _search_fleet(args: argparse.Namespace, runtime,
     """Scatter-gather search over a reopened fleet."""
     with runtime:
         outcome = runtime.search_within(args.query, args.k,
+                                        alpha=args.alpha, beta=args.beta,
                                         budget_seconds=budget)
     if not outcome.hits:
         print("no matching bundles across the fleet"
@@ -571,7 +572,6 @@ def _telemetry_stack(args: argparse.Namespace, root, messages,
     """
     from repro.obs import (AuditLog, DEFAULT_QUALITY_RULES, Observability,
                            QualityMonitor, Tracer, WorkloadAnatomy)
-    from repro.reliability.guard import GuardConfig
 
     tracer = None
     if args.sample > 0:
@@ -591,8 +591,7 @@ def _telemetry_stack(args: argparse.Namespace, root, messages,
     # into its origin's bundle (the benchmark's dense stream, seed 7,
     # 4 096 arrivals: 1 331 folds, 982 edges unlike an unguarded run's).
     stack = _surge_stack(root, len(messages), args.surge, obs=obs,
-                         telemetry=telemetry_out,
-                         guard=GuardConfig())
+                         telemetry=telemetry_out, guard=True)
     engine = stack[0].indexer
     if any(message.parent_id is not None for message in messages):
         obs.quality = QualityMonitor(
@@ -991,8 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "`repro serve --root`")
     search.add_argument("query")
     search.add_argument("-k", type=int, default=10)
-    search.add_argument("--alpha", type=float, default=0.6)
-    search.add_argument("--beta", type=float, default=0.3)
+    search.add_argument("--alpha", type=float, default=ALPHA)
+    search.add_argument("--beta", type=float, default=BETA)
     search.add_argument("--budget-ms", type=float, default=None,
                         help="time budget; expiry returns flagged "
                              "partial results instead of blocking")

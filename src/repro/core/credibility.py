@@ -27,6 +27,9 @@ from repro.core.graph import children_map, roots
 
 __all__ = ["UserRecord", "CredibilityTracker"]
 
+#: Pseudo-count mass of the neutral 0.5 score every user starts at.
+PRIOR = 4.0
+
 
 @dataclass(slots=True)
 class UserRecord:
@@ -55,17 +58,15 @@ class CredibilityTracker:
     engine's store sink, or over the final pool).  Scores combine the
     endorsement rate and the origination rate against the isolation rate:
 
-    ``score = (reshared + sources + prior·0.5) /
-              (messages + isolated + prior)``
+    ``score = (reshared + sources + PRIOR·0.5) /
+              (messages + isolated + PRIOR)``
 
     which is a smoothed fraction in (0, 1): 0.5 for unknown users, →1 for
     reliably endorsed sources, →0 for users whose output stays isolated.
     """
 
-    def __init__(self, *, prior: float = 4.0) -> None:
-        if prior <= 0:
-            raise ValueError(f"prior must be positive, got {prior}")
-        self.prior = prior
+    def __init__(self) -> None:
+        self.prior = PRIOR
         self._records: dict[str, UserRecord] = {}
 
     def __len__(self) -> int:

@@ -132,8 +132,7 @@ class DuplicateDetector:
     """
 
     def __init__(self, *, threshold: float = 0.7,
-                 index_threshold: "float | None" = None,
-                 shingle_width: int = 3) -> None:
+                 index_threshold: "float | None" = None) -> None:
         if index_threshold is None:
             index_threshold = threshold
         if not 0.0 < index_threshold <= 1.0:
@@ -141,7 +140,6 @@ class DuplicateDetector:
                 f"index_threshold must be in (0, 1], got {index_threshold}")
         self.index_threshold = index_threshold
         self.threshold = threshold
-        self.shingle_width = shingle_width
         self._postings: "dict[str, list[int]]" = {}
         self._shingles: "dict[int, frozenset[str]]" = {}
         self._first_empty: "int | None" = None
@@ -168,7 +166,7 @@ class DuplicateDetector:
         The smallest confirmed duplicate id is returned — pointing to
         the probable origin of the copied content.
         """
-        grams = shingles(message.text, self.shingle_width)
+        grams = shingles(message.text)
         msg_id = message.msg_id
         if not grams:
             first = self._first_empty

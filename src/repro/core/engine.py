@@ -53,6 +53,10 @@ __all__ = [
     "MemorySnapshot",
 ]
 
+#: Keep the cumulative ``(src, dst)`` edge ledger the Section VI-B
+#: evaluation reads (one set entry per message).
+TRACK_EDGES = True
+
 
 @dataclass(frozen=True, slots=True)
 class StageSnapshot:
@@ -224,10 +228,6 @@ class ProvenanceIndexer:
     store:
         Optional :class:`~repro.core.pool.BundleSink` receiving evicted /
         closed bundles (the on-disk back-end of Fig. 4).
-    track_edges:
-        Keep the cumulative ``(src, dst)`` edge ledger used by the
-        Section VI-B evaluation.  Costs one set entry per message; disable
-        for pure-throughput runs.
     obs:
         The engine's :class:`~repro.obs.Observability` (metrics registry
         + optional tracer).  Defaults to a fresh enabled registry with
@@ -238,7 +238,6 @@ class ProvenanceIndexer:
     def __init__(self, config: IndexerConfig | None = None, *,
                  analyzer: Analyzer | None = None,
                  store: BundleSink | None = None,
-                 track_edges: bool = True,
                  obs: Observability | None = None) -> None:
         self.config = config or IndexerConfig()
         self.analyzer = analyzer or Analyzer()
@@ -248,7 +247,7 @@ class ProvenanceIndexer:
         self.pool = BundlePool(self.config)
         self.stats = EngineStats()
         self.current_date = 0.0
-        self.track_edges = track_edges
+        self.track_edges = TRACK_EDGES
         self._edge_ledger: set[tuple[int, int]] = set()
         #: Candidate fan-in of the most recent Algorithm 1 run:
         #: ``(bundles hit by postings, bundles fully scored)``.

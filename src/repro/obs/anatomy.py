@@ -94,7 +94,7 @@ MEMORY_COMPONENTS = ("index", "pool", "dedup_cache", "guard")
 class SpaceSavingSketch:
     """Deterministic bounded-memory heavy hitters (SpaceSaving).
 
-    Tracks at most ``capacity`` items.  For every tracked item the
+    Tracks at most :data:`SKETCH_CAPACITY` items.  For every tracked item the
     sketch holds ``count`` (an over-estimate of the item's true weight)
     and ``error`` (the maximum over-estimation: the count the evicted
     minimum had when this item took its slot) — so
@@ -111,11 +111,8 @@ class SpaceSavingSketch:
     __slots__ = ("capacity", "observed", "observed_weight",
                  "_counts", "_errors", "_heap")
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"sketch capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = SKETCH_CAPACITY
         #: Observations / total weight seen, including evicted mass —
         #: the denominator for heavy-hitter share computations.
         self.observed = 0
@@ -343,6 +340,10 @@ class MemoryAccountant:
 
 #: Tracked terms per indicant kind (bounded memory).
 SKETCH_CAPACITY = 64
+#: Terms per kind mirrored into ``repro_hot_terms`` gauges: well under
+#: the registry's per-family label cap, so hot-term churn beyond it
+#: lands in the overflow child by design.
+PUBLISH_TOP = 8
 #: Auto-publish cadence of the sketch tops, in *sampled* messages.
 PUBLISH_EVERY = 2048
 
@@ -367,13 +368,9 @@ class WorkloadAnatomy:
         sketches and accountant working standalone (no metric export).
     sample_every:
         Observe every Nth message (systematic stride; deterministic).
-    publish_top:
-        Terms per kind mirrored into ``repro_hot_terms`` gauges.  Kept
-        well under the registry's per-family label cap — hot-term
-        churn beyond the cap lands in the overflow child by design.
-
-    Each kind's sketch tracks :data:`SKETCH_CAPACITY` terms, and the
-    tops auto-publish every :data:`PUBLISH_EVERY` sampled messages;
+    Each kind's sketch tracks :data:`SKETCH_CAPACITY` terms, its top
+    :data:`PUBLISH_TOP` are mirrored into ``repro_hot_terms`` gauges,
+    and the tops auto-publish every :data:`PUBLISH_EVERY` sampled messages;
     :meth:`publish` can also be called explicitly (the fleet worker
     does, before each telemetry dump).
     """
@@ -381,16 +378,13 @@ class WorkloadAnatomy:
     KINDS = INDICANT_KINDS
 
     def __init__(self, registry: "MetricsRegistry | None" = None, *,
-                 sample_every: int = 8,
-                 publish_top: int = 8) -> None:
+                 sample_every: int = 8) -> None:
         if sample_every < 1:
             raise ConfigurationError(
                 f"sample_every must be >= 1, got {sample_every}")
         self.registry = registry
         self.sample_every = sample_every
-        self.publish_top = publish_top
-        self.sketches = {kind: SpaceSavingSketch(SKETCH_CAPACITY)
-                         for kind in self.KINDS}
+        self.sketches = {kind: SpaceSavingSketch() for kind in self.KINDS}
         self.accountant = MemoryAccountant()
         self.seen = 0      # messages offered
         self.sampled = 0   # messages actually observed
@@ -443,7 +437,7 @@ class WorkloadAnatomy:
             return
         live: set[tuple[str, str]] = set()
         for kind in self.KINDS:
-            for term, count, _ in self.sketches[kind].top(self.publish_top):
+            for term, count, _ in self.sketches[kind].top(PUBLISH_TOP):
                 registry.gauge(
                     "repro_hot_terms",
                     help="SpaceSaving heavy-hitter weight of currently "

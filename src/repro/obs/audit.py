@@ -454,6 +454,10 @@ class Explanation:
         return "\n".join(lines)
 
 
+#: Buffered JSONL lines per write to the audit sink.
+FLUSH_EVERY = 64
+
+
 class AuditLog:
     """Bounded, residency-protected ring of ingest decision records.
 
@@ -466,24 +470,18 @@ class AuditLog:
         an explainable decision (``dropped`` counts real losses only).
     sink:
         Optional JSONL path.  Records are buffered and appended in
-        batches of ``flush_every`` (the supervisor also flushes through
+        batches of :data:`FLUSH_EVERY` (the supervisor also flushes through
         the :class:`~repro.obs.TelemetryFlusher` cadence); lines carry
         no wall-clock fields, so two seeded runs produce byte-identical
         files.
-    flush_every:
-        Buffered lines per write.
     """
 
     def __init__(self, *, capacity: int = 4096,
-                 sink: "str | os.PathLike[str] | None" = None,
-                 flush_every: int = 64) -> None:
+                 sink: "str | os.PathLike[str] | None" = None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.capacity = capacity
         self.sink = Path(sink) if sink is not None else None
-        self.flush_every = flush_every
         self.recorded = 0
         self.refusals = 0
         self.dropped = 0  # records evicted from the ring
@@ -676,7 +674,7 @@ class AuditLog:
         if self.sink is None:
             return
         self._buffer.append(json.dumps(payload, sort_keys=True))
-        if len(self._buffer) >= self.flush_every:
+        if len(self._buffer) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:

@@ -22,7 +22,6 @@ import time
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
-from repro.core.errors import ConfigurationError
 from repro.obs.registry import Histogram, MetricsRegistry
 
 __all__ = ["render_prometheus", "render_json", "TelemetryFlusher"]
@@ -107,27 +106,28 @@ def read_jsonl(path: "str | os.PathLike[str]") -> "Iterator[dict]":
                 continue
 
 
+#: Supervised ingests per flight-recorder line.
+EVERY_TICKS = 512
+#: Seconds after which a tick flushes even before :data:`EVERY_TICKS`
+#: (``None``: count-triggered only).
+MIN_INTERVAL_SECONDS: "float | None" = None
+
+
 class TelemetryFlusher:
     """Appends periodic registry snapshots to a JSONL flight recorder.
 
     :meth:`tick` is called once per supervised ingest; every
-    ``every_ticks`` calls (or whenever ``min_interval_seconds`` has
-    elapsed since the last flush, whichever comes first) one JSON line
+    :data:`EVERY_TICKS` calls (or whenever :data:`MIN_INTERVAL_SECONDS`,
+    if set, has elapsed since the last flush, whichever comes first) one
+    JSON line
     ``{"seq": n, "elapsed": t, "metrics": {...}}`` is appended.
     """
 
     def __init__(self, registry: MetricsRegistry,
                  path: "str | os.PathLike[str]", *,
-                 every_ticks: int = 512,
-                 min_interval_seconds: "float | None" = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if every_ticks < 1:
-            raise ConfigurationError(
-                f"every_ticks must be >= 1, got {every_ticks}")
         self.registry = registry
         self.path = Path(path)
-        self.every_ticks = every_ticks
-        self.min_interval_seconds = min_interval_seconds
         self.clock = clock
         self.flushes = 0
         self._ticks = 0
@@ -141,10 +141,10 @@ class TelemetryFlusher:
     def tick(self) -> bool:
         """Count one unit of work; flush when the interval is due."""
         self._ticks += 1
-        due = self._ticks >= self.every_ticks
-        if not due and self.min_interval_seconds is not None:
+        due = self._ticks >= EVERY_TICKS
+        if not due and MIN_INTERVAL_SECONDS is not None:
             due = (self.clock() - self._last_flush
-                   >= self.min_interval_seconds)
+                   >= MIN_INTERVAL_SECONDS)
         if due:
             self.flush()
         return due
@@ -152,7 +152,7 @@ class TelemetryFlusher:
     @property
     def ticks_to_flush(self) -> int:
         """Ticks until the next count-triggered flush."""
-        return self.every_ticks - self._ticks
+        return EVERY_TICKS - self._ticks
 
     def flush(self) -> None:
         """Append one snapshot line unconditionally."""

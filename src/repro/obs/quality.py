@@ -39,15 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["QualityMonitor", "QualityRule", "DEFAULT_QUALITY_RULES"]
 
 
+#: Observations in the monitor's sliding window.
+WINDOW = 512
+#: Rule-evaluation cadence, in observations.
+CHECK_EVERY = 256
+#: Reference edges a window needs before a rule is armed.
+MIN_REFERENCE = 16
+#: Rules are armed only while the admission ladder is off NORMAL — the
+#: "is the degraded mode costing us quality?" question.
+ONLY_DEGRADED = True
+
+
 @dataclass(frozen=True, slots=True)
 class QualityRule:
-    """Fire an alert when a quality metric sinks below a floor.
+    """Fire an alert when a windowed quality metric sinks below a floor.
 
     ``metric`` is an :class:`~repro.core.metrics.EdgeComparison`
-    property name (``accuracy`` / ``coverage`` / ``f1``); ``scope``
-    picks the windowed or cumulative view.  With ``only_degraded`` the
-    rule is armed only while the admission ladder is off NORMAL — the
-    "is the degraded mode costing us quality?" question.  The rule is
+    property name (``accuracy`` / ``coverage`` / ``f1``).  The rule is
     edge-triggered: one alert per excursion below the floor, not one
     per check.
     """
@@ -55,17 +63,12 @@ class QualityRule:
     name: str
     metric: str = "accuracy"
     min_value: float = 0.8
-    scope: str = "window"  # "window" | "cumulative"
-    only_degraded: bool = True
-    min_reference: int = 16  # reference edges needed before arming
 
 
 #: The rules the CLI replay stack arms by default.
 DEFAULT_QUALITY_RULES = (
-    QualityRule(name="accu-degraded", metric="accuracy", min_value=0.8,
-                scope="window", only_degraded=True),
-    QualityRule(name="ret-degraded", metric="coverage", min_value=0.5,
-                scope="window", only_degraded=True),
+    QualityRule(name="accu-degraded", metric="accuracy", min_value=0.8),
+    QualityRule(name="ret-degraded", metric="coverage", min_value=0.5),
 )
 
 
@@ -77,10 +80,6 @@ class QualityMonitor:
     registry:
         Where the ``repro_quality_*`` gauges live (gauges stay live
         even on a disabled registry, like every other pressure signal).
-    window:
-        Observations in the sliding window.
-    check_every:
-        Rule-evaluation cadence, in observations.
     rules:
         The :class:`QualityRule` set to arm.
     rung:
@@ -93,18 +92,10 @@ class QualityMonitor:
     """
 
     def __init__(self, registry: "MetricsRegistry | None" = None, *,
-                 window: int = 512, check_every: int = 256,
                  rules: "tuple[QualityRule, ...]" = (),
                  rung: "Callable[[], int] | None" = None,
                  audit: "AuditLog | None" = None) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if check_every < 1:
-            raise ValueError(
-                f"check_every must be >= 1, got {check_every}")
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.window = window
-        self.check_every = check_every
         self.rules = tuple(rules)
         self.rung = rung
         self.audit = audit
@@ -182,10 +173,10 @@ class QualityMonitor:
         if found is not None:
             self._found.add(found)
         self._recent.append((truth, found))
-        while len(self._recent) > self.window:
+        while len(self._recent) > WINDOW:
             self._recent.popleft()
         self.observed += 1
-        if self.rules and self.observed % self.check_every == 0:
+        if self.rules and self.observed % CHECK_EVERY == 0:
             self._check_rules()
 
     # -- views --------------------------------------------------------------
@@ -200,7 +191,7 @@ class QualityMonitor:
         return compare_edge_sets(self._found, self._reference)
 
     def windowed(self) -> EdgeComparison:
-        """The comparison over the last ``window`` observations only."""
+        """The comparison over the last :data:`WINDOW` observations."""
         reference = {truth for truth, _ in self._recent
                      if truth is not None}
         found = {edge for _, edge in self._recent if edge is not None}
@@ -213,14 +204,12 @@ class QualityMonitor:
     # -- threshold rules ----------------------------------------------------
 
     def _check_rules(self) -> None:
-        window = self.windowed()
-        cumulative = self.cumulative()
+        view = self.windowed()
         rung = self.current_rung()
         for rule in self.rules:
-            view = window if rule.scope == "window" else cumulative
-            if view.reference_size < rule.min_reference:
+            if view.reference_size < MIN_REFERENCE:
                 continue
-            if rule.only_degraded and rung == 0:
+            if ONLY_DEGRADED and rung == 0:
                 self._violating.discard(rule.name)
                 continue
             value = float(getattr(view, rule.metric))

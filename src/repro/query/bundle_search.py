@@ -105,6 +105,12 @@ class SearchOutcome:
         return self.candidates_scored / self.candidates_total
 
 
+#: Eq. 7's default weights for text similarity (α) and indicant
+#: closeness (β).
+ALPHA = 0.6
+BETA = 0.3
+
+
 class BundleSearchEngine:
     """Eq. 7 retrieval over an engine's live bundle pool.
 
@@ -118,7 +124,7 @@ class BundleSearchEngine:
     """
 
     def __init__(self, indexer: ProvenanceIndexer, *,
-                 alpha: float = 0.6, beta: float = 0.3) -> None:
+                 alpha: float = ALPHA, beta: float = BETA) -> None:
         if alpha < 0 or beta < 0 or alpha + beta > 1.0:
             raise QueryError(
                 f"need α, β >= 0 and α + β <= 1; got α={alpha}, β={beta}")

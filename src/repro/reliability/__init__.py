@@ -66,7 +66,6 @@ __all__ = [
     "Transition",
     "FoldLog",
     "GuardAction",
-    "GuardConfig",
     "GuardStats",
     "IngestGuard",
     "QuarantineLog",
@@ -102,7 +101,6 @@ _LAZY = {
     "Transition": "repro.reliability.overload",
     "FoldLog": "repro.reliability.guard",
     "GuardAction": "repro.reliability.guard",
-    "GuardConfig": "repro.reliability.guard",
     "GuardStats": "repro.reliability.guard",
     "IngestGuard": "repro.reliability.guard",
     "QuarantineLog": "repro.reliability.guard",

@@ -60,7 +60,6 @@ from repro.reliability.fsio import (FramedLog, escape_field, read_framed,
 
 __all__ = [
     "GuardAction",
-    "GuardConfig",
     "GuardStats",
     "Screened",
     "QuarantineLog",
@@ -95,58 +94,28 @@ class Screened(NamedTuple):
     duplicate_of: "int | None" = None
 
 
-@dataclass(frozen=True, slots=True)
-class GuardConfig:
-    """Tuning knobs for the ingest guard.
-
-    The ``tightened_*`` thresholds replace their normal counterparts
-    while the overload ladder sits at REDUCED or worse — the guard gets
-    *more* suspicious exactly when capacity is scarce, so hostile
-    traffic is folded/quarantined before honest traffic is shed.
-    """
-
-    #: Exact-Jaccard confirmation threshold for the near-dup screen.
-    dedup_threshold: float = 0.8
-    #: Quarantine a user's messages once their spam score passes this …
-    spam_threshold: float = 0.6
-    #: … but only after this much observed message mass (cold users are
-    #: at the neutral 0.5 and must not be judged on nothing).
-    spam_min_messages: float = 8.0
-    spam_prior: float = 4.0
-    #: Reordering window in stream seconds: arrivals dated within
-    #: ``max_seen - reorder_window`` are buffered and re-emitted in
-    #: date order; older ones take the deterministic late-path.
-    reorder_window: float = 900.0
-    reorder_capacity: int = 2048
-    #: A date further than this *ahead* of the stream clock is a clock
-    #: bomb (it would drag ``current_date`` forward and mass-evict
-    #: honest bundles) — quarantined, and the watermark never advances.
-    max_future_skew: float = 6 * 3600.0
-    tightened_dedup_threshold: float = 0.65
-    tightened_spam_threshold: float = 0.45
-
-    def __post_init__(self) -> None:
-        for name in ("dedup_threshold", "spam_threshold",
-                     "tightened_dedup_threshold",
-                     "tightened_spam_threshold"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if self.tightened_dedup_threshold > self.dedup_threshold:
-            raise ValueError("tightened_dedup_threshold must not exceed "
-                             "dedup_threshold (tightening means catching "
-                             "more duplicates)")
-        if self.tightened_spam_threshold > self.spam_threshold:
-            raise ValueError("tightened_spam_threshold must not exceed "
-                             "spam_threshold")
-        if self.reorder_capacity <= 0:
-            raise ValueError(f"reorder_capacity must be positive, "
-                             f"got {self.reorder_capacity}")
-        for name in ("spam_min_messages", "spam_prior", "reorder_window",
-                     "max_future_skew"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+#: Exact-Jaccard confirmation threshold for the near-dup screen.
+DEDUP_THRESHOLD = 0.8
+#: Quarantine a user's messages once their spam score passes this …
+SPAM_THRESHOLD = 0.6
+#: … but only after this much observed message mass (cold users are at
+#: the neutral 0.5 and must not be judged on nothing).
+SPAM_MIN_MESSAGES = 8.0
+#: Reordering window in stream seconds: arrivals dated within
+#: ``max_seen - REORDER_WINDOW`` are buffered and re-emitted in date
+#: order; older ones take the deterministic late-path.
+REORDER_WINDOW = 900.0
+REORDER_CAPACITY = 2048
+#: A date further than this *ahead* of the stream clock is a clock bomb
+#: (it would drag ``current_date`` forward and mass-evict honest
+#: bundles) — quarantined, and the watermark never advances.
+MAX_FUTURE_SKEW = 6 * 3600.0
+#: The thresholds that replace the two above while the overload ladder
+#: sits at REDUCED or worse: the guard gets *more* suspicious exactly
+#: when capacity is scarce, so hostile traffic is folded/quarantined
+#: before honest traffic is shed.
+TIGHTENED_DEDUP_THRESHOLD = 0.65
+TIGHTENED_SPAM_THRESHOLD = 0.45
 
 
 @dataclass(slots=True)
@@ -246,18 +215,16 @@ class IngestGuard:
     learns which bundle future near-duplicates fold into.
     """
 
-    def __init__(self, config: "GuardConfig | None" = None, *,
+    def __init__(self, *,
                  quarantine_path: "str | os.PathLike[str] | None" = None,
                  fold_path: "str | os.PathLike[str] | None" = None,
                  tracker: "CredibilityTracker | None" = None) -> None:
-        self.config = config or GuardConfig()
-        cfg = self.config
         # Prefixes are indexed at the tightened threshold, the lowest the
         # guard switches to, so set_tightened keeps the join exact.
         self.detector = DuplicateDetector(
-            threshold=cfg.dedup_threshold,
-            index_threshold=cfg.tightened_dedup_threshold)
-        self.tracker = tracker or CredibilityTracker(prior=cfg.spam_prior)
+            threshold=DEDUP_THRESHOLD,
+            index_threshold=TIGHTENED_DEDUP_THRESHOLD)
+        self.tracker = tracker or CredibilityTracker()
         self.quarantine = QuarantineLog(quarantine_path)
         self.folds = FoldLog(fold_path)
         #: Both side logs, for a caller's pre-ACK ``commit_scope``.
@@ -284,7 +251,7 @@ class IngestGuard:
 
     @property
     def watermark(self) -> float:
-        return self._max_seen - self.config.reorder_window
+        return self._max_seen - REORDER_WINDOW
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Export the verdict counters, the side logs' fsyncs, the
@@ -326,11 +293,10 @@ class IngestGuard:
     def admit(self, message: Message) -> "list[Screened]":
         """Screen one arrival; returns entries ready for ingestion now."""
         self.stats.screened += 1
-        cfg = self.config
         date = message.date
         ready: "list[Screened]" = []
         if (self._max_seen != float("-inf")
-                and date > self._max_seen + cfg.max_future_skew):
+                and date > self._max_seen + MAX_FUTURE_SKEW):
             ready.append(self._quarantine(message, "clock-skew"))
             return ready
         if date >= self._max_seen:
@@ -347,7 +313,7 @@ class IngestGuard:
         # Out of order but within the window: hold for reordering.
         heapq.heappush(self._buffer, (date, message.msg_id, message))
         self.stats.buffered += 1
-        while len(self._buffer) > cfg.reorder_capacity:
+        while len(self._buffer) > REORDER_CAPACITY:
             ready.append(self._pop_buffered())
         ready.append(Screened(message, GuardAction.BUFFERED))
         return ready
@@ -370,9 +336,8 @@ class IngestGuard:
         if tightened == self.tightened:
             return
         self.tightened = tightened
-        cfg = self.config
-        self.detector.threshold = (cfg.tightened_dedup_threshold
-                                   if tightened else cfg.dedup_threshold)
+        self.detector.threshold = (TIGHTENED_DEDUP_THRESHOLD
+                                   if tightened else DEDUP_THRESHOLD)
 
     def close(self) -> None:
         for log in self.logs:
@@ -392,7 +357,6 @@ class IngestGuard:
         return self._screen(message, late=False)
 
     def _screen(self, message: Message, *, late: bool) -> Screened:
-        cfg = self.config
         self._since_decay += 1
         if self._since_decay >= DECAY_EVERY:
             self.tracker.decay(DECAY_FACTOR)
@@ -405,9 +369,9 @@ class IngestGuard:
         exposure, spam_score = self.tracker.observe_screen(
             message.user,
             duplicate=duplicate_of is not None and not declared_rt)
-        spam_threshold = (cfg.tightened_spam_threshold if self.tightened
-                          else cfg.spam_threshold)
-        if (exposure >= cfg.spam_min_messages
+        spam_threshold = (TIGHTENED_SPAM_THRESHOLD if self.tightened
+                          else SPAM_THRESHOLD)
+        if (exposure >= SPAM_MIN_MESSAGES
                 and spam_score >= spam_threshold):
             return self._quarantine(message, "spam")
         if duplicate_of is not None:

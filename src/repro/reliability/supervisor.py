@@ -46,8 +46,8 @@ from repro.core.message import Message, parse_message
 from repro.obs import IngestOutcome, NULL_HISTOGRAM, TelemetryFlusher
 from repro.reliability.fsio import (FramedLog, commit_scope, read_framed,
                                     write_atomic)
-from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
-                                     IngestGuard, Screened)
+from repro.reliability.guard import (FoldLog, GuardAction, IngestGuard,
+                                     Screened)
 from repro.reliability.overload import (Admission, CircuitBreaker,
                                         GuardedSink, HealthReport,
                                         OverloadConfig, OverloadController)
@@ -64,8 +64,6 @@ MAX_RETRIES = 4
 #: ``BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1)`` seconds.
 BACKOFF_BASE = 0.05
 BACKOFF_FACTOR = 2.0
-#: Ingests per telemetry line when the supervisor builds the flusher.
-TELEMETRY_EVERY = 512
 
 
 def _encodable(message: Message) -> bool:
@@ -195,10 +193,10 @@ class ResilientIndexer:
     dead_letters:
         A :class:`DeadLetterQueue`, a path for a persistent one, or
         ``None`` for an in-memory queue.
-    high_watermark_bytes / low_watermark_bytes:
-        Degraded-mode bounds on ``pool.approximate_memory_bytes()``.
-        Crossing the high watermark sheds down to the low one (defaults
-        to half the high watermark).  ``None`` disables shedding.
+    high_watermark_bytes:
+        Degraded-mode bound on ``pool.approximate_memory_bytes()``.
+        Crossing it sheds down to the low watermark, always half the
+        high one.  ``None`` disables shedding.
     overload:
         An :class:`~repro.reliability.overload.OverloadConfig` (or a
         pre-built :class:`~repro.reliability.overload.OverloadController`)
@@ -208,16 +206,17 @@ class ResilientIndexer:
         engine's spill store (without one, a plain breaker still parks
         bundles a failed spill could not write).
     guard:
-        An :class:`~repro.reliability.guard.IngestGuard` (or a
-        :class:`~repro.reliability.guard.GuardConfig` / ``True`` to
-        build one) enabling the adversarial screen in front of
+        An :class:`~repro.reliability.guard.IngestGuard` (or ``True``
+        to build a memory-only one; :meth:`open` builds it with its
+        logs) enabling the adversarial screen in front of
         :meth:`ingest`: exact near-duplicate folding, per-user spam
         quarantine (crash-safe quarantine log), and the bounded
         reordering buffer for out-of-order arrivals.  ``None`` (the
         default) leaves the hot path exactly as before.
     telemetry:
         A :class:`~repro.obs.TelemetryFlusher`, or a JSONL path to build
-        one on (flushing every :data:`TELEMETRY_EVERY` ingests): the
+        one on (flushing every
+        :data:`~repro.obs.exporters.EVERY_TICKS` ingests): the
         long-run flight recorder described in ``docs/observability.md``.
         ``None`` (the default) records nothing.
     """
@@ -226,15 +225,9 @@ class ResilientIndexer:
                  sleep: "Callable[[float], None] | None" = None,
                  dead_letters: "DeadLetterQueue | str | os.PathLike[str] | None" = None,
                  high_watermark_bytes: "int | None" = None,
-                 low_watermark_bytes: "int | None" = None,
                  overload: "OverloadConfig | OverloadController | None" = None,
-                 guard: "IngestGuard | GuardConfig | bool | None" = None,
+                 guard: "IngestGuard | bool | None" = None,
                  telemetry: "TelemetryFlusher | str | os.PathLike[str] | None" = None) -> None:
-        if (high_watermark_bytes is not None
-                and low_watermark_bytes is not None
-                and low_watermark_bytes > high_watermark_bytes):
-            raise StorageError(
-                "low watermark must not exceed the high watermark")
         self.journaled = journaled
         self._sleep = sleep if sleep is not None else time.sleep
         if isinstance(dead_letters, DeadLetterQueue):
@@ -242,9 +235,8 @@ class ResilientIndexer:
         else:
             self.dead_letters = DeadLetterQueue(dead_letters)
         self.high_watermark_bytes = high_watermark_bytes
-        if high_watermark_bytes is not None and low_watermark_bytes is None:
-            low_watermark_bytes = high_watermark_bytes // 2
-        self.low_watermark_bytes = low_watermark_bytes
+        self.low_watermark_bytes = (None if high_watermark_bytes is None
+                                    else high_watermark_bytes // 2)
         self.stats = ResilientStats()
         self.stats.unified = lambda: self.journaled.indexer.stats()
         if overload is None:
@@ -270,13 +262,10 @@ class ResilientIndexer:
                            callback=lambda: parked.parked_count)
         if self.overload is not None:
             self.overload.attach(engine)  # adopts the GuardedSink
-        if guard is None or guard is False:
-            self.guard: "IngestGuard | None" = None
-        elif isinstance(guard, IngestGuard):
-            self.guard = guard
+        if isinstance(guard, IngestGuard):
+            self.guard: "IngestGuard | None" = guard
         else:
-            self.guard = IngestGuard(
-                guard if isinstance(guard, GuardConfig) else None)
+            self.guard = IngestGuard() if guard else None
         if self.guard is not None and self.overload is not None:
             self.overload.attach_guard(self.guard)
         #: What the batch entry points group-commit: the custody log and
@@ -326,8 +315,7 @@ class ResilientIndexer:
         if isinstance(telemetry, TelemetryFlusher) or telemetry is None:
             self.telemetry = telemetry
         else:
-            self.telemetry = TelemetryFlusher(
-                registry, telemetry, every_ticks=TELEMETRY_EVERY)
+            self.telemetry = TelemetryFlusher(registry, telemetry)
         audit = self.journaled.indexer.obs.audit
         if self.telemetry is not None and audit is not None:
             # The audit JSONL sink rides the flight recorder's cadence.
@@ -340,7 +328,6 @@ class ResilientIndexer:
              config: "Any | None" = None,
              sync_every: int = 64,
              snapshot_every: int = 50_000,
-             store: bool = True,
              **options: Any) -> "ResilientIndexer":
         """Open (or recover) a full resilient stack rooted at ``root``.
 
@@ -372,11 +359,10 @@ class ResilientIndexer:
         if isinstance(guard_opt, IngestGuard):
             if guard_opt.folds.path is not None:
                 fold_hints = FoldLog.load(guard_opt.folds.path)
-        elif guard_opt:  # True or a GuardConfig: build at fixed paths
+        elif guard_opt:  # True: build at the fixed paths
             fold_path = root_dir / "folds.log"
             fold_hints = FoldLog.load(fold_path)
             options["guard"] = IngestGuard(
-                guard_opt if isinstance(guard_opt, GuardConfig) else None,
                 quarantine_path=root_dir / "quarantine.log",
                 fold_path=fold_path)
         if snapshot_path.exists() or journal_path.exists():
@@ -393,10 +379,9 @@ class ResilientIndexer:
                 MessageJournal(journal_path, sync_every=sync_every),
                 snapshot_path=snapshot_path,
                 snapshot_every=snapshot_every)
-        if store:
-            sink = BundleStore(root_dir / "bundles")
-            journaled.indexer.store = sink
-            sink.bind_registry(journaled.indexer.obs.registry)
+        sink = BundleStore(root_dir / "bundles")
+        journaled.indexer.store = sink
+        sink.bind_registry(journaled.indexer.obs.registry)
         options.setdefault("dead_letters", root_dir / "dead_letters.jsonl")
         return cls(journaled, **options)
 

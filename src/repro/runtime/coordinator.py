@@ -44,7 +44,7 @@ from repro.core.message import Message
 from repro.core.sharding import make_router
 from repro.obs.perf import StackSampler
 from repro.obs.tracing import Trace, Tracer
-from repro.query.bundle_search import BundleHit, SearchOutcome
+from repro.query.bundle_search import ALPHA, BETA, BundleHit, SearchOutcome
 from repro.reliability.fsio import write_atomic
 from repro.reliability.overload import (QUEUE_HIGH_FRACTION,
                                         FleetBackpressure, OverloadConfig)
@@ -55,6 +55,8 @@ __all__ = ["ShardedRuntime", "RuntimeStats", "WorkerCrash"]
 #: Outstanding un-ACKed batches allowed per worker before the
 #: coordinator blocks on that worker's oldest ACK.
 MAX_INFLIGHT = 4
+#: Finished fleet traces the coordinator's tracer keeps in memory.
+TRACE_KEEP = 256
 
 #: One shard's boundary hints, ``(position, peer shards)``, and trace
 #: stamps, ``(position, trace, route start, route end)``.
@@ -188,11 +190,10 @@ class ShardedRuntime:
         admission control in each worker plus the coordinator's fleet
         backpressure gate.
     guard:
-        Optional per-worker ingest guard (a
-        :class:`~repro.reliability.guard.GuardConfig`, or ``True`` for
-        defaults); each worker screens its own shard's arrivals and
-        keeps ``quarantine.log`` / ``folds.log`` in its shard root,
-        fsynced inside the same pre-ACK durability barrier as the WAL.
+        ``True`` gives every worker an ingest guard: each screens its
+        own shard's arrivals and keeps ``quarantine.log`` /
+        ``folds.log`` in its shard root, fsynced inside the same
+        pre-ACK durability barrier as the WAL.
     trace_sample / trace_seed / trace_sink:
         Fleet-wide trace propagation.  ``trace_sample > 0`` samples
         that fraction of ingests at *route* time (seeded, like the
@@ -220,14 +221,11 @@ class ShardedRuntime:
                  config: IndexerConfig | None = None,
                  router: str = "hash",
                  overload: OverloadConfig | None = None,
-                 snapshot_every: int = 50_000,
                  sync_every: int = 256,
-                 store: bool = True,
-                 guard: Any = None,
+                 guard: bool = False,
                  trace_sample: float = 0.0,
                  trace_seed: int = 0,
                  trace_sink: "str | Path | None" = None,
-                 trace_keep: int = 256,
                  profile_dir: "str | Path | None" = None,
                  anatomy: bool = False) -> None:
         if workers <= 0:
@@ -240,16 +238,15 @@ class ShardedRuntime:
         self._router = make_router(router, workers)
         self.tracer: "Tracer | None" = (
             Tracer(sample_rate=trace_sample, seed=trace_seed,
-                   sink=trace_sink, keep=trace_keep)
+                   sink=trace_sink, keep=TRACE_KEEP)
             if trace_sample > 0.0 else None)
         self._profile_dir = Path(profile_dir) if profile_dir else None
         self._profiler: "StackSampler | None" = None
         if self._profile_dir is not None:
             self._profiler = StackSampler().start()
         self._options = WorkerOptions(
-            config=config, overload=overload,
-            snapshot_every=snapshot_every, sync_every=sync_every,
-            store=store, guard=guard,
+            config=config, overload=overload, sync_every=sync_every,
+            guard=guard,
             trace=self.tracer is not None,
             profile_dir=(str(self._profile_dir)
                          if self._profile_dir is not None else None),
@@ -805,6 +802,7 @@ class ShardedRuntime:
     # ------------------------------------------------------------------
 
     def search_within(self, raw_query: str, k: int = 10, *,
+                      alpha: float = ALPHA, beta: float = BETA,
                       budget_seconds: "float | None" = None,
                       clock: Callable[[], float] = time.perf_counter,
                       ) -> SearchOutcome:
@@ -816,6 +814,8 @@ class ShardedRuntime:
         shard reached after the budget expired is skipped and the merged
         outcome is marked partial; coverage aggregates the per-shard
         candidate accounting.  ``shards`` names each hit's owning shard.
+        ``alpha`` / ``beta`` are Eq. 7's weights, shipped to every
+        worker with the query.
         """
         started = clock()
         self.stats.search_scatters += 1
@@ -831,7 +831,8 @@ class ShardedRuntime:
                     continue
             else:
                 remaining = None
-            self._send(worker, ("search", raw_query, k, remaining))
+            self._send(worker, ("search", raw_query, k, remaining,
+                                alpha, beta))
             dispatched.append(worker)
         tagged: list[tuple[int, BundleHit]] = []
         candidates_total = 0
@@ -861,14 +862,6 @@ class ShardedRuntime:
     def search(self, raw_query: str, k: int = 10) -> list[BundleHit]:
         """Unbudgeted scatter-gather search (merged ranked list)."""
         return self.search_within(raw_query, k).hits
-
-    def search_by_shard(self, raw_query: str, k: int = 10, *,
-                        budget_seconds: "float | None" = None,
-                        ) -> list[tuple[int, BundleHit]]:
-        """Scatter-gather search with hits tagged by owning shard."""
-        outcome = self.search_within(raw_query, k,
-                                     budget_seconds=budget_seconds)
-        return list(zip(outcome.shards, outcome.hits))
 
     # ------------------------------------------------------------------
     # Fleet introspection

@@ -48,12 +48,10 @@ class WorkerOptions:
 
     config: IndexerConfig | None = None
     overload: OverloadConfig | None = None
-    snapshot_every: int = 50_000
     sync_every: int = 256
-    store: bool = True
-    #: A GuardConfig, True (defaults) or None/False; each worker gets
-    #: its own IngestGuard with quarantine/fold logs in its shard root.
-    guard: Any = None
+    #: Each worker gets its own IngestGuard with quarantine/fold logs in
+    #: its shard root.
+    guard: bool = False
     #: Fleet trace participation: honor coordinator-propagated sampling
     #: decisions and ship hop records back on each ACK.
     trace: bool = False
@@ -230,10 +228,12 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
     return reply
 
 
-def _handle_search(supervisor: ResilientIndexer,
-                   searcher: BundleSearchEngine,
-                   raw_query: str, k: int,
-                   budget_seconds: float | None) -> dict[str, Any]:
+def _handle_search(supervisor: ResilientIndexer, raw_query: str, k: int,
+                   budget_seconds: float | None, alpha: float,
+                   beta: float) -> dict[str, Any]:
+    """Search this shard with the query's Eq. 7 weights."""
+    searcher = BundleSearchEngine(supervisor.indexer, alpha=alpha,
+                                  beta=beta)
     outcome = searcher.search_within(raw_query, k,
                                      budget_seconds=budget_seconds)
     return {
@@ -307,9 +307,7 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
     """
     supervisor = ResilientIndexer.open(
         root, config=options.config, sync_every=options.sync_every,
-        snapshot_every=options.snapshot_every, store=options.store,
         overload=options.overload, guard=options.guard)
-    searcher = BundleSearchEngine(supervisor.indexer)
     # Cross-shard repair state: boundary hints + applied-repair journal.
     # Replay order matters — the WAL replay inside ``open`` re-created ingest-time edges; the repair journal now re-applies
     # any repairs on top of them (idempotent vs snapshots).
@@ -362,9 +360,7 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
                         request[4] if len(request) > 4 else None,
                         fleet)
                 elif op == "search":
-                    payload = _handle_search(supervisor, searcher,
-                                             request[1], request[2],
-                                             request[3])
+                    payload = _handle_search(supervisor, *request[1:])
                 elif op == "drain":
                     drained = supervisor.drain_backlog()
                     supervisor.journaled.journal.sync()

@@ -180,10 +180,8 @@ class ArchivedBundleStore:
     bundle *and* indexes its summary, so evicted stories stay findable.
     """
 
-    def __init__(self, directory: "str | os.PathLike[str]", *,
-                 max_segment_bytes: int = 8 * 1024 * 1024) -> None:
-        self.store = BundleStore(directory,
-                                 max_segment_bytes=max_segment_bytes)
+    def __init__(self, directory: "str | os.PathLike[str]") -> None:
+        self.store = BundleStore(directory)
         self.index = ArchiveIndex(directory)
 
     def __len__(self) -> int:

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from repro.core.bundle import Bundle
-from repro.core.config import IndexerConfig
 from repro.core.errors import (BundleNotFoundError, CorruptSegmentError,
                                StorageError)
 from repro.obs.registry import MetricsRegistry
@@ -63,34 +62,24 @@ class BundleStore:
         Store root; created if missing.
     max_segment_bytes:
         Rotation threshold for the active segment.
-    config:
-        Config attached to bundles reconstructed by :meth:`load`.
-    tolerant:
-        When true, a corrupt record found while scanning on open is
-        *skipped* (counted in :attr:`corrupt_records_skipped` and
-        reported via :mod:`warnings`) instead of aborting the open with
-        :class:`CorruptSegmentError`.  The default stays strict — silent
-        data loss must be an explicit operator choice (or use
-        ``repro doctor --repair``).
+
+    A corrupt record found while scanning on open aborts the open with
+    :class:`CorruptSegmentError`: silent data loss is never the store's
+    choice.  ``repro doctor --repair`` quarantines the damage.
     """
 
     def __init__(self, directory: "str | os.PathLike[str]", *,
-                 max_segment_bytes: int = 8 * 1024 * 1024,
-                 config: IndexerConfig | None = None,
-                 tolerant: bool = False) -> None:
+                 max_segment_bytes: int = 8 * 1024 * 1024) -> None:
         if max_segment_bytes <= 0:
             raise StorageError(
                 f"max_segment_bytes must be positive, got {max_segment_bytes}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_segment_bytes = max_segment_bytes
-        self.config = config
-        self.tolerant = tolerant
         self._offsets: dict[int, tuple[int, int]] = {}
         self._segments: list[int] = []
         self._appends = 0
         self._skipped_files = 0
-        self._corrupt_skipped = 0
         self._recover()
         self._active = self._segments[-1] if self._segments else 0
         if not self._segments:
@@ -129,21 +118,13 @@ class BundleStore:
         path = self._segment_path(index)
         for offset, line, payload in self.read_segment(path):
             if payload is None:
-                if not self.tolerant:
-                    raise _corrupt(path, offset, line)
-                self._corrupt_skipped += 1
-                warnings.warn(
-                    f"bundle store {self.directory}: skipping "
-                    f"corrupt record in {path.name} @{offset} "
-                    f"(total skipped: {self._corrupt_skipped})",
-                    RuntimeWarning, stacklevel=3)
-                continue
+                raise _corrupt(path, offset, line)
             # Cheap id pull: records are compact JSON with sorted keys,
             # so the id appears as "id":<n>.  Fall back to a full parse.
             marker = payload.find('"id":')
             match = _ID_FIELD.match(payload, marker) if marker >= 0 else None
             bundle_id = (int(match.group(1)) if match is not None else
-                         bundle_from_json(payload, self.config).bundle_id)
+                         bundle_from_json(payload).bundle_id)
             self._offsets[bundle_id] = (index, offset)
             self._appends += 1
 
@@ -179,11 +160,6 @@ class BundleStore:
     def append_count(self) -> int:
         """Total records ever appended (re-appends included)."""
         return self._appends
-
-    @property
-    def corrupt_records_skipped(self) -> int:
-        """Corrupt records skipped by a tolerant open (operator-visible)."""
-        return self._corrupt_skipped
 
     @property
     def skipped_files(self) -> int:
@@ -278,7 +254,7 @@ class BundleStore:
         payload = _payload(line)
         if payload is None:
             raise _corrupt(path, offset, line)
-        return bundle_from_json(payload, self.config)
+        return bundle_from_json(payload)
 
     def iter_bundles(self) -> Iterator[Bundle]:
         """Iterate all stored bundles (latest records), id-ascending."""

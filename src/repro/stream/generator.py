@@ -40,6 +40,16 @@ EPOCH_2009_08_01 = 1249084800.0
 _DAY = 86400.0
 _HOUR = 3600.0
 
+#: Scale of the Pareto event volumes (most events small, a few huge).
+EVENT_VOLUME_MEAN = 40
+#: Mean of the exponential event lifetimes, in hours.
+EVENT_DURATION_HOURS_MEAN = 18.0
+#: Per-message probabilities inside an event: an RT of an earlier event
+#: message, the event's hashtags, one of its URLs.
+RT_PROB = 0.35
+HASHTAG_PROB = 0.85
+URL_PROB = 0.30
+
 # Relative activity per hour-of-day (UTC): quiet overnight, evening peak.
 _DIURNAL_WEIGHTS = (
     2, 1, 1, 1, 1, 2, 3, 5, 7, 8, 8, 9,
@@ -62,12 +72,7 @@ class StreamConfig:
     noise_fraction: float = 0.25
     user_count: int = 2000
     events_per_day: float = 10.0
-    event_volume_mean: int = 40
     event_volume_max: int = 3000
-    event_duration_hours_mean: float = 18.0
-    rt_prob: float = 0.35
-    hashtag_prob: float = 0.85
-    url_prob: float = 0.30
     extra_events: tuple[EventSpec, ...] = ()
     themes: tuple[str, ...] | None = None
 
@@ -86,8 +91,6 @@ class StreamConfig:
         if self.events_per_day < 0:
             raise StreamError("events_per_day must be >= 0, got "
                               f"{self.events_per_day}")
-        if not 0.0 <= self.rt_prob <= 1.0:
-            raise StreamError(f"rt_prob must be in [0, 1], got {self.rt_prob}")
         if self.themes is not None:
             unknown = set(self.themes) - set(TOPIC_BANKS)
             if unknown:
@@ -189,7 +192,7 @@ class StreamGenerator:
         raw_volumes = []
         for _ in range(count):
             volume = int(5 + (rng.paretovariate(1.25) - 1.0)
-                         * config.event_volume_mean)
+                         * EVENT_VOLUME_MEAN)
             raw_volumes.append(min(volume, config.event_volume_max))
 
         # Scale volumes so events + noise hit the configured daily rate.
@@ -219,14 +222,14 @@ class StreamGenerator:
                                   config.end_date - _HOUR),
                 duration_hours=max(
                     1.0, rng.expovariate(
-                        1.0 / config.event_duration_hours_mean)),
+                        1.0 / EVENT_DURATION_HOURS_MEAN)),
                 volume=volumes[index],
                 rng=rng,
                 users=users,
                 url_factory=url_factory,
-                rt_prob=config.rt_prob,
-                hashtag_prob=config.hashtag_prob,
-                url_prob=config.url_prob,
+                rt_prob=RT_PROB,
+                hashtag_prob=HASHTAG_PROB,
+                url_prob=URL_PROB,
             ))
             next_id += 1
         return specs
@@ -367,6 +370,18 @@ _SPAM_TEMPLATES = (
     "claim your gift card now at {url} only today exclusive deal",
 )
 
+#: Attack volume as a fraction of the organic message count.
+INTENSITY = 0.25
+ATTACKER_COUNT = 12
+#: Near-copies emitted per storm original.
+DUP_COPIES = 8
+#: Fraction of organic messages re-dated under ``skewed-clock``, by up
+#: to :data:`MAX_SKEW_HOURS` either way.
+SKEW_FRACTION = 0.2
+MAX_SKEW_HOURS = 48.0
+#: Mega-cascade volume = factor × :data:`EVENT_VOLUME_MEAN`.
+CASCADE_FACTOR = 20
+
 _SPAM_FILLER = ("wow", "amazing", "hurry", "really", "verified", "legit",
                 "today", "bonus", "act", "now", "best", "deal")
 
@@ -389,34 +404,12 @@ class AdversarialConfig:
     scenario: str
     base: StreamConfig = StreamConfig()
     seed: int = 1337
-    #: Attack volume as a fraction of the organic message count.
-    intensity: float = 0.25
-    attacker_count: int = 12
-    #: Near-copies emitted per storm original.
-    dup_copies: int = 8
-    #: Fraction of organic messages re-dated under ``skewed-clock``.
-    skew_fraction: float = 0.2
-    max_skew_hours: float = 48.0
-    #: Mega-cascade volume = factor × the base mean event volume.
-    cascade_factor: int = 20
 
     def __post_init__(self) -> None:
         if self.scenario not in ADVERSARIAL_SCENARIOS:
             raise StreamError(
                 f"unknown scenario {self.scenario!r}; available: "
                 f"{list(ADVERSARIAL_SCENARIOS)}")
-        if not 0.0 < self.intensity <= 2.0:
-            raise StreamError(
-                f"intensity must be in (0, 2], got {self.intensity}")
-        if self.attacker_count <= 0 or self.dup_copies <= 0:
-            raise StreamError(
-                "attacker_count and dup_copies must be positive")
-        if not 0.0 < self.skew_fraction <= 1.0:
-            raise StreamError(
-                f"skew_fraction must be in (0, 1], got {self.skew_fraction}")
-        if self.max_skew_hours <= 0 or self.cascade_factor <= 0:
-            raise StreamError(
-                "max_skew_hours and cascade_factor must be positive")
 
 
 class AdversarialGenerator:
@@ -449,10 +442,10 @@ class AdversarialGenerator:
     # -- scenario builders --------------------------------------------------
 
     def _attacker(self, index: int) -> str:
-        return f"spammer{index % self.config.attacker_count}"
+        return f"spammer{index % ATTACKER_COUNT}"
 
     def _attack_budget(self, organic: "list[Message]") -> int:
-        return max(1, int(len(organic) * self.config.intensity))
+        return max(1, int(len(organic) * INTENSITY))
 
     def _window(self, organic: "list[Message]",
                 rng: random.Random) -> float:
@@ -463,11 +456,11 @@ class AdversarialGenerator:
                     rng: random.Random) -> "list[Message]":
         """Attackers blast near-identical promo posts across the window."""
         url_factory = ShortUrlFactory(rng)
-        payload_urls = url_factory.new_pool(self.config.attacker_count)
+        payload_urls = url_factory.new_pool(ATTACKER_COUNT)
         attacks = []
         next_id = len(organic)
         for i in range(self._attack_budget(organic)):
-            attacker_index = i % self.config.attacker_count
+            attacker_index = i % ATTACKER_COUNT
             template = _SPAM_TEMPLATES[attacker_index % len(_SPAM_TEMPLATES)]
             text = template.format(
                 url=payload_urls[attacker_index % len(payload_urls)])
@@ -511,24 +504,22 @@ class AdversarialGenerator:
     def _near_dup_storm(self, organic: "list[Message]",
                         rng: random.Random) -> "list[Message]":
         """Attackers replay near-copies of real messages minutes later."""
-        config = self.config
         originals = [m for m in organic
                      if len(m.text.split()) >= 8 and not m.rt_users]
         if not originals:
             originals = organic
-        storm_count = max(1, self._attack_budget(organic)
-                          // config.dup_copies)
+        storm_count = max(1, self._attack_budget(organic) // DUP_COPIES)
         attacks = []
         next_id = len(organic)
         for i in range(storm_count):
             original = rng.choice(originals)
-            for copy in range(config.dup_copies):
+            for copy in range(DUP_COPIES):
                 # A trailing filler word keeps the copy *near*-identical
                 # (no declared RT — this is content theft, not sharing).
                 text = f"{original.text} {rng.choice(_SPAM_FILLER)}"
                 date = original.date + rng.uniform(30.0, 1800.0)
                 attacks.append(parse_message(
-                    next_id, self._attacker(i * config.dup_copies + copy),
+                    next_id, self._attacker(i * DUP_COPIES + copy),
                     date, text))
                 next_id += 1
         return attacks
@@ -541,7 +532,7 @@ class AdversarialGenerator:
         users = UserPool.generate(base.user_count, rng)
         url_factory = ShortUrlFactory(rng)
         theme = sorted(TOPIC_BANKS)[config.seed % len(TOPIC_BANKS)]
-        volume = config.cascade_factor * base.event_volume_mean
+        volume = CASCADE_FACTOR * EVENT_VOLUME_MEAN
         huge = make_event_spec(
             event_id=1_000_000,
             theme=theme,
@@ -552,9 +543,9 @@ class AdversarialGenerator:
             rng=rng,
             users=users,
             url_factory=url_factory,
-            rt_prob=min(0.9, base.rt_prob * 2),
-            hashtag_prob=base.hashtag_prob,
-            url_prob=base.url_prob)
+            rt_prob=min(0.9, RT_PROB * 2),
+            hashtag_prob=HASHTAG_PROB,
+            url_prob=URL_PROB)
         boosted = dataclasses.replace(
             base, extra_events=base.extra_events + (huge,))
         return StreamGenerator(boosted).generate_list()
@@ -565,13 +556,12 @@ class AdversarialGenerator:
 
         Arrival order stays the organic order (that is the attack:
         out-of-order delivery), so a naive consumer sees timestamps
-        jumping back and forth by up to ``max_skew_hours``.
+        jumping back and forth by up to :data:`MAX_SKEW_HOURS`.
         """
-        config = self.config
-        skew_span = config.max_skew_hours * _HOUR
+        skew_span = MAX_SKEW_HOURS * _HOUR
         skewed = []
         for message in organic:
-            if rng.random() < config.skew_fraction:
+            if rng.random() < SKEW_FRACTION:
                 delta = rng.uniform(-skew_span, skew_span)
                 new_date = max(0.0, message.date + delta)
                 skewed.append(dataclasses.replace(message, date=new_date))

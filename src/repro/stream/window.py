@@ -17,6 +17,9 @@ from repro.core.message import Message
 __all__ = ["BurstAlarm", "SlidingWindowMonitor"]
 
 _HOUR = 3600.0
+#: Alarm when a hashtag's short-window rate exceeds this multiple of its
+#: long-window baseline (rates normalised per window length).
+BURST_RATIO = 3.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,26 +41,22 @@ class SlidingWindowMonitor:
     short_window / long_window:
         Window lengths in seconds of simulated stream time; the short
         window must be strictly smaller.
-    burst_ratio:
-        Alarm when ``short_rate > burst_ratio × long_rate`` (rates
-        normalised per window length) and the short count is at least
-        ``min_count``.
+    min_count:
+        A hashtag alarms only once its short-window count reaches this,
+        and its rate passes :data:`BURST_RATIO` times its baseline.
     """
 
     def __init__(self, *, short_window: float = 0.5 * _HOUR,
                  long_window: float = 6 * _HOUR,
-                 burst_ratio: float = 3.0, min_count: int = 5) -> None:
+                 min_count: int = 5) -> None:
         if short_window <= 0 or long_window <= short_window:
             raise ValueError(
                 "need 0 < short_window < long_window, got "
                 f"{short_window} / {long_window}")
-        if burst_ratio <= 1.0:
-            raise ValueError(f"burst_ratio must be > 1, got {burst_ratio}")
         if min_count <= 0:
             raise ValueError(f"min_count must be positive, got {min_count}")
         self.short_window = short_window
         self.long_window = long_window
-        self.burst_ratio = burst_ratio
         self.min_count = min_count
         self._events: deque[tuple[float, frozenset[str]]] = deque()
         self._short_events: deque[tuple[float, frozenset[str]]] = deque()
@@ -93,7 +92,7 @@ class SlidingWindowMonitor:
                 continue
             baseline = max(long_total - short, 1)
             ratio = short * (scale - 1.0) / baseline
-            if ratio > self.burst_ratio:
+            if ratio > BURST_RATIO:
                 if tag not in self._alarmed:
                     self._alarmed.add(tag)
                     alarms.append(BurstAlarm(

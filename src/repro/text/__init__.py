@@ -8,7 +8,7 @@ needs from a lexical search engine:
 * :mod:`repro.text.analyzer` — normalization, stopwords, keyword extraction,
 * :mod:`repro.text.postings` — postings lists with term frequencies,
 * :mod:`repro.text.inverted_index` — the document-level inverted index,
-* :mod:`repro.text.scoring` — TF-IDF and BM25 ranking functions,
+* :mod:`repro.text.scoring` — the BM25 ranking function,
 * :mod:`repro.text.search` — the keyword-search engine of the Fig. 1
   baseline.  Eq. 7's ``s(q, B)`` is not computed in this package:
   ``BundleSearchEngine._text_similarity`` in :mod:`repro.query.bundle_search`
@@ -17,7 +17,7 @@ needs from a lexical search engine:
 
 from repro.text.analyzer import Analyzer, STOPWORDS
 from repro.text.inverted_index import InvertedIndex
-from repro.text.scoring import BM25Scorer, TfIdfScorer
+from repro.text.scoring import BM25Scorer
 from repro.text.search import SearchEngine, SearchHit
 from repro.text.tokenizer import Token, tokenize
 
@@ -26,7 +26,6 @@ __all__ = [
     "STOPWORDS",
     "InvertedIndex",
     "BM25Scorer",
-    "TfIdfScorer",
     "SearchEngine",
     "SearchHit",
     "Token",

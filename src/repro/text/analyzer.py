@@ -1,4 +1,4 @@
-"""Analysis chain: tokenize → normalize → filter → (optionally) stem.
+"""Analysis chain: tokenize → normalize → filter → stem.
 
 The :class:`Analyzer` converts raw text into the index terms used by the
 inverted index and into the *keyword indicants* the summary index stores for
@@ -11,11 +11,10 @@ of full Porter stemming on 140-character messages.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from repro.text.tokenizer import word_tokens
 
-__all__ = ["STOPWORDS", "Analyzer", "light_stem"]
+__all__ = ["STOPWORDS", "MIN_LENGTH", "Analyzer", "light_stem"]
 
 # A compact English stopword list; micro-blog chatter additions at the end.
 STOPWORDS: frozenset[str] = frozenset("""
@@ -31,6 +30,9 @@ were weren what when where which while who whom why will with won would
 wouldn you your yours yourself yourselves
 rt via amp im dont cant wont ur u r lol omg wow
 """.split())
+#: Words shorter than this are dropped (kills emotional fragments like
+#: "ugh", "ow" that the paper calls noise).
+MIN_LENGTH = 3
 
 
 def light_stem(word: str) -> str:
@@ -62,40 +64,27 @@ def light_stem(word: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
 class Analyzer:
-    """Configurable text-to-terms pipeline.
+    """The text-to-terms pipeline: words shorter than :data:`MIN_LENGTH`
+    and :data:`STOPWORDS` are dropped, the rest :func:`light_stem`-med
+    (memoized per word)."""
 
-    Attributes
-    ----------
-    stopwords:
-        Terms dropped after normalization.
-    min_length:
-        Words shorter than this are dropped (kills emotional fragments
-        like "ugh", "ow" that the paper calls noise).
-    stem:
-        Whether to apply :func:`light_stem`.
-    """
+    __slots__ = ("_cache",)
 
-    stopwords: frozenset[str] = STOPWORDS
-    min_length: int = 3
-    stem: bool = True
-    _cache: dict[str, str] = field(default_factory=dict, repr=False,
-                                   compare=False)
+    def __init__(self) -> None:
+        self._cache: dict[str, str] = {}
 
     def analyze(self, text: str) -> list[str]:
         """Return the index terms of ``text`` in order (with duplicates)."""
+        cache = self._cache
         terms = []
         for word in word_tokens(text):
-            if len(word) < self.min_length or word in self.stopwords:
+            if len(word) < MIN_LENGTH or word in STOPWORDS:
                 continue
-            if self.stem:
-                stemmed = self._cache.get(word)
-                if stemmed is None:
-                    stemmed = light_stem(word)
-                    self._cache[word] = stemmed
-                word = stemmed
-            terms.append(word)
+            stemmed = cache.get(word)
+            if stemmed is None:
+                stemmed = cache[word] = light_stem(word)
+            terms.append(stemmed)
         return terms
 
     def term_set(self, text: str) -> frozenset[str]:

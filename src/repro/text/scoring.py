@@ -1,9 +1,9 @@
-"""Lexical ranking functions: TF-IDF (cosine-ish) and Okapi BM25.
+"""Lexical ranking: Okapi BM25.
 
-Both scorers operate on an :class:`~repro.text.inverted_index.InvertedIndex`
-and rank documents for a bag of query terms.  BM25 is the default used by
-:class:`~repro.text.search.SearchEngine`; TF-IDF is kept as the classic
-alternative and as an ablation point for the Eq. 7 text component.
+:class:`BM25Scorer` operates on an
+:class:`~repro.text.inverted_index.InvertedIndex` and ranks documents for
+a bag of query terms; :class:`~repro.text.search.SearchEngine` ranks with
+it.
 """
 
 from __future__ import annotations
@@ -13,62 +13,23 @@ from collections import Counter, defaultdict
 
 from repro.text.inverted_index import InvertedIndex
 
-__all__ = ["TfIdfScorer", "BM25Scorer"]
+__all__ = ["BM25Scorer", "K1", "B"]
 
-
-class TfIdfScorer:
-    """Classic lnc.ltc-style TF-IDF scoring with document-length division.
-
-    ``score(d, q) = Σ_t (1+log tf_{t,d}) · idf_t  / |d|`` where
-    ``idf_t = log(N / df_t)``.  Simple, monotone in term overlap, and
-    cheap — adequate for 140-character documents.
-    """
-
-    def __init__(self, index: InvertedIndex) -> None:
-        self.index = index
-
-    def idf(self, term: str) -> float:
-        """Inverse document frequency; 0 for unseen terms."""
-        df = self.index.doc_frequency(term)
-        if df == 0:
-            return 0.0
-        return math.log(max(self.index.doc_count, 1) / df)
-
-    def score_all(self, query_terms: list[str]) -> dict[int, float]:
-        """Score every matching document; keys are *internal* doc ids."""
-        scores: dict[int, float] = defaultdict(float)
-        for term, query_tf in Counter(query_terms).items():
-            plist = self.index.postings(term)
-            if plist is None:
-                continue
-            idf = self.idf(term)
-            for posting in plist:
-                tf_weight = 1.0 + math.log(posting.term_freq)
-                scores[posting.doc_id] += query_tf * tf_weight * idf
-        for doc_id in scores:
-            length = self.index.internal_doc_length(doc_id)
-            if length > 0:
-                scores[doc_id] /= math.sqrt(length)
-        return dict(scores)
+#: BM25's term-frequency saturation and length normalization.
+K1 = 1.2
+B = 0.75
 
 
 class BM25Scorer:
-    """Okapi BM25 with the standard ``k1``/``b`` parameterisation.
+    """Okapi BM25 with the standard :data:`K1` / :data:`B` parameters.
 
     ``score(d, q) = Σ_t idf_t · tf·(k1+1) / (tf + k1·(1-b+b·|d|/avgdl))``
     with the non-negative idf variant
     ``idf_t = log(1 + (N - df + 0.5)/(df + 0.5))``.
     """
 
-    def __init__(self, index: InvertedIndex, *, k1: float = 1.2,
-                 b: float = 0.75) -> None:
-        if k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {k1}")
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {b}")
+    def __init__(self, index: InvertedIndex) -> None:
         self.index = index
-        self.k1 = k1
-        self.b = b
 
     def idf(self, term: str) -> float:
         """BM25's smoothed, non-negative idf."""
@@ -90,8 +51,7 @@ class BM25Scorer:
             for posting in plist:
                 tf = posting.term_freq
                 length = self.index.internal_doc_length(posting.doc_id)
-                denom = tf + self.k1 * (
-                    1.0 - self.b + self.b * length / avgdl)
+                denom = tf + K1 * (1.0 - B + B * length / avgdl)
                 scores[posting.doc_id] += (
-                    query_tf * idf * tf * (self.k1 + 1.0) / denom)
+                    query_tf * idf * tf * (K1 + 1.0) / denom)
         return dict(scores)

@@ -10,12 +10,12 @@ individual messages.  The provenance-based bundle search of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 from repro.core.message import Message
 from repro.text.analyzer import Analyzer
 from repro.text.inverted_index import InvertedIndex
-from repro.text.scoring import BM25Scorer, TfIdfScorer
+from repro.text.scoring import BM25Scorer
 
 __all__ = ["SearchHit", "SearchEngine"]
 
@@ -29,27 +29,16 @@ class SearchHit:
 
 
 class SearchEngine:
-    """Ranked keyword search over messages.
+    """Ranked keyword search over messages, scored by BM25.
 
-    Parameters
-    ----------
-    analyzer:
-        Shared analysis chain (also used for queries).
-    scorer:
-        ``"bm25"`` (default) or ``"tfidf"``.
+    ``analyzer`` is the shared analysis chain (also used for queries).
     """
 
-    def __init__(self, analyzer: Analyzer | None = None, *,
-                 scorer: Literal["bm25", "tfidf"] = "bm25") -> None:
+    def __init__(self, analyzer: Analyzer | None = None) -> None:
         self.analyzer = analyzer or Analyzer()
         self.index = InvertedIndex(self.analyzer)
         self._messages: dict[int, Message] = {}
-        if scorer == "bm25":
-            self._scorer: BM25Scorer | TfIdfScorer = BM25Scorer(self.index)
-        elif scorer == "tfidf":
-            self._scorer = TfIdfScorer(self.index)
-        else:
-            raise ValueError(f"unknown scorer {scorer!r}")
+        self._scorer = BM25Scorer(self.index)
 
     def __len__(self) -> int:
         return len(self._messages)

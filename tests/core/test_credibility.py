@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+from repro.core import credibility
 from repro.core.bundle import Bundle
 from repro.core.credibility import CredibilityTracker
 from tests.conftest import make_message
@@ -58,16 +59,13 @@ class TestTracking:
         assert record.isolated == 1
         assert record.sources == 0  # singleton roots don't count
 
+    @mock.patch.object(credibility, "PRIOR", 1.0)
     def test_score_bounded(self):
-        tracker = CredibilityTracker(prior=1.0)
+        tracker = CredibilityTracker()
         for _ in range(5):
             tracker.observe_bundle(reshared_source_bundle())
         assert 0.0 < tracker.score("writer") <= 1.0
         assert 0.0 < tracker.score("fan1") <= 1.0
-
-    def test_invalid_prior(self):
-        with pytest.raises(ValueError):
-            CredibilityTracker(prior=0.0)
 
 
 class TestRankings:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
@@ -214,8 +217,9 @@ class TestEdgeLedger:
                                         user=f"u{index}", hours=index))
         assert (2, 1) in indexer.edge_pairs()
 
+    @mock.patch.object(engine_module, "TRACK_EDGES", False)
     def test_tracking_can_be_disabled(self):
-        indexer = ProvenanceIndexer(IndexerConfig(), track_edges=False)
+        indexer = ProvenanceIndexer(IndexerConfig())
         indexer.ingest(make_message(1, "#a x"))
         indexer.ingest(make_message(2, "#a y", user="b", hours=0.1))
         assert indexer.edge_pairs() == set()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import ConfigurationError
 from repro.core.summary_index import INDICANT_KINDS as CORE_KINDS
 from repro.obs import Observability, read_jsonl
+from repro.obs import anatomy as anatomy_module
 from repro.obs.anatomy import (FINGERPRINT_VERSION, INDICANT_KINDS,
                                MemoryAccountant, SpaceSavingSketch,
                                WorkloadAnatomy, capacity_report,
@@ -41,9 +43,15 @@ def _stream(messages: int, seed: int = 13):
     return StreamGenerator(config).generate_list()[:messages]
 
 
+def sketch_of(capacity: int) -> SpaceSavingSketch:
+    """A sketch tracking at most ``capacity`` items."""
+    with mock.patch.object(anatomy_module, "SKETCH_CAPACITY", capacity):
+        return SpaceSavingSketch()
+
+
 class TestSpaceSavingSketch:
     def test_exact_under_capacity(self):
-        sketch = SpaceSavingSketch(capacity=8)
+        sketch = sketch_of(8)
         for item, weight in (("a", 5), ("b", 3), ("a", 2), ("c", 1)):
             sketch.observe(item, weight)
         assert sketch.top() == [("a", 7, 0), ("b", 3, 0), ("c", 1, 0)]
@@ -52,7 +60,7 @@ class TestSpaceSavingSketch:
         assert "a" in sketch and "missing" not in sketch
 
     def test_capacity_bound_holds(self):
-        sketch = SpaceSavingSketch(capacity=4)
+        sketch = sketch_of(4)
         for i in range(100):
             sketch.observe(f"t{i}")
         assert len(sketch) == 4
@@ -61,7 +69,7 @@ class TestSpaceSavingSketch:
 
     def test_eviction_error_bound(self):
         # Classic guarantee: count - error <= true weight <= count.
-        sketch = SpaceSavingSketch(capacity=3)
+        sketch = sketch_of(3)
         truth: dict[str, int] = {}
         rng = random.Random(5)
         for _ in range(500):
@@ -73,7 +81,7 @@ class TestSpaceSavingSketch:
             assert count - error <= truth.get(item, 0)
 
     def test_heavy_hitter_survives_noise(self):
-        sketch = SpaceSavingSketch(capacity=8)
+        sketch = sketch_of(8)
         rng = random.Random(3)
         stream = ["hot"] * 300 + [f"noise{i}" for i in range(300)]
         rng.shuffle(stream)
@@ -83,7 +91,7 @@ class TestSpaceSavingSketch:
 
     def test_deterministic_across_replays(self):
         def run():
-            sketch = SpaceSavingSketch(capacity=8)
+            sketch = sketch_of(8)
             rng = random.Random(11)
             for _ in range(2000):
                 sketch.observe(f"t{rng.randrange(64)}",
@@ -93,13 +101,13 @@ class TestSpaceSavingSketch:
         assert run() == run()
 
     def test_dump_merge_round_trip(self):
-        left = SpaceSavingSketch(capacity=8)
-        right = SpaceSavingSketch(capacity=8)
+        left = sketch_of(8)
+        right = sketch_of(8)
         for i in range(6):
             left.observe(f"l{i}", i + 1)
             right.observe(f"r{i}", i + 1)
         right.observe("l5", 10)  # shared item: counts must add
-        merged = SpaceSavingSketch(capacity=8)
+        merged = sketch_of(8)
         merged.merge_state(left.dump_state())
         merged.merge_state(right.dump_state())
         assert merged.count("l5") == 6 + 10
@@ -110,10 +118,6 @@ class TestSpaceSavingSketch:
         # Eviction after a merge exercises the stale-heap rebuild path.
         merged.observe("fresh", 100)
         assert merged.count("fresh") >= 100
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SpaceSavingSketch(capacity=0)
 
 
 class TestDeepSize:
@@ -221,9 +225,10 @@ class TestWorkloadAnatomy:
         with pytest.raises(ConfigurationError):
             WorkloadAnatomy(sample_every=0)
 
+    @mock.patch.object(anatomy_module, "PUBLISH_TOP", 2)
     def test_publish_mirrors_and_zeroes(self):
         registry = MetricsRegistry()
-        anatomy = WorkloadAnatomy(registry, publish_top=2)
+        anatomy = WorkloadAnatomy(registry)
         anatomy.sketches["hashtag"].observe("old", 10)
         anatomy.sketches["hashtag"].observe("stays", 5)
         anatomy.publish()

@@ -337,8 +337,6 @@ class TestValidation:
     def test_bad_parameters_are_rejected(self):
         with pytest.raises(ValueError):
             AuditLog(capacity=0)
-        with pytest.raises(ValueError):
-            AuditLog(flush_every=0)
 
     def test_audit_metrics_are_exported(self):
         engine, audit = audited_engine()

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
-from repro.core.errors import ConfigurationError
 from repro.obs import (MetricsRegistry, TelemetryFlusher, read_jsonl,
                        render_json, render_prometheus)
+from repro.obs import exporters
 from repro.reliability.supervisor import ResilientIndexer
 from repro.storage.wal import JournaledIndexer, MessageJournal
 from tests.conftest import make_message
@@ -77,9 +78,9 @@ class TestPrometheusFormat:
 
 
 class TestTelemetryFlusher:
+    @mock.patch.object(exporters, "EVERY_TICKS", 5)
     def test_flushes_every_n_ticks(self, tmp_path, registry):
-        flusher = TelemetryFlusher(registry, tmp_path / "telemetry.jsonl",
-                                   every_ticks=5)
+        flusher = TelemetryFlusher(registry, tmp_path / "telemetry.jsonl")
         assert [flusher.tick() for _ in range(12)] == (
             [False] * 4 + [True] + [False] * 4 + [True] + [False] * 2)
         flusher.close()
@@ -87,12 +88,12 @@ class TestTelemetryFlusher:
         assert [r["seq"] for r in records] == [0, 1, 2]  # close() flushed
         assert records[0]["metrics"]["counters"]["repro_demo_total"] == 3.0
 
+    @mock.patch.multiple(exporters, EVERY_TICKS=1000,
+                         MIN_INTERVAL_SECONDS=10.0)
     def test_min_interval_flushes_on_slow_tick_streams(self, tmp_path,
                                                        registry):
         now = [0.0]
         flusher = TelemetryFlusher(registry, tmp_path / "t.jsonl",
-                                   every_ticks=1000,
-                                   min_interval_seconds=10.0,
                                    clock=lambda: now[0])
         assert flusher.tick() is False
         now[0] = 11.0
@@ -106,10 +107,7 @@ class TestTelemetryFlusher:
         records = list(read_jsonl(tmp_path / "t.jsonl"))
         assert len(records) == 1
 
-    def test_invalid_interval_rejected(self, tmp_path, registry):
-        with pytest.raises(ConfigurationError):
-            TelemetryFlusher(registry, tmp_path / "t.jsonl", every_ticks=0)
-
+    @mock.patch.object(exporters, "EVERY_TICKS", 10)
     def test_supervisor_hook_leaves_flight_recorder(self, tmp_path):
         telemetry_path = tmp_path / "telemetry.jsonl"
         journaled = JournaledIndexer(
@@ -117,7 +115,7 @@ class TestTelemetryFlusher:
             MessageJournal(tmp_path / "ingest.wal", sync_every=8),
             snapshot_path=tmp_path / "state.json", snapshot_every=10_000)
         flusher = TelemetryFlusher(journaled.indexer.obs.registry,
-                                   telemetry_path, every_ticks=10)
+                                   telemetry_path)
         with ResilientIndexer(journaled, sleep=lambda _: None,
                               telemetry=flusher) as supervisor:
             for i in range(25):

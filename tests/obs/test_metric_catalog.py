@@ -67,12 +67,11 @@ def _lit_stack_names(root: Path) -> "set[str]":
 def _fleet_names(root: Path) -> "set[str]":
     """Families of a merged two-worker fleet with every option lit."""
     from repro.cli import _generate
-    from repro.reliability.guard import GuardConfig
     from repro.reliability.overload import OverloadConfig
     from repro.runtime import ShardedRuntime, merge_worker_dumps
 
     with ShardedRuntime(root / "fleet", 2, overload=OverloadConfig(),
-                        guard=GuardConfig(), trace_sample=0.5,
+                        guard=True, trace_sample=0.5,
                         trace_sink=root / "fleet_trace.jsonl",
                         profile_dir=root / "profiles",
                         anatomy=True) as runtime:

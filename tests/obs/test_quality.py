@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.metrics import compare_edge_sets, ground_truth_edges
 from repro.obs import (AuditLog, Observability, QualityMonitor, QualityRule)
+from repro.obs import quality
 from repro.stream.generator import StreamConfig, StreamGenerator
 from tests.conftest import make_message
 
@@ -79,8 +80,9 @@ class TestOfflineAgreement:
 
 
 class TestWindowedView:
+    @mock.patch.object(quality, "WINDOW", 4)
     def test_window_only_sees_recent_observations(self):
-        monitor = QualityMonitor(window=4)
+        monitor = QualityMonitor()
         # Four early misses, then four perfect hits: the cumulative
         # view remembers the misses, the window has forgotten them.
         for i in range(4):
@@ -113,20 +115,14 @@ class TestWindowedView:
         assert view.accuracy == 1.0  # empty candidate vs empty reference
         assert view.coverage == 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QualityMonitor(window=0)
-        with pytest.raises(ValueError):
-            QualityMonitor(check_every=0)
 
-
+@mock.patch.multiple(quality, WINDOW=16, CHECK_EVERY=4, MIN_REFERENCE=4)
 class TestThresholdRules:
-    def degraded_monitor(self, audit=None, only_degraded=True, rung=2):
+    def degraded_monitor(self, audit=None, rung=2):
         rule = QualityRule(name="accu-floor", metric="accuracy",
-                           min_value=0.8, scope="window",
-                           only_degraded=only_degraded, min_reference=4)
-        return QualityMonitor(window=16, check_every=4, rules=(rule,),
-                              rung=lambda: rung, audit=audit), rule
+                           min_value=0.8)
+        return QualityMonitor(rules=(rule,), rung=lambda: rung,
+                              audit=audit), rule
 
     def push_bad(self, monitor, count=8, start=0):
         for i in range(count):
@@ -161,8 +157,9 @@ class TestThresholdRules:
         self.push_bad(monitor, count=32)
         assert monitor.alerts == []
 
+    @mock.patch.object(quality, "ONLY_DEGRADED", False)
     def test_always_on_rule_fires_regardless_of_rung(self):
-        monitor, _ = self.degraded_monitor(only_degraded=False, rung=0)
+        monitor, _ = self.degraded_monitor(rung=0)
         self.push_bad(monitor, count=8)
         assert len(monitor.alerts) == 1
 

@@ -24,6 +24,7 @@ import tempfile
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from repro.core.config import IndexerConfig
 from repro.reliability.fsio import (FileSystem, reset_filesystem,
                                     set_filesystem)
-from repro.reliability.guard import GuardConfig
+from repro.reliability import guard as guard_module
 from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import ResilientIndexer
 from tests.conftest import make_message
@@ -76,14 +77,21 @@ def build_stream(plan: "list[tuple[str, int]]"):
     return messages
 
 
-#: Low gates so short streams reach every verdict.  The guarded stack
-#: ingests arrival at a time; the bare one in runs cut at checkpoints.
+#: The guarded stack ingests arrival at a time; the bare one in runs
+#: cut at checkpoints.
 STACKS = {
     "guarded": dict(
-        guard=GuardConfig(spam_min_messages=4.0, reorder_window=1800.0),
+        guard=True,
         overload=OverloadConfig(rate_limit=None, latency_target=1.0)),
     "bare": {},
 }
+
+
+def low_gates():
+    """Low guard gates for the ``with`` body, so short streams reach
+    every verdict."""
+    return mock.patch.multiple(guard_module, SPAM_MIN_MESSAGES=4.0,
+                               REORDER_WINDOW=1800.0)
 
 
 def open_stack(root: Path, stack: str = "guarded") -> ResilientIndexer:
@@ -126,7 +134,7 @@ plans = st.lists(
 @settings(deadline=None)
 def test_ingest_batch_equals_ingest_sequence(stack, plan, cuts):
     stream = build_stream(plan)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, low_gates():
         one_by_one = Path(tmp) / "sequence"
         supervisor = open_stack(one_by_one, stack)
         results = [supervisor.ingest(message) for message in stream]
@@ -170,6 +178,7 @@ def hostile_stream():
     return build_stream(plan)
 
 
+@low_gates()
 def test_one_custody_fsync_per_acknowledged_call(tmp_path):
     stream = hostile_stream()
     counting = CountingFileSystem()

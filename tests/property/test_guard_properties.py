@@ -13,9 +13,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import credibility
 from repro.core.credibility import CredibilityTracker
 from repro.core.dedup import DuplicateDetector, _size_bounds
 from tests.conftest import make_message
@@ -109,11 +112,17 @@ class TestBandDeterminism:
             make_message(2, text, hours=0.1)) == 1
 
 
+def tracker_with_prior(prior: float) -> CredibilityTracker:
+    """A tracker whose neutral pseudo-count mass is ``prior``."""
+    with mock.patch.object(credibility, "PRIOR", prior):
+        return CredibilityTracker()
+
+
 class TestSpamScore:
     @given(dups=st.integers(0, 40), clean=st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
     def test_score_bounded_and_monotone_in_duplicates(self, dups, clean):
-        tracker = CredibilityTracker(prior=2.0)
+        tracker = tracker_with_prior(2.0)
         for _ in range(clean):
             tracker.note_message("u")
         previous = tracker.spam_score("u")
@@ -129,7 +138,7 @@ class TestSpamScore:
     @given(clean=st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_clean_history_scores_below_neutral(self, clean):
-        tracker = CredibilityTracker(prior=2.0)
+        tracker = tracker_with_prior(2.0)
         for _ in range(clean):
             tracker.note_message("u")
         assert tracker.spam_score("u") < 0.5
@@ -141,7 +150,7 @@ class TestSpamScore:
     @settings(max_examples=150, deadline=None)
     def test_decay_moves_score_toward_neutral(self, dups, clean, factor,
                                               rounds):
-        tracker = CredibilityTracker(prior=2.0)
+        tracker = tracker_with_prior(2.0)
         for _ in range(clean):
             tracker.note_message("u")
         for _ in range(dups):

@@ -16,7 +16,7 @@ from repro.core.scoring import (hashtag_overlap, message_similarity,
                                 time_closeness, url_overlap)
 from repro.storage.serializer import bundle_from_dict, bundle_to_dict
 from repro.stream.stats import histogram
-from repro.text.analyzer import Analyzer, light_stem
+from repro.text.analyzer import MIN_LENGTH, Analyzer, light_stem
 from repro.text.tokenizer import tokenize
 
 BASE_DATE = 1_249_084_800.0
@@ -93,7 +93,7 @@ class TestParsingProperties:
         analyzer = Analyzer()
         for term in analyzer.analyze(text):
             assert term == term.lower()
-            assert len(term) >= analyzer.min_length - 1  # stem may shorten
+            assert len(term) >= MIN_LENGTH - 1  # stem may shorten
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ must survive, while ids of the batch in flight at the crash may be lost.
 from __future__ import annotations
 
 import shutil
+from unittest import mock
 
 import pytest
 
@@ -32,7 +33,8 @@ from repro import cli
 from repro.core.config import IndexerConfig
 from repro.core.validation import check_engine
 from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
-from repro.reliability.guard import GuardConfig, QuarantineLog
+from repro.reliability import guard as guard_module
+from repro.reliability.guard import QuarantineLog
 from repro.reliability.supervisor import ResilientIndexer
 from repro.storage.snapshot import save_snapshot
 from tests.conftest import make_message
@@ -62,12 +64,18 @@ def hostile_stream():
     return messages
 
 
-def open_guarded(root) -> ResilientIndexer:
+@pytest.fixture(autouse=True)
+def low_spam_gate():
     # A low judgment gate so the 9-message spam flood starts tripping
     # quarantines early enough for the scheduled faults to land on them.
+    with mock.patch.object(guard_module, "SPAM_MIN_MESSAGES", 4.0):
+        yield
+
+
+def open_guarded(root) -> ResilientIndexer:
     return ResilientIndexer.open(
         root, config=IndexerConfig.full_index(), sync_every=1,
-        snapshot_every=12, guard=GuardConfig(spam_min_messages=4.0))
+        snapshot_every=12, guard=True)
 
 
 FAULT_POINTS = [

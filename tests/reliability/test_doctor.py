@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro import cli
@@ -409,15 +411,17 @@ class TestFleetOrphanScan:
 
 class TestQuarantineScanAndRepair:
     def _write_quarantine(self, path, count: int = 6):
-        from repro.reliability.guard import GuardConfig, IngestGuard
+        from repro.core import credibility
+        from repro.reliability import guard as guard_module
+        from repro.reliability.guard import IngestGuard
 
-        guard = IngestGuard(GuardConfig(spam_min_messages=2.0,
-                                        spam_prior=0.5),
-                            quarantine_path=path)
-        for i in range(count + 2):
-            guard.admit(make_message(
-                i, "identical spam payload wins big money now",
-                user="spammer", hours=i * 0.1))
+        with mock.patch.object(guard_module, "SPAM_MIN_MESSAGES", 2.0), \
+                mock.patch.object(credibility, "PRIOR", 0.5):
+            guard = IngestGuard(quarantine_path=path)
+            for i in range(count + 2):
+                guard.admit(make_message(
+                    i, "identical spam payload wins big money now",
+                    user="spammer", hours=i * 0.1))
         guard.close()
 
     def test_clean_log_is_healthy(self, tmp_path):

@@ -13,13 +13,17 @@ The guard's contract has four load-bearing clauses exercised here:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core import credibility
 from repro.core.message import parse_message
 from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
 from repro.reliability.fsio import commit_scope
-from repro.reliability.guard import (FoldLog, GuardAction, GuardConfig,
-                                     IngestGuard, QuarantineLog, Screened)
+from repro.reliability import guard as guard_module
+from repro.reliability.guard import (FoldLog, GuardAction, IngestGuard,
+                                     QuarantineLog, Screened)
 from repro.reliability.supervisor import ResilientIndexer
 from tests.conftest import make_message
 
@@ -73,9 +77,10 @@ class TestVerdicts:
                 hours=0.1))
         assert verdict.action is GuardAction.PASS
 
+    @mock.patch.object(guard_module, "SPAM_MIN_MESSAGES", 4.0)
+    @mock.patch.object(credibility, "PRIOR", 1.0)
     def test_spam_flood_is_quarantined(self):
-        cfg = GuardConfig(spam_min_messages=4.0, spam_prior=1.0)
-        guard = IngestGuard(cfg)
+        guard = IngestGuard()
         seed = msg(0, "win a free prize click this amazing link now")
         guard.admit(seed)
         guard.note_result(seed, bundle_id=1)
@@ -94,9 +99,10 @@ class TestVerdicts:
         assert entry.action is GuardAction.QUARANTINE
         assert entry.reason == "spam"
 
+    @mock.patch.object(guard_module, "SPAM_MIN_MESSAGES", 4.0)
+    @mock.patch.object(credibility, "PRIOR", 1.0)
     def test_declared_retweets_never_count_as_spam(self):
-        cfg = GuardConfig(spam_min_messages=4.0, spam_prior=1.0)
-        guard = IngestGuard(cfg)
+        guard = IngestGuard()
         origin = msg(0, "major storm warning issued for the northern "
                         "valley region this evening")
         guard.admit(origin)
@@ -121,8 +127,9 @@ class TestVerdicts:
         assert entry.reason == "clock-skew"
         assert guard.watermark == watermark_before
 
+    @mock.patch.object(guard_module, "REORDER_WINDOW", 3600.0)
     def test_stats_reconcile_across_mixed_traffic(self):
-        guard = IngestGuard(GuardConfig(reorder_window=3600.0))
+        guard = IngestGuard()
         texts = ["alpha beta gamma delta story {}",
                  "completely different tale number {}"]
         order = [0, 3, 1, 2, 6, 4, 5, 9, 7, 8]
@@ -133,8 +140,9 @@ class TestVerdicts:
 
 
 class TestReorderBuffer:
+    @mock.patch.object(guard_module, "REORDER_WINDOW", 7200.0)
     def test_within_window_arrivals_released_in_date_order(self):
-        guard = IngestGuard(GuardConfig(reorder_window=7200.0))
+        guard = IngestGuard()
         released = []
 
         def admit(i, hours):
@@ -155,17 +163,19 @@ class TestReorderBuffer:
         assert guard.stats.buffered == 2
         assert guard.stats.released == 2
 
+    @mock.patch.object(guard_module, "REORDER_WINDOW", 60.0)
     def test_too_old_arrival_takes_late_path(self):
-        guard = IngestGuard(GuardConfig(reorder_window=60.0))
+        guard = IngestGuard()
         guard.admit(msg(1, "first ordinary message", hours=10.0))
         [entry] = guard.admit(
             msg(2, "very old message arriving now", hours=0.0))
         assert entry.action is GuardAction.LATE
         assert guard.stats.late == 1
 
+    @mock.patch.multiple(guard_module, REORDER_WINDOW=7200.0,
+                         REORDER_CAPACITY=2)
     def test_buffer_overflow_evicts_oldest_first(self):
-        guard = IngestGuard(GuardConfig(reorder_window=7200.0,
-                                        reorder_capacity=2))
+        guard = IngestGuard()
         guard.admit(msg(1, "one of a kind story", hours=3.0))
         guard.admit(msg(2, "second singular story", hours=1.0))
         guard.admit(msg(3, "third unique story", hours=2.0))
@@ -178,11 +188,11 @@ class TestReorderBuffer:
 
 
 class TestQuarantineCustody:
+    @mock.patch.object(guard_module, "SPAM_MIN_MESSAGES", 2.0)
+    @mock.patch.object(credibility, "PRIOR", 0.5)
     def test_quarantine_log_replays_every_message(self, tmp_path):
         path = tmp_path / "quarantine.log"
-        guard = IngestGuard(GuardConfig(spam_min_messages=2.0,
-                                        spam_prior=0.5),
-                            quarantine_path=path)
+        guard = IngestGuard(quarantine_path=path)
         quarantined = []
         for i in range(10):
             for entry in guard.admit(
@@ -286,10 +296,10 @@ class TestFoldLog:
 
 
 class TestTightening:
+    @mock.patch.multiple(guard_module, DEDUP_THRESHOLD=0.9,
+                         TIGHTENED_DEDUP_THRESHOLD=0.5)
     def test_reduced_mode_swaps_thresholds(self):
-        cfg = GuardConfig(dedup_threshold=0.9,
-                          tightened_dedup_threshold=0.5)
-        guard = IngestGuard(cfg)
+        guard = IngestGuard()
         assert guard.detector.threshold == 0.9
         guard.set_tightened(True)
         assert guard.detector.threshold == 0.5
@@ -297,12 +307,12 @@ class TestTightening:
         assert guard.detector.threshold == 0.9
 
     def test_tightened_config_must_not_loosen(self):
-        with pytest.raises(ValueError):
-            GuardConfig(dedup_threshold=0.5,
-                        tightened_dedup_threshold=0.8)
-        with pytest.raises(ValueError):
-            GuardConfig(spam_threshold=0.4,
-                        tightened_spam_threshold=0.6)
+        # Tightening means catching more: lower thresholds, and the
+        # detector indexes prefixes at the lowest one it switches to.
+        assert (0.0 < guard_module.TIGHTENED_DEDUP_THRESHOLD
+                <= guard_module.DEDUP_THRESHOLD <= 1.0)
+        assert (0.0 < guard_module.TIGHTENED_SPAM_THRESHOLD
+                <= guard_module.SPAM_THRESHOLD <= 1.0)
 
 
 class TestSupervisorIntegration:
@@ -323,6 +333,40 @@ class TestSupervisorIntegration:
         assert (tmp_path / "quarantine.log").exists()
         assert [m.msg_id for m, _ in QuarantineLog.replay(
             tmp_path / "quarantine.log")] == [1]
+
+    def test_only_open_writes_the_guard_logs(self, tmp_path):
+        # docs/operations.md: open(root, guard=True) keeps quarantine.log
+        # and folds.log next to the DLQ; the constructor's guard=True is
+        # memory-only, even with a persistent DLQ.
+        from repro.core.engine import ProvenanceIndexer
+        from repro.storage.wal import JournaledIndexer, MessageJournal
+
+        origin = msg(1, "breaking earthquake hits the coastal city "
+                        "tonight residents evacuate quickly")
+        arrivals = [origin, msg(2, f"{origin.text} now", user="bob",
+                                hours=0.1),
+                    msg(3, "from the impossible future", hours=999.0)]
+
+        def screen(supervisor):
+            with supervisor:
+                for message in arrivals:
+                    supervisor.ingest(message)
+                stats = supervisor.guard.stats
+                assert (stats.folded, stats.quarantined) == (1, 1)
+
+        built = tmp_path / "built"
+        built.mkdir()
+        screen(ResilientIndexer(
+            JournaledIndexer(ProvenanceIndexer(),
+                             MessageJournal(built / "ingest.wal")),
+            dead_letters=built / "dead_letters.jsonl", guard=True))
+        assert not {"quarantine.log", "folds.log"} & {
+            path.name for path in tmp_path.rglob("*")}
+        opened = tmp_path / "opened"
+        screen(ResilientIndexer.open(opened, guard=True))
+        assert [m.msg_id for m, _ in QuarantineLog.replay(
+            opened / "quarantine.log")] == [3]
+        assert list(FoldLog.load(opened / "folds.log")) == [2]
 
     def test_fold_hints_steer_recovery(self, tmp_path):
         original = msg(1, "breaking earthquake hits the coastal city "

@@ -13,11 +13,12 @@ dead boot's (the durable boot counter).
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import pytest
 
 from repro.core.message import parse_message
-from repro.runtime import ShardedRuntime, WorkerCrash
+from repro.runtime import ShardedRuntime, WorkerCrash, coordinator
 
 BASE_DATE = 1_249_084_800.0
 
@@ -49,8 +50,8 @@ def stages(trace):
 def traced_fleet(tmp_path_factory):
     """A 2-worker fleet tracing every message, preloaded with 120."""
     root = tmp_path_factory.mktemp("traced-fleet")
-    runtime = ShardedRuntime(root, 2, trace_sample=1.0, trace_seed=7,
-                             trace_keep=512)
+    with mock.patch.object(coordinator, "TRACE_KEEP", 512):
+        runtime = ShardedRuntime(root, 2, trace_sample=1.0, trace_seed=7)
     runtime.ingest_batch(stream(120), count_only=True)
     yield runtime
     runtime.close()

@@ -159,7 +159,7 @@ class TestIngestHandler:
 
 class TestRepairJournal:
     def _engine(self):
-        engine = ProvenanceIndexer(IndexerConfig(), track_edges=True)
+        engine = ProvenanceIndexer(IndexerConfig())
         # Seed the ledger directly through the idempotent repair path.
         assert engine.repair_edge(5, None, 3)
         return engine

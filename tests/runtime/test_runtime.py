@@ -57,8 +57,9 @@ class TestParity:
 
     def test_search_matches_inprocess(self, fleet):
         local = RoutedEngines(2, "hash").ingest_each(stream(240))
+        outcome = fleet.search_within("#tag3 report", k=5)
         fleet_hits = [(shard, hit.bundle_id, hit.score) for shard, hit
-                      in fleet.search_by_shard("#tag3 report", k=5)]
+                      in zip(outcome.shards, outcome.hits)]
         local_hits = [(shard, hit.bundle_id, hit.score) for shard, hit
                       in local.search_by_shard("#tag3 report", k=5)]
         assert fleet_hits == local_hits
@@ -166,12 +167,11 @@ class TestWorkerOptions:
         # pickles them.
         import pickle
 
-        from repro.reliability.guard import GuardConfig
         from repro.reliability.overload import OverloadConfig
         from repro.runtime import WorkerOptions
 
         options = WorkerOptions(overload=OverloadConfig(rate_limit=50.0),
-                                guard=GuardConfig(), trace=True,
+                                guard=True, trace=True,
                                 profile_dir="profiles", anatomy=True)
         assert pickle.loads(pickle.dumps(options)) == options
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.bundle import Bundle
 from repro.core.errors import (BundleNotFoundError, CorruptSegmentError,
                                StorageError)
+from repro.reliability.doctor import repair_store, scan_store
 from repro.reliability.faults import Fault, FaultInjector, SimulatedCrash
 from repro.reliability.fsio import FileSystem, set_filesystem
 from repro.storage.bundle_store import BundleStore
@@ -140,24 +141,10 @@ class TestTolerantMode:
         with pytest.raises(CorruptSegmentError):
             BundleStore(directory)
 
-    def test_tolerant_open_skips_counts_and_warns(self, tmp_path):
-        directory = tmp_path / "store"
-        store = BundleStore(directory)
-        for bundle_id in range(3):
-            store.append(build_bundle(bundle_id))
-        self._corrupt_first_record(directory)
-        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
-            tolerant = BundleStore(directory, tolerant=True)
-        assert tolerant.corrupt_records_skipped == 1
-        assert len(tolerant) == 2
-        assert sorted(tolerant.bundle_ids()) == [1, 2]
-        assert tolerant.load(2).bundle_id == 2
-
     def test_clean_store_reports_zero_skips(self, tmp_path):
-        store = BundleStore(tmp_path / "store", tolerant=True)
+        store = BundleStore(tmp_path / "store")
         store.append(build_bundle(1))
-        reopened = BundleStore(tmp_path / "store", tolerant=True)
-        assert reopened.corrupt_records_skipped == 0
+        reopened = BundleStore(tmp_path / "store")
         assert reopened.skipped_files == 0
 
     def test_misnamed_segment_counted_and_warned(self, tmp_path):
@@ -310,16 +297,15 @@ class TestFailedWrites:
 
         with pytest.raises(CorruptSegmentError):
             BundleStore(directory)
-        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
-            survivor = BundleStore(directory, tolerant=True)
+        # The doctor's repair keeps exactly the intact record.
+        [segment] = scan_store(directory).segments
+        assert (segment.valid_records, len(segment.corrupt_offsets)) == (1, 1)
+        repair_store(directory)
+        survivor = BundleStore(directory)
         assert survivor.bundle_ids() == [1]
-        # Appending after the fragment: this process reads the new
-        # record at the size it re-read, and no later open ever takes
-        # fragment + record for a record of bundle 2 (or of anything).
         survivor.append(build_bundle(3))
         assert survivor.load(3).bundle_id == 3
-        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
-            later = BundleStore(directory, tolerant=True)
+        later = BundleStore(directory)
         assert later.bundle_ids() == [1, 3]
         for bundle_id in later.bundle_ids():
             assert later.load(bundle_id).bundle_id == bundle_id
@@ -339,9 +325,11 @@ class TestFailedWrites:
         assert store.load(3).bundle_id == 3
         store.close()
 
-        with pytest.warns(RuntimeWarning, match="skipping corrupt record"):
-            reopened = BundleStore(directory, tolerant=True)
-        assert reopened.corrupt_records_skipped == 1
+        # Record 3 parses on its own line behind the fragment: the one
+        # corrupt record is the fragment, and repair keeps 1 and 3.
+        [segment] = scan_store(directory).segments
+        assert (segment.valid_records, len(segment.corrupt_offsets)) == (2, 1)
+        repair_store(directory)
+        reopened = BundleStore(directory)
         assert reopened.bundle_ids() == [1, 3]
-        assert reopened._offsets == store._offsets
         assert reopened.load(3).message_ids() == build_bundle(3).message_ids()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.stream import generator
 from repro.stream.generator import (ADVERSARIAL_SCENARIOS,
                                     AdversarialConfig,
                                     AdversarialGenerator, StreamConfig,
@@ -57,8 +60,10 @@ class TestInjectionScenarios:
 
     def test_intensity_scales_attack_volume(self):
         organic = len(StreamGenerator(BASE).generate_list())
-        light = len(generate("spam-flood", intensity=0.1)) - organic
-        heavy = len(generate("spam-flood", intensity=0.5)) - organic
+        with mock.patch.object(generator, "INTENSITY", 0.1):
+            light = len(generate("spam-flood")) - organic
+        with mock.patch.object(generator, "INTENSITY", 0.5):
+            heavy = len(generate("spam-flood")) - organic
         assert heavy > light > 0
 
     def test_merged_stream_is_date_ordered(self):
@@ -95,7 +100,7 @@ class TestMegaCascade:
     def test_one_enormous_event_dominates(self):
         from collections import Counter
 
-        messages = generate("mega-cascade", cascade_factor=20)
+        messages = generate("mega-cascade")  # CASCADE_FACTOR is 20
         events = Counter(message.event_id for message in messages
                          if message.event_id is not None)
         biggest = max(events.values())
@@ -105,14 +110,16 @@ class TestMegaCascade:
 
 
 class TestSkewedClock:
+    @mock.patch.object(generator, "SKEW_FRACTION", 0.3)
     def test_stream_arrives_out_of_order(self):
-        messages = generate("skewed-clock", skew_fraction=0.3)
+        messages = generate("skewed-clock")
         dates = [message.date for message in messages]
         assert dates != sorted(dates)
 
+    @mock.patch.object(generator, "SKEW_FRACTION", 0.3)
     def test_only_dates_change(self):
         organic = StreamGenerator(BASE).generate_list()
-        skewed = generate("skewed-clock", skew_fraction=0.3)
+        skewed = generate("skewed-clock")
         assert len(skewed) == len(organic)
         for original, moved in zip(organic, skewed):
             assert moved.msg_id == original.msg_id
@@ -125,8 +132,3 @@ class TestValidation:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(StreamError):
             AdversarialConfig(scenario="zerg-rush", base=BASE)
-
-    def test_bad_intensity_rejected(self):
-        with pytest.raises(StreamError):
-            AdversarialConfig(scenario="spam-flood", base=BASE,
-                              intensity=0.0)

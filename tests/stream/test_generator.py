@@ -28,7 +28,6 @@ class TestConfigValidation:
         {"noise_fraction": -0.1},
         {"user_count": 0},
         {"events_per_day": -1.0},
-        {"rt_prob": 1.5},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(StreamError):

@@ -194,6 +194,39 @@ class TestFleetSearch:
         assert rows == [[str(shard), str(hit.bundle_id)] for shard, hit
                         in zip(outcome.shards, outcome.hits)]
 
+    def test_eq7_weights_reach_every_worker(self, tmp_path, capsys):
+        # --alpha/--beta ride the search RPC: each hit's score is its
+        # shard's own BundleSearchEngine score under those weights.
+        from repro.cli import _generate
+        from repro.query.bundle_search import BundleSearchEngine
+        from repro.reliability.supervisor import ResilientIndexer
+        from repro.runtime import ShardedRuntime
+
+        root = tmp_path / "fleet"
+        with ShardedRuntime(root, 2) as runtime:
+            runtime.ingest_stream(_generate(7, 600), batch_size=100)
+        query = "#ibm mainframe booth"
+
+        def table(*flags):
+            assert main(["search", str(root), query, "-k", "8",
+                         *flags]) == 0
+            return [line.split()[:4]
+                    for line in capsys.readouterr().out.splitlines()[3:]]
+
+        default = table()
+        flat = table("--alpha", "0", "--beta", "0")
+        assert flat != default
+        expected = {}
+        for shard in (0, 1):
+            with ResilientIndexer.open(root / f"shard-{shard:02d}") as stack:
+                engine = BundleSearchEngine(stack.indexer, alpha=0, beta=0)
+                expected.update(
+                    ((str(shard), str(hit.bundle_id)), f"{hit.score:.3f}")
+                    for hit in engine.search(query, k=8))
+        assert {row[0] for row in flat} == {"0", "1"}
+        for shard, bundle, _, score in flat:
+            assert score == expected[shard, bundle]
+
     @pytest.mark.parametrize("flags", [[], ["--workers", "2"]])
     @pytest.mark.parametrize("exists", [False, True])
     def test_path_without_marker_creates_nothing(self, exists, flags,
