@@ -258,7 +258,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{human_count(len(messages))} messages in {elapsed:.1f}s "
               f"({indexed / max(elapsed, 1e-9):,.0f} msg/s) across "
               f"{args.workers} workers; {stats.batches_sent} batches, "
-              f"{stats.restarts} restarts, {stats.gate_waits} gate waits")
+              f"{stats.restarts} restarts")
         print(f"latency split: routing {stats.route_seconds:.2f}s, "
               f"ack wait {stats.ack_wait_seconds:.2f}s = "
               f"queue wait {stats.queue_wait_seconds:.2f}s + "
@@ -427,7 +427,7 @@ class _ScheduleClock:
 
 
 def _surge_stack(root: Path, total: int, surge: float, *, obs=None,
-                 **options):
+                 guard: bool = False, **options):
     """The resilient stack every surge replay runs through.
 
     WAL, snapshots, bundle store, admission control, degradation ladder
@@ -435,9 +435,9 @@ def _surge_stack(root: Path, total: int, surge: float, *, obs=None,
     schedule decoupled from the message dates: a calm warm-up at the
     sustainable rate, a burst at ``surge`` times it, then a cool-down at
     half rate so the backlog can drain and the ladder can climb back
-    down.  ``options`` go to :class:`ResilientIndexer`.  Returns
-    ``(supervisor, clock, schedule)`` where ``schedule(index)`` advances
-    the clock to arrival ``index`` of ``total``.
+    down.  ``guard`` and ``options`` go to :class:`ResilientIndexer`.
+    Returns ``(supervisor, clock, schedule)`` where ``schedule(index)``
+    advances the clock to arrival ``index`` of ``total``.
     """
     from repro.reliability.overload import OverloadConfig, OverloadController
     from repro.reliability.supervisor import ResilientIndexer
@@ -466,7 +466,7 @@ def _surge_stack(root: Path, total: int, surge: float, *, obs=None,
         engine, MessageJournal(root / "ingest.wal", sync_every=256),
         snapshot_path=root / "state.json", snapshot_every=10_000)
     supervisor = ResilientIndexer(journaled, sleep=lambda _: None,
-                                  overload=overload, **options)
+                                  overload=overload, guard=guard, **options)
     return supervisor, clock, schedule
 
 

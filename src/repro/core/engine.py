@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.connection import Connection
-from repro.core.errors import POISON_ERRORS, BundleNotFoundError
+from repro.core.errors import (POISON_ERRORS, BundleError,
+                               BundleNotFoundError)
 from repro.core.message import Message
 from repro.core.pool import BundlePool, BundleSink, RefinementReport
 from repro.core.scoring import bundle_match_scores, message_similarity
@@ -373,7 +374,17 @@ class ProvenanceIndexer:
         ``bundle_match`` stage, timer or fan-in observation (zeros would
         pollute that distribution); outcome ``folded``; audit
         ``candidate_cap=0`` and no candidate rows.  Nothing else differs.
+
+        A message already pooled is refused (:class:`BundleError`)
+        before any pool, index, stats or trace change: bundles never
+        overlap (Definition 3).  The author's postings list every
+        pooled bundle that holds one of the author's messages.
         """
+        for bundle_id in self.summary_index.postings("user", message.user):
+            holder = self.pool.try_get(bundle_id)
+            if holder is not None and message.msg_id in holder:
+                raise BundleError(f"message {message.msg_id} already in "
+                                  f"bundle {bundle_id}")
         tracer = self.obs.tracer
         trace = (tracer.begin(message.msg_id)
                  if tracer is not None else None)
@@ -584,13 +595,12 @@ class ProvenanceIndexer:
         suite asserts.
 
         Rejection: the engine refuses a message whose ``msg_id`` is
-        already a member of the bundle it lands in (:meth:`Bundle.insert`
-        raises :class:`BundleError`, pool and index untouched).  The
-        batch stops at a refused message (or any per-message poison
-        error), with the messages before it placed; the error's
-        ``settled`` is what the call would have returned for them (their
-        results, or their count under ``count_only``), so a caller
-        resumes after it and loses no result.
+        already pooled (:class:`BundleError`, pool and index
+        untouched).  The batch stops at a refused message (or any
+        per-message poison error), with the messages before it placed;
+        the error's ``settled`` is what the call would have returned for
+        them (their results, or their count under ``count_only``), so a
+        caller resumes after it and loses no result.
         """
         results: "list[IngestResult]" = []
         count = 0

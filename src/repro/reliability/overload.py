@@ -58,7 +58,6 @@ __all__ = [
     "AdmissionStats",
     "CircuitBreaker",
     "DegradationLadder",
-    "FleetBackpressure",
     "GuardedSink",
     "HealthReport",
     "HealthState",
@@ -275,7 +274,7 @@ class AdmissionController:
 # ---------------------------------------------------------------------------
 
 #: Backlog fill fraction treated as full pressure (1.0 on the pressure
-#: scale); the coordinator's fleet gate engages at the same fill.
+#: scale).
 QUEUE_HIGH_FRACTION = 0.5
 #: Hysteresis band: pressure must fall to this (not merely below 1.0)
 #: to count as a healthy observation.
@@ -731,66 +730,3 @@ class OverloadController:
             flushed=guarded.flushed if guarded else 0,
         )
 
-
-class FleetBackpressure:
-    """Fleet-level ingest gate over per-shard admission queue fill.
-
-    The multiprocess runtime (:mod:`repro.runtime`) regulates each
-    worker locally with its own :class:`AdmissionController`; this class
-    is the *coordinator-side* complement: every ingest acknowledgment
-    carries the worker's ``queue_fraction``, and the gate engages when
-    **any** shard's backlog passes the high watermark.  While engaged
-    the coordinator stops pipelining new batches (it drains outstanding
-    acknowledgments instead), releasing only when *every* shard is back
-    under the low watermark — classic hysteresis, so one oscillating
-    shard cannot flap the whole fleet.
-
-    One hot shard gating the fleet is deliberate: routers are sticky
-    (a topic lives on its shard forever), so outrunning the hottest
-    shard only grows its backlog until its local controller sheds —
-    turning a temporary skew into permanent accuracy loss.
-    """
-
-    def __init__(self, *, high_watermark: float = 0.8,
-                 low_watermark: float = 0.5) -> None:
-        if not 0.0 < high_watermark <= 1.0:
-            raise ConfigurationError(
-                f"high_watermark must be in (0, 1], got {high_watermark}")
-        if not 0.0 <= low_watermark <= high_watermark:
-            raise ConfigurationError(
-                "low_watermark must be in [0, high_watermark], got "
-                f"{low_watermark}")
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.engaged = False
-        self.engagements = 0
-        self.gated_batches = 0
-        self._fractions: "dict[int, float]" = {}
-
-    def note(self, shard: int, queue_fraction: float) -> bool:
-        """Record one shard's backlog fill; returns the gate state."""
-        self._fractions[shard] = queue_fraction
-        if self.engaged:
-            if all(f <= self.low_watermark
-                   for f in self._fractions.values()):
-                self.engaged = False
-        elif queue_fraction >= self.high_watermark:
-            self.engaged = True
-            self.engagements += 1
-        return self.engaged
-
-    def note_gated(self) -> None:
-        """Count one batch held back while the gate was engaged."""
-        self.gated_batches += 1
-
-    @property
-    def worst(self) -> "tuple[int, float]":
-        """``(shard, fraction)`` of the fullest known backlog."""
-        if not self._fractions:
-            return (-1, 0.0)
-        shard = max(self._fractions, key=lambda s: self._fractions[s])
-        return (shard, self._fractions[shard])
-
-    def snapshot(self) -> "dict[int, float]":
-        """Per-shard backlog fractions last reported."""
-        return dict(self._fractions)

@@ -297,18 +297,14 @@ class ResilientIndexer:
         # The guard screen is a pipeline stage of its own (near-dup join +
         # reorder bookkeeping before Algorithm 1 runs); give it a child
         # in the same repro_stage_seconds family the engine's stages
-        # live in so trace hops, flamegraph stages and stage histograms
-        # all speak the same stage vocabulary.
+        # live in so flamegraph stages and stage histograms speak the
+        # same stage vocabulary.
         self._screen_hist = (registry.histogram(
             "repro_stage_seconds", unit="seconds",
             help="Per-stage maintenance latency (Fig. 13's signals)",
             labels={"stage": "guard_screen"})
             if registry.enabled and self.guard is not None
             else NULL_HISTOGRAM)
-        #: Guard-screen seconds of the most recent :meth:`ingest` call
-        #: (0.0 without a guard) — the runtime worker turns this into
-        #: the stitched trace's ``guard_screen`` hop.
-        self.last_screen_seconds = 0.0
         #: The latest ingest loop's outcomes, one slot per arrival,
         #: filled as its runs settle: what a call that raised settled.
         self.last_outcomes: "list[IngestResult | None]" = []
@@ -447,7 +443,6 @@ class ResilientIndexer:
             if release is not None:
                 entries = release()
             elif guard is None:
-                self.last_screen_seconds = 0.0
                 entries = [Screened(message, GuardAction.PASS)]
             else:
                 started = time.perf_counter()
@@ -455,8 +450,7 @@ class ResilientIndexer:
                 # encode skips it, and the journal refuses it in its slot.
                 entries = (guard.admit(message) if _encodable(message)
                            else [Screened(message, GuardAction.PASS)])
-                self.last_screen_seconds = time.perf_counter() - started
-                self._screen_hist.observe(self.last_screen_seconds)
+                self._screen_hist.observe(time.perf_counter() - started)
             for done, entry in enumerate(entries):
                 try:
                     for admitted, fold in self._admitted(entry, now):

@@ -8,17 +8,12 @@ deterministic routers of :mod:`repro.core.sharding` (``"hash"`` /
 :class:`repro.api.Indexer` protocol directly —
 ``open_indexer("runtime", ...)`` returns one of these.
 
-Three mechanisms carry the operational weight:
+Two mechanisms carry the operational weight:
 
 * **pipelining** — ingest acknowledgments are collected lazily, up to
   :data:`MAX_INFLIGHT` outstanding batches per worker, so all shards chew
   their sub-batches concurrently instead of round-tripping one batch at
   a time;
-* **fleet backpressure** — every ingest ACK reports the worker's
-  admission-backlog fill; a
-  :class:`~repro.reliability.overload.FleetBackpressure` gate stops
-  pipelining (and actively drains the hottest shard's backlog) while any
-  shard is past its high watermark;
 * **supervision** — a dead worker (crash, SIGKILL) is detected on the
   next send/receive, counted, and restarted on the same shard directory,
   where :meth:`ResilientIndexer.open` replays the WAL tail.  Only
@@ -46,8 +41,6 @@ from repro.obs.perf import StackSampler
 from repro.obs.tracing import Trace, Tracer
 from repro.query.bundle_search import ALPHA, BETA, BundleHit, SearchOutcome
 from repro.reliability.fsio import write_atomic
-from repro.reliability.overload import (QUEUE_HIGH_FRACTION,
-                                        FleetBackpressure, OverloadConfig)
 from repro.runtime.worker import WorkerOptions, worker_main
 
 __all__ = ["ShardedRuntime", "RuntimeStats", "WorkerCrash"]
@@ -99,14 +92,12 @@ class RuntimeStats:
     restarts: int = 0
     lost_batches: int = 0
     lost_messages: int = 0
-    gate_waits: int = 0
     search_scatters: int = 0
     shards_skipped_by_budget: int = 0
     boundary_hints: int = 0
     repair_rounds: int = 0
     repair_probes: int = 0
     repair_edges: int = 0
-    repair_backoffs: int = 0
     route_seconds: float = 0.0
     ack_wait_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
@@ -116,10 +107,9 @@ class RuntimeStats:
 
     _INT_FIELDS = ("batches_sent", "messages_sent", "messages_indexed",
                    "restarts", "lost_batches", "lost_messages",
-                   "gate_waits", "search_scatters",
-                   "shards_skipped_by_budget", "boundary_hints",
-                   "repair_rounds", "repair_probes", "repair_edges",
-                   "repair_backoffs")
+                   "search_scatters", "shards_skipped_by_budget",
+                   "boundary_hints", "repair_rounds", "repair_probes",
+                   "repair_edges")
 
     _FLOAT_FIELDS = ("route_seconds", "ack_wait_seconds",
                      "queue_wait_seconds", "service_seconds")
@@ -160,7 +150,7 @@ class _Worker:
     shard: int
     process: Any
     conn: Any
-    #: Unacknowledged ingest/drain batches, oldest first.  Non-ingest
+    #: Unacknowledged ingest batches, oldest first.  Non-ingest
     #: requests are never pipelined.
     pending: "deque[_PendingBatch]" = field(default_factory=deque)
 
@@ -185,28 +175,20 @@ class ShardedRuntime:
     config / router:
         Per-shard :class:`IndexerConfig` (the pool bound applies *per
         shard*) and the :func:`~repro.core.sharding.make_router` name.
-    overload:
-        Optional per-worker :class:`OverloadConfig`; enables local
-        admission control in each worker plus the coordinator's fleet
-        backpressure gate.
-    guard:
-        ``True`` gives every worker an ingest guard: each screens its
-        own shard's arrivals and keeps ``quarantine.log`` /
-        ``folds.log`` in its shard root, fsynced inside the same
-        pre-ACK durability barrier as the WAL.
+        Every worker runs a plain resilient stack: no ingest guard and
+        no admission control (the single-process stack keeps both).
     trace_sample / trace_seed / trace_sink:
         Fleet-wide trace propagation.  ``trace_sample > 0`` samples
         that fraction of ingests at *route* time (seeded, like the
         engine tracer); the decision ships to the owning worker as a
         :class:`~repro.obs.tracing.TraceContext` inside the ingest RPC
         envelope, and the worker's hop timestamps come back on the ACK
-        to be stitched — route → queue wait → guard screen → engine
-        stages → WAL fsync → ACK — into one end-to-end trace per
-        message, exported to ``trace_sink`` as JSONL (``repro trace``
-        renders them).  All hop boundaries are ``time.monotonic()``
-        stamps (one clock across processes on this host), so the hop
-        durations of a trace sum to its end-to-end latency by
-        construction.
+        to be stitched — route → queue wait → engine stages → WAL
+        fsync → ACK — into one end-to-end trace per message, exported
+        to ``trace_sink`` as JSONL (``repro trace`` renders them).  All
+        hop boundaries are ``time.monotonic()`` stamps (one clock across
+        processes on this host), so the hop durations of a trace sum to
+        its end-to-end latency by construction.
     profile_dir:
         When set, every worker runs a continuous
         :class:`~repro.obs.perf.StackSampler` (and the coordinator
@@ -220,9 +202,7 @@ class ShardedRuntime:
     def __init__(self, root: "str | Path", workers: int, *,
                  config: IndexerConfig | None = None,
                  router: str = "hash",
-                 overload: OverloadConfig | None = None,
                  sync_every: int = 256,
-                 guard: bool = False,
                  trace_sample: float = 0.0,
                  trace_seed: int = 0,
                  trace_sink: "str | Path | None" = None,
@@ -245,17 +225,12 @@ class ShardedRuntime:
         if self._profile_dir is not None:
             self._profiler = StackSampler().start()
         self._options = WorkerOptions(
-            config=config, overload=overload, sync_every=sync_every,
-            guard=guard,
+            config=config, sync_every=sync_every,
             trace=self.tracer is not None,
             profile_dir=(str(self._profile_dir)
                          if self._profile_dir is not None else None),
             anatomy=anatomy)
         self.stats = RuntimeStats(unified=self.stats_totals)
-        self.gate = (FleetBackpressure(
-            high_watermark=QUEUE_HIGH_FRACTION,
-            low_watermark=QUEUE_HIGH_FRACTION / 2)
-            if overload is not None else None)
         self._ctx = multiprocessing.get_context()
         self._check_marker()
         self._workers: list[_Worker] = [
@@ -386,15 +361,6 @@ class ShardedRuntime:
             self._restart(worker)
         raise WorkerCrash(f"shard {shard} worker crashed ({reason})")
 
-    def _note_ack(self, worker: _Worker, payload: dict[str, Any]) -> int:
-        """Account one ingest/drain ACK; returns its indexed count."""
-        indexed = int(payload.get("indexed", 0))
-        self.stats.messages_indexed += indexed
-        if self.gate is not None and "queue_fraction" in payload:
-            self.gate.note(worker.shard,
-                           float(payload["queue_fraction"]))
-        return indexed
-
     def _collect_one(self, worker: _Worker) -> dict[str, Any]:
         """Receive and account the oldest outstanding ingest ACK."""
         started = time.perf_counter()
@@ -407,7 +373,7 @@ class ShardedRuntime:
         self.stats.ack_wait_seconds += time.perf_counter() - started
         acked = time.monotonic()
         batch = worker.pending.popleft()
-        self._note_ack(worker, payload)
+        self.stats.messages_indexed += int(payload.get("indexed", 0))
         self.stats.queue_wait_seconds += max(
             0.0, float(payload.get("queue_wait", 0.0)))
         self.stats.service_seconds += max(
@@ -450,14 +416,10 @@ class ShardedRuntime:
                 hop_span("batch_wait", recv, start)
                 hop_span("service", start, end,
                          span_id=str(record["span_id"]), shard=shard)
-                screen = float(record.get("screen") or 0.0)
                 offset = max(0.0, start - t0)
-                if screen > 0.0:
-                    trace.span("guard_screen", offset, screen,
-                               kind="stage")
                 for span in record.get("spans") or ():
                     trace.span(str(span["name"]),
-                               offset + screen + float(span["start"]),
+                               offset + float(span["start"]),
                                float(span["duration"]), kind="stage",
                                **dict(span.get("tags") or {}))
                 hop_span("worker_drain", end, done,
@@ -467,9 +429,8 @@ class ShardedRuntime:
                 bundle_id = (int(raw_bundle)
                              if raw_bundle is not None else None)
             else:
-                # The worker did not report this message (shed before
-                # the engine, or an older protocol): the whole worker
-                # residency is one opaque service hop.
+                # The worker did not report this message: the whole
+                # worker residency is one opaque service hop.
                 hop_span("service", recv, done, shard=shard)
                 outcome = "unreported"
             hop_span("ack_transit", done, acked)
@@ -492,10 +453,6 @@ class ShardedRuntime:
     # Ingest
     # ------------------------------------------------------------------
 
-    def route(self, message: Message) -> int:
-        """The shard ``message`` belongs to (mutates co-occurrence state)."""
-        return self._router.route(message)
-
     def _route_hinted(self, message: Message) -> "tuple[int, tuple[int, ...]]":
         """Route one message, timing it and accounting boundary hints."""
         started = time.perf_counter()
@@ -509,11 +466,9 @@ class ShardedRuntime:
                   count_only: bool,
                   hints: "Hints | None" = None,
                   traces: "Stamps | None" = None) -> None:
-        """Pipeline one routed sub-batch, honoring inflight + the gate."""
+        """Pipeline one routed sub-batch, honoring the inflight bound."""
         while worker.inflight >= MAX_INFLIGHT:
             self._collect_one(worker)
-        if self.gate is not None and self.gate.engaged:
-            self._relieve_pressure()
         enqueue = time.monotonic()
         extras: dict[str, Any] = {"enqueue": enqueue}
         if traces:
@@ -529,36 +484,6 @@ class ShardedRuntime:
             count=len(batch), enqueue=enqueue, traces=traces or []))
         self.stats.batches_sent += 1
         self.stats.messages_sent += len(batch)
-
-    def _relieve_pressure(self) -> None:
-        """Hold ingest while the fleet gate is engaged.
-
-        Drains outstanding ACKs (their load feedback may already clear
-        the gate) and then actively drains the hottest shard's
-        admission backlog until every shard is back under the low
-        watermark.
-        """
-        assert self.gate is not None
-        self.gate.note_gated()
-        self.stats.gate_waits += 1
-        for worker in self._workers:
-            if not self.gate.engaged:
-                return
-            self._drain_worker(worker)
-        stuck_rounds = 0
-        while self.gate.engaged and stuck_rounds < 2 * self.workers:
-            shard, _ = self.gate.worst
-            worker = self._workers[shard]
-            try:
-                payload = self._request(worker, ("drain",))
-            except WorkerCrash:
-                stuck_rounds += 1
-                continue
-            indexed = int(payload.get("indexed", 0))
-            self.stats.messages_indexed += indexed
-            self.gate.note(shard, float(payload.get("queue_fraction",
-                                                    0.0)))
-            stuck_rounds = stuck_rounds + 1 if indexed == 0 else 0
 
     def _shard_buffers(
             self) -> "tuple[list[list[Message]], list[Hints], list[Stamps]]":
@@ -672,37 +597,23 @@ class ShardedRuntime:
         cursor advances only after the whole round succeeded, so a
         crash mid-round re-examines the tail — every step is idempotent.
 
-        Degradation-aware: a round is skipped (and counted as a
-        backoff) while the fleet backpressure gate is engaged or the
-        shard reports overload rung >= 2 (REDUCED or worse) — repair
-        never competes with a struggling ingest path.
-
         ``fault_hook(stage, shard)`` fires at the ``"drained"``,
         ``"scored"`` and ``"applied"`` stages of each shard's round —
         the crash-injection seam the chaos tests SIGKILL workers from.
 
         Returns a report: ``pending`` entries seen, ``probed`` peer
-        probes, ``repaired`` edges installed, ``advanced`` entries
-        reconciled, ``backoffs`` shards skipped.
+        probes, ``repaired`` edges installed and ``advanced`` entries
+        reconciled.
         """
-        report = {"pending": 0, "probed": 0, "repaired": 0,
-                  "advanced": 0, "backoffs": 0}
+        report = {"pending": 0, "probed": 0, "repaired": 0, "advanced": 0}
         self.stats.repair_rounds += 1
         hook = fault_hook if fault_hook is not None else (
             lambda stage, shard: None)
         for worker in self._workers:
             shard = worker.shard
-            if self.gate is not None and self.gate.engaged:
-                self.stats.repair_backoffs += 1
-                report["backoffs"] += 1
-                continue
             try:
                 payload = self._request(worker, ("boundary_pending",))
             except WorkerCrash:
-                continue
-            if int(payload.get("rung", 0)) >= 2:
-                self.stats.repair_backoffs += 1
-                report["backoffs"] += 1
                 continue
             entries = payload["entries"]
             if not entries:
@@ -775,13 +686,12 @@ class ShardedRuntime:
                            = None) -> dict[str, int]:
         """Run repair passes until every boundary backlog drains.
 
-        Stops early when a pass finds nothing pending and nothing
-        backed off; bounded by ``max_rounds`` so an overloaded fleet
-        (perpetual backoffs) cannot spin here.  Returns the accumulated
-        report of all passes.
+        Stops early when a pass finds nothing pending; bounded by
+        ``max_rounds`` so a fleet whose workers keep crashing cannot
+        spin here.  Returns the accumulated report of all passes.
         """
         totals = {"pending": 0, "probed": 0, "repaired": 0,
-                  "advanced": 0, "backoffs": 0, "rounds": 0}
+                  "advanced": 0, "rounds": 0}
         for _ in range(max_rounds):
             try:
                 report = self.repair_pass(fault_hook=fault_hook)
@@ -793,7 +703,7 @@ class ShardedRuntime:
             totals["rounds"] += 1
             for name, value in report.items():
                 totals[name] += value
-            if report["pending"] == 0 and report["backoffs"] == 0:
+            if report["pending"] == 0:
                 break
         return totals
 

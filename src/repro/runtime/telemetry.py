@@ -12,8 +12,8 @@ runtime exists.
 
 Aggregate gauges are *sums* across shards, which is right for
 capacity-style gauges (memory bytes, queue depths) but meaningless for
-mode-style gauges (degradation rung, shard id); read those per-shard via
-the ``shard`` label.
+mode-style gauges (shard id, drift ratio); read those per-shard via the
+``shard`` label.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = ["merge_worker_dumps", "fleet_table"]
 #: them across shards is meaningless, so the aggregate series is skipped.
 _MODE_GAUGES = frozenset({
     "repro_shard_id",
-    "repro_overload_rung",
     # A drift *ratio* per shard; summing ratios across shards would
     # read as fleet-wide drift and lie.  Per-shard series remain.
     "repro_memory_drift_ratio",
@@ -114,10 +113,10 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
 
     ``shard_stats`` is :meth:`ShardedRuntime.shard_stats` output: shard
     index → the worker's ``stats`` payload (unified counters, supervisor
-    counters, memory snapshot, load signals).
+    counters, memory snapshot, repair backlog).
     """
     headers = ("shard", "messages", "bundles", "edges", "dead",
-               "queue%", "rung", "mem KiB", "pending", "cov")
+               "mem KiB", "pending", "cov")
     rows: list[tuple[str, ...]] = []
     totals = {"messages": 0, "bundles": 0, "edges": 0, "dead": 0,
               "mem": 0, "pending": 0}
@@ -147,8 +146,6 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
             f"{row['bundles']:,}",
             f"{row['edges']:,}",
             f"{row['dead']:,}",
-            f"{payload.get('queue_fraction', 0.0) * 100:.0f}",
-            str(payload.get("rung", 0)),
             f"{row['mem'] // 1024:,}",
             f"{row['pending']:,}",
             _coverage_cell(row["messages"], row["pending"]),
@@ -159,7 +156,6 @@ def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
         f"{totals['bundles']:,}",
         f"{totals['edges']:,}",
         f"{totals['dead']:,}",
-        "-", "-",
         f"{totals['mem'] // 1024:,}",
         f"{totals['pending']:,}",
         _coverage_cell(totals["messages"], totals["pending"]),

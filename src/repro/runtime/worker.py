@@ -3,8 +3,8 @@
 Each worker owns one complete resilient stack — a
 :class:`~repro.core.engine.ProvenanceIndexer` under a
 :class:`~repro.storage.wal.JournaledIndexer` (WAL + snapshots) under a
-:class:`~repro.reliability.supervisor.ResilientIndexer` (retry / DLQ /
-optional admission control) — rooted at its own directory, with its own
+:class:`~repro.reliability.supervisor.ResilientIndexer` (retry / DLQ),
+rooted at its own directory, with its own
 :class:`~repro.obs.MetricsRegistry`.  Nothing is shared between
 siblings, so a worker crash is strictly local: the coordinator restarts
 the process and :meth:`ResilientIndexer.open` rebuilds the exact
@@ -35,7 +35,6 @@ from repro.obs.perf import StackSampler, StageCell
 from repro.obs.tracing import TraceContext, Tracer
 from repro.query.bundle_search import BundleSearchEngine
 from repro.reliability.fsio import commit_scope, write_atomic
-from repro.reliability.overload import OverloadConfig
 from repro.reliability.supervisor import ResilientIndexer
 from repro.runtime.repair import BoundaryLog, RepairJournal
 
@@ -47,11 +46,7 @@ class WorkerOptions:
     """Picklable construction options shipped to each worker process."""
 
     config: IndexerConfig | None = None
-    overload: OverloadConfig | None = None
     sync_every: int = 256
-    #: Each worker gets its own IngestGuard with quarantine/fold logs in
-    #: its shard root.
-    guard: bool = False
     #: Fleet trace participation: honor coordinator-propagated sampling
     #: decisions and ship hop records back on each ACK.
     trace: bool = False
@@ -62,26 +57,6 @@ class WorkerOptions:
     #: hot-term/memory gauges ride the telemetry dump; the fleet merge
     #: sums them (distributed SpaceSaving merge).
     anatomy: bool = False
-
-
-def _queue_fraction(supervisor: ResilientIndexer) -> float:
-    if supervisor.overload is None:
-        return 0.0
-    return supervisor.overload.admission.queue_fraction
-
-
-def _rung(supervisor: ResilientIndexer) -> int:
-    if supervisor.overload is None:
-        return 0
-    return int(supervisor.overload.state)
-
-
-def _load_signals(supervisor: ResilientIndexer) -> dict[str, Any]:
-    """The per-ack load feedback the coordinator's gate consumes."""
-    return {
-        "queue_fraction": _queue_fraction(supervisor),
-        "rung": _rung(supervisor),
-    }
 
 
 class _FleetTrace:
@@ -131,19 +106,14 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
     """Ingest one routed sub-batch, then make it durable before ACK.
 
     ``results`` is positionally aligned with ``messages`` (``None`` for
-    shed / deferred / dead-lettered entries) so the coordinator can
-    reassemble input order across shards.  Deferred messages sit in the
-    admission backlog — not yet journaled, and reported as such — so
-    only *indexed* results are covered by the durability barrier below.
+    a dead-lettered entry) so the coordinator can reassemble input
+    order across shards.
 
     ``hints`` maps sub-batch positions to peer-shard tuples (the
     router's boundary evidence).  Each hinted message that was indexed
     is journaled — with its ingest-time edge, the baseline a repair
     must strictly beat — to the boundary log, whose fsync joins the
-    WAL's in the pre-ACK durability barrier.  A hinted message that was
-    *deferred* re-enters through the admission backlog without its
-    hint; ``repro doctor --fleet`` still sees the shard as healthy
-    because no boundary entry was acknowledged for it.
+    WAL's in the pre-ACK durability barrier.
 
     ``extras`` is the coordinator's perf envelope: its ``"enqueue"``
     monotonic stamp turns into this batch's queue wait (one clock
@@ -159,11 +129,10 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
             traced[int(position)] = (int(trace_id), str(parent))
     hops: "list[dict[str, Any]] | None" = [] if traced else None
     outcomes: "list[IngestResult | None]" = []
-    # The durability barrier: leaving the commit scope fsyncs whichever
-    # of the boundary and guard logs this batch appended to, then the WAL
-    # syncs — before the ACK, so all the coordinator sees is on disk.
-    guard = supervisor.guard
-    with commit_scope(boundary, *(guard.logs if guard is not None else ())):
+    # The durability barrier: leaving the commit scope fsyncs the
+    # boundary log if this batch appended to it, then the WAL syncs —
+    # before the ACK, so all the coordinator sees is on disk.
+    with commit_scope(boundary):
         try:
             # Untraced stretches go in as runs; a traced arrival goes
             # alone, between its own hop stamps.
@@ -184,7 +153,6 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
                     "span_id": fleet.next_span_id(),
                     "start": started,
                     "end": ended,
-                    "screen": supervisor.last_screen_seconds,
                 }
                 finished = fleet.tracer.finished
                 if finished and finished[-1].trace_id == trace_id:
@@ -195,8 +163,8 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
                     if "bundle_id" in engine_trace.tags:
                         hop["bundle_id"] = engine_trace.tags["bundle_id"]
                 elif outcomes[position] is None:
-                    # Shed/deferred before the engine's tracer saw it.
-                    hop["outcome"] = "deferred"
+                    # Refused before the engine's tracer saw it.
+                    hop["outcome"] = "dead-lettered"
                 hops.append(hop)
             outcomes += supervisor.ingest_outcomes(messages[len(outcomes):])
         except Exception:
@@ -224,7 +192,6 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
         reply["service"] = max(0.0, done - recv)
     if hops is not None:
         reply["hops"] = hops
-    reply.update(_load_signals(supervisor))
     return reply
 
 
@@ -264,17 +231,6 @@ def _handle_stats(supervisor: ResilientIndexer, boundary: BoundaryLog,
             "boundary_pending": boundary.pending_count,
             "repaired": len(journal.entries),
         },
-        **({"guard": {
-            "screened": supervisor.guard.stats.screened,
-            "passed": supervisor.guard.stats.passed,
-            "folded": supervisor.guard.stats.folded,
-            "quarantined": supervisor.guard.stats.quarantined,
-            "late": supervisor.guard.stats.late,
-            "released": supervisor.guard.stats.released,
-            "buffer_depth": supervisor.guard.buffer_depth,
-            "toxicity": supervisor.guard.toxicity(),
-        }} if supervisor.guard is not None else {}),
-        **_load_signals(supervisor),
     }
 
 
@@ -306,8 +262,7 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
     coordinator's end of the pipe disappears.
     """
     supervisor = ResilientIndexer.open(
-        root, config=options.config, sync_every=options.sync_every,
-        overload=options.overload, guard=options.guard)
+        root, config=options.config, sync_every=options.sync_every)
     # Cross-shard repair state: boundary hints + applied-repair journal.
     # Replay order matters — the WAL replay inside ``open`` re-created ingest-time edges; the repair journal now re-applies
     # any repairs on top of them (idempotent vs snapshots).
@@ -361,11 +316,6 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
                         fleet)
                 elif op == "search":
                     payload = _handle_search(supervisor, *request[1:])
-                elif op == "drain":
-                    drained = supervisor.drain_backlog()
-                    supervisor.journaled.journal.sync()
-                    payload = {"indexed": drained,
-                               **_load_signals(supervisor)}
                 elif op == "stats":
                     payload = _handle_stats(supervisor, boundary, journal)
                 elif op == "snapshot":
@@ -375,14 +325,10 @@ def worker_main(shard_id: int, root: str, options: WorkerOptions,
                 elif op == "telemetry":
                     if anatomy is not None:
                         anatomy.publish()
-                        anatomy.account(supervisor.indexer,
-                                        supervisor.guard)
+                        anatomy.account(supervisor.indexer)
                     payload = {"dump": registry.dump()}
-                elif op == "health":
-                    payload = {"report": supervisor.health_report()}
                 elif op == "boundary_pending":
-                    payload = {"entries": boundary.pending(),
-                               **_load_signals(supervisor)}
+                    payload = {"entries": boundary.pending()}
                 elif op == "boundary_advance":
                     boundary.advance(request[1])
                     payload = {"cursor": boundary.cursor}

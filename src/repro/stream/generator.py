@@ -227,9 +227,6 @@ class StreamGenerator:
                 rng=rng,
                 users=users,
                 url_factory=url_factory,
-                rt_prob=RT_PROB,
-                hashtag_prob=HASHTAG_PROB,
-                url_prob=URL_PROB,
             ))
             next_id += 1
         return specs
@@ -313,9 +310,7 @@ def make_event_spec(
     rng: random.Random,
     users: UserPool,
     url_factory: ShortUrlFactory,
-    rt_prob: float = 0.35,
-    hashtag_prob: float = 0.85,
-    url_prob: float = 0.30,
+    rt_prob: float = RT_PROB,
 ) -> EventSpec:
     """Build a concrete :class:`EventSpec` from a topic bank.
 
@@ -346,8 +341,8 @@ def make_event_spec(
         duration=duration_hours * _HOUR,
         volume=volume,
         rt_prob=rt_prob,
-        hashtag_prob=hashtag_prob,
-        url_prob=url_prob,
+        hashtag_prob=HASHTAG_PROB,
+        url_prob=URL_PROB,
         topic_words=tuple(rng.sample(topic_words, word_count)),
         hashtags=tuple(hashtags),
         urls=tuple(url_factory.new_pool(rng.randint(1, 4))),
@@ -543,9 +538,7 @@ class AdversarialGenerator:
             rng=rng,
             users=users,
             url_factory=url_factory,
-            rt_prob=min(0.9, RT_PROB * 2),
-            hashtag_prob=HASHTAG_PROB,
-            url_prob=URL_PROB)
+            rt_prob=min(0.9, RT_PROB * 2))
         boosted = dataclasses.replace(
             base, extra_events=base.extra_events + (huge,))
         return StreamGenerator(boosted).generate_list()

@@ -95,6 +95,25 @@ class TestRejectionContract:
                                   first], count_only=True)
         assert counted.value.settled == 1
 
+    def test_a_pooled_id_is_refused_whichever_bundle_it_lands_in(self):
+        from repro.core.validation import check_engine
+        from repro.stream.generator import StreamConfig, StreamGenerator
+
+        # Re-sent 17 and 19 would open new bundles: refusing only a
+        # member of the landing bundle pooled each of them twice.
+        messages = StreamGenerator(StreamConfig(
+            seed=7, messages_per_day=2000, days=0.1)).generate_list()[:20]
+        engine = ProvenanceIndexer()
+        engine.ingest_batch(messages)
+        stats = engine.stats.as_dict()
+        bundles = len(engine.pool)
+        for message in messages[15:20]:
+            with pytest.raises(BundleError, match="already in bundle"):
+                engine.ingest(message)
+        assert engine.stats.as_dict() == stats
+        assert len(engine.pool) == bundles
+        assert check_engine(engine) == []
+
     def test_journal_resumes_after_a_refused_record(self, tmp_path,
                                                     monkeypatch):
         from repro.storage.wal import JournaledIndexer, MessageJournal

@@ -6,8 +6,8 @@ The emitted set is the union of the family names of two registries:
   ``metrics`` / ``explain`` / ``profile`` replay through (guard,
   admission, tracer, audit, anatomy, quality), plus a stack sampler and
   one Eq. 7 search;
-* a two-worker :class:`~repro.runtime.ShardedRuntime` (guard,
-  admission, fleet tracing, profiling, anatomy) pulled through
+* a two-worker :class:`~repro.runtime.ShardedRuntime` (fleet tracing,
+  profiling, anatomy) pulled through
   :func:`~repro.runtime.merge_worker_dumps`.
 
 That set must equal the names in the tables of ``docs/observability.md``
@@ -67,11 +67,9 @@ def _lit_stack_names(root: Path) -> "set[str]":
 def _fleet_names(root: Path) -> "set[str]":
     """Families of a merged two-worker fleet with every option lit."""
     from repro.cli import _generate
-    from repro.reliability.overload import OverloadConfig
     from repro.runtime import ShardedRuntime, merge_worker_dumps
 
-    with ShardedRuntime(root / "fleet", 2, overload=OverloadConfig(),
-                        guard=True, trace_sample=0.5,
+    with ShardedRuntime(root / "fleet", 2, trace_sample=0.5,
                         trace_sink=root / "fleet_trace.jsonl",
                         profile_dir=root / "profiles",
                         anatomy=True) as runtime:

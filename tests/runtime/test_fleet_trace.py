@@ -110,9 +110,20 @@ class TestStitching:
 
     def test_traces_carry_outcome_and_shard(self, traced_fleet):
         for trace in traced_fleet.tracer.finished:
-            assert trace.outcome in ("matched", "new-bundle", "deferred")
+            assert trace.outcome in ("matched", "new-bundle")
             assert trace.tags["shard"] in (0, 1)
             assert trace.tags["msg_id"] == trace.trace_id
+
+    def test_a_refused_resend_is_traced_as_dead_lettered(self, tmp_path):
+        with ShardedRuntime(tmp_path / "fleet", 2,
+                            trace_sample=1.0) as runtime:
+            messages = stream(20)
+            runtime.ingest_batch(messages, count_only=True)
+            assert runtime.ingest_batch(messages[15:]) == []
+            resent = list(runtime.tracer.finished)[20:]
+        assert sorted(trace.trace_id for trace in resent) == list(
+            range(15, 20))
+        assert {trace.outcome for trace in resent} == {"dead-lettered"}
 
     def test_ack_wait_decomposes_into_queue_and_service(self, traced_fleet):
         stats = traced_fleet.stats

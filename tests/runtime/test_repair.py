@@ -289,7 +289,7 @@ class TestRepairPipeline:
             assert runtime.stats.boundary_hints == 0
             report = runtime.repair_pass()
             assert report == {"pending": 0, "probed": 0, "repaired": 0,
-                              "advanced": 0, "backoffs": 0}
+                              "advanced": 0}
 
 
 class TestRepairCli:

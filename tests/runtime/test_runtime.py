@@ -120,6 +120,33 @@ class TestCrashDurability:
         assert comparison.coverage == 1.0
         assert survivors == reference
 
+    def test_retried_batch_after_a_crash_is_not_double_indexed(
+            self, tmp_path):
+        # Killing shard 1 lets the retried batch reach shard 0 twice:
+        # the first attempt was sent and acknowledged there before the
+        # crash surfaced on shard 1.  Every re-sent message must be
+        # refused, never pooled a second time.
+        from repro.core.validation import check_engine
+        from repro.reliability.supervisor import ResilientIndexer
+
+        first, second = stream(160), stream(160, start=160)
+        root = tmp_path / "fleet"
+        with ShardedRuntime(root, 2) as runtime:
+            runtime.ingest_batch(first, count_only=True)
+            runtime.kill_worker(1)
+            for attempt in range(4):
+                try:
+                    runtime.ingest_batch(second, count_only=True)
+                    break
+                except WorkerCrash:
+                    continue
+            else:
+                pytest.fail("worker never came back after restart")
+            assert runtime.stats.restarts >= 1
+        for shard_root in sorted(root.glob("shard-*")):
+            with ResilientIndexer.open(shard_root) as shard:
+                assert check_engine(shard.indexer) == [], shard_root.name
+
     def test_restart_accounts_lost_inflight(self, tmp_path):
         with ShardedRuntime(tmp_path / "fleet", 2) as runtime:
             runtime.ingest_batch(stream(40), count_only=True)
@@ -167,11 +194,11 @@ class TestWorkerOptions:
         # pickles them.
         import pickle
 
-        from repro.reliability.overload import OverloadConfig
+        from repro.core.config import IndexerConfig
         from repro.runtime import WorkerOptions
 
-        options = WorkerOptions(overload=OverloadConfig(rate_limit=50.0),
-                                guard=True, trace=True,
+        options = WorkerOptions(config=IndexerConfig.partial_index(50),
+                                sync_every=8, trace=True,
                                 profile_dir="profiles", anatomy=True)
         assert pickle.loads(pickle.dumps(options)) == options
 
@@ -215,81 +242,3 @@ class TestFleetTelemetry:
         lines = table.splitlines()
         assert lines[0].split()[:2] == ["shard", "messages"]
         assert lines[-1].startswith("  all") or "all" in lines[-1]
-
-
-class TestBackpressureGate:
-    """Coordinator-side hysteresis over per-shard queue fractions."""
-
-    def test_engages_on_any_hot_shard(self):
-        from repro.reliability.overload import FleetBackpressure
-
-        gate = FleetBackpressure(high_watermark=0.8, low_watermark=0.5)
-        assert not gate.note(0, 0.2)
-        assert gate.note(1, 0.9)
-        assert gate.engaged
-        assert gate.worst == (1, 0.9)
-        # Stays engaged until *every* shard is under the low watermark.
-        assert gate.note(1, 0.6)
-        assert not gate.note(1, 0.4)
-        assert gate.engagements == 1
-
-    def test_rejects_bad_watermarks(self):
-        from repro.core.errors import ConfigurationError
-        from repro.reliability.overload import FleetBackpressure
-
-        with pytest.raises(ConfigurationError):
-            FleetBackpressure(high_watermark=0.3, low_watermark=0.6)
-
-    def test_runtime_builds_gate_from_overload_config(self, tmp_path):
-        from repro.reliability.overload import OverloadConfig
-
-        config = OverloadConfig(max_queue=64)
-        with ShardedRuntime(tmp_path / "fleet", 2,
-                            overload=config) as runtime:
-            assert runtime.gate is not None
-            assert runtime.ingest_batch(stream(20),
-                                        count_only=True) == 20
-
-
-class TestGuardedFleet:
-    """Per-worker ingest guards behind the coordinator."""
-
-    def test_guarded_fleet_folds_and_accounts(self, tmp_path):
-        # Four templates repeated by many users: every shard sees
-        # verbatim undeclared copies, so its guard must fold.  Per-user
-        # volume stays under spam_min_messages so nobody is quarantined.
-        messages = [
-            parse_message(
-                i, f"u{i % 37}", BASE_DATE + i * 2.0,
-                f"breaking report {i % 4} about the flood downtown "
-                f"tonight stay safe")
-            for i in range(160)
-        ]
-        root = tmp_path / "fleet"
-        with ShardedRuntime(root, 2, guard=True) as runtime:
-            runtime.ingest_stream(messages, batch_size=32)
-            folded = 0
-            for shard, payload in runtime.shard_stats().items():
-                g = payload["guard"]
-                # Conservation: every screened arrival has exactly one
-                # verdict (or is still buffered).
-                assert g["screened"] == (
-                    g["passed"] + g["folded"] + g["quarantined"]
-                    + g["late"] + g["buffer_depth"]), shard
-                assert g["quarantined"] == 0, shard
-                folded += g["folded"]
-            assert folded > 0
-            # Folds still count as ingested — nothing acknowledged is
-            # lost to screening.
-            assert runtime.stats_totals()["messages_ingested"] == 160
-        shard_roots = sorted(root.glob("shard-*"))
-        assert len(shard_roots) == 2
-        for shard_root in shard_roots:
-            # Custody + fold logs live in the shard root, inside the
-            # pre-ACK durability barrier.
-            assert (shard_root / "quarantine.log").exists()
-            assert (shard_root / "folds.log").exists()
-
-    def test_unguarded_fleet_reports_no_guard_block(self, fleet):
-        for payload in fleet.shard_stats().values():
-            assert "guard" not in payload

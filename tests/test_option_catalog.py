@@ -82,7 +82,6 @@ OPTIONS = (
     "repro.reliability.faults.FaultInjector",
     "repro.reliability.guard.IngestGuard",
     "repro.reliability.overload.CircuitBreaker",
-    "repro.reliability.overload.FleetBackpressure",
     "repro.reliability.overload.OverloadConfig",
     "repro.reliability.overload.OverloadController",
     "repro.reliability.supervisor.DeadLetterQueue",
@@ -173,10 +172,6 @@ EXEMPT = {
     # switch: a None/False default that turns a subsystem on.
     "repro.reliability.supervisor.ResilientIndexer.high_watermark_bytes": (
         "switch", "degraded-mode shedding; the supervisor tests set it"),
-    "repro.runtime.coordinator.ShardedRuntime.overload": (
-        "switch", "per-worker admission and the fleet gate"),
-    "repro.runtime.coordinator.ShardedRuntime.guard": (
-        "switch", "a per-worker ingest guard"),
     # engine: IndexerConfig fields every snapshot writes.
     "repro.core.config.IndexerConfig.min_match_score": ("engine", _ENGINE),
     "repro.core.config.IndexerConfig.alloc_window": ("engine", _ENGINE),
@@ -471,8 +466,14 @@ class TestOptionCatalog:
     def test_the_scan_sees_every_setter_form(self):
         # The rules pass vacuously if the scan misses the call forms
         # the catalog relies on.
-        assert "guard" in setters(       # a keyword of a forwarding open()
-            "repro.reliability.supervisor.ResilientIndexer")
+        # A keyword of a forwarding open(): no shipped call uses the
+        # form since workers stopped passing guard=, so scan a sample.
+        scan = _CallScan(None, set(catalog_classes().values()))
+        scan.scan(ast.parse(
+            "from repro.reliability.supervisor import ResilientIndexer\n"
+            "ResilientIndexer.open('root', guard=True)\n"))
+        assert [(cls.__name__, list(passed)) for cls, passed
+                in scan.calls] == [("ResilientIndexer", ["guard"])]
         config = setters("repro.core.config.IndexerConfig")
         assert "max_pool_size" in config  # cls(...) in a factory
         assert "url_weight" in config     # **overrides, a literal mapping
