@@ -252,7 +252,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(fleet_table(runtime.shard_stats()))
         print()
         registry = merge_worker_dumps(runtime.telemetry_dumps())
-        print(Dashboard(registry).frame())
+        # The frame spans the run: built at ``started``, drawn at its end.
+        ticks = iter((started, started + elapsed))
+        print(Dashboard(registry, clock=ticks.__next__).frame())
         stats = runtime.stats
         print(f"\nindexed {human_count(indexed)} of "
               f"{human_count(len(messages))} messages in {elapsed:.1f}s "

@@ -24,6 +24,13 @@ from repro.obs.audit import AllocationScore, _RawAllocation
 
 __all__ = ["Bundle", "MemoryLedger"]
 
+#: Algorithm 2 compares the new message against at most this many of the
+#: bundle's most recent indicant-sharing members.  Keeps allocation
+#: O(window) instead of O(bundle size); the paper's own bundles "no
+#: longer get updating after some time", so old members are not useful
+#: alignment targets.
+ALLOC_WINDOW = 64
+
 # Per-object overheads used by the hardware-independent memory model
 # (Fig. 11a), least-squares fitted against the measured deep-size walk
 # of repro.obs.anatomy (MemoryAccountant) on the dense and sparse
@@ -406,7 +413,7 @@ class Bundle:
         """Ascending ids of members sharing an indicant (Alg. 2 lines 1-5).
 
         Gathered through the member-level inverted maps, keeping only the
-        ``alloc_window`` most recent sharers per indicant — old members no
+        ``ALLOC_WINDOW`` most recent sharers per indicant — old members no
         longer attract alignments (the Fig. 6b observation), and the cap
         bounds insertion cost on huge bundles.
 
@@ -416,7 +423,7 @@ class Bundle:
         member is the paper's intuition for alignment.  ``strong_ids``:
         the caller's :meth:`_strong_member_ids` (not modified).
         """
-        window = self.config.alloc_window
+        window = ALLOC_WINDOW
         probes = [members for members in chain(
             map(self._tag_members.get, message.hashtags),
             map(self._keyword_members.get, keywords)) if members]
@@ -424,7 +431,7 @@ class Bundle:
                          if strong_ids is None else set(strong_ids))
         # In a monotone bundle every probe list is id-sorted, so one
         # holding a full window puts the merged window at or above its
-        # ``alloc_window``-th newest id: the other slices start there.
+        # ``ALLOC_WINDOW``-th newest id: the other slices start there.
         floor = max((members[-window] for members in probes
                      if len(members) >= window),
                     default=None) if self._monotone else None
@@ -445,10 +452,10 @@ class Bundle:
 
         A superset of the :meth:`_window_ids` that share an RT author or
         a URL with ``message``: a sharer outside its probe's window has
-        ``alloc_window`` newer sharers ahead of it in the merged cap as
+        ``ALLOC_WINDOW`` newer sharers ahead of it in the merged cap as
         well.
         """
-        window = self.config.alloc_window
+        window = ALLOC_WINDOW
         strong_ids: set[int] = set()
         for user in message.rt_users:
             strong_ids.update(self._author_members.get(user, ())[-window:])

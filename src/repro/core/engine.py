@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
+from repro.core import scoring
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.connection import Connection
@@ -57,6 +58,12 @@ __all__ = [
 #: Keep the cumulative ``(src, dst)`` edge ledger the Section VI-B
 #: evaluation reads (one set entry per message).
 TRACK_EDGES = True
+#: Cap on the candidate bundles fully scored per incoming message (the
+#: highest-postings-count candidates are kept).  Keeps Alg. 1 step 2
+#: bounded under hot hashtags.
+MAX_CANDIDATES = 64
+#: Plain-text keywords extracted per message as summary-index indicants.
+MAX_KEYWORDS = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +262,7 @@ class ProvenanceIndexer:
         self.last_candidate_fanin: tuple[int, int] = (0, 0)
         # Degradation knobs, driven by the overload ladder
         # (:mod:`repro.reliability.overload`).  ``candidate_cap`` tightens
-        # the bundle-match fan-in below ``config.max_candidates`` (REDUCED
+        # the bundle-match fan-in below ``MAX_CANDIDATES`` (REDUCED
         # mode); ``skeleton_matching`` skips keyword extraction and
         # keyword-similarity scoring entirely, matching on the exact
         # indicants only — RT ancestry, URLs, hashtags (SKELETON mode).
@@ -403,8 +410,7 @@ class ProvenanceIndexer:
             self.stats.skeleton_ingests += 1
         elif keywords is None:
             keywords = frozenset(
-                self.analyzer.keywords(message.text,
-                                       self.config.max_keywords))
+                self.analyzer.keywords(message.text, MAX_KEYWORDS))
 
         folded = bundle is not None
         created = False
@@ -526,7 +532,7 @@ class ProvenanceIndexer:
                 edge_kind=(edge.kind.value if edge is not None else None),
                 skeleton=self.skeleton_matching,
                 candidate_cap=0 if folded else self._scoring_cap(),
-                threshold=self.config.min_match_score,
+                threshold=scoring.MIN_MATCH_SCORE,
                 candidates=candidate_scores,
                 allocation=allocation_scores,
                 refinement=refinement_events)
@@ -606,7 +612,7 @@ class ProvenanceIndexer:
         count = 0
         iterator = iter(messages)
         analyze = self.analyzer.keywords
-        max_keywords = self.config.max_keywords
+        max_keywords = MAX_KEYWORDS
         while True:
             chunk = list(islice(iterator, self.BATCH_CHUNK))
             if not chunk:
@@ -663,9 +669,9 @@ class ProvenanceIndexer:
                                    self.config, collect)
 
     def _scoring_cap(self) -> int:
-        """Candidates fully scored per message: ``config.max_candidates``,
+        """Candidates fully scored per message: :data:`MAX_CANDIDATES`,
         tightened by the REDUCED rung's ``candidate_cap``."""
-        cap = self.config.max_candidates
+        cap = MAX_CANDIDATES
         return cap if self.candidate_cap is None else min(
             cap, self.candidate_cap)
 
@@ -714,7 +720,7 @@ class ProvenanceIndexer:
         indicant.
         """
         keywords = frozenset(
-            self.analyzer.keywords(message.text, self.config.max_keywords))
+            self.analyzer.keywords(message.text, MAX_KEYWORDS))
         bundle = self._select_bundle(message, keywords)
         if bundle is None:
             return None

@@ -3,8 +3,8 @@
 Fresh bundles live in the pool so message matching stays memory-speed; a
 periodic refinement scan keeps the pool bounded by
 
-1. deleting *aging tiny* bundles outright (older than ``refine_age``,
-   smaller than ``refine_tiny_size``),
+1. deleting *aging tiny* bundles outright (older than ``REFINE_AGE``,
+   smaller than ``REFINE_TINY_SIZE``),
 2. dumping *closed* bundles (bundle-size constraint) to the on-disk store,
 3. ranking the survivors by the aging score ``G(B)`` of Eq. 6 and evicting
    from the top until the pool is back under its bound (evicted medium
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
 from repro.core.bundle import Bundle, MemoryLedger
-from repro.core.config import IndexerConfig
+from repro.core.config import DAY_SECONDS, IndexerConfig
 from repro.core.errors import BundleError, BundleNotFoundError
 from repro.core.scoring import refinement_score
 from repro.core.summary_index import SummaryIndex
@@ -29,9 +29,16 @@ from repro.obs.registry import COUNT_BUCKETS, NULL_HISTOGRAM, MetricsRegistry
 
 __all__ = ["BundlePool", "RefinementReport", "BundleSink"]
 
+#: *T* of Algorithm 3: bundles whose last update is older than this
+#: (seconds) are eligible for elimination.
+REFINE_AGE = 2 * DAY_SECONDS
+#: *R* of Algorithm 3: an aging bundle strictly smaller than this is
+#: "aging tiny" and deleted directly.
+REFINE_TINY_SIZE = 3
+
 #: Bundle-age-at-eviction buckets (seconds): zero (an eviction in the
 #: same second as the bundle's last update) .. one week, bracketing the
-#: default ``refine_age`` of two days.
+#: default ``REFINE_AGE`` of two days.
 _EVICTION_AGE_BUCKETS: tuple[float, ...] = (
     0.0, 1.0, 5.0, 15.0, 30.0,
     60.0, 300.0, 900.0, 3600.0, 4 * 3600.0, 12 * 3600.0,
@@ -225,14 +232,13 @@ class BundlePool:
         eviction priority) per removed bundle — the audit layer's view
         of Algorithm 3.
         """
-        config = self.config
         report = RefinementReport(scanned=len(self._bundles))
         effective_sink: BundleSink = sink if sink is not None else _NullSink()
         waiting: list[tuple[float, int]] = []
 
         for bundle in list(self._bundles.values()):
             age = current_date - bundle.last_update
-            if age > config.refine_age and len(bundle) < config.refine_tiny_size:
+            if age > REFINE_AGE and len(bundle) < REFINE_TINY_SIZE:
                 self._collect(collect, "tiny", bundle, current_date)
                 self._observe_eviction(bundle, current_date)
                 self._remove(bundle, summary_index)

@@ -41,6 +41,21 @@ __all__ = [
     "refinement_score",
 ]
 
+#: Eq. 1's "no suitable bundle" threshold: a candidate bundle must reach
+#: this score to absorb the new message, otherwise a fresh bundle is
+#: created.  Calibrated against the default weights so that freshness
+#: plus any number of shared keywords — at most ``keyword_weight *
+#: KEYWORD_HIT_CAP + time_weight`` = 0.9 — can never merge a message,
+#: while one shared hashtag or URL on a live bundle can.
+MIN_MATCH_SCORE = 1.0
+#: Eq. 1 counts at most this many shared keywords per candidate bundle.
+#: Keywords are the weakest Table II connection; capping their aggregate
+#: contribution below ``MIN_MATCH_SCORE`` keeps them assistive-only and
+#: prevents the mega-bundle attractor (a huge bundle eventually contains
+#: every common keyword, so an uncapped count would merge arbitrary
+#: messages into it).
+KEYWORD_HIT_CAP = 2
+
 
 def url_overlap(later: Message, earlier: Message) -> float:
     """Eq. 2 — fraction of ``later``'s URLs shared with ``earlier``.
@@ -149,23 +164,22 @@ def bundle_match_scores(
     gather's per-kind rows; the time term reuses Eq. 4's inverse-span
     shape so fresher bundles win ties, which is the stated intuition
     ("under similar overlapping conditions … a fresh bundle is more
-    suitable").  The keyword count is capped at ``keyword_hit_cap`` so
-    the weakest indicant stays assistive-only (see
-    :class:`~repro.core.config.IndexerConfig`).
+    suitable").  The keyword count is capped at :data:`KEYWORD_HIT_CAP`
+    so the weakest indicant stays assistive-only.
 
     Only the ``cap`` candidates with the most postings hits compete
     (ties to the smaller bundle id); the best score wins, ties again to
-    the smaller bundle id, and a winner below ``min_match_score`` is
+    the smaller bundle id, and a winner below :data:`MIN_MATCH_SCORE` is
     ``None``.  A candidate missing from ``live`` or closed is skipped.
 
     The search is exact max-score pruning.  A score is a static
     indicant part plus the time term ``γ·T`` with ``T <= 1``, so
     ``static + time_weight (+ rt_weight)`` bounds it from above — float
     addition and multiplication are monotone — and a candidate whose
-    bound is *strictly* below ``max(best so far, min_match_score)`` can
+    bound is *strictly* below ``max(best so far, MIN_MATCH_SCORE)`` can
     neither win nor tie: it is skipped before its bundle is even looked
     up.  Per kind, the bound settles keyword-only tallies wholesale:
-    below ``min_match_score`` at ``keyword_weight * keyword_hit_cap +
+    below ``MIN_MATCH_SCORE`` at ``keyword_weight * KEYWORD_HIT_CAP +
     time_weight``, they only compete for the cap.
 
     ``collect``, when given, receives one deferred
@@ -178,10 +192,10 @@ def bundle_match_scores(
     url_weight = config.url_weight
     hashtag_weight = config.hashtag_weight
     keyword_weight = config.keyword_weight
-    keyword_hit_cap = config.keyword_hit_cap
+    keyword_hit_cap = KEYWORD_HIT_CAP
     time_weight = config.time_weight
     rt_weight = config.rt_weight
-    floor = config.min_match_score
+    floor = MIN_MATCH_SCORE
     if gather.keyword_only and (
             audited
             or keyword_weight * keyword_hit_cap + time_weight >= floor):
@@ -253,7 +267,7 @@ def bundle_match_scores(
                 floor = score
     if collect is not None and kept_positions:
         collect.append(_RawCandidates(gather, kept_positions, kept_scores))
-    if best_bundle is None or best_score < config.min_match_score:
+    if best_bundle is None or best_score < MIN_MATCH_SCORE:
         return None
     return best_bundle
 

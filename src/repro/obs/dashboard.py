@@ -93,25 +93,31 @@ class Dashboard:
         self._last_ingested = ingested
 
         report = self.health() if self.health is not None else None
-
-        rung = int(registry.value("repro_overload_rung", default=0.0))
-        rung_label = (_RUNG_NAMES[rung]
-                      if 0 <= rung < len(_RUNG_NAMES) else str(rung))
-        pressure = registry.value("repro_overload_pressure")
-        signal = f" ({report.signal})" if report is not None else ""
-
+        find = registry.find
         pool_bytes = registry.value("repro_pool_memory_bytes")
         index_bytes = registry.value("repro_index_memory_bytes")
 
+        # Rows of the overload controller's families render only where
+        # it registered them: a fleet-merged registry holds none.
         status_rows = [
             ["ingested",
              f"{human_count(ingested)} msgs   "
-             f"{rate:,.0f}/s now, {overall:,.0f}/s overall"],
-            ["ladder rung",
-             f"{rung_label}  pressure [{_bar(pressure)}] "
-             f"{pressure:.2f}{signal}"],
-            ["latency ewma",
-             _ms(registry.value("repro_latency_ewma_seconds"))],
+             f"{rate:,.0f}/s now, {overall:,.0f}/s overall"]]
+        if find("repro_overload_rung") is not None:
+            rung = int(registry.value("repro_overload_rung"))
+            rung_label = (_RUNG_NAMES[rung]
+                          if 0 <= rung < len(_RUNG_NAMES) else str(rung))
+            pressure = registry.value("repro_overload_pressure")
+            signal = f" ({report.signal})" if report is not None else ""
+            status_rows.append(
+                ["ladder rung",
+                 f"{rung_label}  pressure [{_bar(pressure)}] "
+                 f"{pressure:.2f}{signal}"])
+        if find("repro_latency_ewma_seconds") is not None:
+            status_rows.append(
+                ["latency ewma",
+                 _ms(registry.value("repro_latency_ewma_seconds"))])
+        status_rows += [
             ["pool",
              f"{human_count(registry.value('repro_pool_bundles'))} bundles, "
              f"{human_count(registry.value('repro_pool_messages'))} msgs, "
@@ -123,11 +129,14 @@ class Dashboard:
              f"{human_count(registry.value('repro_bundles_matched_total'))} "
              "matched / "
              f"{human_count(registry.value('repro_edges_created_total'))} "
-             "edges"],
-            ["admission",
-             self._admission_row()],
-            ["backlog depth",
-             human_count(registry.value("repro_backlog_depth"))],
+             "edges"]]
+        if find("repro_admission_total", {"verdict": "admitted"}) is not None:
+            status_rows.append(["admission", self._admission_row()])
+        if find("repro_backlog_depth") is not None:
+            status_rows.append(
+                ["backlog depth",
+                 human_count(registry.value("repro_backlog_depth"))])
+        status_rows += [
             ["dead letters",
              f"{human_count(registry.value('repro_dlq_depth'))} queued, "
              f"{human_count(registry.value('repro_retries_total'))} retries"],
@@ -299,7 +308,6 @@ class Dashboard:
                 human_count(value("repro_edges_created_total", labels)),
                 human_bytes(value("repro_pool_memory_bytes", labels)
                             + value("repro_index_memory_bytes", labels)),
-                human_count(value("repro_backlog_depth", labels)),
                 human_count(value("repro_dlq_depth", labels)),
                 human_count(value("repro_repair_pending_boundary",
                                   labels)),
@@ -310,7 +318,7 @@ class Dashboard:
             title += f", edge coverage {coverage:.3f}"
         return ascii_table(
             ["shard", "ingested", "bundles", "edges", "memory",
-             "backlog", "dlq", "pending"],
+             "dlq", "pending"],
             rows, title=title)
 
     def shard_ids(self) -> "list[str]":

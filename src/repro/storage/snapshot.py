@@ -6,15 +6,23 @@ simulated clock, counters and the edge ledger — into one JSON file, so a
 long replay can be paused and resumed, or an indexed stream shipped to
 another process.  The summary index is *not* stored: it is derivable, and
 rebuilding it from the pooled bundles on restore keeps the format small
-and forward-compatible.
+and forward-compatible.  Format 2 stores the
+:class:`~repro.core.config.IndexerConfig` fields as they are; format-1
+files still load when their extra calibration values match today's
+constants.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
+from repro.core import bundle as bundle_module
+from repro.core import engine as engine_module
+from repro.core import pool as pool_module
+from repro.core import scoring
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import StorageError
@@ -24,7 +32,19 @@ from repro.storage.serializer import (bundle_from_dict, iter_array_json,
 
 __all__ = ["save_snapshot", "load_snapshot", "load_snapshot_with_meta"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+#: Format 1 also wrote the calibration values that are now module
+#: constants.  Such a file loads only when each value equals its
+#: constant; one that differs is refused, never reinterpreted.
+_FORMAT_1_CONSTANTS = (
+    ("min_match_score", scoring, "MIN_MATCH_SCORE"),
+    ("alloc_window", bundle_module, "ALLOC_WINDOW"),
+    ("refine_age", pool_module, "REFINE_AGE"),
+    ("refine_tiny_size", pool_module, "REFINE_TINY_SIZE"),
+    ("max_candidates", engine_module, "MAX_CANDIDATES"),
+    ("max_keywords", engine_module, "MAX_KEYWORDS"),
+    ("keyword_hit_cap", scoring, "KEYWORD_HIT_CAP"),
+)
 _STAT_FIELDS = ("messages_ingested", "bundles_created", "bundles_matched",
                 "edges_created", "refinements", "bundles_closed")
 
@@ -42,7 +62,7 @@ def save_snapshot(indexer: ProvenanceIndexer,
     """
     state = {
         "v": _FORMAT_VERSION,
-        "config": _config_to_dict(indexer.config),
+        "config": asdict(indexer.config),
         "current_date": indexer.current_date,
         "next_bundle_id": indexer.pool._next_bundle_id,
         "edges": sorted(indexer.edge_pairs()),
@@ -80,10 +100,10 @@ def load_snapshot_with_meta(
             state = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise StorageError(f"cannot read snapshot {source}: {exc}") from exc
-    if not isinstance(state, dict) or state.get("v") != _FORMAT_VERSION:
+    if not isinstance(state, dict) or state.get("v") not in (1, _FORMAT_VERSION):
         raise StorageError(f"{source}: unsupported snapshot format")
 
-    config = _config_from_dict(state.get("config", {}))
+    config = _config_from_dict(state.get("config", {}), state["v"])
     indexer = ProvenanceIndexer(config)
     indexer.current_date = float(state.get("current_date", 0.0))
     for pair in state.get("edges", ()):
@@ -107,29 +127,17 @@ def load_snapshot_with_meta(
     return indexer, meta
 
 
-def _config_to_dict(config: IndexerConfig) -> dict[str, object]:
-    return {
-        "url_weight": config.url_weight,
-        "hashtag_weight": config.hashtag_weight,
-        "time_weight": config.time_weight,
-        "keyword_weight": config.keyword_weight,
-        "rt_weight": config.rt_weight,
-        "min_match_score": config.min_match_score,
-        "max_pool_size": config.max_pool_size,
-        "refine_trigger": config.refine_trigger,
-        "refine_age": config.refine_age,
-        "refine_tiny_size": config.refine_tiny_size,
-        "refine_target_fraction": config.refine_target_fraction,
-        "max_bundle_size": config.max_bundle_size,
-        "max_candidates": config.max_candidates,
-        "max_keywords": config.max_keywords,
-        "keyword_hit_cap": config.keyword_hit_cap,
-        "alloc_window": config.alloc_window,
-        "refine_policy": config.refine_policy,
-    }
-
-
-def _config_from_dict(record: dict[str, object]) -> IndexerConfig:
+def _config_from_dict(record: dict[str, object],
+                      version: int) -> IndexerConfig:
+    if version == 1 and isinstance(record, dict):
+        record = dict(record)
+        for name, module, constant in _FORMAT_1_CONSTANTS:
+            value = getattr(module, constant)
+            found = record.pop(name, value)
+            if found != value:
+                raise StorageError(
+                    f"snapshot config mismatch: format-1 {name}={found!r}, "
+                    f"but {constant} is {value!r}")
     try:
         return IndexerConfig(**record)  # type: ignore[arg-type]
     except TypeError as exc:

@@ -16,7 +16,10 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
+from repro.core import engine as engine_module
+from repro.core import pool as pool_module
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer, StageTimers
 from repro.core.message import parse_message
@@ -63,6 +66,8 @@ def _messages(rng: random.Random, count: int):
         yield message
 
 
+@mock.patch.object(engine_module, "MAX_CANDIDATES", 3)
+@mock.patch.object(pool_module, "REFINE_AGE", 20_000.0)
 def build() -> dict:
     rng = random.Random(24)
     registry = MetricsRegistry()
@@ -73,8 +78,7 @@ def build() -> dict:
         quality=QualityMonitor(registry, audit=audit),
         profile=StageCell(), anatomy=WorkloadAnatomy(registry, sample_every=1))
     config = IndexerConfig(max_pool_size=6, refine_trigger=3,
-                           max_bundle_size=7, max_candidates=3,
-                           refine_age=20_000.0)
+                           max_bundle_size=7)
     engine = ProvenanceIndexer(config, obs=obs)
     pool = engine.pool
     seen_bundles: "list[int]" = []

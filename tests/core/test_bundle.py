@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core import bundle as bundle_module
 from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.connection import ConnectionType
@@ -142,9 +145,9 @@ class TestStructure:
         assert bundle.get(1) == message
         assert bundle.get(2) is None
 
+    @mock.patch.object(bundle_module, "ALLOC_WINDOW", 2)
     def test_alloc_window_caps_candidates(self):
-        config = IndexerConfig(alloc_window=2)
-        bundle = Bundle(0, config)
+        bundle = Bundle(0, IndexerConfig())
         for index in range(10):
             bundle.insert(make_message(index, "#t same",
                                        user=f"u{index}", hours=index * 0.01))

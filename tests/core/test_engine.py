@@ -48,7 +48,7 @@ class TestIngestRouting:
 
     def test_weak_keyword_overlap_does_not_merge(self, indexer):
         """A single shared background word must not glue bundles
-        (the calibration behind min_match_score)."""
+        (the calibration behind MIN_MATCH_SCORE)."""
         indexer.ingest(make_message(1, "great game tonight #sports"))
         result = indexer.ingest(
             make_message(2, "dinner plans tonight", user="b", hours=0.1))
@@ -354,6 +354,7 @@ class TestMaxScorePruning:
         (1, {0: 3, 2: 3}, False),  # outranked on hits: cut
         (1, {0: 1}, True),         # nothing to cut
     ])
+    @mock.patch.object(engine_module, "MAX_CANDIDATES", 2)
     def test_keyword_only_tallies_compete_for_the_cap(
             self, strong_id, keyword_only, kept):
         from unittest import mock
@@ -362,7 +363,7 @@ class TestMaxScorePruning:
         from repro.core.summary_index import SummaryIndex
         from tests.scoring_oracle import exhaustive_scoring
 
-        indexer = ProvenanceIndexer(IndexerConfig(max_candidates=2))
+        indexer = ProvenanceIndexer(IndexerConfig())
         for msg_id in range(4):
             assert indexer.ingest(make_message(
                 msg_id, f"#t{msg_id}", user=f"u{msg_id}")).created_bundle

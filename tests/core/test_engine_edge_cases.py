@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from unittest import mock
 
 import pytest
 
+from repro.core import engine as engine_module
+from repro.core import pool as pool_module
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from tests.conftest import make_message
@@ -73,11 +75,11 @@ class TestExtremeMessages:
 
 
 class TestCandidateCap:
+    @mock.patch.object(engine_module, "MAX_CANDIDATES", 4)
     def test_max_candidates_bounds_scored_set(self):
-        """With a hot hashtag across many bundles, only max_candidates
+        """With a hot hashtag across many bundles, only MAX_CANDIDATES
         are fully scored — verified by it still matching correctly."""
-        config = IndexerConfig(max_candidates=4)
-        indexer = ProvenanceIndexer(config)
+        indexer = ProvenanceIndexer(IndexerConfig())
         # Create many disjoint bundles sharing one weak keyword.
         for index in range(20):
             indexer.ingest(make_message(index, f"#only{index} filler words",
@@ -110,10 +112,9 @@ class TestClockBehaviour:
         indexer.ingest(make_message(1, "b", user="b", hours=5))
         assert indexer.current_date == make_message(9, "x", hours=10).date
 
+    @mock.patch.object(pool_module, "REFINE_TINY_SIZE", 2)
     def test_refinement_uses_stream_clock_not_wallclock(self):
-        config = replace(IndexerConfig.partial_index(pool_size=3),
-                         refine_tiny_size=2)
-        indexer = ProvenanceIndexer(config)
+        indexer = ProvenanceIndexer(IndexerConfig.partial_index(pool_size=3))
         # all messages at nearly the same stream time: nothing is "aging",
         # so refinement must evict by rank, not by age deletion
         for index in range(10):

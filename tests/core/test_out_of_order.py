@@ -11,17 +11,17 @@ round-trips.
 
 from __future__ import annotations
 
-import dataclasses
+from unittest import mock
 
+from repro.core import pool as pool_module
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from tests.conftest import make_message
 
 
-def config(**overrides) -> IndexerConfig:
-    base = IndexerConfig.partial_index(pool_size=10)
-    return dataclasses.replace(base, **overrides) if overrides else base
+def config() -> IndexerConfig:
+    return IndexerConfig.partial_index(pool_size=10)
 
 
 class TestArrivalFloor:
@@ -65,12 +65,13 @@ class TestArrivalFloor:
 
 
 class TestEvictionOrdering:
+    @mock.patch.object(pool_module, "REFINE_AGE", 3600.0)
     def test_late_arrival_is_not_tiny_deletion_bait(self):
-        # refine_age of one hour: anything idle longer than that and
-        # smaller than refine_tiny_size dies at the next scan.  A late
+        # REFINE_AGE of one hour: anything idle longer than that and
+        # smaller than REFINE_TINY_SIZE dies at the next scan.  A late
         # message dated 99 hours back lands a *new* bundle — which must
         # still count as just-touched, not 99 hours idle.
-        engine = ProvenanceIndexer(config(refine_age=3600.0))
+        engine = ProvenanceIndexer(config())
         for i in range(3):
             engine.ingest(make_message(
                 i, f"warmup story number {i} about topic{i}",

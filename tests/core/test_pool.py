@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core import pool as pool_module
 from repro.core.bundle import Bundle
 from repro.core.config import DAY_SECONDS, IndexerConfig
 from repro.core.errors import BundleNotFoundError
@@ -73,9 +76,9 @@ class TestPoolBasics:
 
 
 class TestRefinement:
+    @mock.patch.object(pool_module, "REFINE_AGE", DAY_SECONDS)
     def test_aging_tiny_bundles_deleted(self):
-        config = IndexerConfig(max_pool_size=100, refine_age=DAY_SECONDS,
-                               refine_tiny_size=3)
+        config = IndexerConfig(max_pool_size=100)
         pool = BundlePool(config)
         tiny_old = fill_bundle(pool, 1, hours=0, tag="old")
         big_old = fill_bundle(pool, 5, hours=0, tag="big")
@@ -125,9 +128,10 @@ class TestRefinement:
         assert old_small.bundle_id not in pool
         assert new_big.bundle_id in pool
 
+    @mock.patch.object(pool_module, "REFINE_AGE", DAY_SECONDS)
+    @mock.patch.object(pool_module, "REFINE_TINY_SIZE", 5)
     def test_refine_updates_summary_index(self):
-        config = IndexerConfig(max_pool_size=100, refine_age=DAY_SECONDS,
-                               refine_tiny_size=5)
+        config = IndexerConfig(max_pool_size=100)
         pool = BundlePool(config)
         bundle = fill_bundle(pool, 2, hours=0, tag="gone")
         index = SummaryIndex()
@@ -193,13 +197,12 @@ class TestRefinementPolicies:
         assert 1 in pool
 
 
+@mock.patch.object(pool_module, "REFINE_AGE", DAY_SECONDS)
 class TestEvictionHistograms:
     def _bound_pool(self) -> BundlePool:
         from repro.obs.registry import MetricsRegistry
 
-        config = IndexerConfig(max_pool_size=4, refine_age=DAY_SECONDS,
-                               refine_tiny_size=3,
-                               refine_target_fraction=0.5)
+        config = IndexerConfig(max_pool_size=4, refine_target_fraction=0.5)
         pool = BundlePool(config)
         pool.bind_registry(MetricsRegistry())
         return pool

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core import scoring
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import ConnectionType
 from repro.core.scoring import (dominant_connection_type, hashtag_overlap,
@@ -128,10 +131,10 @@ class TestDominantConnectionType:
 
 
 class TestBundleMatchScore:
+    @mock.patch.object(scoring, "KEYWORD_HIT_CAP", 10)
     def test_counts_not_fractions(self):
         config = IndexerConfig(url_weight=1.0, hashtag_weight=0.8,
-                               keyword_weight=0.2, time_weight=0.0,
-                               keyword_hit_cap=10)
+                               keyword_weight=0.2, time_weight=0.0)
         message = make_message(1, "x")
         score = bundle_match_score(
             message, shared_urls=2, shared_hashtags=3, shared_keywords=4,
@@ -163,14 +166,14 @@ class TestBundleMatchScore:
 
     def test_single_keyword_cannot_reach_default_threshold(self):
         """The calibration fact that prevents mega-bundles: one shared
-        background keyword plus maximal freshness stays below the default
-        min_match_score."""
+        background keyword plus maximal freshness stays below
+        MIN_MATCH_SCORE."""
         config = IndexerConfig()
         message = make_message(1, "x")
         score = bundle_match_score(
             message, shared_urls=0, shared_hashtags=0, shared_keywords=1,
             rt_hit=False, bundle_last_date=message.date, config=config)
-        assert score < config.min_match_score
+        assert score < scoring.MIN_MATCH_SCORE
 
     def test_keyword_contribution_is_capped(self):
         """Many shared keywords must not beat the cap — this is what
@@ -179,13 +182,13 @@ class TestBundleMatchScore:
         message = make_message(1, "x")
         capped = bundle_match_score(
             message, shared_urls=0, shared_hashtags=0,
-            shared_keywords=config.keyword_hit_cap,
+            shared_keywords=scoring.KEYWORD_HIT_CAP,
             rt_hit=False, bundle_last_date=message.date, config=config)
         flooded = bundle_match_score(
             message, shared_urls=0, shared_hashtags=0, shared_keywords=50,
             rt_hit=False, bundle_last_date=message.date, config=config)
         assert flooded == pytest.approx(capped)
-        assert flooded < config.min_match_score
+        assert flooded < scoring.MIN_MATCH_SCORE
 
     def test_single_hashtag_on_live_bundle_reaches_threshold(self):
         config = IndexerConfig()
@@ -193,7 +196,7 @@ class TestBundleMatchScore:
         score = bundle_match_score(
             message, shared_urls=0, shared_hashtags=1, shared_keywords=0,
             rt_hit=False, bundle_last_date=message.date, config=config)
-        assert score >= config.min_match_score
+        assert score >= scoring.MIN_MATCH_SCORE
 
 
 class TestRefinementScore:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
+from repro.core import engine as engine_module
+from repro.core import scoring
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.obs import AuditLog, IngestOutcome, Observability, Tracer
@@ -63,8 +66,17 @@ class TestRTChainAcceptance:
                 assert record.edge_kind == result.edge.kind.value
             assert record.rung == 0
             assert not record.skeleton
-            assert record.candidate_cap == engine.config.max_candidates
-            assert record.threshold == engine.config.min_match_score
+            assert record.candidate_cap == engine_module.MAX_CANDIDATES
+            assert record.threshold == scoring.MIN_MATCH_SCORE
+
+    @mock.patch.object(engine_module, "MAX_CANDIDATES", 5)
+    @mock.patch.object(scoring, "MIN_MATCH_SCORE", 1.25)
+    def test_records_read_the_constants_selection_reads(self):
+        engine, audit = audited_engine()
+        for message in rt_chain():
+            engine.ingest(message)
+        assert {(record.candidate_cap, record.threshold)
+                for record in audit.tail(3)} == {(5, 1.25)}
 
     def test_algorithm_evidence_in_records(self):
         engine, audit = audited_engine()
@@ -137,7 +149,7 @@ class TestDegradedRungRecording:
         records = audit.tail(3)
         assert all(r.rung == int(HealthState.REDUCED) for r in records)
         assert all(not r.skeleton for r in records)
-        cap = min(engine.config.max_candidates, REDUCED_CANDIDATE_CAP)
+        cap = min(engine_module.MAX_CANDIDATES, REDUCED_CANDIDATE_CAP)
         assert all(r.candidate_cap == cap for r in records)
         assert rung_label(records[0].rung) == "reduced"
 

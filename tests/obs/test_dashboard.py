@@ -32,7 +32,10 @@ class TestFrame:
         assert "bundle match (Alg. 1)" in frame
         assert "whole ingest" not in frame  # no supervisor in this setup
         assert "pool" in frame
-        assert "normal" in frame  # rung gauge absent -> rung 0
+        # No overload controller registered its families: no rows.
+        for row in ("ladder rung", "latency ewma", "admission",
+                    "backlog depth"):
+            assert row not in frame
 
     def test_stage_rows_show_percentiles(self):
         engine = run_engine()
@@ -120,3 +123,25 @@ class TestAnatomyPanel:
         # Two identical shards double the aggregate weight; each term
         # must still appear exactly once in the panel.
         assert hashtag_row.count("topic0(") == 1
+
+
+class TestFleetFrame:
+    def test_renders_only_families_it_holds(self):
+        from repro.reliability.overload import OverloadController
+        from repro.runtime.telemetry import merge_worker_dumps
+
+        engine = run_engine()
+        fleet = merge_worker_dumps({0: engine.obs.registry.dump(),
+                                    1: engine.obs.registry.dump()})
+        frame = Dashboard(fleet).frame()
+        assert "fleet — 2 shards" in frame
+        for row in ("ladder rung", "latency ewma", "admission",
+                    "backlog"):
+            assert row not in frame
+        # A registry holding the controller's families shows them all.
+        controlled = run_engine()
+        OverloadController().attach(controlled)
+        frame = Dashboard(controlled.obs.registry).frame()
+        for row in ("ladder rung", "latency ewma", "admission",
+                    "backlog depth"):
+            assert row in frame

@@ -9,9 +9,16 @@ persistence layers.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import bundle as bundle_module
+from repro.core import engine as engine_module
+from repro.core import pool as pool_module
+from repro.core import scoring
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.core.message import parse_message
@@ -221,7 +228,7 @@ def scoring_messages(draw, max_size: int = 40):
     straggler) or jump around; ids
     either ascend with arrival or are shuffled; every message carries
     0-3 hashtags, URLs and RT users from tiny vocabularies, so bundles
-    grow past small ``alloc_window``s and probes overlap heavily.
+    grow past small ``ALLOC_WINDOW``s and probes overlap heavily.
     """
     count = draw(st.integers(min_value=1, max_value=max_size))
     ids = list(range(count))
@@ -259,17 +266,37 @@ TIE_WEIGHTS = st.sampled_from([0.0, 0.8])
 
 @st.composite
 def scoring_configs(draw):
+    """A config and the calibration constants to patch with it, as
+    ``{module: {name: value}}`` (see :func:`patched`)."""
     pool = draw(st.sampled_from([None, 3, 8]))
     weights = draw(st.sampled_from([WEIGHTS, TIE_WEIGHTS]))
-    return IndexerConfig(
+    config = IndexerConfig(
         url_weight=draw(weights), hashtag_weight=draw(weights),
         time_weight=draw(weights), keyword_weight=draw(weights),
         rt_weight=draw(weights),
-        min_match_score=draw(st.sampled_from([0.0, 0.4, 1.0, 1.5])),
-        alloc_window=draw(st.sampled_from([1, 4, 64])),
         max_pool_size=pool, refine_trigger=pool,
-        max_bundle_size=draw(st.sampled_from([None, 3, 6])),
-        max_candidates=draw(st.sampled_from([1, 2, 64])))
+        max_bundle_size=draw(st.sampled_from([None, 3, 6])))
+    constants = {
+        scoring: {
+            "MIN_MATCH_SCORE": draw(st.sampled_from([0.0, 0.4, 1.0, 1.5])),
+            "KEYWORD_HIT_CAP": draw(st.sampled_from([0, 1, 2, 5]))},
+        bundle_module: {"ALLOC_WINDOW": draw(st.sampled_from([1, 4, 64]))},
+        pool_module: {
+            "REFINE_AGE": draw(st.sampled_from([3600.0, 172_800.0])),
+            "REFINE_TINY_SIZE": draw(st.sampled_from([0, 3]))},
+        engine_module: {
+            "MAX_CANDIDATES": draw(st.sampled_from([1, 2, 64])),
+            "MAX_KEYWORDS": draw(st.sampled_from([1, 6]))},
+    }
+    return config, constants
+
+
+def patched(constants) -> ExitStack:
+    """``mock.patch.multiple`` each module's drawn constants."""
+    stack = ExitStack()
+    for module, values in constants.items():
+        stack.enter_context(mock.patch.multiple(module, **values))
+    return stack
 
 
 def _replay(config, candidate_cap, audited, messages, ops):
@@ -340,7 +367,7 @@ class TestPruningIsLossless:
         The oracle re-packages every gather naively, so it scores the
         slab's keyword-only tallies as full rows.  The run must land on
         both sides of the kind-level bound: configs where keyword-only
-        candidates cannot reach ``min_match_score`` (never scored
+        candidates cannot reach ``MIN_MATCH_SCORE`` (never scored
         unaudited) and configs where they can.  One pinned example on
         each side guarantees both, whatever the random draws.  The
         oracle reaches the engine through its ``bundle_match_scores``
@@ -373,20 +400,21 @@ class TestPruningIsLossless:
         @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
                st.sampled_from([None, 1, 3]), st.booleans(), scripts)
         # 0.2 * 2 + 0.0 < 1.0: keyword-only candidates are never scored.
-        @example(IndexerConfig(keyword_weight=0.2, time_weight=0.0,
-                               min_match_score=1.0),
+        @example((IndexerConfig(keyword_weight=0.2, time_weight=0.0),
+                  {scoring: {"MIN_MATCH_SCORE": 1.0, "KEYWORD_HIT_CAP": 2}}),
                  "slab", None, False, pinned)
         # 0.5 * 2 + 0.2 >= 0.4: keyword-only candidates compete.
-        @example(IndexerConfig(keyword_weight=0.5, time_weight=0.2,
-                               min_match_score=0.4),
+        @example((IndexerConfig(keyword_weight=0.5, time_weight=0.2),
+                  {scoring: {"MIN_MATCH_SCORE": 0.4, "KEYWORD_HIT_CAP": 2}}),
                  "dict", None, True, pinned)
-        def differential(config, layout, candidate_cap, audited, script):
+        def differential(drawn, layout, candidate_cap, audited, script):
+            config, constants = drawn
             messages, ops = script
-            pruned = (config.keyword_weight * config.keyword_hit_cap
-                      + config.time_weight < config.min_match_score)
-            sides["keyword_only_pruned" if pruned
-                  else "keyword_only_scored"] += 1
-            with postings_layout(layout):
+            with patched(constants), postings_layout(layout):
+                pruned = (config.keyword_weight * scoring.KEYWORD_HIT_CAP
+                          + config.time_weight < scoring.MIN_MATCH_SCORE)
+                sides["keyword_only_pruned" if pruned
+                      else "keyword_only_scored"] += 1
                 shipped = _replay(config, candidate_cap, audited, messages,
                                   ops)
                 with exhaustive_scoring():
@@ -429,22 +457,22 @@ class TestPruningIsLossless:
         def differential(weights, window, rows):
             url, hashtag, rt = weights
             config = IndexerConfig(url_weight=url, hashtag_weight=hashtag,
-                                   time_weight=0.0, rt_weight=rt,
-                                   alloc_window=window)
+                                   time_weight=0.0, rt_weight=rt)
             shipped, oracle = Bundle(0, config), Bundle(0, config)
             date = BASE_DATE
-            for msg_id, (step, user, rts, tags, urls, words) in enumerate(
-                    rows):
-                date += step
-                message = parse_message(msg_id, user, date, " ".join(
-                    ["RT @" + name + ":" for name in rts] + ["word"]
-                    + ["#" + tag for tag in tags]
-                    + ["bit.ly/" + key for key in urls]))
-                edges = [None if edge is None else
-                         (edge.dst_id, edge.kind, edge.score.hex())
-                         for edge in (Bundle.insert(shipped, message, words),
-                                      exhaustive_insert(oracle, message,
-                                                        words))]
-                assert edges[0] == edges[1], msg_id
+            with patched({bundle_module: {"ALLOC_WINDOW": window}}):
+                for msg_id, (step, user, rts, tags, urls, words) in (
+                        enumerate(rows)):
+                    date += step
+                    message = parse_message(msg_id, user, date, " ".join(
+                        ["RT @" + name + ":" for name in rts] + ["word"]
+                        + ["#" + tag for tag in tags]
+                        + ["bit.ly/" + key for key in urls]))
+                    edges = [None if edge is None else
+                             (edge.dst_id, edge.kind, edge.score.hex())
+                             for edge in (
+                                 Bundle.insert(shipped, message, words),
+                                 exhaustive_insert(oracle, message, words))]
+                    assert edges[0] == edges[1], msg_id
 
         differential()

@@ -16,7 +16,8 @@ from contextlib import contextmanager
 from typing import Iterator, Mapping
 from unittest import mock
 
-from repro.core import engine
+from repro.core import bundle as bundle_module
+from repro.core import engine, scoring
 from repro.core.bundle import Bundle
 from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import Connection
@@ -41,7 +42,7 @@ def bundle_match_score(
     """Eq. 1 — relevance of an incoming message to one candidate bundle.
 
     ``S(t, B) = α·|url(t)∩url(B)| + β·|tag(t)∩tag(B)| + γ·T(date) + …``
-    with the keyword count capped at ``keyword_hit_cap`` and the RT bonus
+    with the keyword count capped at ``KEYWORD_HIT_CAP`` and the RT bonus
     on top, as :func:`repro.core.scoring.bundle_match_scores` scores it.
     """
     span_hours = abs(message.date - bundle_last_date) / HOUR_SECONDS
@@ -49,7 +50,7 @@ def bundle_match_score(
     score = (config.url_weight * shared_urls
              + config.hashtag_weight * shared_hashtags
              + config.keyword_weight * min(shared_keywords,
-                                           config.keyword_hit_cap)
+                                           scoring.KEYWORD_HIT_CAP)
              + config.time_weight * freshness)
     if rt_hit:
         score += config.rt_weight
@@ -96,7 +97,7 @@ def select(message: Message, gather: CandidateGather, cap: int,
             best_score = score
     if collect is not None and kept_positions:
         collect.append(_RawCandidates(gather, kept_positions, kept_scores))
-    if best_bundle is None or best_score < config.min_match_score:
+    if best_bundle is None or best_score < scoring.MIN_MATCH_SCORE:
         return None
     return best_bundle
 
@@ -104,7 +105,7 @@ def select(message: Message, gather: CandidateGather, cap: int,
 def candidate_members(bundle: Bundle, message: Message,
                       keywords: "frozenset[str]") -> "list[Message]":
     """Alg. 2 lines 1-5, with the latest member found by a full scan."""
-    window = bundle.config.alloc_window
+    window = bundle_module.ALLOC_WINDOW
     candidate_ids: "set[int]" = set()
     for index, terms in ((bundle._author_members, message.rt_users),
                          (bundle._tag_members, message.hashtags),

@@ -17,7 +17,6 @@ from typing import Any
 from repro.core.bundle import Bundle
 from repro.core.engine import ProvenanceIndexer
 from repro.storage.serializer import message_to_dict
-from repro.storage.snapshot import _FORMAT_VERSION, _config_to_dict
 
 
 def bundle_record(bundle: Bundle) -> dict[str, Any]:
@@ -50,9 +49,21 @@ def bundle_json(bundle: Bundle) -> str:
 def write_snapshot(indexer: ProvenanceIndexer, path: Path, *,
                    applied_seq: "int | None" = None) -> None:
     """The snapshot file: one ``json.dump`` of the whole state."""
+    config = indexer.config
     state = {
-        "v": _FORMAT_VERSION,
-        "config": _config_to_dict(indexer.config),
+        "v": 2,
+        "config": {
+            "url_weight": config.url_weight,
+            "hashtag_weight": config.hashtag_weight,
+            "time_weight": config.time_weight,
+            "keyword_weight": config.keyword_weight,
+            "rt_weight": config.rt_weight,
+            "max_pool_size": config.max_pool_size,
+            "refine_trigger": config.refine_trigger,
+            "refine_target_fraction": config.refine_target_fraction,
+            "max_bundle_size": config.max_bundle_size,
+            "refine_policy": config.refine_policy,
+        },
         "current_date": indexer.current_date,
         "next_bundle_id": indexer.pool._next_bundle_id,
         "edges": sorted(indexer.edge_pairs()),

@@ -110,6 +110,25 @@ _PARENT_SNAPSHOT = (
     '"bundles_matched":1,"edges_created":1,"messages_ingested":2,'
     '"refinements":0},"v":1}')
 
+# The same state saved in format 2: the config block holds the
+# IndexerConfig fields only.
+_RESAVED_SNAPSHOT = (
+    '{"bundles":[{"closed":false,"edges":[{"dst":0,"kind":"rt",'
+    '"score":3.1333333333333333,"src":1}],"id":0,"keywords":{"0":["flood",'
+    '"storm","warn"],"1":["flood","storm","warn"]},'
+    '"last_update":1249086600.0,"messages":[{"date":1249084800.0,"id":0,'
+    '"rt":[],"tags":["storm"],"text":"#storm flood warning","urls":[],'
+    '"user":"alice"},{"date":1249086600.0,"id":1,"rt":["alice"],'
+    '"tags":["storm"],"text":"RT @alice: #storm flood warning","urls":[],'
+    '"user":"bob"}],"v":1}],"config":{"hashtag_weight":0.8,'
+    '"keyword_weight":0.2,"max_bundle_size":null,"max_pool_size":50,'
+    '"refine_policy":"g","refine_target_fraction":0.8,"refine_trigger":50,'
+    '"rt_weight":2.0,"time_weight":0.5,"url_weight":1.0},'
+    '"current_date":1249086600.0,"edges":[[1,0]],'
+    '"next_bundle_id":1,"stats":{"bundles_closed":0,"bundles_created":1,'
+    '"bundles_matched":1,"edges_created":1,"messages_ingested":2,'
+    '"refinements":0},"v":2}')
+
 
 class TestParentSnapshot:
     def test_snapshot_from_before_the_layout_verdict_loads(self, tmp_path):
@@ -122,7 +141,21 @@ class TestParentSnapshot:
             == {0: 2}
         resaved = tmp_path / "resaved.json"
         save_snapshot(restored, resaved)
-        assert resaved.read_text() == _PARENT_SNAPSHOT
+        assert resaved.read_text() == _RESAVED_SNAPSHOT
+        assert load_snapshot(resaved).edge_pairs() == {(1, 0)}
+
+    def test_format_1_with_another_calibration_value_is_refused(
+            self, tmp_path):
+        from repro.reliability.doctor import scan_snapshot
+
+        path = tmp_path / "parent.json"
+        path.write_text(_PARENT_SNAPSHOT.replace('"max_candidates":64',
+                                                 '"max_candidates":3'))
+        with pytest.raises(StorageError, match="max_candidates"):
+            load_snapshot(path)
+        scan = scan_snapshot(path)
+        assert not scan.ok
+        assert "max_candidates" in scan.error
 
 
 class TestErrors:

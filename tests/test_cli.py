@@ -551,6 +551,29 @@ class TestServeObservabilityFlags:
         assert args.trace_out is None
         assert args.profile_dir is None
 
+    def test_closing_frame_rate_spans_the_run(self, capsys):
+        import itertools
+        import re
+        from types import SimpleNamespace
+        from unittest import mock
+
+        import repro.cli as cli
+
+        # The run's clock: 25 s between its start and its end.
+        ticks = itertools.count(100.0, 25.0)
+        clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+        with mock.patch.object(cli, "time", clock):
+            code = main(["serve", "--once", "--messages", "300",
+                         "--workers", "2", "--seed", "7"])
+        out = capsys.readouterr().out
+        assert code == 0
+        overall = float(re.search(r"([\d,.]+)/s overall", out)
+                        .group(1).replace(",", ""))
+        indexed, elapsed = map(float, re.search(
+            r"indexed (\d+) of \d+ messages in ([\d.]+)s", out).groups())
+        assert elapsed == 25.0
+        assert 0.5 <= overall / (indexed / elapsed) <= 2.0
+
 
 class TestAnatomy:
     def test_replay_prints_fingerprint_and_capacity(self, capsys):

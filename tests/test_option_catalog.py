@@ -19,12 +19,11 @@ fields of a dataclass) has a defaulted parameter.  Three rules:
    expression; a literal or module constant equal to the default does
    not, and a catalog constructor forwarding its own parameter counts
    only if that parameter is set (or exempt) in turn.  A parameter
-   with no setter needs an :data:`EXEMPT` entry of one of four kinds:
+   with no setter needs an :data:`EXEMPT` entry of one of three kinds:
    ``seam`` (an injected object), ``deployment`` (a path, root or
-   worker count), ``switch`` (a ``None``/``False`` default that turns
-   on a subsystem a test exercises) or ``engine`` (an
-   :class:`~repro.core.config.IndexerConfig` field every snapshot
-   writes).  A value nobody sets is a module constant, not a parameter.
+   worker count) or ``switch`` (a ``None``/``False`` default that turns
+   on a subsystem a test exercises).  A value nobody sets is a module
+   constant, not a parameter.
 2. **Every EXEMPT entry names a parameter that exists.**
 
 ``python -c "from tests.test_option_catalog import option_counts;
@@ -137,10 +136,6 @@ RECORDS = (
     "repro.text.postings.Posting",
 )
 
-_ENGINE = ("every snapshot writes all IndexerConfig fields, and the "
-           "pruning proof and the goldens read them; folding needs a "
-           "versioned config block")
-
 #: ``"<class>.<parameter>": (kind, reason)`` for defaulted parameters
 #: with no setter outside tests.
 EXEMPT = {
@@ -172,17 +167,9 @@ EXEMPT = {
     # switch: a None/False default that turns a subsystem on.
     "repro.reliability.supervisor.ResilientIndexer.high_watermark_bytes": (
         "switch", "degraded-mode shedding; the supervisor tests set it"),
-    # engine: IndexerConfig fields every snapshot writes.
-    "repro.core.config.IndexerConfig.min_match_score": ("engine", _ENGINE),
-    "repro.core.config.IndexerConfig.alloc_window": ("engine", _ENGINE),
-    "repro.core.config.IndexerConfig.refine_age": ("engine", _ENGINE),
-    "repro.core.config.IndexerConfig.refine_tiny_size": ("engine", _ENGINE),
-    "repro.core.config.IndexerConfig.max_candidates": ("engine", _ENGINE),
-    "repro.core.config.IndexerConfig.max_keywords": ("engine", _ENGINE),
-    "repro.core.config.IndexerConfig.keyword_hit_cap": ("engine", _ENGINE),
 }
 
-KINDS = ("seam", "deployment", "switch", "engine")
+KINDS = ("seam", "deployment", "switch")
 
 
 @functools.lru_cache(maxsize=None)
