@@ -201,16 +201,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Spawns ``--workers`` shard processes (each a full resilient stack
     with its own WAL and bundle store under ``--root``), pipelines the
-    stream through the router, and periodically prints the fleet load
-    table.  The final frame merges every worker's metrics registry into
-    one fleet view — the same numbers ``repro top`` and the Prometheus
+    stream through the router, and periodically prints a dashboard
+    frame.  Each frame merges every worker's metrics registry into one
+    fleet view — the same numbers ``repro top`` and the Prometheus
     export would show for a single process, plus per-shard rows.
     """
     import contextlib
     import tempfile
 
+    from repro.obs import MetricsRegistry
     from repro.obs.dashboard import Dashboard
-    from repro.runtime import ShardedRuntime, fleet_table, merge_worker_dumps
+    from repro.runtime import ShardedRuntime, merge_worker_dumps
 
     messages = _load_or_generate(args)
     with contextlib.ExitStack() as stack:
@@ -227,7 +228,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             trace_sample=args.trace_sample, trace_seed=args.seed,
             trace_sink=trace_sink, profile_dir=args.profile_dir,
             anatomy=args.anatomy))
-        started = time.perf_counter()
+        # One clock for the frames and the summary: a rate spans the run.
+        dashboard = Dashboard(MetricsRegistry(), clock=time.perf_counter)
         indexed = 0
         since_repair = 0
         for offset in range(0, len(messages), args.refresh):
@@ -239,7 +241,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 runtime.repair_pass()
                 since_repair = 0
             if not args.once:
-                print(fleet_table(runtime.shard_stats()))
+                dashboard.registry = merge_worker_dumps(
+                    runtime.telemetry_dumps())
+                print(dashboard.frame())
                 print()
         # Drain whatever boundary backlog remains so the fleet converges
         # before the final report (the cooccurrence router is the only
@@ -247,14 +251,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # no-op round).
         if args.repair_interval or args.router == "cooccurrence":
             runtime.repair_until_clean()
-        elapsed = time.perf_counter() - started
         runtime.checkpoint()
-        print(fleet_table(runtime.shard_stats()))
-        print()
-        registry = merge_worker_dumps(runtime.telemetry_dumps())
-        # The frame spans the run: built at ``started``, drawn at its end.
-        ticks = iter((started, started + elapsed))
-        print(Dashboard(registry, clock=ticks.__next__).frame())
+        dashboard.registry = merge_worker_dumps(runtime.telemetry_dumps())
+        print(dashboard.frame())
+        elapsed = dashboard.elapsed
         stats = runtime.stats
         print(f"\nindexed {human_count(indexed)} of "
               f"{human_count(len(messages))} messages in {elapsed:.1f}s "
@@ -543,8 +543,7 @@ def cmd_health(args: argparse.Namespace) -> int:
     engine = supervisor.indexer
     print(f"engine: {engine.stats.messages_ingested} indexed, "
           f"{engine.stats.skeleton_ingests} in skeleton mode, "
-          f"{len(engine.edge_pairs())} edges, "
-          f"{supervisor.stats.shed_bundles} bundles shed")
+          f"{len(engine.edge_pairs())} edges")
     healthy = (report.reconciles
                and report.state in (HealthState.NORMAL,
                                     HealthState.REDUCED))

@@ -390,6 +390,8 @@ class WorkloadAnatomy:
         self.sampled = 0   # messages actually observed
         self.last_account: "dict[str, Any] | None" = None
         self._last_fingerprint: "dict[str, Any] | None" = None
+        #: ``(kind, term)`` of the gauges the last publish set.
+        self._published: "set[tuple[str, str]]" = set()
 
     # -- hot path ------------------------------------------------------
 
@@ -444,13 +446,12 @@ class WorkloadAnatomy:
                          "hot indicant terms (weight ~ caused fan-in)",
                     labels={"kind": kind, "term": term}).set(count)
                 live.add((kind, term))
-        family = registry._families.get("repro_hot_terms")
-        if family is not None:
-            for gauge in family.children.values():
-                key = (gauge.labels.get("kind", ""),
-                       gauge.labels.get("term", ""))
-                if key not in live:
-                    gauge.set(0)
+        for kind, term in self._published - live:
+            stale = registry.find("repro_hot_terms",
+                                  {"kind": kind, "term": term})
+            if stale is not None:
+                stale.set(0)
+        self._published = live
 
     def account(self, engine: "ProvenanceIndexer",
                 guard: "Any | None" = None) -> "dict[str, Any]":

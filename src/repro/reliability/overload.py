@@ -557,7 +557,6 @@ class HealthReport:
         return [
             ["health state", self.state.label],
             ["pressure", f"{self.pressure:.2f} ({self.signal})"],
-            ["latency ewma", f"{self.latency_ewma * 1000:.2f} ms"],
             ["observations", str(self.observations)],
             ["transitions", ladder],
             ["ingests by mode", modes],
@@ -572,6 +571,8 @@ class HealthReport:
              f"{self.spilled} / {self.parked} / {self.flushed}"],
             ["accounting", "reconciles" if self.reconciles
              else "DOES NOT RECONCILE"],
+            # Wall-clock, so last: two runs' tables match above it.
+            ["latency ewma", f"{self.latency_ewma * 1000:.2f} ms"],
         ]
 
 

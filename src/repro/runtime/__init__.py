@@ -13,7 +13,7 @@ from repro.runtime.coordinator import (RuntimeStats, ShardedRuntime,
 from repro.runtime.repair import (BoundaryEntry, BoundaryLog, RepairEntry,
                                   RepairJournal, RepairScan,
                                   scan_fleet_repair)
-from repro.runtime.telemetry import fleet_table, merge_worker_dumps
+from repro.runtime.telemetry import merge_worker_dumps
 from repro.runtime.worker import WorkerOptions
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "WorkerCrash",
     "WorkerOptions",
     "merge_worker_dumps",
-    "fleet_table",
     "BoundaryEntry",
     "BoundaryLog",
     "RepairEntry",

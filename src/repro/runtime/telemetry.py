@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["merge_worker_dumps", "fleet_table"]
+__all__ = ["merge_worker_dumps"]
 
 #: Gauges whose values are modes / identities, not capacities — summing
 #: them across shards is meaningless, so the aggregate series is skipped.
@@ -98,75 +98,3 @@ def _strip_mode_aggregates(dump: "Mapping[str, Any]",
             aggregable.append(family)
     return {"labeled": {"families": labeled},
             "aggregable": {"families": aggregable}}
-
-
-def _coverage_cell(messages: int, pending: int) -> str:
-    """Render live reconciled-edge coverage for the fleet table."""
-    if messages <= 0:
-        return "-"
-    return f"{(messages - pending) / messages:.3f}"
-
-
-def fleet_table(shard_stats: "Mapping[int, Mapping[str, Any]]",
-                ) -> str:
-    """Render a per-shard load table for ``repro serve`` / ``repro top``.
-
-    ``shard_stats`` is :meth:`ShardedRuntime.shard_stats` output: shard
-    index → the worker's ``stats`` payload (unified counters, supervisor
-    counters, memory snapshot, repair backlog).
-    """
-    headers = ("shard", "messages", "bundles", "edges", "dead",
-               "mem KiB", "pending", "cov")
-    rows: list[tuple[str, ...]] = []
-    totals = {"messages": 0, "bundles": 0, "edges": 0, "dead": 0,
-              "mem": 0, "pending": 0}
-    for shard in sorted(shard_stats):
-        payload = shard_stats[shard]
-        unified = payload.get("unified", {})
-        sup = payload.get("supervisor", {})
-        repair = payload.get("repair", {})
-        snapshot = payload.get("snapshot")
-        mem = 0
-        if snapshot is not None:
-            mem = int(getattr(snapshot, "pool_bytes", 0)
-                      + getattr(snapshot, "index_bytes", 0))
-        row = {
-            "messages": int(unified.get("messages_ingested", 0)),
-            "bundles": int(unified.get("bundles_created", 0)),
-            "edges": int(unified.get("edges_created", 0)),
-            "dead": int(sup.get("dead_lettered", 0)),
-            "mem": mem,
-            "pending": int(repair.get("boundary_pending", 0)),
-        }
-        for key in totals:
-            totals[key] += row[key]
-        rows.append((
-            str(shard),
-            f"{row['messages']:,}",
-            f"{row['bundles']:,}",
-            f"{row['edges']:,}",
-            f"{row['dead']:,}",
-            f"{row['mem'] // 1024:,}",
-            f"{row['pending']:,}",
-            _coverage_cell(row["messages"], row["pending"]),
-        ))
-    rows.append((
-        "all",
-        f"{totals['messages']:,}",
-        f"{totals['bundles']:,}",
-        f"{totals['edges']:,}",
-        f"{totals['dead']:,}",
-        f"{totals['mem'] // 1024:,}",
-        f"{totals['pending']:,}",
-        _coverage_cell(totals["messages"], totals["pending"]),
-    ))
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows))
-              for i in range(len(headers))]
-    lines = [
-        "  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    lines.extend("  ".join(cell.rjust(widths[i])
-                           for i, cell in enumerate(row))
-                 for row in rows)
-    return "\n".join(lines)

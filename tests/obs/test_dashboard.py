@@ -30,10 +30,11 @@ class TestFrame:
         assert "40 msgs" in frame
         assert "4/s now" in frame  # 40 msgs over the 10s window
         assert "bundle match (Alg. 1)" in frame
-        assert "whole ingest" not in frame  # no supervisor in this setup
         assert "pool" in frame
-        # No overload controller registered its families: no rows.
-        for row in ("ladder rung", "latency ewma", "admission",
+        # A bare engine registers no supervisor, journal, store or
+        # overload families, so none of their rows render.
+        for row in ("whole ingest", "dead letters", "durability",
+                    "ladder rung", "latency ewma", "admission",
                     "backlog depth"):
             assert row not in frame
 
@@ -68,12 +69,10 @@ class TestFrame:
         engine = run_engine()
         assert "traces:" not in Dashboard(engine.obs.registry).frame()
 
-    def test_empty_registry_renders_placeholder_rows(self):
+    def test_empty_registry_renders_only_the_title(self):
         from repro.obs import MetricsRegistry
 
-        frame = Dashboard(MetricsRegistry()).frame()
-        assert "0 msgs" in frame
-        assert "—" in frame  # unpopulated stage rows
+        assert Dashboard(MetricsRegistry()).frame() == "repro top — frame 1"
 
     def test_live_frame_prefixes_ansi_clear(self):
         engine = run_engine(count=5)

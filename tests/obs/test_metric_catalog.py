@@ -41,10 +41,11 @@ _LITERAL_READERS = (SRC / "obs" / "dashboard.py",
 _NAME = re.compile(r"repro_[a-z0-9_]+")
 
 
-def _lit_stack_names(root: Path) -> "set[str]":
-    """Families of the instrumented surge replay, sampled and searched."""
+def _lit_stack(root: Path):
+    """The instrumented surge replay, sampled and searched: a copy of
+    its registry and its final health report."""
     from repro.cli import _generate, _replay, _telemetry_stack
-    from repro.obs import AuditLog, StackSampler, StageCell
+    from repro.obs import AuditLog, MetricsRegistry, StackSampler, StageCell
     from repro.query.bundle_search import BundleSearchEngine
 
     args = argparse.Namespace(sample=0.5, seed=11, surge=4.0,
@@ -61,11 +62,14 @@ def _lit_stack_names(root: Path) -> "set[str]":
         engine.obs.anatomy.publish()
         engine.obs.anatomy.account(engine, supervisor.guard)
         dump = engine.obs.registry.dump()
-    return {family["name"] for family in dump["families"]}
+        report = supervisor.health_report()
+    registry = MetricsRegistry()
+    registry.merge_dump(dump, aggregate=False)
+    return registry, report
 
 
-def _fleet_names(root: Path) -> "set[str]":
-    """Families of a merged two-worker fleet with every option lit."""
+def _fleet(root: Path):
+    """The merged registry of a two-worker fleet with every option lit."""
     from repro.cli import _generate
     from repro.runtime import ShardedRuntime, merge_worker_dumps
 
@@ -75,18 +79,24 @@ def _fleet_names(root: Path) -> "set[str]":
                         anatomy=True) as runtime:
         runtime.ingest_stream(_generate(13, 300), batch_size=50)
         runtime.search("report", k=5)
-        registry = merge_worker_dumps(runtime.telemetry_dumps())
-    return {family.name for family in registry.families()}
+        return merge_worker_dumps(runtime.telemetry_dumps())
 
 
 @functools.lru_cache(maxsize=1)
-def emitted_families() -> "frozenset[str]":
-    """Every family name the lit stack and the lit fleet export."""
+def lit_registries():
+    """``(stack registry, stack health report, fleet registry)``, built
+    once per test run (the panel catalog renders the same two)."""
     with tempfile.TemporaryDirectory(prefix="repro-catalog-") as scratch:
         root = Path(scratch)
         (root / "stack").mkdir()
-        return frozenset(_lit_stack_names(root / "stack")
-                         | _fleet_names(root))
+        return (*_lit_stack(root / "stack"), _fleet(root))
+
+
+def emitted_families() -> "frozenset[str]":
+    """Every family name the lit stack and the lit fleet export."""
+    stack, _, fleet = lit_registries()
+    return frozenset(family.name for registry in (stack, fleet)
+                     for family in registry.families())
 
 
 def catalog_names() -> "set[str]":

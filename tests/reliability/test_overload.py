@@ -458,6 +458,17 @@ class TestOverloadController:
         assert rendered["health state"] == "normal"
         assert rendered["accounting"] == "reconciles"
 
+    def test_wall_clock_latency_is_the_last_row(self):
+        import dataclasses
+
+        ctl = OverloadController(clock=FakeClock())
+        ctl.attach(self.engine())
+        report = ctl.health_report()
+        slower = dataclasses.replace(report, latency_ewma=0.5)
+        assert report.rows()[:-1] == slower.rows()[:-1]
+        assert report.rows()[-1][0] == slower.rows()[-1][0] == "latency ewma"
+        assert report.rows()[-1] != slower.rows()[-1]
+
     def test_offer_does_no_per_bundle_work(self, monkeypatch):
         """Admission runs per arrival, so it must not walk the pool
         (a per-arrival memory read was 80% of a hostile stream's wall)."""

@@ -14,8 +14,7 @@ import pytest
 from repro.core.message import parse_message
 from repro.core.metrics import compare_edge_sets
 from repro.core.errors import ConfigurationError
-from repro.runtime import (ShardedRuntime, WorkerCrash, fleet_table,
-                           merge_worker_dumps)
+from repro.runtime import ShardedRuntime, WorkerCrash, merge_worker_dumps
 from tests.sharding_oracle import RoutedEngines
 
 BASE_DATE = 1_249_084_800.0
@@ -237,8 +236,15 @@ class TestFleetTelemetry:
         frame = Dashboard(registry).frame()
         assert "fleet — 2 shards" in frame
 
-    def test_fleet_table_renders_all_shards(self, fleet):
-        table = fleet_table(fleet.shard_stats())
-        lines = table.splitlines()
-        assert lines[0].split()[:2] == ["shard", "messages"]
-        assert lines[-1].startswith("  all") or "all" in lines[-1]
+    def test_fleet_panel_renders_all_shards(self, fleet):
+        from repro.obs.dashboard import Dashboard
+
+        registry = merge_worker_dumps(fleet.telemetry_dumps())
+        frame = Dashboard(registry).frame()
+        lines = frame[frame.index("fleet — 2 shards"):].splitlines()
+        assert lines[1].split()[:2] == ["shard", "ingested"]
+        rows = {line.split()[0]: line.split() for line in lines[3:5]}
+        assert sorted(rows) == ["0", "1"]
+        # Fewer than 1 000 per shard, so the cells print exact counts.
+        assert (sum(int(row[1]) for row in rows.values())
+                == registry.value("repro_messages_ingested_total"))
