@@ -616,8 +616,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     """Live terminal dashboard over an instrumented surge replay.
 
     With ``--once``, replays the whole stream and prints one final
-    frame (plus one warm-up frame internally for the rate window);
-    otherwise renders a frame every ``--refresh`` messages with ANSI
+    frame; otherwise renders a frame every ``--refresh`` messages with ANSI
     screen clearing — ``repro top`` against a fast replay behaves like
     ``top`` against a live ingest process.
     """

@@ -35,19 +35,20 @@ ALLOC_WINDOW = 64
 # (Fig. 11a), least-squares fitted against the measured deep-size walk
 # of repro.obs.anatomy (MemoryAccountant) on the dense and sparse
 # layered-benchmark streams at seeds 7 and 8, 2 048 and 10 240 messages,
-# CPython 3.11 — residuals within 1.6% (DESIGN.md §7.4) — and kept fixed
+# CPython 3.11 — residuals within 2% (DESIGN.md §7.4) — and kept fixed
 # for reproducibility.  The per-message constant covers a member's
-# resident object graph: the Message, its text header, its own copies
-# of the user, hashtag, RT-name and keyword strings, its keyword tuple,
-# its hashtag/url sets (the empty one is shared), and its slots in the
-# bundle's dicts and member lists.  A string object the summary index
-# holds as a term is charged there, once.  The per-bundle constant is
-# a bundle's empty dicts, counters and lists.  Live drift is exported
-# as ``repro_memory_drift_ratio{component="pool"}``.
-_MESSAGE_OVERHEAD_BYTES = 879
+# resident object graph: the Message, its text header, its keyword
+# strings and tuple, its slots in the bundle's dicts and member lists,
+# and its share of the hashtag set, URL set, RT chain and author name
+# it holds in common with other messages (repro.core.message's shared
+# values).  A string object the summary index holds as a term is
+# charged there, once.  The per-bundle constant is a bundle's empty
+# dicts, counters and lists.  Live drift is exported as
+# ``repro_memory_drift_ratio{component="pool"}``.
+_MESSAGE_OVERHEAD_BYTES = 483
 _EDGE_OVERHEAD_BYTES = 96
-_BUNDLE_OVERHEAD_BYTES = 862
-_COUNTER_ENTRY_BYTES = 167
+_BUNDLE_OVERHEAD_BYTES = 1123
+_COUNTER_ENTRY_BYTES = 187
 
 
 class MemoryLedger:
@@ -74,7 +75,7 @@ def _tally(counter: "Counter[str]", keys: Iterable[str]) -> int:
             counter[key] += 1
         else:
             counter[key] = 1
-            grown += _COUNTER_ENTRY_BYTES + len(key)
+            grown += _COUNTER_ENTRY_BYTES
     return grown
 
 
@@ -367,8 +368,6 @@ class Bundle:
         _post(self._keyword_members, keywords, message.msg_id)
         _post(self._author_members, (message.user,), message.msg_id)
         grown = (_MESSAGE_OVERHEAD_BYTES + len(message.text)
-                 + sum(map(len, message.hashtags))
-                 + sum(map(len, message.urls))
                  + _tally(self.hashtag_counts, message.hashtags)
                  + _tally(self.url_counts, message.urls)
                  + _tally(self.keyword_counts, keywords)

@@ -12,7 +12,9 @@ extraction used to populate the annotated-indicant fields from raw text:
 Messages are hashable value objects; the stream layer assigns monotonically
 increasing integer ids so that ``date`` ties break deterministically.
 Every message without a hashtag or URL holds the one shared
-:data:`NO_INDICANTS` set rather than a private empty set.
+:data:`NO_INDICANTS` set rather than a private empty set, and every
+other indicant value is shared with the recent messages that spelled it
+the same way (:data:`SHARED_VALUES`).
 :func:`encode_row` / :func:`decode_row` are the one on-disk spelling of a
 message, shared by the WAL, the quarantine log and the TSV dataset.
 """
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
 from repro.core.errors import MessageError
 from repro.reliability.fsio import escape_field, unescape_field
@@ -34,6 +38,7 @@ __all__ = [
     "extract_mentions",
     "strip_entities",
     "parse_message",
+    "restore_message",
     "encode_row",
     "decode_row",
 ]
@@ -54,27 +59,26 @@ _RT_RE = re.compile(r"\bRT\s+@(\w+)\b:?", re.IGNORECASE)
 #: and more than half of all hashtag and URL sets are empty.
 NO_INDICANTS: frozenset[str] = frozenset()
 
+#: Entries of each bounded cache that hands recent messages one shared
+#: value per spelling: hashtag set, URL set, RT chain and author name,
+#: on parse, restore and unpickle.  Each cache is keyed by the sequence
+#: its value is built from, so a shared set holds the same elements in
+#: the same insertion order as a fresh one and iterates identically.
+#: Bounded, because a stream of distinct names must not grow memory for
+#: good (interned strings are immortal on CPython 3.12); 64 entries keep
+#: nearly all of the sharing a 1 024-entry cache gets.
+SHARED_VALUES = 64
 
-def extract_hashtags(text: str) -> frozenset[str]:
-    """Return the lower-cased hashtag set of ``text`` (without the ``#``)."""
-    tags = _HASHTAG_RE.findall(text)
-    if not tags:
-        return NO_INDICANTS
+_shared = lru_cache(maxsize=SHARED_VALUES)
+
+
+@_shared
+def _hashtag_set(tags: tuple[str, ...]) -> frozenset[str]:
     return frozenset(tag.lower() for tag in tags)
 
 
-def extract_urls(text: str) -> frozenset[str]:
-    """Return the URL set of ``text``, normalised.
-
-    Normalisation lower-cases the host part, strips a trailing punctuation
-    character (URLs at the end of a sentence frequently absorb a ``.`` or
-    ``!``) and removes an ``http(s)://`` prefix so that ``http://bit.ly/x``
-    and ``bit.ly/x`` compare equal — shorteners are the paper's canonical
-    URL indicant (Fig. 3).
-    """
-    matches = _URL_RE.findall(text)
-    if not matches:
-        return NO_INDICANTS
+@_shared
+def _url_set(matches: tuple[str, ...]) -> frozenset[str]:
     found = set()
     for raw in matches:
         url = raw.rstrip(".,;:!?)'\"")
@@ -84,6 +88,41 @@ def extract_urls(text: str) -> frozenset[str]:
     return frozenset(found)
 
 
+@_shared
+def _rt_chain(users: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(user.lower() for user in users)
+
+
+@_shared
+def _user_name(user: str) -> str:
+    return user.lower()
+
+
+# Restore and unpickle: already-extracted values, shared the same way.
+_stored_set = _shared(frozenset)
+_stored_chain = _shared(tuple)
+_stored_name = _shared(str)
+
+
+def extract_hashtags(text: str) -> frozenset[str]:
+    """Return the lower-cased hashtag set of ``text`` (without the ``#``)."""
+    tags = _HASHTAG_RE.findall(text)
+    return _hashtag_set(tuple(tags)) if tags else NO_INDICANTS
+
+
+def extract_urls(text: str) -> frozenset[str]:
+    """Return the URL set of ``text``, normalised.
+
+    Normalisation lower-cases the host part, strips a trailing punctuation
+    character (URLs at the end of a sentence frequently absorb a ``.`` or
+    ``!``) and removes an ``http(s)://`` prefix so that ``http://bit.ly/x``
+    and ``bit.ly/x`` compare equal — shorteners are the paper's canonical
+    URL indicant (Fig. 3).  The path keeps its case.
+    """
+    matches = _URL_RE.findall(text)
+    return _url_set(tuple(matches)) if matches else NO_INDICANTS
+
+
 def extract_rt_users(text: str) -> tuple[str, ...]:
     """Return the chain of re-shared users, outermost first.
 
@@ -91,7 +130,8 @@ def extract_rt_users(text: str) -> tuple[str, ...]:
     ``("mlb", "ianmbrowne")`` — the message re-shares @MLB's re-share of
     @IanMBrowne's original post.
     """
-    return tuple(user.lower() for user in _RT_RE.findall(text))
+    users = _RT_RE.findall(text)
+    return _rt_chain(tuple(users)) if users else ()
 
 
 def extract_mentions(text: str) -> frozenset[str]:
@@ -174,6 +214,15 @@ class Message:
         """Total order used by streams: by date, then by arrival id."""
         return (self.date, self.msg_id)
 
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # Each set travels as its elements in this side's iteration
+        # order, as a frozenset's own pickle does, and is rebuilt
+        # through the shared caches: batches share values across calls.
+        return (restore_message, (
+            self.msg_id, self.user, self.date, self.text,
+            tuple(self.hashtags), tuple(self.urls), self.rt_users,
+            self.event_id, self.parent_id))
+
 
 def parse_message(
     msg_id: int,
@@ -191,12 +240,43 @@ def parse_message(
     """
     return Message(
         msg_id=msg_id,
-        user=user.lower(),
+        user=_user_name(user),
         date=float(date),
         text=text,
         hashtags=extract_hashtags(text),
         urls=extract_urls(text),
         rt_users=extract_rt_users(text),
+        event_id=event_id,
+        parent_id=parent_id,
+    )
+
+
+def restore_message(
+    msg_id: int,
+    user: str,
+    date: float,
+    text: str,
+    hashtags: Iterable[str],
+    urls: Iterable[str],
+    rt_users: Iterable[str],
+    event_id: int | None,
+    parent_id: int | None,
+) -> Message:
+    """Rebuild a :class:`Message` from its already-extracted fields.
+
+    Snapshot and store restore and unpickling use it.  Each set is built
+    from the values in the order given, and every value is shared with
+    recent restores through bounded caches like :func:`parse_message`'s.
+    """
+    tags, links, chain = tuple(hashtags), tuple(urls), tuple(rt_users)
+    return Message(
+        msg_id=msg_id,
+        user=_stored_name(user),
+        date=date,
+        text=text,
+        hashtags=_stored_set(tags) if tags else NO_INDICANTS,
+        urls=_stored_set(links) if links else NO_INDICANTS,
+        rt_users=_stored_chain(chain) if chain else (),
         event_id=event_id,
         parent_id=parent_id,
     )

@@ -11,9 +11,9 @@ power-of-two slices seeded from the measured workload anatomy
 freed extents go to per-capacity free lists so eviction churn reuses
 arena space instead of fragmenting it.
 
-Terms iterate in dict insertion order of first appearance.  The
-nested-dict layout this one is checked against lives in
-``tests/postings_oracle.py``.
+Terms iterate in dict insertion order of first appearance, which does
+not depend on the string-hash seed.  The nested-dict layout this one is
+checked against lives in ``tests/postings_oracle.py``.
 """
 
 from __future__ import annotations
@@ -257,16 +257,21 @@ class SlabPostingsStorage:
         except KeyError:
             raise IndexError_(f"unknown indicant kind {kind!r}") from None
 
+    # ``bump`` and ``drop`` visit a call's terms in sorted order: set
+    # and counter iteration order follows the per-process string-hash
+    # seed, and extents are allocated and freed in visiting order, so
+    # the arena sizes (and the memory estimate) would follow it too.
+
     def bump(self, kind: str, terms: "Iterable[str]",
              bundle_id: int) -> None:
         slab = self._slab(kind)
-        for term in terms:
+        for term in sorted(terms):
             slab.bump_one(term, bundle_id)
 
     def drop(self, kind: str, terms: "Iterable[str]",
              bundle_id: int) -> None:
         slab = self._slab(kind)
-        for term in terms:
+        for term in sorted(terms):
             slab.drop_one(term, bundle_id)
 
     def gather(self, groups: "Sequence[tuple[str, Iterable[str]]]",

@@ -18,7 +18,7 @@ from repro.core.bundle import Bundle
 from repro.core.config import IndexerConfig
 from repro.core.connection import Connection, ConnectionType
 from repro.core.errors import StorageError
-from repro.core.message import NO_INDICANTS, Message
+from repro.core.message import Message, restore_message
 
 __all__ = [
     "message_to_dict",
@@ -89,22 +89,14 @@ def message_from_dict(record: Mapping[str, Any]) -> Message:
     """Rebuild a message from :func:`message_to_dict` output.
 
     Like :func:`~repro.core.message.parse_message`, it shares the one
-    empty indicant set.
+    empty indicant set and every recently seen indicant value.
     """
     try:
-        tags = record.get("tags")
-        urls = record.get("urls")
-        return Message(
-            msg_id=int(record["id"]),
-            user=str(record["user"]),
-            date=float(record["date"]),
-            text=str(record["text"]),
-            hashtags=frozenset(tags) if tags else NO_INDICANTS,
-            urls=frozenset(urls) if urls else NO_INDICANTS,
-            rt_users=tuple(record.get("rt", ())),
-            event_id=record.get("event"),
-            parent_id=record.get("parent"),
-        )
+        return restore_message(
+            int(record["id"]), str(record["user"]), float(record["date"]),
+            str(record["text"]), record.get("tags") or (),
+            record.get("urls") or (), record.get("rt", ()),
+            record.get("event"), record.get("parent"))
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"malformed message record: {exc}") from exc
 

@@ -228,3 +228,22 @@ class TestResidentBytes:
         empties = {id(message.hashtags) for message in shipped}
         empties |= {id(message.urls) for message in shipped}
         assert len(empties) == 1
+
+    def test_separately_pickled_batches_share_values(self):
+        # pickle's memo shares objects within one batch only; the fleet
+        # ships each batch separately.
+        def batch(start: int) -> list[Message]:
+            return [make_message(index, "RT @Fan: #RedSox #MLB win "
+                                 "http://bit.ly/AbC", user="Fan")
+                    for index in range(start, start + 4)]
+
+        first, second = batch(0), batch(4)
+        shipped = [pickle.loads(pickle.dumps(first)),
+                   pickle.loads(pickle.dumps(second))]
+        assert shipped == [first, second]
+        one, other = shipped[0][0], shipped[1][-1]
+        assert one.hashtags is other.hashtags
+        assert one.urls is other.urls
+        assert one.rt_users is other.rt_users
+        assert one.user is other.user
+        assert list(one.hashtags) == list(first[0].hashtags)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,3 +324,37 @@ class TestRoundTripProperty:
             slab.add_message(bundle_id, message, keywords)
         for kind in INDICANT_KINDS:
             assert len(storage._slabs[kind].ids) == arena_sizes[kind]
+
+
+class TestHashSeedIndependence:
+    """The index estimate is a function of the stream alone: set and
+    counter iteration order follows the per-process string-hash seed,
+    and the arenas must not."""
+
+    SCRIPT = textwrap.dedent("""
+        from repro.core import IndexerConfig, ProvenanceIndexer
+        from repro.stream.generator import (AdversarialConfig,
+                                            AdversarialGenerator,
+                                            StreamConfig)
+        base = StreamConfig(seed=8, days=1024.5 / 100_000.0,
+                            messages_per_day=100_000, user_count=200,
+                            events_per_day=960.0)
+        stream = AdversarialGenerator(AdversarialConfig(
+            "near-dup-storm", base=base, seed=8)).generate_list()
+        engine = ProvenanceIndexer(IndexerConfig.bundle_limit(200, 100))
+        engine.ingest_batch(stream, count_only=True)
+        print(engine.summary_index.approximate_memory_bytes())
+    """)
+
+    def test_index_estimate_is_independent_of_the_hash_seed(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        readings = set()
+        for hash_seed in ("0", "1", "99", "4567", "11", "777"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(src))
+            done = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            readings.add(int(done.stdout))
+        assert len(readings) == 1, readings

@@ -19,13 +19,10 @@ def recompute_bundle_bytes(bundle: Bundle) -> int:
     total = _BUNDLE_OVERHEAD_BYTES
     for message in bundle._messages.values():
         total += _MESSAGE_OVERHEAD_BYTES + len(message.text)
-        total += sum(len(t) for t in message.hashtags)
-        total += sum(len(u) for u in message.urls)
     total += len(bundle._edges) * _EDGE_OVERHEAD_BYTES
     for counter in (bundle.hashtag_counts, bundle.url_counts,
                     bundle.keyword_counts, bundle.user_counts):
         total += len(counter) * _COUNTER_ENTRY_BYTES
-        total += sum(len(key) for key in counter)
     return total
 
 
