@@ -19,7 +19,8 @@ The surface (see ``docs/api.md`` for the backend-selection guide):
     just the accepted count when ``count_only=True`` (the hot path —
     no result list is accumulated).
 ``search(raw_query, k=10)``
-    Ranked Eq. 7 retrieval over the live pool.
+    Ranked Eq. 7 retrieval over the live pool: ``BundleHit`` s in
+    process, ``HitRow`` values from a fleet.
 ``snapshot()``
     Point-in-time :class:`~repro.core.engine.MemorySnapshot` accounting.
 ``stats()``
@@ -38,7 +39,7 @@ from typing import (TYPE_CHECKING, Any, Iterable, Protocol,
 if TYPE_CHECKING:
     from repro.core.engine import IngestResult, MemorySnapshot
     from repro.core.message import Message
-    from repro.query.bundle_search import BundleHit
+    from repro.query.bundle_search import BundleHit, HitRow
 
 __all__ = ["Indexer", "STATS_KEYS", "open_indexer"]
 
@@ -83,8 +84,14 @@ class Indexer(Protocol):
         """
         ...
 
-    def search(self, raw_query: str, k: int = 10) -> "list[BundleHit]":
-        """Ranked Eq. 7 retrieval; merged across shards where sharded."""
+    def search(self, raw_query: str, k: int = 10,
+               ) -> "list[BundleHit] | list[HitRow]":
+        """Ranked Eq. 7 retrieval; merged across shards where sharded.
+
+        In-process backends return lazy :class:`BundleHit` s holding the
+        live bundle; the fleet returns :class:`HitRow` values, the same
+        read surface without ``bundle``.
+        """
         ...
 
     def snapshot(self) -> "MemorySnapshot":

@@ -7,7 +7,8 @@
 """
 
 from repro.query.bundle_search import (BundleHit, BundleQuery,
-                                       BundleSearchEngine, SearchOutcome)
+                                       BundleSearchEngine, HitRow,
+                                       SearchOutcome)
 from repro.query.export import (search_results_to_json, to_dot,
                                 to_json_graph)
 from repro.query.feeds import Feed, FeedRegistry, FeedUpdate
@@ -35,6 +36,7 @@ __all__ = [
     "extract_storyline",
     "BundleQuery",
     "BundleSearchEngine",
+    "HitRow",
     "SearchOutcome",
     "depth_score",
     "diversity_score",

@@ -17,15 +17,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generic, NamedTuple, TypeVar
 
 from repro.core.bundle import Bundle
 from repro.core.engine import ProvenanceIndexer
 from repro.core.errors import QueryError
 from repro.core.message import extract_hashtags, extract_urls, strip_entities
 
-__all__ = ["BundleHit", "BundleQuery", "BundleSearchEngine",
-           "SearchOutcome"]
+__all__ = ["BundleHit", "BundleQuery", "BundleSearchEngine", "HitRow",
+           "SearchOutcome", "hit_row"]
 
 _HOUR = 3600.0
 
@@ -79,8 +79,39 @@ class BundleHit:
         return self.bundle.end_time
 
 
+class HitRow(NamedTuple):
+    """One ranked result as plain values: a fleet worker's search reply.
+
+    The read surface of :class:`BundleHit` without the live bundle — the
+    Fig. 2a columns and Eq. 7's parts — so a shard ships about 130
+    pickled bytes per hit instead of the bundle and all its members.
+    ``summary_words`` is the same ten words, as a tuple.
+    """
+
+    bundle_id: int
+    size: int
+    last_post: float
+    summary_words: tuple[str, ...]
+    score: float
+    text_score: float
+    indicant_score: float
+    freshness: float
+
+
+def hit_row(hit: BundleHit) -> HitRow:
+    """The row of ``hit``, with its summary words computed now."""
+    return HitRow(hit.bundle_id, hit.size, hit.last_post,
+                  tuple(hit.summary_words), hit.score, hit.text_score,
+                  hit.indicant_score, hit.freshness)
+
+
+#: An in-process :class:`BundleHit` (lazy, with its live bundle) or a
+#: fleet's :class:`HitRow`.
+HitT = TypeVar("HitT", BundleHit, HitRow)
+
+
 @dataclass(frozen=True, slots=True)
-class SearchOutcome:
+class SearchOutcome(Generic[HitT]):
     """A deadline-aware search result: hits plus an explicit partial flag.
 
     Under overload a query is given a time budget; when it expires the
@@ -88,7 +119,7 @@ class SearchOutcome:
     blocking the caller or silently pretending the ranking was complete.
     """
 
-    hits: "list[BundleHit]"
+    hits: "list[HitT]"
     partial: bool
     candidates_total: int
     candidates_scored: int
@@ -164,7 +195,7 @@ class BundleSearchEngine:
     def search_within(self, raw_query: str, k: int = 10, *,
                       budget_seconds: "float | None",
                       clock: Callable[[], float] = time.perf_counter,
-                      ) -> SearchOutcome:
+                      ) -> "SearchOutcome[BundleHit]":
         """Deadline-bounded Eq. 7 search.
 
         Candidates are scored in descending posting-hit order (most

@@ -39,7 +39,7 @@ from repro.core.message import Message
 from repro.core.sharding import make_router
 from repro.obs.perf import StackSampler
 from repro.obs.tracing import Trace, Tracer
-from repro.query.bundle_search import ALPHA, BETA, BundleHit, SearchOutcome
+from repro.query.bundle_search import ALPHA, BETA, HitRow, SearchOutcome
 from repro.reliability.fsio import write_atomic
 from repro.runtime.worker import WorkerOptions, worker_main
 
@@ -715,7 +715,7 @@ class ShardedRuntime:
                       alpha: float = ALPHA, beta: float = BETA,
                       budget_seconds: "float | None" = None,
                       clock: Callable[[], float] = time.perf_counter,
-                      ) -> SearchOutcome:
+                      ) -> "SearchOutcome[HitRow]":
         """Deadline-bounded scatter-gather over every shard.
 
         Each shard receives the budget *remaining* at its dispatch (the
@@ -724,6 +724,8 @@ class ShardedRuntime:
         shard reached after the budget expired is skipped and the merged
         outcome is marked partial; coverage aggregates the per-shard
         candidate accounting.  ``shards`` names each hit's owning shard.
+        Each hit is a plain :class:`HitRow`: a fleet hit has no
+        ``bundle``.
         ``alpha`` / ``beta`` are Eq. 7's weights, shipped to every
         worker with the query.
         """
@@ -744,7 +746,7 @@ class ShardedRuntime:
             self._send(worker, ("search", raw_query, k, remaining,
                                 alpha, beta))
             dispatched.append(worker)
-        tagged: list[tuple[int, BundleHit]] = []
+        tagged: list[tuple[int, HitRow]] = []
         candidates_total = 0
         candidates_scored = 0
         for worker in dispatched:
@@ -769,7 +771,7 @@ class ShardedRuntime:
             shards=tuple(shard for shard, _ in tagged[:k]),
         )
 
-    def search(self, raw_query: str, k: int = 10) -> list[BundleHit]:
+    def search(self, raw_query: str, k: int = 10) -> list[HitRow]:
         """Unbudgeted scatter-gather search (merged ranked list)."""
         return self.search_within(raw_query, k).hits
 

@@ -33,7 +33,7 @@ from repro.core.message import Message, parse_message
 from repro.obs.anatomy import WorkloadAnatomy
 from repro.obs.perf import StackSampler, StageCell
 from repro.obs.tracing import TraceContext, Tracer
-from repro.query.bundle_search import BundleSearchEngine
+from repro.query.bundle_search import BundleSearchEngine, hit_row
 from repro.reliability.fsio import commit_scope, write_atomic
 from repro.reliability.supervisor import ResilientIndexer
 from repro.runtime.repair import BoundaryLog, RepairJournal
@@ -198,13 +198,17 @@ def _handle_ingest(supervisor: ResilientIndexer, boundary: BoundaryLog,
 def _handle_search(supervisor: ResilientIndexer, raw_query: str, k: int,
                    budget_seconds: float | None, alpha: float,
                    beta: float) -> dict[str, Any]:
-    """Search this shard with the query's Eq. 7 weights."""
+    """Search this shard with the query's Eq. 7 weights.
+
+    The reply carries one :class:`~repro.query.bundle_search.HitRow` per
+    hit, never the bundle: a pickled bundle ships every pooled member.
+    """
     searcher = BundleSearchEngine(supervisor.indexer, alpha=alpha,
                                   beta=beta)
     outcome = searcher.search_within(raw_query, k,
                                      budget_seconds=budget_seconds)
     return {
-        "hits": outcome.hits,
+        "hits": [hit_row(hit) for hit in outcome.hits],
         "partial": outcome.partial,
         "candidates_total": outcome.candidates_total,
         "candidates_scored": outcome.candidates_scored,

@@ -203,12 +203,18 @@ class TestResidentBytes:
                                  user=f"User{index}")
                     for index in range(start, start + 5000)]
 
+        # The bounded caches keep their last SHARED_VALUES entries, so
+        # the base is taken with them full of a traced first batch; the
+        # second batch's names must then displace those, not add to them.
+        # An unbounded cache keeps all 5 000 of each batch's names.
         parse(0)  # warm the regex caches
         gc.collect()
         tracemalloc.start()
         try:
+            parse(10_000)
+            gc.collect()
             base = tracemalloc.get_traced_memory()[0]
-            batch = parse(10_000)
+            batch = parse(20_000)
             held = tracemalloc.get_traced_memory()[0] - base
             del batch
             gc.collect()

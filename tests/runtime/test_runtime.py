@@ -9,12 +9,17 @@ tail.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.message import parse_message
 from repro.core.metrics import compare_edge_sets
 from repro.core.errors import ConfigurationError
+from repro.query.bundle_search import ALPHA, BETA
+from repro.reliability.supervisor import ResilientIndexer
 from repro.runtime import ShardedRuntime, WorkerCrash, merge_worker_dumps
+from repro.runtime.worker import _handle_search
 from tests.sharding_oracle import RoutedEngines
 
 BASE_DATE = 1_249_084_800.0
@@ -55,12 +60,21 @@ class TestParity:
         assert fleet.stats_totals() == local.stats()
 
     def test_search_matches_inprocess(self, fleet):
+        # Every field of every shipped row equals the oracle engine's
+        # live hit, read through BundleHit's own properties.
         local = RoutedEngines(2, "hash").ingest_each(stream(240))
         outcome = fleet.search_within("#tag3 report", k=5)
-        fleet_hits = [(shard, hit.bundle_id, hit.score) for shard, hit
+        fleet_hits = [(shard, row._asdict()) for shard, row
                       in zip(outcome.shards, outcome.hits)]
-        local_hits = [(shard, hit.bundle_id, hit.score) for shard, hit
-                      in local.search_by_shard("#tag3 report", k=5)]
+        local_hits = [(shard, {
+            "bundle_id": hit.bundle_id, "size": hit.size,
+            "last_post": hit.last_post,
+            "summary_words": tuple(hit.summary_words), "score": hit.score,
+            "text_score": hit.text_score,
+            "indicant_score": hit.indicant_score,
+            "freshness": hit.freshness,
+        }) for shard, hit in local.search_by_shard("#tag3 report", k=5)]
+        assert len(fleet_hits) == 5
         assert fleet_hits == local_hits
 
     def test_snapshot_sums_fleet(self, fleet):
@@ -81,6 +95,24 @@ class TestParity:
         assert outcome.partial
         assert outcome.hits == []
         assert fleet.stats.shards_skipped_by_budget >= 2
+
+
+class TestSearchReply:
+    """A shard's search reply ships rows, not bundles."""
+
+    def test_reply_stays_small_when_a_bundle_is_huge(self, tmp_path):
+        # One retweet cascade grows a 1 200-member bundle; its hit must
+        # not drag the members through the pipe.
+        cascade = [parse_message(i, f"u{i % 40}", BASE_DATE + i,
+                                 f"RT @u{(i - 1) % 40}: #storm flood {i}")
+                   for i in range(1200)]
+        with ResilientIndexer.open(tmp_path) as stack:
+            stack.ingest_batch(cascade, count_only=True)
+            assert max(len(bundle) for bundle in stack.indexer.pool) > 1000
+            reply = _handle_search(stack, "#storm flood", 5, None,
+                                   ALPHA, BETA)
+        assert reply["hits"]
+        assert len(pickle.dumps(reply)) < 1024 * len(reply["hits"])
 
 
 class TestCrashDurability:

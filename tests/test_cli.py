@@ -227,6 +227,33 @@ class TestFleetSearch:
         for shard, bundle, _, score in flat:
             assert score == expected[shard, bundle]
 
+    def test_table_cells_match_inprocess_oracle(self, tmp_path, capsys):
+        # The fleet ships rows, not bundles: size, score, last post and
+        # summary cells must still read what the shard's live bundle
+        # says, here the routed in-process engines'.
+        import re
+
+        from repro.cli import _generate, _stamp
+        from repro.runtime import ShardedRuntime
+        from tests.sharding_oracle import RoutedEngines
+
+        root = tmp_path / "fleet"
+        messages = _generate(7, 600)
+        with ShardedRuntime(root, 2) as runtime:
+            runtime.ingest_stream(messages, batch_size=100)
+        query = "#ibm mainframe booth"
+        assert main(["search", str(root), query, "-k", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
+        cells = [re.split(r" {2,}", line.strip()) for line in lines]
+        local = RoutedEngines(2, "hash").ingest_each(messages)
+        expected = [[str(shard), str(hit.bundle_id), str(hit.size),
+                     f"{hit.score:.3f}", _stamp(hit.last_post),
+                     ", ".join(hit.summary_words[:6])]
+                    for shard, hit in local.search_by_shard(query, k=8)]
+        assert len(expected) == 8
+        assert any(int(row[2]) > 1 for row in expected)
+        assert cells == expected
+
     @pytest.mark.parametrize("flags", [[], ["--workers", "2"]])
     @pytest.mark.parametrize("exists", [False, True])
     def test_path_without_marker_creates_nothing(self, exists, flags,
