@@ -823,8 +823,3 @@ class MemorySnapshot:
     def total_bytes(self) -> int:
         """Pool plus summary-index footprint."""
         return self.pool_bytes + self.index_bytes
-
-    @property
-    def total_megabytes(self) -> float:
-        """Footprint in MB (the unit of Fig. 11a)."""
-        return self.total_bytes / (1024 * 1024)

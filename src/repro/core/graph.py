@@ -118,11 +118,6 @@ class CascadeStats:
     edge_count: int
     time_span: float
 
-    @property
-    def is_chain(self) -> bool:
-        """True when the forest is a single linear chain."""
-        return self.root_count == 1 and self.max_fanout <= 1
-
 
 def cascade_stats(bundle: Bundle) -> CascadeStats:
     """Compute depth/fan-out statistics for a bundle (Fig. 10 analysis)."""

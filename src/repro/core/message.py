@@ -201,11 +201,6 @@ class Message:
         """Whether this message re-shares a previous one (has an RT marker)."""
         return bool(self.rt_users)
 
-    @property
-    def rt_source(self) -> str | None:
-        """The user whose message is directly re-shared, or ``None``."""
-        return self.rt_users[0] if self.rt_users else None
-
     def plain_text(self) -> str:
         """Message text with URLs / RT markers / hashtag sigils removed."""
         return strip_entities(self.text)

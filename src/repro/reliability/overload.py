@@ -510,11 +510,6 @@ class GuardedSink:
         """Bundles currently held in memory awaiting a healthy disk."""
         return len(self.parked)
 
-    def parked_bytes(self) -> int:
-        """Approximate memory held by parked bundles."""
-        return sum(bundle.approximate_memory_bytes()
-                   for bundle in self.parked)
-
 
 # ---------------------------------------------------------------------------
 # The controller façade

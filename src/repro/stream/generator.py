@@ -146,10 +146,6 @@ class StreamGenerator:
     def __iter__(self) -> Iterator[Message]:
         return self.generate()
 
-    def event_specs(self) -> list[EventSpec]:
-        """The event schedule of the last/current generation run."""
-        return list(self._specs)
-
     def generate(self) -> Iterator[Message]:
         """Yield the whole stream in date order with fresh ids from 0."""
         rng = random.Random(self.config.seed)

@@ -170,10 +170,6 @@ class Vocabulary:
             themes=tuple(TOPIC_BANKS),
         )
 
-    def topic_bank(self, theme: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """``(topic words, hashtag stems)`` for one theme."""
-        return TOPIC_BANKS[theme]
-
     def background_words(self, rng: random.Random, count: int) -> list[str]:
         """Zipf-sampled filler words."""
         return self.background.sample_many(rng, count)

@@ -103,10 +103,6 @@ class SlidingWindowMonitor:
                 self._alarmed.discard(tag)
         return alarms
 
-    def message_rate(self, *, per: float = _HOUR) -> float:
-        """Messages per ``per`` seconds over the short window."""
-        return len(self._short_events) * per / self.short_window
-
     def top_hashtags(self, k: int = 10) -> list[tuple[str, int]]:
         """Most frequent hashtags in the long window."""
         return self._long_tags.most_common(k)

@@ -105,13 +105,11 @@ class TestCascadeStats:
         assert stats.max_depth == 2
         assert stats.max_fanout == 1
         assert stats.edge_count == 2
-        assert stats.is_chain
 
     def test_star_stats(self, star_bundle):
         stats = cascade_stats(star_bundle)
         assert stats.max_depth == 1
         assert stats.max_fanout == 3
-        assert not stats.is_chain
 
     def test_singleton_stats(self):
         bundle = Bundle(0)

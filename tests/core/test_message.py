@@ -135,11 +135,12 @@ class TestMessage:
         assert not make_message(2, "original post").is_retweet
 
     def test_rt_source_is_first_in_chain(self):
+        # The router keys a re-share on rt_users[0], its direct source.
         message = make_message(1, "RT @outer: RT @inner: hi")
-        assert message.rt_source == "outer"
+        assert message.rt_users == ("outer", "inner")
 
     def test_rt_source_none_for_original(self):
-        assert make_message(1, "plain").rt_source is None
+        assert make_message(1, "plain").rt_users == ()
 
     def test_plain_text(self):
         message = make_message(1, "go #redsox http://bit.ly/x RT @a: ok")

@@ -387,12 +387,6 @@ class TestGuardedSink:
         assert guarded.parked_count == 4
         assert guarded.breaker.state == CircuitBreaker.OPEN
 
-    def test_parked_bytes_is_positive_while_parked(self):
-        sink, guarded = self.build(FakeClock())
-        sink.sick = True
-        guarded.append(make_bundle(1))
-        assert guarded.parked_bytes() > 0
-
 
 # ---------------------------------------------------------------------------
 # Controller façade + engine knobs

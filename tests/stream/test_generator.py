@@ -113,15 +113,6 @@ class TestGeneratedStream:
                               user_count=50)
         assert len(list(StreamGenerator(config))) == 20
 
-    def test_event_specs_exposed_after_generation(self, stream):
-        config = StreamConfig(days=1.0, messages_per_day=1500, seed=5,
-                              user_count=300, events_per_day=6.0)
-        generator = StreamGenerator(config)
-        generator.generate_list()
-        specs = generator.event_specs()
-        assert specs
-        assert len({spec.event_id for spec in specs}) == len(specs)
-
 
 class TestMakeEventSpec:
     def _deps(self):

@@ -65,12 +65,6 @@ class TestVocabulary:
         vocabulary = Vocabulary.default()
         assert set(vocabulary.themes) == set(TOPIC_BANKS)
 
-    def test_topic_bank_lookup(self):
-        vocabulary = Vocabulary.default()
-        words, tags = vocabulary.topic_bank("tsunami")
-        assert "tsunami" in words
-        assert "tsunami" in tags
-
     def test_background_words(self):
         vocabulary = Vocabulary.default()
         words = vocabulary.background_words(random.Random(1), 5)

@@ -45,14 +45,6 @@ class TestWindowing:
         # only messages within the last 4h remain
         assert len(monitor) <= 5
 
-    def test_message_rate(self):
-        monitor = SlidingWindowMonitor(short_window=HOUR,
-                                       long_window=4 * HOUR)
-        feed(monitor, [make_message(i, "x", user=f"u{i}", hours=9 + i * 0.1)
-                       for i in range(5)])
-        # 5 messages within the last half hour < short window of 1h
-        assert monitor.message_rate(per=HOUR) == pytest.approx(5.0)
-
     def test_top_hashtags(self):
         monitor = SlidingWindowMonitor()
         feed(monitor, [make_message(i, "#hot topic", user=f"u{i}",
