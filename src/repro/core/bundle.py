@@ -334,8 +334,8 @@ class Bundle:
                 # winner's score is the captured one, so the recorded
                 # chosen parent is bit-identical to the created edge.
                 collect.append(_RawAllocation(
-                    message, tuple(map(members.__getitem__, window)), best,
-                    best_key[0], self.config, self.AUDIT_TOP_K))
+                    message, window, members, best, best_key[0],
+                    self.config, self.AUDIT_TOP_K))
             kind = dominant_connection_type(message, best)
             edge = Connection(message.msg_id, best.msg_id, kind, best_key[0])
 

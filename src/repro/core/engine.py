@@ -273,8 +273,6 @@ class ProvenanceIndexer:
         #: audit record carries the mode it was decided under.
         self.current_rung: int = 0
         self._searcher: "BundleSearchEngine | None" = None
-        if self.obs.audit is not None:
-            self.obs.audit.bind(self.pool)
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -343,8 +341,7 @@ class ProvenanceIndexer:
         audit = self.obs.audit
         if audit is not None:
             registry.counter("repro_audit_dropped_total",
-                             help="Audit records evicted from the ring "
-                                  "(non-resident only)",
+                             help="Audit records evicted from the ring",
                              callback=lambda: audit.dropped)
 
     # ------------------------------------------------------------------
@@ -528,11 +525,12 @@ class ProvenanceIndexer:
                 outcome=outcome,
                 rung=self.current_rung,
                 bundle_id=bundle.bundle_id,
-                parent_id=(edge.as_pair()[1] if edge is not None else None),
+                parent_id=(edge.dst_id if edge is not None else None),
                 edge_kind=(edge.kind.value if edge is not None else None),
                 skeleton=self.skeleton_matching,
                 candidate_cap=0 if folded else self._scoring_cap(),
                 threshold=scoring.MIN_MATCH_SCORE,
+                fetched=self.last_candidate_fanin[0],
                 candidates=candidate_scores,
                 allocation=allocation_scores,
                 refinement=refinement_events)
@@ -653,9 +651,8 @@ class ProvenanceIndexer:
         best of the capped candidates.
 
         ``collect``, when given, receives the Eq. 1 evidence the audit
-        layer records: one deferred
-        :class:`~repro.obs.audit._RawCandidates` capture, which
-        ``DecisionRecord.materialize`` turns into
+        layer records: one flat row per candidate the pruned argmax
+        looked up, which ``DecisionRecord.materialize`` turns into
         :class:`~repro.obs.audit.CandidateScore` rows on first read.
         """
         gather = self.summary_index.gather_candidates(message, keywords)

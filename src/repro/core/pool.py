@@ -296,7 +296,7 @@ class BundlePool:
         it by *bytes* under memory pressure, evicting in the same Eq. 6
         ``G(B)`` priority order (highest eviction score first).  Every
         shed bundle is closed and handed to ``sink`` so no discovered
-        provenance is lost — only memory residency.
+        provenance is lost — only its place in memory.
 
         Returns ``(bundles_shed, bytes_shed)``.
         """

@@ -25,7 +25,6 @@ from repro.core.config import HOUR_SECONDS, IndexerConfig
 from repro.core.connection import ConnectionType
 from repro.core.message import Message
 from repro.core.postings import CandidateGather
-from repro.obs.audit import _RawCandidates
 
 if TYPE_CHECKING:
     from repro.core.bundle import Bundle
@@ -182,13 +181,16 @@ def bundle_match_scores(
     below ``MIN_MATCH_SCORE`` at ``keyword_weight * KEYWORD_HIT_CAP +
     time_weight``, they only compete for the cap.
 
-    ``collect``, when given, receives one deferred
-    :class:`~repro.obs.audit._RawCandidates` capture holding every
-    capped candidate's score in capped order, so audited calls package
-    and score them all.
+    Candidates are visited in ascending bundle id, whichever way the
+    cap was cut, so the looked-up set does not depend on how the gather
+    was packaged.
+
+    ``collect``, when given, receives one ``(bundle_id, urls, tags,
+    keywords, rt_hit, score)`` row per candidate the loop looked up and
+    scored — the same loop, so recording a decision changes neither
+    the decision nor its cost beyond the capture.
     """
     fetched = len(gather)
-    audited = collect is not None
     url_weight = config.url_weight
     hashtag_weight = config.hashtag_weight
     keyword_weight = config.keyword_weight
@@ -197,15 +199,14 @@ def bundle_match_scores(
     rt_weight = config.rt_weight
     floor = MIN_MATCH_SCORE
     if gather.keyword_only and (
-            audited
-            or keyword_weight * keyword_hit_cap + time_weight >= floor):
+            keyword_weight * keyword_hit_cap + time_weight >= floor):
         gather = gather.packaged()
     ids = gather.ids
     hits = gather.hits
     weak = gather.keyword_only
-    # With nothing to cut, the cap sort is skipped: the argmax does
-    # not depend on the visiting order (ties go to the smaller
-    # bundle id) — only the audit rows do.
+    # Positions ascend with bundle id.  The argmax does not depend on
+    # the visiting order (ties go to the smaller bundle id), but which
+    # candidates the bound skips does, so every branch keeps id order.
     order: "Sequence[int]" = range(len(ids))
     if weak and fetched > cap and ids:
         # Keep the packaged rows ranking in the top ``cap`` by (hits
@@ -219,16 +220,15 @@ def bundle_match_scores(
         ))[cap - 1 - ranked.index(edge)]
         order = [p for p in order if hits[p] > edge
                  or (hits[p] == edge and ids[p] <= last)]
-    elif fetched > cap or audited:
-        # The gather's ids ascend, so a stable descending sort on
-        # hit count breaks count ties on the smaller bundle id.
-        order = sorted(order, key=hits.__getitem__, reverse=True)[:cap]
+    elif fetched > cap:
+        # A stable descending sort on hit count breaks count ties on
+        # the smaller bundle id; the kept positions go back to id order.
+        order = sorted(sorted(order, key=hits.__getitem__,
+                              reverse=True)[:cap])
     tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
     date = message.date
     best_bundle: "Bundle | None" = None
     best_score = float("-inf")
-    kept_positions: "list[int]" = []
-    kept_scores: "list[float]" = []
     for position in order:
         shared_keywords = kw_hits[position]
         if shared_keywords > keyword_hit_cap:
@@ -237,12 +237,11 @@ def bundle_match_scores(
                   + hashtag_weight * tag_hits[position]
                   + keyword_weight * shared_keywords)
         rt_hit = user_hits[position] > 0
-        if not audited:
-            bound = static + time_weight
-            if rt_hit:
-                bound += rt_weight
-            if bound < floor:
-                continue
+        bound = static + time_weight
+        if rt_hit:
+            bound += rt_weight
+        if bound < floor:
+            continue
         bundle = live.get(ids[position])
         if bundle is None or bundle.closed:
             continue
@@ -251,13 +250,12 @@ def bundle_match_scores(
         score = static + time_weight * freshness
         if rt_hit:
             score += rt_weight
-        if audited:
-            # Deferred capture: the per-kind counts already live in the
-            # gather, so the loop saves only the position and the
-            # compared score; _RawCandidates.rows rebuilds the evidence
-            # when the record is read.
-            kept_positions.append(position)
-            kept_scores.append(score)
+        if collect is not None:
+            # Flat scalars: the cyclic GC untracks a tuple of them, and
+            # the record keeps no reference to the gather alive.
+            collect.append((bundle.bundle_id, url_hits[position],
+                            tag_hits[position], kw_hits[position],
+                            rt_hit, score))
         if score > best_score or (
                 score == best_score and best_bundle is not None
                 and bundle.bundle_id < best_bundle.bundle_id):
@@ -265,8 +263,6 @@ def bundle_match_scores(
             best_score = score
             if score > floor:
                 floor = score
-    if collect is not None and kept_positions:
-        collect.append(_RawCandidates(gather, kept_positions, kept_scores))
     if best_bundle is None or best_score < MIN_MATCH_SCORE:
         return None
     return best_bundle

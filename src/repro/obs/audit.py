@@ -12,10 +12,11 @@ what happened to that bundle afterwards?  :class:`AuditLog` keeps one
 * Algorithm 3 refinement / eviction events with their ``G(B)`` values,
 * shed / deferred outcomes with the admission-ladder rung attached —
 
-in a bounded in-memory ring, plus an optional JSONL sink.  Eviction
-from the ring is *residency-protected*: the record of a message whose
-bundle is still pooled is never the one evicted, so ``repro explain``
-always works for anything the engine can still touch.
+in a first-in first-out ring of at most ``capacity`` records, plus an
+optional JSONL sink.  A record is what the shipped selection did: the
+Eq. 1 rows are the candidates the pruned argmax looked up and scored,
+and ``fetched`` says how many the gather returned, so the rest are
+exactly the ones the max-score bound settled without a lookup.
 
 The contract mirrors the metrics registry: an engine without an audit
 log pays a single ``is None`` check per ingest, and the JSONL output is
@@ -28,14 +29,13 @@ from __future__ import annotations
 import enum
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, NamedTuple
+from typing import IO, NamedTuple
 
 from repro.obs.exporters import read_jsonl
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pool import BundlePool
 
 __all__ = [
     "IngestOutcome",
@@ -83,10 +83,9 @@ class IngestOutcome(str, enum.Enum):
 class CandidateScore(NamedTuple):
     """One Algorithm 1 candidate bundle with its Eq. 1 inputs.
 
-    A ``NamedTuple`` (not a dataclass) on purpose: the engine creates
-    one per fully-scored candidate on the ingest hot path, and tuple
-    construction is what keeps the audit-enabled overhead budget.
-    The winner is flagged post-selection via ``_replace``.
+    Built when a record is read, from the flat tuple the Eq. 1 argmax
+    captured for a candidate it looked up (the same fields in the same
+    order, plus ``selected``, which flags the bundle the ingest joined).
     """
 
     bundle_id: int
@@ -165,17 +164,21 @@ class AllocationScore(NamedTuple):
 class _RawAllocation(NamedTuple):
     """Deferred Algorithm 2 capture: the ingredients, not the rows.
 
-    ``Bundle.insert`` appends exactly one of these per audited insert —
-    a handful of references, nothing per-member — and
+    ``Bundle.insert`` appends exactly one of these per recorded insert
+    — a handful of references, nothing per-member — and
     :meth:`materialize` rebuilds the Eq. 2–5 breakdown only when the
-    record is actually read.  ``message_similarity`` and
+    record is actually read.  A bundle only ever gains members, so the
+    window's ids still name the same messages in ``members`` then; the
+    records of one bundle share its member map instead of each holding
+    a copy of its window.  ``message_similarity`` and
     ``similarity_components`` are pure, so re-deriving the alternatives
     later is bit-identical to what the selection loop compared; the
     chosen parent's score is the captured one, never recomputed.
     """
 
     message: object          # the inserted Message
-    candidates: tuple        # candidate member Messages, loop order
+    window: list             # candidate member ids, ascending
+    members: dict            # the bundle's msg_id -> Message map
     chosen: object           # the winning member Message (or None)
     chosen_score: float
     config: object           # the bundle's IndexerConfig (weights)
@@ -186,7 +189,7 @@ class _RawAllocation(NamedTuple):
         from repro.core.scoring import (message_similarity,
                                         similarity_components)
         decorated = []
-        for prior in self.candidates:
+        for prior in map(self.members.__getitem__, self.window):
             score = (self.chosen_score if prior is self.chosen
                      else message_similarity(self.message, prior,
                                              self.config))
@@ -205,33 +208,6 @@ class _RawAllocation(NamedTuple):
                 prior.msg_id, url, hashtag, time_c, rt_hit,
                 -neg_score, prior is self.chosen))
         return rows
-
-
-class _RawCandidates(NamedTuple):
-    """Deferred Algorithm 1 capture: the gather, not the rows.
-
-    The Eq. 1 argmax appends exactly one of these per audited ingest —
-    the per-kind hit matrix already sits in the message's
-    ``CandidateGather``, so all the loop saves per candidate is its
-    gather position and the Eq. 1 score it compared.  :meth:`rows`
-    builds the :class:`CandidateScore` rows; the scores are the
-    captured ones, never recomputed, so the rows are bit-identical to
-    what the loop ranked.
-    """
-
-    gather: object           # the message's CandidateGather
-    positions: list          # kept gather positions, capped scoring order
-    scores: list             # Eq. 1 score per kept position
-
-    def rows(self, winner: "int | None") -> "list[CandidateScore]":
-        """One row per kept candidate; ``winner``'s is selected."""
-        ids = self.gather.ids
-        tag_hits, url_hits, kw_hits, user_hits = self.gather.kind_hits
-        return [CandidateScore(ids[position], url_hits[position],
-                               tag_hits[position], kw_hits[position],
-                               user_hits[position] > 0, score,
-                               ids[position] == winner)
-                for position, score in zip(self.positions, self.scores)]
 
 
 @dataclass(slots=True)
@@ -286,6 +262,9 @@ class DecisionRecord:
     skeleton: bool = False
     candidate_cap: "int | None" = None
     threshold: "float | None" = None
+    #: Candidate bundles Alg. 1's gather returned; ``candidates`` holds
+    #: the ones the pruned argmax looked up and scored.
+    fetched: int = 0
     candidates: "list[CandidateScore]" = field(default_factory=list)
     allocation: "list[AllocationScore]" = field(default_factory=list)
     refinement: "list[RefinementEvent]" = field(default_factory=list)
@@ -300,18 +279,21 @@ class DecisionRecord:
     def materialize(self) -> "DecisionRecord":
         """Turn lazily-captured score rows into their final form.
 
-        The ingest hot path stores one :class:`_RawCandidates` (Alg. 1)
-        plus one :class:`_RawAllocation` (Alg. 2); every read path goes
-        through here first.  Idempotent — already-materialized records
-        pass through untouched.
+        The ingest hot path stores one flat ``(bundle_id, urls, tags,
+        keywords, rt_hit, score)`` tuple per candidate the Eq. 1 argmax
+        looked up (Alg. 1) plus one :class:`_RawAllocation` (Alg. 2);
+        every read path goes through here first.  Idempotent —
+        already-materialized records pass through untouched.
         """
         candidates = self.candidates
-        if candidates and isinstance(candidates[0], _RawCandidates):
-            # The selected row is the one the ingest landed in (a
-            # refused or fresh-bundle record selects none).
-            self.candidates = candidates[0].rows(
-                self.bundle_id
-                if self.outcome is IngestOutcome.MATCHED else None)
+        if candidates and not isinstance(candidates[0], CandidateScore):
+            # Rows go in ascending bundle id, whatever order the loop
+            # visited them in.  The selected row is the one the ingest
+            # landed in (a fresh-bundle record selects none).
+            winner = (self.bundle_id
+                      if self.outcome is IngestOutcome.MATCHED else None)
+            self.candidates = [CandidateScore(*row, row[0] == winner)
+                               for row in sorted(candidates)]
         allocation = self.allocation
         if allocation and isinstance(allocation[0], _RawAllocation):
             self.allocation = allocation[0].materialize()
@@ -331,6 +313,7 @@ class DecisionRecord:
             "skeleton": self.skeleton,
             "candidate_cap": self.candidate_cap,
             "threshold": self.threshold,
+            "fetched": self.fetched,
             "candidates": [c.to_dict() for c in self.candidates],
             "allocation": [a.to_dict() for a in self.allocation],
             "refinement": [r.to_dict() for r in self.refinement],
@@ -356,6 +339,7 @@ class DecisionRecord:
                            else None),
             threshold=(float(data["threshold"])
                        if data.get("threshold") is not None else None),
+            fetched=int(data.get("fetched", 0)),
             candidates=[CandidateScore.from_dict(c)
                         for c in data.get("candidates", ())],
             allocation=[AllocationScore.from_dict(a)
@@ -415,9 +399,26 @@ class Explanation:
                   f"{c.score:.4f}", "*" if c.selected else ""]
                  for c in record.candidates],
                 title="Algorithm 1 - candidate bundles (Eq. 1)"))
+        if record.outcome is IngestOutcome.FOLDED:
+            lines.append("Algorithm 1 - skipped: the ingest guard folded "
+                         "this near-duplicate into its original's bundle")
+        elif record.fetched:
+            scored = len(record.candidates)
+            line = (f"Algorithm 1 - {scored} of {record.fetched} fetched "
+                    "candidates scored")
+            if scored < record.fetched:
+                capped = (record.candidate_cap is not None
+                          and record.fetched > record.candidate_cap)
+                line += ("; the rest "
+                         + ("fell past the candidate cap, " if capped
+                            else "")
+                         + "were closed or could not reach "
+                           "max(best, threshold)")
+            lines.append(line)
         else:
-            lines.append("Algorithm 1 - no candidate bundle scored; "
-                         f"opened fresh bundle {record.bundle_id}")
+            lines.append("Algorithm 1 - no candidate bundle fetched")
+        if record.outcome is IngestOutcome.NEW_BUNDLE:
+            lines.append(f"opened fresh bundle {record.bundle_id}")
         lines.append("")
         if record.allocation:
             lines.append(ascii_table(
@@ -459,15 +460,15 @@ FLUSH_EVERY = 64
 
 
 class AuditLog:
-    """Bounded, residency-protected ring of ingest decision records.
+    """First-in first-out ring of ingest decision records.
 
     Parameters
     ----------
     capacity:
-        Ring bound.  When full, the *oldest record whose message is no
-        longer pool-resident* is evicted; if every ringed record is
-        still resident the ring grows past the bound rather than lose
-        an explainable decision (``dropped`` counts real losses only).
+        Ring bound.  When full, the oldest record is evicted (counted in
+        ``dropped``), and the eviction history that only it could still
+        explain goes with it, so memory stays proportional to
+        ``capacity``.
     sink:
         Optional JSONL path.  Records are buffered and appended in
         batches of :data:`FLUSH_EVERY` (the supervisor also flushes through
@@ -483,22 +484,13 @@ class AuditLog:
         self.capacity = capacity
         self.sink = Path(sink) if sink is not None else None
         self.recorded = 0
-        self.refusals = 0
         self.dropped = 0  # records evicted from the ring
-        self.alerts: "list[dict]" = []
-        self._ring: "list[DecisionRecord]" = []
+        self._ring: "deque[DecisionRecord]" = deque()
         self._index: "dict[int, DecisionRecord]" = {}
-        self._evictions: "list[tuple[int, RefinementEvent]]" = []
+        self._evictions: "deque[tuple[int, RefinementEvent]]" = deque()
         self._seq = 0
         self._buffer: "list[str]" = []
         self._handle: "IO[str] | None" = None
-        self._pool: "BundlePool | None" = None
-
-    # -- wiring -------------------------------------------------------------
-
-    def bind(self, pool: "BundlePool") -> None:
-        """Attach the pool consulted by residency-protected eviction."""
-        self._pool = pool
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -518,6 +510,7 @@ class AuditLog:
                         skeleton: bool = False,
                         candidate_cap: "int | None" = None,
                         threshold: "float | None" = None,
+                        fetched: int = 0,
                         candidates: "list[CandidateScore] | None" = None,
                         allocation: "list[AllocationScore] | None" = None,
                         refinement: "list[RefinementEvent] | None" = None,
@@ -525,6 +518,7 @@ class AuditLog:
         """Record one placement (or refusal) decision."""
         deferred_first = False
         late_arrival = False
+        ring = self._ring
         prior = self._index.get(msg_id)
         if prior is not None and not prior.placed:
             if prior.outcome is IngestOutcome.DEFERRED:
@@ -537,32 +531,38 @@ class AuditLog:
                 # placement the same way.
                 late_arrival = True
             if deferred_first or late_arrival:
-                try:
-                    self._ring.remove(prior)
-                except ValueError:  # already evicted from the ring
-                    pass
-        # Score lists are stored as tuples: tuples of immutables get
-        # untracked by the cyclic GC, which matters when thousands of
-        # records sit in the ring across collector generations.
+                ring.remove(prior)  # indexed, so still ringed
+        seq = self._next_seq()
+        # Built positionally, in field order: matching sixteen keywords
+        # costs three times the construction itself.  Score lists are
+        # stored as tuples: tuples of immutables get untracked by the
+        # cyclic GC, which matters when thousands of records sit in the
+        # ring across collector generations.
         record = DecisionRecord(
-            seq=self._next_seq(), msg_id=msg_id, outcome=outcome,
-            rung=rung, bundle_id=bundle_id, parent_id=parent_id,
-            edge_kind=edge_kind, skeleton=skeleton,
-            candidate_cap=candidate_cap, threshold=threshold,
-            candidates=tuple(candidates) if candidates else (),
-            allocation=tuple(allocation) if allocation else (),
-            refinement=tuple(refinement) if refinement else (),
-            deferred_first=deferred_first, late_arrival=late_arrival)
-        self._ring.append(record)
+            seq, msg_id, outcome, rung, bundle_id, parent_id, edge_kind,
+            skeleton, candidate_cap, threshold, fetched,
+            tuple(candidates) if candidates else (),
+            tuple(allocation) if allocation else (),
+            tuple(refinement) if refinement else (),
+            deferred_first, late_arrival)
+        ring.append(record)
         self._index[msg_id] = record
         self.recorded += 1
-        if not record.placed:
-            self.refusals += 1
-        for event in record.refinement:
-            self._evictions.append((record.seq, event))
+        if refinement:
+            for event in refinement:
+                self._evictions.append((seq, event))
         if self.sink is not None:  # to_dict is not free; skip unsinked
             self._emit(record.to_dict())
-        self._enforce_capacity()
+        if len(ring) > self.capacity:
+            victim = ring.popleft()
+            self.dropped += 1
+            if self._index.get(victim.msg_id) is victim:
+                del self._index[victim.msg_id]
+            # explain() reads only evictions after a ringed record.
+            oldest = ring[0].seq
+            evictions = self._evictions
+            while evictions and evictions[0][0] <= oldest:
+                evictions.popleft()
         return record
 
     def record_refusal(self, msg_id: int, outcome: IngestOutcome,
@@ -587,46 +587,10 @@ class AuditLog:
             payload["rung"] = rung
             self._emit(payload)
 
-    def record_alert(self, *, rule: str, metric: str, value: float,
-                     threshold: float, rung: int,
-                     observation: int) -> dict:
-        """Record a quality threshold-rule firing into the audit stream."""
-        payload = {
-            "type": "alert",
-            "seq": self._next_seq(),
-            "rule": rule,
-            "metric": metric,
-            "value": value,
-            "threshold": threshold,
-            "rung": rung,
-            "observation": observation,
-        }
-        self.alerts.append(payload)
+    def record_alert(self, payload: dict) -> None:
+        """Stamp a quality alert payload with a ``seq`` and sink it."""
+        payload["seq"] = self._next_seq()
         self._emit(payload)
-        return payload
-
-    # -- ring eviction ------------------------------------------------------
-
-    def _is_resident(self, record: DecisionRecord) -> bool:
-        if self._pool is None or record.bundle_id is None:
-            return False
-        bundle = self._pool.try_get(record.bundle_id)
-        return bundle is not None and record.msg_id in bundle
-
-    def _enforce_capacity(self) -> None:
-        while len(self._ring) > self.capacity:
-            for position, record in enumerate(self._ring):
-                if not self._is_resident(record):
-                    victim = self._ring.pop(position)
-                    self.dropped += 1
-                    if self._index.get(victim.msg_id) is victim:
-                        del self._index[victim.msg_id]
-                    break
-            else:
-                # Every ringed record is still pool-resident: grow
-                # rather than lose an explainable decision (the pool
-                # bound makes this rare and small).
-                return
 
     # -- queries ------------------------------------------------------------
 
@@ -639,7 +603,9 @@ class AuditLog:
         """The most recent ``n`` records, oldest first."""
         if n <= 0:
             return []
-        return [record.materialize() for record in self._ring[-n:]]
+        start = max(len(self._ring) - n, 0)
+        return [record.materialize()
+                for record in islice(self._ring, start, None)]
 
     def filter(self, *, outcome: "IngestOutcome | str | None" = None,
                rung: "int | None" = None,

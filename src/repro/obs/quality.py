@@ -223,15 +223,11 @@ class QualityMonitor:
 
     def _fire(self, rule: QualityRule, value: float, rung: int) -> None:
         self._alert_counters[rule.name].inc()
+        alert = {
+            "type": "alert", "rule": rule.name, "metric": rule.metric,
+            "value": value, "threshold": rule.min_value, "rung": rung,
+            "observation": self.observed,
+        }
         if self.audit is not None:
-            alert = self.audit.record_alert(
-                rule=rule.name, metric=rule.metric, value=value,
-                threshold=rule.min_value, rung=rung,
-                observation=self.observed)
-        else:
-            alert = {
-                "type": "alert", "rule": rule.name, "metric": rule.metric,
-                "value": value, "threshold": rule.min_value, "rung": rung,
-                "observation": self.observed,
-            }
+            self.audit.record_alert(alert)
         self.alerts.append(alert)

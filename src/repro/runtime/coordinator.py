@@ -430,7 +430,7 @@ class ShardedRuntime:
                              if raw_bundle is not None else None)
             else:
                 # The worker did not report this message: the whole
-                # worker residency is one opaque service hop.
+                # time inside the worker is one opaque service hop.
                 hop_span("service", recv, done, shard=shard)
                 outcome = "unreported"
             hop_span("ack_transit", done, acked)

@@ -19,7 +19,11 @@ rows — the bulky sections as SHA-256 digests — plus ``gathered``, the
 sum of ``len(gather)`` over the plain replay.  ``selection_golden.json``
 is that value as produced by the parent of the change;
 ``tests/core/test_engine.py::TestSelectionGolden`` demands the current
-code still produces it.  Regenerate (only ever at a parent checkout, see
+code still produces it.  The audited sections' ``decisions`` and
+``audit_jsonl`` digests were regenerated when decision records started
+listing only the candidates the pruned argmax looked up (plus the
+gather's ``fetched`` count) and the ring stopped growing past its
+capacity; every plain section and every other key kept its value.  Regenerate (only ever at a parent checkout, see
 ``.claude/skills/verify/SKILL.md``) with::
 
     PYTHONPATH=src python -m tests.core.selection_golden > tests/core/selection_golden.json

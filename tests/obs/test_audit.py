@@ -12,8 +12,8 @@ from repro.core import scoring
 from repro.core.config import IndexerConfig
 from repro.core.engine import ProvenanceIndexer
 from repro.obs import AuditLog, IngestOutcome, Observability, Tracer
-from repro.obs.audit import (CandidateScore, DecisionRecord, RefinementEvent,
-                             explain_from_jsonl, rung_label)
+from repro.obs.audit import (CandidateScore, DecisionRecord, Explanation,
+                             RefinementEvent, explain_from_jsonl, rung_label)
 from repro.reliability.overload import (REDUCED_CANDIDATE_CAP, HealthState,
                                         OverloadController)
 from tests.conftest import make_message
@@ -127,6 +127,7 @@ class TestRTChainAcceptance:
         assert "Algorithm 2" in text and "Eq. 2-5" in text
         assert f"connected to parent {results[1].edge.as_pair()[1]}" in text
         root = audit.explain(1).render()
+        assert "no candidate bundle fetched" in root
         assert "opened fresh bundle" in root
         assert "root message (no provenance edge)" in root
         assert audit.explain(999) is None
@@ -184,7 +185,8 @@ class TestRefusalRecords:
                              int(HealthState.SHED_ONLY))
         audit.record_refusal(8, IngestOutcome.DEFERRED,
                              int(HealthState.REDUCED))
-        assert audit.refusals == 2
+        assert [(r.msg_id, r.placed) for r in audit.tail(2)] == [
+            (7, False), (8, False)]
         shed = audit.record_for(7)
         assert not shed.placed
         assert shed.outcome is IngestOutcome.SHED
@@ -210,7 +212,7 @@ class TestRefusalRecords:
 
 
 class TestRingEviction:
-    def test_capacity_evicts_nonresident_records_first(self):
+    def test_capacity_evicts_the_oldest_records(self):
         audit = AuditLog(capacity=8)
         engine, _ = audited_engine(audit=audit)
         # Disjoint topics: fresh bundle each, pool_size=15 forces
@@ -219,23 +221,40 @@ class TestRingEviction:
             engine.ingest(make_message(
                 i, f"#only{i} standalone story number {i}",
                 user=f"u{i}", hours=i * 0.05))
-        assert audit.dropped > 0
-        # Every message still pool-resident kept its record.
-        for bundle in engine.pool:
-            for msg_id in bundle.message_ids():
-                assert audit.record_for(msg_id) is not None, (
-                    f"pool-resident message {msg_id} lost its record")
+        assert len(audit) == 8
+        assert audit.dropped == 72
+        assert [r.msg_id for r in audit.tail(100)] == list(range(72, 80))
+        assert audit.record_for(71) is None
+        assert audit.explain(71) is None
+        assert engine.obs.registry.value("repro_audit_dropped_total") == 72
 
-    def test_ring_grows_rather_than_dropping_resident_records(self):
+    def test_hot_topic_ring_holds_capacity_records(self):
         audit = AuditLog(capacity=2)
         engine, _ = audited_engine(audit=audit)
-        # One hot topic: everything lands in one pooled bundle, so all
-        # records stay resident and the ring must grow past capacity.
+        # One hot topic: everything lands in one pooled bundle, and the
+        # ring still keeps only the newest two records.
         for i in range(6):
             engine.ingest(make_message(i, f"#hot shared topic {i}",
                                        user=f"u{i}", hours=i * 0.01))
-        assert len(audit) == 6
-        assert audit.dropped == 0
+        assert len(engine.pool) == 1
+        assert len(audit) == 2
+        assert audit.dropped == 4
+        assert [r.msg_id for r in audit.tail(6)] == [4, 5]
+
+    def test_eviction_history_is_trimmed_with_the_ring(self):
+        audit = AuditLog(capacity=4)
+        engine, _ = audited_engine(audit=audit)
+        for i in range(300):
+            engine.ingest(make_message(
+                i, f"#only{i} standalone story number {i}",
+                user=f"u{i}", hours=i * 0.05))
+        assert engine.stats.refinements > 0
+        oldest = audit.tail(1 + len(audit))[0].seq
+        assert audit._evictions
+        assert all(seq > oldest for seq, _ in audit._evictions)
+        # Each event is one bundle leaving a pool of at most 15 after
+        # the oldest ringed ingest, or one a later ingest created.
+        assert len(audit._evictions) <= 15 + len(audit)
 
     def test_refinement_events_reach_records_and_explanations(self):
         engine, audit = audited_engine()
@@ -259,6 +278,75 @@ class TestRingEviction:
                       and e.later_events]
         assert narratives
         assert "left the pool" in narratives[0]
+
+
+class TestBoundSettlement:
+    """The record says what the max-score bound settled."""
+
+    @pytest.fixture(scope="class")
+    def dense_records(self):
+        from tests.core.selection_golden import dense_stream
+
+        audit = AuditLog(capacity=10_000)
+        engine = ProvenanceIndexer(IndexerConfig.partial_index(200),
+                                   obs=Observability(audit=audit))
+        engine.ingest_batch(dense_stream(), count_only=True)
+        return audit.tail(len(audit))
+
+    def test_pruned_candidates_are_counted_not_scored(self, dense_records):
+        records = dense_records
+        record = next(r for r in records
+                      if r.outcome is IngestOutcome.MATCHED
+                      and 0 < len(r.candidates) < r.fetched
+                      <= r.candidate_cap)
+        text = Explanation(record).render()
+        assert (f"Algorithm 1 - {len(record.candidates)} of "
+                f"{record.fetched} fetched candidates scored; the rest "
+                "were closed or could not reach max(best, threshold)"
+                ) in text
+        assert "candidate bundles (Eq. 1)" in text
+        assert record.to_dict()["fetched"] == record.fetched
+        assert DecisionRecord.from_dict(
+            record.to_dict()).fetched == record.fetched
+
+    def test_every_candidate_pruned_reads_as_settled(self, dense_records):
+        records = dense_records
+        record = next(r for r in records
+                      if not r.candidates and r.fetched)
+        assert record.outcome is IngestOutcome.NEW_BUNDLE
+        text = Explanation(record).render()
+        assert (f"Algorithm 1 - 0 of {record.fetched} fetched candidates "
+                "scored") in text
+        assert f"opened fresh bundle {record.bundle_id}" in text
+        assert "no candidate bundle" not in text
+
+    def test_fully_scored_gather_names_no_rest(self, dense_records):
+        records = dense_records
+        record = next(r for r in records
+                      if 0 < len(r.candidates) == r.fetched)
+        text = Explanation(record).render()
+        assert (f"Algorithm 1 - {record.fetched} of {record.fetched} "
+                "fetched candidates scored\n") in text
+        assert "the rest" not in text
+
+    def test_folded_record_says_selection_was_skipped(self):
+        engine, audit = audited_engine()
+        first, second, _ = rt_chain()
+        placed = engine.ingest(first)
+        engine.ingest_folded(second, placed.bundle_id, first.msg_id)
+        record = audit.record_for(second.msg_id)
+        assert record.outcome is IngestOutcome.FOLDED
+        assert record.fetched == 0
+        text = audit.explain(second.msg_id).render()
+        assert "Algorithm 1 - skipped" in text
+        assert "opened fresh bundle" not in text
+
+    def test_capped_gather_names_the_cap(self, dense_records):
+        records = dense_records
+        record = next(r for r in records if r.fetched > r.candidate_cap)
+        assert ("the rest fell past the candidate cap, were closed or "
+                "could not reach max(best, threshold)") in (
+            Explanation(record).render())
 
 
 class TestMaterializeSemantics:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from unittest import mock
 
 from repro.core.config import IndexerConfig
@@ -170,16 +171,20 @@ class TestThresholdRules:
         # with the reference still tiny after the window view.
         assert monitor.alerts == []
 
-    def test_alert_lands_in_the_audit_stream(self):
-        audit = AuditLog()
+    def test_alert_lands_in_the_audit_stream(self, tmp_path):
+        sink = tmp_path / "audit.jsonl"
+        audit = AuditLog(sink=sink)
         monitor, rule = self.degraded_monitor(audit=audit)
         self.push_bad(monitor, count=8)
-        assert len(audit.alerts) == 1
-        payload = audit.alerts[0]
-        assert payload["type"] == "alert"
+        audit.close()
+        lines = [json.loads(line) for line in sink.read_text().splitlines()]
+        alerts = [line for line in lines if line["type"] == "alert"]
+        assert len(alerts) == 1
+        payload = alerts[0]
         assert payload["rule"] == rule.name
         assert payload["threshold"] == rule.min_value
-        assert monitor.alerts == audit.alerts
+        assert payload["seq"] == 0
+        assert monitor.alerts == alerts
 
     def test_alert_counter_is_exported_per_rule(self):
         monitor, rule = self.degraded_monitor()

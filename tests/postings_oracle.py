@@ -30,8 +30,10 @@ def _package_gather(acc: "dict[int, list[int]]") -> CandidateGather:
     """Naive packaging: per-id kind rows -> one row per candidate.
 
     Every candidate gets a row, keyword-only ones included — the full
-    shape the slab's gather packages only for audited or
-    keyword-decisive selections (``CandidateGather.packaged``).
+    shape the slab's gather packages only when keyword-only candidates
+    could reach ``MIN_MATCH_SCORE`` (``CandidateGather.packaged``).
+    Recording a decision does not package: an audited selection runs
+    the same pruned loop.
     """
     ids = sorted(acc)
     rows = [acc[bundle_id] for bundle_id in ids]

@@ -10,7 +10,7 @@ from repro.core.engine import ProvenanceIndexer
 from repro.obs import AuditLog, Observability
 from tests.conftest import make_message
 
-# Message shapes: a few hot topics (bundles that stay resident), many
+# Message shapes: a few hot topics (bundles that stay pooled), many
 # one-off topics (bundles that get refined away), and retweet-ish text.
 topics = st.integers(min_value=0, max_value=4)
 shapes = st.sampled_from(["hot", "solo", "rt"])
@@ -18,10 +18,13 @@ message_plans = st.lists(st.tuples(shapes, topics),
                          min_size=1, max_size=120)
 
 
-def replay(plan, capacity):
+POOL_SIZE = 8
+
+
+def replay(plan, capacity, after_each=None):
     audit = AuditLog(capacity=capacity)
     engine = ProvenanceIndexer(
-        IndexerConfig.partial_index(pool_size=8),
+        IndexerConfig.partial_index(pool_size=POOL_SIZE),
         obs=Observability(audit=audit))
     for index, (shape, topic) in enumerate(plan):
         if shape == "hot":
@@ -35,22 +38,32 @@ def replay(plan, capacity):
             user = f"solo{index}"
         engine.ingest(make_message(index, text, user=user,
                                    hours=index * 0.03))
+        if after_each is not None:
+            after_each(audit)
     return engine, audit
 
 
 @given(plan=message_plans, capacity=st.integers(1, 16))
-@settings(max_examples=40, deadline=None)
-def test_ring_eviction_never_loses_a_pool_resident_record(plan, capacity):
-    """Residency protection: any message the pool still holds stays
-    explainable, no matter how small the ring is."""
-    engine, audit = replay(plan, capacity)
-    for bundle in engine.pool:
-        for msg_id in bundle.message_ids():
-            record = audit.record_for(msg_id)
-            assert record is not None, (
-                f"pool-resident message {msg_id} lost its audit record "
-                f"(capacity={capacity})")
-            assert record.bundle_id == bundle.bundle_id
+@settings(deadline=None)  # the example budget is the profile's
+def test_ring_stays_inside_its_capacity(plan, capacity):
+    """The ring holds the newest ``capacity`` records after every
+    ingest, and keeps only the eviction history a ringed record can
+    still explain."""
+    def bounded(audit):
+        assert len(audit) <= capacity
+        ringed = audit.tail(len(audit))
+        assert [r.msg_id for r in ringed] == list(range(
+            audit.recorded - len(ringed), audit.recorded))
+        if audit.dropped:
+            assert all(seq > ringed[0].seq
+                       for seq, _ in audit._evictions)
+            # A retained event is a bundle that left the pool after the
+            # oldest ringed ingest: pooled then, or created since.
+            assert len(audit._evictions) <= POOL_SIZE + len(audit)
+
+    engine, audit = replay(plan, capacity, after_each=bounded)
+    assert len(audit) == min(capacity, len(plan))
+    assert audit.record_for(len(plan) - 1) is not None
 
 
 @given(plan=message_plans, capacity=st.integers(1, 16))
@@ -61,7 +74,6 @@ def test_ring_accounting_is_conserved(plan, capacity):
     engine, audit = replay(plan, capacity)
     assert audit.recorded == len(plan)
     assert len(audit) + audit.dropped == audit.recorded
-    assert len(audit) <= max(capacity, engine.pool.message_count())
     # The index never points at evicted records.
     for record in audit.tail(len(audit)):
         assert audit.record_for(record.msg_id) is not None

@@ -300,7 +300,12 @@ def patched(constants) -> ExitStack:
 
 
 def _replay(config, candidate_cap, audited, messages, ops):
-    """Drive one engine through the script; return everything decided."""
+    """Drive one engine through the script; return everything decided.
+
+    Audit records enter the transcript as dicts: each ringed record's
+    ``to_dict()``, then every line the JSONL sink wrote, parsed.
+    """
+    import json
     import tempfile
     from itertools import count
 
@@ -311,16 +316,16 @@ def _replay(config, candidate_cap, audited, messages, ops):
         if audited:
             engine.obs.audit = AuditLog(
                 sink=f"{tmp}/audit-{next(sink_ids)}.jsonl")
-            engine.obs.audit.bind(engine.pool)
 
     def harvest(engine):
         if audited:
             transcript.extend(record.to_dict() for record
                               in engine.obs.audit.tail(len(messages)))
             engine.obs.audit.close()
-            # The JSONL bytes, as the sink serialised every record.
             sink = engine.obs.audit.sink
-            transcript.append(sink.read_bytes() if sink.exists() else b"")
+            lines = sink.read_text().splitlines() if sink.exists() else []
+            transcript.append(len(lines))
+            transcript.extend(map(json.loads, lines))
 
     with tempfile.TemporaryDirectory() as tmp:
         sink_ids = count()
@@ -355,6 +360,23 @@ def _replay(config, candidate_cap, audited, messages, ops):
     return transcript
 
 
+def _take_candidates(transcript):
+    """Pop every decision's Eq. 1 rows out of a :func:`_replay`
+    transcript; return them with the record's threshold, in order."""
+    taken = []
+    for entry in transcript:
+        if isinstance(entry, dict) and entry.get("type") == "decision":
+            taken.append((entry.pop("candidates"), entry["threshold"]))
+    return taken
+
+
+def _row_key(row):
+    """A candidate row with its score's exact bits."""
+    return (row["bundle_id"], row["shared_urls"], row["shared_hashtags"],
+            row["shared_keywords"], row["rt_hit"], row["score"].hex(),
+            row["selected"])
+
+
 class TestPruningIsLossless:
     """Bound-and-skip Alg. 1 / Alg. 2 against ``tests/scoring_oracle``."""
 
@@ -367,11 +389,19 @@ class TestPruningIsLossless:
         The oracle re-packages every gather naively, so it scores the
         slab's keyword-only tallies as full rows.  The run must land on
         both sides of the kind-level bound: configs where keyword-only
-        candidates cannot reach ``MIN_MATCH_SCORE`` (never scored
-        unaudited) and configs where they can.  One pinned example on
-        each side guarantees both, whatever the random draws.  The
-        oracle reaches the engine through its ``bundle_match_scores``
-        seam, so it must be called.
+        candidates cannot reach ``MIN_MATCH_SCORE`` (never scored) and
+        configs where they can.  One pinned example on each side
+        guarantees both, whatever the random draws.  The oracle reaches
+        the engine through its ``bundle_match_scores`` seam, so it must
+        be called.
+
+        Audited, the shipped record holds the candidates the pruned
+        loop looked up and the oracle's every capped live candidate:
+        every other field is equal, the shipped rows are a subset of
+        the oracle's with bit-identical scores, and each row only the
+        oracle has scores strictly below ``max(winner,
+        MIN_MATCH_SCORE)``.  A third pinned example prunes a candidate
+        on that bound, so the subset check is never vacuous.
         """
         from unittest import mock
 
@@ -380,7 +410,7 @@ class TestPruningIsLossless:
         from tests.scoring_oracle import exhaustive_scoring
 
         sides = {"keyword_only_pruned": 0, "keyword_only_scored": 0,
-                 "oracle_selects": 0}
+                 "oracle_selects": 0, "rows_pruned": 0}
         oracle_select = scoring_oracle.select
 
         def counted_select(*args):
@@ -395,6 +425,15 @@ class TestPruningIsLossless:
                                       "storm flood river")
                         for msg_id, user in enumerate(USERS)]
         pinned = (shared_words, [("ingest", 0)] * len(shared_words))
+        # Bundle 0 shares two tags with the third arrival and is visited
+        # first; bundle 1's bound (one tag) falls below its score.
+        two_bundles = [parse_message(msg_id, user, BASE_DATE + 60.0 * msg_id,
+                                     text)
+                       for msg_id, (user, text) in enumerate([
+                           ("ann", "storm #red #blue"),
+                           ("bob", "flood #green"),
+                           ("cyd", "river #red #blue #green")])]
+        pruning = (two_bundles, [("ingest", 0)] * len(two_bundles))
 
         @settings(deadline=None)
         @given(scoring_configs(), st.sampled_from(["slab", "dict"]),
@@ -407,6 +446,10 @@ class TestPruningIsLossless:
         @example((IndexerConfig(keyword_weight=0.5, time_weight=0.2),
                   {scoring: {"MIN_MATCH_SCORE": 0.4, "KEYWORD_HIT_CAP": 2}}),
                  "dict", None, True, pinned)
+        # 0.8 * 1 + 0.5 < 0.8 * 2 + 0.5 / (2 min + 1): bundle 1 skipped.
+        @example((IndexerConfig(),
+                  {scoring: {"MIN_MATCH_SCORE": 1.0, "KEYWORD_HIT_CAP": 2}}),
+                 "slab", None, True, pruning)
         def differential(drawn, layout, candidate_cap, audited, script):
             config, constants = drawn
             messages, ops = script
@@ -420,7 +463,20 @@ class TestPruningIsLossless:
                 with exhaustive_scoring():
                     oracle = _replay(config, candidate_cap, audited,
                                      messages, ops)
+            kept_rows = _take_candidates(shipped)
+            every_rows = _take_candidates(oracle)
             assert shipped == oracle
+            assert len(kept_rows) == len(every_rows)
+            for (kept, threshold), (every, _) in zip(kept_rows, every_rows):
+                ids = [row["bundle_id"] for row in kept]
+                assert ids == sorted(set(ids))
+                kept_keys = set(map(_row_key, kept))
+                assert kept_keys <= set(map(_row_key, every))
+                bar = max([row["score"] for row in every] + [threshold])
+                omitted = [row for row in every
+                           if _row_key(row) not in kept_keys]
+                assert all(row["score"] < bar for row in omitted), omitted
+                sides["rows_pruned"] += len(omitted)
 
         with mock.patch.object(scoring_oracle, "select", counted_select):
             differential()

@@ -25,7 +25,7 @@ from repro.core.errors import BundleClosedError, BundleError
 from repro.core.message import Message
 from repro.core.postings import CandidateGather
 from repro.core.scoring import dominant_connection_type, message_similarity
-from repro.obs.audit import _RawAllocation, _RawCandidates
+from repro.obs.audit import _RawAllocation
 from tests.postings_oracle import full_gather
 
 
@@ -73,8 +73,6 @@ def select(message: Message, gather: CandidateGather, cap: int,
     tag_hits, url_hits, kw_hits, user_hits = gather.kind_hits
     best_bundle: "Bundle | None" = None
     best_score = float("-inf")
-    kept_positions: "list[int]" = []
-    kept_scores: "list[float]" = []
     for position in order:
         bundle = live.get(ids[position])
         if bundle is None or bundle.closed:
@@ -88,15 +86,15 @@ def select(message: Message, gather: CandidateGather, cap: int,
             bundle_last_date=bundle.last_update,
             config=config,
         )
-        kept_positions.append(position)
-        kept_scores.append(score)
+        if collect is not None:
+            collect.append((bundle.bundle_id, url_hits[position],
+                            tag_hits[position], kw_hits[position],
+                            user_hits[position] > 0, score))
         if score > best_score or (
                 score == best_score and best_bundle is not None
                 and bundle.bundle_id < best_bundle.bundle_id):
             best_bundle = bundle
             best_score = score
-    if collect is not None and kept_positions:
-        collect.append(_RawCandidates(gather, kept_positions, kept_scores))
     if best_bundle is None or best_score < scoring.MIN_MATCH_SCORE:
         return None
     return best_bundle
@@ -144,8 +142,9 @@ def insert(self: Bundle, message: Message,
                 best, best_key = prior, key
         if collect is not None:
             collect.append(_RawAllocation(
-                message, tuple(candidates), best, best_key[0],
-                self.config, self.AUDIT_TOP_K))
+                message, [prior.msg_id for prior in candidates],
+                self._messages, best, best_key[0], self.config,
+                self.AUDIT_TOP_K))
         kind = dominant_connection_type(message, best)
         edge = Connection(message.msg_id, best.msg_id, kind, best_key[0])
     self._register_member(message, keywords, edge)
